@@ -71,12 +71,12 @@ class Measurement:
     window: float
     events: int
     time_ms_per_1000: float
-    touches_per_event: float
+    touches_per_tuple: float
     answer_size: int
 
     def row(self) -> tuple:
         return (self.label, self.window, round(self.time_ms_per_1000, 2),
-                round(self.touches_per_event, 1), self.answer_size)
+                round(self.touches_per_tuple, 1), self.answer_size)
 
 
 def run_once(plan: LogicalNode, events: list,
@@ -94,7 +94,7 @@ def run_once(plan: LogicalNode, events: list,
         window=window,
         events=result.events_processed,
         time_ms_per_1000=result.time_per_1000() * 1000.0,
-        touches_per_event=result.touches_per_tuple(),
+        touches_per_tuple=result.touches_per_tuple(),
         answer_size=sum(result.answer().values()),
     )
 
@@ -135,7 +135,7 @@ def print_table(title: str, measurements: list[Measurement],
     header = [row_key.ljust(10)]
     for s in strategies:
         header.append(f"{s} ms/1k".rjust(14))
-        header.append(f"{s} tch/ev".rjust(14))
+        header.append(f"{s} tch/tup".rjust(14))
     print(" ".join(header))
     by_cell = {(m.window, m.label): m for m in measurements}
     for key in keys:
@@ -146,7 +146,7 @@ def print_table(title: str, measurements: list[Measurement],
                 cells.extend(["--".rjust(14)] * 2)
             else:
                 cells.append(f"{m.time_ms_per_1000:14.2f}")
-                cells.append(f"{m.touches_per_event:14.1f}")
+                cells.append(f"{m.touches_per_tuple:14.1f}")
         print(" ".join(cells))
 
 
@@ -159,6 +159,6 @@ def speedup_summary(measurements: list[Measurement], baseline: str,
     for window in sorted({m.window for m in measurements}):
         base = by_cell.get((window, baseline))
         cont = by_cell.get((window, contender))
-        if base and cont and cont.touches_per_event:
-            out[window] = base.touches_per_event / cont.touches_per_event
+        if base and cont and cont.touches_per_tuple:
+            out[window] = base.touches_per_tuple / cont.touches_per_tuple
     return out

@@ -163,7 +163,7 @@ def e8_cost_model(window: float = 400) -> list[tuple[str, float, float]]:
             plan, events,
             ExecutionConfig(mode=Mode.UPA, str_storage=STR_NEGATIVE),
             tag, window)
-        rows.append((tag, predicted, measured.touches_per_event))
+        rows.append((tag, predicted, measured.touches_per_tuple))
     print(f"\n== E8 — cost model vs measured (Query 5, W={window}) ==")
     print(f"{'plan':<12}{'predicted cost':>16}{'measured tch/ev':>18}")
     for tag, predicted, measured in rows:
@@ -254,7 +254,7 @@ def e11_reeval_baseline() -> list[Measurement]:
             results.append(Measurement(
                 label=label, window=window, events=r.events_processed,
                 time_ms_per_1000=r.time_per_1000() * 1000.0,
-                touches_per_event=r.touches_per_event(),
+                touches_per_tuple=r.touches_per_event(),
                 answer_size=sum(r.answer().values()),
             ))
     print_table("E11 — incremental (UPA) vs from-scratch re-evaluation, "
@@ -302,118 +302,13 @@ def e13_shard_scaling() -> list[Measurement]:
                     window=window,
                     events=result.events_processed,
                     time_ms_per_1000=result.time_per_1000() * 1000.0,
-                    touches_per_event=result.touches_per_tuple(),
+                    touches_per_tuple=result.touches_per_tuple(),
                     answer_size=sum(result.answer().values()),
                 ))
     print_table(
         f"E13 — shard scaling (process backend, batch=64, "
         f"{os.cpu_count()} core(s))", results)
     return results
-
-
-def _program_shapes():
-    """(label, plan_fn, config_factory, traffic) per RESULTS.md cell."""
-    upa = lambda **kw: ExecutionConfig(mode=Mode.UPA, **kw)  # noqa: E731
-    neg = lambda **kw: ExecutionConfig(  # noqa: E731
-        mode=Mode.UPA, str_storage=STR_NEGATIVE, **kw)
-    return (
-        ("E1", lambda gen, w: query1(gen, w, "ftp"), upa, BENCH_TRAFFIC),
-        ("E2", lambda gen, w: query1(gen, w, "telnet"), upa, BENCH_TRAFFIC),
-        ("E3-src", lambda gen, w: query2(gen, w, pairs=False), upa,
-         BENCH_TRAFFIC),
-        ("E3-srcdst", lambda gen, w: query2(gen, w, pairs=True), upa,
-         BENCH_TRAFFIC),
-        ("E4-neg", query3, neg,
-         dataclasses.replace(BENCH_TRAFFIC, ip_overlap=1.0)),
-        ("E5", query4, upa, BENCH_TRAFFIC),
-    )
-
-
-def measure_program_cell(label: str, window: float,
-                         specialize: bool = True) -> Measurement:
-    """One fresh run of a single ``program_overhead`` cell.
-
-    The overhead tests use this for targeted re-measurement: on a shared
-    1-vCPU runner a single cell can transiently spike (GC pause, host
-    steal), and a spike is distinguishable from a real regression by
-    simply measuring again — a regressed driver is slow every time.
-    """
-    for shape_label, plan_fn, config_factory, traffic in _program_shapes():
-        if shape_label == label:
-            gen = make_generator(traffic)
-            events = trace_for(window, traffic)
-            return run_once(plan_fn(gen, window), events,
-                            config_factory(specialize=specialize),
-                            label if specialize else f"{label}/interp",
-                            window)
-    raise KeyError(f"unknown program cell label: {label!r}")
-
-
-def program_overhead() -> list[Measurement]:
-    """Driver-overhead audit: the UPA cells of E1–E5 on the unified
-    execution-program driver.
-
-    The refactor replaced the hand-inlined event loop with a compiled
-    ``ExecutionProgram`` interpreted by one ``Driver`` shared across all
-    regimes; this experiment re-measures exactly the table cells whose
-    pre-refactor times are recorded in RESULTS.md so the two can be
-    compared (``benchmarks/test_program_overhead.py`` asserts the ratio
-    stays within tolerance).  Labels match the RESULTS.md tables.
-
-    Each cell is measured twice: under the default specialized driver
-    (plain labels, e.g. ``E1``) and under the interpreted reference
-    opt-out (``specialize=False``; labels suffixed ``/interp``, e.g.
-    ``E1/interp``) — the test suite asserts the specialized cell is at
-    least as fast as its interpreted twin.
-    """
-    results: list[Measurement] = []
-    for label, plan_fn, config_factory, traffic in _program_shapes():
-        gen = make_generator(traffic)
-        for window in windows():
-            events = trace_for(window, traffic)
-            # One discarded warm-up per cell: the first run after a shape
-            # or trace switch pays allocator/cache warm-up that would
-            # otherwise be charged entirely to whichever driver is
-            # measured first, biasing the paired comparison.  Each side
-            # is then the minimum over interleaved rounds — noise (GC,
-            # scheduler preemption) is strictly additive, so the minimum
-            # is the tightest observable and keeps the pairing fair.
-            run_once(plan_fn(gen, window), events, config_factory(),
-                     label, window)
-            spec_runs, interp_runs = [], []
-            for _ in range(2):
-                spec_runs.append(run_once(plan_fn(gen, window), events,
-                                          config_factory(), label, window))
-                interp_runs.append(run_once(
-                    plan_fn(gen, window), events,
-                    config_factory(specialize=False),
-                    f"{label}/interp", window))
-            results.append(min(spec_runs,
-                               key=lambda m: m.time_ms_per_1000))
-            results.append(min(interp_runs,
-                               key=lambda m: m.time_ms_per_1000))
-    print_table("PROGRAM — specialized vs interpreted UPA times on the "
-                "E1–E5 cells", results)
-    return results
-
-
-def measure_columnar_cell(label: str, window: float,
-                          columnar: bool = True) -> Measurement:
-    """One fresh batch=64 run of a single ``columnar_speedup`` cell.
-
-    Used by the speedup tests for targeted re-measurement, exactly like
-    :func:`measure_program_cell`: a transient spike vanishes on retry, a
-    real regression is slow every time.
-    """
-    for shape_label, plan_fn, config_factory, traffic in _program_shapes():
-        if shape_label == label:
-            gen = make_generator(traffic)
-            events = trace_for(window, traffic)
-            return run_once(plan_fn(gen, window), events,
-                            config_factory(columnar=columnar),
-                            label if columnar else f"{label}/row",
-                            window, batch=64)
-    raise KeyError(f"unknown columnar cell label: {label!r}")
 
 
 #: Chunk sizes measured by the transport micro-cells (DEFAULT_CHUNK and the
@@ -535,7 +430,7 @@ def transport_cost() -> list[Measurement]:
                 results.append(Measurement(
                     label=label, window=chunk_size, events=n,
                     time_ms_per_1000=best[label] / n * 1000.0 * 1000.0,
-                    touches_per_event=0.0, answer_size=0))
+                    touches_per_tuple=0.0, answer_size=0))
     finally:
         for parent, worker in pipes:
             parent.close()
@@ -544,43 +439,20 @@ def transport_cost() -> list[Measurement]:
 
 
 def columnar_speedup() -> list[Measurement]:
-    """Columnar chunk plane audit: E1–E5 UPA cells at batch=64, columnar
-    on vs off, plus the shard-transport micro-cells.
+    """Shard-transport audit: :func:`transport_cost`'s micro-cells,
+    tabulated.
 
-    The chunk plane pivots each micro-batch into struct-of-arrays columns,
-    bulk-inserts window state, and evaluates fused stateless prefixes
-    column-wise; ``columnar=False`` runs the identical specialized driver
-    row at a time.  Labels are the RESULTS.md cell names, with the row
-    reference suffixed ``/row`` (mirroring ``program_overhead``'s
-    ``/interp`` convention); ``benchmarks/test_columnar_speedup.py``
-    asserts the geomean speedup and byte-identical answers.
+    The chunk plane's micro-batch loop is chosen by the driver from the
+    program, so there is no twin to race it against here;
+    ``benchmarks/e2e`` holds workloads on both sides of that choice and
+    ``python -m benchmarks.e2e --compare`` is the regression gate.  The
+    transport's pickle side is a live fallback (no shared memory,
+    unrepresentable chunks), which is why this comparison stays.
     """
-    results: list[Measurement] = []
-    for label, plan_fn, config_factory, traffic in _program_shapes():
-        gen = make_generator(traffic)
-        for window in windows():
-            events = trace_for(window, traffic)
-            # Same measurement protocol as program_overhead: one discarded
-            # warm-up, then the minimum over interleaved rounds per side.
-            run_once(plan_fn(gen, window), events, config_factory(),
-                     label, window, batch=64)
-            col_runs, row_runs = [], []
-            for _ in range(3):
-                col_runs.append(run_once(
-                    plan_fn(gen, window), events, config_factory(),
-                    label, window, batch=64))
-                row_runs.append(run_once(
-                    plan_fn(gen, window), events,
-                    config_factory(columnar=False),
-                    f"{label}/row", window, batch=64))
-            results.append(min(col_runs, key=lambda m: m.time_ms_per_1000))
-            results.append(min(row_runs, key=lambda m: m.time_ms_per_1000))
-    print_table("COLUMNAR — chunk plane on vs off (batch=64) on the "
-                "E1–E5 cells", results)
     transport = transport_cost()
     print_table("COLUMNAR — per-chunk shard transport, shm codec vs "
                 "pickle pipe", transport, row_key="chunk")
-    return results + transport
+    return transport
 
 
 EXPERIMENTS = {
@@ -596,6 +468,5 @@ EXPERIMENTS = {
     "e10": e10_memory,
     "e11": e11_reeval_baseline,
     "e13": e13_shard_scaling,
-    "program": program_overhead,
     "columnar": columnar_speedup,
 }

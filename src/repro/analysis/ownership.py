@@ -14,13 +14,11 @@ the engine runs:
   one owner slot of its pipeline (one ``(operator, slot)`` pair or the
   result view) — the same object aliased into two slots means one
   operator's mutations corrupt another's invariants;
-* **ALS702** walks the specialized driver's compiled closures
-  (``__closure__`` cells, recursively through containers and nested
-  functions) and proves no closure captured a stale
-  :class:`~repro.engine.specialize.SpecializationTable` or a pre-seal
-  :class:`~repro.core.plan.LogicalNode` — a stale capture keeps running
-  the *old* program shape while PRG601–604 (which check the current
-  program object) stay green;
+* **ALS702** walks the driver's compiled closures (``__closure__`` cells,
+  recursively through containers and nested functions) and proves no
+  closure captured a pre-seal :class:`~repro.core.plan.LogicalNode` — a
+  captured plan object ties the hot path to the mutable planning
+  representation the compile was supposed to seal away;
 * **ALS703** intersects the pipeline's reachable set with module-level
   mutable globals of every loaded ``repro`` module: a compiled path that
   can mutate a module global aliases state across every pipeline in the
@@ -47,7 +45,7 @@ from typing import Any, Iterable, Iterator
 from ..buffers.base import StateBuffer
 from ..core.metrics import Counters, NullCounters
 from ..core.plan import LogicalNode
-from .rules import Diagnostic, LintContext, SEVERITY_ERROR, _program_of
+from .rules import Diagnostic, LintContext, SEVERITY_ERROR
 
 #: Plain containers treated as mutable sinks when module-global.
 _MUTABLE_CONTAINERS = (list, dict, set, deque)
@@ -354,56 +352,26 @@ def _captured_values(fn: Any, visited: set[int]) -> Iterator[tuple[str, Any]]:
 
 
 def rule_als702_stale_captures(ctx: LintContext) -> Iterator[Diagnostic]:
-    """ALS702: the specialized driver's compiled closures must be bound to
-    the *current* specialization table and must not capture pre-seal plan
-    objects.  A closure compiled from a superseded table keeps executing
-    the old program shape — dropped streams, missing expiration
-    participants — while PRG604 (which checks the cached table against
-    the program) stays green; a captured :class:`LogicalNode` ties the
-    hot path to the mutable planning representation the compile was
-    supposed to seal away.  Skips silently when no driver is supplied
-    (nothing has compiled closures yet)."""
+    """ALS702: the driver's compiled closures must not capture pre-seal
+    plan objects.  A captured :class:`LogicalNode` ties the hot path to
+    the mutable planning representation the compile was supposed to seal
+    away.  Skips silently when no driver is supplied (nothing has compiled
+    closures yet)."""
     driver = ctx.driver
     if driver is None or ctx.compiled is None:
         return
-    program = _program_of(ctx)
-    if program is None:
-        return
-    table = getattr(driver, "_table", None)
-    current = getattr(program, "specialization", None)
-    fix = "recompile the driver from the sealed program " \
-          "(engine.specialize.make_driver)"
-    if table is not None and current is not None and table is not current:
-        yield Diagnostic(
-            "ALS702", SEVERITY_ERROR, "$",
-            "the driver's closures were compiled from a specialization "
-            "table that is no longer the program's cached table; the "
-            "compiled fast path executes a superseded program shape",
-            fix,
-        )
-    closures = getattr(driver, "compiled_closures", None)
-    if not callable(closures):
-        return
-    from ..engine.specialize import SpecializationTable
     visited: set[int] = set()
-    for name, fn in closures():
+    for name, fn in driver.compiled_closures():
         for capture, value in _captured_values(fn, visited):
-            if isinstance(value, SpecializationTable) and value is not current:
-                yield Diagnostic(
-                    "ALS702", SEVERITY_ERROR, "$",
-                    f"closure {name!r} captures a stale specialization "
-                    f"table (cell {capture!r}) that is not the program's "
-                    "cached table",
-                    fix,
-                )
-            elif isinstance(value, LogicalNode):
+            if isinstance(value, LogicalNode):
                 yield Diagnostic(
                     "ALS702", SEVERITY_ERROR, "$",
                     f"closure {name!r} captures the logical plan node "
                     f"{value.describe()} (cell {capture!r}); compiled "
                     "closures must bind physical structures only — plan "
                     "objects are pre-seal planning state",
-                    fix,
+                    "recompile the driver from the sealed program "
+                    "(engine.driver.Driver)",
                 )
 
 

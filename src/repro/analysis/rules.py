@@ -789,89 +789,17 @@ def rule_prg603_fused_prefixes_stateless(ctx: LintContext
                     )
 
 
-def rule_prg604_specialization_coverage(ctx: LintContext
-                                        ) -> Iterator[Diagnostic]:
-    """PRG604: the cached specialization table — the object the specialized
-    driver's monomorphic closures were compiled from — must cover exactly
-    the interpreted program's steps and routes.  The table is re-derived
-    from the IR here and compared entry-wise against the cached one: a
-    stale or tampered table would compile closures that silently drop a
-    stream's arrivals, skip an expiration participant, or route deltas
-    along the wrong edges while PRG601–603 (which check the *program*)
-    stay green.  Programs that were never specialized (interpreted opt-out)
-    have nothing to check."""
-    program = _program_of(ctx)
-    if program is None:
-        return
-    table = getattr(program, "specialization", None)
-    if table is None:
-        return  # never specialized: the interpreted reference path
-    fix = "recompile with engine.specialize.specialize_program"
-    expected_steps = tuple(step.kind for step in program.steps)
-    if tuple(table.step_kinds) != expected_steps:
-        yield Diagnostic(
-            "PRG604", SEVERITY_ERROR, "$",
-            f"the specialization table covers steps {table.step_kinds!r} "
-            f"but the execution program runs {expected_steps!r}",
-            fix,
-        )
-    if set(table.dispatch) != set(program.dispatch):
-        missing = sorted(set(program.dispatch) - set(table.dispatch))
-        extra = sorted(set(table.dispatch) - set(program.dispatch))
-        yield Diagnostic(
-            "PRG604", SEVERITY_ERROR, "$",
-            "the specialized dispatch closures do not cover the program's "
-            f"stream tables (missing {missing}, extra {extra}); a missing "
-            "entry silently drops every arrival on that stream",
-            fix,
-        )
-    else:
-        for stream, plans in program.dispatch.items():
-            if tuple(table.dispatch[stream]) != tuple(plans):
-                yield Diagnostic(
-                    "PRG604", SEVERITY_ERROR, f"$ [dispatch:{stream}]",
-                    f"stream {stream!r}'s specialized arrival closures were "
-                    "compiled from different dispatch plans than the "
-                    "program's table",
-                    fix,
-                )
-    if tuple(table.expire_ops) != tuple(program.expire_ops):
-        yield Diagnostic(
-            "PRG604", SEVERITY_ERROR, "$",
-            "the specialized expiration pass was compiled from a different "
-            f"eager participant list ({len(table.expire_ops)} op(s)) than "
-            f"the program's ({len(program.expire_ops)} op(s), bottom-up)",
-            fix,
-        )
-    program_routes = {op_id: tuple(route)
-                      for op_id, route in program.routes.items()}
-    table_routes = {op_id: tuple(route)
-                    for op_id, route in table.routes.items()}
-    if table_routes != program_routes:
-        differing = sorted(
-            op_id for op_id in set(table_routes) | set(program_routes)
-            if table_routes.get(op_id) != program_routes.get(op_id))
-        yield Diagnostic(
-            "PRG604", SEVERITY_ERROR, "$",
-            f"{len(differing)} specialized route(s) disagree with the "
-            "program's resolved routes; deltas would propagate along the "
-            "wrong edges",
-            fix,
-        )
-
-
 def rule_prg605_column_kernel_agreement(ctx: LintContext
                                         ) -> Iterator[Diagnostic]:
     """PRG605: on every fused dispatch prefix, an operator's column kernel
     must evaluate the same function as its scalar kernel — the same
     predicate object for ``filter``/``filter_rows``, the same index tuple
     for ``map_indices``/``take_columns``, ``pass`` for ``pass``.  The
-    columnar driver evaluates prefixes column-wise from the column form
-    while the row path (and every fallback) evaluates the scalar form; a
-    disagreeing pair would make ``columnar=True`` and ``columnar=False``
-    runs produce different answers from the same plan.  Operators with no
-    column kernel are fine — they opt the plan out of the columnar loop
-    wholesale rather than changing its meaning."""
+    driver's column loop evaluates prefixes column-wise from the column
+    form while the per-tuple and row loops evaluate the scalar form; a
+    disagreeing pair would make one plan's answer depend on which loop ran
+    the batch.  Operators with no column kernel are fine — they keep the
+    plan on the row loop rather than changing its meaning."""
     from ..engine.columnar import column_kernel_matches
 
     program = _program_of(ctx)
@@ -882,7 +810,7 @@ def rule_prg605_column_kernel_agreement(ctx: LintContext
             for op, _kind, _arg in plan.prefix:
                 column = op.column_kernel()
                 if column is None:
-                    continue  # not vectorizable: row-path fallback
+                    continue  # not vectorizable: the plan takes the row loop
                 scalar = op.scalar_kernel()
                 if not column_kernel_matches(scalar, column):
                     scalar_kind = scalar[0] if scalar else None
@@ -953,7 +881,6 @@ PLAN_RULES = (
     ("PRG601", rule_prg601_dispatch_covers_edges),
     ("PRG602", rule_prg602_expiration_participants),
     ("PRG603", rule_prg603_fused_prefixes_stateless),
-    ("PRG604", rule_prg604_specialization_coverage),
     ("PRG605", rule_prg605_column_kernel_agreement),
     ("ALS701", rule_als701_exclusive_ownership),
     ("ALS702", rule_als702_stale_captures),

@@ -81,8 +81,6 @@ def _cmd_run(args) -> int:
                              n_partitions=args.partitions,
                              str_storage=args.str_storage,
                              checked=args.checked,
-                             specialize=not args.no_specialize,
-                             columnar=not args.no_columnar,
                              telemetry=args.metrics_out is not None)
     query = ContinuousQuery(plan, config)
     if args.explain:
@@ -122,8 +120,6 @@ def _cmd_run_group(args) -> int:
                              n_partitions=args.partitions,
                              str_storage=args.str_storage,
                              checked=args.checked,
-                             specialize=not args.no_specialize,
-                             columnar=not args.no_columnar,
                              telemetry=args.metrics_out is not None)
     group = QueryGroup(shared=not args.independent)
     for index, text in enumerate(args.queries, start=1):
@@ -255,19 +251,6 @@ def _add_catalog_options(parser: argparse.ArgumentParser) -> None:
                         default="upa", help="execution strategy")
 
 
-def _add_specialize_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--no-specialize", action="store_true",
-                        help="run the interpreted reference driver instead "
-                             "of the specialized (compiled-closure) event "
-                             "loop; answers, output streams and counters "
-                             "are byte-identical either way")
-    parser.add_argument("--no-columnar", action="store_true",
-                        help="run the row-at-a-time micro-batch path "
-                             "instead of the columnar (struct-of-arrays "
-                             "chunk) data plane; answers, output streams "
-                             "and counters are byte-identical either way")
-
-
 def _add_checked_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--checked", action="store_true",
                         help="checked execution: wrap every state buffer "
@@ -318,7 +301,6 @@ def main(argv: list[str] | None = None) -> int:
                      help="print the annotated plan before running")
     _add_catalog_options(run)
     _add_checked_option(run)
-    _add_specialize_option(run)
     _add_shard_options(run)
     _add_metrics_option(run)
     run.set_defaults(func=_cmd_run)
@@ -345,7 +327,6 @@ def main(argv: list[str] | None = None) -> int:
                            help="print the fused group DAG before running")
     _add_catalog_options(run_group)
     _add_checked_option(run_group)
-    _add_specialize_option(run_group)
     _add_shard_options(run_group)
     _add_metrics_option(run_group)
     run_group.set_defaults(func=_cmd_run_group)

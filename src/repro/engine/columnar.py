@@ -1,15 +1,14 @@
 """Columnar chunk plane: struct-of-arrays micro-batches.
 
-The control plane got fast in two steps — one compiled
-:class:`~repro.engine.program.ExecutionProgram`, then monomorphic closures
-(:mod:`~repro.engine.specialize`) — but the data plane still moved one boxed
-:class:`~repro.core.tuples.Tuple` at a time: every fused prefix paid a
-closure call per arrival, every window insert paid two counter attribute
-writes, and the ``process`` shard backend paid a full pickle round-trip per
-chunk.  This module rebuilds the data plane around a struct-of-arrays
-micro-batch, the representation batch-oriented delta processors (Kara et
-al., arXiv:2206.09032; Idris et al., SIGMOD'17) use to win their constant
-factors, while preserving the paper's byte-identical-answer discipline:
+The control plane resolves the event loop once per query
+(:mod:`~repro.engine.program`, :mod:`~repro.engine.driver`); this module is
+the data plane beside it.  A row loop moves one boxed
+:class:`~repro.core.tuples.Tuple` at a time: every fused prefix pays a
+closure call per arrival, every window insert pays two counter attribute
+writes, and the ``process`` shard backend pays a full pickle round-trip per
+chunk.  The struct-of-arrays micro-batch is the representation
+batch-oriented delta processors (Kara et al., arXiv:2206.09032; Idris et
+al., SIGMOD'17) use to win their constant factors:
 
 * :class:`ChunkTable` — one column per schema field plus ``ts``/``exp``/
   ``sign`` columns, with per-row ``Tuple`` materialization deferred to
@@ -19,63 +18,23 @@ factors, while preserving the paper's byte-identical-answer discipline:
   :mod:`~repro.engine.shard` — one shared payload per routed chunk, tiny
   per-shard row-index headers, lazy per-stream column materialization on
   the worker side;
-* :class:`ColumnarDriver` — a :class:`~repro.engine.specialize.
-  SpecializedDriver` whose micro-batch loop splits each batch into a bulk
-  *column phase* (stamp, window insert, fused stateless prefix — evaluated
-  per stream over whole chunks) and an in-order *replay phase* (expiration
-  passes, stateful suffixes, lazy purges, delivery — per event, at each
-  event's own clock).
-
-Exactness argument (why the split is safe)
-------------------------------------------
-
-The column phase hoists exactly three mutations ahead of their row-path
-position: window-store inserts, the leaf/prefix ``tuples_processed``
-charges, and operator clock advances.  All three commute with everything
-the replay phase can observe:
-
-1. *Window inserts.*  A tuple stamped from a later event ``k`` carries
-   ``exp = ts_k + span > ts_r`` for every earlier event ``r`` in the batch
-   (timestamps are non-decreasing, spans positive), so an expiration pass
-   replayed at ``ts_r`` can never pop it — ``purge_expired`` sees the
-   identical expired set either way, and the boundary it re-queries stays a
-   sound lower bound that triggers passes at the identical event clocks.
-2. *Counter charges.*  ``tuples_processed`` and the buffers'
-   ``inserts``/``touches`` are order-insensitive totals; ``insert_many`` is
-   contractually equal to n× ``insert``.
-3. *Clocks.*  Stateless operators' clocks are only ever folded upward; no
-   pass, probe, or subscriber reads them mid-batch.
-
-Everything order-sensitive — pass scheduling (``now >= gate``), stateful
-suffix processing, lazy-purge grid decisions, output delivery — runs in the
-replay phase, per event, in arrival order, against exactly the state the
-row path would see.  Batches containing relation updates, count-domain
-plans, non-monotone timestamps, or an armed telemetry layer fall back to
-the reference specialized loop wholesale, which is trivially identical.
-
-``ExecutionConfig(columnar=False)`` (CLI ``--no-columnar``) opts back into
-the row path; lint rule PRG605 proves the column kernels agree with the
-scalar kernels on the compiled plan.
+* the column-kernel vocabulary (:func:`column_kernel_matches`,
+  :func:`take_columns`) the driver's column micro-batch loop evaluates
+  fused stateless prefixes with.  The loop itself, the rule that decides
+  when a program takes it, and the argument that it is exact live in
+  :mod:`~repro.engine.driver`.
 """
 
 from __future__ import annotations
 
-import math
 import pickle
 import struct
 import zlib
 from array import array
-from bisect import bisect_left
-from itertools import compress, islice
-from operator import gt as _gt
 from typing import Sequence
 
 from ..errors import ExecutionError
 from ..streams.stream import Arrival, Event, Tick
-from ..streams.window import TimeWindow
-from .specialize import SpecializedDriver
-
-_INF = math.inf
 
 #: Rows below this threshold take the per-row projection path; above it the
 #: double-transpose (zip to columns, gather, zip back) wins because both
@@ -250,8 +209,8 @@ class ChunkTable:
         return self._values
 
     def to_events(self) -> list:
-        """Materialize plain events — the escape hatch for reference-path
-        consumers (row drivers, telemetry-armed batches)."""
+        """Materialize plain events — the escape hatch for row-loop
+        consumers (row-loop drivers, telemetry-armed batches)."""
         values = self.row_values()
         ts = self.ts
         return [Tick(ts[r]) if stream is None
@@ -589,7 +548,7 @@ def _decode_columns(view, pos, total, width, offset, count) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Column-plan compilation
+# Column kernels
 # ---------------------------------------------------------------------------
 
 
@@ -614,7 +573,7 @@ def column_kernel_matches(scalar, column) -> bool:
     return False  # pragma: no cover - closed kernel vocabulary
 
 
-def _take_columns(rows: list, indices) -> list:
+def take_columns(rows: list, indices) -> list:
     """Column-wise projection: gather ``indices`` from a row block.
 
     Above :data:`_TRANSPOSE_MIN` rows the block is transposed to columns,
@@ -627,358 +586,11 @@ def _take_columns(rows: list, indices) -> list:
     return [tuple(row[i] for i in indices) for row in rows]
 
 
-class ColumnarDriver(SpecializedDriver):
-    """Specialized driver with a columnar micro-batch loop.
-
-    ``process_batch`` columnarizes each batch into a :class:`ChunkTable`
-    and runs the two-phase loop; ``process_chunk`` accepts an
-    already-columnar table (the shared-memory shard transport decodes
-    straight into one, never materializing event objects on the hot path).
-    Every fallback — telemetry armed, count-domain plan, non-column-kernel
-    prefix, relation updates, non-monotone timestamps — lands on the
-    reference specialized loop, which is byte-identical by construction.
-    """
-
-    #: Structural marker for tests, explain output and introspection.
-    columnar = True
-
-    def __init__(self, compiled, program):
-        super().__init__(compiled, program)
-        self._compile_column_plans()
-
-    # -- compilation --------------------------------------------------------
-
-    def _compile_column_plans(self) -> None:
-        """Compile one column-phase closure per dispatch plan.
-
-        Any plan the column vocabulary cannot express exactly — count
-        windows, unfused leaves, a prefix operator whose column kernel is
-        missing or disagrees with its scalar kernel — disables the
-        columnar loop wholesale (``_col_ok = False``); the driver then
-        behaves exactly like its :class:`SpecializedDriver` base.
-        """
-        table = self._table
-        eager_index = {id(op): i
-                       for i, op in enumerate(table.expire_ops)}
-        plans: dict = {}
-        ok = self._time_domain
-        if ok:
-            for stream, dispatch_plans in table.dispatch.items():
-                compiled_plans = []
-                for plan in dispatch_plans:
-                    fn = self._compile_column_plan(plan, eager_index)
-                    if fn is None:
-                        ok = False
-                        break
-                    compiled_plans.append(fn)
-                if not ok:
-                    break
-                plans[stream] = tuple(compiled_plans)
-        self._col_plans = plans if ok else {}
-        self._col_ok = ok
-
-    def _compile_column_plan(self, plan, eager_index):
-        """One dispatch plan → a column-phase closure, or ``None``.
-
-        The closure consumes one stream's rows of a chunk (indices, value
-        tuples), performs the bulk work — stamp, window insert, fused
-        prefix over whole columns — and queues ``(suffix, tuple)`` pairs
-        on ``pending`` for the replay phase to run in arrival order.
-        """
-        if not plan.is_window:
-            return None
-        leaf = plan.leaf
-        window = leaf.window
-        if not isinstance(window, TimeWindow):
-            return None
-        kernels = []
-        for op, _kind, _arg in plan.prefix:
-            column = op.column_kernel()
-            if not column_kernel_matches(op.scalar_kernel(), column):
-                return None
-            kernels.append((op, column[0], column[1]))
-        kernels = tuple(kernels)
-        span = window.size
-        store = leaf._store
-        insert_many = store.insert_many if store is not None else None
-        counters = self.compiled.counters
-        boundaries = self._boundaries
-        leaf_idx = eager_index.get(id(leaf), -1)
-        suffix = self._compile_suffix(plan, eager_index)
-        tuple_cls = _Tuple
-
-        def column_phase(rows, vals, ts, pending, gate):
-            k = len(rows)
-            last_ts = ts[rows[-1]]
-            # Leaf bookkeeping, bulk: clock fold, one charge per tuple,
-            # stamp the exp column, insert the whole block.
-            if last_ts > leaf.clock:
-                leaf.clock = last_ts
-            counters.tuples_processed += k
-            if leaf_idx >= 0:
-                # Minimum stamped exp = first row's (ts non-decreasing):
-                # fold the leaf's boundary cache and the global gate.
-                low = ts[rows[0]] + span
-                if low < boundaries[leaf_idx]:
-                    boundaries[leaf_idx] = low
-                    if low < gate:
-                        gate = low
-            idx = rows
-            if insert_many is not None:
-                stamped = [tuple_cls(v, ts[r], ts[r] + span)
-                           for r, v in zip(rows, vals)]
-                insert_many(stamped)
-                keep = stamped
-                for op, kind, arg in kernels:
-                    if not keep:
-                        break
-                    tail = keep[-1].ts
-                    if tail > op.clock:
-                        op.clock = tail
-                    counters.tuples_processed += len(keep)
-                    if kind == "filter_rows":
-                        mask = [arg(t.values) for t in keep]
-                        idx = list(compress(idx, mask))
-                        keep = list(compress(keep, mask))
-                    elif kind == "take_columns":
-                        keep = [t.with_values(v) for t, v in zip(
-                            keep, _take_columns([t.values for t in keep],
-                                                arg))]
-                for i, t in zip(idx, keep):
-                    slot = pending[i]
-                    if slot is None:
-                        pending[i] = (suffix, t)
-                    elif slot.__class__ is list:
-                        slot.append((suffix, t))
-                    else:
-                        pending[i] = [slot, (suffix, t)]
-            else:
-                # Unmaterialized window (no store, never eager): run the
-                # whole prefix over raw value columns and materialize
-                # Tuples only for the rows that survive — the lazy
-                # boundary the struct-of-arrays layout exists for.
-                keep = vals
-                for op, kind, arg in kernels:
-                    if not keep:
-                        break
-                    tail = ts[idx[-1]]
-                    if tail > op.clock:
-                        op.clock = tail
-                    counters.tuples_processed += len(keep)
-                    if kind == "filter_rows":
-                        mask = list(map(arg, keep))
-                        idx = list(compress(idx, mask))
-                        keep = list(compress(keep, mask))
-                    elif kind == "take_columns":
-                        keep = _take_columns(keep, arg)
-                for i, v in zip(idx, keep):
-                    t = ts[i]
-                    slot = pending[i]
-                    if slot is None:
-                        pending[i] = (suffix, tuple_cls(v, t, t + span))
-                    elif slot.__class__ is list:
-                        slot.append((suffix, tuple_cls(v, t, t + span)))
-                    else:
-                        pending[i] = [slot, (suffix, tuple_cls(v, t, t + span))]
-            return gate
-
-        return column_phase
-
-    def _compile_suffix(self, plan, eager_index):
-        """The residual stateful route of one plan, as a per-tuple closure
-        identical to the tail of the specialized ``window_b`` arrival
-        (stage-boundary folds, generic ``process_batch`` stages, DELIVER)."""
-        compiled = self.compiled
-        view_apply = compiled.view.apply
-        subscribers = self._subscribers
-        boundaries = self._boundaries
-        stages = tuple((parent.process_batch, slot,
-                        eager_index.get(id(parent), -1))
-                       for parent, slot in plan.suffix)
-
-        def run_suffix(t, now, gate):
-            outputs = [t]
-            for pb, slot, idx in stages:
-                if idx >= 0:
-                    low = _INF
-                    for out in outputs:
-                        if out.exp < low:
-                            low = out.exp
-                    if low < boundaries[idx]:
-                        boundaries[idx] = low
-                        if low < gate:
-                            gate = low
-                outputs = pb(slot, outputs, now)
-                if not outputs:
-                    return gate
-            for out in outputs:
-                view_apply(out, now)
-                for callback in subscribers:
-                    callback(out, now)
-            return gate
-
-        return run_suffix
-
-    def compiled_closures(self):
-        yield from super().compiled_closures()
-        for stream, fns in self._col_plans.items():
-            for i, fn in enumerate(fns):
-                yield f"column:{stream}[{i}]", fn
-
-    # -- the two-phase micro-batch loop -------------------------------------
-
-    def process_batch(self, events: Sequence[Event]) -> None:
-        if not events:
-            return
-        if self._telemetry is not None or not self._col_ok:
-            return SpecializedDriver.process_batch(self, events)
-        table = ChunkTable.from_events(events)
-        if table is None:  # relation updates: reference path
-            return SpecializedDriver.process_batch(self, events)
-        self._process_table(table, events)
-
-    def process_chunk(self, table: ChunkTable) -> None:
-        """Run one decoded chunk without materializing event objects.
-
-        The shard worker's hot path: the shared-memory transport decodes
-        columns in place and hands the table straight to the driver.
-        Fallback paths (telemetry armed, non-columnar plan) materialize
-        events once and run the reference loop.
-        """
-        if table.n == 0:
-            return
-        if self._telemetry is not None or not self._col_ok:
-            return SpecializedDriver.process_batch(self, table.to_events())
-        self._process_table(table, None)
-
-    def _process_table(self, table: ChunkTable, events) -> None:
-        ts = table.ts
-        # Monotonicity pre-scan (C-speed pairwise compare): the reference
-        # loop raises at the exact offending event with exactly the
-        # preceding events' effects applied, which the bulk column phase
-        # could not replicate.
-        if ts[0] < self.now or any(map(_gt, ts, islice(ts, 1, None))):
-            return SpecializedDriver.process_batch(
-                self, table.to_events() if events is None else events)
-
-        flags = table.arrival_flags()
-        n = table.n
-        pass_plan = self._pass_plan
-        boundaries = self._boundaries
-        run_pass = self._run_pass
-        lazy_check = self._lazy_check
-        maybe_lazy_purge = self._maybe_lazy_purge
-        col_plans_get = self._col_plans.get
-
-        # Batch-entry boundary re-anchor, identical to the reference loop.
-        now = self.now
-        gate = _INF
-        for i, (op, _expire, _stages) in enumerate(pass_plan):
-            low = op.next_expiry(now)
-            boundaries[i] = low
-            if low < gate:
-                gate = low
-
-        events_processed = self._events_processed
-        tuples_arrived = self._tuples_arrived
-        pending: list = [None] * n
-        try:
-            # Column phase: bulk, per stream; arrival-order effects are
-            # queued on ``pending`` instead of applied.
-            for stream, rows in table.groups().items():
-                plans = col_plans_get(stream)
-                if plans is None:
-                    continue
-                vals = table.group_values(stream)
-                for column_phase in plans:
-                    gate = column_phase(rows, vals, ts, pending, gate)
-            # Replay phase: per event, in order, at each event's clock —
-            # passes, stateful suffixes, lazy purges, delivery.  A row's
-            # pending slot is a bare (suffix, tuple) pair in the common
-            # one-plan case and only promotes to a list when a second plan
-            # lands on it.  Counter increments stay per-row (not bulk) so
-            # a mid-batch exception restores exactly the counts the
-            # reference loop would have.
-            #
-            # Fast-forward: a row with no pending work whose clock has not
-            # reached the gate is observationally inert — no pass fires at
-            # it, no suffix runs, nothing is delivered — so the replay
-            # jumps from interesting row to interesting row (the next
-            # survivor, or the first row at or past the gate, found by
-            # bisecting the monotone ts column) and advances the counters
-            # for each skipped span in bulk.  The bulk add lands *before*
-            # the interesting row's own work, which is exactly the
-            # reference counter state if a pass or suffix raises there.
-            # Lazy-purge plans touch state at every row, so they replay
-            # row by row like the reference loop.
-            survivors = None if lazy_check else [
-                r for r, p in enumerate(pending) if p is not None]
-            if survivors is None or 2 * len(survivors) >= n:
-                # Dense batches (or lazy-purge plans, which touch state at
-                # every row): the plain per-row replay is cheaper than
-                # span bookkeeping.
-                for now, flag, todo in zip(ts, flags, pending):
-                    self.now = now
-                    events_processed += 1
-                    if flag is not None:
-                        tuples_arrived += 1
-                    if now >= gate:
-                        gate = run_pass(now, None)
-                    if todo is not None:
-                        if todo.__class__ is tuple:
-                            gate = todo[0](todo[1], now, gate)
-                        else:
-                            for suffix, t in todo:
-                                gate = suffix(t, now, gate)
-                    if lazy_check:
-                        maybe_lazy_purge(now)
-            else:
-                n_survivors = len(survivors)
-                sp = 0
-                i = 0
-                while i < n:
-                    while sp < n_survivors and survivors[sp] < i:
-                        sp += 1
-                    j = survivors[sp] if sp < n_survivors else n
-                    k = bisect_left(ts, gate, i, j)
-                    if k >= n:
-                        events_processed += n - i
-                        tuples_arrived += (n - i) - flags[i:n].count(None)
-                        break
-                    if k > i:
-                        events_processed += k - i
-                        tuples_arrived += (k - i) - flags[i:k].count(None)
-                    now = ts[k]
-                    self.now = now
-                    events_processed += 1
-                    if flags[k] is not None:
-                        tuples_arrived += 1
-                    if now >= gate:
-                        gate = run_pass(now, None)
-                    todo = pending[k]
-                    if todo is not None:
-                        if todo.__class__ is tuple:
-                            gate = todo[0](todo[1], now, gate)
-                        else:
-                            for suffix, t in todo:
-                                gate = suffix(t, now, gate)
-                    i = k + 1
-                self.now = ts[n - 1]
-        finally:
-            self._events_processed = events_processed
-            self._tuples_arrived = tuples_arrived
-        self.compiled.view.purge(self.now)
-        self._next_expiry = gate  # coherence for external readers
-
-
-# Imported late: Tuple is hot-path state and the closure binds it once.
-from ..core.tuples import Tuple as _Tuple  # noqa: E402
-
 __all__ = [
     "ChunkTable",
-    "ColumnarDriver",
     "column_kernel_matches",
     "decode_routed",
     "encode_routed",
     "stable_hash",
+    "take_columns",
 ]

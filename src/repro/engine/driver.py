@@ -1,64 +1,145 @@
-"""The unified event-loop driver: one loop for every execution regime.
+"""The driver: one class, one reference loop, three compiled paths.
 
-A :class:`Driver` runs one :class:`~repro.engine.program.ExecutionProgram`
-in per-tuple or micro-batch mode.  Section 2's processing model: "Each new
-tuple is processed immediately by all the operators in the query before the
-next tuple is processed.  Consequently, results are produced in timestamp
-order."  Before dispatching each event the driver runs an expiration pass
-(so the eager expiration interval equals the tuple inter-arrival time, the
-setting used in Section 6.1), and every ``lazy_interval`` time units it
-lets lazily-maintained operators purge their state (default: 5% of the
-largest window, the paper's default).  Pure time advancement without
-arrivals is modelled with Tick events.
+A :class:`Driver` runs one :class:`~repro.engine.program.ExecutionProgram`.
+Section 2's processing model: "Each new tuple is processed immediately by
+all the operators in the query before the next tuple is processed.
+Consequently, results are produced in timestamp order."  Before dispatching
+each event the driver runs an expiration pass (so the eager expiration
+interval equals the tuple inter-arrival time, the setting used in Section
+6.1), and every ``lazy_interval`` time units it lets lazily-maintained
+operators purge their state (default: 5% of the largest window, the paper's
+default).  Pure time advancement without arrivals is modelled with Tick
+events.
 
-Micro-batch execution (:meth:`Driver.process_batch`) amortizes the
-per-event overhead — the bottom-up expiration pass, the result-view purge,
-and the per-tuple propagation walk — over groups of consecutive events
-while producing *byte-identical* output streams, view snapshots, and
-expiration counters.  The exactness argument (see DESIGN.md):
+The reference loop and the step library
+---------------------------------------
 
-* The per-tuple expiration pass at clock ``n`` emits output only when some
-  eagerly-maintained tuple has ``exp <= n`` that was not yet expired; all
-  other passes are no-ops.  The batched path therefore tracks a conservative
-  *expiration boundary* — the minimum ``exp`` over all eager operator state,
-  lowered further by every tuple that flows during the batch (any flowing
-  tuple may be absorbed into eager state) — and runs a full expiration pass,
-  at exactly the per-tuple triggering clock, whenever an event's clock
-  reaches the boundary.  Passes skipped between boundary crossings are
-  provably no-ops, so the emitted streams are identical event for event.
-* The result view's timestamp purge produces no output and answer snapshots
-  filter by liveness, so the view is purged once per batch (and at every
-  expiration pass) instead of per event; the ``expirations`` counter
-  equalizes at every batch boundary because both schedules have purged
-  exactly the results with ``exp <= clock``.
-* Lazy-purge scheduling is a pure function of event clocks, so the batched
-  path replays the per-event decisions verbatim; purge timing is unchanged.
+The class-level :meth:`Driver.process_event` is that model written down:
+clock, expire, dispatch, propagate, purge, deliver, each a small step
+method.  Nothing on the default hot path calls it — it is what the
+compiled paths are tested against (``Driver.process_event(driver, e)``),
+what runs per tuple while a telemetry layer's step shadows are armed, and
+its steps are what the shared-group runtime (``sharing.py``) drives
+directly.
 
-Only the *touches*/*probes* counters may differ between the two paths — the
-amortization is precisely the removal of that redundant per-event work.
+The compiled paths
+------------------
+
+The program is *static per query*, so every lookup the reference loop makes
+per event can be resolved once, at construction — the move query compilers
+make for conjunctive queries under updates (Kara et al., arXiv:2206.09032):
+generate maintenance code specialized to the query shape instead of
+interpreting a generic plan.  The driver compiles the program into
+
+* **the per-tuple loop** — one fused closure installed as the
+  ``process_event`` *instance attribute* while telemetry is off, so
+  ``Executor.run``'s hoist binds straight to it.  It runs the full
+  bottom-up expiration pass before every event exactly like the reference
+  loop, so answers, output streams and **all** counters (touches included)
+  are byte-identical to it.
+* **the row micro-batch loop** (:meth:`Driver.process_batch`) — amortizes
+  the expiration pass, the result-view purge and the propagation walk over
+  a batch while producing byte-identical output streams, view snapshots and
+  structural counters.  The exactness argument (see DESIGN.md):
+
+  - The per-tuple expiration pass at clock ``n`` emits output only when
+    some eagerly-maintained tuple has ``exp <= n``; all other passes are
+    no-ops.  The batch loop keeps one cached next-expiry lower bound per
+    eager operator — refreshed from ``op.next_expiry`` at batch entry,
+    folded down by every tuple entering that operator, re-queried after
+    the operator's own expire — and gates passes on the minimum of the
+    caches.  A pass runs at exactly the clock of the event that reaches
+    the gate and visits only the operators whose cache has been reached;
+    the skipped passes and operators provably have nothing to expire.
+  - The result view's timestamp purge produces no output and answer
+    snapshots filter by liveness, so the view is purged once per batch
+    (and at every pass); the ``expirations`` counter equalizes at every
+    batch boundary because both schedules have purged exactly the results
+    with ``exp <= clock``.
+  - Lazy-purge scheduling is a pure function of event clocks and is
+    replayed per event.
+
+  Only the *touches*/*probes* counters may differ from per-tuple execution
+  — the amortization is precisely the removal of that redundant work.
+* **the column micro-batch loop** — splits each batch, held as a
+  struct-of-arrays :class:`~repro.engine.columnar.ChunkTable`, into a bulk
+  *column phase* (stamp, window insert, fused stateless prefix, per stream
+  over whole chunks) and an in-order *replay phase* (passes, stateful
+  suffixes, lazy purges, delivery — per event, at each event's own clock).
+
+Which batch loop runs is decided from the program, not by the caller: the
+column phase only has bulk work to do when some dispatch plan has a fused
+stateless prefix, so the driver compiles column plans when every dispatch
+plan is expressible in the column vocabulary (time windows, matching
+column kernels) *and* at least one has a non-empty prefix, and takes the
+row loop otherwise.  Measured on ``benchmarks/e2e`` (seed 42): with a
+filter prefix the row loop is 1.32× slower (``q1_ftp``); with an empty
+prefix the column loop is the slower one (``grp_src`` 0.88×, ``q3_neg``
+0.96× on the row loop).  :meth:`Driver.batch_loop` reports the choice.
+
+Why the column/replay split is exact
+------------------------------------
+
+The column phase hoists exactly three mutations ahead of their row-loop
+position: window-store inserts, the leaf/prefix ``tuples_processed``
+charges, and operator clock advances.  All three commute with everything
+the replay phase can observe:
+
+1. *Window inserts.*  A tuple stamped from a later event ``k`` carries
+   ``exp = ts_k + span > ts_r`` for every earlier event ``r`` in the batch
+   (timestamps are non-decreasing, spans positive), so an expiration pass
+   replayed at ``ts_r`` can never pop it — ``purge_expired`` sees the
+   identical expired set either way, and the boundary it re-queries stays a
+   sound lower bound that triggers passes at the identical event clocks.
+2. *Counter charges.*  ``tuples_processed`` and the buffers'
+   ``inserts``/``touches`` are order-insensitive totals; ``insert_many`` is
+   contractually equal to n× ``insert``.
+3. *Clocks.*  Stateless operators' clocks are only ever folded upward; no
+   pass, probe, or subscriber reads them mid-batch.
+
+Everything order-sensitive — pass scheduling (``now >= gate``), stateful
+suffix processing, lazy-purge grid decisions, output delivery — runs in the
+replay phase, per event, in arrival order, against exactly the state the
+row loop would see.  Batches containing relation updates or non-monotone
+timestamps, and batches under an armed telemetry layer, take the row loop,
+which is trivially identical; lint rule PRG605 proves the column kernels
+agree with the scalar kernels on the compiled plan.
+
+Instrumentation
+---------------
 
 Instrumentation is layered *around program steps*, never written into the
-loop: :class:`TelemetryLayer` (opt-in via ``ExecutionConfig(telemetry=True)``)
-installs duty-cycled timed step variants as instance-attribute shadows on
-the driver while armed and removes them on teardown, so the disabled hot
-path keeps its original code with zero telemetry branches or allocations.
-Checked-mode monitors wrap operators and buffers at compile time
-(``analysis/sanitizer.py``), so a program calling ``op.process(...)`` is
-monitored with no driver involvement.
+loops: :class:`TelemetryLayer` (opt-in via ``ExecutionConfig(telemetry=
+True)``) installs duty-cycled timed step variants as instance-attribute
+shadows on the driver while armed and removes them on teardown, so the
+disabled hot path keeps its original code with zero telemetry branches or
+allocations.  Armed per-tuple execution runs the reference loop over those
+shadows; the row batch loop advances the layer's duty cycle per batch and
+charges the same timer registries on timed batches.  Checked-mode monitors
+wrap operators and buffers at compile time (``analysis/sanitizer.py``),
+before any driver exists, so the bound methods the closures capture are
+the monitored ones.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
+from itertools import compress, islice
+from operator import gt as _gt
 from typing import Sequence
 
 from ..core.tuples import Tuple
 from ..errors import ExecutionError
 from ..streams.relation import NRR
 from ..streams.stream import Arrival, Event, RelationUpdate, Tick
+from ..streams.window import TimeWindow
 from ..operators.base import PhysicalOperator
+from .columnar import ChunkTable, column_kernel_matches, take_columns
 from .program import ExecutionProgram
+
+_INF = math.inf
 
 
 class Driver:
@@ -78,9 +159,11 @@ class Driver:
         self._events_processed = 0
         self._tuples_arrived = 0
         self._subscribers: list = []
-        #: Conservative lower bound on the next eager expiration; only
-        #: maintained inside :meth:`process_batch` (the per-tuple path runs
-        #: an expiration pass before every event and needs no boundary).
+        #: Conservative lower bound on the next eager expiration, for the
+        #: shared-group batch loop only: it re-anchors the bound with
+        #: :meth:`_compute_next_expiry` and :meth:`_propagate_route` folds
+        #: it down.  The driver's own batch loops keep per-operator
+        #: boundary caches instead (``_boundaries``).
         self._next_expiry: float = -math.inf
         span = compiled.max_span
         interval = compiled.config.lazy_interval
@@ -96,6 +179,9 @@ class Driver:
         self._leaf_bindings = program.leaf_bindings
         self._time_domain = program.time_domain != "count"
         self._count_stream = program.count_stream
+        self._lazy_check = interval is not None and bool(self._lazy_ops)
+        self._compile_closures()
+        self._compile_column_plans()
         #: Telemetry registry (None when off) and its instrumentation
         #: layer.  When armed, the layer's timed step variants shadow the
         #: plain ones via instance attributes — the disabled hot path keeps
@@ -105,6 +191,8 @@ class Driver:
         if self._telemetry is not None:
             self._layer = TelemetryLayer(self._telemetry, compiled)
             self._layer.arm(self)
+        else:
+            self._install_fast_path()
 
     # -- public API --------------------------------------------------------
 
@@ -131,6 +219,15 @@ class Driver:
         """Current result multiset Q(now)."""
         return self.compiled.view.snapshot(self.now)
 
+    def batch_loop(self) -> str:
+        """Which micro-batch loop this driver takes, and why — the
+        ``-- columnar:`` explain footer."""
+        if self._row_reason is not None:
+            return f"row loop: {self._row_reason}"
+        plans = self._col_plans
+        return (f"on ({sum(map(len, plans.values()))} column plan(s) "
+                f"across {len(plans)} stream(s), struct-of-arrays chunks)")
+
     # -- static introspection (ownership analysis) -------------------------
 
     def introspection_roots(self) -> dict:
@@ -144,16 +241,33 @@ class Driver:
             "routes": self._routes,
             "leaf_bindings": self._leaf_bindings,
             "subscribers": self._subscribers,
+            "boundaries": self._boundaries,
         }
 
     def compiled_closures(self):
-        """``(name, closure)`` pairs for every compiled closure this
-        driver runs.  The interpreted reference driver compiles none;
-        :class:`~repro.engine.specialize.SpecializedDriver` overrides."""
-        return iter(())
+        """``(name, closure)`` pairs for every compiled closure, without
+        executing anything — the ALS702 ownership rule walks their
+        ``__closure__`` cells to prove no pre-seal plan object was
+        captured."""
+        yield "fast_event", self._fast_event
+        for kind, table in (("arrival_pt", self._arrivals_pt),
+                            ("arrival_b", self._arrivals_b),
+                            ("column", self._col_plans)):
+            for stream, fns in table.items():
+                for i, fn in enumerate(fns):
+                    yield f"{kind}:{stream}[{i}]", fn
+
+    # -- the reference loop (Section 2) ------------------------------------
 
     def process_event(self, event: Event) -> None:
-        """Advance the clock, expire state, then dispatch one event."""
+        """Advance the clock, expire state, then dispatch one event.
+
+        The reference per-tuple loop over the step library.  Drivers with
+        telemetry off shadow it with the compiled per-tuple closure (an
+        instance attribute, see :meth:`_install_fast_path`); call it as
+        ``Driver.process_event(driver, event)`` to run the reference on
+        such a driver.
+        """
         now = self._clock_for(event)
         if now < self.now:
             raise ExecutionError(
@@ -173,161 +287,6 @@ class Driver:
         else:  # pragma: no cover - event model is closed
             raise ExecutionError(f"unknown event type {type(event).__name__}")
         self._maybe_lazy_purge(now)
-
-    def process_batch(self, events: Sequence[Event]) -> None:
-        """Process a micro-batch of events with one amortized expiration
-        schedule.
-
-        The batch is implicitly split at every expiration boundary: an
-        expiration pass runs — at the clock of the event that crosses the
-        boundary, exactly as in tuple-at-a-time mode — whenever an event's
-        clock reaches the tracked minimum ``exp`` of eager state or of any
-        tuple that flowed earlier in the batch.  Lazy-purge decisions are
-        replayed per event, and the result view is purged once at the end
-        of the batch.
-        """
-        if not events:
-            return
-        # The loop below is the hot path of the batched mode; every self-
-        # attribute it needs is hoisted into a local, the clock computation
-        # is inlined for the (common) time domain, and arrival dispatch is
-        # inlined from the program's precompiled dispatch table rather than
-        # going through _dispatch_arrival.  Decisions — clock advancement,
-        # boundary checks, lazy-purge scheduling — are still made per
-        # event, in the per-tuple order.
-        compiled = self.compiled
-        time_domain = self._time_domain
-        counters = compiled.counters
-        view = compiled.view
-        subscribers = self._subscribers
-        # Telemetry: advance the duty cycle BEFORE hoisting so the step
-        # slots below resolve to this batch's (timed or plain) variants.
-        # The default (telemetry off) pays one falsy attribute test per
-        # batch setup.
-        if self._telemetry is not None:
-            self._layer.advance(self)
-        propagate = self._propagate_tracked
-        propagate_route = self._propagate_route
-        clock_for = self._clock_for
-        expiration_pass = self._expiration_pass
-        compute_next_expiry = self._compute_next_expiry
-        lazy_check = (self._lazy_interval is not None
-                      and bool(self._lazy_ops))
-        maybe_lazy_purge = self._maybe_lazy_purge
-        dispatch = self._dispatch
-        events_processed = self._events_processed
-        tuples_arrived = self._tuples_arrived
-        # Timed batches only (1 in timer_every): one local None-check per
-        # arrival-plan; untimed and disabled batches hoist a plain None.
-        op_timers = compiled.op_timers if self._timing else None
-        perf = time.perf_counter
-        # The boundary is hoisted into a local like every other hot-path
-        # attribute; callees that fold into ``self._next_expiry``
-        # (propagate / propagate_route / tracked relation dispatch) get the
-        # attribute synced before the call and the local refreshed after.
-        next_expiry = self._next_expiry = compute_next_expiry()
-        try:
-            for event in events:
-                now = event.ts if time_domain else clock_for(event)
-                if now < self.now:
-                    raise ExecutionError(
-                        f"out-of-order event: ts {now} after clock "
-                        f"{self.now} (the model assumes non-decreasing "
-                        "timestamps, Section 2)"
-                    )
-                self.now = now
-                events_processed += 1
-                if now >= next_expiry:
-                    # Boundary crossed: run the full pass at this event's
-                    # clock (identical to the per-tuple trigger), then
-                    # re-anchor the boundary on the surviving eager state.
-                    expiration_pass(now)
-                    next_expiry = self._next_expiry = compute_next_expiry()
-                if isinstance(event, Arrival):
-                    tuples_arrived += 1
-                    for leaf, is_window, prefix, suffix in \
-                            dispatch.get(event.stream, ()):
-                        if op_timers is not None:
-                            t0 = perf()
-                        # ``now`` is already in the stamping domain (see
-                        # _dispatch_arrival).
-                        stamped = leaf.stamp(event.values, now, now)
-                        if not is_window:  # unexpected leaf type: generic
-                            outputs = leaf.process(0, stamped, now)
-                            if op_timers is not None:
-                                op_timers[id(leaf)].add(perf() - t0)
-                            if outputs:
-                                self._next_expiry = next_expiry
-                                propagate(leaf, outputs, now)
-                                next_expiry = self._next_expiry
-                            continue
-                        # Inlined WindowOp.process for a (positive)
-                        # arrival: clock advance, one tuples_processed
-                        # charge, store insertion under NT.
-                        if now > leaf.clock:
-                            leaf.clock = now
-                        counters.tuples_processed += 1
-                        store = leaf._store
-                        if store is not None:
-                            store.insert(stamped)
-                        # The stamped tuple may enter eager state (NT
-                        # window FIFO) even if a filter drops it upstream,
-                        # so it always lowers the expiration boundary.
-                        if stamped.exp < next_expiry:
-                            next_expiry = stamped.exp
-                        t = stamped
-                        alive = True
-                        for op, kind, arg in prefix:
-                            # Inlined stateless bookkeeping (scalar_kernel
-                            # contract): clock advance + one charge.
-                            if now > op.clock:
-                                op.clock = now
-                            counters.tuples_processed += 1
-                            if kind == "filter":
-                                if not arg(t.values):
-                                    alive = False
-                                    break
-                            elif kind == "map_indices":
-                                t = t.with_values(
-                                    tuple(t.values[i] for i in arg))
-                            # "pass": forward unchanged
-                        if op_timers is not None:
-                            # Fused mode attributes the stamp + insert +
-                            # inlined-prefix work to the leaf's timer; the
-                            # suffix route self-times via _propagate_route.
-                            op_timers[id(leaf)].add(perf() - t0)
-                        if not alive:
-                            continue
-                        if suffix:
-                            self._next_expiry = next_expiry
-                            propagate_route(suffix, [t], now)
-                            next_expiry = self._next_expiry
-                        else:
-                            view.apply(t, now)
-                            for subscriber in subscribers:
-                                subscriber(t, now)
-                elif isinstance(event, RelationUpdate):
-                    self._next_expiry = next_expiry
-                    self._dispatch_relation_update(event, now, tracked=True)
-                    next_expiry = self._next_expiry
-                elif isinstance(event, Tick):
-                    pass
-                else:  # pragma: no cover - event model is closed
-                    raise ExecutionError(
-                        f"unknown event type {type(event).__name__}")
-                if lazy_check:
-                    maybe_lazy_purge(now)
-        finally:
-            self._events_processed = events_processed
-            self._tuples_arrived = tuples_arrived
-        self._next_expiry = next_expiry
-        # One amortized view purge per batch: timestamp purging emits no
-        # output, so only its (deterministic) timing is batched.
-        compiled.view.purge(self.now)
-        # State-depth sampling rides the timer duty cycle: one batch in
-        # timer_every (plus the final sample in record_run / finalizers).
-        if self._timing:
-            self._layer.sample(self)
 
     # -- program steps -----------------------------------------------------
 
@@ -498,29 +457,679 @@ class Driver:
             else:  # degenerate non-positive interval: purge every event
                 self._last_purge = now
 
+    # -- closure compilation -----------------------------------------------
+
+    def _compile_closures(self) -> None:
+        """Compile the program into this driver's row-path closures.
+
+        Bound methods are resolved *now*, which is safe and deliberate:
+        checked-mode monitors shadow ``process``/``process_batch``/
+        ``expire`` as instance attributes at compile time (before any
+        driver exists), so the captured callables are the monitored ones.
+        Closures are rebuilt per driver — no mutable state is shared
+        between two drivers compiled from the same program.
+        """
+        expire_ops = self._expire_ops
+        eager_index = {id(op): i for i, op in enumerate(expire_ops)}
+        self._eager_index = eager_index
+        #: One cached next-expiry lower bound per eager participant;
+        #: refreshed from op.next_expiry at batch entry, folded down by
+        #: flowing tuples, re-queried (for that op only) after its expire.
+        self._boundaries = [-_INF] * len(expire_ops)
+        #: (op, bound expire, ((bound process_batch, slot, cache_idx),...))
+        self._pass_plan = tuple(
+            (op, op.expire, self._stages(self._routes[id(op)]))
+            for op in expire_ops)
+        arrivals_pt: dict[str, tuple] = {}
+        arrivals_b: dict[str, tuple] = {}
+        for stream, plans in self._dispatch.items():
+            pairs = [self._compile_arrival(plan) for plan in plans]
+            arrivals_pt[stream] = tuple(pt for pt, _b in pairs)
+            arrivals_b[stream] = tuple(b for _pt, b in pairs)
+        self._arrivals_pt = arrivals_pt
+        self._arrivals_b = arrivals_b
+        self._fast_event = self._compile_event_loop()
+
+    def _stages(self, route) -> tuple:
+        """``route`` with every lookup bound: ``(process_batch, slot,
+        boundary-cache index or -1)`` per stage."""
+        eager_index = self._eager_index
+        return tuple((parent.process_batch, slot,
+                      eager_index.get(id(parent), -1))
+                     for parent, slot in route)
+
+    def _compile_suffix(self, stages):
+        """The residual stateful route of one dispatch plan (bound by
+        :meth:`_stages`) as a closure ``(t, now, gate) -> gate``:
+        stage-input folds into the boundary caches, generic
+        ``process_batch`` stages, DELIVER.
+
+        Only stages that are eager participants fold: stateless and
+        lazily-purged stages never produce pass output, so scheduling
+        passes for their inputs would only add no-ops.
+        """
+        view_apply = self.compiled.view.apply
+        subscribers = self._subscribers  # list identity is stable
+        boundaries = self._boundaries
+
+        def run_suffix(t, now, gate):
+            outputs = [t]
+            for pb, slot, idx in stages:
+                if idx >= 0:
+                    low = _INF
+                    for out in outputs:
+                        if out.exp < low:
+                            low = out.exp
+                    if low < boundaries[idx]:
+                        boundaries[idx] = low
+                        if low < gate:
+                            gate = low
+                outputs = pb(slot, outputs, now)
+                if not outputs:
+                    return gate
+            for out in outputs:
+                view_apply(out, now)
+                for callback in subscribers:
+                    callback(out, now)
+            return gate
+
+        return run_suffix
+
+    def _compile_arrival(self, plan):
+        """Compile one DispatchPlan into (per-tuple, row-batch) arrival
+        closures with every lookup bound into locals.
+
+        The per-tuple variant mirrors the reference ``_dispatch_arrival``
+        (the full pass runs per event, so no boundary bookkeeping is
+        needed); the row-batch variant threads the global gate through its
+        return value and folds into the per-operator boundary caches.
+        """
+        compiled = self.compiled
+        counters = compiled.counters
+        view_apply = compiled.view.apply
+        subscribers = self._subscribers
+        leaf = plan.leaf
+        stamp = leaf.stamp
+        boundaries = self._boundaries
+        store = leaf._store
+        prefix = plan.prefix
+        suffix = self._stages(plan.suffix)
+        run_suffix = self._compile_suffix(suffix)
+        leaf_idx = self._eager_index.get(id(leaf), -1)
+        leaf_id = id(leaf)
+        perf = time.perf_counter
+
+        def window_pt(values, now):
+            # Inlined WindowOp arrival: clock advance, one
+            # tuples_processed charge, store insertion under NT, then the
+            # fused prefix (scalar_kernel contract: clock advance + one
+            # charge per operator seen).
+            t = stamp(values, now, now)
+            if now > leaf.clock:
+                leaf.clock = now
+            counters.tuples_processed += 1
+            if store is not None:
+                store.insert(t)
+            for op, kind, arg in prefix:
+                if now > op.clock:
+                    op.clock = now
+                counters.tuples_processed += 1
+                if kind == "filter":
+                    if not arg(t.values):
+                        return
+                elif kind == "map_indices":
+                    t = t.with_values(tuple(t.values[i] for i in arg))
+                # "pass": forward unchanged
+            outputs = [t]
+            for pb, slot, _idx in suffix:
+                outputs = pb(slot, outputs, now)
+                if not outputs:
+                    return
+            for out in outputs:
+                view_apply(out, now)
+                for callback in subscribers:
+                    callback(out, now)
+
+        def window_b(values, now, gate, op_timers):
+            if op_timers is not None:
+                t0 = perf()
+            t = stamp(values, now, now)
+            if now > leaf.clock:
+                leaf.clock = now
+            counters.tuples_processed += 1
+            if store is not None:
+                store.insert(t)
+            if leaf_idx >= 0:
+                # The stamped tuple entered eager window state (even if a
+                # filter drops it upstream): lower this leaf's cached
+                # boundary (and the global gate) to its exp.
+                exp = t.exp
+                if exp < boundaries[leaf_idx]:
+                    boundaries[leaf_idx] = exp
+                    if exp < gate:
+                        gate = exp
+            for op, kind, arg in prefix:
+                if now > op.clock:
+                    op.clock = now
+                counters.tuples_processed += 1
+                if kind == "filter":
+                    if not arg(t.values):
+                        if op_timers is not None:
+                            op_timers[leaf_id].add(perf() - t0)
+                        return gate
+                elif kind == "map_indices":
+                    t = t.with_values(tuple(t.values[i] for i in arg))
+            if op_timers is not None:
+                # Fused mode attributes stamp + insert + inlined-prefix
+                # work to the leaf's timer; suffix stages are untimed.
+                op_timers[leaf_id].add(perf() - t0)
+            return run_suffix(t, now, gate)
+
+        return window_pt, window_b
+
+    def _compile_event_loop(self):
+        """Compile the fused per-tuple event loop: one closure covering
+        expire → dispatch → propagate → purge → deliver with every step
+        resolved into locals.  Semantically identical to the reference
+        :meth:`process_event` (full pass per event, same bottom-up order,
+        same dispatch), minus the per-event lookups."""
+        driver = self
+        compiled = self.compiled
+        view_apply = compiled.view.apply
+        view_purge = compiled.view.purge
+        subscribers = self._subscribers
+        time_domain = self._time_domain
+        clock_for = self._clock_for
+        dispatch_relation_update = self._dispatch_relation_update
+        maybe_lazy_purge = self._maybe_lazy_purge
+        lazy_check = self._lazy_check
+        get_plans = self._arrivals_pt.get
+        pass_plan = self._pass_plan
+
+        def process_event(event: Event) -> None:
+            now = event.ts if time_domain else clock_for(event)
+            if now < driver.now:
+                raise ExecutionError(
+                    f"out-of-order event: ts {now} after clock "
+                    f"{driver.now} (the model assumes non-decreasing "
+                    "timestamps, Section 2)"
+                )
+            driver.now = now
+            driver._events_processed += 1
+            # Full bottom-up expiration pass (the per-tuple schedule).
+            for _op, expire, stages in pass_plan:
+                outputs = expire(now)
+                if outputs:
+                    for pb, slot, _idx in stages:
+                        outputs = pb(slot, outputs, now)
+                        if not outputs:
+                            break
+                    else:
+                        for t in outputs:
+                            view_apply(t, now)
+                            for callback in subscribers:
+                                callback(t, now)
+            view_purge(now)
+            if isinstance(event, Arrival):
+                driver._tuples_arrived += 1
+                plans = get_plans(event.stream)
+                if plans is not None:
+                    values = event.values
+                    for fn in plans:
+                        fn(values, now)
+            elif isinstance(event, RelationUpdate):
+                dispatch_relation_update(event, now)
+            elif isinstance(event, Tick):
+                pass
+            else:  # pragma: no cover - event model is closed
+                raise ExecutionError(
+                    f"unknown event type {type(event).__name__}")
+            if lazy_check:
+                maybe_lazy_purge(now)
+
+        return process_event
+
+    def _install_fast_path(self) -> None:
+        """Install the compiled per-tuple loop as an instance attribute (so
+        ``Executor.run``'s hoist binds the closure directly) and refresh
+        the boundary caches from live state — they may be stale after a
+        stretch of reference-loop (armed) execution."""
+        self.process_event = self._fast_event
+        self._anchor_boundaries()
+
+    def _anchor_boundaries(self) -> float:
+        """Re-anchor every boundary cache on live state and return their
+        minimum, the pass gate.  Runs once per batch (and after a relation
+        update, whose deltas may land anywhere in the pipeline); inside a
+        batch the caches are maintained incrementally instead."""
+        now = self.now
+        boundaries = self._boundaries
+        gate = _INF
+        for i, (op, _expire, _stages) in enumerate(self._pass_plan):
+            low = op.next_expiry(now)
+            boundaries[i] = low
+            if low < gate:
+                gate = low
+        return gate
+
+    # -- column-plan compilation -------------------------------------------
+
+    def _compile_column_plans(self) -> None:
+        """Choose the micro-batch loop from the program, and compile one
+        column-phase closure per dispatch plan when it is the column loop.
+
+        The column loop needs every dispatch plan expressible in the
+        column vocabulary — time windows, and for each fused prefix
+        operator a column kernel that agrees with its scalar kernel — and
+        pays only when some plan gives the bulk phase a fused stateless
+        prefix to evaluate.  ``_row_reason`` records why a driver stays on
+        the row loop (None on the column loop).
+        """
+        self._row_reason = self._row_loop_reason()
+        self._col_plans: dict[str, tuple] = {} if self._row_reason else {
+            stream: tuple(self._compile_column_plan(plan) for plan in plans)
+            for stream, plans in self._dispatch.items()}
+
+    def _row_loop_reason(self) -> str | None:
+        """Why batches take the row loop, or None for the column loop."""
+        if not self._time_domain:
+            return "count window"
+        fused = False
+        for plans in self._dispatch.values():
+            for plan in plans:
+                if not isinstance(plan.leaf.window, TimeWindow):
+                    return "unbounded stream"  # window=None; no exp to stamp
+                for op, _kind, _arg in plan.prefix:
+                    if not column_kernel_matches(op.scalar_kernel(),
+                                                 op.column_kernel()):
+                        return f"no column kernel for {type(op).__name__}"
+                    fused = True
+        return None if fused else "no stateless prefix"
+
+    def _compile_column_plan(self, plan):
+        """One dispatch plan → its column-phase closure.
+
+        The closure consumes one stream's rows of a chunk (indices, value
+        tuples), performs the bulk work — stamp, window insert, fused
+        prefix over whole columns — and queues ``(suffix, tuple)`` pairs
+        on ``pending`` for the replay phase to run in arrival order.
+        """
+        leaf = plan.leaf
+        kernels = tuple((op, *op.column_kernel())
+                        for op, _kind, _arg in plan.prefix)
+        span = leaf.window.size
+        store = leaf._store
+        insert_many = store.insert_many if store is not None else None
+        counters = self.compiled.counters
+        boundaries = self._boundaries
+        leaf_idx = self._eager_index.get(id(leaf), -1)
+        suffix = self._compile_suffix(self._stages(plan.suffix))
+        tuple_cls = Tuple  # hot-path constructor, bound once
+
+        def column_phase(rows, vals, ts, pending, gate):
+            k = len(rows)
+            last_ts = ts[rows[-1]]
+            # Leaf bookkeeping, bulk: clock fold, one charge per tuple,
+            # stamp the exp column, insert the whole block.
+            if last_ts > leaf.clock:
+                leaf.clock = last_ts
+            counters.tuples_processed += k
+            if leaf_idx >= 0:
+                # Minimum stamped exp = first row's (ts non-decreasing):
+                # fold the leaf's boundary cache and the global gate.
+                low = ts[rows[0]] + span
+                if low < boundaries[leaf_idx]:
+                    boundaries[leaf_idx] = low
+                    if low < gate:
+                        gate = low
+            idx = rows
+            if insert_many is not None:
+                stamped = [tuple_cls(v, ts[r], ts[r] + span)
+                           for r, v in zip(rows, vals)]
+                insert_many(stamped)
+                keep = stamped
+                for op, kind, arg in kernels:
+                    if not keep:
+                        break
+                    tail = keep[-1].ts
+                    if tail > op.clock:
+                        op.clock = tail
+                    counters.tuples_processed += len(keep)
+                    if kind == "filter_rows":
+                        mask = [arg(t.values) for t in keep]
+                        idx = list(compress(idx, mask))
+                        keep = list(compress(keep, mask))
+                    elif kind == "take_columns":
+                        keep = [t.with_values(v) for t, v in zip(
+                            keep, take_columns([t.values for t in keep],
+                                               arg))]
+                for i, t in zip(idx, keep):
+                    slot = pending[i]
+                    if slot is None:
+                        pending[i] = (suffix, t)
+                    elif slot.__class__ is list:
+                        slot.append((suffix, t))
+                    else:
+                        pending[i] = [slot, (suffix, t)]
+            else:
+                # Unmaterialized window (no store, never eager): run the
+                # whole prefix over raw value columns and materialize
+                # Tuples only for the rows that survive — the lazy
+                # boundary the struct-of-arrays layout exists for.
+                keep = vals
+                for op, kind, arg in kernels:
+                    if not keep:
+                        break
+                    tail = ts[idx[-1]]
+                    if tail > op.clock:
+                        op.clock = tail
+                    counters.tuples_processed += len(keep)
+                    if kind == "filter_rows":
+                        mask = list(map(arg, keep))
+                        idx = list(compress(idx, mask))
+                        keep = list(compress(keep, mask))
+                    elif kind == "take_columns":
+                        keep = take_columns(keep, arg)
+                for i, v in zip(idx, keep):
+                    t = ts[i]
+                    slot = pending[i]
+                    if slot is None:
+                        pending[i] = (suffix, tuple_cls(v, t, t + span))
+                    elif slot.__class__ is list:
+                        slot.append((suffix, tuple_cls(v, t, t + span)))
+                    else:
+                        pending[i] = [slot, (suffix, tuple_cls(v, t, t + span))]
+            return gate
+
+        return column_phase
+
+    # -- micro-batch loops --------------------------------------------------
+
+    def process_batch(self, events: Sequence[Event]) -> None:
+        """Process a micro-batch of events with one amortized expiration
+        schedule.
+
+        The batch is implicitly split at every expiration boundary: a pass
+        runs — at the clock of the event that reaches the gate, exactly as
+        in tuple-at-a-time mode — whenever an event's clock reaches the
+        minimum of the per-operator boundary caches.  Lazy-purge decisions
+        are replayed per event, and the result view is purged once at the
+        end of the batch.  Drivers that compiled column plans run the
+        batch through the column loop; batches it cannot take (relation
+        updates, armed telemetry, non-monotone timestamps) and all other
+        drivers run the row loop.
+        """
+        if not events:
+            return
+        if self._col_plans and self._telemetry is None:
+            table = ChunkTable.from_events(events)
+            if table is not None:
+                return self._process_table(table, events)
+        self._process_rows(events)
+
+    def process_chunk(self, table: ChunkTable) -> None:
+        """Run one decoded chunk without materializing event objects.
+
+        The shard worker's hot path: the shared-memory transport decodes
+        columns in place and hands the table straight to the driver.
+        Drivers on the row loop materialize events once and run it.
+        """
+        if table.n == 0:
+            return
+        if self._col_plans and self._telemetry is None:
+            return self._process_table(table, None)
+        self._process_rows(table.to_events())
+
+    def _process_rows(self, events: Sequence[Event]) -> None:
+        """The row micro-batch loop (see the module docstring)."""
+        compiled = self.compiled
+        time_domain = self._time_domain
+        clock_for = self._clock_for
+        lazy_check = self._lazy_check
+        maybe_lazy_purge = self._maybe_lazy_purge
+        # Telemetry: advance the duty cycle per batch; timed batches (one
+        # in timer_every) charge the layer's registries.  The default
+        # (telemetry off) pays one falsy attribute test per batch setup.
+        if self._telemetry is not None:
+            self._layer.advance(self)
+        timing = self._timing
+        op_timers = compiled.op_timers if timing else None
+        expire_timers = compiled.op_expire_timers if timing else None
+        get_plans = self._arrivals_b.get
+        run_pass = self._run_pass
+        events_processed = self._events_processed
+        tuples_arrived = self._tuples_arrived
+        gate = self._anchor_boundaries()
+        try:
+            for event in events:
+                now = event.ts if time_domain else clock_for(event)
+                if now < self.now:
+                    raise ExecutionError(
+                        f"out-of-order event: ts {now} after clock "
+                        f"{self.now} (the model assumes non-decreasing "
+                        "timestamps, Section 2)"
+                    )
+                self.now = now
+                events_processed += 1
+                if now >= gate:
+                    gate = run_pass(now, expire_timers)
+                if isinstance(event, Arrival):
+                    tuples_arrived += 1
+                    plans = get_plans(event.stream)
+                    if plans is not None:
+                        values = event.values
+                        for fn in plans:
+                            gate = fn(values, now, gate, op_timers)
+                elif isinstance(event, RelationUpdate):
+                    self._dispatch_relation_update(event, now)
+                    gate = self._anchor_boundaries()
+                elif isinstance(event, Tick):
+                    pass
+                else:  # pragma: no cover - event model is closed
+                    raise ExecutionError(
+                        f"unknown event type {type(event).__name__}")
+                if lazy_check:
+                    maybe_lazy_purge(now)
+        finally:
+            self._events_processed = events_processed
+            self._tuples_arrived = tuples_arrived
+        # One amortized view purge per batch: timestamp purging emits no
+        # output, so only its (deterministic) timing is batched.
+        compiled.view.purge(self.now)
+        # State-depth sampling rides the timer duty cycle: one batch in
+        # timer_every (plus the final sample in record_run / finalizers).
+        if timing:
+            self._layer.sample(self)
+
+    def _run_pass(self, now: float, expire_timers) -> float:
+        """One boundary-triggered expiration pass, visiting only the
+        operators whose cached boundary has been reached.
+
+        A skipped operator's cache is a sound lower bound on its true next
+        expiry, so cache > now proves it has nothing to expire — visiting
+        it would be a no-op (the per-tuple pass does exactly that and
+        charges the no-op probe as a touch; the structural counters and
+        outputs are unaffected either way).  Visited operators re-query
+        their own ``next_expiry`` afterwards, which also captures state
+        they created *during* expire (e.g. dup-elim promotions).
+        """
+        boundaries = self._boundaries
+        compiled = self.compiled
+        view_apply = compiled.view.apply
+        subscribers = self._subscribers
+        timing = expire_timers is not None
+        if timing:
+            perf = time.perf_counter
+            pass_start = perf()
+        for i, (op, expire, stages) in enumerate(self._pass_plan):
+            if boundaries[i] <= now:
+                if timing:
+                    t0 = perf()
+                    outputs = expire(now)
+                    expire_timers[id(op)].add(perf() - t0)
+                else:
+                    outputs = expire(now)
+                if outputs:
+                    for pb, slot, idx in stages:
+                        if idx >= 0:
+                            low = _INF
+                            for t in outputs:
+                                if t.exp < low:
+                                    low = t.exp
+                            if low < boundaries[idx]:
+                                boundaries[idx] = low
+                        outputs = pb(slot, outputs, now)
+                        if not outputs:
+                            break
+                    else:
+                        for t in outputs:
+                            view_apply(t, now)
+                            for callback in subscribers:
+                                callback(t, now)
+                boundaries[i] = op.next_expiry(now)
+        compiled.view.purge(now)
+        if timing:
+            elapsed = perf() - pass_start
+            layer = self._layer
+            layer._pass_timer.add(elapsed)
+            layer._pass_gauge.set(elapsed)
+        return min(boundaries, default=_INF)
+
+    def _process_table(self, table: ChunkTable, events) -> None:
+        """The column micro-batch loop (see the module docstring)."""
+        ts = table.ts
+        # Monotonicity pre-scan (C-speed pairwise compare): the row loop
+        # raises at the exact offending event with exactly the preceding
+        # events' effects applied, which the bulk column phase could not
+        # replicate.
+        if ts[0] < self.now or any(map(_gt, ts, islice(ts, 1, None))):
+            return self._process_rows(
+                table.to_events() if events is None else events)
+
+        flags = table.arrival_flags()
+        n = table.n
+        run_pass = self._run_pass
+        lazy_check = self._lazy_check
+        maybe_lazy_purge = self._maybe_lazy_purge
+        col_plans_get = self._col_plans.get
+        gate = self._anchor_boundaries()
+        events_processed = self._events_processed
+        tuples_arrived = self._tuples_arrived
+        pending: list = [None] * n
+        try:
+            # Column phase: bulk, per stream; arrival-order effects are
+            # queued on ``pending`` instead of applied.
+            for stream, rows in table.groups().items():
+                plans = col_plans_get(stream)
+                if plans is None:
+                    continue
+                vals = table.group_values(stream)
+                for column_phase in plans:
+                    gate = column_phase(rows, vals, ts, pending, gate)
+            # Replay phase: per event, in order, at each event's clock —
+            # passes, stateful suffixes, lazy purges, delivery.  A row's
+            # pending slot is a bare (suffix, tuple) pair in the common
+            # one-plan case and only promotes to a list when a second plan
+            # lands on it.  Counter increments stay per-row (not bulk) so
+            # a mid-batch exception restores exactly the counts the row
+            # loop would have.
+            #
+            # Fast-forward: a row with no pending work whose clock has not
+            # reached the gate is observationally inert — no pass fires at
+            # it, no suffix runs, nothing is delivered — so the replay
+            # jumps from interesting row to interesting row (the next
+            # survivor, or the first row at or past the gate, found by
+            # bisecting the monotone ts column) and advances the counters
+            # for each skipped span in bulk.  The bulk add lands *before*
+            # the interesting row's own work, which is exactly the row
+            # loop's counter state if a pass or suffix raises there.
+            # Lazy-purge plans touch state at every row, so they replay
+            # row by row like the row loop.
+            survivors = None if lazy_check else [
+                r for r, p in enumerate(pending) if p is not None]
+            if survivors is None or 2 * len(survivors) >= n:
+                # Dense batches (or lazy-purge plans, which touch state at
+                # every row): the plain per-row replay is cheaper than
+                # span bookkeeping.
+                for now, flag, todo in zip(ts, flags, pending):
+                    self.now = now
+                    events_processed += 1
+                    if flag is not None:
+                        tuples_arrived += 1
+                    if now >= gate:
+                        gate = run_pass(now, None)
+                    if todo is not None:
+                        if todo.__class__ is tuple:
+                            gate = todo[0](todo[1], now, gate)
+                        else:
+                            for suffix, t in todo:
+                                gate = suffix(t, now, gate)
+                    if lazy_check:
+                        maybe_lazy_purge(now)
+            else:
+                n_survivors = len(survivors)
+                sp = 0
+                i = 0
+                while i < n:
+                    while sp < n_survivors and survivors[sp] < i:
+                        sp += 1
+                    j = survivors[sp] if sp < n_survivors else n
+                    k = bisect_left(ts, gate, i, j)
+                    if k >= n:
+                        events_processed += n - i
+                        tuples_arrived += (n - i) - flags[i:n].count(None)
+                        break
+                    if k > i:
+                        events_processed += k - i
+                        tuples_arrived += (k - i) - flags[i:k].count(None)
+                    now = ts[k]
+                    self.now = now
+                    events_processed += 1
+                    if flags[k] is not None:
+                        tuples_arrived += 1
+                    if now >= gate:
+                        gate = run_pass(now, None)
+                    todo = pending[k]
+                    if todo is not None:
+                        if todo.__class__ is tuple:
+                            gate = todo[0](todo[1], now, gate)
+                        else:
+                            for suffix, t in todo:
+                                gate = suffix(t, now, gate)
+                    i = k + 1
+                self.now = ts[n - 1]
+        finally:
+            self._events_processed = events_processed
+            self._tuples_arrived = tuples_arrived
+        self.compiled.view.purge(self.now)
+
     # -- instrumentation layering ------------------------------------------
 
     def arm_telemetry(self) -> None:
-        """(Re-)install the telemetry layer's step shadows (no-op when
-        telemetry is off or already disarmed)."""
+        """(Re-)install the telemetry layer's step shadows and route
+        per-tuple execution through the reference loop that runs them
+        (no-op when telemetry is off or already disarmed); the row batch
+        loop charges the layer's registries natively."""
         if self._telemetry is None:
             return
+        self.__dict__.pop("process_event", None)
         if self._layer is None:
             self._layer = TelemetryLayer(self._telemetry, self.compiled)
         self._layer.arm(self)
 
     def disarm_telemetry(self) -> None:
         """Disarm telemetry on this driver: removes every instrumented
-        step shadow and restores the pristine disabled hot path.  The
-        registry (``compiled.telemetry``) keeps whatever it has collected
-        and stays readable; it just stops growing.  Also the lever
-        benchmarks use to time the disabled code path under an armed
-        driver's identical heap layout (see benchmarks/overhead.py)."""
-        if self._telemetry is None:
-            return
-        if self._layer is not None:
-            self._layer.teardown(self)
-        self._telemetry = None
+        step shadow and restores the compiled per-tuple loop (with freshly
+        re-anchored boundary caches).  The registry
+        (``compiled.telemetry``) keeps whatever it has collected and stays
+        readable; it just stops growing.  Also the lever benchmarks use to
+        time the disabled code path under an armed driver's identical heap
+        layout (see benchmarks/overhead.py)."""
+        if self._telemetry is not None:
+            if self._layer is not None:
+                self._layer.teardown(self)
+            self._telemetry = None
+        self._install_fast_path()
 
     def record_run(self, elapsed: float) -> None:
         """End-of-run totals: run timer, exact event/tuple gauges, final

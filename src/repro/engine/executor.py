@@ -29,7 +29,6 @@ from ..errors import ExecutionError
 from ..streams.stream import Event
 from .driver import Driver
 from .program import build_program
-from .specialize import make_driver
 from .strategies import CompiledQuery
 
 
@@ -110,7 +109,7 @@ class Executor:
     def __init__(self, compiled: CompiledQuery):
         self.compiled = compiled
         self.program = build_program(compiled)
-        self.driver = make_driver(compiled, self.program)
+        self.driver = Driver(compiled, self.program)
         # Derive the symbolic state-bound certificate and (in checked
         # mode) arm its monitors so drain-time validation can cross-check
         # observed occupancy against the certified bounds.

@@ -44,7 +44,6 @@ class DispatchPlan(NamedTuple):
     """
 
     leaf: WindowOp
-    is_window: bool
     prefix: tuple  # ((op, kind, arg), ...) from scalar_kernel()
     suffix: tuple  # ((parent, slot), ...) remaining route to the root
 
@@ -67,8 +66,7 @@ class ExecutionProgram:
 
     __slots__ = ("compiled", "dispatch", "routes", "expire_ops", "lazy_ops",
                  "leaf_bindings", "relations", "relation_bindings",
-                 "time_domain", "count_stream", "steps", "layers",
-                 "specialization")
+                 "time_domain", "count_stream", "steps", "layers")
 
     def __init__(self, compiled, dispatch, routes, expire_ops, lazy_ops,
                  steps, layers):
@@ -89,11 +87,6 @@ class ExecutionProgram:
         #: Instrumentation layers installed on this program ("checked" at
         #: build time, "telemetry" when a TelemetryLayer arms a driver).
         self.layers = layers
-        #: The monomorphic specialization table compiled from this IR (see
-        #: :func:`repro.engine.specialize.specialize_program`), cached so
-        #: the PRG604 lint rule inspects the very table the specialized
-        #: driver's closures were compiled from.  None until specialized.
-        self.specialization = None
 
     def fused_op_count(self) -> int:
         return sum(len(plan.prefix)
@@ -132,8 +125,8 @@ def build_program(compiled) -> ExecutionProgram:
                     break
                 prefix.append((parent, kernel[0], kernel[1]))
                 split += 1
-            plans.append(DispatchPlan(leaf, isinstance(leaf, WindowOp),
-                                      tuple(prefix), tuple(route[split:])))
+            plans.append(DispatchPlan(leaf, tuple(prefix),
+                                      tuple(route[split:])))
         dispatch[stream] = tuple(plans)
     expire_ops = tuple(compiled.expire_ops)
     lazy_ops = tuple(compiled.lazy_ops)

@@ -66,7 +66,9 @@ class ContinuousQuery:
         certificate's one-line summary
         (:meth:`~repro.analysis.bounds.StateCertificate.summary`), a
         telemetry marker (armed instrument count, or how to enable it),
-        and the compiled execution program's step summary
+        the micro-batch loop the driver chose and why
+        (:meth:`~repro.engine.driver.Driver.batch_loop`), and the compiled
+        execution program's step summary
         (:meth:`~repro.engine.program.ExecutionProgram.describe`)."""
         from ..analysis.bounds import attach_certificate
         from ..analysis.planlint import lint_compiled
@@ -84,23 +86,11 @@ class ContinuousQuery:
             ops = len(self.compiled.op_timers)
             metrics_note = (f"on ({len(registry)} instruments across "
                             f"{ops} operators)")
-        driver = self.executor.driver
-        if not getattr(self.config, "columnar", True):
-            columnar_note = "off (row path; re-enable by dropping " \
-                            "columnar=False / --no-columnar)"
-        elif not getattr(driver, "_col_ok", False):
-            columnar_note = ("row fallback (plan has no column-kernel "
-                             "cover; answers unchanged)")
-        else:
-            plans = getattr(driver, "_col_plans", {})
-            columnar_note = (f"on ({sum(map(len, plans.values()))} "
-                             f"column plan(s) across {len(plans)} "
-                             "stream(s), struct-of-arrays chunks)")
         return (f"{tree}\n-- sharding: {verdict.describe()}"
                 f"\n-- lint: {report.summary()}"
                 f"\n-- bounds: {certificate.summary()}"
                 f"\n-- metrics: {metrics_note}"
-                f"\n-- columnar: {columnar_note}"
+                f"\n-- columnar: {self.executor.driver.batch_loop()}"
                 f"\n-- program: {self.executor.program.describe()}")
 
     @property

@@ -78,7 +78,6 @@ from .columnar import decode_routed, encode_routed, stable_hash
 from .driver import Driver
 from .executor import Executor
 from .program import build_program
-from .specialize import make_driver
 from .strategies import ExecutionConfig, compile_plan
 
 #: Events shipped per backend step when no micro-batch size is given.
@@ -97,7 +96,7 @@ def _compile_driver(plan: LogicalNode, config: ExecutionConfig) -> Driver:
     executor owns those — so workers ship and run the program directly.
     """
     compiled = compile_plan(plan, config)
-    return make_driver(compiled, build_program(compiled))
+    return Driver(compiled, build_program(compiled))
 
 
 def _chunked(events: Iterable[Event], size: int) -> Iterator[list[Event]]:
@@ -452,7 +451,6 @@ def _shard_worker_main(conn, plan: LogicalNode, config: ExecutionConfig,
         collector = _ShardCollector()
         if collect:
             driver.subscribe(collector)
-        process_chunk = getattr(driver, "process_chunk", None)
         while True:
             message = conn.recv()
             tag = message[0]
@@ -467,17 +465,12 @@ def _shard_worker_main(conn, plan: LogicalNode, config: ExecutionConfig,
                 conn.send(("out", _encode_outputs(collector.drain())))
             elif tag == "cshard":
                 table = decode_routed(shm.buf[:message[1]], message[2])
-                if (batch is not None and batch > 1
-                        and process_chunk is not None):
-                    process_chunk(table)
+                if batch is not None and batch > 1:
+                    driver.process_chunk(table)
                 else:
-                    events = table.to_events()
-                    if batch is not None and batch > 1:
-                        driver.process_batch(events)
-                    else:
-                        process = driver.process_event
-                        for event in events:
-                            process(event)
+                    process = driver.process_event
+                    for event in table.to_events():
+                        process(event)
                 # Drop the table (and its memoryview over the segment)
                 # before replying, so shutdown can unmap the segment.
                 del table
@@ -627,8 +620,8 @@ class _ProcessShards(_WorkerPool):
     header lists the shard's contiguous ``(stream, offset, count)`` slices
     plus their row indices.  Workers decode their slices in place,
     lazily per stream.  Chunks the codec cannot represent (relation
-    updates, oversize payloads) and ``columnar=False`` runs fall back to
-    the compact-tuple pickle pipe per chunk.
+    updates, oversize payloads), and every chunk on a platform without
+    shared memory, fall back to the compact-tuple pickle pipe.
     """
 
     what = "shard worker"
@@ -637,12 +630,10 @@ class _ProcessShards(_WorkerPool):
                  n_shards: int, batch: int | None, collect: bool):
         super().__init__()
         context = multiprocessing.get_context("fork")
-        arena = None
-        if getattr(config, "columnar", True):
-            try:
-                arena = _ShmArena(1)
-            except (ImportError, OSError, ValueError):
-                arena = None  # no shm on this platform: pickle transport
+        try:
+            arena = _ShmArena(1)
+        except (ImportError, OSError, ValueError):
+            arena = None  # no shm on this platform: pickle transport
         self._arena = arena
         segment = arena.segments[0] if arena is not None else None
         self._spawn(

@@ -82,7 +82,6 @@ from .program import (
     build_program,
 )
 from .query import ContinuousQuery
-from .specialize import make_driver
 from .strategies import ExecutionConfig, compile_plan
 from .views import ResultView
 
@@ -137,7 +136,7 @@ class SharedProducer:
         # The producer runs the same compiled program the unified driver
         # runs everywhere else; no façade is needed because the shared
         # runtime owns run-level orchestration.
-        self.driver = make_driver(self.compiled, build_program(self.compiled))
+        self.driver = Driver(self.compiled, build_program(self.compiled))
         self._captured: list = []
         self.driver.subscribe(self._capture)
         #: Base streams the subtree reads — dispatch triggers on these.

@@ -1,608 +1,17 @@
-"""Program specialization: monomorphic closures compiled from the IR.
+"""Driver construction under its published name.
 
-The interpreted :class:`~repro.engine.driver.Driver` walks the
-:class:`~repro.engine.program.ExecutionProgram` per event: every arrival
-pays a dispatch-table ``dict`` lookup, a route lookup through
-``self._routes``, and a chain of method calls for the expire → dispatch →
-propagate → purge → deliver steps.  The program is *static per query*, so
-all of that can be resolved once, at compile time — the move query
-compilers make for conjunctive queries under updates (Kara et al.,
-arXiv:2206.09032): generate maintenance code specialized to the query
-shape instead of interpreting a generic plan.
-
-:func:`specialize_program` derives a pure :class:`SpecializationTable`
-from the IR (cached on the program object so the PRG604 lint rule can
-re-check exactly what the closures were compiled from), and
-:class:`SpecializedDriver` compiles that table into
-
-* **per-stream arrival closures** — leaf stamp/insert, the fused stateless
-  prefix, and the residual suffix route all bound into closure locals, in
-  per-tuple and micro-batch variants emitted from the same table;
-* **a fused event-loop closure** (per-tuple) installed as an instance
-  attribute, so ``Executor.run``'s ``process_event`` hoist binds straight
-  to it with zero interpretive dispatch;
-* **an incrementally maintained expiration boundary** (micro-batch): the
-  interpreted loop re-scans every eager participant's ``next_expiry``
-  after each pass (O(|expire_ops|), and ``PartitionedBuffer.next_expiry``
-  is O(partitions·log n)); the specialized loop keeps one cached boundary
-  per eager operator, invalidated only when that operator's state changes
-  (stage-input folds during propagation, re-query after its own expire),
-  and gates passes on the minimum of the caches.
-
-Exactness.  Per-tuple mode runs the full bottom-up expiration pass before
-every event, exactly like the interpreted driver, so answers, output
-streams and **all** counters (touches included) are byte-identical.  In
-micro-batch mode the per-operator caches are sound lower bounds on each
-operator's true next expiry, so productive passes fire at identical event
-clocks with identical operator state — answers, output streams and the
-structural counters are byte-identical; only the touches/probes accounting
-of skipped/spurious no-op passes may differ, the same freedom the
-interpreted batched path already has relative to per-tuple execution.
-
-Layer composition.  Checked-mode sanitizer monitors shadow operator
-methods and buffers at *compile time*, before any driver exists, so the
-bound methods captured here are the monitored ones.  Telemetry composes
-the same way it does for the interpreted loops: the micro-batch closure
-advances the layer's duty cycle per batch and charges the same timer
-registries on timed batches, while telemetry-armed per-tuple execution
-runs the reference interpreted loop (whose duty-cycled shadows the
-structural tests pin) — byte-identical by the full-pass argument above.
+The engine builds :class:`~repro.engine.driver.Driver` directly; callers
+outside it (``benchmarks/e2e`` times this call as its own set-up stage)
+import :func:`make_driver` from here.  Compiling the program into closures
+and choosing the micro-batch loop both happen in the driver's constructor.
 """
 
 from __future__ import annotations
 
-import math
-import time
-from typing import NamedTuple, Sequence
-
-from ..errors import ExecutionError
-from ..streams.stream import Arrival, Event, RelationUpdate, Tick
 from .driver import Driver
 from .program import ExecutionProgram
 
-_INF = math.inf
-
-
-class SpecializationTable(NamedTuple):
-    """The pure, IR-derived table the closures are compiled from.
-
-    Everything here is re-derivable from the :class:`ExecutionProgram`;
-    keeping it as an explicit object lets PRG604 cross-check the cached
-    table against a fresh derivation, so a stale or tampered table cannot
-    silently drop steps or routes.
-    """
-
-    #: stream name -> tuple[DispatchPlan] (same plans the IR dispatches).
-    dispatch: dict
-    #: Eager expiration participants, bottom-up (same order as the IR).
-    expire_ops: tuple
-    #: id(op) -> resolved route to the root, as an immutable tuple.
-    routes: dict
-    #: The step vocabulary the closures cover, in execution order.
-    step_kinds: tuple
-
-
-def specialize_program(program: ExecutionProgram) -> SpecializationTable:
-    """Derive (or return the cached) specialization table for ``program``.
-
-    The table is cached on ``program.specialization`` so every driver
-    compiled from one program shares one table, and so the PRG604 lint
-    rule inspects the exact object the closures were built from.
-    """
-    table = program.specialization
-    if table is None:
-        table = SpecializationTable(
-            dispatch={stream: tuple(plans)
-                      for stream, plans in program.dispatch.items()},
-            expire_ops=tuple(program.expire_ops),
-            routes={op_id: tuple(route)
-                    for op_id, route in program.routes.items()},
-            step_kinds=tuple(step.kind for step in program.steps),
-        )
-        program.specialization = table
-    return table
-
 
 def make_driver(compiled, program: ExecutionProgram) -> Driver:
-    """The driver-selection seam shared by every regime.
-
-    ``ExecutionConfig(specialize=False)`` (CLI ``--no-specialize``) opts
-    back into the interpreted reference driver; the default compiles the
-    program's specialization table into a :class:`SpecializedDriver` —
-    and, unless ``ExecutionConfig(columnar=False)`` (CLI ``--no-columnar``)
-    opted out, into its columnar subclass whose micro-batch loop runs over
-    struct-of-arrays chunks (:mod:`repro.engine.columnar`).
-    """
-    if getattr(compiled.config, "specialize", True):
-        if getattr(compiled.config, "columnar", True):
-            from .columnar import ColumnarDriver
-            return ColumnarDriver(compiled, program)
-        return SpecializedDriver(compiled, program)
+    """Compile ``program`` into the driver that runs ``compiled``."""
     return Driver(compiled, program)
-
-
-class SpecializedDriver(Driver):
-    """A driver whose event loops are compiled, not interpreted.
-
-    Subclasses :class:`Driver` without overriding any program-step method
-    (``_expiration_pass``, ``_dispatch_arrival``, ``_propagate*``,
-    ``_maybe_lazy_purge``) — the shared-group runtime and the telemetry
-    layer drive those internals directly and must see reference behaviour.
-    The specialization lives in two entry points only:
-
-    * ``process_event`` — installed as an *instance-attribute closure*
-      while telemetry is off (zero dispatch overhead; the class-level
-      slot stays the inherited interpreted method, which is what runs
-      while a telemetry layer's duty-cycled shadows are armed);
-    * ``process_batch`` — a class-level override running the fused
-      micro-batch loop with per-operator expiration-boundary caches, in
-      both armed and disarmed telemetry states.
-    """
-
-    #: Structural marker for tests and introspection.
-    specialized = True
-
-    def __init__(self, compiled, program: ExecutionProgram):
-        super().__init__(compiled, program)
-        self._table = specialize_program(program)
-        self._compile_closures()
-        if self._telemetry is None:
-            self._install_fast_path()
-
-    # -- closure compilation ----------------------------------------------
-
-    def _compile_closures(self) -> None:
-        """Compile the specialization table into this driver's closures.
-
-        Bound methods are resolved *now*, which is safe and deliberate:
-        checked-mode monitors shadow ``process``/``process_batch``/
-        ``expire`` as instance attributes at compile time (before any
-        driver exists), so the captured callables are the monitored ones.
-        Closures are rebuilt per driver — no mutable state is shared
-        between two drivers compiled from the same program.
-        """
-        table = self._table
-        expire_ops = table.expire_ops
-        eager_index = {id(op): i for i, op in enumerate(expire_ops)}
-        #: One cached next-expiry lower bound per eager participant;
-        #: refreshed from op.next_expiry at batch entry, folded down by
-        #: flowing tuples, re-queried (for that op only) after its expire.
-        self._boundaries = [-_INF] * len(expire_ops)
-        #: (op, bound expire, ((bound process_batch, slot, cache_idx),...))
-        self._pass_plan = tuple(
-            (op, op.expire, tuple(
-                (parent.process_batch, slot,
-                 eager_index.get(id(parent), -1))
-                for parent, slot in table.routes[id(op)]))
-            for op in expire_ops)
-        arrivals_pt: dict[str, tuple] = {}
-        arrivals_b: dict[str, tuple] = {}
-        for stream, plans in table.dispatch.items():
-            pt, batched = [], []
-            for plan in plans:
-                one_pt, one_b = self._compile_arrival(plan, eager_index)
-                pt.append(one_pt)
-                batched.append(one_b)
-            arrivals_pt[stream] = tuple(pt)
-            arrivals_b[stream] = tuple(batched)
-        self._arrivals_pt = arrivals_pt
-        self._arrivals_b = arrivals_b
-        self._lazy_check = (self._lazy_interval is not None
-                            and bool(self._lazy_ops))
-        self._fast_event = self._compile_event_loop()
-
-    def _compile_arrival(self, plan, eager_index):
-        """Compile one DispatchPlan into (per-tuple, micro-batch) arrival
-        closures with every lookup bound into locals.
-
-        The per-tuple variant mirrors the interpreted
-        ``_dispatch_arrival`` (full pass machinery runs per event, so no
-        boundary bookkeeping is needed); the micro-batch variant threads
-        the global gate through its return value and folds stage-input
-        minima into the per-operator boundary caches — but only for
-        stages that are eager participants: stateless and lazily-purged
-        stages never produce pass output, so scheduling passes for their
-        inputs would only add no-ops.
-        """
-        compiled = self.compiled
-        counters = compiled.counters
-        view_apply = compiled.view.apply
-        subscribers = self._subscribers  # list identity is stable
-        leaf = plan.leaf
-        stamp = leaf.stamp
-        boundaries = self._boundaries
-
-        if not plan.is_window:
-            # Unexpected leaf type: generic full-route dispatch, exactly
-            # like the interpreted fallback (cold path, never fused).
-            process = leaf.process
-            route = self._table.routes[id(leaf)]
-            stages = tuple((parent.process_batch, slot,
-                            eager_index.get(id(parent), -1))
-                           for parent, slot in route)
-
-            def generic_pt(values, now):
-                outputs = process(0, stamp(values, now, now), now)
-                if not outputs:
-                    return
-                for pb, slot, _idx in stages:
-                    outputs = pb(slot, outputs, now)
-                    if not outputs:
-                        return
-                for t in outputs:
-                    view_apply(t, now)
-                    for callback in subscribers:
-                        callback(t, now)
-
-            def generic_b(values, now, gate, op_timers):
-                outputs = process(0, stamp(values, now, now), now)
-                if not outputs:
-                    return gate
-                for pb, slot, idx in stages:
-                    if idx >= 0:
-                        low = _INF
-                        for t in outputs:
-                            if t.exp < low:
-                                low = t.exp
-                        if low < boundaries[idx]:
-                            boundaries[idx] = low
-                            if low < gate:
-                                gate = low
-                    outputs = pb(slot, outputs, now)
-                    if not outputs:
-                        return gate
-                for t in outputs:
-                    view_apply(t, now)
-                    for callback in subscribers:
-                        callback(t, now)
-                return gate
-
-            return generic_pt, generic_b
-
-        store = leaf._store
-        prefix = plan.prefix
-        suffix = tuple((parent.process_batch, slot,
-                        eager_index.get(id(parent), -1))
-                       for parent, slot in plan.suffix)
-        leaf_idx = eager_index.get(id(leaf), -1)
-        leaf_id = id(leaf)
-        perf = time.perf_counter
-
-        def window_pt(values, now):
-            # Inlined WindowOp arrival (same bookkeeping the interpreted
-            # batched loop inlines): clock advance, one tuples_processed
-            # charge, store insertion under NT, then the fused prefix.
-            t = stamp(values, now, now)
-            if now > leaf.clock:
-                leaf.clock = now
-            counters.tuples_processed += 1
-            if store is not None:
-                store.insert(t)
-            for op, kind, arg in prefix:
-                if now > op.clock:
-                    op.clock = now
-                counters.tuples_processed += 1
-                if kind == "filter":
-                    if not arg(t.values):
-                        return
-                elif kind == "map_indices":
-                    t = t.with_values(tuple(t.values[i] for i in arg))
-                # "pass": forward unchanged
-            outputs = [t]
-            for pb, slot, _idx in suffix:
-                outputs = pb(slot, outputs, now)
-                if not outputs:
-                    return
-            for out in outputs:
-                view_apply(out, now)
-                for callback in subscribers:
-                    callback(out, now)
-
-        def window_b(values, now, gate, op_timers):
-            if op_timers is not None:
-                t0 = perf()
-            t = stamp(values, now, now)
-            if now > leaf.clock:
-                leaf.clock = now
-            counters.tuples_processed += 1
-            if store is not None:
-                store.insert(t)
-            if leaf_idx >= 0:
-                # The stamped tuple entered eager window state: lower this
-                # leaf's cached boundary (and the global gate) to its exp.
-                exp = t.exp
-                if exp < boundaries[leaf_idx]:
-                    boundaries[leaf_idx] = exp
-                    if exp < gate:
-                        gate = exp
-            for op, kind, arg in prefix:
-                if now > op.clock:
-                    op.clock = now
-                counters.tuples_processed += 1
-                if kind == "filter":
-                    if not arg(t.values):
-                        if op_timers is not None:
-                            op_timers[leaf_id].add(perf() - t0)
-                        return gate
-                elif kind == "map_indices":
-                    t = t.with_values(tuple(t.values[i] for i in arg))
-            if op_timers is not None:
-                # Fused mode attributes stamp + insert + inlined-prefix
-                # work to the leaf's timer, like the interpreted loop.
-                op_timers[leaf_id].add(perf() - t0)
-            outputs = [t]
-            for pb, slot, idx in suffix:
-                if idx >= 0:
-                    low = _INF
-                    for out in outputs:
-                        if out.exp < low:
-                            low = out.exp
-                    if low < boundaries[idx]:
-                        boundaries[idx] = low
-                        if low < gate:
-                            gate = low
-                outputs = pb(slot, outputs, now)
-                if not outputs:
-                    return gate
-            for out in outputs:
-                view_apply(out, now)
-                for callback in subscribers:
-                    callback(out, now)
-            return gate
-
-        return window_pt, window_b
-
-    def compiled_closures(self):
-        """``(name, closure)`` pairs for every compiled closure, without
-        executing anything — the ALS702 ownership rule walks their
-        ``__closure__`` cells to prove no stale specialization table or
-        pre-seal plan object was captured."""
-        yield "fast_event", self._fast_event
-        for stream, fns in self._arrivals_pt.items():
-            for i, fn in enumerate(fns):
-                yield f"arrival_pt:{stream}[{i}]", fn
-        for stream, fns in self._arrivals_b.items():
-            for i, fn in enumerate(fns):
-                yield f"arrival_b:{stream}[{i}]", fn
-
-    def introspection_roots(self) -> dict:
-        roots = super().introspection_roots()
-        roots["boundaries"] = self._boundaries
-        return roots
-
-    def _compile_event_loop(self):
-        """Compile the fused per-tuple event loop: one closure covering
-        expire → dispatch → propagate → purge → deliver with every step
-        resolved into locals.  Semantically identical to the interpreted
-        ``Driver.process_event`` (full pass per event, same bottom-up
-        order, same dispatch), minus the interpretive lookups."""
-        driver = self
-        compiled = self.compiled
-        view_apply = compiled.view.apply
-        view_purge = compiled.view.purge
-        subscribers = self._subscribers
-        time_domain = self._time_domain
-        clock_for = self._clock_for
-        dispatch_relation_update = self._dispatch_relation_update
-        maybe_lazy_purge = self._maybe_lazy_purge
-        lazy_check = self._lazy_check
-        get_plans = self._arrivals_pt.get
-        pass_plan = self._pass_plan
-
-        def process_event(event: Event) -> None:
-            now = event.ts if time_domain else clock_for(event)
-            if now < driver.now:
-                raise ExecutionError(
-                    f"out-of-order event: ts {now} after clock "
-                    f"{driver.now} (the model assumes non-decreasing "
-                    "timestamps, Section 2)"
-                )
-            driver.now = now
-            driver._events_processed += 1
-            # Full bottom-up expiration pass (the per-tuple schedule).
-            for _op, expire, stages in pass_plan:
-                outputs = expire(now)
-                if outputs:
-                    for pb, slot, _idx in stages:
-                        outputs = pb(slot, outputs, now)
-                        if not outputs:
-                            break
-                    else:
-                        for t in outputs:
-                            view_apply(t, now)
-                            for callback in subscribers:
-                                callback(t, now)
-            view_purge(now)
-            if isinstance(event, Arrival):
-                driver._tuples_arrived += 1
-                plans = get_plans(event.stream)
-                if plans is not None:
-                    values = event.values
-                    for fn in plans:
-                        fn(values, now)
-            elif isinstance(event, RelationUpdate):
-                dispatch_relation_update(event, now)
-            elif isinstance(event, Tick):
-                pass
-            else:  # pragma: no cover - event model is closed
-                raise ExecutionError(
-                    f"unknown event type {type(event).__name__}")
-            if lazy_check:
-                maybe_lazy_purge(now)
-
-        return process_event
-
-    # -- fast-path installation -------------------------------------------
-
-    def _install_fast_path(self) -> None:
-        """Install the fused per-tuple loop as an instance attribute (so
-        ``Executor.run``'s hoist binds the closure directly) and refresh
-        the per-operator boundary caches from live state — they may be
-        stale after a stretch of interpreted/armed execution."""
-        self.process_event = self._fast_event
-        now = self.now
-        boundaries = self._boundaries
-        for i, (op, _expire, _stages) in enumerate(self._pass_plan):
-            boundaries[i] = op.next_expiry(now)
-
-    # -- micro-batch loop ---------------------------------------------------
-
-    def process_batch(self, events: Sequence[Event]) -> None:
-        """The fused micro-batch loop with per-operator boundary caches.
-
-        Same amortized schedule contract as the interpreted
-        ``Driver.process_batch`` — an expiration pass runs at exactly the
-        clock of the event that crosses the boundary — but the boundary is
-        the minimum over per-operator caches maintained incrementally, and
-        each pass visits only the operators whose cache has been reached
-        (the skipped ones provably have nothing to expire).
-        """
-        if not events:
-            return
-        compiled = self.compiled
-        view_apply = compiled.view.apply
-        subscribers = self._subscribers
-        time_domain = self._time_domain
-        clock_for = self._clock_for
-        lazy_check = self._lazy_check
-        maybe_lazy_purge = self._maybe_lazy_purge
-        # Telemetry: advance the duty cycle per batch, like the
-        # interpreted loop; timed batches charge the same registries.
-        if self._telemetry is not None:
-            self._layer.advance(self)
-        timing = self._timing
-        op_timers = compiled.op_timers if timing else None
-        expire_timers = compiled.op_expire_timers if timing else None
-        get_plans = self._arrivals_b.get
-        pass_plan = self._pass_plan
-        boundaries = self._boundaries
-        run_pass = self._run_pass
-        events_processed = self._events_processed
-        tuples_arrived = self._tuples_arrived
-        # Re-anchor the caches on live state once per batch (the
-        # interpreted path's per-batch _compute_next_expiry, distributed
-        # per operator); inside the batch they are maintained
-        # incrementally instead of rescanned after every pass.
-        now = self.now
-        gate = _INF
-        for i, (op, _expire, _stages) in enumerate(pass_plan):
-            low = op.next_expiry(now)
-            boundaries[i] = low
-            if low < gate:
-                gate = low
-        try:
-            for event in events:
-                now = event.ts if time_domain else clock_for(event)
-                if now < self.now:
-                    raise ExecutionError(
-                        f"out-of-order event: ts {now} after clock "
-                        f"{self.now} (the model assumes non-decreasing "
-                        "timestamps, Section 2)"
-                    )
-                self.now = now
-                events_processed += 1
-                if now >= gate:
-                    gate = run_pass(now, expire_timers)
-                if isinstance(event, Arrival):
-                    tuples_arrived += 1
-                    plans = get_plans(event.stream)
-                    if plans is not None:
-                        values = event.values
-                        for fn in plans:
-                            gate = fn(values, now, gate, op_timers)
-                elif isinstance(event, RelationUpdate):
-                    self._dispatch_relation_update(event, now)
-                    # Relation deltas may land anywhere in the pipeline:
-                    # re-anchor every cache on live state (rare event).
-                    gate = _INF
-                    for i, (op, _expire, _stages) in enumerate(pass_plan):
-                        low = op.next_expiry(now)
-                        boundaries[i] = low
-                        if low < gate:
-                            gate = low
-                elif isinstance(event, Tick):
-                    pass
-                else:  # pragma: no cover - event model is closed
-                    raise ExecutionError(
-                        f"unknown event type {type(event).__name__}")
-                if lazy_check:
-                    maybe_lazy_purge(now)
-        finally:
-            self._events_processed = events_processed
-            self._tuples_arrived = tuples_arrived
-        # One amortized view purge per batch, as in the interpreted loop.
-        compiled.view.purge(self.now)
-        self._next_expiry = gate  # coherence for external readers
-        if timing:
-            self._layer.sample(self)
-
-    def _run_pass(self, now: float, expire_timers) -> float:
-        """One boundary-triggered expiration pass, visiting only the
-        operators whose cached boundary has been reached.
-
-        A skipped operator's cache is a sound lower bound on its true next
-        expiry, so cache > now proves it has nothing to expire — visiting
-        it would be a no-op (the interpreted pass does exactly that and
-        charges the no-op probe as a touch; the structural counters and
-        outputs are unaffected either way).  Visited operators re-query
-        their own ``next_expiry`` afterwards, which also captures state
-        they created *during* expire (e.g. dup-elim promotions).
-        """
-        boundaries = self._boundaries
-        compiled = self.compiled
-        view_apply = compiled.view.apply
-        subscribers = self._subscribers
-        timing = expire_timers is not None
-        if timing:
-            perf = time.perf_counter
-            pass_start = perf()
-        for i, (op, expire, stages) in enumerate(self._pass_plan):
-            if boundaries[i] <= now:
-                if timing:
-                    t0 = perf()
-                    outputs = expire(now)
-                    expire_timers[id(op)].add(perf() - t0)
-                else:
-                    outputs = expire(now)
-                if outputs:
-                    for pb, slot, idx in stages:
-                        if idx >= 0:
-                            low = _INF
-                            for t in outputs:
-                                if t.exp < low:
-                                    low = t.exp
-                            if low < boundaries[idx]:
-                                boundaries[idx] = low
-                        outputs = pb(slot, outputs, now)
-                        if not outputs:
-                            break
-                    else:
-                        for t in outputs:
-                            view_apply(t, now)
-                            for callback in subscribers:
-                                callback(t, now)
-                boundaries[i] = op.next_expiry(now)
-        compiled.view.purge(now)
-        if timing:
-            elapsed = perf() - pass_start
-            layer = self._layer
-            layer._pass_timer.add(elapsed)
-            layer._pass_gauge.set(elapsed)
-        return min(boundaries, default=_INF)
-
-    # -- instrumentation layering ------------------------------------------
-
-    def arm_telemetry(self) -> None:
-        """Arm the telemetry layer and route per-tuple execution back
-        through the reference interpreted loop (whose duty-cycled step
-        shadows the layer installs); the micro-batch loop stays
-        specialized and charges the layer's registries natively."""
-        self.__dict__.pop("process_event", None)
-        super().arm_telemetry()
-
-    def disarm_telemetry(self) -> None:
-        """Disarm telemetry and restore the fused per-tuple fast path
-        (with freshly re-anchored boundary caches)."""
-        super().disarm_telemetry()
-        if self._telemetry is None:
-            self._install_fast_path()

@@ -123,26 +123,6 @@ class ExecutionConfig:
     #: streams and the legacy counters are byte-identical either way, and
     #: with the default ``False`` the hot path carries no telemetry code.
     telemetry: bool = False
-    #: Program specialization (CLI ``--no-specialize`` opts out): compile
-    #: the execution program into monomorphic per-stream dispatch closures
-    #: and a fused event-loop (:mod:`repro.engine.specialize`) instead of
-    #: interpreting the IR per event.  Answers, output streams and counters
-    #: are byte-identical either way — the interpreted
-    #: :class:`~repro.engine.driver.Driver` stays as the reference
-    #: implementation, and PRG604 re-derives the closure coverage from the
-    #: IR on every lint.
-    specialize: bool = True
-    #: Columnar chunk plane (CLI ``--no-columnar`` opts out): run the
-    #: specialized driver's micro-batch loop over struct-of-arrays
-    #: :class:`~repro.engine.columnar.ChunkTable` chunks — bulk window
-    #: stamping/insertion, column-wise fused stateless prefixes, and the
-    #: zero-pickle shared-memory shard transport.  Answers, output
-    #: streams, counters and certificates are byte-identical either way
-    #: (PRG605 proves column kernels agree with the scalar kernels);
-    #: non-vectorizable plans fall back to the row path automatically.
-    #: Requires ``specialize`` — with specialization off, the interpreted
-    #: reference driver runs row-at-a-time regardless.
-    columnar: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.mode, Mode):
@@ -177,16 +157,6 @@ class ExecutionConfig:
             raise ConfigError(
                 f"telemetry must be a bool, got {self.telemetry!r} (it arms "
                 "the runtime metrics registry and timing spans)")
-        if not isinstance(self.specialize, bool):
-            raise ConfigError(
-                f"specialize must be a bool, got {self.specialize!r} (it "
-                "selects the monomorphic specialized event loop; False runs "
-                "the interpreted reference driver)")
-        if not isinstance(self.columnar, bool):
-            raise ConfigError(
-                f"columnar must be a bool, got {self.columnar!r} (it "
-                "selects the struct-of-arrays micro-batch loop; False runs "
-                "the row-at-a-time path)")
         if self.checked and self.allow_unbounded_state:
             raise ConfigError(
                 "checked=True is incompatible with allow_unbounded_state="

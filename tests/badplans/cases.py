@@ -47,7 +47,6 @@ from repro.core.sharding import Partitionability, analyze_partitionability
 from repro.core.tuples import Schema
 from repro.engine.executor import Executor
 from repro.engine.program import build_program
-from repro.engine.specialize import specialize_program
 from repro.engine.strategies import (
     STR_NEGATIVE,
     ExecutionConfig,
@@ -285,28 +284,12 @@ def _prg603_stateful_fused_prefix() -> LintReport:
     return lint_compiled(compiled)
 
 
-def _prg604_stale_specialization_table() -> LintReport:
-    """Specialize Query 1's execution program, then delete one stream from
-    the *cached specialization table* (the object the monomorphic closures
-    were compiled from) while leaving the program's own dispatch table
-    intact — so PRG601–603 stay silent and only the closure-coverage
-    cross-check can catch that every arrival on that stream would be
-    dropped by the compiled fast path."""
-    plan = queries.query1(_GEN, WINDOW)
-    _config, compiled = _compiled(plan, mode=Mode.UPA)
-    program = build_program(compiled)
-    specialize_program(program)
-    del program.specialization.dispatch[
-        next(iter(program.specialization.dispatch))]
-    return lint_compiled(compiled)
-
-
 def _prg605_lying_column_kernel() -> LintReport:
     """Shadow one fused SelectOp's column kernel with a different (accept
     everything) predicate — the defect a hand-vectorized kernel with a
     transcription slip would produce.  The operator stays stateless and
-    keeps its scalar kernel, so PRG601–604 stay green, but the columnar
-    path would filter the stream differently than the row path: same
+    keeps its scalar kernel, so PRG601–603 stay green, but the column
+    loop would filter the stream differently than the row loop: same
     plan, two answers, and only the kernel-agreement cross-check sees
     it."""
     plan = queries.query1(_GEN, WINDOW)
@@ -334,18 +317,24 @@ def _als701_aliased_join_state() -> LintReport:
     return lint_compiled(compiled)
 
 
-def _als702_stale_specialized_closures() -> LintReport:
-    """Build a specialized driver, then re-derive the program's
-    specialization table behind its back — the defect a plan-cache
-    invalidation bug would produce.  The driver's monomorphic closures
-    keep executing the superseded table while PRG604 (which checks the
-    *cached* table against the program) stays green."""
+def _als702_closure_captures_plan_node() -> LintReport:
+    """Wrap one of the driver's compiled arrival closures in a closure
+    that also captures the logical plan — the defect a 'convenient' debug
+    hook or a half-sealed compile would produce.  The program and every
+    buffer stay correct, so only the closure-capture walk sees that the
+    hot path now holds pre-seal planning state."""
     plan = queries.query1(_GEN, WINDOW)
     _config, compiled = _compiled(plan, mode=Mode.UPA)
-    executor = Executor(compiled)
-    executor.program.specialization = None  # drop the cache ...
-    specialize_program(executor.program)    # ... and re-derive a new table
-    return lint_compiled(compiled, driver=executor.driver)
+    driver = Executor(compiled).driver
+    stream, arrivals = next(iter(driver._arrivals_pt.items()))
+    compiled_arrival = arrivals[0]
+
+    def leaky_arrival(values, now):
+        plan.describe()
+        compiled_arrival(values, now)
+
+    driver._arrivals_pt[stream] = (leaky_arrival,) + arrivals[1:]
+    return lint_compiled(compiled, driver=driver)
 
 
 def _als703_module_level_counter_sink() -> LintReport:
@@ -466,18 +455,15 @@ CORPUS: tuple[BadPlan, ...] = (
     BadPlan("stateful-fused-prefix", "PRG603",
             "kernel-less suffix operator promoted into the fused prefix",
             _prg603_stateful_fused_prefix),
-    BadPlan("stale-specialization-table", "PRG604",
-            "cached specialization table lost one stream's closures",
-            _prg604_stale_specialization_table),
     BadPlan("lying-column-kernel", "PRG605",
             "fused select's column kernel disagrees with its scalar kernel",
             _prg605_lying_column_kernel),
     BadPlan("aliased-join-state", "ALS701",
             "one buffer instance aliased into both join state slots",
             _als701_aliased_join_state),
-    BadPlan("stale-specialized-closures", "ALS702",
-            "driver closures bound to a superseded specialization table",
-            _als702_stale_specialized_closures),
+    BadPlan("plan-node-in-closure", "ALS702",
+            "compiled arrival closure captures a logical plan node",
+            _als702_closure_captures_plan_node),
     BadPlan("module-level-counter-sink", "ALS703",
             "mutable module-global counters aliased into a pipeline",
             _als703_module_level_counter_sink),

@@ -19,6 +19,7 @@ import pytest
 from repro import (
     Arrival,
     ContinuousQuery,
+    CountWindow,
     ExecutionConfig,
     Mode,
     Predicate,
@@ -147,6 +148,42 @@ class TestBatchedEqualsPerTuple:
         base = _replay(plan, events, None, Mode.UPA, lazy_interval=interval)
         got = _replay(plan, events, batch, Mode.UPA, lazy_interval=interval)
         assert got == base
+
+
+def _loop_cases():
+    """Plans on each side of the driver's batch-loop selection rule, with
+    the ``-- columnar:`` explain footer each must report."""
+    b0, b1 = _window_sources(8)
+    small = Predicate(("v",), lambda vals: vals[0] <= 1, "v <= 1")
+    counted = from_window(StreamDef("s0", V, CountWindow(3)))
+    return {
+        "filter-prefix-join": (b0.where(small).join(b1, on="v").build(),
+                               "on (2 column plan(s) across 2 stream(s)"),
+        "bare-minus": (b0.minus(b1, on="v").build(),
+                       "row loop: no stateless prefix"),
+        "bare-group-by": (b0.group_by(["v"], [count()]).build(),
+                          "row loop: no stateless prefix"),
+        "count-window": (counted.where(small).distinct().build(),
+                         "row loop: count window"),
+    }
+
+
+LOOP_CASES = _loop_cases()
+
+
+class TestLoopSelection:
+    """The driver picks the micro-batch loop from the program; whichever
+    it picks must stay identical to per-tuple execution."""
+
+    @SETTINGS
+    @given(events=traces(vmax=3), batch=st.sampled_from([2, 7, 64]))
+    @pytest.mark.parametrize("case", sorted(LOOP_CASES))
+    def test_chosen_loop_equals_per_tuple(self, case, events, batch):
+        plan, footer = LOOP_CASES[case]
+        query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
+        assert f"-- columnar: {footer}" in query.explain()
+        assert _replay(plan, events, batch, Mode.UPA) \
+            == _replay(plan, events, None, Mode.UPA)
 
 
 class TestMetricDenominators:

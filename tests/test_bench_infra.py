@@ -51,7 +51,7 @@ class TestRunners:
                      ExecutionConfig(mode=Mode.UPA), "UPA", 50)
         assert m.events == len(events)
         assert m.time_ms_per_1000 >= 0
-        assert m.touches_per_event > 0
+        assert m.touches_per_tuple > 0
         assert m.answer_size > 0
         assert m.row()[0] == "UPA"
 
@@ -80,7 +80,7 @@ class TestRunners:
         print_table("demo", results)
         out = capsys.readouterr().out
         assert "demo" in out
-        assert "A ms/1k" in out and "B tch/ev" in out
+        assert "A ms/1k" in out and "B tch/tup" in out
         assert "1.23" in out and "9.0" in out
 
     def test_print_table_marks_missing_cells(self, capsys):

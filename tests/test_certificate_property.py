@@ -41,16 +41,14 @@ class TestCertificateBoundsObservedState:
         name=st.sampled_from(sorted(QUERY_FACTORIES)),
         mode=st.sampled_from([Mode.NT, Mode.DIRECT, Mode.UPA]),
         batch=st.sampled_from([None, 4, 32]),
-        specialize=st.booleans(),
         seed=st.integers(0, 2**16),
         n_events=st.integers(50, 400),
     )
     def test_sliding_bound_dominates_peak(self, name, mode, batch,
-                                          specialize, seed, n_events):
+                                          seed, n_events):
         gen = TrafficTraceGenerator(TrafficConfig(seed=seed))
         plan = QUERY_FACTORIES[name](gen)
-        config = ExecutionConfig(mode=mode, checked=True,
-                                 specialize=specialize)
+        config = ExecutionConfig(mode=mode, checked=True)
         try:
             query = ContinuousQuery(plan, config)
         except PlanError:

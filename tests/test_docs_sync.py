@@ -103,24 +103,12 @@ class TestReadmeQuickstart:
         assert namespace["report"].ok
         assert namespace["query"].compiled.sanitizer is not None
         explained = namespace["query"].explain()
-        assert "-- lint: clean (20 rules)" in explained
+        assert "-- lint: clean (19 rules)" in explained
         # The execution-program footer the README promises, verbatim up to
         # the plan-dependent counts.
         assert ("-- program: EXPIRE>DISPATCH>PROPAGATE>PURGE>DELIVER"
                 in explained)
         assert "layers=checked" in explained
-
-    def test_columnar_quickstart_runs(self):
-        """The columnar snippet is self-contained, runs both data planes,
-        and gets identical answers with the promised explain footers."""
-        blocks = [b for b in re.findall(r"```python\n(.*?)```", self.README,
-                                        re.S) if "columnar=False" in b]
-        assert blocks, "README lost its columnar quickstart"
-        namespace: dict = {}
-        exec(compile(blocks[0], "README-columnar", "exec"), namespace)
-        assert namespace["fast"].answer() == namespace["slow"].answer()
-        assert "-- columnar: on" in namespace["columnar"].explain()
-        assert "-- columnar: off" in namespace["row"].explain()
 
     def test_certificate_quickstart_runs(self):
         """The ownership/bounds snippet is self-contained, derives a fully

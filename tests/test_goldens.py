@@ -108,9 +108,7 @@ class TestCrossRegimeMatrix:
     micro-batch, checked, and telemetry execution — and the shared-group
     and sharded-serial regimes must reproduce the same answer and stream
     (sharded counters are compared structurally: per-shard sums equal the
-    unsharded totals).  Every cell additionally runs with the columnar
-    chunk plane on and off — the struct-of-arrays batch loop must be
-    invisible in every pinned artifact.
+    unsharded totals).
     """
 
     #: The exact UPA output stream: (values, ts, exp, sign, now) per tuple.
@@ -153,10 +151,6 @@ class TestCrossRegimeMatrix:
         result = query.run(list(TRACE), batch=batch, **kwargs)
         return query, result, tuple(outputs)
 
-    @pytest.mark.parametrize("columnar", [True, False],
-                             ids=["columnar", "row"])
-    @pytest.mark.parametrize("specialize", [True, False],
-                             ids=["specialized", "interpreted"])
     @pytest.mark.parametrize("regime,kwargs", [
         ("per-tuple", {}),
         ("batched", {"batch": 4}),
@@ -165,26 +159,17 @@ class TestCrossRegimeMatrix:
         ("checked-batched", {"batch": 4, "checked": True}),
         ("telemetry-batched", {"batch": 4, "telemetry": True}),
     ])
-    def test_unsharded_regimes_pin_everything(self, regime, kwargs,
-                                              specialize, columnar):
-        query, result, outputs = self._run(specialize=specialize,
-                                           columnar=columnar, **kwargs)
+    def test_unsharded_regimes_pin_everything(self, regime, kwargs):
+        query, result, outputs = self._run(**kwargs)
         assert dict(query.answer()) == self.GOLDEN_ANSWER, regime
         assert outputs == self.GOLDEN_STREAM, regime
         snapshot = result.counters.snapshot()
         assert {key: snapshot[key] for key in self.STRUCTURAL} \
             == self.GOLDEN_COUNTERS, regime
 
-    @pytest.mark.parametrize("columnar", [True, False],
-                             ids=["columnar", "row"])
-    @pytest.mark.parametrize("specialize", [True, False],
-                             ids=["specialized", "interpreted"])
     @pytest.mark.parametrize("batch", [None, 4])
-    def test_sharded_serial_pins_answer_and_stream(self, batch, specialize,
-                                                   columnar):
-        _query, result, outputs = self._run(batch=batch, shards=2,
-                                            specialize=specialize,
-                                            columnar=columnar)
+    def test_sharded_serial_pins_answer_and_stream(self, batch):
+        _query, result, outputs = self._run(batch=batch, shards=2)
         assert result.fallback_reason is None
         assert dict(result.answer()) == self.GOLDEN_ANSWER
         assert outputs == self.GOLDEN_STREAM
@@ -192,18 +177,12 @@ class TestCrossRegimeMatrix:
         assert {key: snapshot[key] for key in self.STRUCTURAL} \
             == self.GOLDEN_COUNTERS
 
-    @pytest.mark.parametrize("columnar", [True, False],
-                             ids=["columnar", "row"])
-    @pytest.mark.parametrize("specialize", [True, False],
-                             ids=["specialized", "interpreted"])
     @pytest.mark.parametrize("batch", [None, 4])
-    def test_shared_group_pins_answer_and_stream(self, batch, specialize,
-                                                 columnar):
+    def test_shared_group_pins_answer_and_stream(self, batch):
         from repro import QueryGroup
 
         group = QueryGroup(shared=True)
-        config = ExecutionConfig(mode=Mode.UPA, specialize=specialize,
-                                 columnar=columnar)
+        config = ExecutionConfig(mode=Mode.UPA)
         group.add("q1", self.plan(), config)
         group.add("q2", self.plan(), config)
         streams = {"q1": [], "q2": []}

@@ -182,14 +182,11 @@ class TestOwnershipAndBounds:
 
     @pytest.mark.parametrize("name", sorted(QUERY_BUILDERS))
     @pytest.mark.parametrize("mode", [Mode.NT, Mode.DIRECT, Mode.UPA])
-    @pytest.mark.parametrize("specialize", [True, False],
-                             ids=["specialized", "interpreted"])
-    def test_driver_aware_lint_clean(self, name, mode, specialize):
+    def test_driver_aware_lint_clean(self, name, mode):
         """The full catalogue — including the closure-capture walk over the
-        live driver — is clean for every paper query under every mode,
-        specialized and interpreted alike."""
+        live driver — is clean for every paper query under every mode."""
         plan = QUERY_BUILDERS[name]()
-        config = ExecutionConfig(mode=mode, specialize=specialize)
+        config = ExecutionConfig(mode=mode)
         try:
             query = ContinuousQuery(plan, config)
         except PlanError:

@@ -86,53 +86,25 @@ class TestSingleImplementation:
 
     def test_regimes_share_the_driver_class(self):
         from repro.engine.shard import _SerialShards
-        from repro.core.sharding import analyze_partitionability
-        from repro.engine.columnar import ColumnarDriver
-        from repro.engine.specialize import SpecializedDriver
 
         plan = from_window(stream("s0")).distinct().build()
-        part = analyze_partitionability(plan)
-        # Interpreted opt-out: the reference Driver, exactly.
-        shards = _SerialShards(plan, ExecutionConfig(mode=Mode.UPA,
-                                                     specialize=False), 2,
+        shards = _SerialShards(plan, ExecutionConfig(mode=Mode.UPA), 2,
                                None, False)
         assert all(type(d) is Driver for d in shards.drivers)
         assert all(isinstance(d.program, ExecutionProgram)
                    for d in shards.drivers)
-        # Row-path opt-out: the specialized driver, exactly.
-        shards = _SerialShards(plan, ExecutionConfig(mode=Mode.UPA,
-                                                     columnar=False), 2,
-                               None, False)
-        assert all(type(d) is SpecializedDriver for d in shards.drivers)
-        # Default: the same Driver contract, columnar specialized subclass.
-        shards = _SerialShards(plan, ExecutionConfig(mode=Mode.UPA), 2,
-                               None, False)
-        assert all(type(d) is ColumnarDriver for d in shards.drivers)
-        assert all(isinstance(d, SpecializedDriver) for d in shards.drivers)
-        assert all(isinstance(d, Driver) for d in shards.drivers)
 
     def test_shared_producers_hold_drivers(self):
         from repro import QueryGroup
-        from repro.engine.specialize import SpecializedDriver
 
         group = QueryGroup(shared=True)
         group.add("a", from_window(stream("s0")).distinct().build(),
-                  ExecutionConfig(mode=Mode.UPA, specialize=False))
+                  ExecutionConfig(mode=Mode.UPA))
         group.add("b", from_window(stream("s0")).distinct().build(),
-                  ExecutionConfig(mode=Mode.UPA, specialize=False))
+                  ExecutionConfig(mode=Mode.UPA))
         producers = group.shared_producers()
         assert producers, "identical members must fuse"
         assert all(type(p.driver) is Driver for p in producers)
-
-        group = QueryGroup(shared=True)
-        group.add("a", from_window(stream("s0")).distinct().build(),
-                  ExecutionConfig(mode=Mode.UPA))
-        group.add("b", from_window(stream("s0")).distinct().build(),
-                  ExecutionConfig(mode=Mode.UPA))
-        producers = group.shared_producers()
-        assert producers, "identical members must fuse"
-        assert all(isinstance(p.driver, SpecializedDriver)
-                   for p in producers)
 
 
 class TestProgramStructure:
@@ -195,7 +167,7 @@ class TestProgramStructure:
         assert "-- program: EXPIRE>DISPATCH>PROPAGATE>PURGE>DELIVER" in text
 
     def test_dispatch_plan_is_flat_data(self):
-        plan = DispatchPlan(leaf=None, is_window=True, prefix=(), suffix=())
+        plan = DispatchPlan(leaf=None, prefix=(), suffix=())
         assert plan.prefix == () and plan.suffix == ()
 
 

@@ -89,19 +89,16 @@ def stream_key(outputs):
     return tuple((t.values, t.ts, t.exp, t.sign, now) for t, now in outputs)
 
 
-def run_unsharded(plan, events, mode, batch=None, columnar=True):
-    query = ContinuousQuery(plan, ExecutionConfig(mode=mode,
-                                                  columnar=columnar))
+def run_unsharded(plan, events, mode, batch=None):
+    query = ContinuousQuery(plan, ExecutionConfig(mode=mode))
     outputs = []
     query.subscribe(lambda t, now: outputs.append((t, now)))
     result = query.run(iter(events), batch=batch)
     return result, outputs
 
 
-def run_sharded(plan, events, mode, shards, backend, batch=None,
-                columnar=True):
-    sharded = ShardedExecutor(plan, ExecutionConfig(mode=mode,
-                                                    columnar=columnar),
+def run_sharded(plan, events, mode, shards, backend, batch=None):
+    sharded = ShardedExecutor(plan, ExecutionConfig(mode=mode),
                               shards=shards, backend=backend)
     outputs = []
     sharded.subscribe(lambda t, now: outputs.append((t, now)))
@@ -291,17 +288,16 @@ def test_merged_stream_is_chunk_size_invariant():
 
 @SETTINGS
 @given(shards=st.sampled_from([2, 3, 4]),
-       batch=st.sampled_from([3, 7, 16, 64, 256]),
-       columnar=st.booleans())
-def test_columnar_chunk_shard_invariance(shards, batch, columnar):
-    """Satellite: chunk size × shard count × columnar on/off never moves
-    the merged stream — it is byte-identical to the unsharded row-path
+       batch=st.sampled_from([3, 7, 16, 64, 256]))
+def test_columnar_chunk_shard_invariance(shards, batch):
+    """Satellite: chunk size × shard count never moves the column loop's
+    merged stream — it is byte-identical to the unsharded per-tuple
     reference, and so are answers and structural counters."""
     base, base_out = run_unsharded(query1(_GEN, _WINDOW), _EVENTS[:300],
-                                   Mode.UPA, batch=batch, columnar=False)
+                                   Mode.UPA)
     res, out = run_sharded(query1(_GEN, _WINDOW), _EVENTS[:300], Mode.UPA,
-                           shards, "serial", batch, columnar=columnar)
-    label = (shards, batch, columnar)
+                           shards, "serial", batch)
+    label = (shards, batch)
     assert res.answer() == base.answer(), label
     assert stream_key(out) == stream_key(base_out), label
     snap, base_snap = res.counters.snapshot(), base.counters.snapshot()

@@ -1,12 +1,14 @@
-"""Structural tests for program specialization (engine/specialize.py).
+"""Structural and differential tests for the driver's compiled paths
+(engine/driver.py).
 
 The behavioural bar — byte-identical answers, output streams and counters
-across specialized × regime × batch × checked × telemetry — lives in the
-golden matrix (tests/test_goldens.py) and the per-suite equivalence
-tests.  This module pins the *structure*: the driver-selection seam, the
-per-driver closure compilation (no shared mutable state), the cached
-specialization table and its PRG604 cross-check, and the telemetry
-arm/disarm fast-path handoff.
+across regime × batch × checked × telemetry — lives in the golden matrix
+(tests/test_goldens.py) and the per-suite equivalence tests.  This module
+pins the *structure* — one driver class, per-driver closure compilation
+(no shared mutable state), the telemetry arm/disarm fast-path handoff, the
+removed ``specialize``/``columnar`` surface — and checks the compiled
+per-tuple loop against the class-level reference loop on the paper
+queries.
 """
 
 from __future__ import annotations
@@ -24,15 +26,14 @@ from repro import (
     attr_equals,
     from_window,
 )
+from repro.cli import main
 from repro.engine.driver import Driver
 from repro.engine.program import build_program
-from repro.engine.specialize import (
-    SpecializationTable,
-    SpecializedDriver,
-    make_driver,
-    specialize_program,
-)
-from repro.engine.strategies import ConfigError, compile_plan
+from repro.engine.specialize import make_driver
+from repro.engine.strategies import compile_plan
+from repro.errors import PlanError
+from repro.workloads import queries
+from repro.workloads.traffic import TrafficConfig, TrafficTraceGenerator
 
 V = Schema(["v"])
 
@@ -56,76 +57,56 @@ def join_plan():
             .build())
 
 
-class TestDriverSelection:
-    def test_default_is_specialized(self):
+class TestOneDriver:
+    def test_every_query_runs_the_one_driver_class(self):
         query = ContinuousQuery(join_plan(), ExecutionConfig(mode=Mode.UPA))
-        assert isinstance(query.executor.driver, SpecializedDriver)
-        assert isinstance(query.executor.driver, Driver)
-
-    def test_opt_out_is_the_interpreted_reference(self):
-        query = ContinuousQuery(
-            join_plan(), ExecutionConfig(mode=Mode.UPA, specialize=False))
         assert type(query.executor.driver) is Driver
 
-    def test_make_driver_honours_config(self):
-        from repro.engine.columnar import ColumnarDriver
-        for kwargs, expected in [
-                ({}, ColumnarDriver),
-                ({"columnar": False}, SpecializedDriver),
-                ({"specialize": False}, Driver),
-                ({"specialize": False, "columnar": False}, Driver)]:
-            compiled = compile_plan(
-                join_plan(), ExecutionConfig(mode=Mode.UPA, **kwargs))
-            driver = make_driver(compiled, build_program(compiled))
-            assert type(driver) is expected
+    def test_make_driver_is_the_constructor(self):
+        compiled = compile_plan(join_plan(), ExecutionConfig(mode=Mode.UPA))
+        assert type(make_driver(compiled, build_program(compiled))) is Driver
 
-    def test_specialize_must_be_bool(self):
-        with pytest.raises(ConfigError):
-            ExecutionConfig(specialize="yes")
+    @pytest.mark.parametrize("axis", ["specialize", "columnar"])
+    def test_removed_axis_is_rejected_not_deprecated(self, axis, tmp_path,
+                                                     capsys):
+        with pytest.raises(TypeError):
+            ExecutionConfig(**{axis: False})
+        flag = f"--no-{axis}"
+        trace = tmp_path / "trace.tsv"
+        trace.write_text("")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "SELECT * FROM link0 [RANGE 10]",
+                  "--trace", str(trace), flag])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
-class TestSpecializationTable:
-    def test_table_is_cached_on_the_program(self):
+class TestBatchLoopChoice:
+    """The row-loop reasons the hypothesis suite in test_batched.py has no
+    plan shape for."""
+
+    def test_prefix_operator_without_a_column_kernel(self):
         compiled = compile_plan(join_plan(), ExecutionConfig(mode=Mode.UPA))
         program = build_program(compiled)
-        assert program.specialization is None
-        table = specialize_program(program)
-        assert isinstance(table, SpecializationTable)
-        assert program.specialization is table
-        assert specialize_program(program) is table  # idempotent
+        select, _kind, _arg = program.dispatch["a"][0].prefix[0]
+        select.column_kernel = lambda: None  # a custom, scalar-only kernel
+        driver = Driver(compiled, program)
+        assert driver.batch_loop() == "row loop: no column kernel for SelectOp"
+        driver.process_batch(list(TRACE))
+        reference = ContinuousQuery(join_plan(),
+                                    ExecutionConfig(mode=Mode.UPA))
+        reference.run(list(TRACE))
+        assert dict(driver.answer()) == dict(reference.answer())
 
-    def test_table_mirrors_the_program(self):
-        compiled = compile_plan(join_plan(), ExecutionConfig(mode=Mode.UPA))
-        program = build_program(compiled)
-        table = specialize_program(program)
-        assert set(table.dispatch) == set(program.dispatch)
-        for name, plans in program.dispatch.items():
-            assert table.dispatch[name] == tuple(plans)
-        assert table.expire_ops == tuple(program.expire_ops)
-        assert set(table.routes) == set(program.routes)
-        assert table.step_kinds == tuple(
-            step.kind for step in program.steps)
-
-    def test_drivers_share_one_table_per_program(self):
-        compiled = compile_plan(join_plan(), ExecutionConfig(mode=Mode.UPA))
-        program = build_program(compiled)
-        a = SpecializedDriver(compiled, program)
-        b = SpecializedDriver(compiled, program)
-        assert a._table is b._table is program.specialization
-
-    def test_prg604_fires_on_a_tampered_table(self):
-        from repro.analysis.planlint import lint_compiled
-
-        compiled = compile_plan(join_plan(), ExecutionConfig(mode=Mode.UPA))
-        program = build_program(compiled)
-        specialize_program(program)
-        assert not [d for d in lint_compiled(compiled).diagnostics
-                    if d.rule == "PRG604"]
-        del program.specialization.dispatch[
-            next(iter(program.specialization.dispatch))]
-        fired = [d for d in lint_compiled(compiled).diagnostics
-                 if d.rule == "PRG604"]
-        assert fired and all(d.severity == "error" for d in fired)
+    def test_unbounded_stream_has_no_exp_column_to_stamp(self):
+        plan = (from_window(StreamDef("a", V, None))
+                .where(attr_equals("v", 1)).build())
+        query = ContinuousQuery(plan, ExecutionConfig(
+            mode=Mode.UPA, allow_unbounded_state=True))
+        assert query.executor.driver.batch_loop() \
+            == "row loop: unbounded stream"
+        query.run(list(TRACE), batch=4)
+        assert dict(query.answer()) == {(1,): 2}
 
 
 class TestClosureIsolation:
@@ -135,8 +116,8 @@ class TestClosureIsolation:
     def test_boundary_caches_are_per_driver(self):
         compiled = compile_plan(join_plan(), ExecutionConfig(mode=Mode.UPA))
         program = build_program(compiled)
-        a = SpecializedDriver(compiled, program)
-        b = SpecializedDriver(compiled, program)
+        a = Driver(compiled, program)
+        b = Driver(compiled, program)
         assert a._boundaries is not b._boundaries
         assert a._fast_event is not b._fast_event
         assert a._arrivals_pt is not b._arrivals_pt
@@ -160,7 +141,7 @@ class TestClosureIsolation:
         d2 = q2.executor.driver
         for op, _expire, stages in d2._pass_plan:
             assert id(op) not in ops1
-        for plans in d2._table.dispatch.values():
+        for plans in d2._dispatch.values():
             for plan in plans:
                 assert id(plan.leaf) not in ops1
 
@@ -177,7 +158,7 @@ class TestFastPathLifecycle:
             join_plan(), ExecutionConfig(mode=Mode.UPA, telemetry=True))
         driver = query.executor.driver
         # Armed: the instance-attr fast loop is absent, so process_event
-        # resolves to the inherited interpreted method (whose duty-cycled
+        # resolves to the class-level reference loop (whose duty-cycled
         # expiration-pass shadow the telemetry layer installs).
         assert "process_event" not in driver.__dict__
         assert "_expiration_pass" in driver.__dict__
@@ -192,9 +173,57 @@ class TestFastPathLifecycle:
         assert "process_event" in driver.__dict__
         assert driver.process_event is driver._fast_event
 
-    def test_interpreted_opt_out_has_no_fast_path(self):
-        query = ContinuousQuery(
-            join_plan(), ExecutionConfig(mode=Mode.UPA, specialize=False))
-        driver = query.executor.driver
-        assert "process_event" not in driver.__dict__
-        assert type(driver).process_event is Driver.process_event
+
+# ---------------------------------------------------------------------------
+# Differential: compiled per-tuple loop vs the class-level reference loop
+# ---------------------------------------------------------------------------
+
+_GEN = TrafficTraceGenerator(TrafficConfig(n_src_ips=12))
+_EVENTS = list(_GEN.events(1500))
+_WINDOW = 150.0
+
+PAPER_QUERIES = {
+    "query1": lambda: queries.query1(_GEN, _WINDOW),
+    "query2": lambda: queries.query2(_GEN, _WINDOW),
+    "query2_pairs": lambda: queries.query2(_GEN, _WINDOW, pairs=True),
+    "query3": lambda: queries.query3(_GEN, _WINDOW),
+    "query4": lambda: queries.query4(_GEN, _WINDOW),
+    "query5_pullup": lambda: queries.query5_pullup(_GEN, _WINDOW),
+    "query5_pushdown": lambda: queries.query5_pushdown(_GEN, _WINDOW),
+}
+
+
+def _drive(plan, mode, reference):
+    query = ContinuousQuery(plan, ExecutionConfig(mode=mode))
+    stream = []
+    query.subscribe(
+        lambda t, now: stream.append((t.values, t.ts, t.exp, t.sign, now)))
+    driver = query.executor.driver
+    # The compiled loop is the instance attribute; the class-level
+    # function is the Section-2 reference over the step library.
+    assert driver.process_event is driver._fast_event
+    for event in _EVENTS:
+        if reference:
+            Driver.process_event(driver, event)
+        else:
+            driver.process_event(event)
+    return dict(query.answer()), stream, query.counters.snapshot()
+
+
+class TestCompiledLoopMatchesReference:
+    @pytest.mark.parametrize("mode", [Mode.NT, Mode.DIRECT, Mode.UPA],
+                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("name", sorted(PAPER_QUERIES))
+    def test_answers_stream_and_all_counters(self, name, mode):
+        try:
+            compiled = _drive(PAPER_QUERIES[name](), mode, reference=False)
+        except PlanError:
+            assert mode is Mode.DIRECT  # strict plans reject DIRECT
+            return
+        reference = _drive(PAPER_QUERIES[name](), mode, reference=True)
+        assert compiled[0] == reference[0]
+        assert compiled[1] == reference[1]
+        assert compiled[1], "the trace must produce output"
+        # Every counter, touches and probes included: per-tuple execution
+        # runs the full expiration pass before every event on both paths.
+        assert compiled[2] == reference[2]
