@@ -48,6 +48,9 @@ class StateBuffer(abc.ABC):
                  counters: Counters | None = None):
         self._key_of = key_of
         self.counters = counters if counters is not None else NULL_COUNTERS
+        #: key -> stored tuples in insertion order; stays empty without a
+        #: ``key_of`` (HashBuffer's table *is* this index).
+        self._index: dict[Hashable, list[Tuple]] = {}
 
     # -- mutation -----------------------------------------------------------
 
@@ -166,15 +169,36 @@ class StateBuffer(abc.ABC):
         counters.touches += len(bucket)
         return bucket
 
-    @abc.abstractmethod
     def _bucket(self, key: Hashable) -> Iterable[Tuple]:
         """All stored tuples with the given key (may include expired ones)."""
+        return self._index.get(key, ())
 
-    # -- helpers for subclasses ----------------------------------------------
+    # -- the key index, for subclasses ---------------------------------------
 
-    def _key(self, t: Tuple) -> Hashable:
-        assert self._key_of is not None
-        return self._key_of(t)
+    def _index_add(self, tuples: Iterable[Tuple]) -> None:
+        """Index freshly stored tuples (no-op without a key function)."""
+        key_of = self._key_of
+        if key_of is not None:
+            setdefault = self._index.setdefault
+            for t in tuples:
+                setdefault(key_of(t), []).append(t)
+
+    def _index_drop(self, tuples: Iterable[Tuple]) -> None:
+        """Unindex removed tuples (no-op without a key function)."""
+        key_of = self._key_of
+        if key_of is None:
+            return
+        index = self._index
+        for t in tuples:
+            key = key_of(t)
+            bucket = index.get(key)
+            if bucket:
+                try:
+                    bucket.remove(t)
+                except ValueError:
+                    continue
+                if not bucket:
+                    del index[key]
 
     @property
     def has_index(self) -> bool:

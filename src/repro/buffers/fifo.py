@@ -11,7 +11,7 @@ the list and deletions occurring from the beginning."
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable, Iterator
+from typing import Iterator
 
 from ..core.tuples import Tuple, matches_deletion
 from ..errors import ExecutionError
@@ -31,7 +31,6 @@ class FifoBuffer(StateBuffer):
                  counters: Counters | None = None):
         super().__init__(key_of, counters)
         self._queue: deque[Tuple] = deque()
-        self._index: dict[Hashable, deque[Tuple]] = {}
 
     def insert(self, t: Tuple) -> None:
         if self._queue and t.exp < self._queue[-1].exp:
@@ -43,7 +42,7 @@ class FifoBuffer(StateBuffer):
         self.counters.inserts += 1
         self.counters.touches += 1
         if self._key_of is not None:
-            self._index.setdefault(self._key(t), deque()).append(t)
+            self._index_add((t,))
 
     def insert_many(self, tuples) -> None:
         """Bulk append: one WKS-order validation pass, a single extend."""
@@ -62,11 +61,7 @@ class FifoBuffer(StateBuffer):
         queue.extend(tuples)
         self.counters.inserts += len(tuples)
         self.counters.touches += len(tuples)
-        if self._key_of is not None:
-            index = self._index
-            key_of = self._key_of
-            for t in tuples:
-                index.setdefault(key_of(t), deque()).append(t)
+        self._index_add(tuples)
 
     def next_expiry(self, now: float) -> float:
         """O(1) in steady state: the head expires first (WKS order)."""
@@ -82,7 +77,7 @@ class FifoBuffer(StateBuffer):
             if matches_deletion(stored, t):
                 del self._queue[i]
                 self.counters.deletes += 1
-                self._drop_from_index(stored)
+                self._index_drop((stored,))
                 return True
         return False
 
@@ -95,31 +90,10 @@ class FifoBuffer(StateBuffer):
             t = queue.popleft()
             expired.append(t)
             self.counters.touches += 1
-            self._drop_from_index(t)
-        self.counters.expirations += len(expired)
+        if expired:
+            self._index_drop(expired)
+            self.counters.expirations += len(expired)
         return expired
-
-    def _drop_from_index(self, t: Tuple) -> None:
-        if self._key_of is None:
-            return
-        key = self._key(t)
-        bucket = self._index.get(key)
-        if not bucket:
-            return
-        # Global FIFO order implies per-key FIFO order, so the head of the
-        # bucket is the stored instance unless delete() removed mid-queue.
-        if bucket[0] == t:
-            bucket.popleft()
-        else:
-            try:
-                bucket.remove(t)
-            except ValueError:
-                pass
-        if not bucket:
-            del self._index[key]
-
-    def _bucket(self, key: Hashable) -> Iterable[Tuple]:
-        return self._index.get(key, ())
 
     def oldest(self) -> Tuple | None:
         """The stored tuple that will expire first, if any."""

@@ -14,7 +14,7 @@ and timestamp-driven purging is never needed.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterator
 
 from ..core.tuples import Tuple, matches_deletion
 from .base import KeyFunction, StateBuffer, values_key
@@ -27,12 +27,12 @@ class HashBuffer(StateBuffer):
     def __init__(self, key_of: KeyFunction | None = None,
                  counters: Counters | None = None):
         # A hash buffer is pointless without a key; default to full values.
+        # The inherited key index is the table itself.
         super().__init__(key_of if key_of is not None else values_key, counters)
-        self._buckets: dict[Hashable, list[Tuple]] = {}
         self._size = 0
 
     def insert(self, t: Tuple) -> None:
-        self._buckets.setdefault(self._key(t), []).append(t)
+        self._index.setdefault(self._key_of(t), []).append(t)
         self._size += 1
         self.counters.inserts += 1
         self.counters.touches += 1
@@ -42,7 +42,7 @@ class HashBuffer(StateBuffer):
         tuples = list(tuples)
         if not tuples:
             return
-        setdefault = self._buckets.setdefault
+        setdefault = self._index.setdefault
         key_of = self._key_of
         for t in tuples:
             setdefault(key_of(t), []).append(t)
@@ -51,8 +51,8 @@ class HashBuffer(StateBuffer):
         self.counters.touches += len(tuples)
 
     def delete(self, t: Tuple) -> bool:
-        key = self._key(t)
-        bucket = self._buckets.get(key)
+        key = self._key_of(t)
+        bucket = self._index.get(key)
         if not bucket:
             return False
         for i, stored in enumerate(bucket):
@@ -60,7 +60,7 @@ class HashBuffer(StateBuffer):
             if matches_deletion(stored, t):
                 del bucket[i]
                 if not bucket:
-                    del self._buckets[key]
+                    del self._index[key]
                 self._size -= 1
                 self.counters.deletes += 1
                 return True
@@ -68,13 +68,13 @@ class HashBuffer(StateBuffer):
 
     def delete_by_key(self, key: Hashable) -> Tuple | None:
         """Remove and return one (the oldest stored) tuple with ``key``."""
-        bucket = self._buckets.get(key)
+        bucket = self._index.get(key)
         if not bucket:
             return None
         self.counters.touches += 1
         t = bucket.pop(0)
         if not bucket:
-            del self._buckets[key]
+            del self._index[key]
         self._size -= 1
         self.counters.deletes += 1
         return t
@@ -84,7 +84,7 @@ class HashBuffer(StateBuffer):
         # timestamp, which the NT strategy never does in steady state.
         expired: list[Tuple] = []
         empty_keys: list[Hashable] = []
-        for key, bucket in self._buckets.items():
+        for key, bucket in self._index.items():
             survivors = []
             for t in bucket:
                 self.counters.touches += 1
@@ -93,24 +93,21 @@ class HashBuffer(StateBuffer):
                 else:
                     expired.append(t)
             if survivors:
-                self._buckets[key] = survivors
+                self._index[key] = survivors
             else:
                 empty_keys.append(key)
         for key in empty_keys:
-            del self._buckets[key]
+            del self._index[key]
         self._size -= len(expired)
         self.counters.expirations += len(expired)
         return expired
-
-    def _bucket(self, key: Hashable) -> Iterable[Tuple]:
-        return self._buckets.get(key, ())
 
     def __len__(self) -> int:
         return self._size
 
     def __iter__(self) -> Iterator[Tuple]:
-        for bucket in self._buckets.values():
+        for bucket in self._index.values():
             yield from bucket
 
     def __repr__(self) -> str:
-        return f"HashBuffer(len={self._size}, keys={len(self._buckets)})"
+        return f"HashBuffer(len={self._size}, keys={len(self._index)})"

@@ -14,7 +14,7 @@ scan cost is exactly what the update-pattern-aware structures avoid.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
+from typing import Iterator
 
 from ..core.tuples import Tuple, matches_deletion
 from .base import KeyFunction, StateBuffer
@@ -28,14 +28,13 @@ class ListBuffer(StateBuffer):
                  counters: Counters | None = None):
         super().__init__(key_of, counters)
         self._items: list[Tuple] = []
-        self._index: dict[Hashable, list[Tuple]] = {}
 
     def insert(self, t: Tuple) -> None:
         self._items.append(t)
         self.counters.inserts += 1
         self.counters.touches += 1
         if self._key_of is not None:
-            self._index.setdefault(self._key(t), []).append(t)
+            self._index_add((t,))
 
     def insert_many(self, tuples) -> None:
         """Bulk append: one extend, counters charged in bulk."""
@@ -45,11 +44,7 @@ class ListBuffer(StateBuffer):
         self._items.extend(tuples)
         self.counters.inserts += len(tuples)
         self.counters.touches += len(tuples)
-        if self._key_of is not None:
-            index = self._index
-            key_of = self._key_of
-            for t in tuples:
-                index.setdefault(key_of(t), []).append(t)
+        self._index_add(tuples)
 
     def delete(self, t: Tuple) -> bool:
         for i, stored in enumerate(self._items):
@@ -57,7 +52,7 @@ class ListBuffer(StateBuffer):
             if matches_deletion(stored, t):
                 del self._items[i]
                 self.counters.deletes += 1
-                self._drop_from_index(stored)
+                self._index_drop((stored,))
                 return True
         return False
 
@@ -71,27 +66,10 @@ class ListBuffer(StateBuffer):
                 survivors.append(t)
             else:
                 expired.append(t)
-                self._drop_from_index(t)
         self._items = survivors
+        self._index_drop(expired)
         self.counters.expirations += len(expired)
         return expired
-
-    def _drop_from_index(self, t: Tuple) -> None:
-        if self._key_of is None:
-            return
-        key = self._key(t)
-        bucket = self._index.get(key)
-        if not bucket:
-            return
-        try:
-            bucket.remove(t)
-        except ValueError:
-            return
-        if not bucket:
-            del self._index[key]
-
-    def _bucket(self, key: Hashable) -> Iterable[Tuple]:
-        return self._index.get(key, ())
 
     def __len__(self) -> int:
         return len(self._items)

@@ -74,6 +74,17 @@ def _write_metrics(args, result, run_info: dict) -> None:
     print(f"metrics: wrote {series} series to {args.metrics_out}")
 
 
+def _print_sample(answer: Multiset, top: int) -> None:
+    """Most frequent first, ties by value — never by the view's storage
+    order, which the schedule (per tuple, batched, sharded) decides."""
+    ranked = sorted(answer.items(), key=lambda kv: (-kv[1], repr(kv[0])))
+    for values, count in ranked[:top] if top else ranked:
+        suffix = f"  x{count}" if count > 1 else ""
+        print(f"  {values}{suffix}")
+    if top and len(answer) > top:
+        print(f"  ... ({len(answer) - top} more)")
+
+
 def _cmd_run(args) -> int:
     catalog = _build_catalog(args)
     plan = compile_query(args.query, catalog)
@@ -105,12 +116,7 @@ def _cmd_run(args) -> int:
         })
     print(f"{sum(answer.values())} live result tuple(s), "
           f"{len(answer)} distinct")
-    shown = answer.most_common(args.top) if args.top else answer.items()
-    for values, count in shown:
-        suffix = f"  x{count}" if count > 1 else ""
-        print(f"  {values}{suffix}")
-    if args.top and len(answer) > args.top:
-        print(f"  ... ({len(answer) - args.top} more)")
+    _print_sample(answer, args.top)
     return 0
 
 
@@ -155,12 +161,7 @@ def _cmd_run_group(args) -> int:
         answer: Multiset = result.answer(name)
         print(f"-- {name}: {sum(answer.values())} live result tuple(s), "
               f"{len(answer)} distinct, {touches[name]} state touches")
-        shown = answer.most_common(args.top) if args.top else answer.items()
-        for values, count in shown:
-            suffix = f"  x{count}" if count > 1 else ""
-            print(f"  {values}{suffix}")
-        if args.top and len(answer) > args.top:
-            print(f"  ... ({len(answer) - args.top} more)")
+        _print_sample(answer, args.top)
     return 0
 
 

@@ -37,6 +37,7 @@ from .plan import (
     Join,
     LogicalNode,
     Negation,
+    Predicate,
     Select,
 )
 
@@ -153,20 +154,41 @@ def _push_selection(select: Select) -> list[LogicalNode]:
     child = select.child
     out: list[LogicalNode] = []
     if isinstance(child, (Join, Negation)):
-        left, right = child.children
-        attrs = set(select.predicate.attrs)
-        if attrs <= set(left.schema.fields):
-            out.append(child.with_children([Select(left, select.predicate),
-                                            right]))
         # For negation, pushing into the right input would change the
         # result (it filters what is *subtracted*), so only the left side
         # is eligible; for joins both are.
-        if isinstance(child, Join) and attrs <= set(right.schema.fields):
-            out.append(child.with_children([left,
-                                            Select(right, select.predicate)]))
+        for side in (0, 1) if isinstance(child, Join) else (0,):
+            predicate = _predicate_below(select.predicate, child, side)
+            if predicate is not None:
+                children = list(child.children)
+                children[side] = Select(children[side], predicate)
+                out.append(child.with_children(children))
     if isinstance(child, DupElim):
         out.append(DupElim(Select(child.child, select.predicate)))
     return out
+
+
+def _predicate_below(predicate: Predicate, node: LogicalNode,
+                     side: int) -> Predicate | None:
+    """``predicate`` (over ``node``'s output) re-expressed over input
+    ``side``, or None when that input does not provide all its attributes.
+
+    A binary operator's output lists the left input's columns, then (for a
+    join) the right's, renamed by ``Join.prefixes`` where the two clash —
+    so the predicate's names are mapped back through the output schema by
+    position, and its positional ``fn`` is shifted for the right input.
+    """
+    source = node.children[side].schema.fields
+    offset = len(node.children[0].schema.fields) if side else 0
+    back = dict(zip(node.schema.fields[offset:offset + len(source)], source))
+    if not set(predicate.attrs) <= back.keys():
+        return None
+    fn = predicate.fn
+    if offset:
+        pad = (None,) * offset
+        fn = lambda values, _fn=predicate.fn: _fn(pad + values)  # noqa: E731
+    return dataclasses.replace(
+        predicate, attrs=tuple(back[a] for a in predicate.attrs), fn=fn)
 
 
 def _negation_pull_up(plan: LogicalNode) -> list[LogicalNode]:

@@ -423,12 +423,7 @@ class Driver:
         self._deliver(outputs, now)
 
     def _deliver(self, outputs: list[Tuple], now: float) -> None:
-        view = self.compiled.view
-        subscribers = self._subscribers
-        for t in outputs:
-            view.apply(t, now)
-            for subscriber in subscribers:
-                subscriber(t, now)
+        self.compiled.view.deliver(outputs, now, self._subscribers)
 
     def _maybe_lazy_purge(self, now: float) -> None:
         """Purge lazily-maintained operators on a fixed-interval schedule
@@ -508,7 +503,7 @@ class Driver:
         lazily-purged stages never produce pass output, so scheduling
         passes for their inputs would only add no-ops.
         """
-        view_apply = self.compiled.view.apply
+        deliver = self.compiled.view.deliver
         subscribers = self._subscribers  # list identity is stable
         boundaries = self._boundaries
 
@@ -527,10 +522,7 @@ class Driver:
                 outputs = pb(slot, outputs, now)
                 if not outputs:
                     return gate
-            for out in outputs:
-                view_apply(out, now)
-                for callback in subscribers:
-                    callback(out, now)
+            deliver(outputs, now, subscribers)
             return gate
 
         return run_suffix
@@ -546,7 +538,7 @@ class Driver:
         """
         compiled = self.compiled
         counters = compiled.counters
-        view_apply = compiled.view.apply
+        deliver = compiled.view.deliver
         subscribers = self._subscribers
         leaf = plan.leaf
         stamp = leaf.stamp
@@ -585,10 +577,7 @@ class Driver:
                 outputs = pb(slot, outputs, now)
                 if not outputs:
                     return
-            for out in outputs:
-                view_apply(out, now)
-                for callback in subscribers:
-                    callback(out, now)
+            deliver(outputs, now, subscribers)
 
         def window_b(values, now, gate, op_timers):
             if op_timers is not None:
@@ -635,7 +624,7 @@ class Driver:
         same dispatch), minus the per-event lookups."""
         driver = self
         compiled = self.compiled
-        view_apply = compiled.view.apply
+        deliver = compiled.view.deliver
         view_purge = compiled.view.purge
         subscribers = self._subscribers
         time_domain = self._time_domain
@@ -665,10 +654,7 @@ class Driver:
                         if not outputs:
                             break
                     else:
-                        for t in outputs:
-                            view_apply(t, now)
-                            for callback in subscribers:
-                                callback(t, now)
+                        deliver(outputs, now, subscribers)
             view_purge(now)
             if isinstance(event, Arrival):
                 driver._tuples_arrived += 1
@@ -955,7 +941,7 @@ class Driver:
         """
         boundaries = self._boundaries
         compiled = self.compiled
-        view_apply = compiled.view.apply
+        deliver = compiled.view.deliver
         subscribers = self._subscribers
         timing = expire_timers is not None
         if timing:
@@ -982,10 +968,7 @@ class Driver:
                         if not outputs:
                             break
                     else:
-                        for t in outputs:
-                            view_apply(t, now)
-                            for callback in subscribers:
-                                callback(t, now)
+                        deliver(outputs, now, subscribers)
                 boundaries[i] = op.next_expiry(now)
         compiled.view.purge(now)
         if timing:

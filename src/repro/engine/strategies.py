@@ -617,13 +617,6 @@ def _build_view(root: LogicalNode, compiled: CompiledQuery,
                 hybrid: bool) -> None:
     counters = compiled.counters
     pattern = annotated.output_pattern
-    sanitizer = compiled.sanitizer
-
-    def monitored(buffer: StateBuffer, nt_like: bool) -> StateBuffer:
-        """Wrap the result view's buffer when checked execution is armed."""
-        if sanitizer is None:
-            return buffer
-        return sanitizer.wrap_buffer(buffer, pattern, "result-view", nt_like)
 
     if isinstance(root, GroupBy):
         compiled.view = GroupView(len(root.keys), counters)
@@ -638,33 +631,29 @@ def _build_view(root: LogicalNode, compiled: CompiledQuery,
         compiled.view = AppendView(counters)
         return
 
+    # Only the hash view looks results up by key (negatives find their
+    # victims there).  The timestamp-purged views delete by bisecting or
+    # scanning on ``exp``; a (values, exp) index on them is never read.
     mode = config.mode
+    purges = True
+    buffer: StateBuffer
     if mode is Mode.NT or (mode is Mode.UPA and pattern is STR
                            and config.resolved_str_storage() == STR_NEGATIVE):
-        compiled.view = BufferView(
-            monitored(HashBuffer(deletion_key, counters), nt_like=True),
-            purges=False, counters=counters)
-        return
-    if mode is Mode.DIRECT:
-        compiled.view = BufferView(
-            monitored(ListBuffer(deletion_key, counters), nt_like=False),
-            purges=True, counters=counters)
-        return
-    # UPA direct-style views.
-    if pattern is WKS:
-        compiled.view = BufferView(
-            monitored(FifoBuffer(deletion_key, counters), nt_like=False),
-            purges=True, counters=counters)
-        return
-    if compiled.max_span is None:
+        buffer, purges = HashBuffer(deletion_key, counters), False
+    elif mode is Mode.DIRECT:
+        buffer = ListBuffer(None, counters)
+    elif pattern is WKS:
+        buffer = FifoBuffer(None, counters)
+    elif compiled.max_span is None:
         # allow_unbounded_state runs: nothing expires, a list view suffices.
-        compiled.view = BufferView(ListBuffer(deletion_key, counters),
+        compiled.view = BufferView(ListBuffer(None, counters),
                                    purges=False, counters=counters)
         return
-    compiled.view = BufferView(
-        monitored(
-            PartitionedBuffer(compiled.max_span, config.n_partitions,
-                              deletion_key, counters),
-            nt_like=False),
-        purges=True, counters=counters,
-    )
+    else:
+        buffer = PartitionedBuffer(compiled.max_span, config.n_partitions,
+                                   None, counters)
+    if compiled.sanitizer is not None:
+        # Checked execution: monitor the view's buffer like operator state.
+        buffer = compiled.sanitizer.wrap_buffer(
+            buffer, pattern, "result-view", not purges)
+    compiled.view = BufferView(buffer, purges, counters)

@@ -23,7 +23,7 @@ from typing import Any
 from ..buffers.base import StateBuffer
 from ..buffers.groupstore import GroupStore
 from ..core.metrics import Counters, NULL_COUNTERS
-from ..core.tuples import Tuple
+from ..core.tuples import NEGATIVE, Tuple
 
 
 class ResultView:
@@ -32,9 +32,30 @@ class ResultView:
     def __init__(self, counters: Counters | None = None):
         self.counters = counters if counters is not None else NULL_COUNTERS
 
+    #: Bulk install of a list of positive results, where the storage has one.
+    _install_many = None
+
     def apply(self, t: Tuple, now: float) -> None:
         """Install a positive result or process a negative one."""
         raise NotImplementedError
+
+    def deliver(self, outputs: list[Tuple], now: float,
+                subscribers=()) -> None:
+        """DELIVER one output list: per result, :meth:`apply` then every
+        subscriber callback, in stream order — or, in the common case of
+        nobody listening and no negative in the list, one bulk install."""
+        install_many = self._install_many
+        if install_many is not None and not subscribers:
+            for t in outputs:
+                if t.sign == NEGATIVE:
+                    break
+            else:
+                return install_many(outputs)
+        apply = self.apply
+        for t in outputs:
+            apply(t, now)
+            for callback in subscribers:
+                callback(t, now)
 
     def purge(self, now: float) -> None:
         """Drop results whose expiration timestamps have passed."""
@@ -64,12 +85,17 @@ class BufferView(ResultView):
         super().__init__(counters)
         self._buffer = buffer
         self.purges = purges
+        self._install_many = buffer.insert_many
 
     def apply(self, t: Tuple, now: float) -> None:
-        if t.is_negative:
-            self._buffer.delete(t)
-        else:
+        if not t.is_negative:
             self._buffer.insert(t)
+        elif not self.purges or t.exp > now:
+            # A negative with exp <= now names a result the timestamp purge
+            # owns: whether it is still stored depends on the purge schedule
+            # (per event or per batch), so ``deletes`` must not.  Hash views
+            # never purge: there such negatives *are* the expirations.
+            self._buffer.delete(t)
 
     def purge(self, now: float) -> None:
         if self.purges:
@@ -132,11 +158,16 @@ class GroupView(ResultView):
         self._n_keys = n_keys
 
     def apply(self, t: Tuple, now: float) -> None:
-        group: Any = t.values[: self._n_keys]
-        if t.is_negative:
-            self._store.replace(group, None)
-        else:
-            self._store.replace(group, t)
+        self.deliver((t,), now)
+
+    def deliver(self, outputs, now: float, subscribers=()) -> None:
+        n_keys = self._n_keys
+        replace = self._store.replace
+        for t in outputs:
+            group: Any = t.values[:n_keys]
+            replace(group, None if t.sign == NEGATIVE else t)
+            for callback in subscribers:
+                callback(t, now)
 
     def purge(self, now: float) -> None:
         pass  # group results are replaced, never timestamp-purged (Rule 4)

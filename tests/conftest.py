@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
 
+from hypothesis import settings
 import pytest
 
 from repro import (
@@ -17,6 +19,17 @@ from repro import (
     Tick,
     TimeWindow,
 )
+
+# Reproducible property tests, selected by ``HYPOTHESIS_PROFILE``.  ``ci``
+# (set in every CI job) derives the examples from each test's source
+# instead of the clock and keeps no example database, so a red run is red
+# again on re-run.  ``seeded`` is for the workflow's seed sweep, which hunts
+# latent divergences with ``--hypothesis-seed=N``: hypothesis ignores that
+# flag under ``derandomize``, so the sweep needs a profile without it.
+settings.register_profile("ci", derandomize=True, database=None,
+                          deadline=None)
+settings.register_profile("seeded", database=None, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 #: A single-attribute schema: negation results are unambiguous over it, so
 #: the oracle comparison is exact for every operator (see semantics docs).

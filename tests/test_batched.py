@@ -150,6 +150,46 @@ class TestBatchedEqualsPerTuple:
         assert got == base
 
 
+class TestBulkDeliver:
+    """DELIVER hands a whole output list to the view in one call — unless a
+    subscriber is attached (or the list holds a negative), when each result
+    is applied and *then* announced before the next one is touched."""
+
+    @pytest.mark.parametrize("batch", [None, 1, 7, 64])
+    def test_subscriber_sees_each_result_applied_in_stream_order(self, batch):
+        b0, b1 = _window_sources(8)
+        plan = b0.join(b1, on="v").build()  # one arrival, many results
+        events = [Arrival(0.25 * i, f"s{i % 2}", (i % 3,)) for i in range(120)]
+        events.append(Tick(60.0))
+
+        def replay(listen, batch):
+            query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
+            stream = []
+            if listen:
+                view = query.executor.compiled.view
+                # Live results at callback time: this one is in, the rest
+                # of its output list is not yet.
+                query.subscribe(lambda t, now: stream.append(
+                    (t, now, sum(view.snapshot(now).values()))))
+            result = query.run(iter(events), batch=batch)
+            return stream, result.answer(), result.counters.snapshot()
+
+        base_stream, base_answer, base_counters = replay(True, None)
+        assert len(base_stream) > 200
+        sizes = [size for _t, _now, size in base_stream]
+        assert any(b == a + 1 for a, b in zip(sizes, sizes[1:]))
+        stream, answer, counters = replay(True, batch)
+        assert stream == base_stream and answer == base_answer
+        # The bulk call (nobody listening) installs the same results at the
+        # same cost.
+        _none, bulk_answer, bulk_counters = replay(False, batch)
+        assert bulk_answer == base_answer
+        if batch is None:
+            assert bulk_counters == base_counters
+        else:
+            assert bulk_counters == counters
+
+
 def _loop_cases():
     """Plans on each side of the driver's batch-loop selection rule, with
     the ``-- columnar:`` explain footer each must report."""

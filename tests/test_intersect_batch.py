@@ -149,3 +149,34 @@ def test_negative_feed_counters_pinned():
         assert snap == base_snap, mode
         assert base_snap["negatives_processed"] > 0, (
             "trace failed to exercise the negative-tuple path")
+
+
+def test_expired_negative_into_purged_view_pinned():
+    """Deterministic regression (found by ``test_nt_and_upa``): a negative
+    whose ``exp <= now`` reaches a timestamp-purged result view.
+
+    Per-tuple execution has already purged the victim by timestamp (the
+    view purge runs before dispatch); a batch purges the view once at its
+    end and used to still find it, so the victim was counted under
+    ``deletes`` instead of ``expirations``.  The view now leaves such a
+    result to the timestamp purge under every schedule.
+    """
+    b0, b1, b2 = _sources(8)
+    plan = b0.minus(b1, on="v").intersect(b2).build()
+
+    def s0(*stamps):
+        return [Arrival(ts, "s0", (0,)) for ts in stamps]
+
+    events = [
+        Tick(0.25), *s0(0.5, 0.75, 1, 1.25, 1.5, 1.75, 2), Tick(2.25),
+        *s0(2.5), Tick(2.75), *s0(3, 3.25), Tick(3.5), *s0(3.75, 4),
+        Arrival(6, "s2", (0,)), *s0(12, 12.25), Arrival(14.25, "s1", (0,)),
+        *s0(*(14.5 + 0.25 * i for i in range(10))), Tick(66.75),
+    ]
+    base, base_out = _replay(plan, events, Mode.UPA, None)
+    assert base.counters.snapshot()["negatives_processed"] > 0
+    for batch in (1, 2, 4, 16, 64):
+        res, out = _replay(plan, events, Mode.UPA, batch)
+        assert out == base_out, batch
+        assert res.answer() == base.answer()
+        assert _comparable(res.counters) == _comparable(base.counters), batch

@@ -37,18 +37,19 @@ def signatures(plans):
 
 class TestSelectionPushdown:
     def test_pushes_through_join_left(self):
-        plan = Select(Join(scan("a"), scan("b"), "v", "v"),
-                      attr_equals("l_w", 1))
-        # l_w only exists in the join output; push-down needs the pre-join
-        # name, so use an unprefixed attribute instead.
-        plan2 = Select(Join(scan("a"),
+        # l_w only exists in the join output (both inputs have a w); w is
+        # an unprefixed attribute of the left input alone.
+        prefixed = Select(Join(scan("a"), scan("b"), "v", "v"),
+                          attr_equals("l_w", 1))
+        plain = Select(Join(scan("a"),
                             WindowScan(StreamDef("b", Schema(["x", "y"]),
                                                  TimeWindow(10))),
                             "v", "x"), attr_equals("w", 1))
-        candidates = optimizer().candidates(plan2)
-        pushed = [p for p in candidates
-                  if isinstance(p, Join) and isinstance(p.left, Select)]
-        assert pushed, "selection was not pushed below the join"
+        for plan in (prefixed, plain):
+            pushed = [p for p in optimizer().candidates(plan)
+                      if isinstance(p, Join) and isinstance(p.left, Select)]
+            assert pushed, "selection was not pushed below the join"
+            assert pushed[0].left.predicate.attrs == ("w",)
 
     def test_pushed_plan_is_cheaper(self):
         plan = Select(Join(scan("a"),
@@ -57,6 +58,56 @@ class TestSelectionPushdown:
                            "v", "x"), attr_equals("w", 1, selectivity=0.1))
         best = optimizer().optimize(plan)
         assert isinstance(best.plan, Join)  # selection no longer at the root
+
+    def test_pushes_through_prefixing_join_from_query_text(self):
+        """The natural Query-1 text filters on the join's *output* names
+        (``l_protocol``); the push-down maps them back through
+        ``Join.prefixes`` and lands on the subquery form's plan."""
+        from repro import QueryCompiler, SourceCatalog
+        from repro.analysis.planlint import lint_rewrite
+        from repro.lang.parser import parse
+
+        catalog = SourceCatalog()
+        for name in ("link0", "link1"):
+            catalog.add_stream(name, Schema(["src_ip", "protocol", "bytes"]))
+        compiler = QueryCompiler(catalog)
+        natural = compiler.compile(parse(
+            "SELECT * FROM link0 [RANGE 100] JOIN link1 [RANGE 100] "
+            "ON link0.src_ip = link1.src_ip "
+            "WHERE l_protocol = 'ftp' AND r_protocol = 'ftp'"))
+        subquery = compiler.compile(parse(
+            "SELECT * FROM (SELECT * FROM link0 [RANGE 100] "
+            "WHERE protocol = 'ftp') AS a JOIN (SELECT * FROM link1 "
+            "[RANGE 100] WHERE protocol = 'ftp') AS b "
+            "ON a.src_ip = b.src_ip"))
+
+        def shape(plan):
+            pushed = getattr(plan, "predicate", None)
+            return (type(plan).__name__, pushed and pushed.attrs,
+                    *map(shape, plan.children))
+
+        ranked = optimizer().rank(natural)
+        assert shape(ranked[0].plan) == shape(subquery)
+        assert len(ranked) == 3  # both σ above, one pushed, both pushed
+        for candidate in ranked:
+            assert candidate.plan.schema == natural.schema
+            assert lint_rewrite(natural, candidate.plan).ok
+
+        # Same answers: the right-hand predicate reads the right input's
+        # own columns after the move.
+        from repro import Arrival, ContinuousQuery, ExecutionConfig, Tick
+        events = [Arrival(float(i), f"link{i % 2}",
+                          (i % 3, ("ftp", "http", "ftp")[i % 5 % 3], i))
+                  for i in range(300)] + [Tick(350.0)]
+
+        def answer_at_250(plan):
+            query = ContinuousQuery(plan, ExecutionConfig())
+            query.run(events[:250])
+            return query.answer()
+
+        want = answer_at_250(natural)
+        assert want and answer_at_250(ranked[0].plan) == want
+        assert answer_at_250(subquery) == want
 
     def test_negation_right_side_protected(self):
         """Pushing a selection into negation's right input changes what is

@@ -167,6 +167,37 @@ class TestViewChoices:
         assert isinstance(hybrid.view.buffer, HashBuffer)
         assert not hybrid.view.purges
 
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_only_hash_views_are_indexed(self, checked):
+        """The timestamp-purged views delete by ``exp`` and never look a
+        result up by key; only the NT / STR-negative hash view reads its
+        ``(values, exp)`` index (with or without the sanitizer's proxy)."""
+        negation = Negation(scan("s0"), scan("s1"), "v")
+        wks = Select(scan(), attr_equals("v", 1))
+
+        def view_of(plan, **config):
+            return compile_plan(
+                plan, ExecutionConfig(checked=checked, **config)).view.buffer
+
+        unindexed = [
+            (join_plan(), dict(mode=Mode.DIRECT), ListBuffer),
+            (wks, dict(mode=Mode.UPA), FifoBuffer),
+            (join_plan(), dict(mode=Mode.UPA), PartitionedBuffer),
+            (negation, dict(mode=Mode.UPA, str_storage=STR_PARTITIONED),
+             PartitionedBuffer),
+        ]
+        for plan, config, kind in unindexed:
+            buffer = view_of(plan, **config)
+            assert isinstance(getattr(buffer, "inner", buffer), kind)
+            assert buffer.has_index is False, kind
+        for plan, config in [
+            (join_plan(), dict(mode=Mode.NT)),
+            (negation, dict(mode=Mode.UPA, str_storage=STR_NEGATIVE)),
+        ]:
+            buffer = view_of(plan, **config)
+            assert isinstance(getattr(buffer, "inner", buffer), HashBuffer)
+            assert buffer.has_index is True
+
     def test_auto_str_storage_uses_premature_frequency(self):
         cfg_rare = ExecutionConfig(mode=Mode.UPA, premature_frequency=0.05)
         assert cfg_rare.resolved_str_storage() == STR_PARTITIONED
