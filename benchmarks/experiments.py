@@ -201,17 +201,19 @@ def e10_memory(window: float = 400) -> list[tuple[str, int, int, float]]:
     """Memory ablation (§5.4.2): peak state across strategies and against
     the lazy interval and δ-vs-standard duplicate elimination."""
     from repro import ContinuousQuery
-    from repro.engine.profiling import profile_memory
 
     gen = make_generator()
     events = trace_for(window)
     rows: list[tuple[str, int, int, float]] = []
 
     def run(label: str, plan, **cfg):
-        query = ContinuousQuery(plan, ExecutionConfig(**cfg))
-        result, profile = profile_memory(query, iter(events),
-                                         sample_every=50)
-        rows.append((label, profile.peak_state, profile.peak_view,
+        # The registry's state gauges are the memory profile: armed runs
+        # sample operator state and the view every ``sample_events`` events.
+        query = ContinuousQuery(plan, ExecutionConfig(telemetry=True, **cfg))
+        query.executor.driver.sample_events = 50
+        result = query.run(iter(events))
+        rows.append((label, result.metrics.value("state_tuples_peak"),
+                     result.metrics.value("view_results_peak"),
                      result.time_per_1000() * 1000.0))
 
     run("Q1/NT", query1(gen, window, "telnet"), mode=Mode.NT)
@@ -254,7 +256,7 @@ def e11_reeval_baseline() -> list[Measurement]:
             results.append(Measurement(
                 label=label, window=window, events=r.events_processed,
                 time_ms_per_1000=r.time_per_1000() * 1000.0,
-                touches_per_tuple=r.touches_per_event(),
+                touches_per_tuple=r.touches_per_tuple(),
                 answer_size=sum(r.answer().values()),
             ))
     print_table("E11 — incremental (UPA) vs from-scratch re-evaluation, "

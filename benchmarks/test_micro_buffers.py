@@ -85,36 +85,6 @@ def test_insert_many_matches_scalar_inserts_exactly():
             type(scalar).__name__
 
 
-def test_group_store_replace_many(benchmark):
-    """GroupStore's bulk path: per-chunk aggregate refresh with the dict
-    lookups hoisted — counter-identical to scalar replaces."""
-    from repro.buffers.groupstore import GroupStore
-    from repro.core.metrics import Counters
-
-    updates = [(i % 50, Tuple((i % 50, i), float(i), float(i) + SPAN))
-               for i in range(N)]
-    chunks = [updates[i:i + 64] for i in range(0, N, 64)]
-
-    scalar_counters, bulk_counters = Counters(), Counters()
-    scalar, bulk = GroupStore(scalar_counters), GroupStore(bulk_counters)
-    for key, result in updates:
-        scalar.replace(key, result)
-    for chunk in chunks:
-        bulk.replace_many(chunk)
-    assert scalar.snapshot() == bulk.snapshot()
-    assert scalar_counters.snapshot() == bulk_counters.snapshot()
-
-    def run():
-        store = GroupStore()
-        replace_many = store.replace_many
-        for chunk in chunks:
-            replace_many(chunk)
-        assert len(store) == 50
-        return store
-
-    benchmark.pedantic(run, rounds=3, iterations=1)
-
-
 @pytest.mark.parametrize("factory", [
     lambda: FifoBuffer(_key),
     lambda: ListBuffer(_key),

@@ -28,7 +28,6 @@ from .engine.telemetry import (
     GaugeMetric,
     HistogramMetric,
     MetricsRegistry,
-    NullRegistry,
     metrics_document,
     validate_metrics_document,
     write_metrics_json,
@@ -102,7 +101,6 @@ from .lang.builder import (
     stddev,
     variance,
 )
-from .engine.profiling import MemoryProfile, MemorySample, profile_memory
 from .engine.multi import GroupRunResult, QueryGroup
 from .engine.sharing import SharedProducer, SharedRuntime, build_shared_runtime
 from .engine.reeval import ReEvaluationQuery
@@ -128,7 +126,7 @@ __all__ = [
     "AnnotatedPlan", "annotate", "explain", "explain_dot", "Counters",
     "NullCounters",
     "METRICS_SCHEMA", "CounterMetric", "GaugeMetric", "HistogramMetric",
-    "MetricsRegistry", "NullRegistry", "metrics_document",
+    "MetricsRegistry", "metrics_document",
     "validate_metrics_document", "write_metrics_json",
     "MONOTONIC", "STR", "UpdatePattern", "WK", "WKS",
     "AggregateSpec", "DupElim", "GroupBy", "Intersect", "Join",
@@ -151,7 +149,6 @@ __all__ = [
     "stable_hash",
     "QueryBuilder", "agg_max", "agg_min", "agg_sum", "avg", "count",
     "from_window", "stddev", "variance",
-    "MemoryProfile", "MemorySample", "profile_memory",
     "SourceCatalog", "QueryCompiler", "compile_query", "ParseError", "parse",
     "NRR", "Relation", "ReorderBuffer",
     "Arrival", "RelationUpdate", "StreamDef", "Tick", "arrivals",

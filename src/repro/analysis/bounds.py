@@ -76,17 +76,23 @@ class CertificateEntry:
     frequency counts).  ``horizon`` is the largest time a conforming
     tuple may live in this slot (the plan's maximum window span), or
     ``None`` when no numeric horizon exists (count-domain plans,
-    unbounded slots).
+    unbounded slots).  ``size`` is ``symbolic``'s number (``None`` when
+    the cost model could not price the plan) and ``op`` the physical
+    operator owning the slot (``None`` for the result view) — what the
+    telemetry sampler needs to export ``op_state_bound`` beside live state.
     """
 
-    def __init__(self, path: str, label: str, bound: str, symbolic: str,
-                 horizon: float | None, buffer: Any = None) -> None:
+    def __init__(self, path: str, label: str, bound: str,
+                 sized: tuple[str, float | None],
+                 horizon: float | None, buffer: Any = None,
+                 op: Any = None) -> None:
         self.path = path
         self.label = label
         self.bound = bound
-        self.symbolic = symbolic
+        self.symbolic, self.size = sized
         self.horizon = horizon
         self.buffer = buffer
+        self.op = op
 
     @property
     def monitor(self) -> MonitoredBuffer | None:
@@ -149,20 +155,21 @@ class StateCertificate:
 # Derivation
 # ---------------------------------------------------------------------------
 
-def _symbolic_size(bound: str, node: Any, cost: PlanCost | None) -> str:
-    if cost is None:
-        return bound
-    stats = cost.stats.get(id(node))
+def _symbolic_size(bound: str, node: Any,
+                   cost: PlanCost | None) -> tuple[str, float | None]:
+    """The slot's size estimate as ``(text, number)``."""
+    stats = cost.stats.get(id(node)) if cost is not None else None
     if stats is None:
-        return bound
+        return bound, None
     if bound == BOUND_UNBOUNDED or stats.size == math.inf:
-        return "inf"
+        return "inf", math.inf
     if bound == BOUND_DISTINCT:
         distinct = max(stats.distinct.values(), default=stats.size)
-        return f"{min(distinct, stats.size):.0f} keys"
+        keys = min(distinct, stats.size)
+        return f"{keys:.0f} keys", keys
     if bound == BOUND_PARTITIONS:
-        return f"{stats.size:.0f} groups"
-    return f"{stats.size:.0f} tuples (rate x span)"
+        return f"{stats.size:.0f} groups", stats.size
+    return f"{stats.size:.0f} tuples (rate x span)", stats.size
 
 
 def derive_certificate(compiled: Any,
@@ -208,16 +215,16 @@ def derive_certificate(compiled: Any,
             entry_horizon = horizon if bound != BOUND_UNBOUNDED else None
             entries.append(CertificateEntry(
                 path, label, bound, _symbolic_size(bound, node, cost),
-                entry_horizon, buffer))
+                entry_horizon, buffer, op))
         if isinstance(node, GroupBy):
             entries.append(CertificateEntry(
                 path, "groups", BOUND_PARTITIONS,
-                _symbolic_size(BOUND_PARTITIONS, node, cost), None))
+                _symbolic_size(BOUND_PARTITIONS, node, cost), None, op=op))
         elif isinstance(node, Negation):
             bound = BOUND_UNBOUNDED if unwindowed else BOUND_WINDOW
             entries.append(CertificateEntry(
                 path, "frequency-counts", bound,
-                _symbolic_size(bound, node.children[0], cost), None))
+                _symbolic_size(bound, node.children[0], cost), None, op=op))
     view = getattr(compiled, "view", None)
     view_buffer = getattr(view, "_buffer", None)
     if view_buffer is not None:

@@ -24,9 +24,8 @@ the engine runs:
   can mutate a module global aliases state across every pipeline in the
   process (the ``NULL_COUNTERS`` defect class).
 
-Shared-by-design objects are whitelisted: write-discarding null sinks
-(:class:`~repro.core.metrics.NullCounters`, the telemetry
-``NullRegistry``) and anything registered through
+Shared-by-design objects are whitelisted: the write-discarding null sink
+(:class:`~repro.core.metrics.NullCounters`) and anything registered through
 :func:`register_shared_sink` (e.g. a refcounted shared-producer port).
 
 :func:`shared_mutable_state` is the cross-scope companion used by tests:
@@ -77,12 +76,7 @@ def _is_whitelisted(obj: Any) -> bool:
     # segment contents never hold pipeline state, only the in-flight wire
     # encoding of one chunk, and the pipe protocol serializes access.
     from multiprocessing import shared_memory
-    if isinstance(obj, shared_memory.SharedMemory):
-        return True
-    # Telemetry's NullRegistry discards writes the same way; imported
-    # lazily so analysis does not pull the engine in at import time.
-    from ..engine.telemetry import NullRegistry
-    return isinstance(obj, NullRegistry)
+    return isinstance(obj, shared_memory.SharedMemory)
 
 
 # ---------------------------------------------------------------------------

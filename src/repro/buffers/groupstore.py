@@ -33,30 +33,6 @@ class GroupStore:
             self._groups[group_key] = result
             self.counters.inserts += 1
 
-    def replace_many(self, updates) -> None:
-        """Bulk :meth:`replace` with dict and counter lookups hoisted.
-
-        ``updates`` is an iterable of ``(group_key, result-or-None)``
-        pairs; counter charges are identical to the equivalent sequence of
-        scalar replaces (one touch per pair, one insert or delete each).
-        """
-        updates = list(updates)
-        if not updates:
-            return
-        groups = self._groups
-        pop = groups.pop
-        counters = self.counters
-        deletes = 0
-        for group_key, result in updates:
-            if result is None:
-                pop(group_key, None)
-                deletes += 1
-            else:
-                groups[group_key] = result
-        counters.touches += len(updates)
-        counters.deletes += deletes
-        counters.inserts += len(updates) - deletes
-
     def get(self, group_key: Hashable) -> Tuple | None:
         return self._groups.get(group_key)
 

@@ -2,7 +2,6 @@
 
 from .executor import Executor, RunResult
 from .multi import GroupRunResult, QueryGroup
-from .profiling import MemoryProfile, MemorySample, profile_memory
 from .reeval import ReEvalResult, ReEvaluationQuery
 from .query import ContinuousQuery, run_query
 from .shard import (
@@ -31,9 +30,6 @@ __all__ = [
     "RunResult",
     "GroupRunResult",
     "QueryGroup",
-    "MemoryProfile",
-    "MemorySample",
-    "profile_memory",
     "ReEvalResult",
     "ReEvaluationQuery",
     "ContinuousQuery",

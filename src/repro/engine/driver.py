@@ -18,8 +18,7 @@ The class-level :meth:`Driver.process_event` is that model written down:
 clock, expire, dispatch, propagate, purge, deliver, each a small step
 method.  Nothing on the default hot path calls it — it is what the
 compiled paths are tested against (``Driver.process_event(driver, e)``),
-what runs per tuple while a telemetry layer's step shadows are armed, and
-its steps are what the shared-group runtime (``sharing.py``) drives
+and its steps are what the shared-group runtime (``sharing.py``) drives
 directly.
 
 The compiled paths
@@ -32,8 +31,8 @@ generate maintenance code specialized to the query shape instead of
 interpreting a generic plan.  The driver compiles the program into
 
 * **the per-tuple loop** — one fused closure installed as the
-  ``process_event`` *instance attribute* while telemetry is off, so
-  ``Executor.run``'s hoist binds straight to it.  It runs the full
+  ``process_event`` *instance attribute*, so ``Executor.run``'s hoist
+  binds straight to it.  It runs the full
   bottom-up expiration pass before every event exactly like the reference
   loop, so answers, output streams and **all** counters (touches included)
   are byte-identical to it.
@@ -101,33 +100,32 @@ Everything order-sensitive — pass scheduling (``now >= gate``), stateful
 suffix processing, lazy-purge grid decisions, output delivery — runs in the
 replay phase, per event, in arrival order, against exactly the state the
 row loop would see.  Batches containing relation updates or non-monotone
-timestamps, and batches under an armed telemetry layer, take the row loop,
-which is trivially identical; lint rule PRG605 proves the column kernels
-agree with the scalar kernels on the compiled plan.
+timestamps take the row loop, which is trivially identical, and are
+counted by reason in :attr:`Driver.batch_fallbacks`; lint rule PRG605
+proves the column kernels agree with the scalar kernels on the compiled
+plan.
 
 Instrumentation
 ---------------
 
-Instrumentation is layered *around program steps*, never written into the
-loops: :class:`TelemetryLayer` (opt-in via ``ExecutionConfig(telemetry=
-True)``) installs duty-cycled timed step variants as instance-attribute
-shadows on the driver while armed and removes them on teardown, so the
-disabled hot path keeps its original code with zero telemetry branches or
-allocations.  Armed per-tuple execution runs the reference loop over those
-shadows; the row batch loop advances the layer's duty cycle per batch and
-charges the same timer registries on timed batches.  Checked-mode monitors
-wrap operators and buffers at compile time (``analysis/sanitizer.py``),
-before any driver exists, so the bound methods the closures capture are
-the monitored ones.
+With ``ExecutionConfig(telemetry=True)`` the batch loops time themselves
+(:class:`~repro.engine.telemetry.DriverMetrics`): one clock read per phase
+boundary per *batch* (``phase_seconds``: ``column`` / ``replay`` / ``rows``
+/ ``view_purge``) and per column-phase call (``op_process_seconds`` of a
+leaf and its fused prefix), the first expiration pass of each batch and
+the operators it visits (``expiration_pass_seconds``,
+``op_expire_seconds``), a state sample every ``sample_events`` events —
+nothing per event.  Armed and unarmed drivers run the same loops and
+closures; the per-tuple closure carries no timer (``Executor.run`` samples).
 """
 
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_left
-from itertools import compress, islice
+from itertools import compress, count, islice
 from operator import gt as _gt
+from time import perf_counter as perf
 from typing import Sequence
 
 from ..core.tuples import Tuple
@@ -138,17 +136,21 @@ from ..streams.window import TimeWindow
 from ..operators.base import PhysicalOperator
 from .columnar import ChunkTable, column_kernel_matches, take_columns
 from .program import ExecutionProgram
+from .telemetry import DriverMetrics
 
 _INF = math.inf
 
 
 class Driver:
-    """Runs one compiled execution program over an event sequence."""
+    """Runs one compiled execution program over an event sequence.
 
-    #: True only while a telemetry layer's timed step variants are
-    #: installed; a class-level default so the disabled path never
-    #: allocates it.
-    _timing = False
+    Keep a driver at 30 instance attributes or fewer: past that CPython
+    stops sharing the instance's keys and every ``self.x`` in the loops
+    loses its inline cache (2.5 % of ``q1_ftp``; ``test_program.py``).
+    """
+
+    #: Events between two state samples of an armed driver.
+    sample_events = 4096
 
     def __init__(self, compiled, program: ExecutionProgram):
         self.compiled = compiled
@@ -180,19 +182,20 @@ class Driver:
         self._time_domain = program.time_domain != "count"
         self._count_stream = program.count_stream
         self._lazy_check = interval is not None and bool(self._lazy_ops)
+        #: Batches that could not take the loop the column vocabulary
+        #: offers, by reason (``relation_update``, ``non_monotone_ts``,
+        #: ``count_window``, …).  Always on: one dict update per such batch.
+        self.batch_fallbacks: dict[str, int] = {}
         self._compile_closures()
         self._compile_column_plans()
-        #: Telemetry registry (None when off) and its instrumentation
-        #: layer.  When armed, the layer's timed step variants shadow the
-        #: plain ones via instance attributes — the disabled hot path keeps
-        #: its original code with zero telemetry branches or allocations.
-        self._telemetry = compiled.telemetry
-        self._layer: TelemetryLayer | None = None
-        if self._telemetry is not None:
-            self._layer = TelemetryLayer(self._telemetry, compiled)
-            self._layer.arm(self)
-        else:
-            self._install_fast_path()
+        #: What the loops charge when armed (None when telemetry is off;
+        #: they test it once per batch).
+        self._metrics = None if compiled.telemetry is None else DriverMetrics(
+            compiled, [plan.leaf for stream in self._col_plans
+                       for plan in self._dispatch[stream]])
+        #: The compiled per-tuple loop, as an instance attribute so
+        #: ``Executor.run``'s hoist binds the closure directly.
+        self.process_event = self._fast_event
 
     # -- public API --------------------------------------------------------
 
@@ -222,11 +225,15 @@ class Driver:
     def batch_loop(self) -> str:
         """Which micro-batch loop this driver takes, and why — the
         ``-- columnar:`` explain footer."""
-        if self._row_reason is not None:
-            return f"row loop: {self._row_reason}"
-        plans = self._col_plans
-        return (f"on ({sum(map(len, plans.values()))} column plan(s) "
-                f"across {len(plans)} stream(s), struct-of-arrays chunks)")
+        if self._row_loop[0] is not None:
+            loop = f"row loop: {self._row_loop[0]}"
+        else:
+            plans = self._col_plans
+            loop = (f"on ({sum(map(len, plans.values()))} column plan(s) "
+                    f"across {len(plans)} stream(s), struct-of-arrays chunks)")
+        fallbacks = ", ".join(
+            f"{reason}={n}" for reason, n in sorted(self.batch_fallbacks.items()))
+        return f"{loop}; fallbacks: {fallbacks}" if fallbacks else loop
 
     # -- static introspection (ownership analysis) -------------------------
 
@@ -250,9 +257,11 @@ class Driver:
         ``__closure__`` cells to prove no pre-seal plan object was
         captured."""
         yield "fast_event", self._fast_event
+        columns = {stream: [fn for fn, _slot in pairs]
+                   for stream, pairs in self._col_plans.items()}
         for kind, table in (("arrival_pt", self._arrivals_pt),
                             ("arrival_b", self._arrivals_b),
-                            ("column", self._col_plans)):
+                            ("column", columns)):
             for stream, fns in table.items():
                 for i, fn in enumerate(fns):
                     yield f"{kind}:{stream}[{i}]", fn
@@ -262,11 +271,10 @@ class Driver:
     def process_event(self, event: Event) -> None:
         """Advance the clock, expire state, then dispatch one event.
 
-        The reference per-tuple loop over the step library.  Drivers with
-        telemetry off shadow it with the compiled per-tuple closure (an
-        instance attribute, see :meth:`_install_fast_path`); call it as
-        ``Driver.process_event(driver, event)`` to run the reference on
-        such a driver.
+        The reference per-tuple loop over the step library.  Every driver
+        shadows it with the compiled per-tuple closure (an instance
+        attribute); call it as ``Driver.process_event(driver, event)`` to
+        run the reference.
         """
         now = self._clock_for(event)
         if now < self.now:
@@ -385,8 +393,8 @@ class Driver:
             return
         self._propagate_route(self._routes[id(source)], outputs, now)
 
-    def _propagate_route(self, route, outputs: list[Tuple], now: float,
-                         timers=None, perf=time.perf_counter) -> None:
+    def _propagate_route(self, route, outputs: list[Tuple],
+                         now: float) -> None:
         """Push ``outputs`` along ``route`` and lower the expiration
         boundary by every flowing tuple's ``exp``.
 
@@ -395,24 +403,13 @@ class Driver:
         keeps ``_next_expiry`` a sound lower bound on newly-created eager
         state.  Negative tuples are included too — harmlessly conservative
         (an unnecessarily low boundary only schedules a no-op pass).
-
-        ``timers`` selects the timed variant (one charge per route stage,
-        chained clock reads: N+1 calls for N stages); the telemetry
-        layer's armed shadow passes ``compiled.op_timers`` here so both
-        variants share this one boundary-folding body.
         """
         boundary = self._next_expiry
-        if timers is not None:
-            t0 = perf()
         for parent, slot in route:
             for t in outputs:
                 if t.exp < boundary:
                     boundary = t.exp
             outputs = parent.process_batch(slot, outputs, now)
-            if timers is not None:
-                t1 = perf()
-                timers[id(parent)].add(t1 - t0)
-                t0 = t1
             if not outputs:
                 self._next_expiry = boundary
                 return
@@ -548,8 +545,6 @@ class Driver:
         suffix = self._stages(plan.suffix)
         run_suffix = self._compile_suffix(suffix)
         leaf_idx = self._eager_index.get(id(leaf), -1)
-        leaf_id = id(leaf)
-        perf = time.perf_counter
 
         def window_pt(values, now):
             # Inlined WindowOp arrival: clock advance, one
@@ -579,9 +574,7 @@ class Driver:
                     return
             deliver(outputs, now, subscribers)
 
-        def window_b(values, now, gate, op_timers):
-            if op_timers is not None:
-                t0 = perf()
+        def window_b(values, now, gate):
             t = stamp(values, now, now)
             if now > leaf.clock:
                 leaf.clock = now
@@ -603,15 +596,9 @@ class Driver:
                 counters.tuples_processed += 1
                 if kind == "filter":
                     if not arg(t.values):
-                        if op_timers is not None:
-                            op_timers[leaf_id].add(perf() - t0)
                         return gate
                 elif kind == "map_indices":
                     t = t.with_values(tuple(t.values[i] for i in arg))
-            if op_timers is not None:
-                # Fused mode attributes stamp + insert + inlined-prefix
-                # work to the leaf's timer; suffix stages are untimed.
-                op_timers[leaf_id].add(perf() - t0)
             return run_suffix(t, now, gate)
 
         return window_pt, window_b
@@ -675,14 +662,6 @@ class Driver:
 
         return process_event
 
-    def _install_fast_path(self) -> None:
-        """Install the compiled per-tuple loop as an instance attribute (so
-        ``Executor.run``'s hoist binds the closure directly) and refresh
-        the boundary caches from live state — they may be stale after a
-        stretch of reference-loop (armed) execution."""
-        self.process_event = self._fast_event
-        self._anchor_boundaries()
-
     def _anchor_boundaries(self) -> float:
         """Re-anchor every boundary cache on live state and return their
         minimum, the pass gate.  Runs once per batch (and after a relation
@@ -708,29 +687,37 @@ class Driver:
         column vocabulary — time windows, and for each fused prefix
         operator a column kernel that agrees with its scalar kernel — and
         pays only when some plan gives the bulk phase a fused stateless
-        prefix to evaluate.  ``_row_reason`` records why a driver stays on
-        the row loop (None on the column loop).
+        prefix to evaluate.  ``_row_loop`` is ``(reason, fallback)``: why
+        batches take the row loop (None on the column loop), and the
+        ``batch_fallbacks`` key charged per batch when that is a limit of
+        the column vocabulary rather than the faster choice.
         """
-        self._row_reason = self._row_loop_reason()
-        self._col_plans: dict[str, tuple] = {} if self._row_reason else {
-            stream: tuple(self._compile_column_plan(plan) for plan in plans)
+        self._row_loop = reason, _fallback = self._row_loop_reason()
+        #: stream -> ((column-phase closure, DriverMetrics slot), ...)
+        slots = count(DriverMetrics.REPLAY + 1)
+        self._col_plans: dict[str, tuple] = {} if reason else {
+            stream: tuple((self._compile_column_plan(plan), next(slots))
+                          for plan in plans)
             for stream, plans in self._dispatch.items()}
 
-    def _row_loop_reason(self) -> str | None:
-        """Why batches take the row loop, or None for the column loop."""
+    def _row_loop_reason(self) -> tuple[str | None, str | None]:
+        """Why batches take the row loop (None for the column loop), and
+        the fallback key when that is a limit of the column vocabulary."""
         if not self._time_domain:
-            return "count window"
+            return "count window", "count_window"
         fused = False
         for plans in self._dispatch.values():
             for plan in plans:
                 if not isinstance(plan.leaf.window, TimeWindow):
-                    return "unbounded stream"  # window=None; no exp to stamp
+                    # window=None; no exp to stamp
+                    return "unbounded stream", "unbounded_stream"
                 for op, _kind, _arg in plan.prefix:
                     if not column_kernel_matches(op.scalar_kernel(),
                                                  op.column_kernel()):
-                        return f"no column kernel for {type(op).__name__}"
+                        return (f"no column kernel for {type(op).__name__}",
+                                "no_column_kernel")
                     fused = True
-        return None if fused else "no stateless prefix"
+        return (None if fused else "no stateless prefix"), None
 
     def _compile_column_plan(self, plan):
         """One dispatch plan → its column-phase closure.
@@ -842,15 +829,17 @@ class Driver:
         are replayed per event, and the result view is purged once at the
         end of the batch.  Drivers that compiled column plans run the
         batch through the column loop; batches it cannot take (relation
-        updates, armed telemetry, non-monotone timestamps) and all other
-        drivers run the row loop.
+        updates, non-monotone timestamps) and all other drivers run the
+        row loop, counted in :attr:`batch_fallbacks` when that is a
+        fallback rather than the program's choice.
         """
         if not events:
             return
-        if self._col_plans and self._telemetry is None:
+        if self._col_plans:
             table = ChunkTable.from_events(events)
             if table is not None:
                 return self._process_table(table, events)
+            self._count_fallback("relation_update")
         self._process_rows(events)
 
     def process_chunk(self, table: ChunkTable) -> None:
@@ -862,25 +851,28 @@ class Driver:
         """
         if table.n == 0:
             return
-        if self._col_plans and self._telemetry is None:
+        if self._col_plans:
             return self._process_table(table, None)
         self._process_rows(table.to_events())
 
+    def _count_fallback(self, reason: str) -> None:
+        self.batch_fallbacks[reason] = self.batch_fallbacks.get(reason, 0) + 1
+
     def _process_rows(self, events: Sequence[Event]) -> None:
         """The row micro-batch loop (see the module docstring)."""
+        if self._row_loop[1] is not None:
+            self._count_fallback(self._row_loop[1])
         compiled = self.compiled
         time_domain = self._time_domain
         clock_for = self._clock_for
         lazy_check = self._lazy_check
         maybe_lazy_purge = self._maybe_lazy_purge
-        # Telemetry: advance the duty cycle per batch; timed batches (one
-        # in timer_every) charge the layer's registries.  The default
-        # (telemetry off) pays one falsy attribute test per batch setup.
-        if self._telemetry is not None:
-            self._layer.advance(self)
-        timing = self._timing
-        op_timers = compiled.op_timers if timing else None
-        expire_timers = compiled.op_expire_timers if timing else None
+        metrics = self._metrics
+        armed = metrics is not None
+        if armed:
+            acc = metrics.acc
+            metrics.pass_timers = metrics.expire_timers
+            t0 = perf()
         get_plans = self._arrivals_b.get
         run_pass = self._run_pass
         events_processed = self._events_processed
@@ -898,14 +890,14 @@ class Driver:
                 self.now = now
                 events_processed += 1
                 if now >= gate:
-                    gate = run_pass(now, expire_timers)
+                    gate = run_pass(now)
                 if isinstance(event, Arrival):
                     tuples_arrived += 1
                     plans = get_plans(event.stream)
                     if plans is not None:
                         values = event.values
                         for fn in plans:
-                            gate = fn(values, now, gate, op_timers)
+                            gate = fn(values, now, gate)
                 elif isinstance(event, RelationUpdate):
                     self._dispatch_relation_update(event, now)
                     gate = self._anchor_boundaries()
@@ -919,15 +911,18 @@ class Driver:
         finally:
             self._events_processed = events_processed
             self._tuples_arrived = tuples_arrived
+        if armed:
+            t1 = perf()
+            acc[metrics.ROWS] += t1 - t0
         # One amortized view purge per batch: timestamp purging emits no
         # output, so only its (deterministic) timing is batched.
         compiled.view.purge(self.now)
-        # State-depth sampling rides the timer duty cycle: one batch in
-        # timer_every (plus the final sample in record_run / finalizers).
-        if timing:
-            self._layer.sample(self)
+        if armed:
+            acc[metrics.VIEW_PURGE] += perf() - t1
+            if events_processed - metrics.sampled_at >= self.sample_events:
+                self.sample_state()
 
-    def _run_pass(self, now: float, expire_timers) -> float:
+    def _run_pass(self, now: float) -> float:
         """One boundary-triggered expiration pass, visiting only the
         operators whose cached boundary has been reached.
 
@@ -943,16 +938,18 @@ class Driver:
         compiled = self.compiled
         deliver = compiled.view.deliver
         subscribers = self._subscribers
+        metrics = self._metrics
+        expire_timers = None if metrics is None else metrics.pass_timers
         timing = expire_timers is not None
         if timing:
-            perf = time.perf_counter
+            metrics.pass_timers = None  # one timed pass per batch
             pass_start = perf()
         for i, (op, expire, stages) in enumerate(self._pass_plan):
             if boundaries[i] <= now:
                 if timing:
                     t0 = perf()
                     outputs = expire(now)
-                    expire_timers[id(op)].add(perf() - t0)
+                    expire_timers[i].add(perf() - t0)
                 else:
                     outputs = expire(now)
                 if outputs:
@@ -972,10 +969,7 @@ class Driver:
                 boundaries[i] = op.next_expiry(now)
         compiled.view.purge(now)
         if timing:
-            elapsed = perf() - pass_start
-            layer = self._layer
-            layer._pass_timer.add(elapsed)
-            layer._pass_gauge.set(elapsed)
+            metrics.pass_timer.add(perf() - pass_start)
         return min(boundaries, default=_INF)
 
     def _process_table(self, table: ChunkTable, events) -> None:
@@ -986,9 +980,16 @@ class Driver:
         # events' effects applied, which the bulk column phase could not
         # replicate.
         if ts[0] < self.now or any(map(_gt, ts, islice(ts, 1, None))):
+            self._count_fallback("non_monotone_ts")
             return self._process_rows(
                 table.to_events() if events is None else events)
 
+        metrics = self._metrics
+        armed = metrics is not None
+        if armed:
+            acc = metrics.acc
+            metrics.pass_timers = metrics.expire_timers
+            t0 = t1 = perf()
         flags = table.arrival_flags()
         n = table.n
         run_pass = self._run_pass
@@ -1007,8 +1008,16 @@ class Driver:
                 if plans is None:
                     continue
                 vals = table.group_values(stream)
-                for column_phase in plans:
+                for column_phase, slot in plans:
                     gate = column_phase(rows, vals, ts, pending, gate)
+                    if armed:
+                        # Chained reads: a plan's leaf + fused prefix (the
+                        # first also the table set-up); the last ends the phase.
+                        t = perf()
+                        acc[slot] += t - t1
+                        t1 = t
+            if armed:
+                acc[metrics.COLUMN] += t1 - t0
             # Replay phase: per event, in order, at each event's clock —
             # passes, stateful suffixes, lazy purges, delivery.  A row's
             # pending slot is a bare (suffix, tuple) pair in the common
@@ -1040,7 +1049,7 @@ class Driver:
                     if flag is not None:
                         tuples_arrived += 1
                     if now >= gate:
-                        gate = run_pass(now, None)
+                        gate = run_pass(now)
                     if todo is not None:
                         if todo.__class__ is tuple:
                             gate = todo[0](todo[1], now, gate)
@@ -1071,7 +1080,7 @@ class Driver:
                     if flags[k] is not None:
                         tuples_arrived += 1
                     if now >= gate:
-                        gate = run_pass(now, None)
+                        gate = run_pass(now)
                     todo = pending[k]
                     if todo is not None:
                         if todo.__class__ is tuple:
@@ -1084,272 +1093,28 @@ class Driver:
         finally:
             self._events_processed = events_processed
             self._tuples_arrived = tuples_arrived
+        if armed:
+            t2 = perf()
+            acc[metrics.REPLAY] += t2 - t1
         self.compiled.view.purge(self.now)
+        if armed:
+            acc[metrics.VIEW_PURGE] += perf() - t2
+            if events_processed - metrics.sampled_at >= self.sample_events:
+                self.sample_state()
 
-    # -- instrumentation layering ------------------------------------------
+    # -- telemetry (armed drivers only) --------------------------------------
 
-    def arm_telemetry(self) -> None:
-        """(Re-)install the telemetry layer's step shadows and route
-        per-tuple execution through the reference loop that runs them
-        (no-op when telemetry is off or already disarmed); the row batch
-        loop charges the layer's registries natively."""
-        if self._telemetry is None:
-            return
-        self.__dict__.pop("process_event", None)
-        if self._layer is None:
-            self._layer = TelemetryLayer(self._telemetry, self.compiled)
-        self._layer.arm(self)
+    def sample_state(self) -> None:
+        """Take one state sample now (armed drivers only; see
+        :class:`~repro.engine.telemetry.DriverMetrics`)."""
+        self._metrics.sample(self)
 
-    def disarm_telemetry(self) -> None:
-        """Disarm telemetry on this driver: removes every instrumented
-        step shadow and restores the compiled per-tuple loop (with freshly
-        re-anchored boundary caches).  The registry
-        (``compiled.telemetry``) keeps whatever it has collected and stays
-        readable; it just stops growing.  Also the lever benchmarks use to
-        time the disabled code path under an armed driver's identical heap
-        layout (see benchmarks/overhead.py)."""
-        if self._telemetry is not None:
-            if self._layer is not None:
-                self._layer.teardown(self)
-            self._telemetry = None
-        self._install_fast_path()
-
-    def record_run(self, elapsed: float) -> None:
-        """End-of-run totals: run timer, exact event/tuple gauges, final
-        state sample, then layer teardown (run() re-arms on re-entry)."""
-        registry = self._telemetry
-        registry.timer("run_seconds").add(elapsed)
-        registry.gauge("events_processed").set(self._events_processed)
-        registry.gauge("tuples_arrived").set(self._tuples_arrived)
-        self._layer.sample(self)
-        self._layer.teardown(self)
-
-    def finalize_telemetry(self):
-        """Final sample + exact totals + teardown for drivers finished by
-        an outer runtime (shard workers, group members, shared producers).
-        Returns the registry, or None when telemetry never armed."""
-        registry = self.compiled.telemetry
-        if registry is None or self._layer is None:
+    def flush_metrics(self, elapsed: float | None = None):
+        """Bring the registry up to date and return it (None when
+        telemetry is off): a final state sample, the exact event / tuple
+        totals, the fallback counts, and ``run_seconds`` when the caller
+        timed a run.  Every runtime that finishes a driver calls this —
+        ``Executor.run``, shard workers, query groups."""
+        if self._metrics is None:
             return None
-        self._layer.sample(self)
-        registry.gauge("events_processed").set(self._events_processed)
-        registry.gauge("tuples_arrived").set(self._tuples_arrived)
-        self._layer.teardown(self)
-        return registry
-
-
-class TelemetryLayer:
-    """Duty-cycled timing instrumentation wrapped around program steps.
-
-    Telemetry is opt-in (``ExecutionConfig(telemetry=True)``) and installed
-    by *instance-attribute shadowing*: the Driver's class-level step methods
-    stay pristine for the default disabled path, and :meth:`arm` swaps the
-    layer's instrumented step variants onto one driver only.  The variants
-    replicate the plain control flow exactly — in particular the timed
-    route propagation keeps the expiration-boundary folding byte-for-byte —
-    and add only perf_counter reads plus HistogramMetric.add calls, so
-    answers, output streams and legacy counters are unchanged.
-
-    Timers are *duty-cycled*: perf_counter pairs per operator stage are too
-    expensive to take on every event in pure Python, so only one event
-    (per-tuple mode) or one batch (micro-batch mode) in ``timer_every``
-    runs with the timed variants installed; the rest run the plain class
-    methods.  Histograms therefore hold a uniform ~1/N sample of spans —
-    relative per-operator cost is preserved while enabled overhead stays
-    within the <5% budget (see benchmarks/overhead.py).  Counters, gauges
-    and end-of-run totals are exact, never sampled.
-
-    The installed shadows are closures over (layer, driver) — reference
-    cycles — so finalizers tear them down again (:meth:`teardown`) to keep
-    finished drivers refcount-collectable; ``Executor.run()`` re-arms on
-    re-entry.
-    """
-
-    name = "telemetry"
-
-    #: Per-tuple mode samples state depths every N *timed* expiration
-    #: passes; batched mode samples once per timed batch.
-    sample_every = 32
-    #: Timer duty cycle: 1 expiration pass (per-tuple mode; one runs
-    #: before every event) or batch (micro-batch mode) in N runs the
-    #: timed variants.  The countdown lives inside the cycled
-    #: expiration-pass shadow so untimed events pay exactly one extra
-    #: function call over the disabled path.
-    timer_every = 32
-
-    def __init__(self, registry, compiled):
-        self.registry = registry
-        self._pass_timer = registry.timer("expiration_pass_seconds")
-        self._pass_gauge = registry.gauge("expiration_pass_last_seconds")
-        self._view_gauge = registry.gauge("view_results")
-        self._state_gauge = registry.gauge("state_tuples_total")
-        self._state_peak = registry.gauge("state_tuples_peak")
-        self._samples = registry.counter("telemetry_samples_total")
-        self._sample_ops = [(op, compiled.op_state_gauges[id(op)])
-                            for op in compiled.ops.values()
-                            if id(op) in compiled.op_state_gauges]
-        self._sample_tick = 0
-        self._timer_tick = 0
-        #: Step shadows for the current armed lifetime (built by arm()).
-        self._steps: tuple = ()
-
-    # -- install / remove --------------------------------------------------
-
-    def arm(self, driver: Driver) -> None:
-        """Install the duty-cycling step shadows (initially inside a timed
-        window) on ``driver``."""
-        layer = self
-
-        def propagate(source, outputs, now):
-            layer._timed_propagate(driver, source, outputs, now)
-
-        def propagate_route(route, outputs, now):
-            # The timed variant is the unified Driver body with timers.
-            Driver._propagate_route(driver, route, outputs, now,
-                                    driver.compiled.op_timers)
-
-        def dispatch_arrival(event, now, tracked=False):
-            layer._timed_dispatch_arrival(driver, event, now, tracked)
-
-        def expiration_pass(now):
-            # Duty-cycling shadow of Driver._expiration_pass: runs the
-            # timed pass on one call in timer_every and the plain pass
-            # otherwise, toggling the other timed shadows on the same
-            # cycle.  The untimed branch inlines the plain pass body
-            # rather than calling it: in per-tuple mode this shadow runs
-            # once per event, and the saved call frame is the difference
-            # between ~2% and ~7% enabled overhead on the cheapest
-            # workloads (keep the two bodies in sync).
-            tick = layer._timer_tick - 1
-            if tick > 0:
-                layer._timer_tick = tick
-                if driver._timing:
-                    layer._set(driver, False)
-                propagate_plain = driver._propagate
-                for op in driver._expire_ops:
-                    outputs = op.expire(now)
-                    propagate_plain(op, outputs, now)
-                driver.compiled.view.purge(now)
-                return
-            layer._timer_tick = layer.timer_every
-            if not driver._timing:
-                layer._set(driver, True)
-            layer._timed_pass(driver, now)
-
-        self._steps = (propagate, propagate_route, dispatch_arrival)
-        self._timer_tick = 1  # first pass/batch is timed
-        self._set(driver, True)
-        # Installed for the armed lifetime; _set never touches it.
-        driver._expiration_pass = expiration_pass
-        if self.name not in driver.program.layers:
-            driver.program.layers.append(self.name)
-
-    def teardown(self, driver: Driver) -> None:
-        """Remove every installed step shadow (they are closures over the
-        driver, i.e. driver → closure → driver cycles) so a finished armed
-        driver is freed by reference counting like a disabled one."""
-        if driver._timing:
-            self._set(driver, False)
-        driver.__dict__.pop("_expiration_pass", None)
-        self._steps = ()
-
-    def _set(self, driver: Driver, timing: bool) -> None:
-        """Install (or remove) the timed step shadows for this window."""
-        if timing:
-            driver._timing = True
-            propagate, propagate_route, dispatch_arrival = self._steps
-            driver._propagate = propagate
-            driver._propagate_route = propagate_route
-            driver._dispatch_arrival = dispatch_arrival
-        else:
-            driver._timing = False
-            del driver._propagate
-            del driver._propagate_route
-            del driver._dispatch_arrival
-
-    def advance(self, driver: Driver) -> bool:
-        """Advance the timer duty cycle by one window; returns whether the
-        new window is a timed one.  Called once per micro-batch — plans
-        without eager state never run an expiration pass in batched mode,
-        so the cycled pass alone could not advance the cycle there."""
-        tick = self._timer_tick - 1
-        if tick > 0:
-            self._timer_tick = tick
-            if driver._timing:
-                self._set(driver, False)
-            return False
-        self._timer_tick = self.timer_every
-        if not driver._timing:
-            self._set(driver, True)
-        return True
-
-    # -- timed step variants ----------------------------------------------
-
-    def _timed_propagate(self, driver: Driver, source, outputs, now) -> None:
-        if not outputs:
-            return
-        timers = driver.compiled.op_timers
-        perf = time.perf_counter
-        t0 = perf()
-        for parent, slot in driver._routes[id(source)]:
-            outputs = parent.process_batch(slot, outputs, now)
-            t1 = perf()  # chained reads: N+1 clock calls for N stages
-            timers[id(parent)].add(t1 - t0)
-            t0 = t1
-            if not outputs:
-                return
-        driver._deliver(outputs, now)
-
-    def _timed_pass(self, driver: Driver, now: float) -> None:
-        expire_timers = driver.compiled.op_expire_timers
-        propagate = driver._propagate  # the timed variant, via instance attr
-        perf = time.perf_counter
-        pass_start = perf()
-        for op in driver._expire_ops:
-            t0 = perf()
-            outputs = op.expire(now)
-            expire_timers[id(op)].add(perf() - t0)
-            propagate(op, outputs, now)
-        driver.compiled.view.purge(now)
-        elapsed = perf() - pass_start
-        self._pass_timer.add(elapsed)
-        self._pass_gauge.set(elapsed)
-        self._sample_tick += 1
-        if self._sample_tick >= self.sample_every:
-            self._sample_tick = 0
-            self.sample(driver)
-
-    def _timed_dispatch_arrival(self, driver: Driver, event, now,
-                                tracked=False) -> None:
-        leaves = driver._leaf_bindings.get(event.stream)
-        if not leaves:
-            return
-        timers = driver.compiled.op_timers
-        perf = time.perf_counter
-        propagate = (driver._propagate_tracked if tracked
-                     else driver._propagate)
-        for leaf in leaves:
-            t0 = perf()
-            stamped = leaf.stamp(event.values, now, now)
-            outputs = leaf.process(0, stamped, now)
-            timers[id(leaf)].add(perf() - t0)
-            propagate(leaf, outputs, now)
-
-    # -- sampling ----------------------------------------------------------
-
-    def sample(self, driver: Driver) -> None:
-        """Sample per-operator state depths and the result-view size.
-
-        Gauges hold the last sample (``set``) plus a high-water mark
-        (``set_max``); the sharded merge sums them, so totals decompose
-        across shards like every other metric.
-        """
-        total = 0
-        for op, gauge in self._sample_ops:
-            size = op.state_size()
-            gauge.set(size)
-            total += size
-        self._state_gauge.set(total)
-        self._state_peak.set_max(total)
-        self._view_gauge.set(len(driver.compiled.view))
-        self._samples.inc()
+        return self._metrics.flush(self, elapsed)

@@ -132,16 +132,8 @@ class Executor:
         return self.driver._tuples_arrived
 
     @property
-    def _events_processed(self) -> int:
-        return self.driver._events_processed
-
-    @property
     def _lazy_interval(self) -> float | None:
         return self.driver._lazy_interval
-
-    @property
-    def _telemetry(self):
-        return self.driver._telemetry
 
     def subscribe(self, callback) -> None:
         """Receive the query's *output stream* (see
@@ -160,11 +152,6 @@ class Executor:
         """Process a micro-batch with one amortized expiration schedule
         (see :meth:`~repro.engine.driver.Driver.process_batch`)."""
         self.driver.process_batch(events)
-
-    def disarm_telemetry(self) -> None:
-        """Disarm telemetry (see
-        :meth:`~repro.engine.driver.Driver.disarm_telemetry`)."""
-        self.driver.disarm_telemetry()
 
     # -- run orchestration -------------------------------------------------
 
@@ -192,9 +179,6 @@ class Executor:
         multisets are identical to unsharded execution.
         """
         driver = self.driver
-        if (driver._telemetry is not None
-                and "_expiration_pass" not in driver.__dict__):
-            driver.arm_telemetry()  # re-entry after a prior run's teardown
         if shards is not None and shards > 1:
             from .shard import ShardedExecutor, ShardedRunResult
             from ..core.sharding import analyze_partitionability
@@ -222,13 +206,25 @@ class Executor:
         start = time.perf_counter()
         if batch is None or batch <= 1:
             process_event = driver.process_event
-            if on_event is None:
-                for event in events:
-                    process_event(event)
-            else:
-                for event in events:
-                    process_event(event)
-                    on_event(self, event)
+            # Armed: the compiled closure carries no timer, so state is
+            # sampled here, between blocks of events; unarmed runs are one
+            # block (``islice(iterator, None)`` is the whole trace).
+            armed = self.compiled.telemetry is not None
+            block = driver.sample_events if armed else None
+            iterator = iter(events)
+            while True:
+                event = None
+                if on_event is None:
+                    for event in islice(iterator, block):
+                        process_event(event)
+                else:
+                    for event in islice(iterator, block):
+                        process_event(event)
+                        on_event(self, event)
+                if event is None:
+                    break
+                if armed:
+                    driver.sample_state()
         else:
             process_batch = driver.process_batch
             iterator = iter(events)
@@ -247,7 +243,6 @@ class Executor:
         # symbolic state-bound certificate.
         verify_drain(self.compiled)
         validate_certificate(self.compiled)
-        if driver._telemetry is not None:
-            driver.record_run(elapsed)
+        driver.flush_metrics(elapsed)
         return RunResult(self, elapsed, driver._events_processed,
                          driver._tuples_arrived)

@@ -210,15 +210,13 @@ class QueryGroup:
             verify_drain(self[name].compiled)
         for producer in self.shared_producers():
             verify_drain(producer.compiled)
-        # Telemetry: members and producers are driven through
-        # process_event/process_batch, so the end-of-run bookkeeping that
-        # Executor.run performs (final sample, exact event/tuple gauges,
-        # layer teardown) happens on each pipeline's driver here (no-op
-        # with telemetry off).
+        # Members and producers are driven through process_event /
+        # process_batch, not Executor.run, so their registries are brought
+        # up to date here (no-op with telemetry off).
         for name in self.names():
-            self[name].executor.driver.finalize_telemetry()
+            self[name].executor.driver.flush_metrics()
         for producer in self.shared_producers():
-            producer.driver.finalize_telemetry()
+            producer.driver.flush_metrics()
         return GroupRunResult(self, elapsed, n, arrivals)
 
     def answers(self) -> dict[str, dict]:
@@ -315,23 +313,22 @@ class GroupRunResult:
         like :meth:`shared_touches`).  Returns None when no member ran with
         ``telemetry=True``.
         """
+        from .telemetry import MetricsRegistry
+
+        group = self.group
+        parts = [(group[name].compiled.telemetry, {"query": name})
+                 for name in group.names()]
+        parts += [(producer.compiled.telemetry, {"producer": producer.name})
+                  for producer in group.shared_producers()]
+        if group.shared:
+            parts.append((group._seal().metrics, None))
         merged = None
-        for name in self.group.names():
-            registry = self.group[name].compiled.telemetry
+        for registry, labels in parts:
             if registry is None:
                 continue
             if merged is None:
-                from .telemetry import MetricsRegistry
                 merged = MetricsRegistry()
-            merged.merge(registry, {"query": name})
-        for producer in self.group.shared_producers():
-            registry = producer.compiled.telemetry
-            if registry is None:
-                continue
-            if merged is None:
-                from .telemetry import MetricsRegistry
-                merged = MetricsRegistry()
-            merged.merge(registry, {"producer": producer.name})
+            merged.merge(registry, labels)
         return merged
 
     def __repr__(self) -> str:

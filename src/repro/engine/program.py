@@ -84,8 +84,9 @@ class ExecutionProgram:
         self.count_stream = compiled.count_stream
         #: The explicit step list, in execution order.
         self.steps = steps
-        #: Instrumentation layers installed on this program ("checked" at
-        #: build time, "telemetry" when a TelemetryLayer arms a driver).
+        #: Instrumentation layers wrapped around this program's operators
+        #: ("checked"; telemetry is timed inside the driver's loops, not
+        #: layered).
         self.layers = layers
 
     def fused_op_count(self) -> int:

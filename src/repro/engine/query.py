@@ -19,6 +19,7 @@ from ..core.plan import LogicalNode
 from ..streams.stream import Event
 from .executor import Executor, RunResult
 from .strategies import CompiledQuery, ExecutionConfig, Mode, compile_plan
+from .telemetry import run_summary
 
 
 class ContinuousQuery:
@@ -65,8 +66,10 @@ class ContinuousQuery:
         (:mod:`repro.analysis.planlint`), the symbolic state-bound
         certificate's one-line summary
         (:meth:`~repro.analysis.bounds.StateCertificate.summary`), a
-        telemetry marker (armed instrument count, or how to enable it),
-        the micro-batch loop the driver chose and why
+        telemetry marker (armed instrument count, or how to enable it;
+        after an armed run also its measured phase shares, worst
+        expiration lag and peak state against the certificate's bound),
+        the micro-batch loop the driver chose, why, and any fallbacks
         (:meth:`~repro.engine.driver.Driver.batch_loop`), and the compiled
         execution program's step summary
         (:meth:`~repro.engine.program.ExecutionProgram.describe`)."""
@@ -83,9 +86,9 @@ class ContinuousQuery:
         if registry is None:
             metrics_note = "off (enable with ExecutionConfig(telemetry=True))"
         else:
-            ops = len(self.compiled.op_timers)
             metrics_note = (f"on ({len(registry)} instruments across "
-                            f"{ops} operators)")
+                            f"{len(self.compiled.op_labels)} operators)"
+                            f"{run_summary(registry)}")
         return (f"{tree}\n-- sharding: {verdict.describe()}"
                 f"\n-- lint: {report.summary()}"
                 f"\n-- bounds: {certificate.summary()}"

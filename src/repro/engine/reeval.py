@@ -127,7 +127,7 @@ class ReEvalResult:
             return 0.0
         return 1000.0 * self.elapsed / self.events_processed
 
-    def touches_per_event(self) -> float:
+    def touches_per_tuple(self) -> float:
         """Tuples scanned during refreshes, per event — comparable to the
         incremental engines' state-touch metric."""
         if not self.events_processed:

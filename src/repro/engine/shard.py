@@ -301,13 +301,12 @@ def _final_metrics(driver: Driver) -> list | None:
     """Finish-time telemetry snapshot of one shard pipeline.
 
     Shard pipelines are driven through ``process_batch``/``process_event``
-    rather than :meth:`Executor.run`, so the end-of-run bookkeeping that
-    ``run`` performs (final state sample, event/tuple gauges, layer
-    teardown) happens via :meth:`Driver.finalize_telemetry`.  Returns plain
-    snapshot records — what the process backend ships over its pipe — or
-    None when telemetry is off.
+    rather than :meth:`Executor.run`, so :meth:`Driver.flush_metrics`
+    brings the registry up to date here.  Returns plain snapshot records —
+    what the process backend ships over its pipe — or None when telemetry
+    is off.
     """
-    registry = driver.finalize_telemetry()
+    registry = driver.flush_metrics()
     if registry is None:
         return None
     return registry.snapshot()

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 from collections import Counter as Multiset
 from typing import Iterable, Sequence
 
@@ -83,6 +84,7 @@ from .program import (
 )
 from .query import ContinuousQuery
 from .strategies import ExecutionConfig, compile_plan
+from .telemetry import MetricsRegistry
 from .views import ResultView
 
 #: Minimum number of consumers for a subtree to be worth a producer.
@@ -111,6 +113,20 @@ class _SinkView(ResultView):
 
     def __len__(self) -> int:
         return 0
+
+
+def _timed_pass(driver: Driver, run, *args) -> None:
+    """One boundary-crossing expiration replay of the batch loop, charged
+    to ``expiration_pass_seconds`` when the pipeline is armed.  This
+    runtime interprets the step library itself, so it times itself."""
+    registry = driver.compiled.telemetry
+    if registry is None:
+        run(*args)
+        return
+    start = time.perf_counter()
+    run(*args)
+    registry.timer("expiration_pass_seconds").add(
+        time.perf_counter() - start)
 
 
 def _config_key(config: ExecutionConfig) -> tuple:
@@ -239,6 +255,11 @@ class SharedRuntime:
         self.now: float = -math.inf
         self.events_processed = 0
         self.tuples_arrived = 0
+        #: Group-level registry (``phase_seconds{phase=shared_batch}``: the
+        #: fused batch loop is one loop for all members, so its time
+        #: belongs to no single pipeline); None unless a fused member is
+        #: armed.
+        self.metrics: MetricsRegistry | None = None
 
     # -- membership --------------------------------------------------------
 
@@ -319,6 +340,7 @@ class SharedRuntime:
             private_only = True
         else:
             private_only = False
+            start = time.perf_counter()
             boundary = self._recompute_boundary(fused, producers)
             for event in events:
                 now = event.ts
@@ -338,9 +360,16 @@ class SharedRuntime:
                     # Boundary crossed: run the full per-event expiration
                     # programs at this event's clock (identical to the
                     # per-tuple trigger), then re-anchor on surviving state.
+                    # Producers first, so each pass is timed on its own:
+                    # their state depends on no member, and members replay
+                    # the recorded delta at the subtree's position.
+                    for producer in producers:
+                        _timed_pass(producer.driver, producer.expire_delta,
+                                    now)
                     for member in fused:
-                        member.query.executor.driver.now = now
-                        self._member_expire(member, now)
+                        driver = member.query.executor.driver
+                        driver.now = now
+                        _timed_pass(driver, self._member_expire, member, now)
                     boundary = self._recompute_boundary(fused, producers)
                 for member in fused:
                     driver = member.query.executor.driver
@@ -363,6 +392,9 @@ class SharedRuntime:
                 # One amortized view purge per batch (timestamp purging
                 # emits no output; snapshots filter by liveness).
                 member.query.executor.compiled.view.purge(self.now)
+            if self.metrics is not None:
+                self.metrics.timer("phase_seconds", phase="shared_batch").add(
+                    time.perf_counter() - start)
         for member in private:
             member.query.executor.process_batch(events)
         if private_only:
@@ -574,4 +606,6 @@ def build_shared_runtime(
             lambda node, _by_fp=producer_of_fp: _by_fp[node.fingerprint])
         runtime._members[name] = _Member(
             name, query, plan, fused=True, program=program)
+        if config.telemetry and runtime.metrics is None:
+            runtime.metrics = MetricsRegistry()
     return runtime

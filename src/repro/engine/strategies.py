@@ -200,15 +200,12 @@ class CompiledQuery:
         #: Armed (non-None) only under ``ExecutionConfig(checked=True)``.
         self.sanitizer: Sanitizer | None = None
         #: Armed (non-None) only under ``ExecutionConfig(telemetry=True)``:
-        #: the pipeline's labeled metrics registry plus the per-operator
-        #: instrument tables the executor's instrumented paths resolve once
-        #: at compile time (id(op) -> instrument).
+        #: the pipeline's labeled metrics registry, and id(op) -> the
+        #: ``op`` / ``kind`` / ``pattern`` labels its per-operator
+        #: instruments carry (drivers resolve instruments from these once,
+        #: at construction).
         self.telemetry: "MetricsRegistry | None" = None
-        self.op_timers: dict[int, object] = {}
-        self.op_expire_timers: dict[int, object] = {}
-        self.op_state_gauges: dict[int, object] = {}
-        #: id(op) -> (stable op id, operator kind, pattern class) labels.
-        self.op_meta: dict[int, tuple[str, str, str]] = {}
+        self.op_labels: dict[int, dict[str, str]] = {}
         #: The flattened ExecutionProgram (set by engine.program.
         #: build_program when a driver is constructed; the PRG6xx lint
         #: rules and the ``-- program:`` explain footer inspect it).
@@ -261,15 +258,14 @@ def compile_plan(root: LogicalNode, config: ExecutionConfig,
 
 def _register_telemetry(root: LogicalNode, compiled: CompiledQuery,
                         annotated: AnnotatedPlan) -> None:
-    """Create the pipeline's registry and per-operator instruments.
+    """Create the pipeline's registry and label every operator.
 
     Every physical operator gets a stable id (walk-order index plus class
     name — deterministic for a given plan, so shard replicas of the same
-    plan produce label-identical registries that merge exactly), a timing
-    span for arrival processing, one for eager expiration where applicable,
-    and a queue-depth gauge sampled periodically by the executor.  Labels
-    carry the operator's update-pattern class (Section 5.2's annotation) so
-    exported metrics slice along the axis the paper's cost model predicts.
+    plan produce label-identical registries that merge exactly) and its
+    update-pattern class (Section 5.2's annotation), so exported metrics
+    slice along the axis the paper's cost model predicts.  The timers are
+    registered here so every export names every operator, charged or not.
     """
     registry = MetricsRegistry()
     compiled.telemetry = registry
@@ -277,17 +273,12 @@ def _register_telemetry(root: LogicalNode, compiled: CompiledQuery,
     for index, node in enumerate(root.walk()):
         op = compiled.op_for(node)
         kind = type(op).__name__
-        op_id = f"{index}:{kind}"
-        pattern = str(annotated.pattern_of(node))
-        compiled.op_meta[id(op)] = (op_id, kind, pattern)
-        labels = {"op": op_id, "kind": kind, "pattern": pattern}
-        compiled.op_timers[id(op)] = registry.timer(
-            "op_process_seconds", **labels)
+        labels = {"op": f"{index}:{kind}", "kind": kind,
+                  "pattern": str(annotated.pattern_of(node))}
+        compiled.op_labels[id(op)] = labels
+        registry.timer("op_process_seconds", **labels)
         if id(op) in expire_ids:
-            compiled.op_expire_timers[id(op)] = registry.timer(
-                "op_expire_seconds", **labels)
-        compiled.op_state_gauges[id(op)] = registry.gauge(
-            "op_state_tuples", **labels)
+            registry.timer("op_expire_seconds", **labels)
 
 
 # ---------------------------------------------------------------------------

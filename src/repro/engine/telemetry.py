@@ -12,12 +12,9 @@ the observability layer the cost model (Section 5.4) is validated against:
   (MONOTONIC/WKS/WK/STR), and — after a sharded run — the shard index, so
   per-operator cost-model predictions can be checked against what the
   engine actually did.
-* **Null-registry pattern** — telemetry is *off by default*; a disabled
-  pipeline carries ``telemetry=None`` and the executor installs no
-  instrumented code paths at all, so the hot path allocates nothing and
-  executes no telemetry branches.  :data:`NULL_REGISTRY` additionally
-  provides write-discarding instruments for code that wants an
-  unconditional sink.
+* **Off means absent** — telemetry is *off by default*; a disabled
+  pipeline carries ``telemetry=None`` and its loops skip every timer on
+  one ``is None`` test per batch.
 * **Label-wise merge** — :meth:`MetricsRegistry.merge_snapshot` folds one
   registry's snapshot into another, optionally adding labels.  A sharded
   run merges every worker's registry twice: once under ``shard=i`` and once
@@ -38,7 +35,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from typing import Iterable, Mapping
 
 #: Version tag of the exported JSON document; bump on breaking changes.
@@ -185,28 +181,6 @@ class HistogramMetric(Instrument):
             self.max = record["max"]
 
 
-class Span:
-    """A reusable wall-clock timing span feeding a histogram.
-
-    ``with registry.timer(...).time(): ...`` for convenience; the executor
-    uses explicit ``perf_counter`` deltas plus ``HistogramMetric.add`` on
-    its hot paths instead (no context-manager allocation per event).
-    """
-
-    __slots__ = ("_hist", "_start")
-
-    def __init__(self, hist: HistogramMetric):
-        self._hist = hist
-        self._start = 0.0
-
-    def __enter__(self) -> "Span":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._hist.add(time.perf_counter() - self._start)
-
-
 class MetricsRegistry:
     """A mutable bag of labeled instruments.
 
@@ -215,9 +189,6 @@ class MetricsRegistry:
     same identity return the same object, so hot paths resolve their
     instruments once at compile time and call plain methods afterwards.
     """
-
-    #: Disabled registries short-circuit the executor's instrumentation.
-    enabled = True
 
     def __init__(self) -> None:
         self._instruments: dict[tuple, Instrument] = {}
@@ -250,9 +221,6 @@ class MetricsRegistry:
             raise ValueError(
                 f"timer metric names end in '_seconds', got {name!r}")
         return self._get(HistogramMetric, name, labels)
-
-    def span(self, name: str, **labels: str) -> Span:
-        return Span(self.timer(name, **labels))
 
     # -- inspection ----------------------------------------------------------
 
@@ -310,66 +278,148 @@ class MetricsRegistry:
         self.merge_snapshot(other.snapshot(), extra_labels)
 
 
-class NullRegistry(MetricsRegistry):
-    """Write-discarding registry: the null-object sink.
+class DriverMetrics:
+    """Everything one armed driver charges, resolved once.
 
-    Every accessor returns a cached no-op instrument; nothing is ever
-    recorded or exported.  Used where an unconditional registry-shaped
-    object is more convenient than a ``None`` check.
+    **Phase accumulators.**  The batch loops add their per-batch clock
+    deltas into the flat ``acc`` list (slots ``ROWS`` … ``REPLAY``, then
+    one per column plan, in dispatch order, for its leaf and fused
+    prefix) — no Python-level call per batch: on ``q1_ftp``'s 50 µs
+    batches each one costs about half a percent — and :meth:`sample` folds
+    each slot into its histogram, so one ``phase_seconds`` /
+    ``op_process_seconds`` observation is one sample period's total.
+
+    **State sample.**  Per-operator depth beside its CST8xx certificate
+    bound, expiration lag, totals and the result-view size.  Gauges hold
+    the last sample, ``*_peak`` gauges the high-water mark and the
+    ``state_tuples`` histogram the trajectory (count / mean / max); gauges
+    sum under the sharded merge, so totals decompose across shards.
+    ``expiration_lag{op}`` is the furthest a lazily purged operator's
+    oldest stored ``exp`` was seen trailing the clock (0 for eagerly
+    expired ones) — the memory Section 5.4.2's lazy interval trades for
+    time.
     """
 
-    enabled = False
+    ROWS, VIEW_PURGE, COLUMN, REPLAY = range(4)
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._null_counter = _NullCounterMetric("null", {})
-        self._null_gauge = _NullGaugeMetric("null", {})
-        self._null_hist = _NullHistogramMetric("null", {})
+    def __init__(self, compiled, column_leaves) -> None:
+        from ..analysis.bounds import attach_certificate
 
-    def counter(self, name: str, **labels: str) -> CounterMetric:
-        return self._null_counter
+        self._registry = registry = compiled.telemetry
+        labels = compiled.op_labels
+        phases = ["rows", "view_purge"]
+        if column_leaves:  # "rows" stays: the column loop's fallback
+            phases += ["column", "replay"]
+        self._acc_timers = timers = [
+            registry.timer("phase_seconds", phase=phase) for phase in phases]
+        timers += [registry.timer("op_process_seconds", **labels[id(leaf)])
+                   for leaf in column_leaves]
+        self.acc = [0.0] * len(timers)
+        self.pass_timer = registry.timer("expiration_pass_seconds")
+        #: One ``op_expire_seconds`` timer per eager participant, in
+        #: expiration-pass order.
+        self.expire_timers = tuple(
+            registry.timer("op_expire_seconds", **labels[id(op)])
+            for op in compiled.expire_ops)
+        #: ``expire_timers`` from batch entry until the batch's first
+        #: pass has run (the one pass per batch that is timed), else None.
+        self.pass_timers = None
+        #: Driver event count at the last sample.
+        self.sampled_at = 0
 
-    def gauge(self, name: str, **labels: str) -> GaugeMetric:
-        return self._null_gauge
+        bounds: dict[int, float] = {}
+        for entry in attach_certificate(compiled).entries:
+            if (entry.op is not None and entry.buffer is not None
+                    and entry.size is not None and entry.size < math.inf):
+                bounds[id(entry.op)] = bounds.get(id(entry.op), 0.0) + entry.size
+        lazy = {id(op) for op in compiled.lazy_ops}
+        eager = {id(op) for op in compiled.expire_ops}
+        #: (op, depth gauge, lag gauge or None, buffers to read the lag off)
+        self._ops = []
+        for op in compiled.ops.values():
+            if id(op) in bounds:
+                registry.gauge("op_state_bound", **labels[id(op)]).set(
+                    bounds[id(op)])
+            lag, buffers = None, ()
+            if id(op) in lazy:
+                lag = registry.gauge("expiration_lag", **labels[id(op)])
+                buffers = tuple(b for _label, b in op.state_buffers()
+                                if b is not None)
+            elif id(op) in eager:
+                registry.gauge("expiration_lag", **labels[id(op)])  # stays 0
+            self._ops.append((op, registry.gauge("op_state_tuples",
+                                                 **labels[id(op)]),
+                              lag, buffers))
+        self._view = compiled.view
+        self._total = registry.gauge("state_tuples_total")
+        self._peak = registry.gauge("state_tuples_peak")
+        self._trajectory = registry.histogram("state_tuples")
+        self._view_size = registry.gauge("view_results")
+        self._view_peak = registry.gauge("view_results_peak")
 
-    def histogram(self, name: str, **labels: str) -> HistogramMetric:
-        return self._null_hist
+    def sample(self, driver) -> None:
+        """Fold the phase accumulators into their histograms and read
+        every operator's depth (and lag) at the driver's clock."""
+        now = driver.now
+        acc = self.acc
+        for slot, timer in enumerate(self._acc_timers):
+            if acc[slot]:
+                timer.add(acc[slot])
+                acc[slot] = 0.0
+        self.sampled_at = driver._events_processed
+        total = 0
+        for op, depth, lag, buffers in self._ops:
+            size = op.state_size()
+            depth.set(size)
+            total += size
+            if lag is not None:
+                # next_expiry(-inf) is the oldest stored exp, expired
+                # garbage included; boundary queries charge no touches.
+                lag.set_max(now - min(b.next_expiry(-math.inf)
+                                      for b in buffers))
+        self._total.set(total)
+        self._peak.set_max(total)
+        self._trajectory.observe(total)
+        results = len(self._view)
+        self._view_size.set(results)
+        self._view_peak.set_max(results)
 
-    def timer(self, name: str, **labels: str) -> HistogramMetric:
-        return self._null_hist
-
-    def merge_snapshot(self, snapshot, extra_labels=None) -> None:
-        pass
-
-
-class _NullCounterMetric(CounterMetric):
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-
-class _NullGaugeMetric(GaugeMetric):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def set_max(self, value: float) -> None:
-        pass
+    def flush(self, driver, elapsed: float | None) -> MetricsRegistry:
+        """:meth:`Driver.flush_metrics`: exact totals, fallback counts,
+        the run timer when given, one final sample.  Idempotent."""
+        registry = self._registry
+        if elapsed is not None:
+            registry.timer("run_seconds").add(elapsed)
+        registry.gauge("events_processed").set(driver._events_processed)
+        registry.gauge("tuples_arrived").set(driver._tuples_arrived)
+        for reason, n in driver.batch_fallbacks.items():
+            total = registry.counter("batch_fallback_total", reason=reason)
+            total.inc(n - total.value)
+        self.sample(driver)
+        return registry
 
 
-class _NullHistogramMetric(HistogramMetric):
-    __slots__ = ()
-
-    def add(self, value: float) -> None:
-        pass
-
-    observe = add
-
-
-#: Shared do-nothing registry; safe to share because every write discards.
-NULL_REGISTRY = NullRegistry()
+def run_summary(registry: MetricsRegistry) -> str:
+    """The measured tail of explain's ``-- metrics:`` footer: phase shares
+    of the batch loops, worst expiration lag, peak state against the
+    certificate's bound.  Empty until a state sample exists."""
+    if not any(h.count for h in registry.find("state_tuples")):
+        return ""
+    parts = []
+    phases = [p for p in registry.find("phase_seconds") if p.count]
+    busy = sum(p.total for p in phases)
+    if busy:
+        parts.append("phases " + " ".join(
+            f"{p.labels['phase']} {p.total / busy:.0%}" for p in phases))
+    lags = registry.find("expiration_lag")
+    if lags:
+        worst = max(lags, key=lambda gauge: gauge.value)
+        parts.append(f"worst expiration lag {worst.value:g} "
+                     f"({worst.labels['op']})")
+    bound = sum(g.value for g in registry.find("op_state_bound"))
+    parts.append(f"state peak {registry.value('state_tuples_peak'):g}"
+                 f" / bound {bound:g}")
+    return "; " + "; ".join(parts)
 
 
 # ---------------------------------------------------------------------------

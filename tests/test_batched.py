@@ -21,6 +21,7 @@ from repro import (
     ContinuousQuery,
     CountWindow,
     ExecutionConfig,
+    ExecutionError,
     Mode,
     Predicate,
     Schema,
@@ -224,6 +225,62 @@ class TestLoopSelection:
         assert f"-- columnar: {footer}" in query.explain()
         assert _replay(plan, events, batch, Mode.UPA) \
             == _replay(plan, events, None, Mode.UPA)
+
+
+class TestFallbacksAreCounted:
+    """A batch that cannot take the loop the column vocabulary offers is
+    counted by reason — in ``Driver.batch_fallbacks`` always, in the
+    ``-- columnar:`` footer after the run, in ``batch_fallback_total``
+    when armed — instead of silently taking the row loop."""
+
+    def _query(self, case, **cfg):
+        return ContinuousQuery(LOOP_CASES[case][0],
+                               ExecutionConfig(mode=Mode.UPA, **cfg))
+
+    def test_non_monotone_batch(self):
+        query = self._query("filter-prefix-join")
+        driver = query.executor.driver
+        driver.process_batch([Arrival(1.0, "s0", (1,)),
+                              Arrival(2.0, "s1", (1,))])
+        assert driver.batch_fallbacks == {}
+        with pytest.raises(ExecutionError, match="out-of-order"):
+            driver.process_batch([Arrival(4.0, "s0", (1,)),
+                                  Arrival(3.0, "s1", (1,))])
+        assert driver.batch_fallbacks == {"non_monotone_ts": 1}
+        assert query.explain().count("; fallbacks: non_monotone_ts=1") == 1
+
+    def test_count_window_batches(self):
+        query = self._query("count-window", telemetry=True)
+        events = [Arrival(float(i), "s0", (i % 2,)) for i in range(10)]
+        result = query.run(events, batch=4)
+        assert query.executor.driver.batch_fallbacks == {"count_window": 3}
+        assert "row loop: count window; fallbacks: count_window=3" \
+            in query.explain()
+        assert result.metrics.value("batch_fallback_total",
+                                    reason="count_window") == 3
+        query.executor.driver.flush_metrics()  # idempotent
+        assert result.metrics.value("batch_fallback_total",
+                                    reason="count_window") == 3
+
+    def test_relation_update_batch(self):
+        from repro import Relation, RelationUpdate
+
+        b0, _ = _window_sources(8)
+        small = Predicate(("v",), lambda vals: vals[0] <= 1, "v <= 1")
+        table = Relation("r", Schema(["w"]))
+        plan = b0.where(small).join_relation(table, "v", "w").build()
+        driver = ContinuousQuery(
+            plan, ExecutionConfig(mode=Mode.UPA)).executor.driver
+        assert driver.batch_loop().startswith("on (1 column plan(s)")
+        driver.process_batch([Arrival(1.0, "s0", (1,)),
+                              RelationUpdate(2.0, "r", "insert", (1,))])
+        assert driver.batch_fallbacks == {"relation_update": 1}
+
+    def test_a_chosen_row_loop_is_not_a_fallback(self):
+        query = self._query("bare-minus")
+        query.run([Arrival(float(i), f"s{i % 2}", (i % 3,))
+                   for i in range(20)], batch=4)
+        assert query.executor.driver.batch_fallbacks == {}
 
 
 class TestMetricDenominators:

@@ -73,5 +73,5 @@ class TestCostAccounting:
         rare = ReEvaluationQuery(join_plan(), refresh_interval=20)
         r_frequent = frequent.run(list(events))
         r_rare = rare.run(list(events))
-        assert r_frequent.touches_per_event() > r_rare.touches_per_event()
+        assert r_frequent.touches_per_tuple() > r_rare.touches_per_tuple()
         assert frequent.refreshes > rare.refreshes

@@ -500,6 +500,32 @@ class TestFallbacks:
         assert result.state_size >= 0
         assert "shards=3" in repr(result)
 
+    def test_armed_worker_runs_chunks_without_materializing_events(
+            self, monkeypatch):
+        """The shard worker's ``process_chunk`` keeps a decoded chunk
+        columnar when telemetry is armed, exactly as when it is not."""
+        from repro.engine.columnar import ChunkTable
+
+        s0, s1 = stream_pair()
+        small = Predicate(("v",), lambda vals: vals[0] <= 3, "v <= 3")
+        plan = (from_window(s0).where(small)
+                .join(from_window(s1), on="v").build())
+        events = list(random_arrivals(128))
+        monkeypatch.setattr(
+            ChunkTable, "to_events",
+            lambda self: pytest.fail("chunk materialized as events"))
+        answers = []
+        for telemetry in (False, True):
+            driver = ContinuousQuery(
+                plan, ExecutionConfig(mode=Mode.UPA, telemetry=telemetry)
+            ).executor.driver
+            assert driver.batch_loop().startswith("on (2 column plan(s)")
+            driver.process_chunk(ChunkTable.from_events(events))
+            assert driver.batch_fallbacks == {}
+            answers.append((driver.answer(),
+                            driver.compiled.counters.snapshot()))
+        assert answers[0] == answers[1]
+
     def test_sharded_touches_per_event_removed(self):
         s0, _ = stream_pair()
         plan = from_window(s0).distinct().build()

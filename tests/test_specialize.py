@@ -147,31 +147,14 @@ class TestClosureIsolation:
 
 
 class TestFastPathLifecycle:
-    def test_fast_event_loop_installed_when_telemetry_off(self):
-        query = ContinuousQuery(join_plan(), ExecutionConfig(mode=Mode.UPA))
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_fast_event_loop_installed_armed_or_not(self, telemetry):
+        query = ContinuousQuery(
+            join_plan(), ExecutionConfig(mode=Mode.UPA, telemetry=telemetry))
         driver = query.executor.driver
-        assert "process_event" in driver.__dict__
         assert driver.process_event is driver._fast_event
-
-    def test_armed_driver_runs_the_reference_per_tuple_loop(self):
-        query = ContinuousQuery(
-            join_plan(), ExecutionConfig(mode=Mode.UPA, telemetry=True))
-        driver = query.executor.driver
-        # Armed: the instance-attr fast loop is absent, so process_event
-        # resolves to the class-level reference loop (whose duty-cycled
-        # expiration-pass shadow the telemetry layer installs).
-        assert "process_event" not in driver.__dict__
-        assert "_expiration_pass" in driver.__dict__
-
-    def test_disarm_reinstalls_the_fast_path(self):
-        query = ContinuousQuery(
-            join_plan(), ExecutionConfig(mode=Mode.UPA, telemetry=True))
         query.run(list(TRACE))
-        driver = query.executor.driver
-        query.executor.disarm_telemetry()
-        assert driver._telemetry is None
-        assert "process_event" in driver.__dict__
-        assert driver.process_event is driver._fast_event
+        assert driver.__dict__["process_event"] is driver._fast_event
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro import (
     ExecutionConfig,
     MetricsRegistry,
     Mode,
-    NullRegistry,
+    Predicate,
     QueryGroup,
     Schema,
     StreamDef,
@@ -61,6 +61,9 @@ def _join_plan():
 def _minus_plan():
     b0, b1 = _sources()
     return b0.minus(b1, on="v").build()
+
+
+SMALL = Predicate(("v",), lambda vals: vals[0] <= 5, "v <= 5")
 
 
 def _groupby_plan():
@@ -116,9 +119,8 @@ class TestRegistry:
         with pytest.raises(ValueError, match="_seconds"):
             registry.timer("op_time")
         hist = registry.timer("op_seconds")
-        with registry.span("op_seconds"):
-            pass
-        assert hist.count == 1
+        hist.add(0.5)
+        assert registry.timer("op_seconds").count == 1
 
     def test_histogram_summary(self):
         hist = MetricsRegistry().histogram("sizes")
@@ -156,15 +158,6 @@ class TestRegistry:
         parent.merge(child)
         assert parent.value("n", op="0:W", shard="1") == 4
         assert parent.value("n", op="0:W") == 4
-
-    def test_null_registry_discards_everything(self):
-        registry = NullRegistry()
-        registry.counter("n", any="label").inc(10)
-        registry.gauge("g").set(5)
-        registry.timer("t_seconds").add(1.0)
-        assert registry.counter("n").value == 0
-        assert not registry.enabled
-        assert registry.snapshot() == []
 
 
 class TestExport:
@@ -394,25 +387,53 @@ class TestSurfaces:
         _, result = _observe(_join_plan(), Mode.NT, False)
         assert result.metrics is None
 
-    def test_profiling_feeds_registry_when_armed(self):
-        from repro import profile_memory
+    def test_armed_batch_export_names_every_mechanism(self):
+        """One armed ``run(batch=64)`` carries phase timers for every phase
+        of its loop, pass and per-operator expiration timers, state beside
+        its certificate bound, expiration lag, and exact totals."""
+        for plan, phases in (
+                (_filter_distinct_plan(),
+                 {"column", "replay", "rows", "view_purge"}),
+                (_groupby_plan(), {"rows", "view_purge"})):
+            _, result = _observe(plan, Mode.UPA, True, batch=64)
+            metrics = result.metrics
+            document = metrics_document(metrics, {})
+            assert validate_metrics_document(document) == len(metrics)
+            found = metrics.find("phase_seconds")
+            assert {inst.labels["phase"] for inst in found} == phases
+            # "rows" is the column loop's fallback: registered, not run.
+            assert all(inst.count for inst in found
+                       if inst.labels["phase"] != "rows" or len(phases) == 2)
+            for name in ("expiration_pass_seconds", "op_expire_seconds"):
+                assert sum(inst.count for inst in metrics.find(name)) > 0
+            for name in ("op_state_tuples", "op_state_bound",
+                         "expiration_lag"):
+                assert metrics.find(name), name
+            assert metrics.value("state_tuples_peak") is not None
+            assert metrics.find("state_tuples")[0].count >= 1
+            assert metrics.value("events_processed") == len(EVENTS)
+            assert metrics.value("tuples_arrived") == result.tuples_arrived
+            assert metrics.find("run_seconds")[0].count == 1
 
+    def test_column_phase_charges_the_leaf_timer(self):
+        _, result = _observe(_filter_distinct_plan(), Mode.UPA, True,
+                             batch=64)
+        charged = {inst.labels["kind"]
+                   for inst in result.metrics.find("op_process_seconds")
+                   if inst.count}
+        assert charged == {"WindowOp"}
+
+    def test_explain_reports_a_finished_armed_run(self):
         query = ContinuousQuery(
-            _join_plan(), ExecutionConfig(mode=Mode.NT, telemetry=True))
-        result, profile = profile_memory(query, iter(EVENTS), sample_every=10)
-        assert profile.samples
-        hist = result.metrics.find("memory_state_tuples")[0]
-        assert hist.count == len(profile.samples)
-        peak = result.metrics.value("memory_peak_total")
-        assert peak == profile.peak_total
-
-    def test_expiration_latency_and_state_gauges_present(self):
-        _, result = _observe(_join_plan(), Mode.NT, True, batch=16)
-        assert result.metrics.find("expiration_pass_seconds")
-        assert result.metrics.find("op_expire_seconds")
-        assert result.metrics.find("op_state_tuples")
-        assert result.metrics.value("state_tuples_peak") >= 0
-        assert result.metrics.value("events_processed") == len(EVENTS)
+            _filter_distinct_plan(),
+            ExecutionConfig(mode=Mode.UPA, telemetry=True))
+        assert "phases" not in query.explain()
+        query.run(iter(EVENTS), batch=16)
+        footer = next(line for line in query.explain().splitlines()
+                      if line.startswith("-- metrics:"))
+        assert "phases " in footer and "replay" in footer
+        assert "worst expiration lag" in footer
+        assert "state peak" in footer and "/ bound" in footer
 
     def test_cli_metrics_out(self, tmp_path, capsys):
         from repro.cli import main
@@ -461,61 +482,156 @@ class TestSurfaces:
         assert {"q1", "q2"} <= names
 
 
-class TestDisabledOverheadShape:
-    """Telemetry off must leave the driver's hot path untouched."""
+def _filter_join_plan():
+    b0, b1 = _sources()
+    return b0.where(SMALL).join(b1, on="v").build()
 
-    def test_no_instrumented_attributes_when_off(self):
-        query = ContinuousQuery(_join_plan(), ExecutionConfig(mode=Mode.NT))
-        driver = query.executor.driver
-        assert driver._telemetry is None
-        assert driver._layer is None
-        # Instance dict carries no shadowed methods or instruments.
-        assert "_propagate" not in driver.__dict__
-        assert "_expiration_pass" not in driver.__dict__
-        assert not hasattr(driver, "_pass_timer")
-        assert "telemetry" not in query.executor.program.layers
 
-    def test_shadowing_installed_when_armed(self):
-        from repro.engine.driver import TelemetryLayer
+def _filter_distinct_plan():
+    b0, _ = _sources()
+    return b0.where(SMALL).distinct().build()
 
-        query = ContinuousQuery(
-            _join_plan(), ExecutionConfig(mode=Mode.NT, telemetry=True))
-        driver = query.executor.driver
-        assert isinstance(driver._layer, TelemetryLayer)
-        # The cycled expiration-pass shadow is installed for the armed
-        # lifetime; a fresh armed driver starts inside a timed window.
-        assert "_expiration_pass" in driver.__dict__
-        assert "_propagate" in driver.__dict__
-        assert "_propagate_route" in driver.__dict__
-        assert "_dispatch_arrival" in driver.__dict__
-        assert driver._timing is True
-        assert "telemetry" in query.executor.program.layers
 
-    def test_timers_are_duty_cycled(self):
-        """The timed shadows come and go on the 1-in-N duty cycle; the
-        cycled expiration-pass shadow stays installed throughout."""
-        from repro import Arrival
-        from repro.engine.driver import TelemetryLayer
+class TestArmedRunsTheSameLoops:
+    """Arming changes what is recorded, never which code runs."""
 
-        query = ContinuousQuery(
-            _join_plan(), ExecutionConfig(mode=Mode.NT, telemetry=True))
-        driver = query.executor.driver
-        states = []
-        for i in range(2 * TelemetryLayer.timer_every):
-            driver.process_event(Arrival(float(i), "s0", (i,)))
-            states.append("_propagate" in driver.__dict__)
-        assert True in states and False in states
-        assert states.count(True) == 2  # 1 timed event in timer_every
-        assert "_expiration_pass" in driver.__dict__
+    CASES = {
+        "column-loop": (_filter_join_plan, 16, "-- columnar: on (2 column"),
+        "row-loop": (_minus_plan, 16, "-- columnar: row loop: no stateless"),
+        "per-tuple": (_filter_join_plan, None, "-- columnar: on (2 column"),
+    }
 
-    def test_disarm_removes_every_shadow(self):
-        query = ContinuousQuery(
-            _join_plan(), ExecutionConfig(mode=Mode.NT, telemetry=True))
-        driver = query.executor.driver
-        query.executor.disarm_telemetry()
-        assert driver._telemetry is None
-        assert "_propagate" not in driver.__dict__
-        assert "_propagate_route" not in driver.__dict__
-        assert "_dispatch_arrival" not in driver.__dict__
-        assert "_expiration_pass" not in driver.__dict__
-        assert driver._timing is False
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_armed_equals_unarmed(self, case):
+        make_plan, batch, footer = self.CASES[case]
+        observed = []
+        for telemetry in (False, True):
+            query = ContinuousQuery(
+                make_plan(), ExecutionConfig(mode=Mode.UPA,
+                                             telemetry=telemetry))
+            outputs = []
+            query.subscribe(lambda t, now, out=outputs: out.append((t, now)))
+            described = query.executor.program.describe()
+            result = query.run(iter(EVENTS), batch=batch)
+            driver = query.executor.driver
+            assert driver.process_event is driver._fast_event
+            columnar = next(line for line in query.explain().splitlines()
+                            if line.startswith("-- columnar:"))
+            assert columnar.startswith(footer)
+            assert query.executor.program.describe() == described
+            observed.append((columnar, described, outputs,
+                             result.counters.snapshot(),
+                             sorted(result.answer().items())))
+        assert observed[0] == observed[1]
+
+
+def _total_calls(run) -> int:
+    import cProfile
+    import gc
+    import pstats
+
+    profiler = cProfile.Profile()
+    gc.disable()  # collector callbacks (hypothesis installs one) are calls
+    try:
+        profiler.enable()
+        run()
+        profiler.disable()
+    finally:
+        gc.enable()
+    return pstats.Stats(profiler).total_calls
+
+
+class TestArmedCallBudget:
+    """Exact, not wall-clock: what arming costs in calls over a fixed
+    4 096-arrival trace."""
+
+    ARRIVALS = [Arrival(0.25 * i, f"s{i % 2}", (i * 7 % 5,))
+                for i in range(4096)]
+    BATCH = 64
+    #: Extra calls per batch an armed driver may make: per batch 4 clock
+    #: reads + 3 phase adds + ``_end_batch``; per pass (at most one is
+    #: timed per batch) and per column-phase call 2 reads + 1 add; a state
+    #: sample every ``sample_events`` events, amortized.
+    C = 32
+
+    def _driver(self, plan, telemetry):
+        return ContinuousQuery(
+            plan, ExecutionConfig(mode=Mode.UPA, telemetry=telemetry)
+        ).executor.driver
+
+    @pytest.mark.parametrize("make_plan", [_filter_join_plan,
+                                           _filter_distinct_plan,
+                                           _groupby_plan])
+    def test_batch_loops_pay_per_batch_not_per_event(self, make_plan):
+        calls = {}
+        for telemetry in (False, True):
+            driver = self._driver(make_plan(), telemetry)
+            chunks = [self.ARRIVALS[i:i + self.BATCH]
+                      for i in range(0, len(self.ARRIVALS), self.BATCH)]
+
+            def run(driver=driver, chunks=chunks):
+                for chunk in chunks:
+                    driver.process_batch(chunk)
+
+            calls[telemetry] = _total_calls(run)
+        extra = calls[True] - calls[False]
+        assert 0 < extra <= self.C * (len(self.ARRIVALS) // self.BATCH)
+
+    def test_per_tuple_closure_pays_nothing(self):
+        calls = {}
+        for telemetry in (False, True):
+            driver = self._driver(_filter_join_plan(), telemetry)
+
+            def run(process=driver.process_event):
+                for event in self.ARRIVALS:
+                    process(event)
+
+            calls[telemetry] = _total_calls(run)
+        assert calls[True] == calls[False]
+
+
+class TestStateGauges:
+    """Section 5.4.2's memory trade-offs, read off the registry's state
+    gauges (what ``engine/profiling`` used to measure on the side)."""
+
+    def _run(self, **cfg):
+        from conftest import random_arrivals
+
+        b0, b1 = _sources()
+        query = ContinuousQuery(b0.join(b1, on="v").build(),
+                                ExecutionConfig(telemetry=True, **cfg))
+        query.executor.driver.sample_events = 10
+        events = random_arrivals(n=400, seed=23)
+        return query.run(events).metrics, len(events)
+
+    def test_samples_taken_at_interval(self):
+        metrics, n = self._run(mode=Mode.UPA)
+        # One sample per full block of 10 events, one for the trailing
+        # partial block, one final sample at flush.
+        assert metrics.find("state_tuples")[0].count == -(-n // 10) + 1
+        assert (metrics.value("state_tuples_peak")
+                == metrics.find("state_tuples")[0].max)
+
+    def test_lazier_purging_retains_more_state(self):
+        """A longer lazy interval trades memory for time — and shows as
+        expiration lag."""
+        eager, _ = self._run(mode=Mode.UPA, lazy_interval=0.5)
+        lazy, _ = self._run(mode=Mode.UPA, lazy_interval=40.0)
+        assert (lazy.value("state_tuples_peak")
+                > eager.value("state_tuples_peak"))
+        worst = lambda m: max(g.value for g in m.find("expiration_lag"))  # noqa: E731
+        assert worst(lazy) > worst(eager)
+
+    def test_nt_stores_windows_on_top_of_operator_state(self):
+        """NT must materialize the base windows (Section 2.3.1)."""
+        nt, _ = self._run(mode=Mode.NT)
+        upa, _ = self._run(mode=Mode.UPA, lazy_interval=0.5)
+        assert nt.value("state_tuples_peak") > upa.value("state_tuples_peak")
+
+    def test_state_sits_beside_its_certificate_bound(self):
+        metrics, _ = self._run(mode=Mode.UPA)
+        bounds = {g.labels["op"]: g.value
+                  for g in metrics.find("op_state_bound")}
+        depths = {g.labels["op"] for g in metrics.find("op_state_tuples")}
+        assert bounds and set(bounds) <= depths
+        assert all(0 < value < math.inf for value in bounds.values())
