@@ -16,10 +16,9 @@ The reference loop and the step library
 
 The class-level :meth:`Driver.process_event` is that model written down:
 clock, expire, dispatch, propagate, purge, deliver, each a small step
-method.  Nothing on the default hot path calls it — it is what the
-compiled paths are tested against (``Driver.process_event(driver, e)``),
-and its steps are what the shared-group runtime (``sharing.py``) drives
-directly.
+method.  No runtime calls it — single queries, shard workers and shared
+groups (producers and members) all run the compiled paths below; it is
+what those paths are tested against (``Driver.process_event(driver, e)``).
 
 The compiled paths
 ------------------
@@ -134,6 +133,7 @@ from ..streams.relation import NRR
 from ..streams.stream import Arrival, Event, RelationUpdate, Tick
 from ..streams.window import TimeWindow
 from ..operators.base import PhysicalOperator
+from ..operators.stateless import PortOp
 from .columnar import ChunkTable, column_kernel_matches, take_columns
 from .program import ExecutionProgram
 from .telemetry import DriverMetrics
@@ -161,12 +161,6 @@ class Driver:
         self._events_processed = 0
         self._tuples_arrived = 0
         self._subscribers: list = []
-        #: Conservative lower bound on the next eager expiration, for the
-        #: shared-group batch loop only: it re-anchors the bound with
-        #: :meth:`_compute_next_expiry` and :meth:`_propagate_route` folds
-        #: it down.  The driver's own batch loops keep per-operator
-        #: boundary caches instead (``_boundaries``).
-        self._next_expiry: float = -math.inf
         span = compiled.max_span
         interval = compiled.config.lazy_interval
         if interval is None and span is not None:
@@ -317,29 +311,15 @@ class Driver:
             self._propagate(op, outputs, now)
         self.compiled.view.purge(now)
 
-    def _compute_next_expiry(self) -> float:
-        """Minimum pending ``exp`` across all eagerly-expired state.
-
-        This is the earliest clock at which a skipped expiration pass could
-        stop being a no-op.  Boundary queries are scheduling overhead, not
-        state-buffer work, so they are not charged as touches — the touch
-        metric keeps measuring the strategies' own maintenance cost.
-        """
-        now = self.now
-        boundary = math.inf
-        for op in self._expire_ops:
-            candidate = op.next_expiry(now)
-            if candidate < boundary:
-                boundary = candidate
-        return boundary
-
-    def _dispatch_arrival(self, event: Arrival, now: float,
-                          tracked: bool = False) -> None:
+    def _dispatch_arrival(self, event: Arrival, now: float) -> None:
         leaves = self._leaf_bindings.get(event.stream)
         if not leaves:
             return  # stream not referenced by this query
-        propagate = self._propagate_tracked if tracked else self._propagate
         for leaf in leaves:
+            if isinstance(leaf, PortOp):
+                # A shared subtree reads this stream: replay its output.
+                self._propagate(leaf, list(leaf.pull()), now)
+                continue
             # ``now`` already lives in the stamping domain: _clock_for
             # returns the event timestamp for time-based plans and the
             # count-stream sequence number for count-based ones, which is
@@ -348,10 +328,10 @@ class Driver:
             # documented on WindowOp.stamp).
             stamped = leaf.stamp(event.values, now, now)
             outputs = leaf.process(0, stamped, now)
-            propagate(leaf, outputs, now)
+            self._propagate(leaf, outputs, now)
 
-    def _dispatch_relation_update(self, event: RelationUpdate, now: float,
-                                  tracked: bool = False) -> None:
+    def _dispatch_relation_update(self, event: RelationUpdate,
+                                  now: float) -> None:
         relation = self.program.relations.get(event.relation)
         if relation is None:
             raise ExecutionError(
@@ -368,13 +348,12 @@ class Driver:
             relation.insert(event.values)
         else:
             relation.delete(event.values)
-        propagate = self._propagate_tracked if tracked else self._propagate
         for op in self.program.relation_bindings.get(event.relation, ()):
             if event.op == RelationUpdate.INSERT:
                 outputs = op.on_relation_insert(event.values, now)
             else:
                 outputs = op.on_relation_delete(event.values, now)
-            propagate(op, outputs, now)
+            self._propagate(op, outputs, now)
 
     def _propagate(self, source: PhysicalOperator, outputs: list[Tuple],
                    now: float) -> None:
@@ -384,39 +363,6 @@ class Driver:
             outputs = parent.process_batch(slot, outputs, now)
             if not outputs:
                 return
-        self._deliver(outputs, now)
-
-    def _propagate_tracked(self, source: PhysicalOperator,
-                           outputs: list[Tuple], now: float) -> None:
-        """Propagate from ``source`` with expiration-boundary tracking."""
-        if not outputs:
-            return
-        self._propagate_route(self._routes[id(source)], outputs, now)
-
-    def _propagate_route(self, route, outputs: list[Tuple],
-                         now: float) -> None:
-        """Push ``outputs`` along ``route`` and lower the expiration
-        boundary by every flowing tuple's ``exp``.
-
-        Any tuple an operator stores was visible to the driver as some
-        stage's input or output, so folding the minimum over all stages
-        keeps ``_next_expiry`` a sound lower bound on newly-created eager
-        state.  Negative tuples are included too — harmlessly conservative
-        (an unnecessarily low boundary only schedules a no-op pass).
-        """
-        boundary = self._next_expiry
-        for parent, slot in route:
-            for t in outputs:
-                if t.exp < boundary:
-                    boundary = t.exp
-            outputs = parent.process_batch(slot, outputs, now)
-            if not outputs:
-                self._next_expiry = boundary
-                return
-        for t in outputs:
-            if t.exp < boundary:
-                boundary = t.exp
-        self._next_expiry = boundary
         self._deliver(outputs, now)
 
     def _deliver(self, outputs: list[Tuple], now: float) -> None:
@@ -492,9 +438,9 @@ class Driver:
 
     def _compile_suffix(self, stages):
         """The residual stateful route of one dispatch plan (bound by
-        :meth:`_stages`) as a closure ``(t, now, gate) -> gate``:
-        stage-input folds into the boundary caches, generic
-        ``process_batch`` stages, DELIVER.
+        :meth:`_stages`) as a closure ``(outputs, now, gate) -> gate``
+        over a non-empty list: stage-input folds into the boundary caches,
+        generic ``process_batch`` stages, DELIVER.
 
         Only stages that are eager participants fold: stateless and
         lazily-purged stages never produce pass output, so scheduling
@@ -504,8 +450,7 @@ class Driver:
         subscribers = self._subscribers  # list identity is stable
         boundaries = self._boundaries
 
-        def run_suffix(t, now, gate):
-            outputs = [t]
+        def run_suffix(outputs, now, gate):
             for pb, slot, idx in stages:
                 if idx >= 0:
                     low = _INF
@@ -533,6 +478,8 @@ class Driver:
         needed); the row-batch variant threads the global gate through its
         return value and folds into the per-operator boundary caches.
         """
+        if isinstance(plan.leaf, PortOp):
+            return self._compile_port_arrival(plan)
         compiled = self.compiled
         counters = compiled.counters
         deliver = compiled.view.deliver
@@ -599,9 +546,28 @@ class Driver:
                         return gate
                 elif kind == "map_indices":
                     t = t.with_values(tuple(t.values[i] for i in arg))
-            return run_suffix(t, now, gate)
+            return run_suffix([t], now, gate)
 
         return window_pt, window_b
+
+    def _compile_port_arrival(self, plan):
+        """:meth:`_compile_arrival` for a shared port: the arrival is the
+        trigger, the port's next recorded list is the input, and the whole
+        route is the suffix (its boundary folds are idle per-tuple, where
+        the full pass runs per event)."""
+        pull = plan.leaf.pull
+        run_suffix = self._compile_suffix(self._stages(plan.suffix))
+
+        def port_pt(_values, now):
+            outputs = pull()
+            if outputs:
+                run_suffix(list(outputs), now, _INF)
+
+        def port_b(_values, now, gate):
+            outputs = pull()
+            return run_suffix(list(outputs), now, gate) if outputs else gate
+
+        return port_pt, port_b
 
     def _compile_event_loop(self):
         """Compile the fused per-tuple event loop: one closure covering
@@ -708,6 +674,9 @@ class Driver:
         fused = False
         for plans in self._dispatch.values():
             for plan in plans:
+                if isinstance(plan.leaf, PortOp):
+                    # replays lists at recorded clocks: nothing columnar
+                    return "shared port", None
                 if not isinstance(plan.leaf.window, TimeWindow):
                     # window=None; no exp to stamp
                     return "unbounded stream", "unbounded_stream"
@@ -1052,10 +1021,10 @@ class Driver:
                         gate = run_pass(now)
                     if todo is not None:
                         if todo.__class__ is tuple:
-                            gate = todo[0](todo[1], now, gate)
+                            gate = todo[0]([todo[1]], now, gate)
                         else:
                             for suffix, t in todo:
-                                gate = suffix(t, now, gate)
+                                gate = suffix([t], now, gate)
                     if lazy_check:
                         maybe_lazy_purge(now)
             else:
@@ -1084,10 +1053,10 @@ class Driver:
                     todo = pending[k]
                     if todo is not None:
                         if todo.__class__ is tuple:
-                            gate = todo[0](todo[1], now, gate)
+                            gate = todo[0]([todo[1]], now, gate)
                         else:
                             for suffix, t in todo:
-                                gate = suffix(t, now, gate)
+                                gate = suffix([t], now, gate)
                     i = k + 1
                 self.now = ts[n - 1]
         finally:

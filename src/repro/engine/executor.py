@@ -12,9 +12,10 @@ program and driver for one :class:`CompiledQuery` and adds the run-level
 orchestration: wall-clock timing, sharded-execution delegation, drain
 verification for checked mode, and the :class:`RunResult` surface.
 
-Shared groups (``sharing.py``) and shard workers (``shard.py``) drive the
-same programs through the same driver — there is exactly one propagate /
-expire / dispatch implementation in the engine.
+Shared groups (``sharing.py``: every member through this façade, every
+producer on a bare driver) and shard workers (``shard.py``) run the same
+programs on the same driver — there is exactly one propagate / expire /
+dispatch implementation in the engine.
 """
 
 from __future__ import annotations
@@ -120,10 +121,6 @@ class Executor:
     @property
     def now(self) -> float:
         return self.driver.now
-
-    @now.setter
-    def now(self, value: float) -> None:
-        self.driver.now = value
 
     @property
     def tuples_arrived(self) -> int:

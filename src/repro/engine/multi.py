@@ -7,11 +7,15 @@ queries".  :class:`QueryGroup` provides both regimes:
   every event is dispatched to every member — the operational baseline of
   a monitoring deployment that keeps dozens of materialized answers fresh
   while reading the trace once.
-* **Shared** (``shared=True``): structurally identical subplans across the
-  members are fingerprinted, fused into one compiled producer each, and
-  fanned out to the consumers' residual pipelines (see
-  :mod:`repro.engine.sharing`).  Ten queries over the same window then pay
-  one window — with answers byte-identical to independent execution.
+* **Shared** (``shared=True``): structurally identical stateful subplans
+  across the members are fingerprinted, fused into one compiled producer
+  each, and replayed by the consumers' residual pipelines (see
+  :mod:`repro.engine.sharing`).  Ten queries over the same join then pay
+  one join — with answers byte-identical to independent execution.
+
+Both are one runtime (:class:`~repro.engine.sharing.SharedRuntime`):
+producers record, then every member runs its own compiled driver; an
+independent group simply has no producers.
 
 Sharing is planned when the group is *sealed*: the first execution or
 answer/explain access freezes the current membership and builds the fused
@@ -56,11 +60,15 @@ class QueryGroup:
                 "members with add()/add_text() instead of pre-compiled "
                 "ContinuousQuery objects")
         self.shared = shared
-        self._queries: dict[str, ContinuousQuery] = dict(queries or {})
-        #: Shared mode, pre-seal: (name, plan, config) registrations.
+        #: Pre-seal (shared groups only): (name, plan, config) registrations.
         self._pending: list[tuple[str, LogicalNode,
                                   ExecutionConfig | None]] = []
-        self._runtime: SharedRuntime | None = None
+        #: None until sealed.  An independent group is born sealed: the
+        #: same runtime with no producers, every member private.
+        self._runtime: SharedRuntime | None = (
+            None if shared else SharedRuntime())
+        for name, query in (queries or {}).items():
+            self._runtime.add(name, query)
 
     # -- composition ----------------------------------------------------------
 
@@ -75,15 +83,12 @@ class QueryGroup:
         """
         if name in self:
             raise KeyError(f"query name {name!r} already registered")
-        if not self.shared:
-            query = ContinuousQuery(plan, config)
-            self._queries[name] = query
-            return query
         if self._runtime is None:
             self._pending.append((name, plan, config))
             return None
-        # Post-seal / mid-run: privately compiled member (see module doc).
-        return self._runtime.add_private(name, plan, config)
+        # Independent, or post-seal / mid-run: a privately compiled member
+        # (see SharedRuntime.add).
+        return self._runtime.add(name, ContinuousQuery(plan, config))
 
     def add_text(self, name: str, text: str, catalog,
                  config: ExecutionConfig | None = None
@@ -100,16 +105,14 @@ class QueryGroup:
         a shared subtree's state is torn down only when its *last* consumer
         leaves, so the surviving members keep their warm windows.
         """
-        if not self.shared:
-            del self._queries[name]
+        if self._runtime is not None:
+            self._runtime.remove(name)
             return
-        if self._runtime is None:
-            for index, (pending_name, _p, _c) in enumerate(self._pending):
-                if pending_name == name:
-                    del self._pending[index]
-                    return
-            raise KeyError(name)
-        self._runtime.remove(name)
+        for index, (pending_name, _p, _c) in enumerate(self._pending):
+            if pending_name == name:
+                del self._pending[index]
+                return
+        raise KeyError(name)
 
     def _seal(self) -> SharedRuntime:
         """Freeze membership and build the fused runtime (shared mode)."""
@@ -119,28 +122,16 @@ class QueryGroup:
         return self._runtime
 
     def __getitem__(self, name: str) -> ContinuousQuery:
-        if not self.shared:
-            return self._queries[name]
         return self._seal().member(name).query
 
     def __contains__(self, name: str) -> bool:
-        if not self.shared:
-            return name in self._queries
-        if self._runtime is None:
-            return any(n == name for n, _p, _c in self._pending)
-        return name in self._runtime.names()
+        return name in self.names()
 
     def __len__(self) -> int:
-        if not self.shared:
-            return len(self._queries)
-        if self._runtime is None:
-            return len(self._pending)
-        return len(self._runtime.names())
+        return len(self.names())
 
     def names(self) -> list[str]:
         """Registered query names, in insertion order."""
-        if not self.shared:
-            return list(self._queries)
         if self._runtime is None:
             return [n for n, _p, _c in self._pending]
         return self._runtime.names()
@@ -148,19 +139,11 @@ class QueryGroup:
     # -- execution ------------------------------------------------------------
 
     def process_event(self, event: Event) -> None:
-        if self.shared:
-            self._seal().process_event(event)
-            return
-        for query in self._queries.values():
-            query.executor.process_event(event)
+        self._seal().process_event(event)
 
     def process_batch(self, events: Sequence[Event]) -> None:
         """Micro-batch step: amortized expiration across the whole group."""
-        if self.shared:
-            self._seal().process_batch(events)
-            return
-        for query in self._queries.values():
-            query.executor.process_batch(events)
+        self._seal().process_batch(events)
 
     def run(self, events: Iterable[Event],
             batch: int | None = None, shards: int | None = None,
@@ -169,8 +152,7 @@ class QueryGroup:
 
         ``batch=N`` selects the micro-batch execution path (PR 1) for both
         shared and independent groups: expiration is amortized to batch
-        boundaries — once per shared producer in shared mode — with outputs
-        identical to per-event execution.
+        boundaries with outputs identical to per-event execution.
 
         ``shards=k`` (k > 1) runs the whole member set as ``k`` key-routed
         replicas (see :mod:`repro.engine.shard`): each shard holds one
@@ -184,14 +166,14 @@ class QueryGroup:
 
             return run_group_sharded(self, events, shards=shards,
                                      backend=shard_backend, batch=batch)
-        if self.shared:
-            self._seal()
+        runtime = self._seal()
         start = time.perf_counter()
         n = 0
         arrivals = 0
         if batch is None:
+            process_event = runtime.process_event
             for event in events:
-                self.process_event(event)
+                process_event(event)
                 n += 1
                 if isinstance(event, Arrival):
                     arrivals += 1
@@ -199,24 +181,19 @@ class QueryGroup:
             if batch < 1:
                 raise ValueError(f"batch size must be >= 1, got {batch}")
             for chunk in _chunked(events, batch):
-                self.process_batch(chunk)
+                runtime.process_batch(chunk)
                 n += len(chunk)
                 arrivals += sum(
                     1 for event in chunk if isinstance(event, Arrival))
         elapsed = time.perf_counter() - start
-        # Checked execution: assert counter conservation on every member
-        # pipeline and every shared producer (no-op for unchecked configs).
-        for name in self.names():
-            verify_drain(self[name].compiled)
-        for producer in self.shared_producers():
-            verify_drain(producer.compiled)
         # Members and producers are driven through process_event /
-        # process_batch, not Executor.run, so their registries are brought
-        # up to date here (no-op with telemetry off).
-        for name in self.names():
-            self[name].executor.driver.flush_metrics()
-        for producer in self.shared_producers():
-            producer.driver.flush_metrics()
+        # process_batch, not Executor.run, so the run's closing steps
+        # happen here: checked execution asserts counter conservation and
+        # armed registries are brought up to date (no-ops otherwise).
+        for driver in ([self[name].executor.driver for name in self.names()]
+                       + [p.driver for p in self.shared_producers()]):
+            verify_drain(driver.compiled)
+            driver.flush_metrics()
         return GroupRunResult(self, elapsed, n, arrivals)
 
     def answers(self) -> dict[str, dict]:
@@ -227,22 +204,16 @@ class QueryGroup:
 
     def shared_counters(self) -> Counters:
         """Group-level shared-state counters (zero in independent mode)."""
-        if self.shared:
-            return self._seal().shared_counters()
-        return Counters()
+        return self._seal().shared_counters()
 
     def shared_state_size(self) -> int:
         """Tuples held by shared producers (zero in independent mode)."""
-        if self.shared:
-            return self._seal().shared_state_size()
-        return 0
+        return self._seal().shared_state_size()
 
     def shared_producers(self) -> list:
         """The group's :class:`~repro.engine.sharing.SharedProducer`
         objects (empty in independent mode)."""
-        if self.shared:
-            return self._seal().producers()
-        return []
+        return self._seal().producers()
 
     def total_state_size(self) -> int:
         """Shared producer state plus every member pipeline's state."""
@@ -256,9 +227,9 @@ class QueryGroup:
         if self.shared:
             return self._seal().explain()
         lines: list[str] = []
-        for name, query in self._queries.items():
+        for name in self.names():
             lines.append(f"-- {name} --")
-            lines.append(query.explain())
+            lines.append(self[name].explain())
         return "\n".join(lines)
 
 
@@ -320,8 +291,6 @@ class GroupRunResult:
                  for name in group.names()]
         parts += [(producer.compiled.telemetry, {"producer": producer.name})
                   for producer in group.shared_producers()]
-        if group.shared:
-            parts.append((group._seal().metrics, None))
         merged = None
         for registry, labels in parts:
             if registry is None:

@@ -10,8 +10,10 @@ scalar-kernel prefixes and resolved routes, the eager/lazy expiration
 participant lists, and an explicit :class:`Step` sequence — and
 :mod:`repro.engine.driver` runs any such program in per-tuple or micro-batch
 mode.  Per-tuple execution (``Executor``), micro-batching, shared groups
-(``sharing.py``) and key-sharded workers (``shard.py``) all drive these same
-programs; none carries a private event-loop copy.
+(``sharing.py``: producers and members alike, a shared subtree being one
+more source leaf of the member's program) and key-sharded workers
+(``shard.py``) all run these programs on that driver; none carries a
+private event-loop copy.
 
 Because the program is a plain data object, it can also be *cross-checked*:
 the PRG6xx lint rules (``analysis/rules.py``) re-derive the expected step
@@ -25,8 +27,7 @@ from __future__ import annotations
 import dataclasses
 from typing import NamedTuple
 
-from ..operators.base import PhysicalOperator
-from ..operators.stateless import WindowOp
+from ..operators.stateless import PortOp, WindowOp
 
 #: The driver's step vocabulary, in execution order.
 STEP_KINDS = ("EXPIRE", "DISPATCH", "PROPAGATE", "PURGE", "DELIVER")
@@ -37,13 +38,14 @@ class DispatchPlan(NamedTuple):
 
     ``prefix`` is the maximal chain of stateless operators directly above
     the leaf that expose a :meth:`scalar_kernel` — inlined per tuple by the
-    batched arrival loop — and ``suffix`` is the remaining route, dispatched
-    through the generic (tracked) propagation path.  Fusing only reorders
-    *how* the same per-tuple work is expressed; outputs, state transitions
-    and counter charges are unchanged.
+    arrival closures — and ``suffix`` is the remaining route, run stage by
+    stage through ``process_batch``.  Fusing only reorders *how* the same
+    per-tuple work is expressed; outputs, state transitions and counter
+    charges are unchanged.  A shared port is a leaf too: it replays a list
+    per arrival, so its prefix is empty and its suffix is the whole route.
     """
 
-    leaf: WindowOp
+    leaf: WindowOp | PortOp
     prefix: tuple  # ((op, kind, arg), ...) from scalar_kernel()
     suffix: tuple  # ((parent, slot), ...) remaining route to the root
 
@@ -120,7 +122,8 @@ def build_program(compiled) -> ExecutionProgram:
             route = list(compiled.route_of(leaf))
             prefix = []
             split = 0
-            for parent, _slot in route:
+            # A port replays lists, not single tuples: nothing to inline.
+            for parent, _slot in (() if isinstance(leaf, PortOp) else route):
                 kernel = parent.scalar_kernel()
                 if kernel is None:
                     break
@@ -146,92 +149,3 @@ def build_program(compiled) -> ExecutionProgram:
                                expire_ops, lazy_ops, steps, layers)
     compiled.program = program
     return program
-
-
-# -- shared-group member programs -------------------------------------------
-#
-# A fused QueryGroup member's residual pipeline is driven by the same step
-# vocabulary, except that SharedScan cut points are replaced by *port
-# fan-out*: the producer runs its own program once per event and each
-# consumer replays the recorded delta into its PortOp.
-
-
-class OpStep:
-    """Expire one eagerly-maintained operator and propagate its deltas."""
-
-    __slots__ = ("op",)
-
-    def __init__(self, op: PhysicalOperator):
-        self.op = op
-
-
-class PortStep:
-    """Replay a shared producer's phase delta into a consumer port."""
-
-    __slots__ = ("producer", "port")
-
-    def __init__(self, producer, port):
-        self.producer = producer
-        self.port = port
-
-
-class LeafStep:
-    """Stamp and process an arrival at a private window leaf."""
-
-    __slots__ = ("leaf",)
-
-    def __init__(self, leaf):
-        self.leaf = leaf
-
-
-class MemberProgram:
-    """A fused member's residual program: port fan-out composed with the
-    member's own expiration/dispatch steps, all in bottom-up plan order."""
-
-    __slots__ = ("expire_steps", "dispatch_tables", "producers")
-
-    def __init__(self, expire_steps, dispatch_tables, producers):
-        self.expire_steps = expire_steps
-        #: stream name -> tuple[LeafStep | PortStep]
-        self.dispatch_tables = dispatch_tables
-        #: producers feeding this member, in plan walk order.
-        self.producers = producers
-
-
-def build_member_program(compiled, producer_for) -> MemberProgram:
-    """Compose a fused member's program from its residual pipeline.
-
-    ``producer_for`` maps a SharedScan plan node to its SharedProducer.
-    Walking the residual plan bottom-up (children before parents) yields,
-    in order: port fan-out steps at every cut point (expire replay +
-    per-stream dispatch replay), eager operators for the expire program,
-    and private window leaves for the dispatch tables — the residual-plan
-    image of the full plan's expiration/dispatch order.  Producers are
-    recorded once per SharedScan occurrence (refcount multiplicity).
-    """
-    from ..core.plan import SharedScan, WindowScan
-
-    expire_steps: list = []
-    dispatch_tables: dict[str, list] = {}
-    producers: list = []
-    expire_ids = {id(op) for op in compiled.expire_ops}
-    port_by_scan = {id(scan): port for scan, port in compiled.shared_ports}
-    for node in compiled.root.walk():
-        if isinstance(node, SharedScan):
-            producer = producer_for(node)
-            port = port_by_scan[id(node)]
-            producers.append(producer)
-            expire_steps.append(PortStep(producer, port))
-            for stream in producer.streams:
-                dispatch_tables.setdefault(stream, []).append(
-                    PortStep(producer, port))
-            continue
-        op = compiled.op_for(node)
-        if id(op) in expire_ids:
-            expire_steps.append(OpStep(op))
-        if isinstance(node, WindowScan):
-            dispatch_tables.setdefault(node.stream.name, []).append(
-                LeafStep(op))
-    tables = {stream: tuple(steps)
-              for stream, steps in dispatch_tables.items()}
-    return MemberProgram(tuple(expire_steps), tables, tuple(producers))

@@ -1196,8 +1196,8 @@ def run_group_sharded(group, events: Iterable[Event], *, shards: int,
             "shared groups fuse subplans across queries; run the members "
             "as an independent group to shard them",
         )
-    members = [(name, query.plan, query.config)
-               for name, query in group._queries.items()]
+    members = [(name, group[name].plan, group[name].config)
+               for name in group.names()]
     part = analyze_group_partitionability(members)
     if shards <= 1 or not part.shardable:
         reason = None if part.shardable else part.reason

@@ -1,13 +1,18 @@
-"""Shared-plan multi-query runtime: fingerprint, fuse, and fan out.
+"""Shared-plan multi-query runtime: fingerprint, fuse, record and replay.
 
 Section 5.1 observes that "operator state may be shared across similar
 queries".  This module turns a set of continuous queries into a *shared
-execution DAG*: structurally identical subplans (detected bottom-up via
-:mod:`repro.core.fingerprint`) collapse into one **shared producer** — a
-single compiled pipeline with one copy of window/operator state — whose
-output stream fans out to a :class:`~repro.operators.stateless.PortOp` in
-every consumer's *residual* pipeline.  Ten queries over the same window
-then pay one window.
+execution DAG*: structurally identical stateful subplans (detected
+bottom-up via :mod:`repro.core.fingerprint`) collapse into one **shared
+producer** — a single compiled pipeline with one copy of window/operator
+state — whose output stream every consumer's *residual* pipeline replays
+through a :class:`~repro.operators.stateless.PortOp` source leaf.  Ten
+queries over the same join then pay one join.
+
+There is no second event loop here: a producer is an ordinary compiled
+:class:`~repro.engine.driver.Driver` whose result view records instead of
+storing, every member — fused or private — runs its own driver, and an
+independent group is this runtime with zero producers.
 
 Exactness argument (see DESIGN.md, "Shared multi-query execution")
 ------------------------------------------------------------------
@@ -28,7 +33,7 @@ compiled independently.
   per-edge buffer choice (FIFO / partitioned / hash) is unchanged.
 * **The port observes the exact subtree output stream.**  A producer's
   root output — insertions *and* negative tuples — is recorded per event
-  phase and replayed into each consumer's port.  Predictable expirations
+  phase and replayed by each consumer's port.  Predictable expirations
   are, by design, not part of that stream (Definition 2); consumers learn
   them from ``exp`` timestamps exactly as they would below an un-shared
   subtree.  :class:`~repro.core.plan.SharedScan` preserves the subtree's
@@ -38,33 +43,27 @@ compiled independently.
 * **Per-event ordering is replayed, not approximated.**  Independent
   execution interleaves a query's expiration pass (bottom-up, each
   operator's emissions pushed to the root before the next expires) with
-  arrival dispatch (leaves in plan order).  The runtime compiles each
-  member into an *expiration program* and *dispatch program* that walk the
-  residual plan in the same bottom-up order, with a "replay producer
-  record here" slot exactly where the shared subtree sat.  The producer
-  itself runs once per event — expiration before dispatch, as in
-  tuple-at-a-time execution — the first time any consumer's program
-  reaches it; later consumers replay the recorded output.  Tuples are
-  immutable value objects, so fan-out shares them safely.
+  arrival dispatch (leaves in plan order).  The port sits at both
+  positions the subtree held in the member's own program: among the eager
+  expiration participants at its bottom-up walk position, and among the
+  leaves of every stream the subtree reads.  The driver closes every
+  expiration pass with ``view.purge(now)``, so a producer's recording view
+  splits one event's output at that call into its expire phase (keyed by
+  the clock) and its dispatch phase (one list per arrival); the member's
+  per-tuple closure or row batch loop then meets each record at exactly
+  the event that produced it.  A producer's state depends on no member, so
+  it runs a whole batch ahead of its consumers.  Tuples are immutable
+  value objects, so fan-out shares them safely.
 * **Fallback keeps sharing exactness-preserving.**  Subtrees containing
   R-/NRR-joins (relation updates mutate shared table objects) or
   count-based windows (per-executor sequence clocks), and queries whose
   configs differ, never fuse: they compile privately and run exactly as in
   an independent :class:`~repro.engine.multi.QueryGroup`.
-
-Micro-batch execution reuses PR 1's machinery: the runtime tracks one
-group-wide expiration boundary (the minimum ``next_expiry`` over every
-producer and residual pipeline, lowered by every tuple that flows during
-the batch) and runs the per-event expiration programs only when an event's
-clock reaches it — so expiration fires once per *shared node*, not once
-per query, and skipped passes are provably no-ops for every pipeline.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
-import time
 from collections import Counter as Multiset
 from typing import Iterable, Sequence
 
@@ -72,61 +71,51 @@ from ..core.annotate import annotate, explain, subtree_lag
 from ..core.fingerprint import fingerprint_all, shareable
 from ..core.metrics import Counters
 from ..core.plan import LogicalNode, SharedScan
-from ..errors import ExecutionError
-from ..streams.stream import Arrival, Event, RelationUpdate
+from ..operators.stateless import PortOp
+from ..streams.stream import Arrival, Event, Tick
 from .driver import Driver
-from .program import (
-    LeafStep,
-    MemberProgram,
-    OpStep,
-    build_member_program,
-    build_program,
-)
+from .program import build_program
 from .query import ContinuousQuery
-from .strategies import ExecutionConfig, compile_plan
-from .telemetry import MetricsRegistry
+from .strategies import _STATEFUL, ExecutionConfig, Mode, compile_plan
 from .views import ResultView
 
 #: Minimum number of consumers for a subtree to be worth a producer.
 MIN_CONSUMERS = 2
 
 
-class _SinkView(ResultView):
-    """No-op view for shared producers.
+class _RecordingView(ResultView):
+    """A producer's result view: records the output stream per event phase
+    instead of storing it (the consumers' views materialize it; storing it
+    again here would double both memory and the shared touch counts).
 
-    The producer's output is materialized by its *consumers* (each residual
-    pipeline has its own result view); storing it again at the producer
-    would double both memory and the shared touch counts.
+    The driver closes every expiration pass with ``purge(now)``: whatever
+    was delivered since the last cut is that clock's expire-phase output.
+    Passes with output happen at strictly increasing clocks — a pass at
+    ``now`` leaves no eager state with ``exp <= now``, and nothing
+    dispatched at ``now`` expires at ``now`` — so the clock identifies the
+    event.  Whatever follows, up to :meth:`cut`, is the dispatch phase.
     """
 
     def __init__(self):
         super().__init__(None)
+        #: ``(clock, tuples)`` per expiration pass with output, this batch.
+        self.expired: list = []
+        self._pending: list = []
 
-    def apply(self, t, now):
-        pass
+    def deliver(self, outputs, now, subscribers=()):
+        self._pending.extend(outputs)
 
     def purge(self, now):
-        pass
+        if self._pending:
+            self.expired.append((now, self.cut()))
 
-    def snapshot(self, now):
-        return Multiset()
+    def cut(self) -> list:
+        """Take everything delivered since the last cut."""
+        pending, self._pending = self._pending, []
+        return pending
 
     def __len__(self) -> int:
         return 0
-
-
-def _timed_pass(driver: Driver, run, *args) -> None:
-    """One boundary-crossing expiration replay of the batch loop, charged
-    to ``expiration_pass_seconds`` when the pipeline is armed.  This
-    runtime interprets the step library itself, so it times itself."""
-    registry = driver.compiled.telemetry
-    if registry is None:
-        run(*args)
-        return
-    start = time.perf_counter()
-    run(*args)
-    registry.timer("expiration_pass_seconds").add(
-        time.perf_counter() - start)
 
 
 def _config_key(config: ExecutionConfig) -> tuple:
@@ -135,7 +124,7 @@ def _config_key(config: ExecutionConfig) -> tuple:
 
 
 class SharedProducer:
-    """One compiled copy of a shared subtree, fanned out to its consumers."""
+    """One compiled copy of a shared subtree, replayed by its consumers."""
 
     def __init__(self, name: str, fingerprint: str, subtree: LogicalNode,
                  config: ExecutionConfig):
@@ -148,64 +137,49 @@ class SharedProducer:
         #: once, regardless of how many consumers fan out.
         self.counters = Counters()
         self.compiled = compile_plan(subtree, config, self.counters)
-        self.compiled.view = _SinkView()
-        # The producer runs the same compiled program the unified driver
-        # runs everywhere else; no façade is needed because the shared
-        # runtime owns run-level orchestration.
+        self._view = self.compiled.view = _RecordingView()
+        # The same compiled program and driver as everywhere else; no
+        # façade is needed because the group owns run-level orchestration.
         self.driver = Driver(self.compiled, build_program(self.compiled))
-        self._captured: list = []
-        self.driver.subscribe(self._capture)
-        #: Base streams the subtree reads — dispatch triggers on these.
+        #: Base streams the subtree reads — arrivals on these dispatch.
         self.streams = frozenset(
             leaf.stream.name for leaf in subtree.leaves())
-        #: Number of attached consumer ports (refcount; see detach()).
-        self.consumers = 0
-        self._expire_done = False
-        self._dispatch_done = False
-        self._expire_record: Sequence = ()
-        self._dispatch_record: Sequence = ()
+        #: One output list per arrival on :attr:`streams`, this batch.
+        self._arrived: list = []
+        #: Attached consumer ports (the refcount; see SharedRuntime.remove).
+        self.ports: list[PortOp] = []
 
-    def _capture(self, t, now) -> None:
-        self._captured.append(t)
+    @property
+    def consumers(self) -> int:
+        return len(self.ports)
 
-    # -- per-event protocol ------------------------------------------------
+    def attach(self, port: PortOp) -> None:
+        port.bind(self._view.expired, self._arrived)
+        self.ports.append(port)
 
-    def begin_event(self) -> None:
-        """Reset the once-per-event phase guards."""
-        self._expire_done = False
-        self._dispatch_done = False
-
-    def expire_delta(self, now: float) -> Sequence:
-        """Run the producer program's EXPIRE step at ``now`` (first caller
-        only) and return the recorded output delta for replay."""
-        if not self._expire_done:
-            self._expire_done = True
-            self._captured = []
-            driver = self.driver
-            driver.now = now
-            driver._expiration_pass(now)
-            self._expire_record = self._captured
-        return self._expire_record
-
-    def dispatch_delta(self, event: Arrival, now: float,
-                       tracked: bool = False) -> Sequence:
-        """Run the producer program's DISPATCH step for ``event`` (first
-        caller only) and return the recorded output for replay into
-        consumer ports."""
-        if not self._dispatch_done:
-            self._dispatch_done = True
-            self._captured = []
-            driver = self.driver
-            driver.now = now
-            driver._events_processed += 1
-            driver._tuples_arrived += 1
-            driver._dispatch_arrival(event, now, tracked=tracked)
-            self._dispatch_record = self._captured
-        return self._dispatch_record
-
-    def finish_event(self, now: float) -> None:
-        """Producer-side lazy maintenance (purges never change output)."""
-        self.driver._maybe_lazy_purge(now)
+    def run(self, events: Sequence[Event]) -> None:
+        """Record this batch's output for the ports to replay: the compiled
+        per-tuple closure per event, the view's cuts splitting each event
+        into ``(clock, expired)`` and one ``arrived`` list per arrival on
+        the subtree's streams."""
+        view = self._view
+        arrived = self._arrived
+        view.expired.clear()
+        arrived.clear()
+        for port in self.ports:
+            port.rewind()
+        process_event = self.driver.process_event
+        streams = self.streams
+        for event in events:
+            if isinstance(event, Arrival):
+                process_event(event)
+                if event.stream in streams:
+                    arrived.append(view.cut())
+            else:
+                # A shared subtree holds no relation join (``shareable``),
+                # so a RelationUpdate — dispatched by the members' own
+                # drivers — is pure time advancement here, like a Tick.
+                process_event(Tick(event.ts))
 
     def state_size(self) -> int:
         return self.compiled.state_size()
@@ -216,50 +190,39 @@ class SharedProducer:
 
 
 class _Member:
-    """One member query of a shared runtime."""
+    """One member query of a group runtime."""
 
-    def __init__(self, name: str, query: ContinuousQuery,
-                 original_plan: LogicalNode, fused: bool,
-                 program: MemberProgram | None = None):
+    def __init__(self, name: str, query: ContinuousQuery, links=()):
         self.name = name
         self.query = query
-        self.original_plan = original_plan
-        self.fused = fused
-        #: The member's residual program (see
-        #: :func:`repro.engine.program.build_member_program`): the
-        #: bottom-up interleave of own eager operators, private leaves and
-        #: producer port fan-out — the residual-plan image of the full
-        #: plan's expiration/dispatch order.  None for private members
-        #: (their Executor drives its own program).
-        self.program = program
+        #: ``(producer, port)`` per SharedScan of the residual plan, in
+        #: walk order; empty for a privately compiled member.
+        self.links: tuple = tuple(links)
+
+    @property
+    def fused(self) -> bool:
+        return bool(self.links)
 
     @property
     def producers(self) -> tuple:
         """Producers this member consumes (with multiplicity)."""
-        return self.program.producers if self.program is not None else ()
+        return tuple(producer for producer, _port in self.links)
 
 
 class SharedRuntime:
-    """Drives a fused QueryGroup: producers once, residuals per member.
+    """Drives a QueryGroup: producers record, then every member runs.
 
     Execution follows the independent :class:`QueryGroup` discipline —
-    members are processed in insertion order, each seeing [expiration pass;
-    event dispatch; lazy purge] per event — except that shared subtree work
-    runs once per event inside the producers and is replayed into every
-    consumer's port at the exact program position the subtree occupied.
+    members are processed in insertion order, each on its own compiled
+    driver — except that shared subtree work runs once, inside the
+    producers, and is replayed by every consumer's port at the exact
+    program positions the subtree occupied.  With no producers this *is*
+    independent execution.
     """
 
     def __init__(self):
         self._members: dict[str, _Member] = {}
         self._producers: dict[tuple, SharedProducer] = {}
-        self.now: float = -math.inf
-        self.events_processed = 0
-        self.tuples_arrived = 0
-        #: Group-level registry (``phase_seconds{phase=shared_batch}``: the
-        #: fused batch loop is one loop for all members, so its time
-        #: belongs to no single pipeline); None unless a fused member is
-        #: armed.
-        self.metrics: MetricsRegistry | None = None
 
     # -- membership --------------------------------------------------------
 
@@ -272,9 +235,9 @@ class SharedRuntime:
     def producers(self) -> list[SharedProducer]:
         return list(self._producers.values())
 
-    def add_private(self, name: str, plan: LogicalNode,
-                    config: ExecutionConfig | None) -> ContinuousQuery:
-        """Attach a privately compiled query (post-seal / mid-run adds).
+    def add(self, name: str, query: ContinuousQuery,
+            links=()) -> ContinuousQuery:
+        """Register a compiled member; without ``links`` it runs privately.
 
         Sharing is established when the group is sealed; late arrivals run
         privately because attaching them to an already-warm producer would
@@ -283,17 +246,16 @@ class SharedRuntime:
         """
         if name in self._members:
             raise KeyError(f"query name {name!r} already registered")
-        query = ContinuousQuery(plan, config)
-        self._members[name] = _Member(name, query, plan, fused=False)
+        self._members[name] = _Member(name, query, links)
         return query
 
     def remove(self, name: str) -> None:
         """Refcount-safe detach: producer buffers are freed only when the
         last consumer leaves."""
         member = self._members.pop(name)
-        for producer in member.producers:
-            producer.consumers -= 1
-            if producer.consumers <= 0:
+        for producer, port in member.links:
+            producer.ports.remove(port)
+            if not producer.ports:
                 self._producers.pop(
                     (_config_key(producer.config), producer.fingerprint),
                     None)
@@ -301,167 +263,19 @@ class SharedRuntime:
     # -- execution ---------------------------------------------------------
 
     def process_event(self, event: Event) -> None:
-        now = event.ts
-        if now < self.now:
-            raise ExecutionError(
-                f"out-of-order event: ts {now} after clock {self.now} "
-                "(the model assumes non-decreasing timestamps, Section 2)"
-            )
-        self.now = now
-        self.events_processed += 1
-        if isinstance(event, Arrival):
-            self.tuples_arrived += 1
-        producers = self._producers.values()
-        for producer in producers:
-            producer.begin_event()
+        """Per-tuple step: a batch of one for the producers."""
+        for producer in self._producers.values():
+            producer.run((event,))
         for member in self._members.values():
-            if member.fused:
-                driver = member.query.executor.driver
-                driver.now = now
-                driver._events_processed += 1
-                self._member_expire(member, now)
-                self._member_dispatch(member, event, now)
-            else:
-                member.query.executor.process_event(event)
-        for producer in producers:
-            producer.finish_event(now)
+            member.query.executor.process_event(event)
 
     def process_batch(self, events: Sequence[Event]) -> None:
-        """Micro-batch path: one amortized expiration schedule shared by
-        every producer and fused residual (PR 1's boundary machinery)."""
-        if not events:
-            return
-        fused = [m for m in self._members.values() if m.fused]
-        private = [m for m in self._members.values() if not m.fused]
-        producers = list(self._producers.values())
-        if not fused:
-            # Nothing is shared: fall through to the members' own batched
-            # executors (identical to independent grouped batching).
-            private_only = True
-        else:
-            private_only = False
-            start = time.perf_counter()
-            boundary = self._recompute_boundary(fused, producers)
-            for event in events:
-                now = event.ts
-                if now < self.now:
-                    raise ExecutionError(
-                        f"out-of-order event: ts {now} after clock "
-                        f"{self.now} (the model assumes non-decreasing "
-                        "timestamps, Section 2)"
-                    )
-                self.now = now
-                self.events_processed += 1
-                if isinstance(event, Arrival):
-                    self.tuples_arrived += 1
-                for producer in producers:
-                    producer.begin_event()
-                if now >= boundary:
-                    # Boundary crossed: run the full per-event expiration
-                    # programs at this event's clock (identical to the
-                    # per-tuple trigger), then re-anchor on surviving state.
-                    # Producers first, so each pass is timed on its own:
-                    # their state depends on no member, and members replay
-                    # the recorded delta at the subtree's position.
-                    for producer in producers:
-                        _timed_pass(producer.driver, producer.expire_delta,
-                                    now)
-                    for member in fused:
-                        driver = member.query.executor.driver
-                        driver.now = now
-                        _timed_pass(driver, self._member_expire, member, now)
-                    boundary = self._recompute_boundary(fused, producers)
-                for member in fused:
-                    driver = member.query.executor.driver
-                    driver.now = now
-                    driver._events_processed += 1
-                    self._member_dispatch(member, event, now, tracked=True)
-                for producer in producers:
-                    producer.finish_event(now)
-                # Tracked propagation only ever lowers the per-pipeline
-                # boundaries, so the group boundary is their minimum.
-                for member in fused:
-                    candidate = member.query.executor.driver._next_expiry
-                    if candidate < boundary:
-                        boundary = candidate
-                for producer in producers:
-                    candidate = producer.driver._next_expiry
-                    if candidate < boundary:
-                        boundary = candidate
-            for member in fused:
-                # One amortized view purge per batch (timestamp purging
-                # emits no output; snapshots filter by liveness).
-                member.query.executor.compiled.view.purge(self.now)
-            if self.metrics is not None:
-                self.metrics.timer("phase_seconds", phase="shared_batch").add(
-                    time.perf_counter() - start)
-        for member in private:
+        """Micro-batch step: each driver amortizes its own expiration
+        schedule; a port's boundary is its producer's next recorded clock."""
+        for producer in self._producers.values():
+            producer.run(events)
+        for member in self._members.values():
             member.query.executor.process_batch(events)
-        if private_only:
-            last = events[-1].ts
-            if last >= self.now:
-                self.now = last
-            self.events_processed += len(events)
-            self.tuples_arrived += sum(
-                1 for e in events if isinstance(e, Arrival))
-
-    def _recompute_boundary(self, fused: list, producers: list) -> float:
-        boundary = math.inf
-        for producer in producers:
-            driver = producer.driver
-            driver._next_expiry = driver._compute_next_expiry()
-            if driver._next_expiry < boundary:
-                boundary = driver._next_expiry
-        for member in fused:
-            driver = member.query.executor.driver
-            driver._next_expiry = driver._compute_next_expiry()
-            if driver._next_expiry < boundary:
-                boundary = driver._next_expiry
-        return boundary
-
-    def _member_expire(self, member: _Member, now: float) -> None:
-        """Replay the full plan's bottom-up expiration pass: own eager
-        operators in residual-walk order, producer deltas fanned into the
-        port at the exact position the shared subtree occupied."""
-        driver = member.query.executor.driver
-        for step in member.program.expire_steps:
-            if type(step) is OpStep:
-                op = step.op
-                outputs = op.expire(now)
-                driver._propagate(op, outputs, now)
-            else:  # PortStep
-                deltas = step.producer.expire_delta(now)
-                if deltas:
-                    driver._propagate(step.port, list(deltas), now)
-        driver.compiled.view.purge(now)
-
-    def _member_dispatch(self, member: _Member, event: Event, now: float,
-                         tracked: bool = False) -> None:
-        driver = member.query.executor.driver
-        if isinstance(event, Arrival):
-            driver._tuples_arrived += 1
-            propagate = (driver._propagate_tracked if tracked
-                         else driver._propagate)
-            steps = member.program.dispatch_tables.get(event.stream)
-            if steps:
-                for step in steps:
-                    if type(step) is LeafStep:
-                        # Same stamping contract as Driver._dispatch_arrival:
-                        # ``now`` is the stamping-domain clock (fused members
-                        # are always time-domain; count windows stay private).
-                        leaf = step.leaf
-                        stamped = leaf.stamp(event.values, now, now)
-                        outputs = leaf.process(0, stamped, now)
-                        propagate(leaf, outputs, now)
-                    else:  # PortStep
-                        outs = step.producer.dispatch_delta(
-                            event, now, tracked=tracked)
-                        if outs:
-                            propagate(step.port, list(outs), now)
-        elif isinstance(event, RelationUpdate):
-            driver._dispatch_relation_update(event, now, tracked=tracked)
-        # Tick: the clock already advanced; expiration did the work.
-        driver._maybe_lazy_purge(now)
 
     # -- introspection -----------------------------------------------------
 
@@ -506,10 +320,14 @@ def build_shared_runtime(
         min_consumers: int = MIN_CONSUMERS) -> SharedRuntime:
     """Plan and compile the shared runtime for a group of queries.
 
-    Three passes pick *maximal* shared subtrees without leaving
-    single-consumer producers behind:
+    Section 5.1 shares operator *state*, so a subtree is a candidate only
+    if it can hold some: windows are materialized under NT, and otherwise
+    it must contain a stateful operator — a producer for a bare window
+    scan or a ``σ/π`` over one under DIRECT / UPA would save no touch and
+    cost a producer step per event.  Three passes then pick *maximal*
+    shared subtrees without leaving single-consumer producers behind:
 
-    1. count every shareable subtree occurrence per config class;
+    1. count every candidate subtree occurrence per config class;
     2. simulate top-down cuts at subtrees with ≥ ``min_consumers``
        occurrences and re-count what actually gets cut (occurrences hidden
        inside larger cuts no longer count);
@@ -521,18 +339,26 @@ def build_shared_runtime(
     entries = [(name, plan, config if config is not None
                 else ExecutionConfig()) for name, plan, config in entries]
 
-    # Per-plan fingerprints and shareability, cached by node id.
+    # Per-plan fingerprints and candidacy, cached by node id.  walk() is
+    # bottom-up, so a node's children are classified before it.
     plan_fps: list[dict[int, str]] = []
     plan_shareable: list[dict[int, bool]] = []
-    for _name, plan, _config in entries:
-        fps = fingerprint_all(plan)
-        plan_fps.append(fps)
+    for _name, plan, config in entries:
+        plan_fps.append(fingerprint_all(plan))
+        stateful: dict[int, bool] = {}
         share: dict[int, bool] = {}
         for node in plan.walk():
-            share[id(node)] = shareable(node)
+            stateful[id(node)] = (
+                config.mode is Mode.NT or isinstance(node, _STATEFUL)
+                or any(stateful[id(child)] for child in node.children))
+            share[id(node)] = stateful[id(node)] and shareable(node)
         plan_shareable.append(share)
 
     def count_cuts(eligible) -> Multiset:
+        """Occurrences per (config, fingerprint): of *every* candidate
+        subtree when ``eligible`` is None (pass 1), else of the cuts a
+        top-down rewrite at ``eligible`` would make (a cut hides its
+        subtree)."""
         counts: Multiset = Multiset()
 
         def visit(node, fps, share, cfg_key):
@@ -540,14 +366,9 @@ def build_shared_runtime(
             if share[id(node)] and (eligible is None or key in eligible):
                 counts[key] += 1
                 if eligible is not None:
-                    return  # a cut hides its subtree
-            if eligible is None:
-                # pass 1: raw occurrence counts of *every* subtree
-                for child in node.children:
-                    visit(child, fps, share, cfg_key)
-            else:
-                for child in node.children:
-                    visit(child, fps, share, cfg_key)
+                    return
+            for child in node.children:
+                visit(child, fps, share, cfg_key)
 
         for index, (_name, plan, config) in enumerate(entries):
             visit(plan, plan_fps[index], plan_shareable[index],
@@ -579,7 +400,6 @@ def build_shared_runtime(
                     producer = SharedProducer(f"S{producer_seq}", fp, node,
                                               config)
                     runtime._producers[key] = producer
-                producer.consumers += 1
                 producer_of_fp[fp] = producer
                 subtree = producer.plan
                 return SharedScan(
@@ -596,16 +416,10 @@ def build_shared_runtime(
                 return node
             return node.with_children(children)
 
-        residual = rewrite(plan)
-        if residual is plan:  # no cuts: plain private member
-            runtime.add_private(name, plan, config)
-            continue
-        query = ContinuousQuery(residual, config)
-        program = build_member_program(
-            query.compiled,
-            lambda node, _by_fp=producer_of_fp: _by_fp[node.fingerprint])
-        runtime._members[name] = _Member(
-            name, query, plan, fused=True, program=program)
-        if config.telemetry and runtime.metrics is None:
-            runtime.metrics = MetricsRegistry()
+        query = ContinuousQuery(rewrite(plan), config)
+        links = [(producer_of_fp[scan.fingerprint], port)
+                 for scan, port in query.compiled.shared_ports]
+        for producer, port in links:
+            producer.attach(port)
+        runtime.add(name, query, links)
     return runtime

@@ -117,11 +117,11 @@ class ExecutionConfig:
     #: are byte-identical to unchecked runs.
     checked: bool = False
     #: Telemetry (CLI ``--metrics-out``): compile the pipeline with a
-    #: :class:`~repro.engine.telemetry.MetricsRegistry` and install the
-    #: executor's instrumented paths (per-operator timing spans, queue-depth
-    #: gauges, periodic state sampling).  Observation only — answers, output
-    #: streams and the legacy counters are byte-identical either way, and
-    #: with the default ``False`` the hot path carries no telemetry code.
+    #: :class:`~repro.engine.telemetry.MetricsRegistry`; the batch loops
+    #: then time their own phases per batch and sample state periodically
+    #: (see :mod:`repro.engine.driver`, "Instrumentation").  Observation
+    #: only — armed and unarmed runs take the same loops and closures, and
+    #: answers, output streams and counters are byte-identical either way.
     telemetry: bool = False
 
     def __post_init__(self) -> None:
@@ -185,9 +185,11 @@ class CompiledQuery:
         self.counters = counters
         self.ops: dict[int, PhysicalOperator] = {}  # id(logical) -> physical
         self.routes: dict[int, list[tuple[PhysicalOperator, int]]] = {}
-        self.leaf_bindings: dict[str, list[WindowOp]] = {}
-        #: (SharedScan, PortOp) pairs, in plan walk order — the shared group
-        #: executor delivers producer output here.
+        #: stream -> its source leaves, in plan walk order (window leaves,
+        #: and the port of every shared subtree that reads the stream).
+        self.leaf_bindings: dict[str, list[WindowOp | PortOp]] = {}
+        #: (SharedScan, PortOp) pairs, in plan walk order — the sharing
+        #: planner binds each port to its producer's record.
         self.shared_ports: list[tuple[SharedScan, PortOp]] = []
         self.relation_bindings: dict[str, list[RelationJoinOp]] = {}
         self.relations: dict[str, object] = {}  # name -> Relation | NRR
@@ -427,11 +429,17 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
                     f"{node.describe()}[window]", nt_style)
 
     elif isinstance(node, SharedScan):
-        # Fan-in port for a shared producer's output stream; transparent
-        # (no counters, no clock) so per-query attribution matches what
-        # the residual operators alone cost under independent execution.
+        # Source leaf replaying a shared producer's output stream at the
+        # two positions the subtree held: an eager participant here in the
+        # bottom-up walk, and the arrival leaf of every stream it reads.
+        # Transparent (no counters, no clock), so per-query attribution
+        # matches what the residual operators alone cost independently.
         op = PortOp(node.schema, counters)
         compiled.shared_ports.append((node, op))
+        compiled.expire_ops.append(op)
+        for name in dict.fromkeys(
+                leaf.stream.name for leaf in node.source_leaves()):
+            compiled.leaf_bindings.setdefault(name, []).append(op)
 
     elif isinstance(node, Select):
         op = SelectOp(node.schema, node.predicate.fn, counters,

@@ -1,7 +1,7 @@
 """Physical operators for continuous query plans (Sections 2.1, 4.1, 5.3)."""
 
 from .aggregates import Aggregate, make_aggregate
-from .base import PhysicalOperator, propagate
+from .base import PhysicalOperator
 from .dupelim import DupElimDeltaOp, DupElimStandardOp
 from .groupby import GroupByOp
 from .join import IntersectOp, JoinOp
@@ -13,7 +13,6 @@ __all__ = [
     "Aggregate",
     "make_aggregate",
     "PhysicalOperator",
-    "propagate",
     "DupElimDeltaOp",
     "DupElimStandardOp",
     "GroupByOp",

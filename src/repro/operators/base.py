@@ -175,17 +175,3 @@ class PhysicalOperator:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(schema={list(self.schema.fields)})"
-
-
-def propagate(operators: Sequence[tuple[PhysicalOperator, int]],
-              outputs: list[Tuple], now: float) -> list[Tuple]:
-    """Push ``outputs`` through a chain of (operator, input_index) pairs.
-
-    Used to route an event from the operator that produced it to the plan
-    root.  Returns whatever survives at the end of the chain.
-    """
-    for op, input_index in operators:
-        if not outputs:
-            return []
-        outputs = op.process_batch(input_index, outputs, now)
-    return outputs

@@ -16,6 +16,7 @@ under the direct approach it stores nothing.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from ..buffers.fifo import FifoBuffer
@@ -23,6 +24,8 @@ from ..core.metrics import Counters
 from ..core.tuples import Schema, Tuple
 from ..streams.window import CountWindow, TimeWindow, WindowSpec
 from .base import PhysicalOperator
+
+_INF = math.inf
 
 
 class SelectOp(PhysicalOperator):
@@ -121,22 +124,58 @@ class UnionOp(PhysicalOperator):
 
 
 class PortOp(PhysicalOperator):
-    """Transparent fan-in leaf for a shared subplan's output stream.
+    """Source leaf replaying a shared subplan's recorded output stream.
 
-    A :class:`~repro.core.plan.SharedScan` compiles to a ``PortOp``: the
-    shared group executor delivers the producer's recorded output (positive
-    and negative tuples) here, and propagation continues up the consumer's
-    residual pipeline.  In independent execution no such operator exists —
-    the subtree's root feeds its parent directly — so the port charges *no*
+    A :class:`~repro.core.plan.SharedScan` compiles to a ``PortOp`` bound
+    (:meth:`bind`) to the two logs its producer records per batch: the
+    expire-phase outputs as ``(clock, tuples)`` pairs and one output list
+    per arrival on the subtree's streams.  The consumer's own driver
+    replays them at the two positions the subtree held — :meth:`expire` as
+    an eager participant of the expiration pass, :meth:`pull` as the
+    arrival leaf of every stream the subtree reads — each through a
+    private cursor.  In independent execution no such operator exists — the
+    subtree's root feeds its parent directly — so the port charges *no*
     counters and keeps no clock: per-query counter attribution stays equal
     to what the residual operators alone would cost.
     """
 
-    def process(self, input_index: int, t: Tuple, now: float) -> list[Tuple]:
-        return [t]
+    def __init__(self, schema: Schema, counters: Counters | None = None):
+        super().__init__(schema, counters)
+        self._expired: list = []
+        self._arrived: list = []
+        self._e = self._a = 0
 
-    def process_batch(self, input_index: int, tuples, now: float) -> list[Tuple]:
-        return list(tuples)
+    def bind(self, expired: list, arrived: list) -> None:
+        """Read the producer's logs (the producer clears them in place
+        per batch and rewinds its ports)."""
+        self._expired = expired
+        self._arrived = arrived
+        self.rewind()
+
+    def rewind(self) -> None:
+        """A new batch was recorded: both cursors restart."""
+        self._e = self._a = 0
+
+    def expire(self, now: float) -> list[Tuple]:
+        """The producer's expire-phase output at clock ``now`` (a copy:
+        every consumer replays the same record)."""
+        log = self._expired
+        i = self._e
+        if i < len(log) and log[i][0] <= now:
+            self._e = i + 1
+            return list(log[i][1])
+        return []
+
+    def next_expiry(self, now: float) -> float:
+        """Exact: the clock of the next recorded expire-phase output."""
+        log = self._expired
+        return log[self._e][0] if self._e < len(log) else _INF
+
+    def pull(self) -> list[Tuple]:
+        """The producer's output for the next arrival on its streams."""
+        i = self._a
+        self._a = i + 1
+        return self._arrived[i]
 
     def __repr__(self) -> str:
         return f"PortOp(schema={list(self.schema.fields)})"

@@ -5,9 +5,9 @@ dispatch implementation in the engine, shared by per-tuple, batched,
 shared, and sharded execution — is pinned here by source inspection and
 by structural checks on :class:`~repro.engine.program.ExecutionProgram`:
 
-* ``executor.py`` is a façade: it defines no event-loop step methods and
-  no timed ``_*_timed`` duplicate family (the pre-refactor executor
-  carried both).
+* ``executor.py`` is a façade and ``sharing.py`` an orchestrator: neither
+  defines or calls an event-loop step method, and there is no timed
+  ``_*_timed`` duplicate family (the pre-refactor executor carried both).
 * ``Driver`` defines exactly one implementation of each step.
 * ``build_program`` covers every leaf-binding stream with a dispatch
   table whose fused prefix + suffix reconstructs the resolved route.
@@ -34,6 +34,7 @@ from repro import (
 )
 from repro.engine import driver as driver_module
 from repro.engine import executor as executor_module
+from repro.engine import sharing as sharing_module
 from repro.engine.driver import Driver
 from repro.engine.program import (
     STEP_KINDS,
@@ -62,8 +63,7 @@ class TestSingleImplementation:
     def test_executor_module_has_no_event_loop(self):
         source = inspect.getsource(executor_module)
         for step in ("_propagate", "_expiration_pass", "_dispatch_arrival",
-                     "_propagate_route", "_maybe_lazy_purge",
-                     "_dispatch_relation_update"):
+                     "_maybe_lazy_purge", "_dispatch_relation_update"):
             assert f"def {step}" not in source, (
                 f"executor.py must not define {step}; the single "
                 f"implementation lives on Driver")
@@ -81,8 +81,16 @@ class TestSingleImplementation:
     def test_driver_defines_each_step_exactly_once(self):
         source = inspect.getsource(Driver)
         for step in ("_propagate", "_expiration_pass", "_dispatch_arrival",
-                     "_propagate_route", "_maybe_lazy_purge"):
+                     "_maybe_lazy_purge"):
             assert source.count(f"def {step}(") == 1
+        # ... one propagate, with no boundary-tracking twin ...
+        assert source.count("def _propagate") == 1
+        # ... and sharing.py, like executor.py, neither defines nor calls
+        # a step: producers and members run compiled drivers.
+        sharing = inspect.getsource(sharing_module)
+        for step in ("_propagate", "_expiration_pass", "_dispatch_arrival",
+                     "_maybe_lazy_purge", "_dispatch_relation_update"):
+            assert step not in sharing
 
     @pytest.mark.parametrize("telemetry", [False, True])
     def test_driver_keeps_key_sharing_instance_dict(self, telemetry):

@@ -7,12 +7,24 @@ strategies, micro-batching, and dynamic membership changes — while
 actually collapsing common subplans into single producers.
 """
 
-from collections import Counter as Multiset
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import Arrival, ContinuousQuery, ExecutionConfig, Mode, QueryGroup
+from repro import (
+    NRR,
+    Arrival,
+    ContinuousQuery,
+    ExecutionConfig,
+    Mode,
+    QueryGroup,
+    Relation,
+    RelationUpdate,
+    Schema,
+    StreamDef,
+    Tick,
+    TimeWindow,
+    from_window,
+)
 from repro.workloads.queries import (
     query1,
     query2,
@@ -39,6 +51,9 @@ FACTORIES = {
 }
 #: Negation-free subset (the direct approach rejects STR plans).
 DIRECT_OK = ["q1_ftp", "q1_telnet", "q2", "q2_pairs", "q4"]
+#: Counters that do not depend on the expiration schedule.
+STRUCTURAL = ("inserts", "deletes", "expirations", "tuples_processed",
+              "negatives_processed", "results_produced")
 
 
 def trace(n=400, seed=11):
@@ -81,16 +96,26 @@ class TestEquivalence:
         pool = DIRECT_OK if mode is Mode.DIRECT else list(FACTORIES)
         names = data.draw(st.lists(st.sampled_from(pool),
                                    min_size=2, max_size=5))
-        batch = data.draw(st.sampled_from([None, 64]))
+        batch = data.draw(st.sampled_from([None, 7, 64]))
         window = data.draw(st.sampled_from([15.0, 40.0]))
         events = trace(350)
         ind, sh, streams = run_both(names, mode, events, batch, window)
         assert sh.answers() == ind.answers()
-        if batch is None:
-            # Per-event execution replays the exact output stream, negative
-            # tuples included.  (Batched independent execution is already
-            # pinned to per-event outputs by PR 1's equivalence tests.)
-            assert streams["sh"] == streams["ind"]
+        # Every member replays the exact output stream, negative tuples
+        # included, per-tuple and batched alike.
+        assert streams["sh"] == streams["ind"]
+        # independent = residual + Σ producers, per member: the structural
+        # counters always, touches and probes when nothing is amortized.
+        fields = STRUCTURAL + (("touches", "probes") if batch is None else ())
+        runtime = sh._seal()
+        for member_name in ind.names():
+            member = runtime.member(member_name)
+            alone = ind[member_name].counters.snapshot()
+            parts = [member.query.counters.snapshot()] + [
+                p.counters.snapshot() for p in member.producers]
+            for field in fields:
+                assert sum(part[field] for part in parts) == alone[field], (
+                    member_name, field)
 
     @pytest.mark.parametrize("mode", [Mode.NT, Mode.UPA])
     def test_counter_decomposition_is_exact(self, mode):
@@ -125,6 +150,170 @@ class TestEquivalence:
         _, sh_batched, _ = run_both(names, Mode.NT, events, batch=64)
         assert sh_plain.answers() == sh_batched.answers()
 
+    @pytest.mark.parametrize("batch", [None, 7])
+    @pytest.mark.parametrize("table,mode", [
+        (Relation, Mode.NT), (Relation, Mode.UPA),
+        (NRR, Mode.DIRECT), (NRR, Mode.UPA)])
+    def test_relation_join_above_a_shared_subtree(self, table, mode, batch):
+        """Relation joins never fuse, but the δ below them does: a
+        RelationUpdate is dispatched by each member's own driver and only
+        advances time in the producer."""
+        events = []
+        ts = 0.0
+        for i in range(80):
+            ts += 1.0
+            events.append(Arrival(ts, "s", (i % 4,)))
+            if i % 7 == 3:
+                events.append(RelationUpdate(
+                    ts, "r", "delete" if i % 14 == 3 else "insert",
+                    (1, "one")))
+            if i % 11 == 5:
+                ts += 3.0
+                events.append(Tick(ts))
+
+        def run(shared):
+            group = QueryGroup(shared=shared)
+            streams = {}
+            for name in ("one", "uno"):
+                # One table object per member: updates mutate it.
+                rel = table("r", Schema(["k", "m"]), [(1, "one"), (2, name)])
+                source = from_window(
+                    StreamDef("s", Schema(["v"]), TimeWindow(10))).distinct()
+                join = (source.join_relation if table is Relation
+                        else source.join_nrr)
+                group.add(name, join(rel, on="v", rel_on="k").build(),
+                          ExecutionConfig(mode=mode))
+            for name in group.names():
+                sink = streams[name] = []
+                group[name].subscribe(
+                    lambda t, now, sink=sink: sink.append(
+                        (t.values, t.ts, t.exp, t.sign)))
+            group.run(events, batch=batch)
+            return group, streams
+
+        ind, ind_streams = run(False)
+        sh, sh_streams = run(True)
+        assert [p.consumers for p in sh._seal().producers()] == [2]
+        assert sh_streams == ind_streams
+        assert sh.answers() == ind.answers()
+
+
+class TestOneEventLoop:
+    """Fused groups run on the compiled driver; a port is a source leaf."""
+
+    NAMES = ["q2", "q4", "q3", "q1_ftp", "q1_ftp"]
+
+    @pytest.mark.parametrize("batch", [None, 64])
+    def test_shared_run_never_enters_the_interpreter(self, batch,
+                                                     monkeypatch):
+        from repro.engine.driver import Driver
+
+        def interpreter(*_args, **_kwargs):
+            raise AssertionError("reference loop entered on a group run")
+
+        for step in ("process_event", "_expiration_pass",
+                     "_dispatch_arrival"):
+            monkeypatch.setattr(Driver, step, interpreter)
+        sh = build_group(True, self.NAMES, Mode.UPA)
+        ind = build_group(False, self.NAMES, Mode.UPA)
+        sh.run(trace(300), batch=batch)
+        ind.run(trace(300), batch=batch)
+        assert sh.answers() == ind.answers()
+        runtime = sh._seal()
+        fused = [runtime.member(n) for n in sh.names()
+                 if runtime.member(n).fused]
+        assert len(fused) >= 4 and sh.shared_producers()
+        for member in fused:
+            driver = member.query.executor.driver
+            assert driver.process_event is driver._fast_event
+            assert driver.batch_loop().startswith("row loop: shared port")
+
+    def test_reference_loop_replays_a_fused_member(self):
+        """``Driver.process_event(driver, e)`` stays the test reference:
+        it learns the port leaf too, counters and all."""
+        from repro.engine.driver import Driver
+
+        events = trace(300)
+        fast = build_group(True, ["q2", "q4"], Mode.UPA)
+        fast.run(events)
+        slow = build_group(True, ["q2", "q4"], Mode.UPA)
+        runtime = slow._seal()
+        for event in events:
+            for producer in runtime.producers():
+                producer.run((event,))
+            for name in slow.names():
+                Driver.process_event(slow[name].executor.driver, event)
+        assert slow.answers() == fast.answers()
+        for name in fast.names():
+            assert slow[name].counters.snapshot() == \
+                fast[name].counters.snapshot()
+
+    def test_port_replays_through_cursors(self):
+        from repro import Schema
+        from repro.core.metrics import Counters
+        from repro.core.tuples import Tuple
+        from repro.operators.stateless import PortOp
+
+        port = PortOp(Schema(["v"]), Counters())
+        assert port.next_expiry(0.0) == float("inf")
+        assert port.expire(5.0) == []
+        a, b, c = (Tuple((i,), float(i), float(i) + 10.0) for i in range(3))
+        expired, arrived = [(3.0, [a.negate()]), (7.0, [b.negate()])], \
+            [[a], [], [b, c]]
+        port.bind(expired, arrived)
+        assert port.next_expiry(0.0) == 3.0
+        assert port.expire(2.0) == []           # not due yet
+        got = port.expire(3.0)
+        assert got == [a.negate()] and got is not expired[0][1]  # a copy
+        assert port.next_expiry(3.0) == 7.0
+        assert port.expire(3.0) == []           # one record per clock
+        assert port.expire(9.0) == [b.negate()]
+        assert port.next_expiry(9.0) == float("inf")
+        assert [port.pull(), port.pull(), port.pull()] == arrived
+        # The producer clears both logs in place per batch and rewinds.
+        expired[:] = [(11.0, [c.negate()])]
+        arrived[:] = [[c]]
+        port.rewind()
+        assert port.next_expiry(9.0) == 11.0
+        assert port.pull() == [c]
+        assert port.expire(11.0) == [c.negate()]
+        # Transparent: independent execution has no such operator.
+        assert not any(port.counters.snapshot().values())
+        assert port.clock == float("-inf")
+
+    @pytest.mark.parametrize("flag", ["checked", "telemetry"])
+    @pytest.mark.parametrize("batch", [None, 16])
+    def test_fused_group_lints_clean_when_armed(self, flag, batch):
+        gen = TrafficTraceGenerator(TrafficConfig(seed=11))
+        config = ExecutionConfig(mode=Mode.UPA, **{flag: True})
+        plain = ExecutionConfig(mode=Mode.UPA)
+        armed, bare = QueryGroup(shared=True), QueryGroup(shared=True)
+        for group, cfg in ((armed, config), (bare, plain)):
+            for name in ("q2", "q4", "q3", "q3"):
+                group.add(f"{name}_{len(group)}", FACTORIES[name](gen, 30.0),
+                          cfg)
+        events = trace(300)
+        result = armed.run(events, batch=batch)  # verify_drain + flush
+        bare.run(events, batch=batch)
+        assert armed.answers() == bare.answers()
+        assert armed.shared_producers()
+        runtime = armed._seal()
+        assert all(runtime.member(name).fused for name in armed.names())
+        for name in armed.names():
+            assert "-- lint: clean" in armed[name].explain()
+            assert armed[name].counters.snapshot() == \
+                bare[name].counters.snapshot()
+        if flag == "telemetry":
+            merged = result.metrics()
+            assert merged.find("op_expire_seconds", query=armed.names()[0])
+            assert any("producer" in inst.labels for inst in merged)
+            for producer in armed.shared_producers():
+                registry = producer.compiled.telemetry
+                assert registry.value("events_processed") == len(events)
+        else:
+            for producer in armed.shared_producers():
+                assert producer.compiled.sanitizer is not None
+
 
 class TestSharingActuallyShares:
     def test_identical_plans_fuse_into_one_producer(self):
@@ -134,10 +323,30 @@ class TestSharingActuallyShares:
         assert producers[0].consumers == 3
 
     def test_window_scans_fuse_across_different_queries(self):
-        # q2 and q4 both read link0/link1; q4 and q3 share window scans.
+        # Distinct plans, one common stateful subtree: q2 and q4 both sit
+        # on δ(π_src link0).  (Bare window scans hold no state under UPA
+        # and get no producer; see test_only_state_is_shared.)
         group = build_group(True, ["q2", "q4", "q3"], Mode.UPA)
         group.run(trace(100))
-        assert group.shared_producers()  # at least the link windows fused
+        assert [p.plan.describe() for p in group.shared_producers()] \
+            == ["DupElim"]
+
+    @pytest.mark.parametrize("mode,expected", [
+        (Mode.UPA, 0), (Mode.DIRECT, 0), (Mode.NT, 1)])
+    def test_only_state_is_shared(self, mode, expected):
+        """Section 5.1 shares operator *state*: a σ over a window stores
+        nothing under DIRECT / UPA (no producer), but NT materializes it."""
+        from repro import Schema, StreamDef, TimeWindow, attr_equals, \
+            from_window
+
+        clicks = StreamDef("clicks", Schema(["user", "action"]),
+                           TimeWindow(10))
+        views = from_window(clicks).where(attr_equals("action", "view"))
+        group = QueryGroup(shared=True)
+        group.add("events", views.build(), ExecutionConfig(mode=mode))
+        group.add("users", views.project("user").build(),
+                  ExecutionConfig(mode=mode))
+        assert len(group.shared_producers()) == expected
 
     def test_different_configs_never_fuse(self):
         gen = TrafficTraceGenerator(TrafficConfig(seed=11))
