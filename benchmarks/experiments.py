@@ -123,19 +123,25 @@ def e6_query5_rewritings() -> list[Measurement]:
 
 
 def e7_partition_sweep(window: float = 400) -> list[Measurement]:
-    """Figure 15: effect of the number of partitions (Query 1, telnet)."""
+    """Figure 15: effect of the number of partitions (Query 4 under UPA).
+
+    Query 4, not Query 1 telnet: Query 1's only partitioned buffer was its
+    result view, and a UPA bag ⋈ bag root now answers from join state
+    (``JoinStateView``).  Query 4 keeps partitioned buffers on both sides
+    — the join's WK inputs and the δ ⋈ δ view (see EXPERIMENTS.md, E7).
+    """
     gen = make_generator()
     events = trace_for(window)
     results: list[Measurement] = []
     for n_partitions in (1, 2, 5, 10, 20, 50):
-        plan = query1(gen, window, "telnet")
+        plan = query4(gen, window)
         m = run_once(plan, events,
                      ExecutionConfig(mode=Mode.UPA,
                                      n_partitions=n_partitions),
                      "UPA", window)
         m.window = n_partitions  # row key is the partition count here
         results.append(m)
-    print_table(f"E7 / Fig 15 — Query 1 (telnet), W={window}, "
+    print_table(f"E7 / Fig 15 — Query 4 (UPA), W={window}, "
                 "time vs number of partitions", results,
                 row_key="partitions")
     return results

@@ -145,8 +145,7 @@ class StateBuffer(abc.ABC):
         counters.probes += 1
         bucket = self._bucket(key)
         out = [t for t in bucket if t.exp > now]
-        counters.touches += (len(bucket) if isinstance(bucket, (list, tuple))
-                             else sum(1 for _ in bucket))
+        counters.touches += len(bucket)
         return out
 
     def probe_all(self, key: Hashable) -> list[Tuple]:

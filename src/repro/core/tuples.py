@@ -226,6 +226,6 @@ def join_tuples(left: Tuple, right: Tuple, now: float) -> Tuple:
     return Tuple(
         left.values + right.values,
         now,
-        min(left.exp, right.exp),
+        left.exp if left.exp < right.exp else right.exp,
         left.sign * right.sign,
     )

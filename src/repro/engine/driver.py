@@ -161,6 +161,7 @@ class Driver:
         self._events_processed = 0
         self._tuples_arrived = 0
         self._subscribers: list = []
+        compiled.view.bind(self._subscribers)
         span = compiled.max_span
         interval = compiled.config.lazy_interval
         if interval is None and span is not None:

@@ -93,6 +93,7 @@ class ContinuousQuery:
                 f"\n-- lint: {report.summary()}"
                 f"\n-- bounds: {certificate.summary()}"
                 f"\n-- metrics: {metrics_note}"
+                f"\n-- view: {self.compiled.view_note}"
                 f"\n-- columnar: {self.executor.driver.batch_loop()}"
                 f"\n-- program: {self.executor.program.describe()}")
 

@@ -64,7 +64,8 @@ from ..operators.stateless import (PortOp, ProjectOp, SelectOp, UnionOp,
                                    WindowOp)
 from ..streams.window import CountWindow, TimeWindow
 from .telemetry import MetricsRegistry
-from .views import AppendView, BufferView, GroupView, ResultView
+from .views import (AppendView, BufferView, GroupView, JoinStateView,
+                    ResultView)
 
 
 class Mode(str, enum.Enum):
@@ -196,6 +197,7 @@ class CompiledQuery:
         self.expire_ops: list[PhysicalOperator] = []  # bottom-up order
         self.lazy_ops: list[PhysicalOperator] = []
         self.view: ResultView = AppendView(counters)
+        self.view_note = ""  # which view and why: the ``-- view:`` footer
         self.time_domain = "time"
         self.count_stream: str | None = None
         self.max_span: float | None = None
@@ -616,43 +618,60 @@ def _build_view(root: LogicalNode, compiled: CompiledQuery,
                 hybrid: bool) -> None:
     counters = compiled.counters
     pattern = annotated.output_pattern
+    mode = config.mode
+    why = f"{pattern} root"
+
+    def chose(view: ResultView, note: str) -> None:
+        compiled.view, compiled.view_note = view, note
 
     if isinstance(root, GroupBy):
-        compiled.view = GroupView(len(root.keys), counters)
-        return
+        return chose(GroupView(len(root.keys), counters),
+                     "groups (group-by root)")
     if isinstance(root, SharedScan) and root.group_keys is not None:
         # A whole-plan share whose subtree is a group-by: the producer
         # replays replacement-keyed group results, so the consumer's view
         # must be a group view too.
-        compiled.view = GroupView(root.group_keys, counters)
-        return
+        return chose(GroupView(root.group_keys, counters),
+                     "groups (shared group-by)")
     if pattern is MONOTONIC:
-        compiled.view = AppendView(counters)
-        return
+        return chose(AppendView(counters), "append (monotonic root)")
+    if (mode is Mode.UPA and pattern in (WKS, WK)
+            and type(compiled.op_for(root)) is JoinOp):
+        # The join's indexed, exp-stamped state already is the answer; a
+        # stored view pays only where it cannot outgrow that state: both
+        # inputs (a shared subtree: its source) unique on the join key.
+        if not all(isinstance(getattr(child, "source", child), DupElim)
+                   and child.schema.fields == (attr,)
+                   for child, attr in ((root.left, root.left_attr),
+                                       (root.right, root.right_attr))):
+            return chose(JoinStateView(compiled.op_for(root), counters),
+                         f"join state (UPA, {pattern} root, bag inputs)")
+        why = "key-unique inputs"
 
     # Only the hash view looks results up by key (negatives find their
     # victims there).  The timestamp-purged views delete by bisecting or
     # scanning on ``exp``; a (values, exp) index on them is never read.
-    mode = config.mode
     purges = True
     buffer: StateBuffer
     if mode is Mode.NT or (mode is Mode.UPA and pattern is STR
                            and config.resolved_str_storage() == STR_NEGATIVE):
         buffer, purges = HashBuffer(deletion_key, counters), False
+        note = "hash (negatives delete by key)"
     elif mode is Mode.DIRECT:
-        buffer = ListBuffer(None, counters)
+        buffer, note = ListBuffer(None, counters), "list (DIRECT)"
     elif pattern is WKS:
-        buffer = FifoBuffer(None, counters)
+        buffer, note = FifoBuffer(None, counters), "fifo (WKS root)"
     elif compiled.max_span is None:
         # allow_unbounded_state runs: nothing expires, a list view suffices.
-        compiled.view = BufferView(ListBuffer(None, counters),
-                                   purges=False, counters=counters)
-        return
+        return chose(BufferView(ListBuffer(None, counters), purges=False,
+                                counters=counters),
+                     "list (no window: nothing expires)")
     else:
         buffer = PartitionedBuffer(compiled.max_span, config.n_partitions,
                                    None, counters)
+        note = f"partitioned ({why})"
     if compiled.sanitizer is not None:
         # Checked execution: monitor the view's buffer like operator state.
         buffer = compiled.sanitizer.wrap_buffer(
             buffer, pattern, "result-view", not purges)
-    compiled.view = BufferView(buffer, purges, counters)
+    chose(BufferView(buffer, purges, counters), note)

@@ -354,6 +354,7 @@ class DriverMetrics:
         self._total = registry.gauge("state_tuples_total")
         self._peak = registry.gauge("state_tuples_peak")
         self._trajectory = registry.histogram("state_tuples")
+        #: *Stored* results: 0 for a join-state view (answers enumerate it).
         self._view_size = registry.gauge("view_results")
         self._view_peak = registry.gauge("view_results_peak")
 

@@ -17,7 +17,9 @@ results live in a :class:`GroupStore` keyed by group.
 
 from __future__ import annotations
 
-from collections import Counter as Multiset
+import gc
+# ``_count_elements`` is the C loop behind ``Counter.update``.
+from collections import Counter as Multiset, _count_elements
 from typing import Any
 
 from ..buffers.base import StateBuffer
@@ -56,6 +58,9 @@ class ResultView:
             apply(t, now)
             for callback in subscribers:
                 callback(t, now)
+
+    def bind(self, subscribers: list) -> None:
+        """The driver hands over its (identity-stable) subscriber list."""
 
     def purge(self, now: float) -> None:
         """Drop results whose expiration timestamps have passed."""
@@ -113,6 +118,61 @@ class BufferView(ResultView):
 
     def __repr__(self) -> str:
         return f"BufferView({self._buffer!r}, purges={self.purges})"
+
+
+class JoinStateView(ResultView):
+    """The view of a UPA plan rooted at a window join, stored nowhere.
+
+    A result's ``exp`` is the minimum of its constituents' (Section 2.2)
+    and a WKS/WK edge carries no negative tuple (Section 3.1), so
+    Definition 2's view at ``now`` is exactly the pairs of stored,
+    same-key, live tuples of the join's two hash-indexed inputs.
+    :meth:`snapshot` enumerates them; nothing is installed or purged, and
+    while no subscriber listens the join builds no result at all
+    (:attr:`~repro.operators.join.JoinOp.readers`).  Exactness argument
+    and break-even read rate: DESIGN.md.
+    """
+
+    def __init__(self, join, counters: Counters | None = None):
+        super().__init__(counters)
+        self._join = join
+        left, right = join.buffers
+        # Checked execution wraps buffers in monitors; the index is inner.
+        self._left = getattr(left, "inner", left)._index
+        self._right = getattr(right, "inner", right)._index
+
+    def bind(self, subscribers: list) -> None:
+        self._join.readers = subscribers
+
+    def apply(self, t: Tuple, now: float) -> None:
+        pass  # DELIVER is the subscriber callbacks alone
+
+    def purge(self, now: float) -> None:
+        pass  # the join purges its own state, lazily; snapshots filter
+
+    def snapshot(self, now: float) -> Multiset:
+        right = self._right
+        # Thousands of fresh value tuples trip a young collection every
+        # 700 allocations and none is garbage: pause the collector until
+        # they are counted (1.4 -> 1.1 ms on a 5.8 k-pair answer).  On a
+        # 50-pair answer per-key temporaries cost +30 %, ``Counter()``'s
+        # Python frames +7 %: one comprehension into the C counting loop.
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            out = Multiset.__new__(Multiset)
+            _count_elements(out, [
+                a.values + b.values
+                for key, bucket in self._left.items() if key in right
+                for a in bucket if a.exp > now
+                for b in right[key] if b.exp > now])
+            return out
+        finally:
+            if was:
+                gc.enable()
+
+    def __len__(self) -> int:
+        return 0  # stored results: none
 
 
 class AppendView(ResultView):

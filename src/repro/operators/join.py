@@ -28,6 +28,11 @@ from .base import PhysicalOperator
 class JoinOp(PhysicalOperator):
     """Binary equi-join over two windowed inputs."""
 
+    #: Who reads the results: the next stage (any truthy value) or, under a
+    #: :class:`~repro.engine.views.JoinStateView`, the driver's subscriber
+    #: list — while it is empty, arrivals insert, probe and count only.
+    readers: object = True
+
     def __init__(self, schema: Schema, left_key: int, right_key: int,
                  left_buffer: StateBuffer, right_buffer: StateBuffer,
                  counters: Counters | None = None):
@@ -52,8 +57,9 @@ class JoinOp(PhysicalOperator):
             own.insert(t)
             positive = t
             matches = other.probe(key, now)
+        self.counters.results_produced += 0 if t.is_negative else len(matches)
         out: list[Tuple] = []
-        for match in matches:
+        for match in matches if self.readers else ():
             if input_index == 0:
                 result = join_tuples(positive, match, now)
             else:
@@ -61,9 +67,6 @@ class JoinOp(PhysicalOperator):
             if t.is_negative:
                 result = result.negate()
             out.append(result)
-        self.counters.results_produced += len(
-            [r for r in out if not r.is_negative]
-        )
         return out
 
     def process_batch(self, input_index: int, tuples, now: float) -> list[Tuple]:
@@ -89,6 +92,14 @@ class JoinOp(PhysicalOperator):
         out: list[Tuple] = []
         positives_out = 0
         counters.tuples_processed += len(tuples)
+        if not self.readers:
+            # Only a join-state view unbinds the default, and its WKS/WK
+            # inputs carry no negative tuple: store, probe and count.
+            for t in tuples:
+                own_insert(t)
+                positives_out += len(probe(t.values[key_index], now))
+            counters.results_produced += positives_out
+            return out
         for t in tuples:
             key = t.values[key_index]
             if t.is_negative:
@@ -204,7 +215,5 @@ class IntersectOp(JoinOp):
             exp = min(t.exp, match.exp)
             result = Tuple(t.values, now, exp)
             out.append(result.negate() if sign_flip else result)
-        self.counters.results_produced += len(
-            [r for r in out if not r.is_negative]
-        )
+        self.counters.results_produced += 0 if sign_flip else len(out)
         return out

@@ -25,6 +25,8 @@ from repro import (
     TimeWindow,
     from_window,
 )
+from repro.core.plan import SharedScan
+from repro.engine.views import JoinStateView
 from repro.workloads.queries import (
     query1,
     query2,
@@ -86,6 +88,29 @@ def run_both(names, mode, events, batch=None, window=30.0):
     return ind, sh, streams
 
 
+def stored_view_term(member, alone):
+    """What a shared member charges for *storing* a view its independent
+    twin answers from join state (``JoinStateView``: UPA, bag ⋈ bag root).
+
+    Only a whole-plan share is in that position — its join lives in the
+    producer, its own plan is one transparent port, so every count it
+    charges is its partitioned view's: one insert per result the producer
+    made, and their later expirations and touches.  Any other member has
+    the same view kind on both sides and the term is zero.
+    """
+    view, twin = member.query.compiled.view, alone.compiled.view
+    if isinstance(view, JoinStateView) or not isinstance(twin, JoinStateView):
+        return dict.fromkeys(alone.counters.snapshot(), 0)
+    assert isinstance(member.query.plan, SharedScan)
+    term = member.query.counters.snapshot()
+    assert term["inserts"] == sum(
+        p.counters.results_produced for p in member.producers)
+    assert term["expirations"] <= term["inserts"]
+    assert not (term["deletes"] or term["probes"] or term["tuples_processed"]
+                or term["results_produced"])
+    return term
+
+
 class TestEquivalence:
     """shared == independent == single-query, E1–E5 × strategies."""
 
@@ -104,31 +129,43 @@ class TestEquivalence:
         # Every member replays the exact output stream, negative tuples
         # included, per-tuple and batched alike.
         assert streams["sh"] == streams["ind"]
-        # independent = residual + Σ producers, per member: the structural
-        # counters always, touches and probes when nothing is amortized.
+        # independent + stored view = residual + Σ producers, per member:
+        # the structural counters always, touches and probes when nothing
+        # is amortized.
         fields = STRUCTURAL + (("touches", "probes") if batch is None else ())
         runtime = sh._seal()
         for member_name in ind.names():
             member = runtime.member(member_name)
             alone = ind[member_name].counters.snapshot()
+            view = stored_view_term(member, ind[member_name])
             parts = [member.query.counters.snapshot()] + [
                 p.counters.snapshot() for p in member.producers]
             for field in fields:
-                assert sum(part[field] for part in parts) == alone[field], (
-                    member_name, field)
+                assert sum(part[field] for part in parts) \
+                    == alone[field] + view[field], (member_name, field)
 
     @pytest.mark.parametrize("mode", [Mode.NT, Mode.UPA])
     def test_counter_decomposition_is_exact(self, mode):
-        """independent touches == residual touches + consumed producers'."""
-        names = ["q1_ftp", "q1_ftp", "q2", "q3", "q4", "q5_up"]
+        """independent touches (+ the stored view's, where the twin's view
+        is virtual) == residual touches + consumed producers'."""
+        names = ["q1_ftp", "q1_ftp", "q1_telnet", "q1_telnet", "q2", "q3",
+                 "q4", "q5_up"]
         events = trace(400)
         ind, sh, _ = run_both(names, mode, events)
         runtime = sh._seal()
+        virtual = 0
         for member_name in ind.names():
             member = runtime.member(member_name)
+            view = stored_view_term(member, ind[member_name])
+            virtual += bool(view["inserts"])
             recomposed = member.query.counters.touches + sum(
                 p.counters.touches for p in member.producers)
-            assert recomposed == ind[member_name].counters.touches
+            assert recomposed \
+                == ind[member_name].counters.touches + view["touches"]
+        # The whole-plan-shared Query 1 members are the case with a term
+        # (ftp joins nothing on this trace; q4's δ ⋈ δ stores its view on
+        # both sides).
+        assert virtual == (2 if mode is Mode.UPA else 0)
 
     def test_single_query_is_the_independent_member(self):
         """An independent group member is literally a single standalone

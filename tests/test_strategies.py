@@ -4,16 +4,21 @@ import pytest
 
 from repro import (
     AggregateSpec,
+    Arrival,
+    ContinuousQuery,
     Counters,
     DupElim,
     ExecutionConfig,
     GroupBy,
+    Intersect,
     Join,
     Mode,
     Negation,
     NRR,
     NRRJoin,
     PlanError,
+    Relation,
+    RelationJoin,
     Schema,
     Select,
     StreamDef,
@@ -22,9 +27,11 @@ from repro import (
     attr_equals,
     compile_plan,
 )
+from repro.analysis.bounds import attach_certificate, validate_certificate
 from repro.buffers import FifoBuffer, HashBuffer, ListBuffer, PartitionedBuffer
 from repro.engine.strategies import STR_NEGATIVE, STR_PARTITIONED
-from repro.engine.views import AppendView, BufferView, GroupView
+from repro.engine.views import (AppendView, BufferView, GroupView,
+                                JoinStateView)
 from repro.operators import (
     DupElimDeltaOp,
     DupElimStandardOp,
@@ -42,6 +49,11 @@ def scan(name="s0", window=10):
 
 def join_plan():
     return Join(scan("s0"), scan("s1"), "v", "v")
+
+
+def delta_join_plan():
+    """δ ⋈ δ on the key: both inputs unique on the join attribute."""
+    return Join(DupElim(scan("s0")), DupElim(scan("s1")), "v", "v")
 
 
 class TestBufferChoices:
@@ -153,8 +165,85 @@ class TestViewChoices:
         assert isinstance(compiled.view.buffer, FifoBuffer)
 
     def test_upa_wk_output_partitioned_view(self):
-        compiled = compile_plan(join_plan(), ExecutionConfig(mode=Mode.UPA))
-        assert isinstance(compiled.view.buffer, PartitionedBuffer)
+        for plan in (DupElim(scan()), delta_join_plan()):
+            compiled = compile_plan(plan, ExecutionConfig(mode=Mode.UPA))
+            assert isinstance(compiled.view.buffer, PartitionedBuffer)
+
+    #: The whole rule: which root gets which view, and what explain says.
+    #: ``None`` as the buffer kind means the join-state view (no storage).
+    RULES = [
+        ("bag ⋈ bag", join_plan, dict(mode=Mode.UPA), None,
+         "join state (UPA, WK root, bag inputs)"),
+        ("δ ⋈ bag", lambda: Join(DupElim(scan("s0")), scan("s1"), "v", "v"),
+         dict(mode=Mode.UPA), None, "join state (UPA, WK root, bag inputs)"),
+        ("δ ⋈ δ on part of the schema",
+         lambda: Join(
+             DupElim(WindowScan(StreamDef("s0", Schema(["v", "w"]),
+                                          TimeWindow(10)))),
+             DupElim(scan("s1")), "v", "v"),
+         dict(mode=Mode.UPA), None, "join state (UPA, WK root, bag inputs)"),
+        ("join over a join", lambda: Join(join_plan(), scan("s2"), "l_v", "v"),
+         dict(mode=Mode.UPA), None, "join state (UPA, WK root, bag inputs)"),
+        ("δ ⋈ δ on the key", delta_join_plan, dict(mode=Mode.UPA),
+         PartitionedBuffer, "partitioned (key-unique inputs)"),
+        ("join over an STR input",
+         lambda: Join(Negation(scan("s0"), scan("s1"), "v"), scan("s2"),
+                      "v", "v"),
+         dict(mode=Mode.UPA, str_storage=STR_PARTITIONED),
+         PartitionedBuffer, "partitioned (STR root)"),
+        ("join over an STR input, hybrid",
+         lambda: Join(Negation(scan("s0"), scan("s1"), "v"), scan("s2"),
+                      "v", "v"),
+         dict(mode=Mode.UPA, str_storage=STR_NEGATIVE),
+         HashBuffer, "hash (negatives delete by key)"),
+        ("intersect", lambda: Intersect(scan("s0"), scan("s1")),
+         dict(mode=Mode.UPA), PartitionedBuffer, "partitioned (WK root)"),
+        ("R-join",
+         lambda: RelationJoin(scan(), Relation("r", Schema(["k"]), [(1,)]),
+                              "v", "k"),
+         dict(mode=Mode.UPA), PartitionedBuffer, "partitioned (STR root)"),
+        ("NRR-join",
+         lambda: NRRJoin(scan(), NRR("n", Schema(["k"]), [(1,)]), "v", "k"),
+         dict(mode=Mode.UPA), FifoBuffer, "fifo (WKS root)"),
+        ("bag ⋈ bag, DIRECT", join_plan, dict(mode=Mode.DIRECT), ListBuffer,
+         "list (DIRECT)"),
+        ("bag ⋈ bag, NT", join_plan, dict(mode=Mode.NT), HashBuffer,
+         "hash (negatives delete by key)"),
+    ]
+
+    @pytest.mark.parametrize("checked", [False, True])
+    @pytest.mark.parametrize("label,plan,config,kind,note", RULES,
+                             ids=[rule[0] for rule in RULES])
+    def test_view_rule_table(self, label, plan, config, kind, note, checked):
+        query = ContinuousQuery(plan(),
+                                ExecutionConfig(checked=checked, **config))
+        view = query.compiled.view
+        assert f"\n-- view: {note}\n" in query.explain()
+        if kind is None:
+            assert isinstance(view, JoinStateView)
+            assert not any(entry.label == "result-view" for entry in
+                           attach_certificate(query.compiled).entries)
+        else:
+            assert isinstance(view, BufferView)
+            assert isinstance(getattr(view.buffer, "inner", view.buffer),
+                              kind)
+
+    @pytest.mark.parametrize("batch", [None, 4])
+    def test_join_state_view_stores_nothing_and_passes_the_monitors(
+            self, batch):
+        """Checked run over a bag ⋈ bag root: the answer is read off the
+        join's state, ``len(view)`` stays 0, and the certificate and drain
+        checks (``Executor.run`` calls both) pass without a view entry."""
+        query = ContinuousQuery(
+            join_plan(), ExecutionConfig(mode=Mode.UPA, checked=True))
+        events = [Arrival(float(ts), f"s{ts % 2}", (ts % 3,))
+                  for ts in range(1, 40)]
+        result = query.run(events, batch=batch)
+        assert len(query.compiled.view) == 0
+        assert sum(query.answer().values()) > 0
+        assert result.counters.results_produced > 0
+        assert validate_certificate(query.compiled) > 0
+        query.compiled.sanitizer.verify_drain()
 
     def test_upa_str_partitioned_vs_negative_views(self):
         plan = Negation(scan("s0"), scan("s1"), "v")
@@ -182,7 +271,7 @@ class TestViewChoices:
         unindexed = [
             (join_plan(), dict(mode=Mode.DIRECT), ListBuffer),
             (wks, dict(mode=Mode.UPA), FifoBuffer),
-            (join_plan(), dict(mode=Mode.UPA), PartitionedBuffer),
+            (delta_join_plan(), dict(mode=Mode.UPA), PartitionedBuffer),
             (negation, dict(mode=Mode.UPA, str_storage=STR_PARTITIONED),
              PartitionedBuffer),
         ]
