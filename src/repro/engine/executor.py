@@ -22,15 +22,51 @@ from __future__ import annotations
 
 import time
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..analysis.bounds import attach_certificate, validate_certificate
 from ..analysis.sanitizer import verify_drain
-from ..errors import ExecutionError
+from ..errors import ConfigError, ExecutionError
 from ..streams.stream import Event
 from .driver import Driver
 from .program import build_program
 from .strategies import CompiledQuery
+
+#: ``shard_backend`` values (see :mod:`repro.engine.shard`).
+SHARD_BACKENDS = ("serial", "process")
+
+
+def check_run_args(batch: int | None = None, shards: int | None = None,
+                   shard_backend: str = "process") -> None:
+    """The one validation every run entry point shares (queries, groups
+    and their sharded forms): ``batch`` and ``shards`` are None or >= 1 and
+    the backend is known, whether or not this run shards."""
+    if batch is not None and batch < 1:
+        raise ConfigError(
+            f"batch must be >= 1 (None or 1 is tuple-at-a-time), got {batch}")
+    if shards is not None and shards < 1:
+        raise ConfigError(
+            f"shards must be >= 1 (None or 1 is unsharded), got {shards}")
+    if shard_backend not in SHARD_BACKENDS:
+        raise ConfigError(
+            f"unknown shard backend {shard_backend!r} "
+            f"(valid: {SHARD_BACKENDS})")
+
+
+def _chunked(events: Iterable[Event], size: int) -> Iterator[list[Event]]:
+    """``events`` in lists of at most ``size``, the last one shorter."""
+    if type(events) is list:
+        # Traces usually arrive as lists already: slice directly instead of
+        # re-materializing every chunk through an iterator + islice copy.
+        for start in range(0, len(events), size):
+            yield events[start:start + size]
+        return
+    iterator = iter(events)
+    while True:
+        chunk = list(islice(iterator, size))
+        if not chunk:
+            return
+        yield chunk
 
 
 class RunResult:
@@ -175,30 +211,24 @@ class Executor:
         ``fallback_reason`` explains why.  Answers and per-instant output
         multisets are identical to unsharded execution.
         """
+        check_run_args(batch, shards, shard_backend)
         driver = self.driver
         if shards is not None and shards > 1:
-            from .shard import ShardedExecutor, ShardedRunResult
-            from ..core.sharding import analyze_partitionability
+            from .shard import ShardedExecutor
 
             if on_event is not None:
                 raise ExecutionError(
                     "on_event callbacks observe per-event executor state and "
                     "are not supported with sharded execution")
-            part = analyze_partitionability(self.compiled.root)
-            if not part.shardable:
-                # Clean fallback: run unsharded on this very pipeline so the
-                # executor object stays the live one, and record the reason.
-                result = self.run(events, batch=batch)
-                return ShardedRunResult.fallback(result, part.reason, part)
-            if driver._events_processed:
+            # This pipeline stays the live one when the plan cannot shard:
+            # the sharded executor falls back onto it, subscribers included.
+            sharded = ShardedExecutor(
+                self.compiled.root, self.compiled.config,
+                shards=shards, backend=shard_backend, inline=self)
+            if sharded.partitionability.shardable and driver._events_processed:
                 raise ExecutionError(
                     "sharded execution needs a fresh pipeline; this executor "
                     "has already processed events")
-            sharded = ShardedExecutor(
-                self.compiled.root, self.compiled.config,
-                shards=shards, backend=shard_backend)
-            for callback in driver._subscribers:
-                sharded.subscribe(callback)
             return sharded.run(events, batch=batch)
         start = time.perf_counter()
         if batch is None or batch <= 1:
@@ -224,11 +254,7 @@ class Executor:
                     driver.sample_state()
         else:
             process_batch = driver.process_batch
-            iterator = iter(events)
-            while True:
-                chunk = list(islice(iterator, batch))
-                if not chunk:
-                    break
+            for chunk in _chunked(events, batch):
                 process_batch(chunk)
                 if on_event is not None:
                     for event in chunk:

@@ -28,25 +28,16 @@ freed only when its last consumer leaves.
 from __future__ import annotations
 
 import time
-from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..analysis.sanitizer import verify_drain
 from ..core.metrics import Counters
 from ..core.plan import LogicalNode
 from ..streams.stream import Arrival, Event
+from .executor import _chunked, check_run_args
 from .query import ContinuousQuery
 from .sharing import SharedRuntime, build_shared_runtime
 from .strategies import ExecutionConfig
-
-
-def _chunked(events: Iterable[Event], size: int) -> Iterator[list[Event]]:
-    iterator = iter(events)
-    while True:
-        chunk = list(islice(iterator, size))
-        if not chunk:
-            return
-        yield chunk
 
 
 class QueryGroup:
@@ -156,11 +147,13 @@ class QueryGroup:
 
         ``shards=k`` (k > 1) runs the whole member set as ``k`` key-routed
         replicas (see :mod:`repro.engine.shard`): each shard holds one
-        pipeline per member and arrivals are routed once by the combined
-        per-stream keys.  Shared groups and groups with unshardable (or
+        pipeline per member, arrivals are routed once by the combined
+        per-stream keys, and a member's subscribers receive its merged
+        output stream.  Shared groups and groups with unshardable (or
         key-conflicting) members fall back to the ordinary lockstep run,
         with the reason recorded on the result.
         """
+        check_run_args(batch, shards, shard_backend)
         if shards is not None and shards > 1:
             from .shard import run_group_sharded
 
@@ -178,8 +171,6 @@ class QueryGroup:
                 if isinstance(event, Arrival):
                     arrivals += 1
         else:
-            if batch < 1:
-                raise ValueError(f"batch size must be >= 1, got {batch}")
             for chunk in _chunked(events, batch):
                 runtime.process_batch(chunk)
                 n += len(chunk)

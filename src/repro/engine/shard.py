@@ -1,45 +1,52 @@
-"""Key-sharded parallel execution: router, deterministic merger, backends.
+"""Key-sharded parallel execution: replicas, router, merger, two backends.
 
 The partitionability analysis (:mod:`repro.core.sharding`) proves that for
-a keyed plan, routing every arrival by a hash of its shard key splits the
-workload into ``k`` *independent* replicas of the compiled pipeline: no
+keyed plans, routing every arrival by a hash of its shard key splits the
+workload into ``k`` *independent* copies of the compiled pipelines: no
 stored tuple in shard ``i`` can ever join with, cancel, or deduplicate
-against a tuple in shard ``j``.  This module turns that proof into an
-executor:
+against a tuple in shard ``j``.  That proof is per key and the paper's
+update-pattern argument is per pipeline; neither cares how many pipelines
+a shard holds.  So the unit of sharded execution is a **replica** —
+``[(name, Driver), …]`` compiled from ``members = [(name, plan, config),
+…]`` — and a single query (one member) and an independent
+:class:`~repro.engine.multi.QueryGroup` (n members) run through the same
+router, backends, worker protocol, transport and parent loop
+(:func:`_run_replicas`).  :class:`ShardedExecutor` and
+:func:`run_group_sharded` only shape results.
 
 * :class:`ShardRouter` — assigns each :class:`Arrival` to
   ``stable_hash(key) % k``.  The hash is :func:`zlib.crc32` over ``repr``
   of the key, *not* Python's ``hash()``, which is seed-randomized across
   processes and would break worker/parent agreement and run-to-run
-  determinism.
+  determinism.  A group routes once, by its members' combined keys.
 * **Tick broadcast** — every shard sees the *full* global event timeline:
   an arrival routed elsewhere is demoted to a :class:`Tick` carrying the
   same timestamp.  This keeps all shard clocks in lockstep with the
   unsharded executor, so eager-expiration passes, negative-tuple emission
   times, and the lazy-purge grid (anchored at the first event's clock) fire
   at exactly the clocks they would unsharded.
-* :class:`_Merger` — merges per-shard output streams deterministically by
-  ``(now, shard, shard-local sequence)``.  Event-clock order is globally
-  correct; *within* one instant the canonical shard-major order replaces
-  the unsharded emission interleaving, and the per-instant output multiset
-  is identical to unsharded execution (DESIGN.md gives the argument; the
-  hypothesis suite in ``tests/test_sharded.py`` checks it).  Streaming is
-  preserved by a holdback rule: after each routed chunk, every output with
-  ``now`` strictly below the chunk's last timestamp is final and flushed —
-  making the merged stream invariant under chunk size and backend.
-* Two backends — :class:`_SerialShards` runs the ``k`` pipelines in-process
-  (exactness testing, counter decomposition, zero IPC), and
-  :class:`_ProcessShards` forks one worker per shard and ships micro-batch
-  chunks over pipes using compact tuple encodings (``Tuple`` forbids
-  ``__setattr__`` and so cannot round-trip through default slot-restoring
-  pickle; compact tuples are also smaller and faster).  Workers are built
-  by *fork inheritance* — plans may close over lambdas, which never need to
-  be pickled because the 'fork' start method copies them into the child.
+* :class:`_Merger` — one per member with subscribers: merges that member's
+  per-shard output streams deterministically by ``(now, shard, shard-local
+  sequence)``.  Event-clock order is globally correct; *within* one instant
+  the canonical shard-major order replaces the unsharded emission
+  interleaving, and the per-instant output multiset is identical to
+  unsharded execution (DESIGN.md gives the argument; the hypothesis suite
+  in ``tests/test_sharded.py`` checks it).  Streaming is preserved by a
+  holdback rule: after each routed chunk, every output with ``now``
+  strictly below the chunk's last timestamp is final and flushed — making
+  the merged stream invariant under chunk size and backend.
+* Two backends over one :class:`_Replica` class — :class:`_SerialShards`
+  runs the ``k`` replicas in-process (the exactness reference: counter
+  decomposition, zero IPC), and :class:`_ProcessShards` forks one worker
+  per shard, fed over a fused shared-memory transport with a pickle-pipe
+  fallback.  Workers are built by *fork inheritance* — plans may close
+  over lambdas, which never need to be pickled because the 'fork' start
+  method copies them into the child.
 
-Exactness vs. unsharded execution (checked by tests, argued in DESIGN.md):
-answers, per-instant output multisets, and view snapshots are identical;
-counters decompose exactly (unsharded total = Σ shard totals) for the
-structural counters (inserts, deletes, expirations, probes,
+Exactness vs. unsharded execution, per member (checked by tests, argued in
+DESIGN.md): answers, per-instant output multisets, and view snapshots are
+identical; counters decompose exactly (unsharded total = Σ shard totals)
+for the structural counters (inserts, deletes, expirations, probes,
 tuples_processed, negatives_processed, results_produced).  ``touches`` also
 decomposes exactly in tuple-at-a-time mode under NT and DIRECT; under UPA
 the partitioned buffer's ``log2(partition length)`` bisect charge depends
@@ -47,10 +54,11 @@ on per-shard occupancy, and in micro-batch mode the per-shard expiration
 *boundaries* differ from the global one, so scan charges shift — the
 speedup measured by benchmark E13 is exactly this removed work.
 
-Plans the analysis rejects (count windows, relation joins, shared scans,
-keyless aggregation) **fall back** to ordinary unsharded execution; the
-returned result records the reason, and ``explain()`` carries the same
-note.
+Member sets the analysis rejects (count windows, relation joins, shared
+scans, keyless aggregation, two members keying one stream differently),
+shared groups and ``shards=1`` **fall back** to ordinary unsharded
+execution; the returned result records the reason, and ``explain()``
+carries the same note.
 """
 
 from __future__ import annotations
@@ -60,8 +68,7 @@ import multiprocessing
 import os
 import time
 from collections import Counter as Multiset
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ..core.metrics import Counters
 from ..core.plan import LogicalNode
@@ -74,44 +81,31 @@ from ..core.tuples import Tuple
 from ..errors import ExecutionError
 from ..streams.stream import Arrival, Event, RelationUpdate, Tick
 from ..analysis.sanitizer import verify_drain
-from .columnar import decode_routed, encode_routed, stable_hash
+from .columnar import ChunkTable, decode_routed, encode_routed, stable_hash
 from .driver import Driver
-from .executor import Executor
+from .executor import SHARD_BACKENDS, Executor, _chunked, check_run_args
 from .program import build_program
 from .strategies import ExecutionConfig, compile_plan
 
 #: Events shipped per backend step when no micro-batch size is given.
 DEFAULT_CHUNK = 256
 
-SERIAL = "serial"
-PROCESS = "process"
-_BACKENDS = (SERIAL, PROCESS)
+SERIAL, PROCESS = SHARD_BACKENDS
+
+#: One replica member: ``(name, plan, config or None for the default)``.
+Member = tuple[str, LogicalNode, ExecutionConfig | None]
 
 
-def _compile_driver(plan: LogicalNode, config: ExecutionConfig) -> Driver:
-    """Compile one shard replica straight to a program-running driver.
-
-    Shard pipelines never need the Executor façade's run-level
-    orchestration (timing, shard delegation, RunResult) — the sharded
-    executor owns those — so workers ship and run the program directly.
-    """
-    compiled = compile_plan(plan, config)
-    return Driver(compiled, build_program(compiled))
-
-
-def _chunked(events: Iterable[Event], size: int) -> Iterator[list[Event]]:
-    if type(events) is list:
-        # Traces usually arrive as lists already: slice directly instead of
-        # re-materializing every chunk through an iterator + islice copy.
-        for start in range(0, len(events), size):
-            yield events[start:start + size]
-        return
-    iterator = iter(events)
-    while True:
-        chunk = list(islice(iterator, size))
-        if not chunk:
-            return
-        yield chunk
+def _compile_replica(members: Sequence[Member]) -> list[tuple[str, Driver]]:
+    """Compile one shard's copy of the member set straight to
+    program-running drivers: the sharded runtime owns the run-level
+    orchestration (timing, RunResult) the Executor façade would add."""
+    replica = []
+    for name, plan, config in members:
+        compiled = compile_plan(
+            plan, config if config is not None else ExecutionConfig())
+        replica.append((name, Driver(compiled, build_program(compiled))))
+    return replica
 
 
 class ShardRouter:
@@ -279,218 +273,187 @@ def _decode_outputs(payload) -> list[tuple[float, int, Tuple]]:
             for now, seq, values, ts, exp, sign in payload]
 
 
-class _ShardFinal:
-    """Per-shard end-of-run report."""
+class _ShardFinal(NamedTuple):
+    """End-of-run report of one member in one shard (plain data: the
+    process backend ships it over the pipe as is)."""
 
-    __slots__ = ("answer", "counters", "events_processed", "tuples_arrived",
-                 "state_size", "metrics")
-
-    def __init__(self, answer: Multiset, counters: dict,
-                 events_processed: int, tuples_arrived: int,
-                 state_size: int, metrics: list | None = None):
-        self.answer = answer
-        self.counters = counters
-        self.events_processed = events_processed
-        self.tuples_arrived = tuples_arrived
-        self.state_size = state_size
-        #: Telemetry snapshot (plain records; picklable) or None when off.
-        self.metrics = metrics
+    answer: Multiset
+    counters: dict
+    state_size: int
+    #: Telemetry snapshot records, or None when telemetry is off.
+    metrics: list | None
 
 
-def _final_metrics(driver: Driver) -> list | None:
-    """Finish-time telemetry snapshot of one shard pipeline.
+# -- the replica and the two backends -------------------------------------------
 
-    Shard pipelines are driven through ``process_batch``/``process_event``
-    rather than :meth:`Executor.run`, so :meth:`Driver.flush_metrics`
-    brings the registry up to date here.  Returns plain snapshot records —
-    what the process backend ships over its pipe — or None when telemetry
-    is off.
+
+class _Replica:
+    """One shard's copy of the member set, driven chunk by chunk.
+
+    Both backends run this class — ``k`` in-process, or one per forked
+    worker.  Members are independent pipelines: each sees the whole chunk.
+    ``collect[i]`` says whether member ``i``'s output stream is wanted (it
+    has subscribers); the others are never built into records.
     """
-    registry = driver.flush_metrics()
-    if registry is None:
-        return None
-    return registry.snapshot()
 
-
-# -- backends ------------------------------------------------------------------
-
-
-class _SerialShards:
-    """k in-process program replicas fed round-robin in shard order.
-
-    The reference backend: no IPC, exact per-shard counters, and the
-    driver objects stay inspectable after the run (tests read the shard
-    views directly)."""
-
-    def __init__(self, plan: LogicalNode, config: ExecutionConfig,
-                 n_shards: int, batch: int | None, collect: bool):
-        self._batch = batch
-        self.drivers: list[Driver] = []
-        self._collectors: list[_ShardCollector] = []
-        for _ in range(n_shards):
-            driver = _compile_driver(plan, config)
-            collector = _ShardCollector()
-            if collect:
+    def __init__(self, members: Sequence[Member], batch: int | None,
+                 collect: Sequence[bool]):
+        self._batched = batch is not None and batch > 1
+        self.drivers = _compile_replica(members)
+        self._collectors = [_ShardCollector() for _ in self.drivers]
+        for (_name, driver), collector, wanted in zip(
+                self.drivers, self._collectors, collect):
+            if wanted:
                 driver.subscribe(collector)
-            self.drivers.append(driver)
-            self._collectors.append(collector)
 
-    def feed(self, per_shard: list[list[Event]]
+    def feed(self, events: Sequence[Event]
              ) -> list[list[tuple[float, int, Tuple]]]:
-        batch = self._batch
-        outputs = []
-        for driver, collector, events in zip(
-                self.drivers, self._collectors, per_shard):
-            if batch is not None and batch > 1:
+        """Run one routed chunk of events; per-member tagged outputs."""
+        for _name, driver in self.drivers:
+            if self._batched:
                 driver.process_batch(events)
             else:
                 process = driver.process_event
                 for event in events:
                     process(event)
-            outputs.append(collector.drain())
-        return outputs
+        return [collector.drain() for collector in self._collectors]
 
-    def feed_chunk(self, chunk: Sequence[Event], router: "ShardRouter"
+    def feed_table(self, table: ChunkTable
                    ) -> list[list[tuple[float, int, Tuple]]]:
-        return self.feed(router.route_chunk(chunk))
+        """Run one decoded chunk: column-loop members read the shared
+        table in place; the others share one materialized event list."""
+        if not self._batched:
+            return self.feed(table.to_events())
+        events = None
+        for _name, driver in self.drivers:
+            if driver._col_plans:
+                driver.process_chunk(table)
+            else:
+                if events is None:
+                    events = table.to_events()
+                driver.process_batch(events)
+        return [collector.drain() for collector in self._collectors]
 
     def finish(self) -> list[_ShardFinal]:
-        for driver in self.drivers:
-            # Checked execution: each replica owns its own sanitizer (the
-            # replicas are driven through process_batch, not run()), so the
+        finals = []
+        for _name, driver in self.drivers:
+            # Checked execution: each replica owns its own sanitizers (the
+            # drivers are fed through process_batch, not run()), so the
             # drain-time conservation check must run here.
             verify_drain(driver.compiled)
-        return [
-            _ShardFinal(driver.answer(),
-                        driver.compiled.counters.snapshot(),
-                        driver._events_processed,
-                        driver.tuples_arrived,
-                        driver.compiled.state_size(),
-                        _final_metrics(driver))
-            for driver in self.drivers
-        ]
+            # Likewise Driver.flush_metrics brings an armed registry up to
+            # date; its snapshot is plain records.
+            registry = driver.flush_metrics()
+            finals.append(_ShardFinal(
+                driver.answer(), driver.compiled.counters.snapshot(),
+                driver.compiled.state_size(),
+                None if registry is None else registry.snapshot()))
+        return finals
 
 
-#: Capacity of each worker's reusable shared-memory segment (1 MiB holds
+class _SerialShards:
+    """k in-process replicas fed in shard order.
+
+    The reference backend: no IPC, exact per-shard counters, and the
+    driver objects stay inspectable after the run (tests read the shard
+    views directly)."""
+
+    def __init__(self, members: Sequence[Member], n_shards: int,
+                 batch: int | None, collect: Sequence[bool]):
+        self.replicas = [_Replica(members, batch, collect)
+                         for _ in range(n_shards)]
+
+    def feed_chunk(self, chunk: Sequence[Event], router: "ShardRouter"):
+        """Outputs of one global chunk, ``[shard][member]``."""
+        return [replica.feed(events) for replica, events in zip(
+            self.replicas, router.route_chunk(chunk))]
+
+    def finish(self) -> list[list[_ShardFinal]]:
+        return [replica.finish() for replica in self.replicas]
+
+
+#: Capacity of the pool's reusable shared-memory segment (1 MiB holds
 #: thousands of DEFAULT_CHUNK-sized rows; oversize chunks fall back to the
 #: pickle pipe per chunk, so the bound is a fast path, not a limit).
 _SHM_CAPACITY = 1 << 20
 
 
 class _ShmArena:
-    """Reusable shared-memory segments for the zero-pickle chunk transport.
+    """The reusable shared-memory segment of the zero-pickle chunk transport.
 
     Created by the parent *before* forking so every worker inherits the
     mapping directly — no name attach, no per-chunk allocation.  The fused
     routed transport writes ONE payload per global chunk that every worker
-    reads, so a single segment serves the whole pool; the protocol is
-    synchronous per chunk (the parent never overwrites the segment until
-    every worker's reply for the previous chunk arrived, and workers
-    finish their lazy column decodes before replying), so the one segment
-    is reused for the whole run.
+    reads, and the protocol is synchronous per chunk (the parent never
+    overwrites the segment until every worker's reply for the previous
+    chunk arrived, and workers finish their lazy column decodes before
+    replying), so one segment serves the whole pool for the whole run.
 
     Cleanup is defensive in depth: ``close()`` runs on the normal finish
     path, on every pool abort, and from an ``atexit`` hook — PID-guarded,
     because forked workers inherit the parent's atexit registrations and
-    must never unlink segments they do not own.
+    must never unlink a segment they do not own.
     """
 
-    def __init__(self, n_segments: int, capacity: int = _SHM_CAPACITY):
+    def __init__(self) -> None:
         from multiprocessing import shared_memory
-        self.capacity = capacity
         self._pid = os.getpid()
         self._closed = False
-        self.segments = []
-        try:
-            for _ in range(n_segments):
-                self.segments.append(
-                    shared_memory.SharedMemory(create=True, size=capacity))
-        except (OSError, ValueError):
-            self.close()
-            raise
+        self.segment = shared_memory.SharedMemory(
+            create=True, size=_SHM_CAPACITY)
         atexit.register(self.close)
 
-    def write(self, index: int, payload: bytes) -> None:
-        self.segments[index].buf[:len(payload)] = payload
-
     def close(self) -> None:
-        """Close and unlink every segment exactly once, creator-only."""
+        """Close and unlink the segment exactly once, creator-only."""
         if self._closed or os.getpid() != self._pid:
             return
         self._closed = True
-        for shm in self.segments:
-            try:
-                shm.close()
-            except (BufferError, OSError):  # pragma: no cover - defensive
-                pass
-            try:
-                shm.unlink()
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                pass
+        try:
+            self.segment.close()
+        except (BufferError, OSError):  # pragma: no cover - defensive
+            pass
+        try:
+            self.segment.unlink()
+        except (FileNotFoundError, OSError):  # pragma: no cover
+            pass
 
 
-def _shard_worker_main(conn, plan: LogicalNode, config: ExecutionConfig,
-                       batch: int | None, collect: bool,
-                       shm=None) -> None:
-    """Worker loop for one forked shard process.
+def _shard_worker_main(conn, members: Sequence[Member], batch: int | None,
+                       collect: Sequence[bool], shm=None) -> None:
+    """Worker loop for one forked shard process: one replica, one pipe.
 
-    Built from fork-inherited arguments — the plan (which may close over
-    lambdas in predicates) is never pickled.  Protocol: ``("chunk",
-    events)`` → ``("out", outputs)``; ``("cshard", nbytes, header)`` →
-    ``("out", outputs)`` after decoding this shard's slice of the shared
-    routed payload in place from the fork-inherited shared-memory segment
-    (column materialization is lazy, but always completes before the
-    reply, so the parent may overwrite the segment as soon as every reply
-    is in); ``("finish",)`` → ``("fin", answer items, counter snapshot,
-    events, tuples, state size)``.  Any exception is reported as
+    Built from fork-inherited arguments — the plans (which may close over
+    lambdas in predicates) are never pickled.  Protocol: ``("chunk",
+    events)`` or ``("cshard", nbytes, header)`` → ``("out", per-member
+    outputs)``, the latter after decoding this shard's slice of the routed
+    payload in place from the shared-memory segment (column materialization
+    is lazy, but always completes before the reply, so the parent may
+    overwrite the segment as soon as every reply is in); ``("finish",)`` →
+    ``("fin", per-member _ShardFinal)``.  Any exception is reported as
     ``("err", message)`` and ends the worker.
     """
     try:
-        driver = _compile_driver(plan, config)
-        collector = _ShardCollector()
-        if collect:
-            driver.subscribe(collector)
+        replica = _Replica(members, batch, collect)
         while True:
             message = conn.recv()
             tag = message[0]
             if tag == "chunk":
-                events = [_decode_event(r) for r in message[1]]
-                if batch is not None and batch > 1:
-                    driver.process_batch(events)
-                else:
-                    process = driver.process_event
-                    for event in events:
-                        process(event)
-                conn.send(("out", _encode_outputs(collector.drain())))
+                outputs = replica.feed([_decode_event(r) for r in message[1]])
             elif tag == "cshard":
-                table = decode_routed(shm.buf[:message[1]], message[2])
-                if batch is not None and batch > 1:
-                    driver.process_chunk(table)
-                else:
-                    process = driver.process_event
-                    for event in table.to_events():
-                        process(event)
-                # Drop the table (and its memoryview over the segment)
-                # before replying, so shutdown can unmap the segment.
-                del table
-                conn.send(("out", _encode_outputs(collector.drain())))
+                # The table (and its memoryview over the segment) lives
+                # only inside this call: it is dropped before the reply,
+                # so shutdown can unmap the segment.
+                outputs = replica.feed_table(
+                    decode_routed(shm.buf[:message[1]], message[2]))
             elif tag == "finish":
                 # Checked execution: violations raised here propagate to the
                 # parent as an ("err", ...) reply via the handler below.
-                verify_drain(driver.compiled)
-                conn.send((
-                    "fin",
-                    list(driver.answer().items()),
-                    driver.compiled.counters.snapshot(),
-                    driver._events_processed,
-                    driver.tuples_arrived,
-                    driver.compiled.state_size(),
-                    _final_metrics(driver),
-                ))
+                conn.send(("fin", replica.finish()))
                 conn.close()
                 return
             else:  # pragma: no cover - closed protocol
                 raise ExecutionError(f"unknown worker message {tag!r}")
+            conn.send(("out", [_encode_outputs(items) for items in outputs]))
     # Broad catch is required at this worker boundary: ANY exception type —
     # ExecutionError, PatternViolation, a predicate's ValueError, even
     # MemoryError — must be serialized into an ("err", ...) reply, because
@@ -509,8 +472,8 @@ def _shard_worker_main(conn, plan: LogicalNode, config: ExecutionConfig,
 
 
 class _WorkerPool:
-    """Shared plumbing of the forked-worker backends: spawn, ship, receive,
-    and — crucially — *fail loudly*.
+    """Plumbing of the forked-worker backend: spawn, ship, receive, and —
+    crucially — *fail loudly*.
 
     A worker that dies mid-protocol (killed, OOMed, or crashed before it
     could send an ``("err", ...)`` report) closes its pipe; the parent sees
@@ -520,7 +483,7 @@ class _WorkerPool:
     so no zombie workers outlive the run.
     """
 
-    #: Prefix of parent-side failure messages (subclasses override).
+    #: Prefix of parent-side failure messages.
     what = "shard worker"
     #: Seconds a worker gets to exit after its "fin" reply before the
     #: parent escalates (class attribute so tests can shrink it).
@@ -606,7 +569,7 @@ class _WorkerPool:
 
 
 class _ProcessShards(_WorkerPool):
-    """k forked worker processes, one pipeline replica each.
+    """k forked worker processes, one replica each.
 
     The parent sends every shard its chunk *before* collecting any reply, so
     all workers compute concurrently while the parent waits.  Chunk
@@ -618,46 +581,48 @@ class _ProcessShards(_WorkerPool):
     carries only a tiny ``("cshard", nbytes, header)`` message whose
     header lists the shard's contiguous ``(stream, offset, count)`` slices
     plus their row indices.  Workers decode their slices in place,
-    lazily per stream.  Chunks the codec cannot represent (relation
-    updates, oversize payloads), and every chunk on a platform without
-    shared memory, fall back to the compact-tuple pickle pipe.
+    lazily per stream, once per replica however many members read them.
+    Chunks the codec cannot represent (relation updates, ragged rows,
+    oversize payloads), and every chunk on a platform without shared
+    memory, fall back to the compact-tuple pickle pipe.
     """
 
-    what = "shard worker"
-
-    def __init__(self, plan: LogicalNode, config: ExecutionConfig,
-                 n_shards: int, batch: int | None, collect: bool):
+    def __init__(self, members: Sequence[Member], n_shards: int,
+                 batch: int | None, collect: Sequence[bool]):
         super().__init__()
         context = multiprocessing.get_context("fork")
         try:
-            arena = _ShmArena(1)
+            arena = _ShmArena()
         except (ImportError, OSError, ValueError):
             arena = None  # no shm on this platform: pickle transport
         self._arena = arena
-        segment = arena.segments[0] if arena is not None else None
+        segment = arena.segment if arena is not None else None
         self._spawn(
             context, _shard_worker_main,
-            lambda child_conn, i: (child_conn, plan, config, batch, collect,
-                                   segment),
+            lambda child_conn, _i: (child_conn, members, batch, collect,
+                                    segment),
             n_shards)
 
-    def feed(self, per_shard: list[list[Event]]
-             ) -> list[list[tuple[float, int, Tuple]]]:
+    def _outputs(self):
+        """Every worker's reply to the chunk just sent, ``[shard][member]``."""
+        return [[_decode_outputs(payload)
+                 for payload in self._receive(conn)[1]]
+                for conn in self._connections]
+
+    def feed(self, per_shard: list[list[Event]]):
         """Pickle-pipe fallback path: compact-tuple chunks, one per shard."""
         for conn, events in zip(self._connections, per_shard):
             self._send(conn,
                        ("chunk", [_encode_event(e) for e in events]))
-        return [_decode_outputs(self._receive(conn)[1])
-                for conn in self._connections]
+        return self._outputs()
 
-    def feed_chunk(self, chunk: Sequence[Event], router: "ShardRouter"
-                   ) -> list[list[tuple[float, int, Tuple]]]:
+    def feed_chunk(self, chunk: Sequence[Event], router: "ShardRouter"):
         """Ship one global chunk: fused routed shm transport when the
         codec can represent it, ``route_chunk`` + pickle pipe otherwise."""
         arena = self._arena
         if arena is not None:
             encoded = encode_routed(chunk, router._index, router.n_shards)
-            if encoded is not None and len(encoded[0]) <= arena.capacity:
+            if encoded is not None and len(encoded[0]) <= _SHM_CAPACITY:
                 payload, headers, shard_arrivals, broadcasts = encoded
                 # Fold in the routing statistics route_chunk would have
                 # counted (the fused encoder routes without building the
@@ -666,12 +631,11 @@ class _ProcessShards(_WorkerPool):
                 for i, count in enumerate(shard_arrivals):
                     per_shard_arrivals[i] += count
                 router.broadcasts += broadcasts
-                arena.write(0, payload)
                 nbytes = len(payload)
+                arena.segment.buf[:nbytes] = payload
                 for conn, header in zip(self._connections, headers):
                     self._send(conn, ("cshard", nbytes, header))
-                return [_decode_outputs(self._receive(conn)[1])
-                        for conn in self._connections]
+                return self._outputs()
         return self.feed(router.route_chunk(chunk))
 
     def _abort(self) -> None:
@@ -679,19 +643,13 @@ class _ProcessShards(_WorkerPool):
         if self._arena is not None:
             self._arena.close()
 
-    def finish(self) -> list[_ShardFinal]:
+    def finish(self) -> list[list[_ShardFinal]]:
         try:
             for conn in self._connections:
                 self._send(conn, ("finish",))
             finals = []
             for conn in self._connections:
-                (_tag, answer_items, counters, events, tuples, state,
-                 metrics) = self._receive(conn)
-                answer: Multiset = Multiset()
-                for values, count in answer_items:
-                    answer[values] = count
-                finals.append(_ShardFinal(answer, counters, events, tuples,
-                                          state, metrics))
+                finals.append(self._receive(conn)[1])
                 conn.close()
             self._join_all()
         finally:
@@ -718,38 +676,117 @@ def _sum_counters(snapshots: Iterable[dict]) -> Counters:
     return total
 
 
-def _merge_shard_metrics(snapshots: list, router: ShardRouter | None = None,
-                         extra_labels: dict | None = None):
-    """Fold per-shard telemetry snapshots into one parent registry.
+def _merge_shard_metrics(finals: list[list[_ShardFinal]],
+                         labels: Sequence[dict], router: ShardRouter):
+    """Fold the replicas' telemetry snapshots into one parent registry.
 
-    Returns ``(merged, per_shard)`` — both None/empty when telemetry is off
-    (every snapshot None).  Each shard's snapshot is merged twice: once
-    under ``shard=i`` and once into the unlabeled totals, so the exported
-    series satisfy *total = Σ shards* exactly, per (name, label set) —
-    replica pipelines produce label-identical registries because operator
-    ids are stable plan-walk indices.  Router occupancy gauges are added so
-    the export also answers "was the key distribution balanced?".
+    ``finals`` is ``[shard][member]``; ``labels[member]`` tells the
+    members' series apart (``{}`` for a single query, ``{"query": name}``
+    in a group).  Returns ``(merged, per_shard)`` — None and empty when
+    telemetry is off (every snapshot None).  Each snapshot is merged twice,
+    under ``shard=i`` and without, so the exported series satisfy *total =
+    Σ shards* exactly, per (name, label set) — replica pipelines produce
+    label-identical registries because operator ids are stable plan-walk
+    indices.  Router occupancy gauges are added so the export also answers
+    "was the key distribution balanced?".
     """
-    if all(snapshot is None for snapshot in snapshots):
+    if all(final.metrics is None for shard in finals for final in shard):
         return None, []
     from .telemetry import MetricsRegistry
 
     merged = MetricsRegistry()
     per_shard = []
-    for index, snapshot in enumerate(snapshots):
+    for index, shard in enumerate(finals):
         registry = MetricsRegistry()
-        records = snapshot or []
-        registry.merge_snapshot(records)
+        for final, member in zip(shard, labels):
+            records = final.metrics or []
+            registry.merge_snapshot(records, member)
+            merged.merge_snapshot(records, {**member, "shard": str(index)})
+            merged.merge_snapshot(records, member)
         per_shard.append(registry)
-        labels = dict(extra_labels or {})
-        merged.merge_snapshot(records, {**labels, "shard": str(index)})
-        merged.merge_snapshot(records, labels or None)
-    if router is not None:
-        for index, arrivals in enumerate(router.per_shard_arrivals):
-            merged.gauge("router_shard_arrivals",
-                         shard=str(index)).set(arrivals)
-        merged.gauge("router_broadcasts").set(router.broadcasts)
+    for index, arrivals in enumerate(router.per_shard_arrivals):
+        merged.gauge("router_shard_arrivals", shard=str(index)).set(arrivals)
+    merged.gauge("router_broadcasts").set(router.broadcasts)
     return merged, per_shard
+
+
+# -- the one sharded runtime -----------------------------------------------------
+
+
+class _ReplicaRun(NamedTuple):
+    """What :func:`_run_replicas` hands to result shaping."""
+
+    backend: str
+    elapsed: float
+    events_processed: int
+    tuples_arrived: int
+    #: ``[shard][member]`` end-of-run reports.
+    finals: list[list[_ShardFinal]]
+    router: ShardRouter
+
+    def member(self, index: int) -> list[_ShardFinal]:
+        """One member's reports, in shard order."""
+        return [shard[index] for shard in self.finals]
+
+
+def _run_replicas(members: Sequence[Member], part: Partitionability,
+                  events: Iterable[Event], *, shards: int, backend: str,
+                  batch: int | None,
+                  subscribers: Sequence[Sequence[Callable[[Tuple, float],
+                                                          None]]]
+                  ) -> _ReplicaRun | None:
+    """Run ``members`` as ``shards`` key-routed replicas over ``events``:
+    the one parent loop (chunking, ``feed_chunk``, per-member merge with
+    its holdback flush, timing).  ``subscribers[i]`` receive member ``i``'s
+    merged output stream.
+
+    Also the one place that decides the fallback: None means the member
+    set runs unsharded (``shards == 1``, or ``part.reason`` says why it
+    cannot shard) on the pipeline the caller owns.  A process backend on a
+    host without ``fork`` degrades to serial (see the returned ``backend``).
+    """
+    check_run_args(batch, shards, backend)
+    if shards == 1 or not part.shardable:
+        return None
+    if backend == PROCESS and not _fork_available():
+        backend = SERIAL  # pragma: no cover - non-fork platforms
+    router = ShardRouter(part.keys, shards)
+    mergers = [_Merger(callbacks) for callbacks in subscribers]
+    collect = [merger.active for merger in mergers]
+    pool_cls = _SerialShards if backend == SERIAL else _ProcessShards
+    pool = pool_cls(members, shards, batch, collect)
+    collecting = any(collect)
+
+    chunk_size = batch if batch is not None and batch > 1 else DEFAULT_CHUNK
+    start = time.perf_counter()
+    events_processed = 0
+    tuples_arrived = 0
+    for chunk in _chunked(events, chunk_size):
+        events_processed += len(chunk)
+        tuples_arrived += sum(
+            1 for event in chunk if isinstance(event, Arrival))
+        outputs = pool.feed_chunk(chunk, router)
+        if collecting:
+            for shard, per_member in enumerate(outputs):
+                for merger, items in zip(mergers, per_member):
+                    merger.add(shard, items)
+            for merger in mergers:
+                merger.flush_below(chunk[-1].ts)
+    finals = pool.finish()
+    for merger in mergers:
+        merger.finish()
+    elapsed = time.perf_counter() - start
+    return _ReplicaRun(backend, elapsed, events_processed, tuples_arrived,
+                       finals, router)
+
+
+def _sum_answers(finals: Iterable[_ShardFinal]) -> Multiset:
+    """A member's answer: the sum of its shard views' snapshots (every
+    result lives in exactly one shard)."""
+    total: Multiset = Multiset()
+    for final in finals:
+        total.update(final.answer)
+    return total
 
 
 # -- results -------------------------------------------------------------------
@@ -846,26 +883,30 @@ class ShardedRunResult:
 
 
 class ShardedExecutor:
-    """Runs one continuous query as ``k`` key-routed pipeline replicas.
+    """Runs one continuous query as ``k`` key-routed one-member replicas.
 
     ``backend`` is ``"serial"`` (in-process reference) or ``"process"``
-    (forked worker pool).  When the plan is unshardable, ``shards <= 1``,
+    (forked worker pool).  When the plan is unshardable, ``shards == 1``,
     or fork is unavailable for the process backend, execution degrades
     gracefully (recorded in the result's ``fallback_reason`` / ``backend``).
+    ``inline`` is an already compiled :class:`Executor` over the same plan:
+    a fallback runs on it instead of compiling a second pipeline, and its
+    subscribers receive the merged stream.
     """
 
     def __init__(self, plan: LogicalNode,
                  config: ExecutionConfig | None = None,
-                 shards: int = 2, backend: str = PROCESS):
-        if backend not in _BACKENDS:
-            raise ExecutionError(
-                f"unknown shard backend {backend!r} (valid: {_BACKENDS})")
+                 shards: int = 2, backend: str = PROCESS,
+                 inline: Executor | None = None):
+        check_run_args(shards=shards, shard_backend=backend)
         self.plan = plan
         self.config = config if config is not None else ExecutionConfig()
         self.shards = shards
         self.backend = backend
         self.partitionability = analyze_partitionability(plan)
-        self._subscribers: list[Callable[[Tuple, float], None]] = []
+        self._inline = inline
+        self._subscribers: list[Callable[[Tuple, float], None]] = (
+            [] if inline is None else inline.driver._subscribers)
 
     def subscribe(self, callback: Callable[[Tuple, float], None]) -> None:
         """Receive the merged output stream in deterministic
@@ -875,64 +916,32 @@ class ShardedExecutor:
     def run(self, events: Iterable[Event],
             batch: int | None = None) -> ShardedRunResult:
         part = self.partitionability
-        if self.shards <= 1 or not part.shardable:
-            reason = None if part.shardable else part.reason
-            executor = Executor(compile_plan(self.plan, self.config))
-            for callback in self._subscribers:
-                executor.subscribe(callback)
+        run = _run_replicas(
+            [("", self.plan, self.config)], part, events, shards=self.shards,
+            backend=self.backend, batch=batch,
+            subscribers=[self._subscribers])
+        if run is None:
+            executor = self._inline
+            if executor is None:
+                executor = Executor(compile_plan(self.plan, self.config))
+                for callback in self._subscribers:
+                    executor.subscribe(callback)
             return ShardedRunResult.fallback(
-                executor.run(events, batch=batch), reason, part)
-
-        backend_name = self.backend
-        if backend_name == PROCESS and not _fork_available():
-            backend_name = SERIAL  # pragma: no cover - non-fork platforms
-
-        k = self.shards
-        router = ShardRouter(part.keys, k)
-        merger = _Merger(self._subscribers)
-        collect = merger.active
-        backend_cls = _SerialShards if backend_name == SERIAL else _ProcessShards
-        backend = backend_cls(self.plan, self.config, k, batch, collect)
-
-        chunk_size = batch if batch is not None and batch > 1 else DEFAULT_CHUNK
-        start = time.perf_counter()
-        events_processed = 0
-        tuples_arrived = 0
-        for chunk in _chunked(events, chunk_size):
-            events_processed += len(chunk)
-            tuples_arrived += sum(
-                1 for event in chunk if isinstance(event, Arrival))
-            outputs = backend.feed_chunk(chunk, router)
-            if collect:
-                for shard, items in enumerate(outputs):
-                    merger.add(shard, items)
-                merger.flush_below(chunk[-1].ts)
-        finals = backend.finish()
-        merger.finish()
-        elapsed = time.perf_counter() - start
-
-        shard_answers = [final.answer for final in finals]
-
-        def answer() -> Multiset:
-            total: Multiset = Multiset()
-            for shard_answer in shard_answers:
-                total.update(shard_answer)
-            return total
-
+                executor.run(events, batch=batch), part.reason, part)
+        finals = run.member(0)
         metrics, shard_metrics = _merge_shard_metrics(
-            [final.metrics for final in finals], router)
-
+            run.finals, [{}], run.router)
         return ShardedRunResult(
-            shards=k,
-            backend=backend_name,
-            elapsed=elapsed,
-            events_processed=events_processed,
-            tuples_arrived=tuples_arrived,
+            shards=self.shards,
+            backend=run.backend,
+            elapsed=run.elapsed,
+            events_processed=run.events_processed,
+            tuples_arrived=run.tuples_arrived,
             counters=_sum_counters(final.counters for final in finals),
             shard_counters=[final.counters for final in finals],
-            answer_fn=answer,
+            answer_fn=lambda: _sum_answers(finals),
             partitionability=part,
-            per_shard_arrivals=list(router.per_shard_arrivals),
+            per_shard_arrivals=list(run.router.per_shard_arrivals),
             state_size=sum(final.state_size for final in finals),
             metrics=metrics,
             shard_metrics=shard_metrics,
@@ -969,143 +978,18 @@ def analyze_group_partitionability(
     return Partitionability(True, keys, None)
 
 
-class _SerialGroupShards:
-    """k in-process replicas of the whole member set."""
-
-    def __init__(self, members, n_shards: int, batch: int | None):
-        self._batch = batch
-        self.replicas: list[list[tuple[str, Driver]]] = []
-        for _ in range(n_shards):
-            replica = [
-                (name, _compile_driver(
-                    plan, config if config is not None else ExecutionConfig()))
-                for name, plan, config in members
-            ]
-            self.replicas.append(replica)
-
-    def feed(self, per_shard: list[list[Event]]) -> None:
-        batch = self._batch
-        for replica, events in zip(self.replicas, per_shard):
-            if batch is not None and batch > 1:
-                for _name, driver in replica:
-                    driver.process_batch(events)
-            else:
-                for event in events:
-                    for _name, driver in replica:
-                        driver.process_event(event)
-
-    def finish(self) -> list[dict[str, tuple[Multiset, dict, list | None]]]:
-        reports = []
-        for replica in self.replicas:
-            for _name, driver in replica:
-                verify_drain(driver.compiled)
-            reports.append({
-                name: (driver.answer(),
-                       driver.compiled.counters.snapshot(),
-                       _final_metrics(driver))
-                for name, driver in replica
-            })
-        return reports
-
-
-def _group_worker_main(conn, members, batch: int | None) -> None:
-    """Worker loop for one forked group shard (all members, one shard)."""
-    try:
-        replica = [
-            (name, _compile_driver(
-                plan, config if config is not None else ExecutionConfig()))
-            for name, plan, config in members
-        ]
-        while True:
-            message = conn.recv()
-            tag = message[0]
-            if tag == "chunk":
-                events = [_decode_event(r) for r in message[1]]
-                if batch is not None and batch > 1:
-                    for _name, driver in replica:
-                        driver.process_batch(events)
-                else:
-                    for event in events:
-                        for _name, driver in replica:
-                            driver.process_event(event)
-                conn.send(("ok",))
-            elif tag == "finish":
-                for _name, driver in replica:
-                    verify_drain(driver.compiled)
-                conn.send(("fin", [
-                    (name, list(driver.answer().items()),
-                     driver.compiled.counters.snapshot(),
-                     _final_metrics(driver))
-                    for name, driver in replica
-                ]))
-                conn.close()
-                return
-            else:  # pragma: no cover - closed protocol
-                raise ExecutionError(f"unknown worker message {tag!r}")
-    # Broad catch required at the worker boundary (see _shard_worker_main):
-    # any exception type must be serialized into an ("err", ...) reply —
-    # exception objects cannot cross the pipe, and an unreported death
-    # reaches the parent only as an opaque EOFError.
-    except Exception as exc:  # pragma: no cover - exercised via parent raise
-        try:
-            conn.send(("err", f"{type(exc).__name__}: {exc}"))
-            conn.close()
-        except (BrokenPipeError, OSError):
-            # Parent end gone: exit nonzero with the original error rather
-            # than masking the failure behind a clean exit.
-            raise exc
-
-
-class _ProcessGroupShards(_WorkerPool):
-    """k forked workers, each holding a full member-set replica."""
-
-    what = "group shard worker"
-
-    def __init__(self, members, n_shards: int, batch: int | None):
-        super().__init__()
-        context = multiprocessing.get_context("fork")
-        self._spawn(
-            context, _group_worker_main,
-            lambda child_conn, _i: (child_conn, members, batch),
-            n_shards)
-
-    def feed(self, per_shard: list[list[Event]]) -> None:
-        for conn, events in zip(self._connections, per_shard):
-            self._send(conn, ("chunk", [_encode_event(e) for e in events]))
-        for conn in self._connections:
-            self._receive(conn)
-
-    def finish(self) -> list[dict[str, tuple[Multiset, dict, list | None]]]:
-        for conn in self._connections:
-            self._send(conn, ("finish",))
-        reports = []
-        for conn in self._connections:
-            _tag, entries = self._receive(conn)
-            report = {}
-            for name, answer_items, counters, metrics in entries:
-                answer: Multiset = Multiset()
-                for values, count in answer_items:
-                    answer[values] = count
-                report[name] = (answer, counters, metrics)
-            reports.append(report)
-            conn.close()
-        self._join_all()
-        return reports
-
-
 class ShardedGroupRunResult:
     """Sharded counterpart of :class:`~.multi.GroupRunResult`."""
 
-    def __init__(self, *, names: list[str],
-                 answers: dict[str, Multiset],
+    def __init__(self, *, answers: dict[str, Multiset],
                  member_counters: dict[str, Counters],
                  shard_counters: list[dict[str, dict]],
                  elapsed: float, events_processed: int, tuples_arrived: int,
                  shards: int, backend: str,
                  partitionability: Partitionability | None = None,
-                 fallback=None, fallback_reason: str | None = None,
-                 metrics=None):
-        self.names = names
+                 fallback_reason: str | None = None,
+                 shared_touches: int = 0, metrics=None):
+        self.names = list(answers)
         self.elapsed = elapsed
         self.events_processed = events_processed
         self.tuples_arrived = tuples_arrived
@@ -1120,29 +1004,29 @@ class ShardedGroupRunResult:
         #: or None when telemetry is off.
         self.metrics = metrics
         self._answers = answers
-        self._fallback = fallback
+        self._shared_touches = shared_touches
 
     @classmethod
     def from_fallback(cls, result, reason: str | None,
                       partitionability: Partitionability | None = None
                       ) -> "ShardedGroupRunResult":
-        """Wrap an unsharded :class:`GroupRunResult` produced by a graceful
-        fallback, recording ``reason`` and delegating answers/touches to it."""
+        """Wrap the unsharded :class:`GroupRunResult` of a graceful
+        fallback: its end-of-run answers and counters, plus ``reason``."""
         group = result.group
         return cls(
-            names=group.names(), answers={}, member_counters={},
+            answers={name: result.answer(name) for name in group.names()},
+            member_counters={name: group[name].counters
+                             for name in group.names()},
             shard_counters=[], elapsed=result.elapsed,
             events_processed=result.events_processed,
             tuples_arrived=result.tuples_arrived,
             shards=1, backend="inline",
-            partitionability=partitionability,
-            fallback=result, fallback_reason=reason,
+            partitionability=partitionability, fallback_reason=reason,
+            shared_touches=result.shared_touches(),
             metrics=result.metrics(),
         )
 
     def answer(self, name: str) -> Multiset:
-        if self._fallback is not None:
-            return self._fallback.answer(name)
         return self._answers[name]
 
     def answers(self) -> dict[str, dict]:
@@ -1154,15 +1038,13 @@ class ShardedGroupRunResult:
         return 1000.0 * self.elapsed / self.tuples_arrived
 
     def touches(self) -> dict[str, int]:
-        if self._fallback is not None:
-            return self._fallback.touches()
         return {name: counters.touches
                 for name, counters in self.member_counters.items()}
 
     def shared_touches(self) -> int:
-        if self._fallback is not None:
-            return self._fallback.shared_touches()
-        return 0  # sharded groups always run members independently
+        """Touches of shared producers: nonzero only after a shared group
+        fell back (sharded replicas always run members independently)."""
+        return self._shared_touches
 
     def total_touches(self) -> int:
         return sum(self.touches().values()) + self.shared_touches()
@@ -1181,84 +1063,41 @@ def run_group_sharded(group, events: Iterable[Event], *, shards: int,
                       batch: int | None = None) -> ShardedGroupRunResult:
     """Run every member of ``group`` across ``shards`` key-routed replicas.
 
+    Each replica holds one pipeline per member; subscribers attached to a
+    member (``group[name].subscribe``) receive its merged output stream.
     Shared groups (``shared=True``) fuse state *across* queries, which a
     shard replica cannot hold independently per key — they fall back to the
     ordinary lockstep run, as do groups whose members are unshardable or
     disagree on a stream's key.
     """
-    if backend not in _BACKENDS:
-        raise ExecutionError(
-            f"unknown shard backend {backend!r} (valid: {_BACKENDS})")
+    check_run_args(batch, shards, backend)
     if group.shared:
-        result = group.run(events, batch=batch)
         return ShardedGroupRunResult.from_fallback(
-            result,
+            group.run(events, batch=batch),
             "shared groups fuse subplans across queries; run the members "
-            "as an independent group to shard them",
-        )
-    members = [(name, group[name].plan, group[name].config)
-               for name in group.names()]
+            "as an independent group to shard them")
+    names = group.names()
+    members = [(name, group[name].plan, group[name].config) for name in names]
     part = analyze_group_partitionability(members)
-    if shards <= 1 or not part.shardable:
-        reason = None if part.shardable else part.reason
-        result = group.run(events, batch=batch)
-        return ShardedGroupRunResult.from_fallback(result, reason, part)
-
-    backend_name = backend
-    if backend_name == PROCESS and not _fork_available():
-        backend_name = SERIAL  # pragma: no cover - non-fork platforms
-
-    router = ShardRouter(part.keys, shards)
-    backend_cls = (_SerialGroupShards if backend_name == SERIAL
-                   else _ProcessGroupShards)
-    shard_backend = backend_cls(members, shards, batch)
-
-    chunk_size = batch if batch is not None and batch > 1 else DEFAULT_CHUNK
-    start = time.perf_counter()
-    events_processed = 0
-    tuples_arrived = 0
-    for chunk in _chunked(events, chunk_size):
-        events_processed += len(chunk)
-        tuples_arrived += sum(
-            1 for event in chunk if isinstance(event, Arrival))
-        shard_backend.feed(router.route_chunk(chunk))
-    reports = shard_backend.finish()
-    elapsed = time.perf_counter() - start
-
-    names = [name for name, _plan, _config in members]
-    answers: dict[str, Multiset] = {name: Multiset() for name in names}
-    member_counters: dict[str, Counters] = {}
-    shard_counters: list[dict[str, dict]] = []
-    for report in reports:
-        shard_counters.append(
-            {name: counters
-             for name, (_answer, counters, _metrics) in report.items()})
-        for name, (answer, _counters, _metrics) in report.items():
-            answers[name].update(answer)
-    for name in names:
-        member_counters[name] = _sum_counters(
-            report[name][1] for report in reports)
-
-    metrics = None
-    for name in names:
-        member_metrics, _ = _merge_shard_metrics(
-            [report[name][2] for report in reports],
-            extra_labels={"query": name})
-        if member_metrics is not None:
-            if metrics is None:
-                from .telemetry import MetricsRegistry
-                metrics = MetricsRegistry()
-            metrics.merge(member_metrics)
-    if metrics is not None:
-        for index, arrivals in enumerate(router.per_shard_arrivals):
-            metrics.gauge("router_shard_arrivals",
-                          shard=str(index)).set(arrivals)
-        metrics.gauge("router_broadcasts").set(router.broadcasts)
-
+    run = _run_replicas(
+        members, part, events, shards=shards, backend=backend, batch=batch,
+        subscribers=[group[name].executor.driver._subscribers
+                     for name in names])
+    if run is None:
+        return ShardedGroupRunResult.from_fallback(
+            group.run(events, batch=batch), part.reason, part)
+    metrics, _per_shard = _merge_shard_metrics(
+        run.finals, [{"query": name} for name in names], run.router)
     return ShardedGroupRunResult(
-        names=names, answers=answers, member_counters=member_counters,
-        shard_counters=shard_counters, elapsed=elapsed,
-        events_processed=events_processed, tuples_arrived=tuples_arrived,
-        shards=shards, backend=backend_name, partitionability=part,
-        metrics=metrics,
+        answers={name: _sum_answers(run.member(i))
+                 for i, name in enumerate(names)},
+        member_counters={
+            name: _sum_counters(final.counters for final in run.member(i))
+            for i, name in enumerate(names)},
+        shard_counters=[
+            {name: final.counters for name, final in zip(names, shard)}
+            for shard in run.finals],
+        elapsed=run.elapsed, events_processed=run.events_processed,
+        tuples_arrived=run.tuples_arrived, shards=shards,
+        backend=run.backend, partitionability=part, metrics=metrics,
     )

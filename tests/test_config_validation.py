@@ -12,7 +12,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ExecutionConfig, Mode
+from repro import (
+    Arrival,
+    ContinuousQuery,
+    ExecutionConfig,
+    Mode,
+    QueryGroup,
+    Schema,
+    ShardedExecutor,
+    StreamDef,
+    TimeWindow,
+    from_window,
+    run_group_sharded,
+)
 from repro.errors import ConfigError, PlanError, ReproError
 
 
@@ -47,6 +59,77 @@ class TestRejections:
     def test_unknown_str_storage(self):
         with pytest.raises(ConfigError, match="unknown str_storage"):
             ExecutionConfig(str_storage="sideways")
+
+
+def _plan():
+    return from_window(
+        StreamDef("s0", Schema(["v"]), TimeWindow(10))).distinct().build()
+
+
+def _group(shared=False):
+    group = QueryGroup(shared=shared)
+    group.add("q", _plan())
+    return group
+
+
+def _sharded_executor(events, batch=None, shards=2, shard_backend="process"):
+    return ShardedExecutor(_plan(), shards=shards,
+                           backend=shard_backend).run(events, batch)
+
+
+def _run_group_sharded(shared):
+    def run(events, batch=None, shards=2, shard_backend="process"):
+        return run_group_sharded(_group(shared), events, shards=shards,
+                                 backend=shard_backend, batch=batch)
+    return run
+
+
+#: Every run entry point, as ``call(events, **run_args)``.
+RUN_ENTRY_POINTS = {
+    "query": lambda events, **kw: ContinuousQuery(_plan()).run(events, **kw),
+    "group": lambda events, **kw: _group().run(events, **kw),
+    "shared_group": lambda events, **kw: _group(True).run(events, **kw),
+    "sharded_executor": _sharded_executor,
+    "run_group_sharded": _run_group_sharded(False),
+    "run_group_sharded_shared": _run_group_sharded(True),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RUN_ENTRY_POINTS))
+class TestRunArguments:
+    """One helper validates ``batch`` / ``shards`` / ``shard_backend`` for
+    every run entry point: nothing out of range is silently read as
+    per-tuple or unsharded, and nothing is consumed before the error."""
+
+    EVENTS = [Arrival(float(i), "s0", (i % 3,)) for i in range(20)]
+
+    def _rejects(self, entry, match, **kw):
+        consumed = []
+        events = (consumed.append(e) or e for e in self.EVENTS)
+        with pytest.raises(ConfigError, match=match):
+            RUN_ENTRY_POINTS[entry](events, **kw)
+        assert not consumed
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_batch_below_one(self, entry, batch, shards):
+        kw = {} if shards is None else {"shards": shards}
+        self._rejects(entry, "batch must be >= 1", batch=batch,
+                      shard_backend="serial", **kw)
+
+    @pytest.mark.parametrize("shards", [0, -2])
+    def test_shards_below_one(self, entry, shards):
+        self._rejects(entry, "shards must be >= 1", shards=shards)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_unknown_backend(self, entry, shards):
+        self._rejects(entry, "unknown shard backend 'bogus'",
+                      shards=shards, shard_backend="bogus")
+
+    def test_boundary_values_accepted(self, entry):
+        for kw in ({"batch": 1}, {"shards": 1}, {"batch": 1, "shards": 2,
+                                                 "shard_backend": "serial"}):
+            RUN_ENTRY_POINTS[entry](iter(self.EVENTS), **kw)
 
 
 class TestAccepted:

@@ -90,18 +90,30 @@ class TestShardWorkerFailures:
             events.append(Arrival(0.1 * i, f"s{i % 2}", (i % 32,)))
         return events
 
-    def test_killed_worker_raises_promptly_and_leaves_no_zombie(self):
-        """SIGKILL one worker mid-run: the parent must raise within the
-        chunk that hits the dead pipe — not hang for the 30 s join grace —
-        and every other worker must be terminated and reaped."""
+    def _members(self, n_members, mode):
+        return [(f"q{i}", self._plan(), ExecutionConfig(mode=mode))
+                for i in range(n_members)]
+
+    def _run(self, n_members, events):
+        """A process-backend run of an ``n_members`` replica: the
+        single-query entry point for one member, a group otherwise."""
+        from repro import QueryGroup
+        from repro.engine.shard import ShardedExecutor
+
+        if n_members == 1:
+            return ShardedExecutor(
+                self._plan(), ExecutionConfig(mode=Mode.NT),
+                shards=2, backend="process").run(events)
+        group = QueryGroup()
+        for name, plan, config in self._members(n_members, Mode.NT):
+            group.add(name, plan, config)
+        return group.run(events, shards=2, shard_backend="process")
+
+    def _kill_mid_run(self, n_members):
         import os
         import signal
         import time
 
-        from repro.engine.shard import ShardedExecutor
-
-        executor = ShardedExecutor(self._plan(), ExecutionConfig(mode=Mode.NT),
-                                   shards=2, backend="process")
         victims = []
 
         def killing_events():
@@ -116,15 +128,27 @@ class TestShardWorkerFailures:
                 yield event
 
         start = time.monotonic()
-        with pytest.raises(ExecutionError, match="died"):
-            executor.run(killing_events())
+        with pytest.raises(ExecutionError, match="shard worker died"):
+            self._run(n_members, killing_events())
         elapsed = time.monotonic() - start
         assert elapsed < 15, f"parent hung {elapsed:.1f}s on a dead worker"
+        assert len(victims) == 2
         deadline = time.monotonic() + 10
         while any(p.is_alive() for p in victims):
             assert time.monotonic() < deadline, "zombie shard worker leaked"
             time.sleep(0.05)
         assert all(p.exitcode is not None for p in victims)
+
+    def test_killed_worker_raises_promptly_and_leaves_no_zombie(self):
+        """SIGKILL one worker mid-run: the parent must raise within the
+        chunk that hits the dead pipe — not hang for the 30 s join grace —
+        and every other worker must be terminated and reaped."""
+        self._kill_mid_run(1)
+
+    def test_killed_group_worker_raises_promptly_and_leaves_no_zombie(self):
+        """The same death in a 3-member group: groups ride the one worker
+        pool, so its abort path names the dead worker and reaps the rest."""
+        self._kill_mid_run(3)
 
     def test_worker_exception_reported_not_swallowed(self):
         """An exception raised *inside* a worker (here: a predicate blowing
@@ -166,8 +190,8 @@ class TestShardWorkerFailures:
 
         plan = self._plan()
         part = analyze_partitionability(plan)
-        backend = _ProcessShards(plan, ExecutionConfig(mode=Mode.NT),
-                                 3, None, False)
+        backend = _ProcessShards([("q", plan, ExecutionConfig(mode=Mode.NT))],
+                                 3, None, [False])
         try:
             backend._processes[1].kill()
             backend._processes[1].join(timeout=10)
@@ -181,28 +205,29 @@ class TestShardWorkerFailures:
         finally:
             backend._abort()
 
-    def test_killed_worker_does_not_leak_shared_memory(self):
-        """SIGKILL a worker mid-run on the columnar shm transport: the
-        pool abort must close *and unlink* every arena segment — a leaked
-        ``/dev/shm`` file outlives the process and eats kernel memory."""
+    def _kill_on_shm_transport(self, n_members):
         import time
 
         from multiprocessing import shared_memory
 
-        from repro.core.sharding import analyze_partitionability
-        from repro.engine.shard import _ProcessShards, ShardRouter
+        from repro.engine.shard import (
+            _ProcessShards,
+            ShardRouter,
+            analyze_group_partitionability,
+        )
 
-        plan = self._plan()
-        part = analyze_partitionability(plan)
-        backend = _ProcessShards(plan, ExecutionConfig(mode=Mode.UPA),
-                                 2, 64, False)
+        members = self._members(n_members, Mode.UPA)
+        part = analyze_group_partitionability(members)
+        backend = _ProcessShards(members, 2, 64, [False] * n_members)
         try:
             arena = backend._arena
             assert arena is not None, "columnar run should build an arena"
-            names = [shm.name for shm in arena.segments]
+            names = [arena.segment.name]
             router = ShardRouter(part.keys, 2)
             # One healthy chunk over the cshard shm path first.
-            backend.feed_chunk(self._events(64), router)
+            outputs = backend.feed_chunk(self._events(64), router)
+            assert [len(per_member) for per_member in outputs] \
+                == [n_members] * 2
             backend._processes[0].kill()
             backend._processes[0].join(timeout=10)
             with pytest.raises(ExecutionError, match="died"):
@@ -217,6 +242,17 @@ class TestShardWorkerFailures:
         for name in names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
+
+    def test_killed_worker_does_not_leak_shared_memory(self):
+        """SIGKILL a worker mid-run on the columnar shm transport: the
+        pool abort must close *and unlink* the arena segment — a leaked
+        ``/dev/shm`` file outlives the process and eats kernel memory."""
+        self._kill_on_shm_transport(1)
+
+    def test_killed_group_worker_does_not_leak_shared_memory(self):
+        """The same with three members per replica: one arena, one abort
+        path, whatever the replica holds."""
+        self._kill_on_shm_transport(3)
 
     def test_hung_worker_is_detected_terminated_and_reported(self):
         """A worker that never exits after finishing must be terminated,

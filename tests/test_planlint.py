@@ -220,12 +220,12 @@ class TestOwnershipAndBounds:
     def test_shard_replicas_clean_and_isolated(self):
         """Shard replica pipelines (compiled exactly the way workers do)
         lint clean and own disjoint mutable state."""
-        from repro.engine.shard import _compile_driver
+        from repro.engine.shard import _compile_replica
         from repro.analysis.ownership import shared_mutable_state
 
-        plan = QUERY_BUILDERS["query1"]()
-        drivers = [_compile_driver(plan, ExecutionConfig(mode=Mode.UPA))
-                   for _ in range(3)]
+        members = [("q", QUERY_BUILDERS["query1"](),
+                    ExecutionConfig(mode=Mode.UPA))]
+        drivers = [_compile_replica(members)[0][1] for _ in range(3)]
         pipelines = []
         for i, driver in enumerate(drivers):
             report = lint_compiled(driver.compiled, driver=driver)
@@ -279,7 +279,7 @@ class TestOwnershipAndBounds:
             _is_whitelisted,
             shared_mutable_state,
         )
-        from repro.engine.shard import _compile_driver
+        from repro.engine.shard import _compile_replica
 
         segment = shared_memory.SharedMemory(create=True, size=64)
         try:
@@ -290,7 +290,8 @@ class TestOwnershipAndBounds:
             leak: list = []  # a genuinely shared plain container
             pipelines = []
             for i in range(2):
-                driver = _compile_driver(plan, ExecutionConfig(mode=Mode.UPA))
+                [(_name, driver)] = _compile_replica(
+                    [("q", plan, ExecutionConfig(mode=Mode.UPA))])
                 # Plant the shared segment AND a shared list where the
                 # replica's ownership walk will find them, exactly like a
                 # buffer slot.

@@ -107,11 +107,13 @@ class TestSingleImplementation:
         from repro.engine.shard import _SerialShards
 
         plan = from_window(stream("s0")).distinct().build()
-        shards = _SerialShards(plan, ExecutionConfig(mode=Mode.UPA), 2,
-                               None, False)
-        assert all(type(d) is Driver for d in shards.drivers)
-        assert all(isinstance(d.program, ExecutionProgram)
-                   for d in shards.drivers)
+        shards = _SerialShards([("q", plan, ExecutionConfig(mode=Mode.UPA))],
+                               2, None, [False])
+        drivers = [d for replica in shards.replicas
+                   for _name, d in replica.drivers]
+        assert len(drivers) == 2
+        assert all(type(d) is Driver for d in drivers)
+        assert all(isinstance(d.program, ExecutionProgram) for d in drivers)
 
     def test_shared_producers_hold_drivers(self):
         from repro import QueryGroup

@@ -1,6 +1,6 @@
 """Key-sharded parallel execution: analysis, exactness, and fallbacks.
 
-Three layers of guarantees are pinned here:
+Four layers of guarantees are pinned here:
 
 1. **Partitionability analysis** (``repro.core.sharding``): the paper's
    Queries 1–5 all shard by ``src_ip``; count windows, relation joins,
@@ -17,6 +17,9 @@ Three layers of guarantees are pinned here:
    chunk sizes.
 3. **Fallbacks**: ``shards=1``, unshardable plans, and shared groups run
    unsharded with the reason recorded on the result and in ``explain()``.
+4. **Replicas**: a single query and an independent group run the same
+   sharded runtime; an n-member replica run equals n one-member runs, and
+   member subscribers receive their merged streams.
 
 ``touches`` is deliberately *not* asserted equal in general: each shard
 replica pays the per-pass scheduling charges (e.g. the FIFO head peek) on
@@ -35,6 +38,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (
     Arrival,
+    ConfigError,
     ContinuousQuery,
     ExecutionConfig,
     ExecutionError,
@@ -488,7 +492,7 @@ class TestFallbacks:
 
     def test_unknown_backend_rejected(self):
         s0, _ = stream_pair()
-        with pytest.raises(ExecutionError, match="backend"):
+        with pytest.raises(ConfigError, match="backend"):
             ShardedExecutor(from_window(s0).build(), backend="threads")
 
     def test_sharded_executor_reports_balance(self):
@@ -547,6 +551,14 @@ def _make_group(gen):
     return group
 
 
+def _subscribe_members(group):
+    """Attach a recording subscriber to every member; name -> outputs."""
+    outputs = {name: [] for name in group.names()}
+    for name, sink in outputs.items():
+        group[name].subscribe(lambda t, now, sink=sink: sink.append((t, now)))
+    return outputs
+
+
 class TestGroupSharding:
     @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("batch", [None, 64])
@@ -577,6 +589,73 @@ class TestGroupSharding:
                 assert value == sum(shard[name][field]
                                     for shard in result.shard_counters)
 
+    @pytest.mark.parametrize("batch", [None, 64])
+    def test_member_subscribers_receive_the_merged_stream(self, batch):
+        """A subscriber on a group member gets, sharded, the per-instant
+        output multiset (insertions and negative tuples) it gets unsharded
+        — in an order that no backend or chunk size moves."""
+        base_out = _subscribe_members(base := _make_group(_GEN))
+        base.run(iter(_EVENTS), batch=batch)
+        assert all(base_out.values()), "every member must emit something"
+        assert any(t.sign < 0 for t, _now in base_out["q3"])
+        streams = {}
+        for backend in ("serial", "process"):
+            out = _subscribe_members(group := _make_group(_GEN))
+            result = group.run(iter(_EVENTS), batch=batch, shards=3,
+                               shard_backend=backend)
+            assert result.fallback_reason is None
+            for name in ("q1", "q2", "q3"):
+                assert canonical(out[name]) == canonical(base_out[name]), \
+                    (backend, name)
+            streams[backend] = {name: stream_key(out[name]) for name in out}
+        assert streams["serial"] == streams["process"]
+        if batch is not None:
+            out = _subscribe_members(group := _make_group(_GEN))
+            group.run(iter(_EVENTS), shards=3, shard_backend="serial")
+            assert streams["serial"] == {name: stream_key(out[name])
+                                         for name in out}
+
+    def test_unsubscribed_members_are_not_collected(self):
+        """Only members with subscribers pay for output records."""
+        group = _make_group(_GEN)
+        seen = []
+        group["q2"].subscribe(lambda t, now: seen.append((t, now)))
+        base_out = _subscribe_members(base := _make_group(_GEN))
+        base.run(iter(_EVENTS))
+        group.run(iter(_EVENTS), shards=2, shard_backend="serial")
+        assert canonical(seen) == canonical(base_out["q2"])
+
+    def test_process_group_crosses_both_transports(self, monkeypatch):
+        """One trace, both transports: representable chunks ride the fused
+        shm ``cshard`` message, and the one chunk ``encode_routed`` cannot
+        represent (ragged value tuples on a stream nobody reads) falls back
+        to the pickle ``chunk`` message — for a group as for a query."""
+        from repro.engine import shard
+
+        sent = Multiset()
+        real_send = shard._WorkerPool._send
+
+        def counting_send(self, conn, message):
+            sent[message[0]] += 1
+            real_send(self, conn, message)
+
+        monkeypatch.setattr(shard._WorkerPool, "_send", counting_send)
+        events = list(_EVENTS[:254])
+        at = events[70].ts  # inside the second 64-event chunk
+        events[70:70] = [Arrival(at, "noise", (1,)),
+                         Arrival(at, "noise", (1, 2))]
+        base_out = _subscribe_members(base := _make_group(_GEN))
+        base_result = base.run(list(events), batch=64)
+        out = _subscribe_members(group := _make_group(_GEN))
+        result = group.run(list(events), batch=64, shards=2,
+                           shard_backend="process")
+        assert result.backend == "process"
+        assert sent == {"cshard": 2 * 3, "chunk": 2 * 1, "finish": 2}
+        for name in ("q1", "q2", "q3"):
+            assert result.answer(name) == base_result.answer(name), name
+            assert canonical(out[name]) == canonical(base_out[name]), name
+        assert result.tuples_arrived == base_result.tuples_arrived
+
     def test_shared_group_falls_back(self):
         group = QueryGroup(shared=True)
         group.add("a", query1(_GEN, _WINDOW))
@@ -605,6 +684,68 @@ class TestGroupSharding:
         base_result = base.run(list(events))
         assert result.answer("on_a") == base_result.answer("on_a")
         assert result.answer("on_b") == base_result.answer("on_b")
+
+
+@st.composite
+def member_plans(draw):
+    return [draw(shardable_plans()) for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(plans=member_plans(), events=traces(),
+       mode=st.sampled_from([Mode.NT, Mode.DIRECT, Mode.UPA]))
+@pytest.mark.parametrize("backend", ["serial", "process"])
+@pytest.mark.parametrize("batch", [None, 64])
+def test_replica_of_n_members_equals_n_one_member_runs(
+        plans, events, mode, backend, batch):
+    """What a replica holds is invisible to each member: an N-member
+    sharded group equals N single-query sharded runs in answers,
+    per-instant outputs and structural counters, and its member totals
+    are exactly the sums over its shards."""
+    group = QueryGroup()
+    for i, plan in enumerate(plans):
+        group.add(f"m{i}", plan, ExecutionConfig(mode=mode))
+    out = _subscribe_members(group)
+    result = group.run(list(events), batch=batch, shards=2,
+                       shard_backend=backend)
+    assert result.fallback_reason is None and result.backend == backend
+    assert len(result.shard_counters) == 2
+    for i, plan in enumerate(plans):
+        name = f"m{i}"
+        alone, alone_out = run_sharded(plan, events, mode, 2, backend, batch)
+        assert result.answer(name) == alone.answer(), name
+        assert canonical(out[name]) == canonical(alone_out), name
+        snap = result.member_counters[name].snapshot()
+        alone_snap = alone.counters.snapshot()
+        for field in STRUCTURAL:
+            assert snap[field] == alone_snap[field], (name, field)
+        for field, value in snap.items():
+            assert value == sum(shard[name][field]
+                                for shard in result.shard_counters), field
+
+
+def test_one_worker_main_one_class_per_backend():
+    """Groups and queries share the sharded runtime: the group copies of
+    the backends, the worker loop and the parent loop are gone."""
+    import inspect
+
+    from repro.engine import executor, multi, shard
+
+    own = {name: obj for name, obj in vars(shard).items()
+           if getattr(obj, "__module__", None) == shard.__name__}
+    assert [name for name in own if name.endswith("worker_main")] \
+        == ["_shard_worker_main"]
+    assert sorted(name for name, obj in own.items()
+                  if inspect.isclass(obj) and hasattr(obj, "feed_chunk")) \
+        == ["_ProcessShards", "_SerialShards"]
+    # One parent loop: the entry points only shape results.
+    assert inspect.getsource(shard).count("_chunked(") == 1
+    for entry in (shard.run_group_sharded, shard.ShardedExecutor.run):
+        source = inspect.getsource(entry)
+        assert "_run_replicas(" in source
+        assert "feed" not in source and "for chunk" not in source
+    assert multi._chunked is executor._chunked is shard._chunked
 
 
 def test_compile_plan_unaffected_by_analysis():

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import (
     NRR,
     Arrival,
+    ConfigError,
     ContinuousQuery,
     ExecutionConfig,
     Mode,
@@ -531,7 +532,7 @@ class TestGroupMetrics:
 
     def test_invalid_batch_size(self):
         group = build_group(False, ["q2"], Mode.UPA)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="batch must be >= 1"):
             group.run(trace(10), batch=0)
 
     def test_shared_group_rejects_precompiled_queries(self):
