@@ -747,7 +747,7 @@ def rule_prg602_expiration_participants(ctx: LintContext
 def rule_prg603_fused_prefixes_stateless(ctx: LintContext
                                          ) -> Iterator[Diagnostic]:
     """PRG603: every operator fused into a dispatch prefix must be
-    stateless — expose a scalar kernel, hold zero state, and take no part
+    stateless — expose a kernel, hold zero state, and take no part
     in expiration.  Fusing a stateful operator would evaluate it outside
     the expiration machinery, silently leaking (or never building) its
     state."""
@@ -760,11 +760,11 @@ def rule_prg603_fused_prefixes_stateless(ctx: LintContext
         for plan in plans:
             for op, kind, _arg in plan.prefix:
                 where = f"$ [dispatch:{stream}]"
-                if op.scalar_kernel() is None:
+                if op.kernel() is None:
                     yield Diagnostic(
                         "PRG603", SEVERITY_ERROR, where,
                         f"fused prefix entry {type(op).__name__} (kind "
-                        f"{kind!r}) exposes no scalar kernel; only "
+                        f"{kind!r}) exposes no kernel; only "
                         "kernel-bearing operators may be fused",
                         "rebuild the program with "
                         "engine.program.build_program",
@@ -786,46 +786,6 @@ def rule_prg603_fused_prefixes_stateless(ctx: LintContext
                         "it outside the expiration machinery",
                         "dispatch expiring operators through the generic "
                         "suffix route",
-                    )
-
-
-def rule_prg605_column_kernel_agreement(ctx: LintContext
-                                        ) -> Iterator[Diagnostic]:
-    """PRG605: on every fused dispatch prefix, an operator's column kernel
-    must evaluate the same function as its scalar kernel — the same
-    predicate object for ``filter``/``filter_rows``, the same index tuple
-    for ``map_indices``/``take_columns``, ``pass`` for ``pass``.  The
-    driver's column loop evaluates prefixes column-wise from the column
-    form while the per-tuple and row loops evaluate the scalar form; a
-    disagreeing pair would make one plan's answer depend on which loop ran
-    the batch.  Operators with no column kernel are fine — they keep the
-    plan on the row loop rather than changing its meaning."""
-    from ..engine.columnar import column_kernel_matches
-
-    program = _program_of(ctx)
-    if program is None:
-        return
-    for stream, plans in program.dispatch.items():
-        for plan in plans:
-            for op, _kind, _arg in plan.prefix:
-                column = op.column_kernel()
-                if column is None:
-                    continue  # not vectorizable: the plan takes the row loop
-                scalar = op.scalar_kernel()
-                if not column_kernel_matches(scalar, column):
-                    scalar_kind = scalar[0] if scalar else None
-                    yield Diagnostic(
-                        "PRG605", SEVERITY_ERROR,
-                        f"$ [dispatch:{stream}]",
-                        f"fused prefix entry {type(op).__name__} exposes a "
-                        f"column kernel {column[0]!r} that disagrees with "
-                        f"its scalar kernel {scalar_kind!r}; the columnar "
-                        "and row paths would compute different answers "
-                        "from the same plan",
-                        "make column_kernel() return the column form of "
-                        "exactly the scalar kernel (same predicate/index "
-                        "objects), or return None to opt out of "
-                        "vectorization",
                     )
 
 
@@ -881,7 +841,6 @@ PLAN_RULES = (
     ("PRG601", rule_prg601_dispatch_covers_edges),
     ("PRG602", rule_prg602_expiration_participants),
     ("PRG603", rule_prg603_fused_prefixes_stateless),
-    ("PRG605", rule_prg605_column_kernel_agreement),
     ("ALS701", rule_als701_exclusive_ownership),
     ("ALS702", rule_als702_stale_captures),
     ("ALS703", rule_als703_module_level_sinks),

@@ -3,8 +3,8 @@
 ``ExecutionConfig(checked=True)`` (CLI ``--checked``) arms this module.  At
 compile time every operator state buffer and the result view's buffer are
 wrapped in a :class:`MonitoredBuffer`, and every physical operator's
-``process`` / ``process_batch`` / ``expire`` entry points are wrapped with
-an emission monitor.  Together they assert, on every tuple, the invariants
+``process_batch`` / ``expire`` entry points are wrapped with an emission
+monitor.  Together they assert, on every tuple, the invariants
 the declared update patterns promise (Section 3.1 / 5.2):
 
 * **FIFO expiration for WKS** — state fed by a MONOTONIC/WKS edge must be
@@ -321,13 +321,8 @@ class Sanitizer:
                             "(Section 3.1)")
             return outputs
 
-        orig_process = op.process
         orig_batch = op.process_batch
         orig_expire = op.expire
-
-        def process(input_index: int, t: Any, now: float,
-                    _orig: Any = orig_process, _check: Any = check) -> Any:
-            return _check(_orig(input_index, t, now), now)
 
         def process_batch(input_index: int, tuples: Any, now: float,
                           _orig: Any = orig_batch,
@@ -338,7 +333,6 @@ class Sanitizer:
                    _check: Any = check) -> Any:
             return _check(_orig(now), now)
 
-        op.process = process
         op.process_batch = process_batch
         op.expire = expire
         for hook in ("on_relation_insert", "on_relation_delete"):

@@ -18,11 +18,10 @@ al., SIGMOD'17) use to win their constant factors:
   :mod:`~repro.engine.shard` — one shared payload per routed chunk, tiny
   per-shard row-index headers, lazy per-stream column materialization on
   the worker side;
-* the column-kernel vocabulary (:func:`column_kernel_matches`,
-  :func:`take_columns`) the driver's column micro-batch loop evaluates
-  fused stateless prefixes with.  The loop itself, the rule that decides
-  when a program takes it, and the argument that it is exact live in
-  :mod:`~repro.engine.driver`.
+* :func:`take_columns`, the column-wise projection the driver's column
+  micro-batch loop evaluates fused ``map_indices`` kernels with.  The loop
+  itself, the rule that decides when a program takes it, and the argument
+  that it is exact live in :mod:`~repro.engine.driver`.
 """
 
 from __future__ import annotations
@@ -548,29 +547,8 @@ def _decode_columns(view, pos, total, width, offset, count) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Column kernels
+# Column-wise projection
 # ---------------------------------------------------------------------------
-
-
-def column_kernel_matches(scalar, column) -> bool:
-    """Do a scalar kernel and a column kernel evaluate the same function?
-
-    The agreement relation PRG605 proves on the compiled plan:
-    ``("filter", p)`` ≡ ``("filter_rows", p)`` (same predicate object),
-    ``("map_indices", ix)`` ≡ ``("take_columns", ix)`` (same index tuple),
-    ``("pass", None)`` ≡ ``("pass", None)``.
-    """
-    if scalar is None or column is None:
-        return False
-    s_kind, s_arg = scalar
-    c_kind, c_arg = column
-    if s_kind == "filter":
-        return c_kind == "filter_rows" and c_arg is s_arg
-    if s_kind == "map_indices":
-        return c_kind == "take_columns" and tuple(c_arg) == tuple(s_arg)
-    if s_kind == "pass":
-        return c_kind == "pass" and c_arg is None
-    return False  # pragma: no cover - closed kernel vocabulary
 
 
 def take_columns(rows: list, indices) -> list:
@@ -588,7 +566,6 @@ def take_columns(rows: list, indices) -> list:
 
 __all__ = [
     "ChunkTable",
-    "column_kernel_matches",
     "decode_routed",
     "encode_routed",
     "stable_hash",

@@ -1,4 +1,4 @@
-"""The driver: one class, one reference loop, three compiled paths.
+"""The driver: one class, the compiled paths.
 
 A :class:`Driver` runs one :class:`~repro.engine.program.ExecutionProgram`.
 Section 2's processing model: "Each new tuple is processed immediately by
@@ -9,32 +9,25 @@ interval equals the tuple inter-arrival time, the setting used in Section
 6.1), and every ``lazy_interval`` time units it lets lazily-maintained
 operators purge their state (default: 5% of the largest window, the paper's
 default).  Pure time advancement without arrivals is modelled with Tick
-events.
-
-The reference loop and the step library
----------------------------------------
-
-The class-level :meth:`Driver.process_event` is that model written down:
-clock, expire, dispatch, propagate, purge, deliver, each a small step
-method.  No runtime calls it — single queries, shard workers and shared
-groups (producers and members) all run the compiled paths below; it is
-what those paths are tested against (``Driver.process_event(driver, e)``).
+events.  That model written down as an interpreter over the program —
+what the compiled paths are tested against — is
+:func:`repro.testing.reference_step`; no runtime calls it.
 
 The compiled paths
 ------------------
 
-The program is *static per query*, so every lookup the reference loop makes
+The program is *static per query*, so every lookup an interpreter makes
 per event can be resolved once, at construction — the move query compilers
 make for conjunctive queries under updates (Kara et al., arXiv:2206.09032):
 generate maintenance code specialized to the query shape instead of
 interpreting a generic plan.  The driver compiles the program into
 
-* **the per-tuple loop** — one fused closure installed as the
-  ``process_event`` *instance attribute*, so ``Executor.run``'s hoist
-  binds straight to it.  It runs the full
-  bottom-up expiration pass before every event exactly like the reference
-  loop, so answers, output streams and **all** counters (touches included)
-  are byte-identical to it.
+* **the per-tuple loop** — one fused closure, the ``process_event``
+  *instance attribute* (the class defines none), so ``Executor.run``'s
+  hoist binds straight to it.  It runs the full bottom-up expiration pass
+  before every event exactly like the reference interpreter, so answers,
+  output streams and **all** counters (touches included) are
+  byte-identical to it.
 * **the row micro-batch loop** (:meth:`Driver.process_batch`) — amortizes
   the expiration pass, the result-view purge and the propagation walk over
   a batch while producing byte-identical output streams, view snapshots and
@@ -65,15 +58,19 @@ interpreting a generic plan.  The driver compiles the program into
   over whole chunks) and an in-order *replay phase* (passes, stateful
   suffixes, lazy purges, delivery — per event, at each event's own clock).
 
-Which batch loop runs is decided from the program, not by the caller: the
-column phase only has bulk work to do when some dispatch plan has a fused
-stateless prefix, so the driver compiles column plans when every dispatch
-plan is expressible in the column vocabulary (time windows, matching
-column kernels) *and* at least one has a non-empty prefix, and takes the
-row loop otherwise.  Measured on ``benchmarks/e2e`` (seed 42): with a
-filter prefix the row loop is 1.32× slower (``q1_ftp``); with an empty
-prefix the column loop is the slower one (``grp_src`` 0.88×, ``q3_neg``
-0.96× on the row loop).  :meth:`Driver.batch_loop` reports the choice.
+Two row-at-a-time loops remain because batch size selects between them and
+each wins on its side: fed one event per call, the per-tuple closure is
+1.6–2.0× faster than the row loop at batch size one (``q2_pairs_pt`` sits on
+that side, the batch workloads on the other; RESULTS.md "one operator entry
+point").  Which batch loop runs is decided from the program, not by the
+caller: the column phase only has bulk work to do when some dispatch plan
+has a fused stateless prefix, so the driver compiles column plans when every
+dispatch plan is expressible column-wise (time windows) *and* at least one
+has a non-empty prefix, and takes the row loop otherwise.  Measured on
+``benchmarks/e2e`` (seed 42): with a filter prefix the row loop is 1.32×
+slower (``q1_ftp``); with an empty prefix the column loop is the slower
+one (``grp_src`` 0.88×, ``q3_neg`` 0.96× on the row loop).
+:meth:`Driver.batch_loop` reports the choice.
 
 Why the column/replay split is exact
 ------------------------------------
@@ -100,9 +97,9 @@ suffix processing, lazy-purge grid decisions, output delivery — runs in the
 replay phase, per event, in arrival order, against exactly the state the
 row loop would see.  Batches containing relation updates or non-monotone
 timestamps take the row loop, which is trivially identical, and are
-counted by reason in :attr:`Driver.batch_fallbacks`; lint rule PRG605
-proves the column kernels agree with the scalar kernels on the compiled
-plan.
+counted by reason in :attr:`Driver.batch_fallbacks`.  Every loop evaluates
+the one kernel triple ``build_program`` stored in ``DispatchPlan.prefix``,
+so no two loops can disagree on what a fused operator computes.
 
 Instrumentation
 ---------------
@@ -125,16 +122,15 @@ from bisect import bisect_left
 from itertools import compress, count, islice
 from operator import gt as _gt
 from time import perf_counter as perf
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..core.tuples import Tuple
 from ..errors import ExecutionError
 from ..streams.relation import NRR
 from ..streams.stream import Arrival, Event, RelationUpdate, Tick
 from ..streams.window import TimeWindow
-from ..operators.base import PhysicalOperator
 from ..operators.stateless import PortOp
-from .columnar import ChunkTable, column_kernel_matches, take_columns
+from .columnar import ChunkTable, take_columns
 from .program import ExecutionProgram
 from .telemetry import DriverMetrics
 
@@ -151,6 +147,10 @@ class Driver:
 
     #: Events between two state samples of an armed driver.
     sample_events = 4096
+
+    #: The compiled per-tuple loop: an instance attribute (set in
+    #: ``__init__``), so ``Executor.run``'s hoist binds the closure directly.
+    process_event: Callable[[Event], None]
 
     def __init__(self, compiled, program: ExecutionProgram):
         self.compiled = compiled
@@ -188,9 +188,6 @@ class Driver:
         self._metrics = None if compiled.telemetry is None else DriverMetrics(
             compiled, [plan.leaf for stream in self._col_plans
                        for plan in self._dispatch[stream]])
-        #: The compiled per-tuple loop, as an instance attribute so
-        #: ``Executor.run``'s hoist binds the closure directly.
-        self.process_event = self._fast_event
 
     # -- public API --------------------------------------------------------
 
@@ -251,7 +248,7 @@ class Driver:
         executing anything — the ALS702 ownership rule walks their
         ``__closure__`` cells to prove no pre-seal plan object was
         captured."""
-        yield "fast_event", self._fast_event
+        yield "process_event", self.process_event
         columns = {stream: [fn for fn, _slot in pairs]
                    for stream, pairs in self._col_plans.items()}
         for kind, table in (("arrival_pt", self._arrivals_pt),
@@ -261,37 +258,7 @@ class Driver:
                 for i, fn in enumerate(fns):
                     yield f"{kind}:{stream}[{i}]", fn
 
-    # -- the reference loop (Section 2) ------------------------------------
-
-    def process_event(self, event: Event) -> None:
-        """Advance the clock, expire state, then dispatch one event.
-
-        The reference per-tuple loop over the step library.  Every driver
-        shadows it with the compiled per-tuple closure (an instance
-        attribute); call it as ``Driver.process_event(driver, event)`` to
-        run the reference.
-        """
-        now = self._clock_for(event)
-        if now < self.now:
-            raise ExecutionError(
-                f"out-of-order event: ts {now} after clock {self.now} "
-                "(the model assumes non-decreasing timestamps, Section 2)"
-            )
-        self.now = now
-        self._events_processed += 1
-        self._expiration_pass(now)
-        if isinstance(event, Arrival):
-            self._tuples_arrived += 1
-            self._dispatch_arrival(event, now)
-        elif isinstance(event, RelationUpdate):
-            self._dispatch_relation_update(event, now)
-        elif isinstance(event, Tick):
-            pass  # time already advanced; the expiration pass did the work
-        else:  # pragma: no cover - event model is closed
-            raise ExecutionError(f"unknown event type {type(event).__name__}")
-        self._maybe_lazy_purge(now)
-
-    # -- program steps -----------------------------------------------------
+    # -- steps the compiled loops call --------------------------------------
 
     def _clock_for(self, event: Event) -> float:
         if self._time_domain:
@@ -302,34 +269,6 @@ class Driver:
                 and event.stream == self._count_stream):
             self._seq[event.stream] = self._seq.get(event.stream, 0) + 1
         return self._seq.get(self._count_stream, 0)
-
-    def _expiration_pass(self, now: float) -> None:
-        # Bottom-up: leaves (NT negatives) first, then eager operators; each
-        # operator's emissions are pushed all the way up before the next
-        # operator expires, so parents observe deletions in order.
-        for op in self._expire_ops:
-            outputs = op.expire(now)
-            self._propagate(op, outputs, now)
-        self.compiled.view.purge(now)
-
-    def _dispatch_arrival(self, event: Arrival, now: float) -> None:
-        leaves = self._leaf_bindings.get(event.stream)
-        if not leaves:
-            return  # stream not referenced by this query
-        for leaf in leaves:
-            if isinstance(leaf, PortOp):
-                # A shared subtree reads this stream: replay its output.
-                self._propagate(leaf, list(leaf.pull()), now)
-                continue
-            # ``now`` already lives in the stamping domain: _clock_for
-            # returns the event timestamp for time-based plans and the
-            # count-stream sequence number for count-based ones, which is
-            # exactly the value WindowOp.stamp expects for both the tuple
-            # timestamp and the expiry clock (the stamping contract is
-            # documented on WindowOp.stamp).
-            stamped = leaf.stamp(event.values, now, now)
-            outputs = leaf.process(0, stamped, now)
-            self._propagate(leaf, outputs, now)
 
     def _dispatch_relation_update(self, event: RelationUpdate,
                                   now: float) -> None:
@@ -354,20 +293,14 @@ class Driver:
                 outputs = op.on_relation_insert(event.values, now)
             else:
                 outputs = op.on_relation_delete(event.values, now)
-            self._propagate(op, outputs, now)
-
-    def _propagate(self, source: PhysicalOperator, outputs: list[Tuple],
-                   now: float) -> None:
-        if not outputs:
-            return
-        for parent, slot in self._routes[id(source)]:
-            outputs = parent.process_batch(slot, outputs, now)
             if not outputs:
-                return
-        self._deliver(outputs, now)
-
-    def _deliver(self, outputs: list[Tuple], now: float) -> None:
-        self.compiled.view.deliver(outputs, now, self._subscribers)
+                continue
+            for parent, slot in self._routes[id(op)]:
+                outputs = parent.process_batch(slot, outputs, now)
+                if not outputs:
+                    break
+            else:
+                self.compiled.view.deliver(outputs, now, self._subscribers)
 
     def _maybe_lazy_purge(self, now: float) -> None:
         """Purge lazily-maintained operators on a fixed-interval schedule
@@ -427,7 +360,7 @@ class Driver:
             arrivals_b[stream] = tuple(b for _pt, b in pairs)
         self._arrivals_pt = arrivals_pt
         self._arrivals_b = arrivals_b
-        self._fast_event = self._compile_event_loop()
+        self.process_event = self._compile_event_loop()
 
     def _stages(self, route) -> tuple:
         """``route`` with every lookup bound: ``(process_batch, slot,
@@ -474,10 +407,10 @@ class Driver:
         """Compile one DispatchPlan into (per-tuple, row-batch) arrival
         closures with every lookup bound into locals.
 
-        The per-tuple variant mirrors the reference ``_dispatch_arrival``
-        (the full pass runs per event, so no boundary bookkeeping is
-        needed); the row-batch variant threads the global gate through its
-        return value and folds into the per-operator boundary caches.
+        The per-tuple variant needs no boundary bookkeeping (the full pass
+        runs per event); the row-batch variant threads the global gate
+        through its return value and folds into the per-operator boundary
+        caches.
         """
         if isinstance(plan.leaf, PortOp):
             return self._compile_port_arrival(plan)
@@ -497,7 +430,7 @@ class Driver:
         def window_pt(values, now):
             # Inlined WindowOp arrival: clock advance, one
             # tuples_processed charge, store insertion under NT, then the
-            # fused prefix (scalar_kernel contract: clock advance + one
+            # fused prefix (``kernel`` contract: clock advance + one
             # charge per operator seen).
             t = stamp(values, now, now)
             if now > leaf.clock:
@@ -573,9 +506,9 @@ class Driver:
     def _compile_event_loop(self):
         """Compile the fused per-tuple event loop: one closure covering
         expire → dispatch → propagate → purge → deliver with every step
-        resolved into locals.  Semantically identical to the reference
-        :meth:`process_event` (full pass per event, same bottom-up order,
-        same dispatch), minus the per-event lookups."""
+        resolved into locals.  Semantically identical to
+        :func:`repro.testing.reference_step` (full pass per event, same
+        bottom-up order, same dispatch), minus the per-event lookups."""
         driver = self
         compiled = self.compiled
         deliver = compiled.view.deliver
@@ -650,14 +583,12 @@ class Driver:
         """Choose the micro-batch loop from the program, and compile one
         column-phase closure per dispatch plan when it is the column loop.
 
-        The column loop needs every dispatch plan expressible in the
-        column vocabulary — time windows, and for each fused prefix
-        operator a column kernel that agrees with its scalar kernel — and
-        pays only when some plan gives the bulk phase a fused stateless
-        prefix to evaluate.  ``_row_loop`` is ``(reason, fallback)``: why
-        batches take the row loop (None on the column loop), and the
-        ``batch_fallbacks`` key charged per batch when that is a limit of
-        the column vocabulary rather than the faster choice.
+        The column loop needs every leaf to stamp a time window's ``exp``
+        column, and pays only when some plan gives the bulk phase a fused
+        stateless prefix to evaluate.  ``_row_loop`` is ``(reason,
+        fallback)``: why batches take the row loop (None on the column
+        loop), and the ``batch_fallbacks`` key charged per batch when that
+        is a limit of the column vocabulary rather than the faster choice.
         """
         self._row_loop = reason, _fallback = self._row_loop_reason()
         #: stream -> ((column-phase closure, DriverMetrics slot), ...)
@@ -681,12 +612,7 @@ class Driver:
                 if not isinstance(plan.leaf.window, TimeWindow):
                     # window=None; no exp to stamp
                     return "unbounded stream", "unbounded_stream"
-                for op, _kind, _arg in plan.prefix:
-                    if not column_kernel_matches(op.scalar_kernel(),
-                                                 op.column_kernel()):
-                        return (f"no column kernel for {type(op).__name__}",
-                                "no_column_kernel")
-                    fused = True
+                fused = fused or bool(plan.prefix)
         return (None if fused else "no stateless prefix"), None
 
     def _compile_column_plan(self, plan):
@@ -698,8 +624,7 @@ class Driver:
         on ``pending`` for the replay phase to run in arrival order.
         """
         leaf = plan.leaf
-        kernels = tuple((op, *op.column_kernel())
-                        for op, _kind, _arg in plan.prefix)
+        prefix = plan.prefix  # the same triples, evaluated column-wise
         span = leaf.window.size
         store = leaf._store
         insert_many = store.insert_many if store is not None else None
@@ -731,18 +656,18 @@ class Driver:
                            for r, v in zip(rows, vals)]
                 insert_many(stamped)
                 keep = stamped
-                for op, kind, arg in kernels:
+                for op, kind, arg in prefix:
                     if not keep:
                         break
                     tail = keep[-1].ts
                     if tail > op.clock:
                         op.clock = tail
                     counters.tuples_processed += len(keep)
-                    if kind == "filter_rows":
+                    if kind == "filter":
                         mask = [arg(t.values) for t in keep]
                         idx = list(compress(idx, mask))
                         keep = list(compress(keep, mask))
-                    elif kind == "take_columns":
+                    elif kind == "map_indices":
                         keep = [t.with_values(v) for t, v in zip(
                             keep, take_columns([t.values for t in keep],
                                                arg))]
@@ -760,18 +685,18 @@ class Driver:
                 # Tuples only for the rows that survive — the lazy
                 # boundary the struct-of-arrays layout exists for.
                 keep = vals
-                for op, kind, arg in kernels:
+                for op, kind, arg in prefix:
                     if not keep:
                         break
                     tail = ts[idx[-1]]
                     if tail > op.clock:
                         op.clock = tail
                     counters.tuples_processed += len(keep)
-                    if kind == "filter_rows":
+                    if kind == "filter":
                         mask = list(map(arg, keep))
                         idx = list(compress(idx, mask))
                         keep = list(compress(keep, mask))
-                    elif kind == "take_columns":
+                    elif kind == "map_indices":
                         keep = take_columns(keep, arg)
                 for i, v in zip(idx, keep):
                     t = ts[i]

@@ -6,7 +6,7 @@ plan's update patterns (Sections 5.2–5.4).  This module makes that loop an
 explicit, precomputed object: :func:`build_program` flattens a
 :class:`~repro.engine.strategies.CompiledQuery` into an
 :class:`ExecutionProgram` — per-stream dispatch tables with fused
-scalar-kernel prefixes and resolved routes, the eager/lazy expiration
+kernel prefixes and resolved routes, the eager/lazy expiration
 participant lists, and an explicit :class:`Step` sequence — and
 :mod:`repro.engine.driver` runs any such program in per-tuple or micro-batch
 mode.  Per-tuple execution (``Executor``), micro-batching, shared groups
@@ -37,16 +37,17 @@ class DispatchPlan(NamedTuple):
     """One leaf's precompiled arrival plan for a stream.
 
     ``prefix`` is the maximal chain of stateless operators directly above
-    the leaf that expose a :meth:`scalar_kernel` — inlined per tuple by the
-    arrival closures — and ``suffix`` is the remaining route, run stage by
-    stage through ``process_batch``.  Fusing only reorders *how* the same
+    the leaf that expose a :meth:`kernel` — inlined per tuple by the
+    arrival closures, evaluated over whole columns by the column loop — and
+    ``suffix`` is the remaining route, run stage by stage through
+    ``process_batch``.  Fusing only reorders *how* the same
     per-tuple work is expressed; outputs, state transitions and counter
     charges are unchanged.  A shared port is a leaf too: it replays a list
     per arrival, so its prefix is empty and its suffix is the whole route.
     """
 
     leaf: WindowOp | PortOp
-    prefix: tuple  # ((op, kind, arg), ...) from scalar_kernel()
+    prefix: tuple  # ((op, kind, arg), ...) from kernel()
     suffix: tuple  # ((parent, slot), ...) remaining route to the root
 
 
@@ -124,7 +125,7 @@ def build_program(compiled) -> ExecutionProgram:
             split = 0
             # A port replays lists, not single tuples: nothing to inline.
             for parent, _slot in (() if isinstance(leaf, PortOp) else route):
-                kernel = parent.scalar_kernel()
+                kernel = parent.kernel()
                 if kernel is None:
                     break
                 prefix.append((parent, kernel[0], kernel[1]))

@@ -4,13 +4,18 @@ Section 2.3: "continuous query operators process two types of events:
 arrivals of new tuples and expirations of old tuples."  A physical operator
 therefore exposes three entry points:
 
-* :meth:`process` — a (positive or negative) tuple arrives on one of the
-  operator's inputs; the return value is the list of output tuples the event
-  produces.  Negative tuples are handled here too: every stateful operator
-  knows how to delete matching state and emit the derived negatives, so the
-  same operator classes serve all three execution strategies (NT, DIRECT and
-  UPA differ only in which buffers they plug in, whether windows emit
-  negatives, and which result view stores the output).
+* :meth:`process_batch` — a *list* of (positive or negative) tuples arrives
+  on one of the operator's inputs, all sharing the same clock value; the
+  return value is the list of output tuples those arrivals produce, in
+  order.  It is the one arrival entry point — a single arrival is a list of
+  one — and it is *list-transparent*: outputs, state transitions and counter
+  charges equal those of feeding the same tuples one list each
+  (``tests/test_operators.py`` holds every operator to it).  Negative tuples
+  are handled here too: every stateful operator knows how to delete matching
+  state and emit the derived negatives, so the same operator classes serve
+  all three execution strategies (NT, DIRECT and UPA differ only in which
+  buffers they plug in, whether windows emit negatives, and which result
+  view stores the output).
 * :meth:`expire` — the clock advanced; *eager* operators (duplicate
   elimination, group-by, negation, per Section 2.3) detect their own expired
   state and may produce new output in response.
@@ -18,13 +23,11 @@ therefore exposes three entry points:
   expired tuples around temporarily (e.g. join state, Section 2.1), trading
   memory for cheaper expiration.
 
-Two further hooks support the micro-batch execution path:
+Two further hooks serve the driver's compiled loops:
 
-* :meth:`process_batch` — a *list* of tuples arrives on one input, all
-  sharing the same clock value.  The default loops over :meth:`process`;
-  hot operators override it with a vectorized implementation that hoists
-  per-call overhead out of the loop.  Overrides must be *transparent*:
-  identical outputs, state transitions and counter charges as the loop.
+* :meth:`kernel` — stateless single-tuple operators declare what they
+  compute (``filter`` / ``map_indices`` / ``pass``) so the driver can fuse
+  them into its arrival dispatch, per tuple or column-wise.
 * :meth:`next_expiry` — the earliest pending expiration in this operator's
   eagerly-maintained state, used by the batched executor to decide when a
   skipped expiration pass would stop being a no-op.  Boundary queries are
@@ -61,31 +64,27 @@ class PhysicalOperator:
 
     # -- event entry points --------------------------------------------------
 
-    def process(self, input_index: int, t: Tuple, now: float) -> list[Tuple]:
-        """Handle an arrival (positive or negative) on input ``input_index``."""
-        raise NotImplementedError
-
     def process_batch(self, input_index: int, tuples: Sequence[Tuple],
                       now: float) -> list[Tuple]:
-        """Handle a list of arrivals on one input, all at clock ``now``.
+        """Handle a list of arrivals (positive or negative) on input
+        ``input_index``, all at clock ``now``; return their outputs in
+        order.  Operators that reject an arrival by design
+        (``ExecutionError``) charge per tuple, so the raise leaves exactly
+        the charges of the tuples up to and including the offender."""
+        raise NotImplementedError
 
-        Semantically identical to calling :meth:`process` per tuple in
-        order and concatenating the outputs; overrides exist purely to
-        amortize per-call overhead and must preserve outputs, state and
-        counter charges exactly.
-        """
-        out: list[Tuple] = []
-        process = self.process
-        for t in tuples:
-            out.extend(process(input_index, t, now))
-        return out
+    def process(self, input_index: int, t: Tuple, now: float) -> list[Tuple]:
+        """Convenience for a single arrival: a list of one.  Final — no
+        operator overrides it."""
+        return self.process_batch(input_index, [t], now)
 
-    def scalar_kernel(self):
-        """Fusion hook for the batched executor's leaf fast path.
+    def kernel(self):
+        """Fusion hook for the driver's arrival dispatch.
 
         Stateless single-tuple operators may return ``(kind, arg)`` so the
-        executor can inline them into its arrival dispatch loop instead of
-        paying a ``process_batch`` call per single-tuple list:
+        driver can inline them — per tuple in the arrival closures, over
+        whole columns in the column loop — instead of paying a
+        ``process_batch`` call per single-tuple list:
 
         * ``("filter", predicate)`` — keep the tuple iff
           ``predicate(t.values)`` (selection);
@@ -93,35 +92,11 @@ class PhysicalOperator:
           projection at ``indices``;
         * ``("pass", None)`` — forward unchanged (merge union).
 
-        The executor replicates this operator's exact bookkeeping (clock
+        The driver replicates this operator's exact bookkeeping (clock
         advance, one ``tuples_processed`` charge per tuple seen) when it
         applies the kernel, so fusion is observationally identical to the
         un-fused path.  Stateful or clock-sensitive operators must return
         ``None`` (the default) to stay on the generic path.
-        """
-        return None
-
-    def column_kernel(self):
-        """Column-wise counterpart of :meth:`scalar_kernel`.
-
-        Operators whose scalar kernel vectorizes over whole columns may
-        return the column form consumed by the columnar driver's fused
-        prefix loop:
-
-        * ``("filter_rows", predicate)`` — keep the rows whose value
-          tuple satisfies ``predicate`` (same predicate object as the
-          scalar ``("filter", ...)`` kernel);
-        * ``("take_columns", indices)`` — gather the value columns at
-          ``indices`` (same index tuple as ``("map_indices", ...)``);
-        * ``("pass", None)`` — forward all rows unchanged.
-
-        The columnar driver replicates the same per-tuple bookkeeping
-        contract as the scalar path (clock fold to the last reaching
-        timestamp, one ``tuples_processed`` charge per tuple seen), and
-        lint rule PRG605 proves scalar and column kernels agree on every
-        fused prefix of the compiled plan.  Kernels that do not
-        vectorize return ``None`` (the default): the driver then falls
-        back to the per-row specialized loop for the whole plan.
         """
         return None
 
@@ -153,11 +128,6 @@ class PhysicalOperator:
     def _advance(self, now: float) -> None:
         if now > self.clock:
             self.clock = now
-
-    def _count(self, t: Tuple) -> None:
-        self.counters.tuples_processed += 1
-        if t.is_negative:
-            self.counters.negatives_processed += 1
 
     def state_size(self) -> int:
         """Total number of tuples held in this operator's state buffers."""

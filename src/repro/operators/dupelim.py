@@ -38,20 +38,8 @@ class DupElimStandardOp(PhysicalOperator):
         self._input = input_buffer
         self._output = output_buffer
 
-    def process(self, input_index: int, t: Tuple, now: float) -> list[Tuple]:
-        self._advance(now)
-        self._count(t)
-        if t.is_negative:
-            return self._handle_negative(t, now)
-        self._input.insert(t)
-        if self._output.probe(t.values, now):
-            return []  # value already represented
-        self._output.insert(t)
-        self.counters.results_produced += 1
-        return [t]
-
     def process_batch(self, input_index: int, tuples, now: float) -> list[Tuple]:
-        """Vectorized standard duplicate elimination (hoisted lookups)."""
+        """Standard duplicate elimination over a list (hoisted lookups)."""
         self._advance(now)
         counters = self.counters
         input_insert = self._input.insert
@@ -154,40 +142,17 @@ class DupElimDeltaOp(PhysicalOperator):
         self._output = output_buffer
         self._aux: dict[Hashable, Tuple] = {}
 
-    def process(self, input_index: int, t: Tuple, now: float) -> list[Tuple]:
-        self._advance(now)
-        self._count(t)
-        if t.is_negative:
-            raise ExecutionError(
-                "the δ duplicate-elimination operator cannot process negative "
-                "tuples; its input must be WKS or WK (Section 5.3.1)"
-            )
-        if self._output.probe(t.values, now):
-            # Duplicate: keep the longest-lived one as the auxiliary.  Over
-            # WKS input the latest arrival always has the maximum exp; over
-            # WK input it need not, so compare explicitly — the promotion
-            # argument ("if the auxiliary is dead, every other duplicate is
-            # dead too") relies on the auxiliary having the maximum exp.
-            current = self._aux.get(t.values)
-            if current is None or t.exp > current.exp:
-                self._aux[t.values] = t
-            self.counters.touches += 1
-            return []
-        self._output.insert(t)
-        self.counters.results_produced += 1
-        return [t]
-
     def process_batch(self, input_index: int, tuples, now: float) -> list[Tuple]:
-        """Vectorized δ: the probe/auxiliary bookkeeping with hoisted
-        lookups — the operator's whole hot path is this loop."""
+        """The probe/auxiliary bookkeeping with hoisted lookups — the
+        operator's whole hot path is this loop."""
         self._advance(now)
         counters = self.counters
         probe = self._output.probe
         insert = self._output.insert
         aux = self._aux
         out: list[Tuple] = []
-        counters.tuples_processed += len(tuples)
         for t in tuples:
+            counters.tuples_processed += 1
             if t.is_negative:
                 counters.negatives_processed += 1
                 raise ExecutionError(
@@ -197,6 +162,12 @@ class DupElimDeltaOp(PhysicalOperator):
                 )
             values = t.values
             if probe(values, now):
+                # Duplicate: keep the longest-lived one as the auxiliary.
+                # Over WKS input the latest arrival always has the maximum
+                # exp; over WK input it need not, so compare explicitly —
+                # the promotion argument ("if the auxiliary is dead, every
+                # other duplicate is dead too") relies on the auxiliary
+                # having the maximum exp.
                 current = aux.get(values)
                 if current is None or t.exp > current.exp:
                     aux[values] = t

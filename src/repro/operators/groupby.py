@@ -80,17 +80,23 @@ class GroupByOp(PhysicalOperator):
         self.counters.results_produced += 1
         return Tuple(group + tuple(a.current() for a in aggs), now)
 
-    def process(self, input_index: int, t: Tuple, now: float) -> list[Tuple]:
+    def process_batch(self, input_index: int, tuples, now: float) -> list[Tuple]:
+        """One updated group result per arrival, in arrival order."""
         self._advance(now)
-        self._count(t)
-        if t.is_negative:
-            if not self._input.delete(t):
-                return []  # unknown tuple: nothing to undo
-            group = self._apply(t.values, adding=False)
-        else:
-            self._input.insert(t)
-            group = self._apply(t.values, adding=True)
-        return [self._result_for(group, now)]
+        counters = self.counters
+        out: list[Tuple] = []
+        for t in tuples:
+            counters.tuples_processed += 1
+            if t.is_negative:
+                counters.negatives_processed += 1
+                if not self._input.delete(t):
+                    continue  # unknown tuple: nothing to undo
+                group = self._apply(t.values, adding=False)
+            else:
+                self._input.insert(t)
+                group = self._apply(t.values, adding=True)
+            out.append(self._result_for(group, now))
+        return out
 
     def expire(self, now: float) -> list[Tuple]:
         """Eager expiry: decrement each expired input, one result per group."""

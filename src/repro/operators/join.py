@@ -40,40 +40,9 @@ class JoinOp(PhysicalOperator):
         self._keys = (left_key, right_key)
         self._buffers = (left_buffer, right_buffer)
 
-    def process(self, input_index: int, t: Tuple, now: float) -> list[Tuple]:
-        self._advance(now)
-        self._count(t)
-        own = self._buffers[input_index]
-        other = self._buffers[1 - input_index]
-        key = t.values[self._keys[input_index]]
-        if t.is_negative:
-            own.delete(t)
-            positive = t.negate()
-            # Retractions must reach every result the dead tuple formed:
-            # probe *stored* partners unfiltered, because a partner expiring
-            # at this very instant still anchors an unretracted result.
-            matches = other.probe_all(key)
-        else:
-            own.insert(t)
-            positive = t
-            matches = other.probe(key, now)
-        self.counters.results_produced += 0 if t.is_negative else len(matches)
-        out: list[Tuple] = []
-        for match in matches if self.readers else ():
-            if input_index == 0:
-                result = join_tuples(positive, match, now)
-            else:
-                result = join_tuples(match, positive, now)
-            if t.is_negative:
-                result = result.negate()
-            out.append(result)
-        return out
-
     def process_batch(self, input_index: int, tuples, now: float) -> list[Tuple]:
-        """Vectorized probe-insert loop with per-call overhead hoisted.
-
-        Output- and counter-identical to looping over :meth:`process`; the
-        batch shares one clock, one buffer-pair resolution and one key-index
+        """The probe-insert loop with per-call overhead hoisted: the list
+        shares one clock, one buffer-pair resolution and one key-index
         lookup.  (Liveness is still checked per probe: within a micro-batch
         the executor guarantees no stored tuple's expiry falls between the
         batch's clocks, so probing at the shared ``now`` matches the
@@ -106,6 +75,10 @@ class JoinOp(PhysicalOperator):
                 counters.negatives_processed += 1
                 own_delete(t)
                 positive = t.negate()
+                # Retractions must reach every result the dead tuple
+                # formed: probe *stored* partners unfiltered, because a
+                # partner expiring at this very instant still anchors an
+                # unretracted result.
                 matches = probe_all(key)
                 if left:
                     out.extend(join_tuples(positive, m, now).negate()
@@ -151,18 +124,11 @@ class IntersectOp(JoinOp):
         super().__init__(schema, 0, 0, left_buffer, right_buffer, counters)
 
     def process_batch(self, input_index: int, tuples, now: float) -> list[Tuple]:
-        """Fused batch loop for intersection (mirrors JoinOp.process_batch).
-
-        Intersection's result construction differs from the equi-join's —
-        results carry the left constituent's values and expire when either
-        constituent does — so JoinOp's inlined loop cannot be inherited.
-        This fused loop hoists the clock advance, buffer-pair resolution and
-        bound methods out of the per-tuple iteration while staying output-
-        and counter-identical to looping over :meth:`process`: one
-        ``tuples_processed`` charge per tuple, one ``negatives_processed``
-        charge per negative, probes/touches charged by the buffers exactly
-        as in the scalar path, and ``results_produced`` counting positive
-        results only.
+        """JoinOp's loop with intersection's result construction: a result
+        carries the left constituent's values (they equal the right-side
+        values by definition of intersection) and expires when either
+        constituent does, so the equi-join's inlined loop cannot be
+        inherited.  ``results_produced`` counts positive results only.
         """
         self._advance(now)
         counters = self.counters
@@ -193,27 +159,4 @@ class IntersectOp(JoinOp):
                     Tuple(values, now, t_exp if t_exp < m.exp else m.exp)
                     for m in matches)
         counters.results_produced += positives_out
-        return out
-
-    def process(self, input_index: int, t: Tuple, now: float) -> list[Tuple]:
-        self._advance(now)
-        self._count(t)
-        own = self._buffers[input_index]
-        other = self._buffers[1 - input_index]
-        if t.is_negative:
-            own.delete(t)
-            matches = other.probe_all(t.values)
-        else:
-            own.insert(t)
-            matches = other.probe(t.values, now)
-        out: list[Tuple] = []
-        sign_flip = t.is_negative
-        for match in matches:
-            # Result carries the left-side values (they equal the right-side
-            # values by definition of intersection) and expires when either
-            # constituent does.
-            exp = min(t.exp, match.exp)
-            result = Tuple(t.values, now, exp)
-            out.append(result.negate() if sign_flip else result)
-        self.counters.results_produced += 0 if sign_flip else len(out)
         return out

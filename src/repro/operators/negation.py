@@ -83,17 +83,24 @@ class NegationOp(PhysicalOperator):
 
     # -- public event entry points --------------------------------------------
 
-    def process(self, input_index: int, t: Tuple, now: float) -> list[Tuple]:
+    def process_batch(self, input_index: int, tuples, now: float) -> list[Tuple]:
         self._advance(now)
-        self._count(t)
-        value = t.values[self._attrs[input_index]]
-        if t.is_negative:
-            if input_index == 0:
-                return self._remove_left(value, t, now)
-            return self._remove_right(value, t, now)
+        counters = self.counters
+        attr = self._attrs[input_index]
         if input_index == 0:
-            return self._arrive_left(value, t, now)
-        return self._arrive_right(value, t, now)
+            arrive, remove = self._arrive_left, self._remove_left
+        else:
+            arrive, remove = self._arrive_right, self._remove_right
+        out: list[Tuple] = []
+        for t in tuples:
+            counters.tuples_processed += 1
+            value = t.values[attr]
+            if t.is_negative:
+                counters.negatives_processed += 1
+                out.extend(remove(value, t, now))
+            else:
+                out.extend(arrive(value, t, now))
+        return out
 
     def expire(self, now: float) -> list[Tuple]:
         """Self-managed expiry, in global expiration order across both sides."""

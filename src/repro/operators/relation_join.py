@@ -34,19 +34,25 @@ class NRRJoinOp(PhysicalOperator):
         self._left_key = left_key
         self._rel_key = rel_key
 
-    def process(self, input_index: int, t: Tuple, now: float) -> list[Tuple]:
+    def process_batch(self, input_index: int, tuples, now: float) -> list[Tuple]:
         self._advance(now)
-        self._count(t)
-        if t.is_negative:
-            raise ExecutionError(
-                "an NRR-join cannot process negative tuples (Section 5.4.2); "
-                "the planner must not place it above a negation or run it "
-                "under the negative tuple approach"
-            )
-        rows = self._nrr.match(self._rel_key, t.values[self._left_key])
-        self.counters.touches += len(rows)
-        out = [Tuple(t.values + row, now, t.exp) for row in rows]
-        self.counters.results_produced += len(out)
+        counters = self.counters
+        match = self._nrr.match
+        rel_key, left_key = self._rel_key, self._left_key
+        out: list[Tuple] = []
+        for t in tuples:
+            counters.tuples_processed += 1
+            if t.is_negative:
+                counters.negatives_processed += 1
+                raise ExecutionError(
+                    "an NRR-join cannot process negative tuples (Section "
+                    "5.4.2); the planner must not place it above a negation "
+                    "or run it under the negative tuple approach"
+                )
+            rows = match(rel_key, t.values[left_key])
+            counters.touches += len(rows)
+            counters.results_produced += len(rows)
+            out.extend(Tuple(t.values + row, now, t.exp) for row in rows)
         return out
 
 
@@ -65,20 +71,26 @@ class RelationJoinOp(PhysicalOperator):
 
     # -- stream side ----------------------------------------------------------
 
-    def process(self, input_index: int, t: Tuple, now: float) -> list[Tuple]:
+    def process_batch(self, input_index: int, tuples, now: float) -> list[Tuple]:
         self._advance(now)
-        self._count(t)
-        if t.is_negative:
-            self._buffer.delete(t)
-            rows = self._relation.match(self._rel_key,
-                                        t.values[self._left_key])
-            self.counters.touches += len(rows)
-            return [Tuple(t.values + row, now, t.exp, sign=-1) for row in rows]
-        self._buffer.insert(t)
-        rows = self._relation.match(self._rel_key, t.values[self._left_key])
-        self.counters.touches += len(rows)
-        out = [Tuple(t.values + row, now, t.exp) for row in rows]
-        self.counters.results_produced += len(out)
+        counters = self.counters
+        buffer = self._buffer
+        match = self._relation.match
+        rel_key, left_key = self._rel_key, self._left_key
+        out: list[Tuple] = []
+        for t in tuples:
+            counters.tuples_processed += 1
+            rows = match(rel_key, t.values[left_key])
+            counters.touches += len(rows)
+            if t.is_negative:
+                counters.negatives_processed += 1
+                buffer.delete(t)
+                out.extend(Tuple(t.values + row, now, t.exp, sign=-1)
+                           for row in rows)
+            else:
+                buffer.insert(t)
+                counters.results_produced += len(rows)
+                out.extend(Tuple(t.values + row, now, t.exp) for row in rows)
         return out
 
     # -- relation side ----------------------------------------------------------

@@ -37,11 +37,6 @@ class SelectOp(PhysicalOperator):
         self._predicate = predicate
         self.label = label
 
-    def process(self, input_index: int, t: Tuple, now: float) -> list[Tuple]:
-        self._advance(now)
-        self._count(t)
-        return [t] if self._predicate(t.values) else []
-
     def process_batch(self, input_index: int, tuples, now: float) -> list[Tuple]:
         """Vectorized filter: one advance, bulk counting, hoisted predicate."""
         self._advance(now)
@@ -54,11 +49,8 @@ class SelectOp(PhysicalOperator):
             counters.negatives_processed += negatives
         return out
 
-    def scalar_kernel(self):
+    def kernel(self):
         return ("filter", self._predicate)
-
-    def column_kernel(self):
-        return ("filter_rows", self._predicate)
 
 
 class ProjectOp(PhysicalOperator):
@@ -68,12 +60,6 @@ class ProjectOp(PhysicalOperator):
                  counters: Counters | None = None):
         super().__init__(schema, counters)
         self._indices = indices
-
-    def process(self, input_index: int, t: Tuple, now: float) -> list[Tuple]:
-        self._advance(now)
-        self._count(t)
-        values = tuple(t.values[i] for i in self._indices)
-        return [t.with_values(values)]
 
     def process_batch(self, input_index: int, tuples, now: float) -> list[Tuple]:
         """Vectorized projection with the index tuple hoisted out of the loop."""
@@ -87,11 +73,8 @@ class ProjectOp(PhysicalOperator):
         return [t.with_values(tuple(t.values[i] for i in indices))
                 for t in tuples]
 
-    def scalar_kernel(self):
+    def kernel(self):
         return ("map_indices", self._indices)
-
-    def column_kernel(self):
-        return ("take_columns", self._indices)
 
 
 class UnionOp(PhysicalOperator):
@@ -100,11 +83,6 @@ class UnionOp(PhysicalOperator):
     Output arrives in timestamp order because the engine processes events in
     timestamp order (Section 2's in-order processing assumption).
     """
-
-    def process(self, input_index: int, t: Tuple, now: float) -> list[Tuple]:
-        self._advance(now)
-        self._count(t)
-        return [t]
 
     def process_batch(self, input_index: int, tuples, now: float) -> list[Tuple]:
         """Vectorized pass-through: one advance, bulk counting."""
@@ -116,10 +94,7 @@ class UnionOp(PhysicalOperator):
             counters.negatives_processed += negatives
         return list(tuples)
 
-    def scalar_kernel(self):
-        return ("pass", None)
-
-    def column_kernel(self):
+    def kernel(self):
         return ("pass", None)
 
 
@@ -223,13 +198,6 @@ class WindowOp(PhysicalOperator):
         if self.window is None:
             return Tuple(values, ts)
         return Tuple(values, ts, self.window.expiry_of(clock))
-
-    def process(self, input_index: int, t: Tuple, now: float) -> list[Tuple]:
-        self._advance(now)
-        self._count(t)
-        if self._store is not None and not t.is_negative:
-            self._store.insert(t)
-        return [t]
 
     def process_batch(self, input_index: int, tuples, now: float) -> list[Tuple]:
         """Bulk stamp-and-store: positives are inserted via the buffer's

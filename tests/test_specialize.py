@@ -7,7 +7,7 @@ across regime × batch × checked × telemetry — lives in the golden matrix
 pins the *structure* — one driver class, per-driver closure compilation
 (no shared mutable state), the telemetry arm/disarm fast-path handoff, the
 removed ``specialize``/``columnar`` surface — and checks the compiled
-per-tuple loop against the class-level reference loop on the paper
+per-tuple loop against ``repro.testing.reference_step`` on the paper
 queries.
 """
 
@@ -32,6 +32,7 @@ from repro.engine.program import build_program
 from repro.engine.specialize import make_driver
 from repro.engine.strategies import compile_plan
 from repro.errors import PlanError
+from repro.testing import reference_step
 from repro.workloads import queries
 from repro.workloads.traffic import TrafficConfig, TrafficTraceGenerator
 
@@ -85,19 +86,6 @@ class TestBatchLoopChoice:
     """The row-loop reasons the hypothesis suite in test_batched.py has no
     plan shape for."""
 
-    def test_prefix_operator_without_a_column_kernel(self):
-        compiled = compile_plan(join_plan(), ExecutionConfig(mode=Mode.UPA))
-        program = build_program(compiled)
-        select, _kind, _arg = program.dispatch["a"][0].prefix[0]
-        select.column_kernel = lambda: None  # a custom, scalar-only kernel
-        driver = Driver(compiled, program)
-        assert driver.batch_loop() == "row loop: no column kernel for SelectOp"
-        driver.process_batch(list(TRACE))
-        reference = ContinuousQuery(join_plan(),
-                                    ExecutionConfig(mode=Mode.UPA))
-        reference.run(list(TRACE))
-        assert dict(driver.answer()) == dict(reference.answer())
-
     def test_unbounded_stream_has_no_exp_column_to_stamp(self):
         plan = (from_window(StreamDef("a", V, None))
                 .where(attr_equals("v", 1)).build())
@@ -119,7 +107,7 @@ class TestClosureIsolation:
         a = Driver(compiled, program)
         b = Driver(compiled, program)
         assert a._boundaries is not b._boundaries
-        assert a._fast_event is not b._fast_event
+        assert a.process_event is not b.process_event
         assert a._arrivals_pt is not b._arrivals_pt
 
     def test_independent_queries_stay_independent(self):
@@ -149,16 +137,18 @@ class TestClosureIsolation:
 class TestFastPathLifecycle:
     @pytest.mark.parametrize("telemetry", [False, True])
     def test_fast_event_loop_installed_armed_or_not(self, telemetry):
+        """The per-tuple loop is one instance-level closure for the
+        driver's whole life: a run neither swaps nor wraps it."""
         query = ContinuousQuery(
             join_plan(), ExecutionConfig(mode=Mode.UPA, telemetry=telemetry))
         driver = query.executor.driver
-        assert driver.process_event is driver._fast_event
+        installed = driver.__dict__["process_event"]
         query.run(list(TRACE))
-        assert driver.__dict__["process_event"] is driver._fast_event
+        assert driver.process_event is installed
 
 
 # ---------------------------------------------------------------------------
-# Differential: compiled per-tuple loop vs the class-level reference loop
+# Differential: compiled per-tuple loop vs the reference interpreter
 # ---------------------------------------------------------------------------
 
 _GEN = TrafficTraceGenerator(TrafficConfig(n_src_ips=12))
@@ -182,12 +172,9 @@ def _drive(plan, mode, reference):
     query.subscribe(
         lambda t, now: stream.append((t.values, t.ts, t.exp, t.sign, now)))
     driver = query.executor.driver
-    # The compiled loop is the instance attribute; the class-level
-    # function is the Section-2 reference over the step library.
-    assert driver.process_event is driver._fast_event
     for event in _EVENTS:
         if reference:
-            Driver.process_event(driver, event)
+            reference_step(driver, event)
         else:
             driver.process_event(event)
     return dict(query.answer()), stream, query.counters.snapshot()

@@ -513,8 +513,6 @@ class TestArmedRunsTheSameLoops:
             query.subscribe(lambda t, now, out=outputs: out.append((t, now)))
             described = query.executor.program.describe()
             result = query.run(iter(EVENTS), batch=batch)
-            driver = query.executor.driver
-            assert driver.process_event is driver._fast_event
             columnar = next(line for line in query.explain().splitlines()
                             if line.startswith("-- columnar:"))
             assert columnar.startswith(footer)
