@@ -90,9 +90,7 @@ def main() -> None:
     print("Per-sensor dashboard (last "
           f"{WINDOW:.0f}s of readings):")
     print(f"  {'sensor':<12}{'n':>4}{'avg °C':>9}{'σ':>7}")
-    for (sensor,), result in sorted(group["dashboard"].compiled.view
-                                    .groups().items()):
-        _s, n, mean, sd = result.values
+    for sensor, n, mean, sd in sorted(group["dashboard"].answer()):
         print(f"  {sensor:<12}{n:>4}{mean:>9.2f}{sd:>7.2f}")
 
     anomalies = group["anomalies"].answer()

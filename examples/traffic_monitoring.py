@@ -58,10 +58,8 @@ def main() -> None:
     dash.run(iter(events))
     print("\nLive per-protocol dashboard (link 0):")
     print(f"  {'protocol':<10}{'flows':>8}{'bytes':>12}")
-    groups = sorted(dash.compiled.view.groups().items(),
-                    key=lambda kv: -kv[1].values[1])
-    for (protocol,), result in groups:
-        _p, flows, total = result.values
+    for protocol, flows, total in sorted(dash.answer(),
+                                         key=lambda row: -row[1]):
         print(f"  {protocol:<10}{flows:>8}{total:>12}")
 
 

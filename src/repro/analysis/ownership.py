@@ -218,25 +218,13 @@ def _state_slots(ctx: LintContext) -> Iterator[tuple[str, str, Any]]:
             if buffer is None:
                 continue
             yield ctx.path_of(node), label, getattr(buffer, "inner", buffer)
+    # A state view has no store: it reads its root operator's, listed above.
     view = getattr(compiled, "view", None)
-    if view is None:
-        return
-    store = getattr(view, "_buffer", None)
-    if store is None:
-        store = getattr(view, "_store", None)
-    if store is None:
-        store = getattr(view, "_results", None)
-    if store is not None:
-        yield "$", "result-view", getattr(store, "inner", store)
-
-
-def view_state_of(view: Any) -> Any:
-    """The mutable backing store of a result view (monitor unwrapped)."""
     for attr in ("_buffer", "_store", "_results"):
         store = getattr(view, attr, None)
         if store is not None:
-            return getattr(store, "inner", store)
-    return None
+            yield "$", "result-view", getattr(store, "inner", store)
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -425,5 +413,4 @@ __all__ = [
     "rule_als702_stale_captures",
     "rule_als703_module_level_sinks",
     "shared_mutable_state",
-    "view_state_of",
 ]

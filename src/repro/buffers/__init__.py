@@ -2,7 +2,6 @@
 
 from .base import KeyFunction, StateBuffer, values_key
 from .fifo import FifoBuffer
-from .groupstore import GroupStore
 from .hashed import HashBuffer
 from .listbuffer import ListBuffer
 from .partitioned import PartitionedBuffer
@@ -12,7 +11,6 @@ __all__ = [
     "StateBuffer",
     "values_key",
     "FifoBuffer",
-    "GroupStore",
     "HashBuffer",
     "ListBuffer",
     "PartitionedBuffer",

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import Counter as Multiset
 from typing import Any
 
-from ..errors import ExecutionError
+from ..errors import ExecutionError, PlanError
 from ..streams.relation import NRR
 from ..streams.stream import Arrival, Event, RelationUpdate
 from ..streams.window import CountWindow, TimeWindow
@@ -50,7 +50,22 @@ from .plan import (
     Union,
     WindowScan,
 )
-from ..operators.aggregates import make_aggregate
+
+
+def _aggregate(kind: str, column: list) -> Any:
+    """One aggregate over a (non-empty) group's column, from scratch: the
+    oracle shares no fold with the engine it judges."""
+    builtin = {"count": len, "sum": sum, "min": min, "max": max}.get(kind)
+    if builtin is not None:
+        return builtin(column)
+    mean = sum(column) / len(column)
+    if kind == "avg":
+        return mean
+    if kind not in ("var", "stddev"):
+        raise PlanError(f"unknown aggregate kind {kind!r}")
+    variance = max(sum(v * v for v in column) / len(column) - mean * mean,
+                   0.0)
+    return variance if kind == "var" else variance ** 0.5
 
 
 class _LiveTuple:
@@ -185,12 +200,11 @@ class ReferenceEvaluator:
             for key, rows in groups.items():
                 aggs = []
                 for spec in node.aggregates:
-                    agg = make_aggregate(spec.kind)
                     attr = (node.child.schema.index_of(spec.attr)
                             if spec.attr is not None else None)
-                    for row in rows:
-                        agg.insert(row[attr] if attr is not None else None)
-                    aggs.append(agg.current())
+                    aggs.append(_aggregate(
+                        spec.kind, rows if attr is None
+                        else [row[attr] for row in rows]))
                 out[key + tuple(aggs)] += 1
             return out
 

@@ -64,8 +64,8 @@ from ..operators.stateless import (PortOp, ProjectOp, SelectOp, UnionOp,
                                    WindowOp)
 from ..streams.window import CountWindow, TimeWindow
 from .telemetry import MetricsRegistry
-from .views import (AppendView, BufferView, GroupView, JoinStateView,
-                    ResultView)
+from .views import (AppendView, BufferView, DeltaStateView, GroupStateView,
+                    GroupView, JoinStateView, ResultView)
 
 
 class Mode(str, enum.Enum):
@@ -512,9 +512,10 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
             for a in node.aggregates
         )
         pattern = annotated.pattern_of(node.child)
-        values_of = lambda t: t.values  # noqa: E731
+        # Never probed: no key index (a hash buffer's table is its own).
         op = GroupByOp(node.schema, key_idx, agg_kinds, agg_idx,
-                       buffer_for(pattern, values_of, "input"), counters)
+                       buffer_for(pattern, None, "input"), counters,
+                       self_expire=not nt_style)
         if not nt_style:
             compiled.expire_ops.append(op)
 
@@ -563,8 +564,10 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
     if sanitizer is not None:
         # Negative tuples may originate only from operators running
         # negative-tuple style (NT mode, the hybrid region above a negation)
-        # or whose output edge is strict non-monotonic (Section 3.1).
-        negatives_allowed = nt_style or annotated.pattern_of(node) is STR
+        # or whose output edge is strict non-monotonic (Section 3.1); a
+        # group-by's NEGATIVE-signed result is its group-deletion marker.
+        negatives_allowed = (nt_style or annotated.pattern_of(node) is STR
+                             or isinstance(node, GroupBy))
         sanitizer.wrap_operator(op, node.describe(), negatives_allowed)
 
     compiled.ops[id(node)] = op
@@ -624,9 +627,17 @@ def _build_view(root: LogicalNode, compiled: CompiledQuery,
     def chose(view: ResultView, note: str) -> None:
         compiled.view, compiled.view_note = view, note
 
-    if isinstance(root, GroupBy):
-        return chose(GroupView(len(root.keys), counters),
-                     "groups (group-by root)")
+    if isinstance(root, (GroupBy, DupElim)):
+        # Eager roots whose own state is Definition 2's view: the group
+        # table (Rule 4's replacement array), δ's live representatives.
+        op = compiled.op_for(root)
+        if isinstance(root, GroupBy):
+            return chose(GroupStateView(op, counters),
+                         "group state (group-by root, rows finished on read)")
+        if type(op) is DupElimDeltaOp:
+            return chose(DeltaStateView(op, counters),
+                         f"δ output state (UPA, {pattern} root, the live "
+                         "representatives)")
     if isinstance(root, SharedScan) and root.group_keys is not None:
         # A whole-plan share whose subtree is a group-by: the producer
         # replays replacement-keyed group results, so the consumer's view

@@ -11,8 +11,9 @@ needed).
 The physical structure of the view is a strategy decision, exactly like the
 operators' state buffers: an arrival-ordered list under DIRECT (full-scan
 purges), a FIFO queue for WKS output, a partitioned buffer for WK output,
-and a hash table keyed on ``(values, exp)`` under NT / hybrid.  Group-by
-results live in a :class:`GroupStore` keyed by group.
+and a hash table keyed on ``(values, exp)`` under NT / hybrid.  A root
+whose own state already is Definition 2's view — a bag ⋈ bag window join,
+group-by, δ — stores none (:class:`StateView`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from collections import Counter as Multiset, _count_elements
 from typing import Any
 
 from ..buffers.base import StateBuffer
-from ..buffers.groupstore import GroupStore
 from ..core.metrics import Counters, NULL_COUNTERS
 from ..core.tuples import NEGATIVE, Tuple
 
@@ -120,35 +120,47 @@ class BufferView(ResultView):
         return f"BufferView({self._buffer!r}, purges={self.purges})"
 
 
-class JoinStateView(ResultView):
-    """The view of a UPA plan rooted at a window join, stored nowhere.
+class StateView(ResultView):
+    """A view stored nowhere: the root operator's state is the view.
 
-    A result's ``exp`` is the minimum of its constituents' (Section 2.2)
-    and a WKS/WK edge carries no negative tuple (Section 3.1), so
-    Definition 2's view at ``now`` is exactly the pairs of stored,
-    same-key, live tuples of the join's two hash-indexed inputs.
-    :meth:`snapshot` enumerates them; nothing is installed or purged, and
-    while no subscriber listens the join builds no result at all
-    (:attr:`~repro.operators.join.JoinOp.readers`).  Exactness argument
-    and break-even read rate: DESIGN.md.
+    Nothing is installed or purged, ``len`` is 0, and the operator is
+    handed the driver's subscriber list as its ``readers`` — while that
+    list is empty it builds no result.  Exactness arguments: DESIGN.md.
     """
 
-    def __init__(self, join, counters: Counters | None = None):
+    def __init__(self, op, counters: Counters | None = None):
         super().__init__(counters)
-        self._join = join
-        left, right = join.buffers
-        # Checked execution wraps buffers in monitors; the index is inner.
-        self._left = getattr(left, "inner", left)._index
-        self._right = getattr(right, "inner", right)._index
+        self._op = op
 
     def bind(self, subscribers: list) -> None:
-        self._join.readers = subscribers
+        self._op.readers = subscribers
 
     def apply(self, t: Tuple, now: float) -> None:
         pass  # DELIVER is the subscriber callbacks alone
 
     def purge(self, now: float) -> None:
-        pass  # the join purges its own state, lazily; snapshots filter
+        pass  # the operator expires its own state; snapshots filter
+
+    def __len__(self) -> int:
+        return 0  # stored results: none
+
+
+class JoinStateView(StateView):
+    """The view of a UPA plan rooted at a window join.
+
+    A result's ``exp`` is the minimum of its constituents' (Section 2.2)
+    and a WKS/WK edge carries no negative tuple (Section 3.1), so
+    Definition 2's view at ``now`` is exactly the pairs of stored,
+    same-key, live tuples of the join's two hash-indexed inputs.
+    :meth:`snapshot` enumerates them.  Break-even read rate: DESIGN.md.
+    """
+
+    def __init__(self, join, counters: Counters | None = None):
+        super().__init__(join, counters)
+        left, right = join.buffers
+        # Checked execution wraps buffers in monitors; the index is inner.
+        self._left = getattr(left, "inner", left)._index
+        self._right = getattr(right, "inner", right)._index
 
     def snapshot(self, now: float) -> Multiset:
         right = self._right
@@ -171,8 +183,32 @@ class JoinStateView(ResultView):
             if was:
                 gc.enable()
 
-    def __len__(self) -> int:
-        return 0  # stored results: none
+
+class GroupStateView(StateView):
+    """The view of a group-by root: the operator's group table, Rule 4's
+    array.  ``purge`` is where the loops let an unread one expire itself."""
+
+    def purge(self, now: float) -> None:
+        self._op.settle(now)
+
+    def snapshot(self, now: float) -> Multiset:
+        out = Multiset.__new__(Multiset)
+        _count_elements(out, self._op.rows())
+        return out
+
+
+class DeltaStateView(StateView):
+    """The view of a plan rooted at the δ operator: its output buffer holds
+    exactly the live representatives, one per distinct value."""
+
+    def snapshot(self, now: float) -> Multiset:
+        return Multiset(t.values for t in self._op.output_buffer
+                        if t.exp > now)
+
+    @property
+    def buffer(self) -> StateBuffer:
+        """Where the answer is read from (owned by the operator)."""
+        return self._op.output_buffer
 
 
 class AppendView(ResultView):
@@ -206,15 +242,15 @@ class AppendView(ResultView):
 
 
 class GroupView(ResultView):
-    """View for group-by roots: one current result per group.
-
-    A NEGATIVE-signed emission from :class:`GroupByOp` marks group deletion
-    (the group ran out of live input tuples).
+    """Stored group results, for a member whose whole plan is a shared
+    group-by: the producer's replacement-keyed stream, latest result per
+    group.  A NEGATIVE-signed result marks group deletion (the group ran
+    out of live input tuples).
     """
 
     def __init__(self, n_keys: int, counters: Counters | None = None):
         super().__init__(counters)
-        self._store = GroupStore(counters)
+        self._store: dict[Any, Tuple] = {}
         self._n_keys = n_keys
 
     def apply(self, t: Tuple, now: float) -> None:
@@ -222,10 +258,16 @@ class GroupView(ResultView):
 
     def deliver(self, outputs, now: float, subscribers=()) -> None:
         n_keys = self._n_keys
-        replace = self._store.replace
+        store = self._store
+        counters = self.counters
         for t in outputs:
-            group: Any = t.values[:n_keys]
-            replace(group, None if t.sign == NEGATIVE else t)
+            counters.touches += 1
+            if t.sign == NEGATIVE:
+                store.pop(t.values[:n_keys], None)
+                counters.deletes += 1
+            else:
+                store[t.values[:n_keys]] = t
+                counters.inserts += 1
             for callback in subscribers:
                 callback(t, now)
 
@@ -233,11 +275,11 @@ class GroupView(ResultView):
         pass  # group results are replaced, never timestamp-purged (Rule 4)
 
     def snapshot(self, now: float) -> Multiset:
-        return Multiset(t.values for t in self._store)
+        return Multiset(t.values for t in self._store.values())
 
     def groups(self) -> dict[Any, Tuple]:
-        """Current group → result mapping."""
-        return self._store.snapshot()
+        """Copy of the current group → result mapping."""
+        return dict(self._store)
 
     def __len__(self) -> int:
         return len(self._store)

@@ -1,171 +1,112 @@
-"""Incremental aggregate functions for group-by (Section 2.1).
+"""Aggregate kinds as finalizers over one per-group slot list (Section 2.1).
 
 Group-by "incrementally updates the value of a given aggregate for each
 group": every arrival adds a value, every expiration removes one, and the
-current aggregate must be reportable at any time.  COUNT/SUM/AVG are
-decrementable in O(1); MIN/MAX need the multiset of values (a sorted list
-here) because removing the current extremum requires knowing the runner-up.
+current aggregate must be reportable at any time.  A group is therefore
+one flat list — its live input count ``n``, its finished result row (kept
+until a fold outdates it), its key values, then one accumulator per
+referenced attribute: Σx, Σx² where a variance needs it, and a sorted
+multiset only for MIN/MAX (removing the current extremum requires knowing
+the runner-up).  The aggregate kinds are *finalizers* over those slots, so
+COUNT, SUM and AVG over one attribute share one accumulator and one fold.
 The paper's cost model calls the per-update cost C (Section 5.4.1).
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Any
+from bisect import bisect_left, insort
+from typing import Any, Sequence
 
 from ..errors import PlanError
 
-
-class Aggregate:
-    """Protocol: one aggregate instance per (group, spec)."""
-
-    def insert(self, value: Any) -> None:
-        """Account for a newly arrived value."""
-        raise NotImplementedError
-
-    def remove(self, value: Any) -> None:
-        """Account for an expired (or retracted) value."""
-        raise NotImplementedError
-
-    def current(self) -> Any:
-        """The aggregate's value over the currently live inputs."""
-        raise NotImplementedError
+#: Head of every group's slot list; accumulators follow.
+N, ROW, GROUP = 0, 1, 2
 
 
-class CountAggregate(Aggregate):
-    """COUNT — a decrementable counter."""
-
-    def __init__(self) -> None:
-        self._n = 0
-
-    def insert(self, value: Any) -> None:
-        self._n += 1
-
-    def remove(self, value: Any) -> None:
-        self._n -= 1
-
-    def current(self) -> int:
-        return self._n
+def _variance(st: list, total: int, squares: int) -> Any:
+    n = st[N]
+    if not n:
+        return None
+    mean = st[total] / n
+    # Guard tiny negative values from floating-point cancellation.
+    return max(st[squares] / n - mean * mean, 0.0)
 
 
-class SumAggregate(Aggregate):
-    """SUM — a running total, decrementable in O(1)."""
-
-    def __init__(self) -> None:
-        self._total = 0
-
-    def insert(self, value: Any) -> None:
-        self._total += value
-
-    def remove(self, value: Any) -> None:
-        self._total -= value
-
-    def current(self) -> Any:
-        return self._total
+def _stddev(st: list, total: int, squares: int) -> Any:
+    variance = _variance(st, total, squares)
+    return None if variance is None else variance ** 0.5
 
 
-class AvgAggregate(Aggregate):
-    """AVG — algebraic over (sum, count)."""
-
-    def __init__(self) -> None:
-        self._total = 0
-        self._n = 0
-
-    def insert(self, value: Any) -> None:
-        self._total += value
-        self._n += 1
-
-    def remove(self, value: Any) -> None:
-        self._total -= value
-        self._n -= 1
-
-    def current(self) -> Any:
-        return self._total / self._n if self._n else None
-
-
-class VarAggregate(Aggregate):
-    """Population variance — algebraic over (count, sum, sum of squares),
-    so it remains O(1) per insert/remove like SUM."""
-
-    def __init__(self) -> None:
-        self._n = 0
-        self._total = 0.0
-        self._total_sq = 0.0
-
-    def insert(self, value: Any) -> None:
-        self._n += 1
-        self._total += value
-        self._total_sq += value * value
-
-    def remove(self, value: Any) -> None:
-        self._n -= 1
-        self._total -= value
-        self._total_sq -= value * value
-
-    def current(self) -> Any:
-        if not self._n:
-            return None
-        mean = self._total / self._n
-        # Guard tiny negative values from floating-point cancellation.
-        return max(self._total_sq / self._n - mean * mean, 0.0)
-
-
-class StddevAggregate(VarAggregate):
-    """Population standard deviation — the square root of VAR."""
-
-    def current(self) -> Any:
-        variance = super().current()
-        return None if variance is None else variance ** 0.5
-
-
-class _ExtremumAggregate(Aggregate):
-    """Shared machinery for MIN/MAX: a sorted multiset of live values."""
-
-    def __init__(self) -> None:
-        self._values: list[Any] = []
-
-    def insert(self, value: Any) -> None:
-        bisect.insort(self._values, value)
-
-    def remove(self, value: Any) -> None:
-        i = bisect.bisect_left(self._values, value)
-        if i < len(self._values) and self._values[i] == value:
-            del self._values[i]
-        else:
-            raise PlanError(
-                f"aggregate removal of absent value {value!r}; "
-                "group state is inconsistent"
-            )
-
-
-class MinAggregate(_ExtremumAggregate):
-    """MIN over the live multiset of values."""
-
-    def current(self) -> Any:
-        return self._values[0] if self._values else None
-
-
-class MaxAggregate(_ExtremumAggregate):
-    """MAX over the live multiset of values."""
-
-    def current(self) -> Any:
-        return self._values[-1] if self._values else None
-
-
-_FACTORIES = {
-    "count": CountAggregate,
-    "sum": SumAggregate,
-    "avg": AvgAggregate,
-    "min": MinAggregate,
-    "max": MaxAggregate,
-    "var": VarAggregate,
-    "stddev": StddevAggregate,
+#: kind -> (accumulators it reads, finalizer(slots, *their positions)).
+KINDS = {
+    "count": ((), lambda st: st[N]),
+    "sum": (("sum",), lambda st, i: st[i]),
+    "avg": (("sum",), lambda st, i: st[i] / st[N] if st[N] else None),
+    "var": (("sum", "squares"), _variance),
+    "stddev": (("sum", "squares"), _stddev),
+    "min": (("sorted",), lambda st, i: st[i][0] if st[i] else None),
+    "max": (("sorted",), lambda st, i: st[i][-1] if st[i] else None),
 }
 
 
-def make_aggregate(kind: str) -> Aggregate:
-    """Instantiate the incremental aggregate for an AggregateSpec kind."""
-    try:
-        return _FACTORIES[kind]()
-    except KeyError:
-        raise PlanError(f"unknown aggregate kind {kind!r}") from None
+class GroupSlots:
+    """The slot layout of one group-by and the fold over it."""
+
+    def __init__(self, kinds: Sequence[str], attrs: Sequence[int | None]):
+        where: dict[tuple[str, int | None], int] = {}
+        finish = []
+        for kind, attr in zip(kinds, attrs):
+            if kind not in KINDS:
+                raise PlanError(f"unknown aggregate kind {kind!r}")
+            reads, finalizer = KINDS[kind]
+            finish.append((finalizer, [
+                where.setdefault((acc, attr), GROUP + 1 + len(where))
+                for acc in reads]))
+        self._finish = tuple(finish)
+        self._sums, self._squares, self._sorted = (
+            tuple((slot, attr) for (acc, attr), slot in where.items()
+                  if acc == name) for name in ("sum", "squares", "sorted"))
+        self._width = len(where)
+
+    def new(self, group: tuple) -> list:
+        """An empty group's slots."""
+        st = [0, None, group] + [0] * self._width
+        for slot, _attr in self._sorted:
+            st[slot] = []
+        return st
+
+    def fold(self, st: list, values: tuple, adding: bool) -> None:
+        """Add (an arrival) or retract (an expiry, a negative tuple) one
+        input's values — every path into a group's state runs this."""
+        st[ROW] = None
+        if adding:
+            st[N] += 1
+            for slot, attr in self._sums:
+                st[slot] += values[attr]
+            for slot, attr in self._squares:
+                st[slot] += values[attr] * values[attr]
+            for slot, attr in self._sorted:
+                insort(st[slot], values[attr])
+            return
+        st[N] -= 1
+        for slot, attr in self._sums:
+            st[slot] -= values[attr]
+        for slot, attr in self._squares:
+            st[slot] -= values[attr] * values[attr]
+        for slot, attr in self._sorted:
+            live, value = st[slot], values[attr]
+            i = bisect_left(live, value)
+            if i == len(live) or live[i] != value:
+                raise PlanError(
+                    f"aggregate removal of absent value {value!r}; "
+                    "group state is inconsistent")
+            del live[i]
+
+    def row(self, st: list) -> tuple:
+        """The group's result row: key values, then each aggregate's
+        current value.  Built once per change, however often it is read."""
+        row = st[ROW]
+        if row is None:
+            row = st[ROW] = st[GROUP] + tuple(
+                [finish(st, *at) for finish, at in self._finish])
+        return row

@@ -136,6 +136,10 @@ class DupElimDeltaOp(PhysicalOperator):
 
     eager = True
 
+    #: As :attr:`JoinOp.readers`: under a ``DeltaStateView`` the driver's
+    #: subscriber list — empty, the output state is all there is to keep.
+    readers: object = True
+
     def __init__(self, schema: Schema, output_buffer: StateBuffer,
                  counters: Counters | None = None):
         super().__init__(schema, counters)
@@ -150,6 +154,7 @@ class DupElimDeltaOp(PhysicalOperator):
         probe = self._output.probe
         insert = self._output.insert
         aux = self._aux
+        readers = self.readers
         out: list[Tuple] = []
         for t in tuples:
             counters.tuples_processed += 1
@@ -175,7 +180,8 @@ class DupElimDeltaOp(PhysicalOperator):
                 continue
             insert(t)
             counters.results_produced += 1
-            out.append(t)
+            if readers:
+                out.append(t)
         return out
 
     def next_expiry(self, now: float) -> float:
@@ -194,7 +200,8 @@ class DupElimDeltaOp(PhysicalOperator):
             if candidate is not None and candidate.exp > now:
                 promoted = Tuple(candidate.values, now, candidate.exp)
                 self._output.insert(promoted)
-                out.append(promoted)
+                if self.readers:
+                    out.append(promoted)
                 self.counters.results_produced += 1
         return out
 
@@ -207,7 +214,3 @@ class DupElimDeltaOp(PhysicalOperator):
     @property
     def output_buffer(self) -> StateBuffer:
         return self._output
-
-    @property
-    def aux_size(self) -> int:
-        return len(self._aux)

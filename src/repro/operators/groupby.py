@@ -10,21 +10,35 @@ aggregate values are up-to-date."
 
 Output protocol: every emission is the group's *current* result tuple
 (group-key values followed by aggregate values).  A group whose last live
-input tuple disappeared emits a NEGATIVE-signed result, which the group
-store interprets as deletion of the group.  Because replacement semantics
-are keyed by group rather than by (values, exp), group-by must be the plan
-root; the strategy builder enforces this.
+input tuple disappeared emits a NEGATIVE-signed result, which a stored
+group view interprets as deletion of the group.  Because replacement
+semantics are keyed by group rather than by (values, exp), group-by must be
+the plan root; the strategy builder enforces this.
+
+The group table *is* Rule 4's replacement view ("an array, indexed by group
+label", Section 5.3.2): :class:`~repro.engine.views.GroupStateView` answers
+from it, and while nobody subscribes (:attr:`GroupByOp.readers`) the
+operator builds no result and expires its own input, at the head of every
+arrival list and whenever the view is purged, instead of asking the driver
+for passes.  Expired inputs fold in ``(exp, arrival)`` order, so every
+schedule leaves the same slots, bit for bit.  ``results_produced`` counts
+Section 2.1's results — one per input event whose group survives it; a pass
+delivers the last of them per group.
 """
 
 from __future__ import annotations
 
+import math
+from operator import attrgetter, itemgetter
 from typing import Hashable
 
 from ..buffers.base import StateBuffer
 from ..core.metrics import Counters
-from ..core.tuples import Schema, Tuple
+from ..core.tuples import NEGATIVE, Schema, Tuple
+from .aggregates import GROUP, N, ROW, GroupSlots
 from .base import PhysicalOperator
-from .aggregates import Aggregate, make_aggregate
+
+_exp_of = attrgetter("exp")
 
 
 class GroupByOp(PhysicalOperator):
@@ -32,85 +46,130 @@ class GroupByOp(PhysicalOperator):
 
     eager = True
 
+    #: As :attr:`JoinOp.readers`: under a ``GroupStateView`` the driver's
+    #: subscriber list — empty, no result is built and the input expires
+    #: on the operator's own schedule.
+    readers: object = True
+
     def __init__(self, schema: Schema, key_indices: tuple[int, ...],
                  agg_kinds: tuple[str, ...], agg_indices: tuple[int | None, ...],
                  input_buffer: StateBuffer,
-                 counters: Counters | None = None):
+                 counters: Counters | None = None, self_expire: bool = True):
         super().__init__(schema, counters)
-        self._key_indices = key_indices
-        self._agg_kinds = agg_kinds
-        self._agg_indices = agg_indices
+        # The table key: one grouping attribute's bare value, else a tuple.
+        self._key_of = itemgetter(*key_indices) if key_indices \
+            else lambda values: ()
+        self._bare_key = len(key_indices) == 1
+        self._slots = GroupSlots(agg_kinds, agg_indices)
+        self._charge = len(agg_kinds)  # touches per fold: one per aggregate
         self._input = input_buffer
-        self._aggs: dict[Hashable, list[Aggregate]] = {}
-        self._sizes: dict[Hashable, int] = {}
-
-    @property
-    def n_keys(self) -> int:
-        return len(self._key_indices)
-
-    def _group_of(self, values: tuple) -> tuple:
-        return tuple(values[i] for i in self._key_indices)
-
-    def _apply(self, values: tuple, *, adding: bool) -> tuple:
-        """Update aggregates for one tuple; return its group key."""
-        group = self._group_of(values)
-        aggs = self._aggs.get(group)
-        if aggs is None:
-            aggs = [make_aggregate(kind) for kind in self._agg_kinds]
-            self._aggs[group] = aggs
-            self._sizes[group] = 0
-        for agg, attr in zip(aggs, self._agg_indices):
-            arg = values[attr] if attr is not None else None
-            if adding:
-                agg.insert(arg)
-            else:
-                agg.remove(arg)
-        self._sizes[group] += 1 if adding else -1
-        self.counters.touches += len(aggs)
-        return group
-
-    def _result_for(self, group: tuple, now: float) -> Tuple:
-        """The group's current result, or a NEGATIVE tuple if it emptied."""
-        aggs = self._aggs[group]
-        if self._sizes[group] <= 0:
-            result = Tuple(group + tuple(a.current() for a in aggs), now, sign=-1)
-            del self._aggs[group]
-            del self._sizes[group]
-            return result
-        self.counters.results_produced += 1
-        return Tuple(group + tuple(a.current() for a in aggs), now)
+        self._groups: dict[Hashable, list] = {}
+        # False under NT: every expiration arrives as a negative tuple.
+        self._self_expire = self_expire
+        #: Lower bound on every stored ``exp``: nothing is due before it.
+        self._due = math.inf
+        self._rows: list[tuple] | None = None  # the answer, until a fold
 
     def process_batch(self, input_index: int, tuples, now: float) -> list[Tuple]:
         """One updated group result per arrival, in arrival order."""
-        self._advance(now)
+        if now > self.clock:
+            self.clock = now
+        readers = self.readers
+        if not readers and now >= self._due:
+            self.expire(now)  # self-expiry: what is due goes first
+        self._rows = None
         counters = self.counters
+        timed = self._self_expire
+        insert = self._input.insert
+        if len(tuples) > 1 and NEGATIVE not in [t.sign for t in tuples]:
+            self._input.insert_many(tuples)
+            insert = None
         out: list[Tuple] = []
+        folded = produced = 0
         for t in tuples:
-            counters.tuples_processed += 1
-            if t.is_negative:
+            adding = t.sign != NEGATIVE
+            if adding:
+                if insert is not None:
+                    insert(t)
+                if timed and t.exp < self._due:
+                    self._due = t.exp
+            else:
                 counters.negatives_processed += 1
                 if not self._input.delete(t):
                     continue  # unknown tuple: nothing to undo
-                group = self._apply(t.values, adding=False)
-            else:
-                self._input.insert(t)
-                group = self._apply(t.values, adding=True)
-            out.append(self._result_for(group, now))
+            st = self._fold(t.values, adding)
+            folded += 1
+            produced += st[N] > 0
+            if readers:
+                out.append(self._result(st, now))
+        counters.tuples_processed += len(tuples)
+        counters.touches += folded * self._charge
+        counters.results_produced += produced
         return out
 
+    def _fold(self, values: tuple, adding: bool) -> list:
+        """Fold one input into its group (made on sight, dropped empty)."""
+        key = self._key_of(values)
+        st = self._groups.get(key)
+        if st is None:
+            st = self._groups[key] = self._slots.new(
+                (key,) if self._bare_key else key)
+        self._slots.fold(st, values, adding)
+        if st[N] <= 0:
+            del self._groups[key]
+        return st
+
+    def _result(self, st: list, now: float) -> Tuple:
+        """The group's current result, or a NEGATIVE tuple if it emptied."""
+        return Tuple(self._slots.row(st), now,
+                     sign=1 if st[N] > 0 else NEGATIVE)
+
     def expire(self, now: float) -> list[Tuple]:
-        """Eager expiry: decrement each expired input, one result per group."""
-        self._advance(now)
-        touched: dict[tuple, None] = {}
-        for t in self._input.purge_expired(now):
-            group = self._apply(t.values, adding=False)
-            touched[group] = None
-        return [self._result_for(group, now) for group in touched]
+        """Decrement each expired input; one result per touched group."""
+        if now > self.clock:
+            self.clock = now
+        expired = self._input.purge_expired(now)
+        readers = self.readers
+        if not readers and self._due <= now:
+            self._due = self._input.next_expiry(now)
+        if not expired:
+            return []
+        self._rows = None
+        if len(expired) > 1:
+            # Buffers pop in schedule-dependent order (a partition at a
+            # time, a list scan); the fold order must not depend on it.
+            expired.sort(key=_exp_of)
+        touched: dict[tuple, list] = {}
+        produced = 0
+        for t in expired:
+            st = self._fold(t.values, False)
+            touched[st[GROUP]] = st
+            produced += st[N] > 0
+        self.counters.touches += len(expired) * self._charge
+        self.counters.results_produced += produced
+        if readers:
+            return [self._result(st, now) for st in touched.values()]
+        return []
+
+    def settle(self, now: float) -> None:
+        """Self-expiry of an unread group-by: fold whatever is due."""
+        if not self.readers and now >= self._due:
+            self.expire(now)
 
     def next_expiry(self, now: float) -> float:
-        """Earliest input expiry: every expired input changes its group's
-        aggregate, so group-by's boundary is its input buffer's head."""
-        return self._input.next_expiry(now)
+        """Earliest input expiry (each changes its group's aggregate) while
+        someone reads; an unread group-by settles itself, asks no pass."""
+        return self._input.next_expiry(now) if self.readers else math.inf
+
+    def rows(self) -> list[tuple]:
+        """Every group's result row — the answer.  A read after a fold
+        finishes the rows of changed groups; a repeat read is the list."""
+        rows = self._rows
+        if rows is None:
+            build = self._slots.row
+            rows = self._rows = [st[ROW] or build(st)
+                                 for st in self._groups.values()]
+        return rows
 
     def state_size(self) -> int:
         return len(self._input)
@@ -119,4 +178,4 @@ class GroupByOp(PhysicalOperator):
         return [("input", self._input)]
 
     def group_count(self) -> int:
-        return len(self._aggs)
+        return len(self._groups)

@@ -19,6 +19,7 @@ from repro import (
     Tick,
     TimeWindow,
 )
+from repro.operators.aggregates import GroupSlots
 
 # Reproducible property tests, selected by ``HYPOTHESIS_PROFILE``.  ``ci``
 # (set in every CI job) derives the examples from each test's source
@@ -54,6 +55,25 @@ def all_subclasses(cls) -> set:
     """Every direct and indirect subclass of ``cls`` imported so far."""
     return {sub for direct in cls.__subclasses__()
             for sub in (direct, *all_subclasses(direct))}
+
+
+class SlotAggregate:
+    """One aggregate kind over one group's slots, driven value by value
+    through the engine's fold (``GroupSlots``) and read by its finalizer."""
+
+    def __init__(self, kind: str):
+        self._slots = GroupSlots((kind,), (0,))
+        self._st = self._slots.new(())
+
+    def insert(self, value) -> None:
+        self._slots.fold(self._st, (value,), True)
+
+    def remove(self, value) -> None:
+        self._slots.fold(self._st, (value,), False)
+
+    def current(self):
+        (value,) = self._slots.row(self._st)
+        return value
 
 
 def stream_pair(window: float = 8) -> tuple[StreamDef, StreamDef]:

@@ -5,7 +5,6 @@ import pytest
 from repro import Counters, ExecutionError, Tuple
 from repro.buffers import (
     FifoBuffer,
-    GroupStore,
     HashBuffer,
     ListBuffer,
     PartitionedBuffer,
@@ -279,36 +278,3 @@ class TestHashBuffer:
         expired = buf.purge_expired(5)
         assert [x.values[0] for x in expired] == ["a"]
         assert len(buf) == 1
-
-
-class TestGroupStore:
-    def test_replace_and_get(self):
-        store = GroupStore()
-        r1 = Tuple(("g", 1), 1)
-        store.replace(("g",), r1)
-        assert store.get(("g",)) is r1
-        r2 = Tuple(("g", 2), 2)
-        store.replace(("g",), r2)
-        assert store.get(("g",)) is r2
-        assert len(store) == 1
-
-    def test_none_deletes_group(self):
-        store = GroupStore()
-        store.replace(("g",), Tuple(("g", 1), 1))
-        store.replace(("g",), None)
-        assert store.get(("g",)) is None
-        assert len(store) == 0
-
-    def test_snapshot_is_a_copy(self):
-        store = GroupStore()
-        store.replace(("g",), Tuple(("g", 1), 1))
-        snap = store.snapshot()
-        store.replace(("g",), None)
-        assert ("g",) in snap
-
-    def test_contains_and_iter(self):
-        store = GroupStore()
-        store.replace(("a",), Tuple(("a", 1), 1))
-        store.replace(("b",), Tuple(("b", 2), 1))
-        assert ("a",) in store
-        assert sorted(t.values[0] for t in store) == ["a", "b"]

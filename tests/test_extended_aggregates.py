@@ -18,18 +18,19 @@ from repro import (
     stddev,
     variance,
 )
-from repro.operators.aggregates import StddevAggregate, VarAggregate
+
+from conftest import SlotAggregate
 
 
 class TestVarAggregate:
     def test_known_values(self):
-        agg = VarAggregate()
+        agg = SlotAggregate("var")
         for v in (2, 4, 4, 4, 5, 5, 7, 9):
             agg.insert(v)
         assert agg.current() == pytest.approx(4.0)
 
     def test_removal_restores(self):
-        agg = VarAggregate()
+        agg = SlotAggregate("var")
         agg.insert(1)
         agg.insert(5)
         agg.insert(100)
@@ -37,15 +38,15 @@ class TestVarAggregate:
         assert agg.current() == pytest.approx(4.0)  # var of {1, 5}
 
     def test_empty_is_none(self):
-        assert VarAggregate().current() is None
+        assert SlotAggregate("var").current() is None
 
     def test_single_value_zero(self):
-        agg = VarAggregate()
+        agg = SlotAggregate("var")
         agg.insert(42)
         assert agg.current() == pytest.approx(0.0)
 
     def test_never_negative_despite_float_cancellation(self):
-        agg = VarAggregate()
+        agg = SlotAggregate("var")
         for _ in range(1000):
             agg.insert(1e8 + 0.1)
         assert agg.current() >= 0.0
@@ -53,13 +54,13 @@ class TestVarAggregate:
 
 class TestStddevAggregate:
     def test_sqrt_of_variance(self):
-        agg = StddevAggregate()
+        agg = SlotAggregate("stddev")
         for v in (2, 4, 4, 4, 5, 5, 7, 9):
             agg.insert(v)
         assert agg.current() == pytest.approx(2.0)
 
     def test_empty_is_none(self):
-        assert StddevAggregate().current() is None
+        assert SlotAggregate("stddev").current() is None
 
 
 class TestEndToEnd:

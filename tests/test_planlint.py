@@ -195,6 +195,36 @@ class TestOwnershipAndBounds:
         report = lint_compiled(query.compiled, driver=query.executor.driver)
         assert report.ok and not report.diagnostics, report.render()
 
+    @pytest.mark.parametrize("checked", [False, True])
+    @pytest.mark.parametrize("root", ["group-by", "δ"])
+    def test_state_view_roots_keep_one_owner_per_buffer(self, root, checked):
+        """A group-by or δ root answers from its operator's state.  The
+        view holds the operator, not the buffer: ALS701 finds every buffer
+        under one owner, the certificate lists the operator's slots once
+        and no ``result-view`` entry, and telemetry reports no stored
+        result — through a checked, monitored run included."""
+        from repro.analysis.bounds import attach_certificate
+        from repro.lang.builder import agg_sum, count, from_window
+
+        if root == "δ":
+            plan, slots = QUERY_BUILDERS["query2"](), ["output"]
+        else:
+            plan = (from_window(_GEN.stream_def(0, WINDOW))
+                    .group_by(["src_ip"], [count("flows"),
+                                           agg_sum("bytes", "bytes")])
+                    .build())
+            slots = ["input", "groups"]
+        query = ContinuousQuery(plan, ExecutionConfig(
+            mode=Mode.UPA, checked=checked, telemetry=True))
+        report = lint_compiled(query.compiled, driver=query.executor.driver)
+        assert report.ok and not report.diagnostics, report.render()
+        entries = attach_certificate(query.compiled).entries
+        assert [e.label for e in entries if e.path == "$"] == slots
+        result = query.run(TrafficTraceGenerator().events(600), batch=64)
+        assert sum(result.answer().values()) > 0
+        assert len(query.compiled.view) == 0
+        assert result.metrics.value("view_results_peak") == 0
+
     def test_shared_group_members_clean_and_isolated(self):
         """Fused shared-group member pipelines lint clean and share no
         non-whitelisted mutable state with each other."""

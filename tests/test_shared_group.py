@@ -27,7 +27,7 @@ from repro import (
     from_window,
 )
 from repro.core.plan import SharedScan
-from repro.engine.views import JoinStateView
+from repro.engine.views import StateView
 from repro.workloads.queries import (
     query1,
     query2,
@@ -91,16 +91,17 @@ def run_both(names, mode, events, batch=None, window=30.0):
 
 def stored_view_term(member, alone):
     """What a shared member charges for *storing* a view its independent
-    twin answers from join state (``JoinStateView``: UPA, bag ⋈ bag root).
+    twin answers from its root operator's state (a ``StateView``: a UPA
+    bag ⋈ bag join, a δ operator, a group-by).
 
-    Only a whole-plan share is in that position — its join lives in the
-    producer, its own plan is one transparent port, so every count it
-    charges is its partitioned view's: one insert per result the producer
+    Only a whole-plan share is in that position — its root operator lives
+    in the producer, its own plan is one transparent port, so every count
+    it charges is its stored view's: one insert per result the producer
     made, and their later expirations and touches.  Any other member has
     the same view kind on both sides and the term is zero.
     """
     view, twin = member.query.compiled.view, alone.compiled.view
-    if isinstance(view, JoinStateView) or not isinstance(twin, JoinStateView):
+    if isinstance(view, StateView) or not isinstance(twin, StateView):
         return dict.fromkeys(alone.counters.snapshot(), 0)
     assert isinstance(member.query.plan, SharedScan)
     term = member.query.counters.snapshot()
@@ -163,10 +164,11 @@ class TestEquivalence:
                 p.counters.touches for p in member.producers)
             assert recomposed \
                 == ind[member_name].counters.touches + view["touches"]
-        # The whole-plan-shared Query 1 members are the case with a term
-        # (ftp joins nothing on this trace; q4's δ ⋈ δ stores its view on
-        # both sides).
-        assert virtual == (2 if mode is Mode.UPA else 0)
+        # The whole-plan shares are the case with a term: the two telnet
+        # Query 1 members (ftp joins nothing on this trace) and Query 2,
+        # whose δ is the one q4's left input reads (q4's δ ⋈ δ stores its
+        # view on both sides).
+        assert virtual == (3 if mode is Mode.UPA else 0)
 
     def test_single_query_is_the_independent_member(self):
         """An independent group member is literally a single standalone

@@ -30,8 +30,8 @@ from repro import (
 from repro.analysis.bounds import attach_certificate, validate_certificate
 from repro.buffers import FifoBuffer, HashBuffer, ListBuffer, PartitionedBuffer
 from repro.engine.strategies import STR_NEGATIVE, STR_PARTITIONED
-from repro.engine.views import (AppendView, BufferView, GroupView,
-                                JoinStateView)
+from repro.engine.views import (AppendView, BufferView, DeltaStateView,
+                                GroupStateView, JoinStateView, StateView)
 from repro.operators import (
     DupElimDeltaOp,
     DupElimStandardOp,
@@ -146,7 +146,8 @@ class TestViewChoices:
     def test_groupby_root_gets_group_view(self):
         plan = GroupBy(scan(), ["v"], [AggregateSpec("count", None, "n")])
         compiled = compile_plan(plan, ExecutionConfig(mode=Mode.UPA))
-        assert isinstance(compiled.view, GroupView)
+        assert isinstance(compiled.view, GroupStateView)
+        assert len(compiled.view) == 0  # the group table is the view
 
     def test_nt_view_is_non_purging_hash(self):
         compiled = compile_plan(join_plan(), ExecutionConfig(mode=Mode.NT))
@@ -170,7 +171,8 @@ class TestViewChoices:
             assert isinstance(compiled.view.buffer, PartitionedBuffer)
 
     #: The whole rule: which root gets which view, and what explain says.
-    #: ``None`` as the buffer kind means the join-state view (no storage).
+    #: ``None`` as the buffer kind means the join-state view, a view class
+    #: one of the other state views (no storage either).
     RULES = [
         ("bag ⋈ bag", join_plan, dict(mode=Mode.UPA), None,
          "join state (UPA, WK root, bag inputs)"),
@@ -205,6 +207,18 @@ class TestViewChoices:
         ("NRR-join",
          lambda: NRRJoin(scan(), NRR("n", Schema(["k"]), [(1,)]), "v", "k"),
          dict(mode=Mode.UPA), FifoBuffer, "fifo (WKS root)"),
+        ("group-by", lambda: GroupBy(
+            scan(), ["v"], [AggregateSpec("count", None, "n")]),
+         dict(mode=Mode.DIRECT), GroupStateView,
+         "group state (group-by root, rows finished on read)"),
+        ("δ", lambda: DupElim(scan()), dict(mode=Mode.UPA), DeltaStateView,
+         "δ output state (UPA, WK root, the live representatives)"),
+        ("δ over an STR input",
+         lambda: DupElim(Negation(scan("s0"), scan("s1"), "v")),
+         dict(mode=Mode.UPA, str_storage=STR_PARTITIONED),
+         PartitionedBuffer, "partitioned (STR root)"),
+        ("DISTINCT, DIRECT", lambda: DupElim(scan()),
+         dict(mode=Mode.DIRECT), ListBuffer, "list (DIRECT)"),
         ("bag ⋈ bag, DIRECT", join_plan, dict(mode=Mode.DIRECT), ListBuffer,
          "list (DIRECT)"),
         ("bag ⋈ bag, NT", join_plan, dict(mode=Mode.NT), HashBuffer,
@@ -219,8 +233,9 @@ class TestViewChoices:
                                 ExecutionConfig(checked=checked, **config))
         view = query.compiled.view
         assert f"\n-- view: {note}\n" in query.explain()
-        if kind is None:
-            assert isinstance(view, JoinStateView)
+        if kind is None or issubclass(kind, StateView):
+            assert type(view) is (kind or JoinStateView)
+            assert len(view) == 0
             assert not any(entry.label == "result-view" for entry in
                            attach_certificate(query.compiled).entries)
         else:
@@ -260,13 +275,20 @@ class TestViewChoices:
     def test_only_hash_views_are_indexed(self, checked):
         """The timestamp-purged views delete by ``exp`` and never look a
         result up by key; only the NT / STR-negative hash view reads its
-        ``(values, exp)`` index (with or without the sanitizer's proxy)."""
+        ``(values, exp)`` index (with or without the sanitizer's proxy).
+        Likewise group-by's input, which is scanned, popped, never probed:
+        indexed only where the hash table *is* the index."""
         negation = Negation(scan("s0"), scan("s1"), "v")
         wks = Select(scan(), attr_equals("v", 1))
+        grouped = GroupBy(scan(), ["v"], [AggregateSpec("count", None, "n")])
 
         def view_of(plan, **config):
-            return compile_plan(
-                plan, ExecutionConfig(checked=checked, **config)).view.buffer
+            compiled = compile_plan(
+                plan, ExecutionConfig(checked=checked, **config))
+            if plan is grouped:
+                ((_label, buffer),) = compiled.op_for(plan).state_buffers()
+                return buffer
+            return compiled.view.buffer
 
         unindexed = [
             (join_plan(), dict(mode=Mode.DIRECT), ListBuffer),
@@ -274,6 +296,8 @@ class TestViewChoices:
             (delta_join_plan(), dict(mode=Mode.UPA), PartitionedBuffer),
             (negation, dict(mode=Mode.UPA, str_storage=STR_PARTITIONED),
              PartitionedBuffer),
+            (grouped, dict(mode=Mode.UPA), FifoBuffer),
+            (grouped, dict(mode=Mode.DIRECT), ListBuffer),
         ]
         for plan, config, kind in unindexed:
             buffer = view_of(plan, **config)
@@ -282,6 +306,7 @@ class TestViewChoices:
         for plan, config in [
             (join_plan(), dict(mode=Mode.NT)),
             (negation, dict(mode=Mode.UPA, str_storage=STR_NEGATIVE)),
+            (grouped, dict(mode=Mode.NT)),
         ]:
             buffer = view_of(plan, **config)
             assert isinstance(getattr(buffer, "inner", buffer), HashBuffer)

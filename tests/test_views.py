@@ -81,3 +81,44 @@ class TestGroupView:
         view = GroupView(n_keys=1)
         view.apply(Tuple(("g", 1), 1), 1)
         assert list(view.groups()) == [("g",)]
+
+
+class TestGroupViewStore:
+    """The latest-result-per-group mapping behind ``GroupView`` (the
+    ``GroupStore`` buffer, now the dict it always was)."""
+
+    @staticmethod
+    def deleted(group):
+        return Tuple(group + (0,), 9, sign=-1)
+
+    def test_replace_and_get(self):
+        view = GroupView(n_keys=1)
+        r1 = Tuple(("g", 1), 1)
+        view.apply(r1, 1)
+        assert view.groups()[("g",)] is r1
+        r2 = Tuple(("g", 2), 2)
+        view.apply(r2, 2)
+        assert view.groups()[("g",)] is r2
+        assert len(view) == 1
+
+    def test_none_deletes_group(self):
+        view = GroupView(n_keys=1)
+        view.apply(Tuple(("g", 1), 1), 1)
+        view.apply(self.deleted(("g",)), 9)
+        assert view.groups().get(("g",)) is None
+        assert len(view) == 0
+
+    def test_snapshot_is_a_copy(self):
+        view = GroupView(n_keys=1)
+        view.apply(Tuple(("g", 1), 1), 1)
+        snap = view.groups()
+        view.apply(self.deleted(("g",)), 9)
+        assert ("g",) in snap
+
+    def test_contains_and_iter(self):
+        view = GroupView(n_keys=1)
+        view.apply(Tuple(("a", 1), 1), 1)
+        view.apply(Tuple(("b", 2), 1), 1)
+        assert ("a",) in view.groups()
+        assert sorted(t.values[0] for t in view.groups().values()) \
+            == ["a", "b"]
