@@ -213,9 +213,9 @@ def e10_memory(window: float = 400) -> list[tuple[str, int, int, float]]:
     rows: list[tuple[str, int, int, float]] = []
 
     def run(label: str, plan, **cfg):
-        # The registry's state gauges are the memory profile: armed runs
-        # sample operator state and the view every ``sample_events`` events.
-        query = ContinuousQuery(plan, ExecutionConfig(telemetry=True, **cfg))
+        # The registry's state gauges are the memory profile: every run
+        # samples operator state and the view every ``sample_events`` events.
+        query = ContinuousQuery(plan, ExecutionConfig(**cfg))
         query.executor.driver.sample_events = 50
         result = query.run(iter(events))
         rows.append((label, result.metrics.value("state_tuples_peak"),

@@ -191,9 +191,7 @@ def _pipeline_roots(compiled: Any, driver: Any = None
     counters = getattr(compiled, "counters", None)
     if counters is not None:
         yield "counters", counters
-    telemetry = getattr(compiled, "telemetry", None)
-    if telemetry is not None:
-        yield "telemetry", telemetry
+    yield "metrics", getattr(compiled, "metrics", None)
     if driver is not None:
         introspect = getattr(driver, "introspection_roots", None)
         if callable(introspect):

@@ -65,12 +65,7 @@ def _write_metrics(args, result, run_info: dict) -> None:
     """Export the run's metrics registry as --metrics-out JSON."""
     from .engine.telemetry import write_metrics_json
 
-    registry = (result.metrics() if callable(
-        getattr(result, "metrics", None)) else result.metrics)
-    if registry is None:
-        print("metrics: nothing to export (telemetry was not armed)")
-        return
-    series = write_metrics_json(args.metrics_out, registry, run_info)
+    series = write_metrics_json(args.metrics_out, result.metrics, run_info)
     print(f"metrics: wrote {series} series to {args.metrics_out}")
 
 
@@ -91,8 +86,7 @@ def _cmd_run(args) -> int:
     config = ExecutionConfig(mode=Mode(args.mode),
                              n_partitions=args.partitions,
                              str_storage=args.str_storage,
-                             checked=args.checked,
-                             telemetry=args.metrics_out is not None)
+                             checked=args.checked)
     query = ContinuousQuery(plan, config)
     if args.explain:
         print(query.explain())
@@ -125,8 +119,7 @@ def _cmd_run_group(args) -> int:
     config = ExecutionConfig(mode=Mode(args.mode),
                              n_partitions=args.partitions,
                              str_storage=args.str_storage,
-                             checked=args.checked,
-                             telemetry=args.metrics_out is not None)
+                             checked=args.checked)
     group = QueryGroup(shared=not args.independent)
     for index, text in enumerate(args.queries, start=1):
         group.add_text(f"q{index}", text, catalog, config)
@@ -262,10 +255,10 @@ def _add_checked_option(parser: argparse.ArgumentParser) -> None:
 
 def _add_metrics_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metrics-out", default=None, metavar="FILE",
-                        help="arm runtime telemetry and write the labeled "
-                             "metrics registry (per-operator timers, state "
-                             "gauges, shard decomposition) as JSON "
-                             "(schema repro.metrics/v1)")
+                        help="write the run's labeled metrics registry "
+                             "(per-operator timers, state gauges, shard "
+                             "decomposition) as JSON (schema "
+                             "repro.metrics/v1)")
 
 
 def _add_shard_options(parser: argparse.ArgumentParser) -> None:

@@ -68,7 +68,7 @@ class ChunkTable:
     """
 
     __slots__ = ("n", "streams", "ts", "_values", "_groups", "_group_rows",
-                 "_flags", "_lazy")
+                 "_flags", "_lazy", "_events")
 
     def __init__(self, n: int, streams: list | None, ts: list,
                  values: list | None = None,
@@ -84,6 +84,7 @@ class ChunkTable:
         self._group_rows = group_rows
         self._flags = flags
         self._lazy = lazy
+        self._events: list | None = None
 
     @classmethod
     def from_events(cls, events: Sequence[Event]) -> "ChunkTable | None":
@@ -208,13 +209,15 @@ class ChunkTable:
         return self._values
 
     def to_events(self) -> list:
-        """Materialize plain events — the escape hatch for row-loop
-        consumers (row-loop drivers, telemetry-armed batches)."""
-        values = self.row_values()
-        ts = self.ts
-        return [Tick(ts[r]) if stream is None
-                else Arrival(ts[r], stream, values[r])
-                for r, stream in enumerate(self.stream_labels())]
+        """Plain events — the escape hatch for row-loop consumers —
+        materialized once however many drivers ask."""
+        if self._events is None:
+            values = self.row_values()
+            ts = self.ts
+            self._events = [Tick(ts[r]) if stream is None
+                            else Arrival(ts[r], stream, values[r])
+                            for r, stream in enumerate(self.stream_labels())]
+        return self._events
 
     def __len__(self) -> int:
         return self.n

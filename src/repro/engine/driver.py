@@ -58,19 +58,14 @@ interpreting a generic plan.  The driver compiles the program into
   over whole chunks) and an in-order *replay phase* (passes, stateful
   suffixes, lazy purges, delivery — per event, at each event's own clock).
 
-Two row-at-a-time loops remain because batch size selects between them and
-each wins on its side: fed one event per call, the per-tuple closure is
-1.6–2.0× faster than the row loop at batch size one (``q2_pairs_pt`` sits on
-that side, the batch workloads on the other; RESULTS.md "one operator entry
-point").  Which batch loop runs is decided from the program, not by the
-caller: the column phase only has bulk work to do when some dispatch plan
-has a fused stateless prefix, so the driver compiles column plans when every
-dispatch plan is expressible column-wise (time windows) *and* at least one
-has a non-empty prefix, and takes the row loop otherwise.  Measured on
-``benchmarks/e2e`` (seed 42): with a filter prefix the row loop is 1.32×
-slower (``q1_ftp``); with an empty prefix the column loop is the slower
-one (``grp_src`` 0.88×, ``q3_neg`` 0.96× on the row loop).
-:meth:`Driver.batch_loop` reports the choice.
+Two row-at-a-time loops remain because each wins on its side: fed one event
+per call, the per-tuple closure is 1.6–2.0× faster than the row loop at
+batch size one (RESULTS.md "one operator entry point").  The program, not
+the caller, picks the batch loop: column plans are compiled when every
+dispatch plan is expressible column-wise (time windows) *and* one has a
+fused stateless prefix — the only bulk work the column phase has — and the
+row loop runs otherwise (measured in DESIGN.md "the driver picks the batch
+loop"; :meth:`Driver.batch_loop` reports the choice).
 
 Why the column/replay split is exact
 ------------------------------------
@@ -104,15 +99,16 @@ so no two loops can disagree on what a fused operator computes.
 Instrumentation
 ---------------
 
-With ``ExecutionConfig(telemetry=True)`` the batch loops time themselves
-(:class:`~repro.engine.telemetry.DriverMetrics`): one clock read per phase
-boundary per *batch* (``phase_seconds``: ``column`` / ``replay`` / ``rows``
-/ ``view_purge``) and per column-phase call (``op_process_seconds`` of a
-leaf and its fused prefix), the first expiration pass of each batch and
-the operators it visits (``expiration_pass_seconds``,
-``op_expire_seconds``), a state sample every ``sample_events`` events —
-nothing per event.  Armed and unarmed drivers run the same loops and
-closures; the per-tuple closure carries no timer (``Executor.run`` samples).
+Every driver reports through its own loops
+(:class:`~repro.engine.telemetry.DriverMetrics`): counters, fallbacks,
+state gauges and expiration lag exactly, clocks only on the batch after
+each state sample (one flag read per batch selects it) — per phase
+boundary (``phase_seconds``), per column-phase call (``op_process_seconds``)
+and around its first expiration pass (``expiration_pass_seconds``,
+``op_expire_seconds``).  The batch loops end with the sample check; the
+per-tuple closure carries none, so per-tuple runners feed it in blocks
+(:meth:`Driver.process_block`) and time the block after each sample
+(``per_tuple``).  Instruments are registered on the first sample.
 """
 
 from __future__ import annotations
@@ -122,7 +118,7 @@ from bisect import bisect_left
 from itertools import compress, count, islice
 from operator import gt as _gt
 from time import perf_counter as perf
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..core.tuples import Tuple
 from ..errors import ExecutionError
@@ -132,7 +128,7 @@ from ..streams.window import TimeWindow
 from ..operators.stateless import PortOp
 from .columnar import ChunkTable, take_columns
 from .program import ExecutionProgram
-from .telemetry import DriverMetrics
+from .telemetry import DriverMetrics, MetricsRegistry
 
 _INF = math.inf
 
@@ -145,7 +141,7 @@ class Driver:
     loses its inline cache (2.5 % of ``q1_ftp``; ``test_program.py``).
     """
 
-    #: Events between two state samples of an armed driver.
+    #: Events between two state samples (each followed by one timed batch).
     sample_events = 4096
 
     #: The compiled per-tuple loop: an instance attribute (set in
@@ -183,9 +179,8 @@ class Driver:
         self.batch_fallbacks: dict[str, int] = {}
         self._compile_closures()
         self._compile_column_plans()
-        #: What the loops charge when armed (None when telemetry is off;
-        #: they test it once per batch).
-        self._metrics = None if compiled.telemetry is None else DriverMetrics(
+        #: What the loops charge (see "Instrumentation").
+        self._metrics = DriverMetrics(
             compiled, [plan.leaf for stream in self._col_plans
                        for plan in self._dispatch[stream]])
 
@@ -303,15 +298,10 @@ class Driver:
                 self.compiled.view.deliver(outputs, now, self._subscribers)
 
     def _maybe_lazy_purge(self, now: float) -> None:
-        """Purge lazily-maintained operators on a fixed-interval schedule
-        anchored at the first event's clock.
-
-        The schedule fires at ``anchor + k * interval`` for integer ``k``:
-        the anchor is recorded on the first event (without consuming a purge
-        opportunity), and after each purge ``_last_purge`` advances along the
-        grid rather than to the triggering event's clock, so sparse traces do
-        not drift the schedule late by up to one interval per purge.
-        """
+        """Purge lazily-maintained operators at ``anchor + k * interval``
+        (integer ``k``), anchored at the first event's clock without a
+        purge; ``_last_purge`` advances along that grid, not to the
+        triggering clock, so sparse traces do not drift the schedule."""
         interval = self._lazy_interval
         if interval is None or not self._lazy_ops:
             return
@@ -333,14 +323,11 @@ class Driver:
 
     def _compile_closures(self) -> None:
         """Compile the program into this driver's row-path closures.
-
-        Bound methods are resolved *now*, which is safe and deliberate:
-        checked-mode monitors shadow ``process``/``process_batch``/
-        ``expire`` as instance attributes at compile time (before any
-        driver exists), so the captured callables are the monitored ones.
-        Closures are rebuilt per driver — no mutable state is shared
-        between two drivers compiled from the same program.
-        """
+        Bound methods are resolved *now*: checked-mode monitors shadow
+        ``process``/``process_batch``/``expire`` at compile time, before
+        any driver exists, so the captured callables are the monitored
+        ones.  Closures are per driver: two drivers of one program share
+        no mutable state."""
         expire_ops = self._expire_ops
         eager_index = {id(op): i for i, op in enumerate(expire_ops)}
         self._eager_index = eager_index
@@ -405,13 +392,9 @@ class Driver:
 
     def _compile_arrival(self, plan):
         """Compile one DispatchPlan into (per-tuple, row-batch) arrival
-        closures with every lookup bound into locals.
-
-        The per-tuple variant needs no boundary bookkeeping (the full pass
-        runs per event); the row-batch variant threads the global gate
-        through its return value and folds into the per-operator boundary
-        caches.
-        """
+        closures with every lookup bound into locals.  Only the row-batch
+        one threads the gate through its return value and folds into the
+        boundary caches: the per-tuple loop runs the full pass per event."""
         if isinstance(plan.leaf, PortOp):
             return self._compile_port_arrival(plan)
         compiled = self.compiled
@@ -592,7 +575,7 @@ class Driver:
         """
         self._row_loop = reason, _fallback = self._row_loop_reason()
         #: stream -> ((column-phase closure, DriverMetrics slot), ...)
-        slots = count(DriverMetrics.REPLAY + 1)
+        slots = count(DriverMetrics.PASS + 1)
         self._col_plans: dict[str, tuple] = {} if reason else {
             stream: tuple((self._compile_column_plan(plan), next(slots))
                           for plan in plans)
@@ -616,13 +599,10 @@ class Driver:
         return (None if fused else "no stateless prefix"), None
 
     def _compile_column_plan(self, plan):
-        """One dispatch plan → its column-phase closure.
-
-        The closure consumes one stream's rows of a chunk (indices, value
-        tuples), performs the bulk work — stamp, window insert, fused
-        prefix over whole columns — and queues ``(suffix, tuple)`` pairs
-        on ``pending`` for the replay phase to run in arrival order.
-        """
+        """One dispatch plan → its column-phase closure: over one stream's
+        rows of a chunk (indices, value tuples) the bulk work — stamp,
+        window insert, fused prefix over whole columns — queuing
+        ``(suffix, tuple)`` pairs on ``pending`` for the in-order replay."""
         leaf = plan.leaf
         prefix = plan.prefix  # the same triples, evaluated column-wise
         span = leaf.window.size
@@ -713,7 +693,7 @@ class Driver:
 
     # -- micro-batch loops --------------------------------------------------
 
-    def process_batch(self, events: Sequence[Event]) -> None:
+    def process_batch(self, events: Sequence[Event] | ChunkTable) -> None:
         """Process a micro-batch of events with one amortized expiration
         schedule.
 
@@ -727,28 +707,23 @@ class Driver:
         updates, non-monotone timestamps) and all other drivers run the
         row loop, counted in :attr:`batch_fallbacks` when that is a
         fallback rather than the program's choice.
+
+        ``events`` may be a decoded :class:`ChunkTable` (the shard
+        worker's transport): the column loop reads it without building
+        event objects; the row loop builds them once per table.
         """
         if not events:
             return
+        chunk = events.__class__ is ChunkTable
         if self._col_plans:
-            table = ChunkTable.from_events(events)
+            table = events if chunk else ChunkTable.from_events(events)
             if table is not None:
-                return self._process_table(table, events)
-            self._count_fallback("relation_update")
-        self._process_rows(events)
-
-    def process_chunk(self, table: ChunkTable) -> None:
-        """Run one decoded chunk without materializing event objects.
-
-        The shard worker's hot path: the shared-memory transport decodes
-        columns in place and hands the table straight to the driver.
-        Drivers on the row loop materialize events once and run it.
-        """
-        if table.n == 0:
-            return
-        if self._col_plans:
-            return self._process_table(table, None)
-        self._process_rows(table.to_events())
+                self._process_table(table)
+            else:
+                self._count_fallback("relation_update")
+                self._process_rows(events)
+        else:
+            self._process_rows(events.to_events() if chunk else events)
 
     def _count_fallback(self, reason: str) -> None:
         self.batch_fallbacks[reason] = self.batch_fallbacks.get(reason, 0) + 1
@@ -763,10 +738,10 @@ class Driver:
         lazy_check = self._lazy_check
         maybe_lazy_purge = self._maybe_lazy_purge
         metrics = self._metrics
-        armed = metrics is not None
-        if armed:
-            acc = metrics.acc
-            metrics.pass_timers = metrics.expire_timers
+        timed = metrics.timed
+        if timed:
+            metrics.timed = False
+            acc = metrics.pass_acc = metrics.acc
             t0 = perf()
         get_plans = self._arrivals_b.get
         run_pass = self._run_pass
@@ -806,16 +781,17 @@ class Driver:
         finally:
             self._events_processed = events_processed
             self._tuples_arrived = tuples_arrived
-        if armed:
+        if timed:
             t1 = perf()
             acc[metrics.ROWS] += t1 - t0
         # One amortized view purge per batch: timestamp purging emits no
         # output, so only its (deterministic) timing is batched.
         compiled.view.purge(self.now)
-        if armed:
+        if timed:
             acc[metrics.VIEW_PURGE] += perf() - t1
-            if events_processed - metrics.sampled_at >= self.sample_events:
-                self.sample_state()
+            metrics.pass_acc = None
+        if events_processed - metrics.sampled_at >= self.sample_events:
+            metrics.sample(self)
 
     def _run_pass(self, now: float) -> float:
         """One boundary-triggered expiration pass, visiting only the
@@ -834,17 +810,17 @@ class Driver:
         deliver = compiled.view.deliver
         subscribers = self._subscribers
         metrics = self._metrics
-        expire_timers = None if metrics is None else metrics.pass_timers
-        timing = expire_timers is not None
-        if timing:
-            metrics.pass_timers = None  # one timed pass per batch
+        acc = metrics.pass_acc
+        if acc is not None:
+            metrics.pass_acc = None  # one timed pass per sampled batch
+            base = metrics.expire_base
             pass_start = perf()
         for i, (op, expire, stages) in enumerate(self._pass_plan):
             if boundaries[i] <= now:
-                if timing:
+                if acc is not None:
                     t0 = perf()
                     outputs = expire(now)
-                    expire_timers[i].add(perf() - t0)
+                    acc[base + i] += perf() - t0
                 else:
                     outputs = expire(now)
                 if outputs:
@@ -863,11 +839,11 @@ class Driver:
                         deliver(outputs, now, subscribers)
                 boundaries[i] = op.next_expiry(now)
         compiled.view.purge(now)
-        if timing:
-            metrics.pass_timer.add(perf() - pass_start)
+        if acc is not None:
+            acc[metrics.PASS] += perf() - pass_start
         return min(boundaries, default=_INF)
 
-    def _process_table(self, table: ChunkTable, events) -> None:
+    def _process_table(self, table: ChunkTable) -> None:
         """The column micro-batch loop (see the module docstring)."""
         ts = table.ts
         # Monotonicity pre-scan (C-speed pairwise compare): the row loop
@@ -876,14 +852,13 @@ class Driver:
         # replicate.
         if ts[0] < self.now or any(map(_gt, ts, islice(ts, 1, None))):
             self._count_fallback("non_monotone_ts")
-            return self._process_rows(
-                table.to_events() if events is None else events)
+            return self._process_rows(table.to_events())
 
         metrics = self._metrics
-        armed = metrics is not None
-        if armed:
-            acc = metrics.acc
-            metrics.pass_timers = metrics.expire_timers
+        timed = metrics.timed
+        if timed:
+            metrics.timed = False
+            acc = metrics.pass_acc = metrics.acc
             t0 = t1 = perf()
         flags = table.arrival_flags()
         n = table.n
@@ -905,13 +880,13 @@ class Driver:
                 vals = table.group_values(stream)
                 for column_phase, slot in plans:
                     gate = column_phase(rows, vals, ts, pending, gate)
-                    if armed:
+                    if timed:
                         # Chained reads: a plan's leaf + fused prefix (the
                         # first also the table set-up); the last ends the phase.
                         t = perf()
                         acc[slot] += t - t1
                         t1 = t
-            if armed:
+            if timed:
                 acc[metrics.COLUMN] += t1 - t0
             # Replay phase: per event, in order, at each event's clock —
             # passes, stateful suffixes, lazy purges, delivery.  A row's
@@ -988,28 +963,50 @@ class Driver:
         finally:
             self._events_processed = events_processed
             self._tuples_arrived = tuples_arrived
-        if armed:
+        if timed:
             t2 = perf()
             acc[metrics.REPLAY] += t2 - t1
         self.compiled.view.purge(self.now)
-        if armed:
+        if timed:
             acc[metrics.VIEW_PURGE] += perf() - t2
-            if events_processed - metrics.sampled_at >= self.sample_events:
-                self.sample_state()
+            metrics.pass_acc = None
+        if events_processed - metrics.sampled_at >= self.sample_events:
+            metrics.sample(self)
 
-    # -- telemetry (armed drivers only) --------------------------------------
+    # -- telemetry -----------------------------------------------------------
 
-    def sample_state(self) -> None:
-        """Take one state sample now (armed drivers only; see
-        :class:`~repro.engine.telemetry.DriverMetrics`)."""
-        self._metrics.sample(self)
+    def process_block(self, events: Iterable[Event],
+                      on_event: Callable[[Event], None] | None = None) -> bool:
+        """A per-tuple runner's block step: ``events`` through the closure
+        (``on_event`` after each), then :meth:`maybe_sample` with the
+        block's wall time.  False when ``events`` was empty."""
+        process_event = self.process_event
+        event = None
+        start = perf()
+        if on_event is None:
+            for event in events:
+                process_event(event)
+        else:
+            for event in events:
+                process_event(event)
+                on_event(event)
+        if event is None:
+            return False
+        self.maybe_sample(perf() - start)
+        return True
 
-    def flush_metrics(self, elapsed: float | None = None):
-        """Bring the registry up to date and return it (None when
-        telemetry is off): a final state sample, the exact event / tuple
-        totals, the fallback counts, and ``run_seconds`` when the caller
-        timed a run.  Every runtime that finishes a driver calls this —
-        ``Executor.run``, shard workers, query groups."""
-        if self._metrics is None:
-            return None
+    def maybe_sample(self, block_seconds: float) -> None:
+        """Charge a per-tuple block after a sample to ``per_tuple``; sample
+        if ``sample_events`` events passed (the batch loops inline this)."""
+        metrics = self._metrics
+        if metrics.timed:
+            metrics.timed = False
+            metrics.acc[metrics.PER_TUPLE] += block_seconds
+        if self._events_processed - metrics.sampled_at >= self.sample_events:
+            metrics.sample(self)
+
+    def flush_metrics(self, elapsed: float | None = None) -> MetricsRegistry:
+        """Bring the registry up to date and return it: a final sample,
+        exact event / tuple totals, fallback counts and ``run_seconds``
+        when given.  Every runtime that finishes a driver calls this."""
         return self._metrics.flush(self, elapsed)

@@ -21,6 +21,7 @@ dispatch implementation in the engine.
 from __future__ import annotations
 
 import time
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -95,9 +96,9 @@ class RunResult:
 
     @property
     def metrics(self):
-        """The pipeline's :class:`~repro.engine.telemetry.MetricsRegistry`
-        (None unless compiled with ``ExecutionConfig(telemetry=True)``)."""
-        return self.executor.compiled.telemetry
+        """The pipeline's :class:`~repro.engine.telemetry.MetricsRegistry`,
+        flushed at the end of the run."""
+        return self.executor.compiled.metrics
 
     @property
     def touches(self) -> int:
@@ -232,26 +233,13 @@ class Executor:
             return sharded.run(events, batch=batch)
         start = time.perf_counter()
         if batch is None or batch <= 1:
-            process_event = driver.process_event
-            # Armed: the compiled closure carries no timer, so state is
-            # sampled here, between blocks of events; unarmed runs are one
-            # block (``islice(iterator, None)`` is the whole trace).
-            armed = self.compiled.telemetry is not None
-            block = driver.sample_events if armed else None
+            # Blocks of one sample period: the compiled closure takes no
+            # sample check, the block step does.
             iterator = iter(events)
-            while True:
-                event = None
-                if on_event is None:
-                    for event in islice(iterator, block):
-                        process_event(event)
-                else:
-                    for event in islice(iterator, block):
-                        process_event(event)
-                        on_event(self, event)
-                if event is None:
-                    break
-                if armed:
-                    driver.sample_state()
+            step = None if on_event is None else partial(on_event, self)
+            while driver.process_block(
+                    islice(iterator, driver.sample_events), step):
+                pass
         else:
             process_batch = driver.process_batch
             for chunk in _chunked(events, batch):

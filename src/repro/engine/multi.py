@@ -28,16 +28,19 @@ freed only when its last consumer leaves.
 from __future__ import annotations
 
 import time
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from ..analysis.sanitizer import verify_drain
 from ..core.metrics import Counters
 from ..core.plan import LogicalNode
 from ..streams.stream import Arrival, Event
+from .driver import Driver
 from .executor import _chunked, check_run_args
 from .query import ContinuousQuery
 from .sharing import SharedRuntime, build_shared_runtime
 from .strategies import ExecutionConfig
+from .telemetry import MetricsRegistry
 
 
 class QueryGroup:
@@ -160,29 +163,50 @@ class QueryGroup:
             return run_group_sharded(self, events, shards=shards,
                                      backend=shard_backend, batch=batch)
         runtime = self._seal()
+        # Members and producers are driven through process_event /
+        # process_batch, not Executor.run, so the run-level steps happen
+        # here.  A batched member takes the sample check in its batch
+        # loop; every other driver — each member per tuple, each producer
+        # always (SharedProducer.run feeds its per-tuple closure) — after
+        # every block or chunk, as Driver.process_block does.  Members run
+        # in lockstep, so the block time is the group's.
+        members = [self[name].executor.driver for name in self.names()]
+        producers = [p.driver for p in self.shared_producers()]
+        blocked = producers if batch else members + producers
         start = time.perf_counter()
         n = 0
         arrivals = 0
         if batch is None:
             process_event = runtime.process_event
-            for event in events:
-                process_event(event)
-                n += 1
-                if isinstance(event, Arrival):
-                    arrivals += 1
+            size = min((d.sample_events for d in blocked),
+                       default=Driver.sample_events)
+            iterator = iter(events)
+            while True:
+                seen = n
+                block_start = time.perf_counter()
+                for event in islice(iterator, size):
+                    process_event(event)
+                    n += 1
+                    if isinstance(event, Arrival):
+                        arrivals += 1
+                if n == seen:
+                    break
+                block_seconds = time.perf_counter() - block_start
+                for driver in blocked:
+                    driver.maybe_sample(block_seconds)
         else:
             for chunk in _chunked(events, batch):
+                block_start = time.perf_counter()
                 runtime.process_batch(chunk)
+                block_seconds = time.perf_counter() - block_start
+                for driver in blocked:
+                    driver.maybe_sample(block_seconds)
                 n += len(chunk)
                 arrivals += sum(
                     1 for event in chunk if isinstance(event, Arrival))
         elapsed = time.perf_counter() - start
-        # Members and producers are driven through process_event /
-        # process_batch, not Executor.run, so the run's closing steps
-        # happen here: checked execution asserts counter conservation and
-        # armed registries are brought up to date (no-ops otherwise).
-        for driver in ([self[name].executor.driver for name in self.names()]
-                       + [p.driver for p in self.shared_producers()]):
+        drivers = members + producers
+        for driver in drivers:
             verify_drain(driver.compiled)
             driver.flush_metrics()
         return GroupRunResult(self, elapsed, n, arrivals)
@@ -235,6 +259,17 @@ class GroupRunResult:
         self.events_processed = events_processed
         #: Denominator for throughput metrics: data arrivals only.
         self.tuples_arrived = tuples_arrived
+        #: Group-wide merged :class:`~repro.engine.telemetry.MetricsRegistry`:
+        #: every member pipeline's registry under a ``query=name`` label,
+        #: and in shared mode each producer's once under ``producer=name``
+        #: (shared work is charged once per group, like
+        #: :meth:`shared_touches`).
+        self.metrics = MetricsRegistry()
+        for name in group.names():
+            self.metrics.merge(group[name].compiled.metrics, {"query": name})
+        for producer in group.shared_producers():
+            self.metrics.merge(producer.compiled.metrics,
+                               {"producer": producer.name})
 
     def answer(self, name: str):
         return self.group[name].answer()
@@ -265,31 +300,6 @@ class GroupRunResult:
     def total_touches(self) -> int:
         """All deterministic state touches: member residuals + shared."""
         return sum(self.touches().values()) + self.shared_touches()
-
-    def metrics(self):
-        """Group-wide merged :class:`~repro.engine.telemetry.MetricsRegistry`.
-
-        Every member pipeline's registry is folded in under a ``query=name``
-        label; in shared mode each producer's registry is added once under
-        ``producer=<name>`` (shared work is charged once per group, exactly
-        like :meth:`shared_touches`).  Returns None when no member ran with
-        ``telemetry=True``.
-        """
-        from .telemetry import MetricsRegistry
-
-        group = self.group
-        parts = [(group[name].compiled.telemetry, {"query": name})
-                 for name in group.names()]
-        parts += [(producer.compiled.telemetry, {"producer": producer.name})
-                  for producer in group.shared_producers()]
-        merged = None
-        for registry, labels in parts:
-            if registry is None:
-                continue
-            if merged is None:
-                merged = MetricsRegistry()
-            merged.merge(registry, labels)
-        return merged
 
     def __repr__(self) -> str:
         return (f"GroupRunResult(queries={len(self.group)}, "

@@ -88,7 +88,7 @@ class ExecutionProgram:
         #: The explicit step list, in execution order.
         self.steps = steps
         #: Instrumentation layers wrapped around this program's operators
-        #: ("checked"; telemetry is timed inside the driver's loops, not
+        #: ("checked"; metrics are taken inside the driver's loops, not
         #: layered).
         self.layers = layers
 

@@ -65,10 +65,10 @@ class ContinuousQuery:
         verdict from the static rule catalogue
         (:mod:`repro.analysis.planlint`), the symbolic state-bound
         certificate's one-line summary
-        (:meth:`~repro.analysis.bounds.StateCertificate.summary`), a
-        telemetry marker (armed instrument count, or how to enable it;
-        after an armed run also its measured phase shares, worst
-        expiration lag and peak state against the certificate's bound),
+        (:meth:`~repro.analysis.bounds.StateCertificate.summary`), the
+        metrics registry (after a run: its instrument count, phase
+        shares, worst expiration lag and peak state against the
+        certificate's bound),
         the micro-batch loop the driver chose, why, and any fallbacks
         (:meth:`~repro.engine.driver.Driver.batch_loop`), and the compiled
         execution program's step summary
@@ -82,13 +82,11 @@ class ContinuousQuery:
         report = lint_compiled(self.compiled, claimed_sharding=verdict,
                                driver=self.executor.driver)
         certificate = attach_certificate(self.compiled)
-        registry = self.compiled.telemetry
-        if registry is None:
-            metrics_note = "off (enable with ExecutionConfig(telemetry=True))"
-        else:
-            metrics_note = (f"on ({len(registry)} instruments across "
-                            f"{len(self.compiled.op_labels)} operators)"
-                            f"{run_summary(registry)}")
+        registry = self.compiled.metrics
+        metrics_note = (f"{len(registry)} instruments across "
+                        f"{len(self.compiled.ops)} operators"
+                        f"{run_summary(registry)}" if len(registry)
+                        else "registered on the first state sample")
         return (f"{tree}\n-- sharding: {verdict.describe()}"
                 f"\n-- lint: {report.summary()}"
                 f"\n-- bounds: {certificate.summary()}"

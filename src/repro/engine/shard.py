@@ -86,6 +86,7 @@ from .driver import Driver
 from .executor import SHARD_BACKENDS, Executor, _chunked, check_run_args
 from .program import build_program
 from .strategies import ExecutionConfig, compile_plan
+from .telemetry import MetricsRegistry
 
 #: Events shipped per backend step when no micro-batch size is given.
 DEFAULT_CHUNK = 256
@@ -280,8 +281,8 @@ class _ShardFinal(NamedTuple):
     answer: Multiset
     counters: dict
     state_size: int
-    #: Telemetry snapshot records, or None when telemetry is off.
-    metrics: list | None
+    #: The member's metrics registry snapshot records.
+    metrics: list
 
 
 # -- the replica and the two backends -------------------------------------------
@@ -306,32 +307,18 @@ class _Replica:
             if wanted:
                 driver.subscribe(collector)
 
-    def feed(self, events: Sequence[Event]
+    def feed(self, chunk: Sequence[Event] | ChunkTable
              ) -> list[list[tuple[float, int, Tuple]]]:
-        """Run one routed chunk of events; per-member tagged outputs."""
+        """Run one routed chunk — events, or a decoded table every member
+        reads in place — through every member; per-member tagged outputs.
+        Per tuple, the chunk is each member's block."""
+        if not self._batched and chunk.__class__ is ChunkTable:
+            chunk = chunk.to_events()
         for _name, driver in self.drivers:
             if self._batched:
-                driver.process_batch(events)
+                driver.process_batch(chunk)
             else:
-                process = driver.process_event
-                for event in events:
-                    process(event)
-        return [collector.drain() for collector in self._collectors]
-
-    def feed_table(self, table: ChunkTable
-                   ) -> list[list[tuple[float, int, Tuple]]]:
-        """Run one decoded chunk: column-loop members read the shared
-        table in place; the others share one materialized event list."""
-        if not self._batched:
-            return self.feed(table.to_events())
-        events = None
-        for _name, driver in self.drivers:
-            if driver._col_plans:
-                driver.process_chunk(table)
-            else:
-                if events is None:
-                    events = table.to_events()
-                driver.process_batch(events)
+                driver.process_block(chunk)
         return [collector.drain() for collector in self._collectors]
 
     def finish(self) -> list[_ShardFinal]:
@@ -339,15 +326,13 @@ class _Replica:
         for _name, driver in self.drivers:
             # Checked execution: each replica owns its own sanitizers (the
             # drivers are fed through process_batch, not run()), so the
-            # drain-time conservation check must run here.
+            # drain-time conservation check must run here; likewise the
+            # final metrics flush, whose snapshot is plain records.
             verify_drain(driver.compiled)
-            # Likewise Driver.flush_metrics brings an armed registry up to
-            # date; its snapshot is plain records.
-            registry = driver.flush_metrics()
             finals.append(_ShardFinal(
                 driver.answer(), driver.compiled.counters.snapshot(),
                 driver.compiled.state_size(),
-                None if registry is None else registry.snapshot()))
+                driver.flush_metrics().snapshot()))
         return finals
 
 
@@ -443,7 +428,7 @@ def _shard_worker_main(conn, members: Sequence[Member], batch: int | None,
                 # The table (and its memoryview over the segment) lives
                 # only inside this call: it is dropped before the reply,
                 # so shutdown can unmap the segment.
-                outputs = replica.feed_table(
+                outputs = replica.feed(
                     decode_routed(shm.buf[:message[1]], message[2]))
             elif tag == "finish":
                 # Checked execution: violations raised here propagate to the
@@ -678,31 +663,26 @@ def _sum_counters(snapshots: Iterable[dict]) -> Counters:
 
 def _merge_shard_metrics(finals: list[list[_ShardFinal]],
                          labels: Sequence[dict], router: ShardRouter):
-    """Fold the replicas' telemetry snapshots into one parent registry.
+    """Fold the replicas' metrics snapshots into one parent registry.
 
     ``finals`` is ``[shard][member]``; ``labels[member]`` tells the
     members' series apart (``{}`` for a single query, ``{"query": name}``
-    in a group).  Returns ``(merged, per_shard)`` — None and empty when
-    telemetry is off (every snapshot None).  Each snapshot is merged twice,
-    under ``shard=i`` and without, so the exported series satisfy *total =
-    Σ shards* exactly, per (name, label set) — replica pipelines produce
-    label-identical registries because operator ids are stable plan-walk
-    indices.  Router occupancy gauges are added so the export also answers
-    "was the key distribution balanced?".
+    in a group).  Returns ``(merged, per_shard)``.  Each snapshot is merged
+    twice, under ``shard=i`` and without, so the exported series satisfy
+    *total = Σ shards* exactly, per (name, label set) — replica pipelines
+    produce label-identical registries because operator ids are stable
+    plan-walk indices.  Router occupancy gauges are added so the export
+    also answers "was the key distribution balanced?".
     """
-    if all(final.metrics is None for shard in finals for final in shard):
-        return None, []
-    from .telemetry import MetricsRegistry
-
     merged = MetricsRegistry()
     per_shard = []
     for index, shard in enumerate(finals):
         registry = MetricsRegistry()
         for final, member in zip(shard, labels):
-            records = final.metrics or []
-            registry.merge_snapshot(records, member)
-            merged.merge_snapshot(records, {**member, "shard": str(index)})
-            merged.merge_snapshot(records, member)
+            registry.merge_snapshot(final.metrics, member)
+            merged.merge_snapshot(final.metrics,
+                                  {**member, "shard": str(index)})
+            merged.merge_snapshot(final.metrics, member)
         per_shard.append(registry)
     for index, arrivals in enumerate(router.per_shard_arrivals):
         merged.gauge("router_shard_arrivals", shard=str(index)).set(arrivals)
@@ -809,8 +789,8 @@ class ShardedRunResult:
                  partitionability: Partitionability | None = None,
                  fallback_reason: str | None = None,
                  per_shard_arrivals: list[int] | None = None,
-                 state_size: int = 0,
-                 metrics=None, shard_metrics: list | None = None):
+                 state_size: int = 0, metrics: MetricsRegistry,
+                 shard_metrics: list[MetricsRegistry]):
         self.shards = shards
         self.backend = backend
         self.elapsed = elapsed
@@ -822,14 +802,14 @@ class ShardedRunResult:
         self.fallback_reason = fallback_reason
         self.per_shard_arrivals = per_shard_arrivals or []
         self.state_size = state_size
-        #: Merged :class:`~repro.engine.telemetry.MetricsRegistry` (None
-        #: unless run with ``telemetry=True``).  Every worker snapshot is
-        #: folded in twice — under ``shard=i`` labels and into the unlabeled
-        #: totals — so totals decompose exactly: total = Σ shards per
-        #: (name, label set), mirroring the counter decomposition.
+        #: Merged :class:`~repro.engine.telemetry.MetricsRegistry`.  Every
+        #: worker snapshot is folded in twice — under ``shard=i`` labels
+        #: and into the unlabeled totals — so totals decompose exactly:
+        #: total = Σ shards per (name, label set), mirroring the counter
+        #: decomposition.
         self.metrics = metrics
-        #: Per-shard registries, in shard order (empty list when off).
-        self.shard_metrics = shard_metrics or []
+        #: Per-shard registries, in shard order.
+        self.shard_metrics = shard_metrics
         self._answer_fn = answer_fn
 
     @classmethod
@@ -848,7 +828,7 @@ class ShardedRunResult:
             partitionability=partitionability,
             fallback_reason=reason,
             metrics=metrics,
-            shard_metrics=[metrics] if metrics is not None else [],
+            shard_metrics=[metrics],
         )
 
     def answer(self) -> Multiset:
@@ -988,7 +968,7 @@ class ShardedGroupRunResult:
                  shards: int, backend: str,
                  partitionability: Partitionability | None = None,
                  fallback_reason: str | None = None,
-                 shared_touches: int = 0, metrics=None):
+                 shared_touches: int = 0, metrics: MetricsRegistry):
         self.names = list(answers)
         self.elapsed = elapsed
         self.events_processed = events_processed
@@ -1000,8 +980,7 @@ class ShardedGroupRunResult:
         self.shard_counters = shard_counters
         self.member_counters = member_counters
         #: Merged registry over all members and shards (labels ``query=``
-        #: plus ``shard=``; unlabeled-per-query series are the shard sums),
-        #: or None when telemetry is off.
+        #: plus ``shard=``; unlabeled-per-query series are the shard sums).
         self.metrics = metrics
         self._answers = answers
         self._shared_touches = shared_touches
@@ -1023,7 +1002,7 @@ class ShardedGroupRunResult:
             shards=1, backend="inline",
             partitionability=partitionability, fallback_reason=reason,
             shared_touches=result.shared_touches(),
-            metrics=result.metrics(),
+            metrics=result.metrics,
         )
 
     def answer(self, name: str) -> Multiset:

@@ -117,13 +117,6 @@ class ExecutionConfig:
     #: of silently corrupting answers.  Answers, output streams and counters
     #: are byte-identical to unchecked runs.
     checked: bool = False
-    #: Telemetry (CLI ``--metrics-out``): compile the pipeline with a
-    #: :class:`~repro.engine.telemetry.MetricsRegistry`; the batch loops
-    #: then time their own phases per batch and sample state periodically
-    #: (see :mod:`repro.engine.driver`, "Instrumentation").  Observation
-    #: only — armed and unarmed runs take the same loops and closures, and
-    #: answers, output streams and counters are byte-identical either way.
-    telemetry: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.mode, Mode):
@@ -154,10 +147,6 @@ class ExecutionConfig:
             raise ConfigError(
                 f"checked must be a bool, got {self.checked!r} (it arms the "
                 "runtime conformance monitors of checked execution)")
-        if not isinstance(self.telemetry, bool):
-            raise ConfigError(
-                f"telemetry must be a bool, got {self.telemetry!r} (it arms "
-                "the runtime metrics registry and timing spans)")
         if self.checked and self.allow_unbounded_state:
             raise ConfigError(
                 "checked=True is incompatible with allow_unbounded_state="
@@ -203,13 +192,10 @@ class CompiledQuery:
         self.max_span: float | None = None
         #: Armed (non-None) only under ``ExecutionConfig(checked=True)``.
         self.sanitizer: Sanitizer | None = None
-        #: Armed (non-None) only under ``ExecutionConfig(telemetry=True)``:
-        #: the pipeline's labeled metrics registry, and id(op) -> the
-        #: ``op`` / ``kind`` / ``pattern`` labels its per-operator
-        #: instruments carry (drivers resolve instruments from these once,
-        #: at construction).
-        self.telemetry: "MetricsRegistry | None" = None
-        self.op_labels: dict[int, dict[str, str]] = {}
+        #: The pipeline's labeled metrics registry: always present, and
+        #: empty until its driver's first state sample or flush registers
+        #: the instruments (:class:`~repro.engine.telemetry.DriverMetrics`).
+        self.metrics = MetricsRegistry()
         #: The flattened ExecutionProgram (set by engine.program.
         #: build_program when a driver is constructed; the PRG6xx lint
         #: rules and the ``-- program:`` explain footer inspect it).
@@ -255,34 +241,7 @@ def compile_plan(root: LogicalNode, config: ExecutionConfig,
 
     _wire_routes(root, compiled)
     _build_view(root, compiled, annotated, config, hybrid)
-    if config.telemetry:
-        _register_telemetry(root, compiled, annotated)
     return compiled
-
-
-def _register_telemetry(root: LogicalNode, compiled: CompiledQuery,
-                        annotated: AnnotatedPlan) -> None:
-    """Create the pipeline's registry and label every operator.
-
-    Every physical operator gets a stable id (walk-order index plus class
-    name — deterministic for a given plan, so shard replicas of the same
-    plan produce label-identical registries that merge exactly) and its
-    update-pattern class (Section 5.2's annotation), so exported metrics
-    slice along the axis the paper's cost model predicts.  The timers are
-    registered here so every export names every operator, charged or not.
-    """
-    registry = MetricsRegistry()
-    compiled.telemetry = registry
-    expire_ids = {id(op) for op in compiled.expire_ops}
-    for index, node in enumerate(root.walk()):
-        op = compiled.op_for(node)
-        kind = type(op).__name__
-        labels = {"op": f"{index}:{kind}", "kind": kind,
-                  "pattern": str(annotated.pattern_of(node))}
-        compiled.op_labels[id(op)] = labels
-        registry.timer("op_process_seconds", **labels)
-        if id(op) in expire_ids:
-            registry.timer("op_expire_seconds", **labels)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ the observability layer the cost model (Section 5.4) is validated against:
   (MONOTONIC/WKS/WK/STR), and — after a sharded run — the shard index, so
   per-operator cost-model predictions can be checked against what the
   engine actually did.
-* **Off means absent** — telemetry is *off by default*; a disabled
-  pipeline carries ``telemetry=None`` and its loops skip every timer on
-  one ``is None`` test per batch.
+* **Always on, paid for by sampling** — every compiled pipeline carries
+  its registry.  Counters, fallbacks, state gauges and expiration lag are
+  exact; clocks are read on one batch per sample period only, and
+  instruments are registered on the first state sample, so building a
+  query registers nothing (:class:`DriverMetrics`).
 * **Label-wise merge** — :meth:`MetricsRegistry.merge_snapshot` folds one
   registry's snapshot into another, optionally adding labels.  A sharded
   run merges every worker's registry twice: once under ``shard=i`` and once
@@ -26,8 +28,8 @@ the observability layer the cost model (Section 5.4) is validated against:
   and :func:`validate_metrics_document` is the schema check CI gates on.
 
 Telemetry is observation only: instruments never feed back into answers,
-output streams, or the legacy deterministic counters, so runs are
-byte-identical with telemetry on or off (the equivalence suite in
+output streams, or the deterministic counters, so runs are byte-identical
+whatever the sample period (the equivalence suite in
 ``tests/test_telemetry.py`` checks this across all execution regimes).
 """
 
@@ -279,15 +281,23 @@ class MetricsRegistry:
 
 
 class DriverMetrics:
-    """Everything one armed driver charges, resolved once.
+    """Everything one driver charges: always on, registered lazily.
 
-    **Phase accumulators.**  The batch loops add their per-batch clock
-    deltas into the flat ``acc`` list (slots ``ROWS`` … ``REPLAY``, then
-    one per column plan, in dispatch order, for its leaf and fused
-    prefix) — no Python-level call per batch: on ``q1_ftp``'s 50 µs
-    batches each one costs about half a percent — and :meth:`sample` folds
-    each slot into its histogram, so one ``phase_seconds`` /
-    ``op_process_seconds`` observation is one sample period's total.
+    **Sampled timing.**  ``timed`` is set by every state sample (and at
+    construction), and the batch loops read it once per batch, so exactly
+    one batch per ``Driver.sample_events`` period — the batch after each
+    sample — reads clocks; every other batch reads none and makes no extra
+    call.  The sampled batch adds its phase-boundary deltas into the flat
+    ``acc`` list (slots ``ROWS`` … ``PASS``, then one per column plan, in
+    dispatch order, for its leaf and fused prefix, then one per eager
+    operator from ``expire_base`` on, charged by the batch's first
+    expiration pass).  Per-tuple runners charge the block after each
+    sample to ``PER_TUPLE``.  :meth:`sample` folds every slot into its
+    histogram, so one ``phase_seconds`` observation is one sampled batch.
+
+    **Lazy registration.**  Building a query registers nothing: op labels,
+    instruments and certificate bounds are resolved on the first
+    :meth:`sample` (a flush takes one), once per driver.
 
     **State sample.**  Per-operator depth beside its CST8xx certificate
     bound, expiration lag, totals and the result-view size.  Gauges hold
@@ -295,43 +305,70 @@ class DriverMetrics:
     ``state_tuples`` histogram the trajectory (count / mean / max); gauges
     sum under the sharded merge, so totals decompose across shards.
     ``expiration_lag{op}`` is the furthest a lazily purged operator's
-    oldest stored ``exp`` was seen trailing the clock (0 for eagerly
-    expired ones) — the memory Section 5.4.2's lazy interval trades for
-    time.
+    oldest stored ``exp`` was seen trailing the clock — the memory Section
+    5.4.2's lazy interval trades for time.  It is 0 without a scan for
+    eagerly expired operators and for every operator under NT, whose
+    negative tuples delete each stored tuple at its ``exp``.
     """
 
-    ROWS, VIEW_PURGE, COLUMN, REPLAY = range(4)
+    ROWS, VIEW_PURGE, PER_TUPLE, COLUMN, REPLAY, PASS = range(6)
 
     def __init__(self, compiled, column_leaves) -> None:
-        from ..analysis.bounds import attach_certificate
-
-        self._registry = registry = compiled.telemetry
-        labels = compiled.op_labels
-        phases = ["rows", "view_purge"]
-        if column_leaves:  # "rows" stays: the column loop's fallback
-            phases += ["column", "replay"]
-        self._acc_timers = timers = [
-            registry.timer("phase_seconds", phase=phase) for phase in phases]
-        timers += [registry.timer("op_process_seconds", **labels[id(leaf)])
-                   for leaf in column_leaves]
-        self.acc = [0.0] * len(timers)
-        self.pass_timer = registry.timer("expiration_pass_seconds")
-        #: One ``op_expire_seconds`` timer per eager participant, in
-        #: expiration-pass order.
-        self.expire_timers = tuple(
-            registry.timer("op_expire_seconds", **labels[id(op)])
-            for op in compiled.expire_ops)
-        #: ``expire_timers`` from batch entry until the batch's first
-        #: pass has run (the one pass per batch that is timed), else None.
-        self.pass_timers = None
+        self._compiled = compiled
+        self._column_leaves = column_leaves
+        self.expire_base = self.PASS + 1 + len(column_leaves)
+        self.acc = [0.0] * (self.expire_base + len(compiled.expire_ops))
+        #: Whether the next batch is the sampled one.
+        self.timed = True
+        #: ``acc`` from the sampled batch's entry until its first pass has
+        #: run, else None.
+        self.pass_acc = None
         #: Driver event count at the last sample.
         self.sampled_at = 0
+        #: ``(acc slot, timer)`` pairs, resolved by the first sample.
+        self._timers: list | None = None
+
+    def _register(self) -> None:
+        """Label every operator and register every instrument: one
+        ``op_process_seconds`` timer per operator (so every export names
+        every operator, charged or not), the phase, pass and expire timers,
+        and the state gauges with each operator's certificate bound."""
+        from ..analysis.bounds import attach_certificate
+        from .strategies import Mode
+
+        compiled = self._compiled
+        registry = compiled.metrics
+        labels = {}
+        for index, node in enumerate(compiled.root.walk()):
+            # A stable id (walk index plus class name: shard replicas of
+            # one plan produce label-identical registries that merge
+            # exactly) and the Section 5.2 pattern the cost model slices by.
+            op = compiled.op_for(node)
+            kind = type(op).__name__
+            pattern = str(compiled.annotated.pattern_of(node))
+            labels[id(op)] = {"op": f"{index}:{kind}", "kind": kind,
+                              "pattern": pattern}
+            registry.timer("op_process_seconds", **labels[id(op)])
+        phases = ["rows", "view_purge", "per_tuple"]
+        if self._column_leaves:  # "rows" stays: the column loop's fallback
+            phases += ["column", "replay"]
+        timers = [(slot, registry.timer("phase_seconds", phase=phase))
+                  for slot, phase in enumerate(phases)]
+        timers.append((self.PASS, registry.timer("expiration_pass_seconds")))
+        timers += [(self.PASS + 1 + i,
+                    registry.timer("op_process_seconds", **labels[id(leaf)]))
+                   for i, leaf in enumerate(self._column_leaves)]
+        timers += [(self.expire_base + i,
+                    registry.timer("op_expire_seconds", **labels[id(op)]))
+                   for i, op in enumerate(compiled.expire_ops)]
+        self._timers = timers
 
         bounds: dict[int, float] = {}
         for entry in attach_certificate(compiled).entries:
             if (entry.op is not None and entry.buffer is not None
                     and entry.size is not None and entry.size < math.inf):
                 bounds[id(entry.op)] = bounds.get(id(entry.op), 0.0) + entry.size
+        scan_lag = compiled.config.mode is not Mode.NT
         lazy = {id(op) for op in compiled.lazy_ops}
         eager = {id(op) for op in compiled.expire_ops}
         #: (op, depth gauge, lag gauge or None, buffers to read the lag off)
@@ -341,39 +378,43 @@ class DriverMetrics:
                 registry.gauge("op_state_bound", **labels[id(op)]).set(
                     bounds[id(op)])
             lag, buffers = None, ()
-            if id(op) in lazy:
+            if id(op) in lazy or id(op) in eager:
                 lag = registry.gauge("expiration_lag", **labels[id(op)])
-                buffers = tuple(b for _label, b in op.state_buffers()
-                                if b is not None)
-            elif id(op) in eager:
-                registry.gauge("expiration_lag", **labels[id(op)])  # stays 0
+                if scan_lag and id(op) in lazy:
+                    buffers = tuple(b for _label, b in op.state_buffers()
+                                    if b is not None)
             self._ops.append((op, registry.gauge("op_state_tuples",
                                                  **labels[id(op)]),
                               lag, buffers))
-        self._view = compiled.view
         self._total = registry.gauge("state_tuples_total")
         self._peak = registry.gauge("state_tuples_peak")
         self._trajectory = registry.histogram("state_tuples")
-        #: *Stored* results: 0 for a join-state view (answers enumerate it).
+        #: *Stored* results: 0 for a state view (answers enumerate it).
         self._view_size = registry.gauge("view_results")
         self._view_peak = registry.gauge("view_results_peak")
 
     def sample(self, driver) -> None:
-        """Fold the phase accumulators into their histograms and read
-        every operator's depth (and lag) at the driver's clock."""
-        now = driver.now
+        """Fold the sampled batch's clock deltas into their histograms,
+        read every operator's depth (and lag) at the driver's clock, and
+        make the next batch the sampled one."""
+        timers = self._timers
+        if timers is None:
+            self._register()
+            timers = self._timers
         acc = self.acc
-        for slot, timer in enumerate(self._acc_timers):
+        for slot, timer in timers:
             if acc[slot]:
                 timer.add(acc[slot])
                 acc[slot] = 0.0
         self.sampled_at = driver._events_processed
+        self.timed = True
+        now = driver.now
         total = 0
         for op, depth, lag, buffers in self._ops:
             size = op.state_size()
             depth.set(size)
             total += size
-            if lag is not None:
+            if buffers:
                 # next_expiry(-inf) is the oldest stored exp, expired
                 # garbage included; boundary queries charge no touches.
                 lag.set_max(now - min(b.next_expiry(-math.inf)
@@ -381,14 +422,14 @@ class DriverMetrics:
         self._total.set(total)
         self._peak.set_max(total)
         self._trajectory.observe(total)
-        results = len(self._view)
+        results = len(self._compiled.view)
         self._view_size.set(results)
         self._view_peak.set_max(results)
 
     def flush(self, driver, elapsed: float | None) -> MetricsRegistry:
         """:meth:`Driver.flush_metrics`: exact totals, fallback counts,
         the run timer when given, one final sample.  Idempotent."""
-        registry = self._registry
+        registry = self._compiled.metrics
         if elapsed is not None:
             registry.timer("run_seconds").add(elapsed)
         registry.gauge("events_processed").set(driver._events_processed)

@@ -231,7 +231,7 @@ class TestFallbacksAreCounted:
     """A batch that cannot take the loop the column vocabulary offers is
     counted by reason — in ``Driver.batch_fallbacks`` always, in the
     ``-- columnar:`` footer after the run, in ``batch_fallback_total``
-    when armed — instead of silently taking the row loop."""
+    of the run's metrics — instead of silently taking the row loop."""
 
     def _query(self, case, **cfg):
         return ContinuousQuery(LOOP_CASES[case][0],
@@ -250,7 +250,7 @@ class TestFallbacksAreCounted:
         assert query.explain().count("; fallbacks: non_monotone_ts=1") == 1
 
     def test_count_window_batches(self):
-        query = self._query("count-window", telemetry=True)
+        query = self._query("count-window")
         events = [Arrival(float(i), "s0", (i % 2,)) for i in range(10)]
         result = query.run(events, batch=4)
         assert query.executor.driver.batch_fallbacks == {"count_window": 3}

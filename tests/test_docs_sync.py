@@ -66,10 +66,11 @@ class TestReadmeQuickstart:
         assert "shared×" in namespace["group"].explain()
 
     def test_telemetry_quickstart_runs(self):
-        """The telemetry snippet is self-contained, arms a registry, and
-        produces a schema-valid metrics document."""
+        """The telemetry snippet is self-contained, reads the registry an
+        ordinary run carries, and produces a schema-valid metrics
+        document."""
         blocks = [b for b in re.findall(r"```python\n(.*?)```", self.README,
-                                        re.S) if "telemetry=True" in b]
+                                        re.S) if "metrics_document(" in b]
         assert blocks, "README lost its telemetry quickstart"
         namespace: dict = {}
         exec(compile(blocks[0], "README-telemetry", "exec"), namespace)
@@ -77,7 +78,7 @@ class TestReadmeQuickstart:
         assert registry.value("events_processed") == 3
         assert registry.find("op_process_seconds")
         assert namespace["document"]["schema"] == "repro.metrics/v1"
-        assert "-- metrics: on" in namespace["query"].explain()
+        assert "; phases " in namespace["query"].explain()
 
     def test_sharded_quickstart_runs(self):
         """The --shards snippet is self-contained, correct, and really

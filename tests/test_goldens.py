@@ -9,6 +9,8 @@ Touch *totals* are intentionally not pinned — they are an accounting policy,
 compared only relatively (orderings) in benchmarks/test_shapes.py.
 """
 
+import sys
+
 import pytest
 
 from repro import (
@@ -105,7 +107,8 @@ class TestCrossRegimeMatrix:
     The unified driver runs the same compiled execution program in every
     regime, so the answer multiset, the exact ordered output stream, and
     the structural counters must be byte-identical across per-tuple,
-    micro-batch, checked, and telemetry execution — and the shared-group
+    micro-batch and checked execution and every sample period (a sample
+    and a timed batch after every event, or none) — and the shared-group
     and sharded-serial regimes must reproduce the same answer and stream
     (sharded counters are compared structurally: per-shard sums equal the
     unsharded totals).
@@ -141,9 +144,11 @@ class TestCrossRegimeMatrix:
         return from_window(stream("a")).join(from_window(stream("b")),
                                              on="v").build()
 
-    def _run(self, batch=None, shards=None, **cfg):
+    def _run(self, batch=None, shards=None, sample_events=None, **cfg):
         query = ContinuousQuery(self.plan(),
                                 ExecutionConfig(mode=Mode.UPA, **cfg))
+        if sample_events is not None:
+            query.executor.driver.sample_events = sample_events
         outputs = []
         query.subscribe(
             lambda t, now: outputs.append((t.values, t.ts, t.exp, t.sign,
@@ -158,9 +163,11 @@ class TestCrossRegimeMatrix:
         ("per-tuple", {}),
         ("batched", {"batch": 4}),
         ("checked", {"checked": True}),
-        ("telemetry", {"telemetry": True}),
+        ("telemetry", {"sample_events": 1}),
         ("checked-batched", {"batch": 4, "checked": True}),
-        ("telemetry-batched", {"batch": 4, "telemetry": True}),
+        ("telemetry-batched", {"batch": 4, "sample_events": 1}),
+        ("unsampled", {"sample_events": sys.maxsize}),
+        ("unsampled-batched", {"batch": 4, "sample_events": sys.maxsize}),
     ])
     def test_unsharded_regimes_pin_everything(self, regime, kwargs):
         query, result, outputs = self._run(**kwargs)

@@ -201,8 +201,8 @@ class TestOwnershipAndBounds:
         """A group-by or δ root answers from its operator's state.  The
         view holds the operator, not the buffer: ALS701 finds every buffer
         under one owner, the certificate lists the operator's slots once
-        and no ``result-view`` entry, and telemetry reports no stored
-        result — through a checked, monitored run included."""
+        and no ``result-view`` entry, and the run's metrics report no
+        stored result — through a checked, monitored run included."""
         from repro.analysis.bounds import attach_certificate
         from repro.lang.builder import agg_sum, count, from_window
 
@@ -215,7 +215,7 @@ class TestOwnershipAndBounds:
                     .build())
             slots = ["input", "groups"]
         query = ContinuousQuery(plan, ExecutionConfig(
-            mode=Mode.UPA, checked=checked, telemetry=True))
+            mode=Mode.UPA, checked=checked))
         report = lint_compiled(query.compiled, driver=query.executor.driver)
         assert report.ok and not report.diagnostics, report.render()
         entries = attach_certificate(query.compiled).entries

@@ -20,6 +20,7 @@ by structural checks on :class:`~repro.engine.program.ExecutionProgram`:
 from __future__ import annotations
 
 import inspect
+import sys
 
 import pytest
 
@@ -113,15 +114,18 @@ class TestSingleImplementation:
             assert not hasattr(cls, "column_kernel"), cls
             assert not hasattr(cls, "scalar_kernel"), cls
 
-    @pytest.mark.parametrize("telemetry", [False, True])
-    def test_driver_keeps_key_sharing_instance_dict(self, telemetry):
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_driver_keeps_key_sharing_instance_dict(self, sampled,
+                                                    monkeypatch):
         """CPython shares instance keys up to 30 attributes; a 31st makes
         every ``self.x`` load in the loops slower (2.5 % on the cheapest
-        benchmark workload), for armed and unarmed drivers alike."""
+        benchmark workload), whether or not the batch took a sample."""
+        monkeypatch.setattr(Driver, "sample_events",
+                            1 if sampled else sys.maxsize)
         driver = ContinuousQuery(
-            _join_plan(), ExecutionConfig(mode=Mode.UPA, telemetry=telemetry)
-        ).executor.driver
+            _join_plan(), ExecutionConfig(mode=Mode.UPA)).executor.driver
         driver.process_batch([Arrival(1.0, "s0", (1,))])
+        assert bool(len(driver.compiled.metrics)) is sampled
         assert len(driver.__dict__) <= 30
 
     def test_regimes_share_the_driver_class(self):
@@ -198,15 +202,17 @@ class TestProgramStructure:
         assert "checked" in query.executor.program.layers
         assert "layers=checked" in query.executor.program.describe()
 
-    def test_arming_leaves_the_program_unchanged(self):
-        """Telemetry is timed inside the driver's loops, not layered
-        around the program: the armed program describes itself exactly
-        like the unarmed one, before and after a run."""
+    def test_arming_leaves_the_program_unchanged(self, monkeypatch):
+        """Metrics are taken inside the driver's loops, not layered
+        around the program: a driver that times every batch describes its
+        program exactly like one that never samples, before and after a
+        run."""
+        monkeypatch.setattr(Driver, "sample_events", sys.maxsize)
         described = ContinuousQuery(
             _join_plan(), ExecutionConfig(mode=Mode.UPA)
         ).executor.program.describe()
-        query = ContinuousQuery(
-            _join_plan(), ExecutionConfig(mode=Mode.UPA, telemetry=True))
+        monkeypatch.setattr(Driver, "sample_events", 1)
+        query = ContinuousQuery(_join_plan(), ExecutionConfig(mode=Mode.UPA))
         assert query.executor.program.describe() == described
         query.run([Arrival(float(i), f"s{i % 2}", (i % 3,))
                    for i in range(40)], batch=8)

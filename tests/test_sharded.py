@@ -31,6 +31,7 @@ execution".
 
 from __future__ import annotations
 
+import sys
 from collections import Counter as Multiset
 
 import pytest
@@ -506,9 +507,11 @@ class TestFallbacks:
 
     def test_armed_worker_runs_chunks_without_materializing_events(
             self, monkeypatch):
-        """The shard worker's ``process_chunk`` keeps a decoded chunk
-        columnar when telemetry is armed, exactly as when it is not."""
+        """The shard worker hands ``process_batch`` a decoded chunk, which
+        the column loop keeps columnar whether the batch is timed and
+        sampled (period 1) or not (a period longer than the run)."""
         from repro.engine.columnar import ChunkTable
+        from repro.engine.driver import Driver
 
         s0, s1 = stream_pair()
         small = Predicate(("v",), lambda vals: vals[0] <= 3, "v <= 3")
@@ -519,16 +522,38 @@ class TestFallbacks:
             ChunkTable, "to_events",
             lambda self: pytest.fail("chunk materialized as events"))
         answers = []
-        for telemetry in (False, True):
+        for period in (1, sys.maxsize):
+            monkeypatch.setattr(Driver, "sample_events", period)
             driver = ContinuousQuery(
-                plan, ExecutionConfig(mode=Mode.UPA, telemetry=telemetry)
-            ).executor.driver
+                plan, ExecutionConfig(mode=Mode.UPA)).executor.driver
             assert driver.batch_loop().startswith("on (2 column plan(s)")
-            driver.process_chunk(ChunkTable.from_events(events))
+            driver.process_batch(ChunkTable.from_events(events))
             assert driver.batch_fallbacks == {}
             answers.append((driver.answer(),
                             driver.compiled.counters.snapshot()))
         assert answers[0] == answers[1]
+
+    def test_row_loop_members_share_one_materialization(self, monkeypatch):
+        """A replica hands every member the decoded table; row-loop members
+        build the chunk's events once per chunk, not once per member."""
+        from repro.engine.columnar import ChunkTable
+        from repro.engine.shard import _Replica
+
+        s0, _ = stream_pair()
+        plan = from_window(s0).distinct().build()  # no prefix: row loop
+        replica = _Replica([("a", plan, None), ("b", plan, None)], 64,
+                           [False, False])
+        assert all(driver.batch_loop().startswith("row loop")
+                   for _name, driver in replica.drivers)
+        built = []
+        row_values = ChunkTable.row_values
+        monkeypatch.setattr(ChunkTable, "row_values",
+                            lambda self: built.append(1) or row_values(self))
+        events = random_arrivals(64, n_streams=1)[:-1]  # no draining tick
+        replica.feed(ChunkTable.from_events(events))
+        assert len(built) == 1
+        answers = [driver.answer() for _name, driver in replica.drivers]
+        assert answers[0] == answers[1] and sum(answers[0].values()) > 0
 
     def test_sharded_touches_per_event_removed(self):
         s0, _ = stream_pair()

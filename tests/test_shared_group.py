@@ -27,6 +27,7 @@ from repro import (
     from_window,
 )
 from repro.core.plan import SharedScan
+from repro.engine.driver import Driver
 from repro.engine.views import StateView
 from repro.workloads.queries import (
     query1,
@@ -313,9 +314,13 @@ class TestOneEventLoop:
 
     @pytest.mark.parametrize("flag", ["checked", "telemetry"])
     @pytest.mark.parametrize("batch", [None, 16])
-    def test_fused_group_lints_clean_when_armed(self, flag, batch):
+    def test_fused_group_lints_clean_when_armed(self, flag, batch,
+                                                monkeypatch):
+        """A fused group lints clean and matches a bare group, with the
+        conformance monitors armed or with every batch (and, per tuple,
+        every event) sampled and timed."""
         gen = TrafficTraceGenerator(TrafficConfig(seed=11))
-        config = ExecutionConfig(mode=Mode.UPA, **{flag: True})
+        config = ExecutionConfig(mode=Mode.UPA, checked=flag == "checked")
         plain = ExecutionConfig(mode=Mode.UPA)
         armed, bare = QueryGroup(shared=True), QueryGroup(shared=True)
         for group, cfg in ((armed, config), (bare, plain)):
@@ -323,8 +328,10 @@ class TestOneEventLoop:
                 group.add(f"{name}_{len(group)}", FACTORIES[name](gen, 30.0),
                           cfg)
         events = trace(300)
-        result = armed.run(events, batch=batch)  # verify_drain + flush
         bare.run(events, batch=batch)
+        if flag == "telemetry":
+            monkeypatch.setattr(Driver, "sample_events", 1)
+        result = armed.run(events, batch=batch)  # verify_drain + flush
         assert armed.answers() == bare.answers()
         assert armed.shared_producers()
         runtime = armed._seal()
@@ -334,12 +341,14 @@ class TestOneEventLoop:
             assert armed[name].counters.snapshot() == \
                 bare[name].counters.snapshot()
         if flag == "telemetry":
-            merged = result.metrics()
+            merged = result.metrics
             assert merged.find("op_expire_seconds", query=armed.names()[0])
             assert any("producer" in inst.labels for inst in merged)
             for producer in armed.shared_producers():
-                registry = producer.compiled.telemetry
+                registry = producer.compiled.metrics
                 assert registry.value("events_processed") == len(events)
+                # Sampled during the run, not only by the closing flush.
+                assert registry.find("state_tuples")[0].count > 1
         else:
             for producer in armed.shared_producers():
                 assert producer.compiled.sanitizer is not None

@@ -2,16 +2,18 @@
 (engine/driver.py).
 
 The behavioural bar — byte-identical answers, output streams and counters
-across regime × batch × checked × telemetry — lives in the golden matrix
-(tests/test_goldens.py) and the per-suite equivalence tests.  This module
-pins the *structure* — one driver class, per-driver closure compilation
-(no shared mutable state), the telemetry arm/disarm fast-path handoff, the
-removed ``specialize``/``columnar`` surface — and checks the compiled
-per-tuple loop against ``repro.testing.reference_step`` on the paper
-queries.
+across regime × batch × checked × sample period — lives in the golden
+matrix (tests/test_goldens.py) and the per-suite equivalence tests.  This
+module pins the *structure* — one driver class, per-driver closure
+compilation (no shared mutable state), a per-tuple closure that sampling
+never swaps, the removed ``specialize``/``columnar`` surface — and checks
+the compiled per-tuple loop against ``repro.testing.reference_step`` on
+the paper queries.
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
@@ -135,12 +137,15 @@ class TestClosureIsolation:
 
 
 class TestFastPathLifecycle:
-    @pytest.mark.parametrize("telemetry", [False, True])
-    def test_fast_event_loop_installed_armed_or_not(self, telemetry):
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_fast_event_loop_installed_armed_or_not(self, sampled,
+                                                    monkeypatch):
         """The per-tuple loop is one instance-level closure for the
-        driver's whole life: a run neither swaps nor wraps it."""
-        query = ContinuousQuery(
-            join_plan(), ExecutionConfig(mode=Mode.UPA, telemetry=telemetry))
+        driver's whole life: a run neither swaps nor wraps it, whether it
+        samples (and times) after every event or never."""
+        monkeypatch.setattr(Driver, "sample_events",
+                            1 if sampled else sys.maxsize)
+        query = ContinuousQuery(join_plan(), ExecutionConfig(mode=Mode.UPA))
         driver = query.executor.driver
         installed = driver.__dict__["process_event"]
         query.run(list(TRACE))

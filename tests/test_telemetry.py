@@ -1,14 +1,22 @@
 """Telemetry layer: registry semantics, equivalence, and decomposition.
 
-Three guarantees are checked here:
+Telemetry is always on: a driver samples state every
+``Driver.sample_events`` events and reads clocks on one batch per sample
+period — the batch after each sample, called the *armed* batch below.
+Tests choose the period by setting ``Driver.sample_events``: 1 (every
+batch armed, a sample after every batch or event), the default, or one
+longer than any trace (only the first batch armed, no sample before the
+closing flush).  Four guarantees are checked here:
 
 * **Registry semantics** — labeled instrument identity, deterministic
   snapshots, label-wise merge (counters/histograms add, gauges sum), JSON
   export and the hand-rolled schema validator.
-* **Equivalence** — answers, output streams and legacy counter snapshots
-  are byte-identical with telemetry on vs off, across per-tuple, batched,
-  shared-group and sharded execution under every strategy (telemetry is
-  observation only).
+* **Equivalence** — answers, output streams, the chosen batch loop and
+  every counter are byte-identical across sample periods, across
+  per-tuple, batched, shared-group and sharded execution under every
+  strategy (telemetry is observation only).
+* **Cost** — building a query registers nothing, an unarmed batch makes no
+  extra call, and one sample period costs a bounded number of calls.
 * **Decomposition** — after a sharded run, every unlabeled metric series
   equals the sum of its ``shard=i`` series exactly, mirroring the counter
   decomposition guarantee.
@@ -20,6 +28,7 @@ into one bag).
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -43,6 +52,7 @@ from repro import (
 )
 from repro.core.metrics import NULL_COUNTERS, Counters, NullCounters
 from repro.core.tuples import Tuple
+from repro.engine.driver import Driver
 
 V = Schema(["v"])
 
@@ -232,11 +242,15 @@ class TestNullCountersAliasing:
 
 # -- equivalence: telemetry is observation only -------------------------------
 
+#: Sample periods every equivalence test compares.
+PERIODS = {"every-event": 1, "default": Driver.sample_events,
+           "never": sys.maxsize}
 
-def _observe(plan, mode, telemetry, *, batch=None, shards=None,
+
+def _observe(plan, mode, period, monkeypatch, *, batch=None, shards=None,
              backend="process", **cfg):
-    query = ContinuousQuery(
-        plan, ExecutionConfig(mode=mode, telemetry=telemetry, **cfg))
+    monkeypatch.setattr(Driver, "sample_events", period)
+    query = ContinuousQuery(plan, ExecutionConfig(mode=mode, **cfg))
     outputs = []
     query.subscribe(lambda t, now: outputs.append((t, now)))
     result = query.run(iter(EVENTS), batch=batch, shards=shards,
@@ -244,11 +258,21 @@ def _observe(plan, mode, telemetry, *, batch=None, shards=None,
     return {
         "outputs": outputs,
         "answer": sorted(result.answer().items()),
-        "counters": (result.counters.snapshot()
-                     if shards is None else None),
+        "counters": result.counters.snapshot(),
+        "loop": query.executor.driver.batch_loop(),
         "events": result.events_processed,
         "tuples": result.tuples_arrived,
     }, result
+
+
+def _across_periods(make_plan, mode, monkeypatch, **kwargs):
+    """``_observe`` under every sample period; asserts they agree and
+    returns the results, in ``PERIODS`` order."""
+    observed = [_observe(make_plan(), mode, period, monkeypatch, **kwargs)
+                for period in PERIODS.values()]
+    first = observed[0][0]
+    assert all(seen == first for seen, _result in observed)
+    return [result for _seen, result in observed]
 
 
 PLANS = [("join", _join_plan), ("minus", _minus_plan),
@@ -259,58 +283,52 @@ class TestEquivalence:
     @pytest.mark.parametrize("mode", [Mode.NT, Mode.DIRECT, Mode.UPA])
     @pytest.mark.parametrize("batch", [None, 7, 64])
     @pytest.mark.parametrize("shape", ["join", "groupby"])
-    def test_single_query_regimes(self, mode, batch, shape):
-        plan = dict(PLANS)[shape]()
-        base, _ = _observe(plan, mode, False, batch=batch)
-        got, result = _observe(plan, mode, True, batch=batch)
-        assert got == base
-        assert result.metrics is not None
-        assert result.metrics.find("op_process_seconds")
+    def test_single_query_regimes(self, mode, batch, shape, monkeypatch):
+        for result in _across_periods(dict(PLANS)[shape], mode, monkeypatch,
+                                      batch=batch):
+            assert result.metrics.find("op_process_seconds")
 
     @pytest.mark.parametrize("mode", [Mode.NT, Mode.UPA])
-    def test_strict_patterns(self, mode):
-        base, _ = _observe(_minus_plan(), mode, False, batch=16)
-        got, result = _observe(_minus_plan(), mode, True, batch=16)
-        assert got == base
-        patterns = {inst.labels.get("pattern")
-                    for inst in result.metrics.find("op_process_seconds")}
-        assert "STR" in patterns  # negation output is strict non-monotonic
+    def test_strict_patterns(self, mode, monkeypatch):
+        for result in _across_periods(_minus_plan, mode, monkeypatch,
+                                      batch=16):
+            patterns = {inst.labels.get("pattern")
+                        for inst in result.metrics.find("op_process_seconds")}
+            assert "STR" in patterns  # negation output is strict non-monotonic
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("batch", [None, 32])
-    def test_sharded(self, backend, batch):
-        base, base_result = _observe(_join_plan(), Mode.NT, False,
-                                     shards=3, backend=backend, batch=batch)
-        got, result = _observe(_join_plan(), Mode.NT, True,
-                               shards=3, backend=backend, batch=batch)
-        assert got == base
-        assert base_result.counters.snapshot() == result.counters.snapshot()
-        assert result.metrics is not None
-        assert len(result.shard_metrics) == 3
-        assert base_result.metrics is None
+    def test_sharded(self, backend, batch, monkeypatch):
+        for result in _across_periods(_join_plan, Mode.NT, monkeypatch,
+                                      shards=3, backend=backend, batch=batch):
+            assert result.shards == 3
+            assert len(result.shard_metrics) == 3
+            assert result.metrics.find("op_process_seconds")
 
-    def test_shared_group(self):
-        def run(telemetry):
+    def test_shared_group(self, monkeypatch):
+        def run(period):
+            monkeypatch.setattr(Driver, "sample_events", period)
             group = QueryGroup(shared=True)
-            config = ExecutionConfig(mode=Mode.NT, telemetry=telemetry)
+            config = ExecutionConfig(mode=Mode.NT)
             group.add("a", _join_plan(), config)
             group.add("b", _join_plan(), config)
             result = group.run(iter(EVENTS), batch=16)
             return result, {
                 "answers": {n: sorted(result.answer(n).items())
                             for n in ("a", "b")},
-                "touches": result.touches(),
-                "shared": result.shared_touches(),
+                "counters": {n: group[n].counters.snapshot()
+                             for n in ("a", "b")},
+                "shared": group.shared_counters().snapshot(),
+                "loops": {n: group[n].executor.driver.batch_loop()
+                          for n in ("a", "b")},
             }
 
-        off_result, off = run(False)
-        on_result, on = run(True)
-        assert on == off
-        assert off_result.metrics() is None
-        merged = on_result.metrics()
-        assert merged is not None
-        assert merged.find("op_process_seconds", query="a")
-        assert any("producer" in inst.labels for inst in merged)
+        runs = [run(period) for period in PERIODS.values()]
+        assert runs[0][1] == runs[1][1] == runs[2][1]
+        for result, _seen in runs:
+            merged = result.metrics
+            assert merged.find("op_process_seconds", query="a")
+            assert any("producer" in inst.labels for inst in merged)
 
 
 # -- shard decomposition exactness --------------------------------------------
@@ -324,8 +342,8 @@ def _series_key(inst, drop):
 
 class TestShardDecomposition:
     @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_total_equals_sum_of_shards(self, backend):
-        _, result = _observe(_join_plan(), Mode.UPA, True,
+    def test_total_equals_sum_of_shards(self, backend, monkeypatch):
+        _, result = _observe(_join_plan(), Mode.UPA, 64, monkeypatch,
                              shards=3, backend=backend)
         totals, shard_sums, shard_counts = {}, {}, {}
         for inst in result.metrics:
@@ -346,92 +364,177 @@ class TestShardDecomposition:
             if count_ is not None:
                 assert shard_counts[key] == count_, key
 
-    def test_router_balance_exported(self):
-        _, result = _observe(_join_plan(), Mode.NT, True, shards=2,
-                             backend="serial")
+    def test_router_balance_exported(self, monkeypatch):
+        _, result = _observe(_join_plan(), Mode.NT, Driver.sample_events,
+                             monkeypatch, shards=2, backend="serial")
         arrivals = sum(
             inst.value
             for inst in result.metrics.find("router_shard_arrivals"))
         assert arrivals == result.tuples_arrived
         assert result.metrics.value("router_broadcasts") is not None
 
-    def test_events_decompose(self):
-        _, result = _observe(_join_plan(), Mode.NT, True, shards=2,
-                             backend="serial")
+    def test_events_decompose(self, monkeypatch):
+        _, result = _observe(_join_plan(), Mode.NT, Driver.sample_events,
+                             monkeypatch, shards=2, backend="serial")
         # Tick broadcast: every shard sees the full timeline.
         per_shard = [registry.value("events_processed")
                      for registry in result.shard_metrics]
         assert all(v == result.events_processed for v in per_shard)
 
-    def test_fallback_keeps_metrics(self):
+    def test_fallback_keeps_metrics(self, monkeypatch):
         b0, _ = _sources()
         plan = b0.group_by([], [count()]).build()  # keyless: unshardable
-        _, result = _observe(plan, Mode.NT, True, shards=2)
+        _, result = _observe(plan, Mode.NT, Driver.sample_events,
+                             monkeypatch, shards=2)
         assert result.fallback_reason is not None
-        assert result.metrics is not None
         assert result.metrics.find("op_process_seconds")
 
 
 # -- surfaces ------------------------------------------------------------------
 
 
+def _filter_join_plan():
+    b0, b1 = _sources()
+    return b0.where(SMALL).join(b1, on="v").build()
+
+
+def _filter_distinct_plan():
+    b0, _ = _sources()
+    return b0.where(SMALL).distinct().build()
+
+
+def _metrics_footer(query) -> str:
+    return next(line for line in query.explain().splitlines()
+                if line.startswith("-- metrics:"))
+
+
 class TestSurfaces:
     def test_explain_metrics_footer(self):
         query = ContinuousQuery(_join_plan(), ExecutionConfig(mode=Mode.NT))
-        assert "-- metrics: off" in query.explain()
-        armed = ContinuousQuery(
-            _join_plan(), ExecutionConfig(mode=Mode.NT, telemetry=True))
-        assert "-- metrics: on" in armed.explain()
+        assert _metrics_footer(query) \
+            == "-- metrics: registered on the first state sample"
+        query.run(iter(EVENTS))
+        assert _metrics_footer(query).startswith(
+            f"-- metrics: {len(query.compiled.metrics)} instruments across "
+            f"{len(query.compiled.ops)} operators; ")
 
-    def test_run_result_metrics_none_when_off(self):
-        _, result = _observe(_join_plan(), Mode.NT, False)
-        assert result.metrics is None
+    def test_building_a_query_registers_no_instrument(self):
+        """Instruments, op labels and certificate bounds wait for the first
+        state sample: compiling a query, a group or a shard replica
+        registers nothing."""
+        from repro.engine.shard import _SerialShards
 
-    def test_armed_batch_export_names_every_mechanism(self):
-        """One armed ``run(batch=64)`` carries phase timers for every phase
-        of its loop, pass and per-operator expiration timers, state beside
-        its certificate bound, expiration lag, and exact totals."""
+        query = ContinuousQuery(_join_plan(), ExecutionConfig(mode=Mode.UPA))
+        assert len(query.compiled.metrics) == 0
+        group = QueryGroup(shared=True)
+        group.add("a", _join_plan())
+        group.add("b", _join_plan())
+        pipelines = [group[name].compiled for name in group.names()]
+        pipelines += [p.compiled for p in group.shared_producers()]
+        shards = _SerialShards([("q", _join_plan(), None)], 2, 64, [False])
+        pipelines += [driver.compiled for replica in shards.replicas
+                      for _name, driver in replica.drivers]
+        assert pipelines and all(len(c.metrics) == 0 for c in pipelines)
+        query.executor.driver.flush_metrics()
+        assert len(query.compiled.metrics) > 0
+
+    def test_metrics_present_after_every_runtime(self):
+        """Every runtime reports: each result type carries a registry (an
+        attribute, never None) holding at least one state sample, and every
+        per-tuple runner times a block (``per_tuple``)."""
+        def single(**kwargs):
+            query = ContinuousQuery(_join_plan(),
+                                    ExecutionConfig(mode=Mode.UPA))
+            return query.run(iter(EVENTS), **kwargs)
+
+        def grouped(shared, **kwargs):
+            group = QueryGroup(shared=shared)
+            group.add("a", _join_plan())
+            group.add("b", _filter_join_plan())
+            return group.run(iter(EVENTS), **kwargs)
+
+        per_tuple = [single(), single(shards=2, shard_backend="serial"),
+                     grouped(False), grouped(True),
+                     grouped(False, shards=2, shard_backend="serial"),
+                     grouped(True, shards=2)]  # shared: falls back
+        batched = [single(batch=16),
+                   single(shards=2, shard_backend="process", batch=16),
+                   grouped(True, batch=16)]
+        for result in per_tuple + batched:
+            assert isinstance(result.metrics, MetricsRegistry), result
+            assert result.metrics.find("state_tuples")[0].count >= 1, result
+            assert result.metrics.find("events_processed"), result
+        for result in per_tuple:
+            assert any(p.count for p in result.metrics.find(
+                "phase_seconds", phase="per_tuple")), result
+
+    def test_armed_batch_export_names_every_mechanism(self, monkeypatch):
+        """A ``run(batch=64)`` whose every batch is armed carries phase
+        timers for every phase of its loop, pass and per-operator
+        expiration timers, state beside its certificate bound, expiration
+        lag, and exact totals."""
+        monkeypatch.setattr(Driver, "sample_events", 1)
         for plan, phases in (
                 (_filter_distinct_plan(),
-                 {"column", "replay", "rows", "view_purge"}),
-                (_groupby_plan(), {"rows", "view_purge"})):
-            _, result = _observe(plan, Mode.UPA, True, batch=64)
+                 {"column", "replay", "rows", "view_purge", "per_tuple"}),
+                (_groupby_plan(), {"rows", "view_purge", "per_tuple"})):
+            result = ContinuousQuery(
+                plan, ExecutionConfig(mode=Mode.UPA)).run(iter(EVENTS),
+                                                          batch=64)
             metrics = result.metrics
             document = metrics_document(metrics, {})
             assert validate_metrics_document(document) == len(metrics)
             found = metrics.find("phase_seconds")
             assert {inst.labels["phase"] for inst in found} == phases
-            # "rows" is the column loop's fallback: registered, not run.
-            assert all(inst.count for inst in found
-                       if inst.labels["phase"] != "rows" or len(phases) == 2)
+            # "rows" is the column loop's fallback and "per_tuple" the
+            # per-tuple runners' phase: registered, not run here.
+            charged = {inst.labels["phase"] for inst in found if inst.count}
+            assert charged == phases - {"per_tuple"} - (
+                {"rows"} if "column" in phases else set())
+            batches = -(-len(EVENTS) // 64)
+            assert all(inst.count == batches for inst in found
+                       if inst.labels["phase"] in charged)
             for name in ("expiration_pass_seconds", "op_expire_seconds"):
                 assert sum(inst.count for inst in metrics.find(name)) > 0
             for name in ("op_state_tuples", "op_state_bound",
                          "expiration_lag"):
                 assert metrics.find(name), name
             assert metrics.value("state_tuples_peak") is not None
-            assert metrics.find("state_tuples")[0].count >= 1
+            assert metrics.find("state_tuples")[0].count == batches + 1
             assert metrics.value("events_processed") == len(EVENTS)
             assert metrics.value("tuples_arrived") == result.tuples_arrived
             assert metrics.find("run_seconds")[0].count == 1
 
     def test_column_phase_charges_the_leaf_timer(self):
-        _, result = _observe(_filter_distinct_plan(), Mode.UPA, True,
-                             batch=64)
+        result = ContinuousQuery(
+            _filter_distinct_plan(), ExecutionConfig(mode=Mode.UPA)
+        ).run(iter(EVENTS), batch=64)
         charged = {inst.labels["kind"]
                    for inst in result.metrics.find("op_process_seconds")
                    if inst.count}
         assert charged == {"WindowOp"}
 
     def test_explain_reports_a_finished_armed_run(self):
-        query = ContinuousQuery(
-            _filter_distinct_plan(),
-            ExecutionConfig(mode=Mode.UPA, telemetry=True))
+        query = ContinuousQuery(_filter_distinct_plan(),
+                                ExecutionConfig(mode=Mode.UPA))
         assert "phases" not in query.explain()
         query.run(iter(EVENTS), batch=16)
-        footer = next(line for line in query.explain().splitlines()
-                      if line.startswith("-- metrics:"))
+        footer = _metrics_footer(query)
         assert "phases " in footer and "replay" in footer
+        assert "worst expiration lag" in footer
+        assert "state peak" in footer and "/ bound" in footer
+
+    @pytest.mark.parametrize("case,batch,phase", [
+        ("row-loop", 16, "rows"), ("per-tuple", None, "per_tuple")])
+    def test_explain_reports_every_runtime(self, case, batch, phase):
+        """Like the column loop above, the row loop and a per-tuple run
+        report phase shares, the worst lag and peak state against its
+        bound."""
+        make_plan = _minus_plan if case == "row-loop" else _filter_join_plan
+        query = ContinuousQuery(make_plan(), ExecutionConfig(mode=Mode.UPA))
+        query.run(iter(EVENTS), batch=batch)
+        footer = _metrics_footer(query)
+        assert "; phases " in footer and f" {phase} " in footer
         assert "worst expiration lag" in footer
         assert "state peak" in footer and "/ bound" in footer
 
@@ -482,18 +585,10 @@ class TestSurfaces:
         assert {"q1", "q2"} <= names
 
 
-def _filter_join_plan():
-    b0, b1 = _sources()
-    return b0.where(SMALL).join(b1, on="v").build()
-
-
-def _filter_distinct_plan():
-    b0, _ = _sources()
-    return b0.where(SMALL).distinct().build()
-
-
 class TestArmedRunsTheSameLoops:
-    """Arming changes what is recorded, never which code runs."""
+    """Arming a batch changes what is recorded, never which code runs:
+    every sample period takes the same loop, the same program and closures,
+    and produces the same stream, counters and answer."""
 
     CASES = {
         "column-loop": (_filter_join_plan, 16, "-- columnar: on (2 column"),
@@ -502,28 +597,30 @@ class TestArmedRunsTheSameLoops:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_armed_equals_unarmed(self, case):
+    def test_armed_equals_unarmed(self, case, monkeypatch):
         make_plan, batch, footer = self.CASES[case]
         observed = []
-        for telemetry in (False, True):
-            query = ContinuousQuery(
-                make_plan(), ExecutionConfig(mode=Mode.UPA,
-                                             telemetry=telemetry))
+        for period in PERIODS.values():
+            monkeypatch.setattr(Driver, "sample_events", period)
+            query = ContinuousQuery(make_plan(),
+                                    ExecutionConfig(mode=Mode.UPA))
             outputs = []
             query.subscribe(lambda t, now, out=outputs: out.append((t, now)))
             described = query.executor.program.describe()
+            closure = query.executor.driver.process_event
             result = query.run(iter(EVENTS), batch=batch)
             columnar = next(line for line in query.explain().splitlines()
                             if line.startswith("-- columnar:"))
             assert columnar.startswith(footer)
             assert query.executor.program.describe() == described
+            assert query.executor.driver.process_event is closure
             observed.append((columnar, described, outputs,
                              result.counters.snapshot(),
                              sorted(result.answer().items())))
-        assert observed[0] == observed[1]
+        assert observed[0] == observed[1] == observed[2]
 
 
-def _total_calls(run) -> int:
+def _profile(run):
     import cProfile
     import gc
     import pstats
@@ -536,77 +633,110 @@ def _total_calls(run) -> int:
         profiler.disable()
     finally:
         gc.enable()
-    return pstats.Stats(profiler).total_calls
+    return pstats.Stats(profiler)
+
+
+def _total_calls(run) -> int:
+    return _profile(run).total_calls
 
 
 class TestArmedCallBudget:
-    """Exact, not wall-clock: what arming costs in calls over a fixed
+    """Exact, not wall-clock: what sampling costs in calls over a fixed
     4 096-arrival trace."""
 
     ARRIVALS = [Arrival(0.25 * i, f"s{i % 2}", (i * 7 % 5,))
                 for i in range(4096)]
     BATCH = 64
-    #: Extra calls per batch an armed driver may make: per batch 4 clock
-    #: reads + 3 phase adds + ``_end_batch``; per pass (at most one is
-    #: timed per batch) and per column-phase call 2 reads + 1 add; a state
-    #: sample every ``sample_events`` events, amortized.
-    C = 32
+    #: Extra calls one sample period may cost: the sample (per operator a
+    #: depth read and its gauge, the lag scan of lazily purged ones, one
+    #: fold per clock delta of the armed batch; the first one also
+    #: registers, 200–330 calls here, amortized) and the armed batch (one
+    #: clock read per phase boundary, column-phase call and operator of
+    #: its first pass).  Measured: 26–39 per period plus registration.
+    C = 48
 
-    def _driver(self, plan, telemetry):
+    def _chunks(self):
+        return [self.ARRIVALS[i:i + self.BATCH]
+                for i in range(0, len(self.ARRIVALS), self.BATCH)]
+
+    def _driver(self, plan, period, monkeypatch):
+        monkeypatch.setattr(Driver, "sample_events", period)
         return ContinuousQuery(
-            plan, ExecutionConfig(mode=Mode.UPA, telemetry=telemetry)
-        ).executor.driver
+            plan, ExecutionConfig(mode=Mode.UPA)).executor.driver
 
     @pytest.mark.parametrize("make_plan", [_filter_join_plan,
                                            _filter_distinct_plan,
                                            _groupby_plan])
-    def test_batch_loops_pay_per_batch_not_per_event(self, make_plan):
+    def test_batch_loops_pay_per_batch_not_per_event(self, make_plan,
+                                                     monkeypatch):
+        """One sample period costs at most ``C`` calls, however many
+        events it spans: a period of one batch against none."""
         calls = {}
-        for telemetry in (False, True):
-            driver = self._driver(make_plan(), telemetry)
-            chunks = [self.ARRIVALS[i:i + self.BATCH]
-                      for i in range(0, len(self.ARRIVALS), self.BATCH)]
+        for period in (self.BATCH, sys.maxsize):
+            driver = self._driver(make_plan(), period, monkeypatch)
 
-            def run(driver=driver, chunks=chunks):
+            def run(driver=driver, chunks=self._chunks()):
                 for chunk in chunks:
                     driver.process_batch(chunk)
 
-            calls[telemetry] = _total_calls(run)
-        extra = calls[True] - calls[False]
-        assert 0 < extra <= self.C * (len(self.ARRIVALS) // self.BATCH)
+            calls[period] = _total_calls(run)
+        extra = calls[self.BATCH] - calls[sys.maxsize]
+        assert 0 < extra <= self.C * len(self._chunks())
 
-    def test_per_tuple_closure_pays_nothing(self):
+    @pytest.mark.parametrize("make_plan", [_filter_join_plan,
+                                           _filter_distinct_plan,
+                                           _groupby_plan])
+    def test_unsampled_batch_makes_no_extra_calls(self, make_plan,
+                                                  monkeypatch):
+        """Between samples a batch makes no call a never-sampling driver
+        does not make: it reads no clock, and its only telemetry is the
+        sample check, inlined in the loop."""
         calls = {}
-        for telemetry in (False, True):
-            driver = self._driver(_filter_join_plan(), telemetry)
+        for period in (Driver.sample_events, sys.maxsize):
+            driver = self._driver(make_plan(), period, monkeypatch)
+            first, second, third, *_rest = self._chunks()
+            driver.process_batch(first)  # armed: the one after construction
+            driver.process_batch(second)
+            stats = _profile(lambda driver=driver: driver.process_batch(third))
+            calls[period] = stats.total_calls
+            called = {(file.rsplit("/", 1)[-1], name): counts[1]
+                      for (file, _line, name), counts in stats.stats.items()}
+            assert not any(file == "telemetry.py" or "perf_counter" in name
+                           for file, name in called)
+            assert ("driver.py", "maybe_sample") not in called
+        assert calls[Driver.sample_events] == calls[sys.maxsize]
+
+    def test_per_tuple_closure_pays_nothing(self, monkeypatch):
+        calls = {}
+        for period in (1, sys.maxsize):
+            driver = self._driver(_filter_join_plan(), period, monkeypatch)
 
             def run(process=driver.process_event):
                 for event in self.ARRIVALS:
                     process(event)
 
-            calls[telemetry] = _total_calls(run)
-        assert calls[True] == calls[False]
+            calls[period] = _total_calls(run)
+        assert calls[1] == calls[sys.maxsize]
 
 
 class TestStateGauges:
     """Section 5.4.2's memory trade-offs, read off the registry's state
     gauges (what ``engine/profiling`` used to measure on the side)."""
 
-    def _run(self, **cfg):
+    def _run(self, batch=None, **cfg):
         from conftest import random_arrivals
 
         b0, b1 = _sources()
         query = ContinuousQuery(b0.join(b1, on="v").build(),
-                                ExecutionConfig(telemetry=True, **cfg))
+                                ExecutionConfig(**cfg))
         query.executor.driver.sample_events = 10
         events = random_arrivals(n=400, seed=23)
-        return query.run(events).metrics, len(events)
+        return query.run(events, batch=batch).metrics, len(events)
 
     def test_samples_taken_at_interval(self):
         metrics, n = self._run(mode=Mode.UPA)
-        # One sample per full block of 10 events, one for the trailing
-        # partial block, one final sample at flush.
-        assert metrics.find("state_tuples")[0].count == -(-n // 10) + 1
+        # One sample per full block of 10 events, one final at flush.
+        assert metrics.find("state_tuples")[0].count == n // 10 + 1
         assert (metrics.value("state_tuples_peak")
                 == metrics.find("state_tuples")[0].max)
 
@@ -633,3 +763,106 @@ class TestStateGauges:
         depths = {g.labels["op"] for g in metrics.find("op_state_tuples")}
         assert bounds and set(bounds) <= depths
         assert all(0 < value < math.inf for value in bounds.values())
+
+    @pytest.mark.parametrize("batch", [None, 64])
+    def test_every_nt_lag_reads_zero(self, batch):
+        """Under NT negative tuples delete every stored tuple at its
+        ``exp``: at every event (or batch) boundary no operator still
+        stores a tuple whose ``exp`` the clock has reached — even with a
+        lazy interval that makes the UPA join trail the clock.  So the lag
+        is 0 by construction, and the sample never scans for it."""
+        from conftest import random_arrivals
+
+        b0, b1 = _sources()
+        query = ContinuousQuery(b0.join(b1, on="v").build(), ExecutionConfig(
+            mode=Mode.NT, lazy_interval=40.0))
+        executor = query.executor
+        buffers = [buffer for op in query.compiled.ops.values()
+                   for _label, buffer in op.state_buffers()
+                   if buffer is not None]
+        assert buffers
+        events = random_arrivals(n=400, seed=23)
+        step = batch or 1
+        holding = 0
+        for start in range(0, len(events), step):
+            if batch:
+                executor.process_batch(events[start:start + step])
+            else:
+                executor.process_event(events[start])
+            # next_expiry(-inf): the oldest stored exp, expired included.
+            oldest = min(buffer.next_expiry(-math.inf) for buffer in buffers)
+            assert oldest > executor.now, (start, oldest, executor.now)
+            holding += oldest < math.inf
+        assert holding  # state was held, so the check was not vacuous
+
+        driver = executor.driver
+        nt = driver.flush_metrics()
+        lags = nt.find("expiration_lag")
+        assert {g.labels["kind"] for g in lags} >= {"JoinOp", "WindowOp"}
+        assert all(g.value == 0.0 for g in lags)
+        assert not any(scanned for _op, _depth, _lag, scanned
+                       in driver._metrics._ops)
+        upa, _ = self._run(batch=batch, mode=Mode.UPA, lazy_interval=40.0)
+        assert max(g.value for g in upa.find("expiration_lag")) > 0
+
+
+# -- every runtime samples ----------------------------------------------------
+
+
+def _quiet_tail_trace(n=600):
+    """``n`` arrivals, then a tick past every window: the state at the end
+    of the run is empty, so a peak above 0 proves a sample mid-run."""
+    from conftest import random_arrivals
+
+    events = list(random_arrivals(n=n, seed=5))
+    return events + [Tick(events[-1].ts + 100.0)]
+
+
+def _shared_member_plans():
+    """Two queries over one shared δ; each keeps join state of its own."""
+    b0, b1 = _sources()
+    c0, c1 = _sources()
+    return (b0.distinct().join(b1, on="v").build(),
+            c0.distinct().join(c1.where(SMALL), on="v").build())
+
+
+class TestSamplesEveryRuntime:
+    """Every runner takes state samples mid-run — per tuple and batched —
+    not only ``Executor.run``: group members and producers, and the
+    replicas of both shard backends."""
+
+    PERIOD = 64
+
+    @pytest.mark.parametrize("batch", [None, 64])
+    def test_peak_seen_mid_run_by_every_runtime(self, batch, monkeypatch):
+        monkeypatch.setattr(Driver, "sample_events", self.PERIOD)
+        events = _quiet_tail_trace()
+        config = ExecutionConfig(mode=Mode.UPA)
+        single = ContinuousQuery(_join_plan(), config).run(events,
+                                                           batch=batch)
+        independent = QueryGroup()
+        independent.add("a", _join_plan(), config)
+        independent.add("b", _minus_plan(), config)
+        member = independent.run(events, batch=batch)
+        shared = QueryGroup(shared=True)
+        for name, plan in zip("ab", _shared_member_plans()):
+            shared.add(name, plan, config)
+        fused = shared.run(events, batch=batch)
+        assert shared.shared_producers()
+        peaks = {
+            "single": single.metrics.value("state_tuples_peak"),
+            "independent": member.metrics.value("state_tuples_peak",
+                                                query="a"),
+            "shared": fused.metrics.value("state_tuples_peak", query="a"),
+            "producer": fused.metrics.value("state_tuples_peak",
+                                            producer="S1"),
+        }
+        for backend in ("serial", "process"):
+            sharded = ContinuousQuery(_join_plan(), config).run(
+                events, batch=batch, shards=2, shard_backend=backend)
+            assert sharded.fallback_reason is None
+            peaks[backend] = sharded.metrics.value("state_tuples_peak")
+        assert all(peak > 0 for peak in peaks.values()), peaks
+        assert single.metrics.value("state_tuples_total") == 0
+        if batch is None:
+            assert peaks["independent"] == peaks["single"]
