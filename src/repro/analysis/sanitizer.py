@@ -196,13 +196,6 @@ class MonitoredBuffer(StateBuffer):  # type: ignore[misc]
             self.deleted += 1
         return found
 
-    def delete_by_key(self, key: Hashable) -> Tuple | None:
-        """Hash-buffer extra (used by tests/tools): keep conservation."""
-        t = self.inner.delete_by_key(key)
-        if t is not None:
-            self.deleted += 1
-        return t
-
     def purge_expired(self, now: float) -> list[Tuple]:
         if now > self.state.now:
             self.state.now = now
@@ -271,8 +264,8 @@ class MonitoredBuffer(StateBuffer):  # type: ignore[misc]
         return self.inner.has_index
 
     def __getattr__(self, name: str) -> Any:
-        # Structure-specific extras (oldest, partition_sizes, delete_by_key,
-        # span, n_partitions, _key_of ...) pass straight through.
+        # Structure-specific extras (oldest, partition_sizes, span,
+        # n_partitions, _key_of ...) pass straight through.
         return getattr(self.inner, name)
 
     def __repr__(self) -> str:

@@ -7,16 +7,21 @@ buffer "a hash table on the key attribute".
 
 Deletions arrive as negative tuples carrying the key, so :meth:`delete` costs
 one bucket scan (O(1) expected).  There is no cheap way to find tuples by
-expiration time, so :meth:`purge_expired` is a full scan — acceptable because
-under the negative tuple approach *every* expiration is signalled explicitly
-and timestamp-driven purging is never needed.
+expiration time, so :meth:`purge_expired` is a full scan.  Under the negative
+tuple approach *every* expiration is signalled explicitly, so NT never calls
+it: its operators are not lazily maintained, and hash result views are built
+with ``purges=False``.  The one remaining caller is UPA's hybrid scheme
+(Section 5.4.3): above a negation, joins, intersections and standard
+duplicate elimination still purge their hash state on the lazy grid, and a
+relation join purges its window state on time to signal the expirations as
+negatives.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterator
 
-from ..core.tuples import Tuple, matches_deletion
+from ..core.tuples import Tuple
 from .base import KeyFunction, StateBuffer, values_key
 from ..core.metrics import Counters
 
@@ -51,37 +56,29 @@ class HashBuffer(StateBuffer):
         self.counters.touches += len(tuples)
 
     def delete(self, t: Tuple) -> bool:
+        """Remove the first stored tuple matching ``t`` on ``(values,
+        exp)`` (``matches_deletion``), charging one touch per examined
+        tuple."""
         key = self._key_of(t)
         bucket = self._index.get(key)
         if not bucket:
             return False
+        counters = self.counters
+        values, exp = t.values, t.exp
         for i, stored in enumerate(bucket):
-            self.counters.touches += 1
-            if matches_deletion(stored, t):
+            if stored.values == values and stored.exp == exp:
+                counters.touches += i + 1
                 del bucket[i]
                 if not bucket:
                     del self._index[key]
                 self._size -= 1
-                self.counters.deletes += 1
+                counters.deletes += 1
                 return True
+        counters.touches += len(bucket)
         return False
 
-    def delete_by_key(self, key: Hashable) -> Tuple | None:
-        """Remove and return one (the oldest stored) tuple with ``key``."""
-        bucket = self._index.get(key)
-        if not bucket:
-            return None
-        self.counters.touches += 1
-        t = bucket.pop(0)
-        if not bucket:
-            del self._index[key]
-        self._size -= 1
-        self.counters.deletes += 1
-        return t
-
     def purge_expired(self, now: float) -> list[Tuple]:
-        # Full scan: only used when a hash buffer is asked to expire by
-        # timestamp, which the NT strategy never does in steady state.
+        # Full scan: only the hybrid region asks (see the module docstring).
         expired: list[Tuple] = []
         empty_keys: list[Hashable] = []
         for key, bucket in self._index.items():

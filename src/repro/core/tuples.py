@@ -136,12 +136,18 @@ class Tuple:
 
     def __init__(self, values: Sequence[Any], ts: float, exp: float = NEVER,
                  sign: int = POSITIVE):
-        object.__setattr__(self, "values", tuple(values))
-        object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "exp", exp)
-        object.__setattr__(self, "sign", sign)
+        # Store through the slot descriptors (bound below the class):
+        # ``__setattr__`` refuses every assignment, and a descriptor's
+        # ``__set__`` costs less than ``object.__setattr__``'s name lookup.
+        _set_values(self, tuple(values))
+        _set_ts(self, ts)
+        _set_exp(self, exp)
+        _set_sign(self, sign)
 
     def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("Tuple instances are immutable")
+
+    def __delattr__(self, name: str) -> None:
         raise AttributeError("Tuple instances are immutable")
 
     # -- predicates --------------------------------------------------------
@@ -174,19 +180,22 @@ class Tuple:
 
     # -- value object protocol ---------------------------------------------
 
-    def _key(self) -> tuple:
-        return (self.values, self.ts, self.exp, self.sign)
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Tuple) and self._key() == other._key()
+        return isinstance(other, Tuple) and (
+            (self.values, self.ts, self.exp, self.sign)
+            == (other.values, other.ts, other.exp, other.sign))
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.values, self.ts, self.exp, self.sign))
 
     def __repr__(self) -> str:
         sign = "+" if self.sign == POSITIVE else "-"
         exp = "inf" if self.exp == NEVER else self.exp
         return f"Tuple({sign}{list(self.values)!r} ts={self.ts} exp={exp})"
+
+
+_set_values, _set_ts, _set_exp, _set_sign = (
+    Tuple.__dict__[name].__set__ for name in Tuple.__slots__)
 
 
 def matches_deletion(stored: Tuple, negative: Tuple) -> bool:

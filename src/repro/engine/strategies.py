@@ -95,8 +95,8 @@ class ExecutionConfig:
 
     mode: Mode = Mode.UPA
     n_partitions: int = 10
-    #: Period of lazy state maintenance, in time units.  None → 5% of the
-    #: largest window size (the paper's default).
+    #: Period of lazy state maintenance, in time units (NT has none).
+    #: None → 5% of the largest window size (the paper's default).
     lazy_interval: float | None = None
     #: UPA only: how STR (sub)results are stored.
     str_storage: str = STR_AUTO
@@ -361,6 +361,12 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
     mode = config.mode
     nt_style = mode is Mode.NT or (hybrid and id(node) not in direct_region)
     sanitizer = compiled.sanitizer
+    # Under NT every expiration starts as a window's negative, which
+    # deletes each stored tuple it derived at that tuple's exp (Section
+    # 2.3.1): no state trails the clock, so nothing is purged by timestamp.
+    # UPA's hybrid region keeps its lazy participants — its negation
+    # expires itself instead of hearing negatives from below.
+    lazy_ops = [] if mode is Mode.NT else compiled.lazy_ops
 
     def buffer_for(pattern: UpdatePattern, key_of,
                    slot: str = "state") -> StateBuffer:
@@ -427,7 +433,7 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
             buffer_for(rp, lambda t, i=ri: t.values[i], "right"),
             counters,
         )
-        compiled.lazy_ops.append(op)
+        lazy_ops.append(op)
 
     elif isinstance(node, Intersect):
         lp = annotated.pattern_of(node.children[0])
@@ -435,7 +441,7 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
         values_of = lambda t: t.values  # noqa: E731
         op = IntersectOp(node.schema, buffer_for(lp, values_of, "left"),
                          buffer_for(rp, values_of, "right"), counters)
-        compiled.lazy_ops.append(op)
+        lazy_ops.append(op)
 
     elif isinstance(node, DupElim):
         pattern = annotated.pattern_of(node.child)
@@ -459,7 +465,7 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
                 buffer_for(out_pattern, values_of, "output"),
                 counters,
             )
-            compiled.lazy_ops.append(op)
+            lazy_ops.append(op)
         if not nt_style:
             compiled.expire_ops.append(op)
 
@@ -515,7 +521,7 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
         if emit_all and mode is not Mode.NT:
             compiled.expire_ops.append(op)
         if not emit_all:
-            compiled.lazy_ops.append(op)
+            lazy_ops.append(op)
 
     else:  # pragma: no cover - exhaustive over the algebra
         raise PlanError(f"no physical implementation for {node!r}")

@@ -307,8 +307,9 @@ class DriverMetrics:
     ``expiration_lag{op}`` is the furthest a lazily purged operator's
     oldest stored ``exp`` was seen trailing the clock — the memory Section
     5.4.2's lazy interval trades for time.  It is 0 without a scan for
-    eagerly expired operators and for every operator under NT, whose
-    negative tuples delete each stored tuple at its ``exp``.
+    eagerly expired operators; under NT no operator is lazily purged
+    (negative tuples delete each stored tuple at its ``exp``), so only the
+    eager ones carry a lag gauge.
     """
 
     ROWS, VIEW_PURGE, PER_TUPLE, COLUMN, REPLAY, PASS = range(6)
@@ -334,7 +335,6 @@ class DriverMetrics:
         every operator, charged or not), the phase, pass and expire timers,
         and the state gauges with each operator's certificate bound."""
         from ..analysis.bounds import attach_certificate
-        from .strategies import Mode
 
         compiled = self._compiled
         registry = compiled.metrics
@@ -368,7 +368,6 @@ class DriverMetrics:
             if (entry.op is not None and entry.buffer is not None
                     and entry.size is not None and entry.size < math.inf):
                 bounds[id(entry.op)] = bounds.get(id(entry.op), 0.0) + entry.size
-        scan_lag = compiled.config.mode is not Mode.NT
         lazy = {id(op) for op in compiled.lazy_ops}
         eager = {id(op) for op in compiled.expire_ops}
         #: (op, depth gauge, lag gauge or None, buffers to read the lag off)
@@ -380,7 +379,7 @@ class DriverMetrics:
             lag, buffers = None, ()
             if id(op) in lazy or id(op) in eager:
                 lag = registry.gauge("expiration_lag", **labels[id(op)])
-                if scan_lag and id(op) in lazy:
+                if id(op) in lazy:
                     buffers = tuple(b for _label, b in op.state_buffers()
                                     if b is not None)
             self._ops.append((op, registry.gauge("op_state_tuples",

@@ -21,7 +21,7 @@ from typing import Hashable
 
 from ..buffers.base import StateBuffer
 from ..core.metrics import Counters
-from ..core.tuples import Schema, Tuple
+from ..core.tuples import NEGATIVE, Schema, Tuple
 from ..errors import ExecutionError
 from .base import PhysicalOperator
 
@@ -48,9 +48,9 @@ class DupElimStandardOp(PhysicalOperator):
         out: list[Tuple] = []
         for t in tuples:
             counters.tuples_processed += 1
-            if t.is_negative:
+            if t.sign < 0:
                 counters.negatives_processed += 1
-                out.extend(self._handle_negative(t, now))
+                out += self._handle_negative(t, now)
                 continue
             input_insert(t)
             if output_probe(t.values, now):
@@ -68,20 +68,23 @@ class DupElimStandardOp(PhysicalOperator):
 
     def _handle_negative(self, t: Tuple, now: float) -> list[Tuple]:
         self._input.delete(t)
-        # Was the deleted tuple the representative of its value?
-        reps = [r for r in self._output._bucket(t.values)
-                if r.values == t.values and r.exp == t.exp]
-        if not reps:
+        # Was the deleted tuple the representative of its value?  One
+        # uncharged pass that stops at the first (values, exp) match, so a
+        # non-representative costs no touch.
+        values, exp = t.values, t.exp
+        for rep in self._output._bucket(values):
+            if rep.values == values and rep.exp == exp:
+                break
+        else:
             return []
-        rep = reps[0]
         self._output.delete(rep)
-        out = [Tuple(rep.values, now, rep.exp, sign=-1)]
-        if self._output.probe(t.values, now):
+        out = [Tuple(rep.values, now, rep.exp, NEGATIVE)]
+        if self._output.probe(values, now):
             # A live representative for this value already exists (the
             # deleted one was expired-but-unpurged state); promoting a
             # second one would duplicate the value in the answer.
             return out
-        replacement = self._youngest_live(t.values, now)
+        replacement = self._youngest_live(values, now)
         if replacement is not None:
             promoted = Tuple(replacement.values, now, replacement.exp)
             self._output.insert(promoted)
@@ -121,10 +124,6 @@ class DupElimStandardOp(PhysicalOperator):
     def state_buffers(self):
         return [("input", self._input), ("output", self._output)]
 
-    @property
-    def buffers(self) -> tuple[StateBuffer, StateBuffer]:
-        return (self._input, self._output)
-
 
 class DupElimDeltaOp(PhysicalOperator):
     """The update-pattern-aware δ operator (Section 5.3.1).
@@ -158,7 +157,7 @@ class DupElimDeltaOp(PhysicalOperator):
         out: list[Tuple] = []
         for t in tuples:
             counters.tuples_processed += 1
-            if t.is_negative:
+            if t.sign < 0:
                 counters.negatives_processed += 1
                 raise ExecutionError(
                     "the δ duplicate-elimination operator cannot process "

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from ..buffers.base import StateBuffer
 from ..core.metrics import Counters
-from ..core.tuples import NEGATIVE, Schema, Tuple, join_tuples
+from ..core.tuples import Schema, Tuple
 from .base import PhysicalOperator
 
 
@@ -70,30 +70,31 @@ class JoinOp(PhysicalOperator):
             counters.results_produced += positives_out
             return out
         for t in tuples:
-            key = t.values[key_index]
-            if t.is_negative:
+            values, t_exp, sign = t.values, t.exp, t.sign
+            if sign < 0:
                 counters.negatives_processed += 1
                 own_delete(t)
-                positive = t.negate()
                 # Retractions must reach every result the dead tuple
                 # formed: probe *stored* partners unfiltered, because a
                 # partner expiring at this very instant still anchors an
                 # unretracted result.
-                matches = probe_all(key)
-                if left:
-                    out.extend(join_tuples(positive, m, now).negate()
-                               for m in matches)
-                else:
-                    out.extend(join_tuples(m, positive, now).negate()
-                               for m in matches)
+                matches = probe_all(values[key_index])
             else:
                 own_insert(t)
-                matches = probe(key, now)
+                matches = probe(values[key_index], now)
                 positives_out += len(matches)
-                if left:
-                    out.extend(join_tuples(t, m, now) for m in matches)
-                else:
-                    out.extend(join_tuples(m, t, now) for m in matches)
+            if not matches:
+                continue
+            # ``join_tuples`` in place: stored partners are positive, so a
+            # result's sign is the arrival's, retractions included.
+            if left:
+                out += [Tuple(values + m.values, now,
+                              t_exp if t_exp < m.exp else m.exp, sign)
+                        for m in matches]
+            else:
+                out += [Tuple(m.values + values, now,
+                              m.exp if m.exp < t_exp else t_exp, sign)
+                        for m in matches]
         counters.results_produced += positives_out
         return out
 
@@ -142,21 +143,16 @@ class IntersectOp(JoinOp):
         positives_out = 0
         counters.tuples_processed += len(tuples)
         for t in tuples:
-            values = t.values
-            t_exp = t.exp
-            if t.is_negative:
+            values, t_exp, sign = t.values, t.exp, t.sign
+            if sign < 0:
                 counters.negatives_processed += 1
                 own_delete(t)
-                out.extend(
-                    Tuple(values, now, t_exp if t_exp < m.exp else m.exp,
-                          NEGATIVE)
-                    for m in probe_all(values))
+                matches = probe_all(values)
             else:
                 own_insert(t)
                 matches = probe(values, now)
                 positives_out += len(matches)
-                out.extend(
-                    Tuple(values, now, t_exp if t_exp < m.exp else m.exp)
-                    for m in matches)
+            out += [Tuple(values, now, t_exp if t_exp < m.exp else m.exp, sign)
+                    for m in matches]
         counters.results_produced += positives_out
         return out

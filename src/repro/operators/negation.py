@@ -95,7 +95,7 @@ class NegationOp(PhysicalOperator):
         for t in tuples:
             counters.tuples_processed += 1
             value = t.values[attr]
-            if t.is_negative:
+            if t.sign < 0:
                 counters.negatives_processed += 1
                 out.extend(remove(value, t, now))
             else:

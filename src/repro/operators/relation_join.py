@@ -42,7 +42,7 @@ class NRRJoinOp(PhysicalOperator):
         out: list[Tuple] = []
         for t in tuples:
             counters.tuples_processed += 1
-            if t.is_negative:
+            if t.sign < 0:
                 counters.negatives_processed += 1
                 raise ExecutionError(
                     "an NRR-join cannot process negative tuples (Section "
@@ -82,7 +82,7 @@ class RelationJoinOp(PhysicalOperator):
             counters.tuples_processed += 1
             rows = match(rel_key, t.values[left_key])
             counters.touches += len(rows)
-            if t.is_negative:
+            if t.sign < 0:
                 counters.negatives_processed += 1
                 buffer.delete(t)
                 out.extend(Tuple(t.values + row, now, t.exp, sign=-1)
@@ -142,7 +142,3 @@ class RelationJoinOp(PhysicalOperator):
 
     def state_buffers(self):
         return [("window", self._buffer)]
-
-    @property
-    def relation(self) -> Relation:
-        return self._relation

@@ -17,15 +17,18 @@ under the direct approach it stores nothing.
 from __future__ import annotations
 
 import math
+from operator import attrgetter, itemgetter
 from typing import Callable
 
 from ..buffers.fifo import FifoBuffer
 from ..core.metrics import Counters
-from ..core.tuples import Schema, Tuple
-from ..streams.window import CountWindow, TimeWindow, WindowSpec
+from ..core.tuples import NEGATIVE, Schema, Tuple
+from ..streams.window import WindowSpec
 from .base import PhysicalOperator
 
 _INF = math.inf
+#: Signs of a list, read in C: ``list(map(_sign, tuples)).count(NEGATIVE)``.
+_sign = attrgetter("sign")
 
 
 class SelectOp(PhysicalOperator):
@@ -44,7 +47,7 @@ class SelectOp(PhysicalOperator):
         counters.tuples_processed += len(tuples)
         predicate = self._predicate
         out = [t for t in tuples if predicate(t.values)]
-        negatives = sum(1 for t in tuples if t.is_negative)
+        negatives = list(map(_sign, tuples)).count(NEGATIVE)
         if negatives:
             counters.negatives_processed += negatives
         return out
@@ -60,18 +63,22 @@ class ProjectOp(PhysicalOperator):
                  counters: Counters | None = None):
         super().__init__(schema, counters)
         self._indices = indices
+        self._take = itemgetter(*indices)
 
     def process_batch(self, input_index: int, tuples, now: float) -> list[Tuple]:
-        """Vectorized projection with the index tuple hoisted out of the loop."""
+        """Vectorized projection: the columns taken by one C ``itemgetter``
+        per tuple, each result built once."""
         self._advance(now)
         counters = self.counters
         counters.tuples_processed += len(tuples)
-        negatives = sum(1 for t in tuples if t.is_negative)
+        negatives = list(map(_sign, tuples)).count(NEGATIVE)
         if negatives:
             counters.negatives_processed += negatives
-        indices = self._indices
-        return [t.with_values(tuple(t.values[i] for i in indices))
-                for t in tuples]
+        take = self._take
+        if len(self._indices) == 1:  # itemgetter of one index: a scalar
+            return [Tuple((take(t.values),), t.ts, t.exp, t.sign)
+                    for t in tuples]
+        return [Tuple(take(t.values), t.ts, t.exp, t.sign) for t in tuples]
 
     def kernel(self):
         return ("map_indices", self._indices)
@@ -89,7 +96,7 @@ class UnionOp(PhysicalOperator):
         self._advance(now)
         counters = self.counters
         counters.tuples_processed += len(tuples)
-        negatives = sum(1 for t in tuples if t.is_negative)
+        negatives = list(map(_sign, tuples)).count(NEGATIVE)
         if negatives:
             counters.negatives_processed += negatives
         return list(tuples)
@@ -180,14 +187,6 @@ class WindowOp(PhysicalOperator):
             FifoBuffer(counters=counters) if (materialize and window) else None
         )
 
-    @property
-    def is_time_based(self) -> bool:
-        return isinstance(self.window, TimeWindow)
-
-    @property
-    def is_count_based(self) -> bool:
-        return isinstance(self.window, CountWindow)
-
     def stamp(self, values: tuple, ts: float, clock: float) -> Tuple:
         """Build the stamped tuple for an arrival.
 
@@ -205,13 +204,12 @@ class WindowOp(PhysicalOperator):
         self._advance(now)
         counters = self.counters
         counters.tuples_processed += len(tuples)
-        negatives = sum(1 for t in tuples if t.is_negative)
+        negatives = list(map(_sign, tuples)).count(NEGATIVE)
         if negatives:
             counters.negatives_processed += negatives
         if self._store is not None:
             if negatives:
-                self._store.insert_many(
-                    [t for t in tuples if not t.is_negative])
+                self._store.insert_many([t for t in tuples if t.sign > 0])
             else:
                 self._store.insert_many(tuples)
         return list(tuples)
@@ -220,7 +218,10 @@ class WindowOp(PhysicalOperator):
         self._advance(now)
         if self._store is None:
             return []
-        return [t.negate() for t in self._store.purge_expired(now)]
+        # The store holds positives only: each negative is built once here
+        # and routed as is.
+        return [Tuple(t.values, t.ts, t.exp, NEGATIVE)
+                for t in self._store.purge_expired(now)]
 
     def next_expiry(self, now: float) -> float:
         """O(1): the materialized window is a FIFO, so the head expires first."""

@@ -253,14 +253,20 @@ class TestHashBuffer:
         buf.insert(t("a", 1, 5))
         assert buf.probe(("a",), now=0)[0].values == ("a",)
 
-    def test_delete_by_key_pops_oldest(self):
-        buf = HashBuffer(value_key)
-        buf.insert(t("a", 1, 5))
-        buf.insert(t("a", 2, 6))
-        popped = buf.delete_by_key("a")
-        assert popped.ts == 1
-        assert len(buf) == 1
-        assert buf.delete_by_key("missing") is None
+    def test_delete_charges_each_examined_tuple(self):
+        """A hit is charged up to and including its match (the first
+        ``(values, exp)`` match, whatever its ``ts``); a miss is charged
+        the whole bucket."""
+        counters = Counters()
+        buf = HashBuffer(value_key, counters)
+        for ts, exp in ((1, 5), (2, 6), (3, 6)):
+            buf.insert(t("a", ts, exp))
+        counters.reset()
+        assert buf.delete(Tuple(("a",), 9, 6, sign=-1))
+        assert (counters.touches, counters.deletes) == (2, 1)
+        assert [x.ts for x in buf] == [1, 3]
+        assert not buf.delete(Tuple(("a",), 9, 7, sign=-1))
+        assert (counters.touches, counters.deletes, len(buf)) == (4, 1, 2)
 
     def test_delete_is_bucket_local(self):
         counters = Counters()

@@ -769,8 +769,9 @@ class TestStateGauges:
         """Under NT negative tuples delete every stored tuple at its
         ``exp``: at every event (or batch) boundary no operator still
         stores a tuple whose ``exp`` the clock has reached — even with a
-        lazy interval that makes the UPA join trail the clock.  So the lag
-        is 0 by construction, and the sample never scans for it."""
+        lazy interval that makes the UPA join trail the clock.  So no
+        operator is lazily purged: only the eager windows carry a lag
+        gauge, it reads 0, and the sample never scans for it."""
         from conftest import random_arrivals
 
         b0, b1 = _sources()
@@ -798,7 +799,8 @@ class TestStateGauges:
         driver = executor.driver
         nt = driver.flush_metrics()
         lags = nt.find("expiration_lag")
-        assert {g.labels["kind"] for g in lags} >= {"JoinOp", "WindowOp"}
+        assert not query.compiled.lazy_ops
+        assert {g.labels["kind"] for g in lags} == {"WindowOp"}
         assert all(g.value == 0.0 for g in lags)
         assert not any(scanned for _op, _depth, _lag, scanned
                        in driver._metrics._ops)

@@ -82,6 +82,48 @@ class TestTuple:
         with pytest.raises(AttributeError):
             t.ts = 6
 
+    @pytest.mark.parametrize("slot", ["values", "ts", "exp", "sign"])
+    def test_every_slot_refuses_assignment_and_deletion(self, slot):
+        t = Tuple(("x",), 5, exp=10)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(t, slot, getattr(t, slot))
+        with pytest.raises(AttributeError):
+            delattr(t, slot)
+        assert (t.values, t.ts, t.exp, t.sign) == (("x",), 5, 10, POSITIVE)
+
+    def test_no_instance_dict(self):
+        t = Tuple(("x",), 5)
+        assert not hasattr(t, "__dict__")
+        with pytest.raises(AttributeError):
+            t.extra = 1
+
+    def test_values_are_copied_into_a_tuple(self):
+        values = ["x", "y"]
+        t = Tuple(values, 5)
+        values.append("z")
+        assert t.values == ("x", "y")
+
+    @pytest.mark.parametrize("field", ["values", "ts", "exp", "sign"])
+    def test_equality_and_hash_cover_every_slot(self, field):
+        base = {"values": ("x",), "ts": 5, "exp": 10, "sign": POSITIVE}
+        other = dict(base, **{field: {"values": ("y",), "ts": 6, "exp": 11,
+                                      "sign": NEGATIVE}[field]})
+        a, b = Tuple(**base), Tuple(**other)
+        assert a != b and not a == b
+        assert a == Tuple(**base) and hash(a) == hash(Tuple(**base))
+        assert len({a, b, Tuple(**base)}) == 2
+
+    def test_equality_against_other_types(self):
+        t = Tuple(("x",), 5, exp=10)
+        assert t != (("x",), 5, 10, POSITIVE)
+        assert t != "x"
+
+    def test_a_directly_built_negative_equals_negate(self):
+        t = Tuple(("x", 2), 5, exp=10)
+        direct = Tuple(t.values, t.ts, t.exp, NEGATIVE)
+        assert direct == t.negate() and hash(direct) == hash(t.negate())
+        assert direct.is_negative and direct.sign < 0
+
     def test_liveness(self):
         t = Tuple(("x",), 5, exp=10)
         assert t.is_live(9.99)
