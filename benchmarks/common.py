@@ -85,7 +85,7 @@ def run_once(plan: LogicalNode, events: list,
     """Compile and run one strategy over one trace.
 
     ``batch=N`` runs the micro-batch execution path (identical outputs,
-    amortized expiration scheduling — see ``Executor.run``).
+    amortized expiration scheduling — see ``ContinuousQuery.run``).
     """
     query = ContinuousQuery(plan, config)
     result = query.run(iter(events), batch=batch)

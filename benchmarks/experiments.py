@@ -216,7 +216,7 @@ def e10_memory(window: float = 400) -> list[tuple[str, int, int, float]]:
         # The registry's state gauges are the memory profile: every run
         # samples operator state and the view every ``sample_events`` events.
         query = ContinuousQuery(plan, ExecutionConfig(**cfg))
-        query.executor.driver.sample_events = 50
+        query.executor.sample_events = 50
         result = query.run(iter(events))
         rows.append((label, result.metrics.value("state_tuples_peak"),
                      result.metrics.value("view_results_peak"),

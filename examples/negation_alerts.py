@@ -41,6 +41,8 @@ def trace_answer_evolution() -> None:
     ]
     print(f"Alert set evolution (window = {WINDOW}):")
     for label, event in script:
+        # query.executor is the query's driver: one event, one call of
+        # its compiled per-tuple loop.
         query.executor.process_event(event)
         alerts = sorted({v[3] for v in query.answer().elements()})
         count = sum(query.answer().values())

@@ -62,7 +62,7 @@ from .core.sharding import (
 )
 from .core.stats import StatisticsCollector
 from .core.tuples import NEGATIVE, NEVER, POSITIVE, Schema, Tuple
-from .engine.executor import Executor, RunResult
+from .engine.executor import GroupRunResult, RunResult
 from .engine.query import ContinuousQuery, run_query
 from .engine.strategies import (
     STR_AUTO,
@@ -74,12 +74,8 @@ from .engine.strategies import (
     compile_plan,
 )
 from .engine.shard import (
-    ShardedExecutor,
-    ShardedGroupRunResult,
-    ShardedRunResult,
     ShardRouter,
     analyze_group_partitionability,
-    run_group_sharded,
     stable_hash,
 )
 from .errors import (
@@ -101,7 +97,7 @@ from .lang.builder import (
     stddev,
     variance,
 )
-from .engine.multi import GroupRunResult, QueryGroup
+from .engine.multi import QueryGroup
 from .engine.sharing import SharedProducer, SharedRuntime, build_shared_runtime
 from .engine.reeval import ReEvaluationQuery
 from .lang.catalog import SourceCatalog
@@ -138,15 +134,13 @@ __all__ = [
     "SharedProducer", "SharedRuntime", "build_shared_runtime",
     "fingerprint", "fingerprint_all",
     "NEGATIVE", "NEVER", "POSITIVE", "Schema", "Tuple",
-    "Executor", "RunResult", "ContinuousQuery", "run_query",
+    "RunResult", "ContinuousQuery", "run_query",
     "STR_AUTO", "STR_NEGATIVE", "STR_PARTITIONED",
     "CompiledQuery", "ExecutionConfig", "Mode", "compile_plan",
     "ConfigError", "ExecutionError", "PlanError", "ReproError",
     "SchemaError", "WorkloadError",
     "Partitionability", "StreamShardKey", "analyze_partitionability",
-    "ShardedExecutor", "ShardedGroupRunResult", "ShardedRunResult",
-    "ShardRouter", "analyze_group_partitionability", "run_group_sharded",
-    "stable_hash",
+    "ShardRouter", "analyze_group_partitionability", "stable_hash",
     "QueryBuilder", "agg_max", "agg_min", "agg_sum", "avg", "count",
     "from_window", "stddev", "variance",
     "SourceCatalog", "QueryCompiler", "compile_query", "ParseError", "parse",

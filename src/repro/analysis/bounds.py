@@ -30,8 +30,8 @@ it statically:
   carries a sanitizer monitor, so the drain-time cross-check below
   actually covers the certificate.
 
-At run time, :func:`attach_certificate` (called when an executor is
-built) arms each entry's :class:`~repro.analysis.sanitizer.MonitoredBuffer`
+At run time, :func:`attach_certificate` (called when a continuous query
+is built) arms each entry's :class:`~repro.analysis.sanitizer.MonitoredBuffer`
 with the entry's expiry horizon; the monitor then tracks, per insert, a
 clamped clock estimate, a min-heap of pending expirations (peak unexpired
 occupancy) and a sliding arrival window (the certificate's empirical
@@ -244,7 +244,7 @@ def derive_certificate(compiled: Any,
 def attach_certificate(compiled: Any) -> StateCertificate:
     """Derive (or return the cached) certificate and arm its monitors.
 
-    Called when an :class:`~repro.engine.executor.Executor` is built: in
+    Called when a :class:`~repro.engine.query.ContinuousQuery` is built: in
     checked mode every bounded entry's :class:`MonitoredBuffer` starts
     tracking observed peak occupancy against the certified horizon, so
     :func:`validate_certificate` can cross-check at drain time.  Cached

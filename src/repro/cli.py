@@ -48,17 +48,12 @@ def _build_catalog(args) -> SourceCatalog:
 
 def _report_sharding(result) -> None:
     """One status line about sharded execution, when it was requested."""
-    shards = getattr(result, "shards", None)
-    if shards is None:
-        return  # ordinary unsharded result
-    if getattr(result, "fallback_reason", None):
+    if result.fallback_reason:
         print(f"sharding: fell back to unsharded execution — "
               f"{result.fallback_reason}")
-    elif shards > 1:
-        balance = getattr(result, "per_shard_arrivals", None)
-        spread = (f", arrivals per shard {balance}" if balance else "")
-        print(f"sharding: {shards} shards via {result.backend} backend"
-              f"{spread}")
+    elif result.shards > 1:
+        print(f"sharding: {result.shards} shards via {result.backend} "
+              f"backend, arrivals per shard {result.per_shard_arrivals}")
 
 
 def _write_metrics(args, result, run_info: dict) -> None:
@@ -188,7 +183,8 @@ def _cmd_lint(args) -> int:
     from .analysis.bounds import attach_certificate
     from .analysis.planlint import lint, lint_compiled
     from .core.sharding import analyze_partitionability
-    from .engine.executor import Executor
+    from .engine.driver import Driver
+    from .engine.program import build_program
     from .engine.strategies import compile_plan
     from .errors import PlanError
 
@@ -207,12 +203,11 @@ def _cmd_lint(args) -> int:
         print(f"compilation under mode={args.mode} rejected the plan: "
               f"{error}")
         return 0 if report.ok else 1
-    # Build the executor so the closure-capture rules (ALS702) see the
-    # driver's actual compiled closures, not just the static pipeline.
-    executor = Executor(compiled)
+    # Build the driver so the closure-capture rules (ALS702) see its
+    # actual compiled closures, not just the static pipeline.
+    driver = Driver(compiled, build_program(compiled))
     verdict = analyze_partitionability(plan)
-    report = lint_compiled(compiled, claimed_sharding=verdict,
-                           driver=executor.driver)
+    report = lint_compiled(compiled, claimed_sharding=verdict, driver=driver)
     print(report.render())
     if args.lint_certificate:
         print(attach_certificate(compiled).render())

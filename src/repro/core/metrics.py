@@ -10,6 +10,8 @@ versus UPA's partition drops) independently of interpreter overhead.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 
 class Counters:
     """Mutable bag of engine counters, shared by buffers and operators."""
@@ -42,6 +44,16 @@ class Counters:
     def snapshot(self) -> dict[str, int]:
         """A plain dict copy of the current counter values."""
         return {name: getattr(self, name) for name in self.__slots__}
+
+    @classmethod
+    def total(cls, snapshots: Iterable[dict[str, int]]) -> "Counters":
+        """A new bag holding the field-wise sum of ``snapshots`` (shard
+        replicas', a group's producers')."""
+        total = cls()
+        for snapshot in snapshots:
+            for name, value in snapshot.items():
+                setattr(total, name, getattr(total, name) + value)
+        return total
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.snapshot().items())

@@ -1,18 +1,10 @@
-"""Execution engine: strategies, executor, views and the query facade."""
+"""Execution engine: strategies, driver, views and the query facade."""
 
-from .executor import Executor, RunResult
-from .multi import GroupRunResult, QueryGroup
+from .executor import GroupRunResult, RunResult
+from .multi import QueryGroup
 from .reeval import ReEvalResult, ReEvaluationQuery
 from .query import ContinuousQuery, run_query
-from .shard import (
-    ShardedExecutor,
-    ShardedGroupRunResult,
-    ShardedRunResult,
-    ShardRouter,
-    analyze_group_partitionability,
-    run_group_sharded,
-    stable_hash,
-)
+from .shard import ShardRouter, analyze_group_partitionability, stable_hash
 from .sharing import SharedProducer, SharedRuntime, build_shared_runtime
 from .strategies import (
     STR_AUTO,
@@ -26,7 +18,6 @@ from .strategies import (
 from .views import AppendView, BufferView, GroupView, ResultView
 
 __all__ = [
-    "Executor",
     "RunResult",
     "GroupRunResult",
     "QueryGroup",
@@ -37,12 +28,8 @@ __all__ = [
     "SharedProducer",
     "SharedRuntime",
     "build_shared_runtime",
-    "ShardedExecutor",
-    "ShardedGroupRunResult",
-    "ShardedRunResult",
     "ShardRouter",
     "analyze_group_partitionability",
-    "run_group_sharded",
     "stable_hash",
     "STR_AUTO",
     "STR_NEGATIVE",

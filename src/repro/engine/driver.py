@@ -23,11 +23,11 @@ generate maintenance code specialized to the query shape instead of
 interpreting a generic plan.  The driver compiles the program into
 
 * **the per-tuple loop** — one fused closure, the ``process_event``
-  *instance attribute* (the class defines none), so ``Executor.run``'s
-  hoist binds straight to it.  It runs the full bottom-up expiration pass
-  before every event exactly like the reference interpreter, so answers,
-  output streams and **all** counters (touches included) are
-  byte-identical to it.
+  *instance attribute* (the class defines none), so every runner's hoist
+  (``query.executor.process_event``) binds straight to it.  It runs the
+  full bottom-up expiration pass before every event exactly like the
+  reference interpreter, so answers, output streams and **all** counters
+  (touches included) are byte-identical to it.
 * **the row micro-batch loop** (:meth:`Driver.process_batch`) — amortizes
   the expiration pass, the result-view purge and the propagation walk over
   a batch while producing byte-identical output streams, view snapshots and
@@ -145,7 +145,7 @@ class Driver:
     sample_events = 4096
 
     #: The compiled per-tuple loop: an instance attribute (set in
-    #: ``__init__``), so ``Executor.run``'s hoist binds the closure directly.
+    #: ``__init__``), so a runner's hoist binds the closure directly.
     process_event: Callable[[Event], None]
 
     def __init__(self, compiled, program: ExecutionProgram):

@@ -1,37 +1,34 @@
-"""The `Executor` façade: one compiled program, one unified driver.
+"""Run arguments, event chunking and the two run results.
 
-Section 2's processing model: "Each new tuple is processed immediately by
-all the operators in the query before the next tuple is processed.
-Consequently, results are produced in timestamp order."  The event loop
-that implements this — per-tuple and micro-batch, with the batched-mode
-exactness argument — lives in :mod:`repro.engine.driver`; the query's
-static shape (dispatch tables, fused prefixes, expiration participants,
-resolved routes) is compiled once into an
-:class:`~repro.engine.program.ExecutionProgram`.  ``Executor`` builds the
-program and driver for one :class:`CompiledQuery` and adds the run-level
-orchestration: wall-clock timing, sharded-execution delegation, drain
-verification for checked mode, and the :class:`RunResult` surface.
+Section 2's processing model is one loop per query: "Each new tuple is
+processed immediately by all the operators in the query before the next
+tuple is processed."  That loop is compiled into a
+:class:`~repro.engine.driver.Driver`, and a query runs itself:
+:meth:`ContinuousQuery.run <repro.engine.query.ContinuousQuery.run>` feeds
+its driver per tuple or in micro-batches, or hands the plan to the sharded
+runtime (:func:`repro.engine.shard._run_replicas`) and falls back onto its
+own driver when the plan cannot shard; :meth:`QueryGroup.run
+<repro.engine.multi.QueryGroup.run>` does the same for a member set.  This
+module holds what both share: the argument check, the chunker, and one
+result type per query (:class:`RunResult`) and one per group
+(:class:`GroupRunResult`).
 
-Shared groups (``sharing.py``: every member through this façade, every
-producer on a bare driver) and shard workers (``shard.py``) run the same
-programs on the same driver — there is exactly one propagate / expire /
-dispatch implementation in the engine.
+Both results carry the sharding surface — ``shards``, ``backend``,
+``fallback_reason``, ``partitionability``, ``shard_counters``,
+``per_shard_arrivals`` and ``state_size``.  An ordinary or fallback run
+fills it with its unsharded values: one shard, the ``"inline"`` backend,
+the pipeline's own counters, arrivals and state.
 """
 
 from __future__ import annotations
 
-import time
-from functools import partial
+from collections import Counter as Multiset
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from ..analysis.bounds import attach_certificate, validate_certificate
-from ..analysis.sanitizer import verify_drain
-from ..errors import ConfigError, ExecutionError
+from ..errors import ConfigError
 from ..streams.stream import Event
-from .driver import Driver
-from .program import build_program
-from .strategies import CompiledQuery
+from .telemetry import MetricsRegistry
 
 #: ``shard_backend`` values (see :mod:`repro.engine.shard`).
 SHARD_BACKENDS = ("serial", "process")
@@ -70,39 +67,38 @@ def _chunked(events: Iterable[Event], size: int) -> Iterator[list[Event]]:
         yield chunk
 
 
-class RunResult:
-    """Outcome of a run: the view, counters, and elapsed wall time.
+class _Run:
+    """What both results report beside answers and counters: wall time,
+    what was consumed, and how the run was sharded.
 
     ``events_processed`` counts *all* engine events (arrivals, relation
     updates and ticks) and is kept for diagnostics; ``tuples_arrived``
     counts stream arrivals only, which is the denominator of the paper's
     per-1000-*tuples* metric (Section 6.1 reports execution time per 1000
-    tuples, not per 1000 timeline events).
+    tuples, not per 1000 timeline events).  ``replicas`` is the sharded
+    runtime's report (:class:`~repro.engine.shard._ReplicaRun`), None when
+    the run was ordinary or fell back.
     """
 
-    def __init__(self, executor: "Executor", elapsed: float,
-                 events_processed: int, tuples_arrived: int | None = None):
-        self.executor = executor
-        self.view = executor.compiled.view
-        self.counters = executor.compiled.counters
+    def __init__(self, elapsed: float, events_processed: int,
+                 tuples_arrived: int, replicas, partitionability,
+                 fallback_reason: str | None):
         self.elapsed = elapsed
         self.events_processed = events_processed
-        self.tuples_arrived = (tuples_arrived if tuples_arrived is not None
-                               else executor.tuples_arrived)
-
-    def answer(self):
-        """The live result multiset Q(now) at the end of the run."""
-        return self.view.snapshot(self.executor.now)
-
-    @property
-    def metrics(self):
-        """The pipeline's :class:`~repro.engine.telemetry.MetricsRegistry`,
-        flushed at the end of the run."""
-        return self.executor.compiled.metrics
-
-    @property
-    def touches(self) -> int:
-        return self.counters.touches
+        self.tuples_arrived = tuples_arrived
+        self._replicas = replicas
+        #: The plan's (or member set's) sharding verdict when ``shards > 1``
+        #: was asked for, else None.
+        self.partitionability = partitionability
+        #: Why a ``shards > 1`` run ran unsharded; None otherwise.
+        self.fallback_reason = fallback_reason
+        if replicas is None:
+            self.shards, self.backend = 1, "inline"
+            self.per_shard_arrivals = [tuples_arrived]
+        else:
+            self.shards = len(replicas.finals)
+            self.backend = replicas.backend
+            self.per_shard_arrivals = list(replicas.router.per_shard_arrivals)
 
     def time_per_1000(self) -> float:
         """Average execution time per 1000 stream *tuples* — the paper's
@@ -112,6 +108,66 @@ class RunResult:
             return 0.0
         return 1000.0 * self.elapsed / self.tuples_arrived
 
+    def _describe(self) -> str:
+        note = (f", fallback={self.fallback_reason!r}"
+                if self.fallback_reason else "")
+        return (f"events={self.events_processed}, "
+                f"tuples={self.tuples_arrived}, "
+                f"elapsed={self.elapsed:.3f}s, shards={self.shards}, "
+                f"backend={self.backend!r}{note}")
+
+
+class RunResult(_Run):
+    """Outcome of a query's run: answer, counters, metrics, wall time.
+
+    A sharded run sums its replicas: ``counters`` and ``state_size`` are
+    the totals, ``shard_counters`` the per-shard snapshots (the
+    decomposition the equivalence tests check), and ``metrics`` the merged
+    registry — every replica's snapshot folded in twice, under ``shard=i``
+    labels and into the unlabeled totals, so total = Σ shards per (name,
+    label set) — with ``shard_metrics`` the per-shard registries.
+    """
+
+    def __init__(self, query, elapsed: float, events_processed: int,
+                 tuples_arrived: int, *, partitionability=None,
+                 replicas=None):
+        compiled = query.compiled
+        super().__init__(elapsed, events_processed, tuples_arrived, replicas,
+                         partitionability, None if partitionability is None
+                         else partitionability.reason)
+        #: The query's :class:`~repro.engine.driver.Driver`.
+        self.executor = query.executor
+        self.view = compiled.view
+        #: The pipeline's :class:`~repro.analysis.bounds.StateCertificate`
+        #: (symbolic per-operator state bounds + per-unit-time cost);
+        #: cross-validated against observed counters at drain time when the
+        #: run was ``checked=True``.
+        self.certificate = compiled.certificate
+        if replicas is None:
+            self.counters = compiled.counters
+            self.metrics: MetricsRegistry = compiled.metrics
+            self.shard_metrics = [self.metrics]
+            self.shard_counters = [self.counters.snapshot()]
+            self.state_size = compiled.state_size()
+        else:
+            finals = replicas.member(0)
+            self.counters = replicas.counters(0)
+            self.metrics, self.shard_metrics = replicas.merged_metrics([{}])
+            self.shard_counters = [final.counters for final in finals]
+            self.state_size = sum(final.state_size for final in finals)
+
+    def answer(self) -> Multiset:
+        """The live result multiset Q(now) at the end of the run; sharded,
+        the sum of the shard views' snapshots (every result lives in
+        exactly one shard)."""
+        if self._replicas is not None:
+            return self._replicas.answer(0)
+        return self.view.snapshot(self.executor.now)
+
+    @property
+    def touches(self) -> int:
+        return self.counters.touches
+
     def touches_per_tuple(self) -> float:
         """Deterministic state touches per stream tuple (same denominator
         as :meth:`time_per_1000`)."""
@@ -119,141 +175,81 @@ class RunResult:
             return 0.0
         return self.counters.touches / self.tuples_arrived
 
-    @property
-    def certificate(self):
-        """The pipeline's :class:`~repro.analysis.bounds.StateCertificate`
-        (symbolic per-operator state bounds + per-unit-time cost);
-        cross-validated against observed counters at drain time when the
-        run was ``checked=True``."""
-        return getattr(self.executor.compiled, "certificate", None)
-
     def __repr__(self) -> str:
-        return (
-            f"RunResult(events={self.events_processed}, "
-            f"tuples={self.tuples_arrived}, "
-            f"elapsed={self.elapsed:.3f}s, touches={self.touches})"
-        )
+        return f"RunResult({self._describe()}, touches={self.touches})"
 
 
-class Executor:
-    """Drives a compiled query over an event sequence.
+class GroupRunResult(_Run):
+    """Aggregate outcome of a group run.
 
-    A thin façade: the compiled query is flattened into an
-    :class:`~repro.engine.program.ExecutionProgram` and run by a
-    :class:`~repro.engine.driver.Driver`; this class only adds run-level
-    orchestration (timing, shard delegation, drain checks, RunResult).
+    ``member_counters`` maps each query to its counters (sharded: the sum
+    over its replicas) and ``shard_counters`` holds one ``{query:
+    snapshot}`` dict per shard.  ``metrics`` is the group-wide merged
+    registry: every member pipeline's registry under a ``query=name``
+    label (sharded: plus ``shard=i``; the unlabeled-per-query series are
+    the shard sums), and in shared mode each producer's once under
+    ``producer=name`` (shared work is charged once per group, like
+    :meth:`shared_touches`).
     """
 
-    def __init__(self, compiled: CompiledQuery):
-        self.compiled = compiled
-        self.program = build_program(compiled)
-        self.driver = Driver(compiled, self.program)
-        # Derive the symbolic state-bound certificate and (in checked
-        # mode) arm its monitors so drain-time validation can cross-check
-        # observed occupancy against the certified bounds.
-        self.certificate = attach_certificate(compiled)
-
-    # -- driver surface ----------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.driver.now
-
-    @property
-    def tuples_arrived(self) -> int:
-        """Stream arrivals processed so far (the per-1000-tuples
-        denominator)."""
-        return self.driver._tuples_arrived
-
-    @property
-    def _lazy_interval(self) -> float | None:
-        return self.driver._lazy_interval
-
-    def subscribe(self, callback) -> None:
-        """Receive the query's *output stream* (see
-        :meth:`~repro.engine.driver.Driver.subscribe`)."""
-        self.driver.subscribe(callback)
-
-    def answer(self):
-        """Current result multiset Q(now)."""
-        return self.driver.answer()
-
-    def process_event(self, event: Event) -> None:
-        """Advance the clock, expire state, then dispatch one event."""
-        self.driver.process_event(event)
-
-    def process_batch(self, events: Sequence[Event]) -> None:
-        """Process a micro-batch with one amortized expiration schedule
-        (see :meth:`~repro.engine.driver.Driver.process_batch`)."""
-        self.driver.process_batch(events)
-
-    # -- run orchestration -------------------------------------------------
-
-    def run(self, events: Iterable[Event],
-            on_event: Callable[["Executor", Event], None] | None = None,
-            batch: int | None = None, shards: int | None = None,
-            shard_backend: str = "process") -> RunResult:
-        """Process every event; optionally call ``on_event`` after each one.
-
-        ``batch=N`` (N > 1) selects the micro-batch path: events are grouped
-        into runs of at most ``N`` and each run shares one amortized
-        expiration schedule (see :mod:`repro.engine.driver` for the
-        exactness argument).  ``batch=None`` or ``1`` is the paper's
-        tuple-at-a-time model.  Both paths produce identical output
-        streams, snapshots and expiration counters.
-
-        ``shards=k`` (k > 1) selects key-sharded parallel execution (see
-        :mod:`repro.engine.shard`): the plan is analysed for
-        partitionability, compiled into ``k`` replicas, and every arrival is
-        routed by a stable hash of its shard key.  ``shard_backend`` picks
-        ``"serial"`` (in-process reference backend) or ``"process"``
-        (forked worker pool).  Unshardable plans fall back to this
-        executor's ordinary unsharded run and the returned result's
-        ``fallback_reason`` explains why.  Answers and per-instant output
-        multisets are identical to unsharded execution.
-        """
-        check_run_args(batch, shards, shard_backend)
-        driver = self.driver
-        if shards is not None and shards > 1:
-            from .shard import ShardedExecutor
-
-            if on_event is not None:
-                raise ExecutionError(
-                    "on_event callbacks observe per-event executor state and "
-                    "are not supported with sharded execution")
-            # This pipeline stays the live one when the plan cannot shard:
-            # the sharded executor falls back onto it, subscribers included.
-            sharded = ShardedExecutor(
-                self.compiled.root, self.compiled.config,
-                shards=shards, backend=shard_backend, inline=self)
-            if sharded.partitionability.shardable and driver._events_processed:
-                raise ExecutionError(
-                    "sharded execution needs a fresh pipeline; this executor "
-                    "has already processed events")
-            return sharded.run(events, batch=batch)
-        start = time.perf_counter()
-        if batch is None or batch <= 1:
-            # Blocks of one sample period: the compiled closure takes no
-            # sample check, the block step does.
-            iterator = iter(events)
-            step = None if on_event is None else partial(on_event, self)
-            while driver.process_block(
-                    islice(iterator, driver.sample_events), step):
-                pass
+    def __init__(self, group, elapsed: float, events_processed: int,
+                 tuples_arrived: int, *, partitionability=None,
+                 fallback_reason: str | None = None, replicas=None):
+        super().__init__(elapsed, events_processed, tuples_arrived,
+                         replicas, partitionability, fallback_reason)
+        self.group = group
+        names = group.names()
+        self._names = names
+        if replicas is None:
+            self.member_counters = {name: group[name].counters
+                                    for name in names}
+            self.shard_counters = [{name: counters.snapshot() for name,
+                                    counters in self.member_counters.items()}]
+            self.state_size = group.total_state_size()
+            self.metrics = MetricsRegistry()
+            for name in names:
+                self.metrics.merge(group[name].compiled.metrics,
+                                   {"query": name})
+            for producer in group.shared_producers():
+                self.metrics.merge(producer.compiled.metrics,
+                                   {"producer": producer.name})
         else:
-            process_batch = driver.process_batch
-            for chunk in _chunked(events, batch):
-                process_batch(chunk)
-                if on_event is not None:
-                    for event in chunk:
-                        on_event(self, event)
-        elapsed = time.perf_counter() - start
-        # Checked execution: assert counter conservation on every monitored
-        # buffer now that the event stream is exhausted (no-op otherwise),
-        # then cross-validate the observed occupancy peaks against the
-        # symbolic state-bound certificate.
-        verify_drain(self.compiled)
-        validate_certificate(self.compiled)
-        driver.flush_metrics(elapsed)
-        return RunResult(self, elapsed, driver._events_processed,
-                         driver._tuples_arrived)
+            self.member_counters = {name: replicas.counters(i)
+                                    for i, name in enumerate(names)}
+            self.shard_counters = [
+                {name: final.counters for name, final in zip(names, shard)}
+                for shard in replicas.finals]
+            self.state_size = sum(final.state_size
+                                  for shard in replicas.finals
+                                  for final in shard)
+            self.metrics, _per_shard = replicas.merged_metrics(
+                [{"query": name} for name in names])
+
+    def answer(self, name: str) -> Multiset:
+        if self._replicas is not None:
+            return self._replicas.answer(self._names.index(name))
+        return self.group[name].answer()
+
+    def touches(self) -> dict[str, int]:
+        """Per-query deterministic state-touch totals.
+
+        In shared mode these cover the member's *residual* pipeline only;
+        shared subtree work is charged once under :meth:`shared_touches`.
+        For every fused member, independent-execution touches equal its
+        residual touches plus its producers' touches exactly.
+        """
+        return {name: counters.touches
+                for name, counters in self.member_counters.items()}
+
+    def shared_touches(self) -> int:
+        """State touches charged to shared producers (once per group; zero
+        for an independent or sharded group)."""
+        return self.group.shared_counters().touches
+
+    def total_touches(self) -> int:
+        """All deterministic state touches: member residuals + shared."""
+        return sum(self.touches().values()) + self.shared_touches()
+
+    def __repr__(self) -> str:
+        return (f"GroupRunResult(queries={len(self._names)}, "
+                f"{self._describe()})")

@@ -36,11 +36,11 @@ from ..core.metrics import Counters
 from ..core.plan import LogicalNode
 from ..streams.stream import Arrival, Event
 from .driver import Driver
-from .executor import _chunked, check_run_args
+from .executor import GroupRunResult, _chunked, check_run_args
 from .query import ContinuousQuery
+from .shard import _run_replicas, analyze_group_partitionability
 from .sharing import SharedRuntime, build_shared_runtime
 from .strategies import ExecutionConfig
-from .telemetry import MetricsRegistry
 
 
 class QueryGroup:
@@ -152,25 +152,43 @@ class QueryGroup:
         replicas (see :mod:`repro.engine.shard`): each shard holds one
         pipeline per member, arrivals are routed once by the combined
         per-stream keys, and a member's subscribers receive its merged
-        output stream.  Shared groups and groups with unshardable (or
-        key-conflicting) members fall back to the ordinary lockstep run,
-        with the reason recorded on the result.
+        output stream.  Shared groups (they fuse state *across* queries,
+        which a replica cannot hold independently per key) and groups
+        with unshardable (or key-conflicting) members fall back to the
+        ordinary lockstep run, with the reason recorded on the result.
         """
         check_run_args(batch, shards, shard_backend)
-        if shards is not None and shards > 1:
-            from .shard import run_group_sharded
-
-            return run_group_sharded(self, events, shards=shards,
-                                     backend=shard_backend, batch=batch)
+        part = reason = None
         runtime = self._seal()
+        names = self.names()
+        if shards is not None and shards > 1:
+            if self.shared:
+                reason = ("shared groups fuse subplans across queries; run "
+                          "the members as an independent group to shard "
+                          "them")
+            else:
+                entries = [(name, self[name].plan, self[name].config)
+                           for name in names]
+                part = analyze_group_partitionability(entries)
+                reason = part.reason
+                replicas = _run_replicas(
+                    entries, part, events, shards=shards,
+                    backend=shard_backend, batch=batch,
+                    subscribers=[self[name].executor._subscribers
+                                 for name in names])
+                if replicas is not None:
+                    return GroupRunResult(
+                        self, replicas.elapsed, replicas.events_processed,
+                        replicas.tuples_arrived, partitionability=part,
+                        replicas=replicas)
         # Members and producers are driven through process_event /
-        # process_batch, not Executor.run, so the run-level steps happen
-        # here.  A batched member takes the sample check in its batch
-        # loop; every other driver — each member per tuple, each producer
-        # always (SharedProducer.run feeds its per-tuple closure) — after
-        # every block or chunk, as Driver.process_block does.  Members run
-        # in lockstep, so the block time is the group's.
-        members = [self[name].executor.driver for name in self.names()]
+        # process_batch, so the run-level steps happen here.  A batched
+        # member takes the sample check in its batch loop; every other
+        # driver — each member per tuple, each producer always
+        # (SharedProducer.run feeds its per-tuple closure) — after every
+        # block or chunk, as Driver.process_block does.  Members run in
+        # lockstep, so the block time is the group's.
+        members = [self[name].executor for name in names]
         producers = [p.driver for p in self.shared_producers()]
         blocked = producers if batch else members + producers
         start = time.perf_counter()
@@ -209,7 +227,8 @@ class QueryGroup:
         for driver in drivers:
             verify_drain(driver.compiled)
             driver.flush_metrics()
-        return GroupRunResult(self, elapsed, n, arrivals)
+        return GroupRunResult(self, elapsed, n, arrivals,
+                              partitionability=part, fallback_reason=reason)
 
     def answers(self) -> dict[str, dict]:
         """Current answer multiset of every member query."""
@@ -246,63 +265,3 @@ class QueryGroup:
             lines.append(f"-- {name} --")
             lines.append(self[name].explain())
         return "\n".join(lines)
-
-
-class GroupRunResult:
-    """Aggregate outcome of a group run."""
-
-    def __init__(self, group: QueryGroup, elapsed: float,
-                 events_processed: int, tuples_arrived: int = 0):
-        self.group = group
-        self.elapsed = elapsed
-        #: Diagnostic: total events fed, including ticks and heartbeats.
-        self.events_processed = events_processed
-        #: Denominator for throughput metrics: data arrivals only.
-        self.tuples_arrived = tuples_arrived
-        #: Group-wide merged :class:`~repro.engine.telemetry.MetricsRegistry`:
-        #: every member pipeline's registry under a ``query=name`` label,
-        #: and in shared mode each producer's once under ``producer=name``
-        #: (shared work is charged once per group, like
-        #: :meth:`shared_touches`).
-        self.metrics = MetricsRegistry()
-        for name in group.names():
-            self.metrics.merge(group[name].compiled.metrics, {"query": name})
-        for producer in group.shared_producers():
-            self.metrics.merge(producer.compiled.metrics,
-                               {"producer": producer.name})
-
-    def answer(self, name: str):
-        return self.group[name].answer()
-
-    def time_per_1000(self) -> float:
-        """Wall-clock seconds per 1000 *arrivals* (Section 6's reporting
-        unit).  Arrivals-based so tick/heartbeat density cannot bias
-        cross-run comparisons (events_processed stays as a diagnostic)."""
-        if self.tuples_arrived == 0:
-            return 0.0
-        return self.elapsed * 1000.0 / self.tuples_arrived
-
-    def touches(self) -> dict[str, int]:
-        """Per-query deterministic state-touch totals.
-
-        In shared mode these cover the member's *residual* pipeline only;
-        shared subtree work is charged once under :meth:`shared_touches`.
-        For every fused member, independent-execution touches equal its
-        residual touches plus its producers' touches exactly.
-        """
-        return {name: self.group[name].counters.touches
-                for name in self.group.names()}
-
-    def shared_touches(self) -> int:
-        """State touches charged to shared producers (once per group)."""
-        return self.group.shared_counters().touches
-
-    def total_touches(self) -> int:
-        """All deterministic state touches: member residuals + shared."""
-        return sum(self.touches().values()) + self.shared_touches()
-
-    def __repr__(self) -> str:
-        return (f"GroupRunResult(queries={len(self.group)}, "
-                f"events={self.events_processed}, "
-                f"arrivals={self.tuples_arrived}, "
-                f"elapsed={self.elapsed:.3f}s)")

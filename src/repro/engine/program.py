@@ -9,7 +9,7 @@ explicit, precomputed object: :func:`build_program` flattens a
 kernel prefixes and resolved routes, the eager/lazy expiration
 participant lists, and an explicit :class:`Step` sequence — and
 :mod:`repro.engine.driver` runs any such program in per-tuple or micro-batch
-mode.  Per-tuple execution (``Executor``), micro-batching, shared groups
+mode.  Per-tuple execution, micro-batching, shared groups
 (``sharing.py``: producers and members alike, a shared subtree being one
 more source leaf of the member's program) and key-sharded workers
 (``shard.py``) all run these programs on that driver; none carries a

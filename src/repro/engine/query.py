@@ -1,23 +1,38 @@
 """High-level continuous query facade.
 
 :class:`ContinuousQuery` bundles a logical plan, a strategy configuration,
-the compiled physical pipeline and an executor — the object most users
-interact with::
+the compiled physical pipeline and the driver that runs it — the object
+most users interact with::
 
     query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
     result = query.run(events)
     print(result.answer())
+
+A query runs itself: :meth:`ContinuousQuery.run` is the run-level loop
+around the compiled :class:`~repro.engine.driver.Driver` (per-tuple
+blocks or micro-batches, drain checks, the final metrics flush), or the
+call into the sharded runtime for ``shards=k``.
 """
 
 from __future__ import annotations
 
+import time
+from functools import partial
+from itertools import islice
 from typing import Callable, Iterable
 
+from ..analysis.bounds import attach_certificate, validate_certificate
+from ..analysis.sanitizer import verify_drain
 from ..core.annotate import explain
 from ..core.metrics import Counters
 from ..core.plan import LogicalNode
+from ..core.sharding import analyze_partitionability
+from ..errors import ExecutionError
 from ..streams.stream import Event
-from .executor import Executor, RunResult
+from .driver import Driver
+from .executor import RunResult, _chunked, check_run_args
+from .program import build_program
+from .shard import _run_replicas
 from .strategies import CompiledQuery, ExecutionConfig, Mode, compile_plan
 from .telemetry import run_summary
 
@@ -32,23 +47,87 @@ class ContinuousQuery:
         self.counters = Counters()
         self.compiled: CompiledQuery = compile_plan(plan, self.config,
                                                     self.counters)
-        self.executor = Executor(self.compiled)
+        #: The query's :class:`~repro.engine.driver.Driver`: its
+        #: ``process_event`` is the compiled per-tuple closure itself.
+        self.executor = Driver(self.compiled, build_program(self.compiled))
+        # Derive the symbolic state-bound certificate and (in checked mode)
+        # arm its monitors so drain-time validation can cross-check
+        # observed occupancy against the certified bounds.
+        attach_certificate(self.compiled)
 
     def run(self, events: Iterable[Event],
-            on_event: Callable[[Executor, Event], None] | None = None,
+            on_event: Callable[[Driver, Event], None] | None = None,
             batch: int | None = None, shards: int | None = None,
             shard_backend: str = "process") -> RunResult:
-        """Process the events and return the run's result object.
+        """Process every event; optionally call ``on_event(driver, event)``
+        after each one.
 
-        ``batch=N`` selects the micro-batch execution path (amortized
-        expiration; identical outputs — see Executor.run).  ``shards=k``
-        selects key-sharded parallel execution with the given backend
-        (``"serial"`` or ``"process"``); unshardable plans fall back to an
-        unsharded run with the reason recorded on the result and shown by
-        :meth:`explain`.
+        ``batch=N`` (N > 1) selects the micro-batch path: events are grouped
+        into runs of at most ``N`` and each run shares one amortized
+        expiration schedule (see :mod:`repro.engine.driver` for the
+        exactness argument).  ``batch=None`` or ``1`` is the paper's
+        tuple-at-a-time model.  Both paths produce identical output
+        streams, snapshots and expiration counters.
+
+        ``shards=k`` (k > 1) selects key-sharded parallel execution (see
+        :mod:`repro.engine.shard`): the plan is analysed for
+        partitionability, compiled into ``k`` replicas, and every arrival is
+        routed by a stable hash of its shard key.  ``shard_backend`` picks
+        ``"serial"`` (in-process reference backend) or ``"process"``
+        (forked worker pool).  Unshardable plans fall back to this query's
+        own unsharded run, subscribers included, and the result's
+        ``fallback_reason`` explains why (so does :meth:`explain`).
+        Answers and per-instant output multisets are identical to
+        unsharded execution.
         """
-        return self.executor.run(events, on_event, batch=batch,
-                                 shards=shards, shard_backend=shard_backend)
+        check_run_args(batch, shards, shard_backend)
+        driver = self.executor
+        part = None
+        if shards is not None and shards > 1:
+            if on_event is not None:
+                raise ExecutionError(
+                    "on_event callbacks observe per-event driver state and "
+                    "are not supported with sharded execution")
+            part = analyze_partitionability(self.plan)
+            if part.shardable and driver._events_processed:
+                raise ExecutionError(
+                    "sharded execution needs a fresh pipeline; this query "
+                    "has already processed events")
+            replicas = _run_replicas(
+                [("", self.plan, self.config)], part, events, shards=shards,
+                backend=shard_backend, batch=batch,
+                subscribers=[driver._subscribers])
+            if replicas is not None:
+                return RunResult(self, replicas.elapsed,
+                                 replicas.events_processed,
+                                 replicas.tuples_arrived,
+                                 partitionability=part, replicas=replicas)
+        start = time.perf_counter()
+        if batch is None or batch == 1:
+            # Blocks of one sample period: the compiled closure takes no
+            # sample check, the block step does.
+            iterator = iter(events)
+            step = None if on_event is None else partial(on_event, driver)
+            while driver.process_block(
+                    islice(iterator, driver.sample_events), step):
+                pass
+        else:
+            process_batch = driver.process_batch
+            for chunk in _chunked(events, batch):
+                process_batch(chunk)
+                if on_event is not None:
+                    for event in chunk:
+                        on_event(driver, event)
+        elapsed = time.perf_counter() - start
+        # Checked execution: assert counter conservation on every monitored
+        # buffer now that the event stream is exhausted (no-op otherwise),
+        # then cross-validate the observed occupancy peaks against the
+        # symbolic state-bound certificate.
+        verify_drain(self.compiled)
+        validate_certificate(self.compiled)
+        driver.flush_metrics(elapsed)
+        return RunResult(self, elapsed, driver._events_processed,
+                         driver._tuples_arrived, partitionability=part)
 
     def answer(self):
         """Current result multiset Q(now)."""
@@ -73,14 +152,12 @@ class ContinuousQuery:
         (:meth:`~repro.engine.driver.Driver.batch_loop`), and the compiled
         execution program's step summary
         (:meth:`~repro.engine.program.ExecutionProgram.describe`)."""
-        from ..analysis.bounds import attach_certificate
         from ..analysis.planlint import lint_compiled
-        from ..core.sharding import analyze_partitionability
 
         tree = explain(self.plan, self.compiled.annotated)
         verdict = analyze_partitionability(self.plan)
         report = lint_compiled(self.compiled, claimed_sharding=verdict,
-                               driver=self.executor.driver)
+                               driver=self.executor)
         certificate = attach_certificate(self.compiled)
         registry = self.compiled.metrics
         metrics_note = (f"{len(registry)} instruments across "
@@ -92,7 +169,7 @@ class ContinuousQuery:
                 f"\n-- bounds: {certificate.summary()}"
                 f"\n-- metrics: {metrics_note}"
                 f"\n-- view: {self.compiled.view_note}"
-                f"\n-- columnar: {self.executor.driver.batch_loop()}"
+                f"\n-- columnar: {self.executor.batch_loop()}"
                 f"\n-- program: {self.executor.program.describe()}")
 
     @property

@@ -11,8 +11,10 @@ a shard holds.  So the unit of sharded execution is a **replica** —
 …]`` — and a single query (one member) and an independent
 :class:`~repro.engine.multi.QueryGroup` (n members) run through the same
 router, backends, worker protocol, transport and parent loop
-(:func:`_run_replicas`).  :class:`ShardedExecutor` and
-:func:`run_group_sharded` only shape results.
+(:func:`_run_replicas`).  ``ContinuousQuery.run`` and ``QueryGroup.run``
+call it directly; their :class:`~repro.engine.executor.RunResult` and
+:class:`~repro.engine.executor.GroupRunResult` read the totals off the
+returned :class:`_ReplicaRun`.
 
 * :class:`ShardRouter` — assigns each :class:`Arrival` to
   ``stable_hash(key) % k``.  The hash is :func:`zlib.crc32` over ``repr``
@@ -83,7 +85,7 @@ from ..streams.stream import Arrival, Event, RelationUpdate, Tick
 from ..analysis.sanitizer import verify_drain
 from .columnar import ChunkTable, decode_routed, encode_routed, stable_hash
 from .driver import Driver
-from .executor import SHARD_BACKENDS, Executor, _chunked, check_run_args
+from .executor import SHARD_BACKENDS, _chunked, check_run_args
 from .program import build_program
 from .strategies import ExecutionConfig, compile_plan
 from .telemetry import MetricsRegistry
@@ -99,8 +101,7 @@ Member = tuple[str, LogicalNode, ExecutionConfig | None]
 
 def _compile_replica(members: Sequence[Member]) -> list[tuple[str, Driver]]:
     """Compile one shard's copy of the member set straight to
-    program-running drivers: the sharded runtime owns the run-level
-    orchestration (timing, RunResult) the Executor façade would add."""
+    program-running drivers; the parent loop times the run."""
     replica = []
     for name, plan, config in members:
         compiled = compile_plan(
@@ -456,16 +457,31 @@ def _shard_worker_main(conn, members: Sequence[Member], batch: int | None,
             raise exc
 
 
-class _WorkerPool:
-    """Plumbing of the forked-worker backend: spawn, ship, receive, and —
-    crucially — *fail loudly*.
+class _ProcessShards:
+    """k forked worker processes, one replica each.
 
-    A worker that dies mid-protocol (killed, OOMed, or crashed before it
-    could send an ``("err", ...)`` report) closes its pipe; the parent sees
-    that as :class:`EOFError`/:class:`OSError` on the next ``recv`` or
-    ``send`` and must not merge the truncated output as a success.  Every
-    failure path aborts the whole pool (terminate + reap) before raising,
-    so no zombie workers outlive the run.
+    The parent sends every shard its chunk *before* collecting any reply, so
+    all workers compute concurrently while the parent waits.  Chunk
+    transport is zero-pickle by default, and *fused*: the parent
+    struct-packs each routed chunk ONCE
+    (:func:`~repro.engine.columnar.encode_routed`) — shared ``ts``
+    timeline, every stream's value columns concatenated shard-major — into
+    one reusable fork-inherited shared-memory segment, and each pipe
+    carries only a tiny ``("cshard", nbytes, header)`` message whose
+    header lists the shard's contiguous ``(stream, offset, count)`` slices
+    plus their row indices.  Workers decode their slices in place,
+    lazily per stream, once per replica however many members read them.
+    Chunks the codec cannot represent (relation updates, ragged rows,
+    oversize payloads), and every chunk on a platform without shared
+    memory, fall back to the compact-tuple pickle pipe.
+
+    The pool *fails loudly*.  A worker that dies mid-protocol (killed,
+    OOMed, or crashed before it could send an ``("err", ...)`` report)
+    closes its pipe; the parent sees that as :class:`EOFError` /
+    :class:`OSError` on the next ``recv`` or ``send`` and must not merge
+    the truncated output as a success.  Every failure path aborts the whole
+    pool (terminate + reap, arena unlinked) before raising, so no zombie
+    worker or shared-memory segment outlives the run.
     """
 
     #: Prefix of parent-side failure messages.
@@ -476,15 +492,23 @@ class _WorkerPool:
     #: Seconds granted after terminate() before kill().
     reap_grace = 5.0
 
-    def __init__(self) -> None:
+    def __init__(self, members: Sequence[Member], n_shards: int,
+                 batch: int | None, collect: Sequence[bool]):
+        context = multiprocessing.get_context("fork")
+        try:
+            arena = _ShmArena()
+        except (ImportError, OSError, ValueError):
+            arena = None  # no shm on this platform: pickle transport
+        self._arena = arena
+        segment = arena.segment if arena is not None else None
         self._connections = []
         self._processes = []
-
-    def _spawn(self, context, target, args_for, n: int) -> None:
-        for index in range(n):
+        for _ in range(n_shards):
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
-                target=target, args=args_for(child_conn, index), daemon=True)
+                target=_shard_worker_main,
+                args=(child_conn, members, batch, collect, segment),
+                daemon=True)
             process.start()
             child_conn.close()
             self._connections.append(parent_conn)
@@ -516,7 +540,8 @@ class _WorkerPool:
         return reply
 
     def _abort(self) -> None:
-        """Force-shutdown every worker: close pipes, terminate, reap."""
+        """Force-shutdown every worker: close pipes, terminate, reap
+        (escalating to kill for stragglers), unlink the arena."""
         for conn in self._connections:
             try:
                 conn.close()
@@ -525,23 +550,21 @@ class _WorkerPool:
         for process in self._processes:
             if process.is_alive():
                 process.terminate()
-        self._reap()
-
-    def _reap(self) -> None:
-        """Join every worker; escalate terminate → kill for stragglers."""
         for process in self._processes:
             process.join(timeout=self.reap_grace)
             if process.is_alive():  # pragma: no cover - needs a wedged child
                 process.kill()
                 process.join(timeout=self.reap_grace)
+        if self._arena is not None:
+            self._arena.close()
 
     def _join_all(self) -> None:
         """End-of-run reap: verify every worker actually exited.
 
         A worker that survives the grace period is terminated, killed if
-        necessary, reaped, and *reported* — the old code joined with a
-        timeout but never checked ``is_alive()``, so a hung worker leaked
-        a zombie process while the run reported success.
+        necessary, reaped, and *reported* — joining with a timeout without
+        checking ``is_alive()`` would leak a hung worker as a zombie while
+        the run reported success.
         """
         for process in self._processes:
             process.join(timeout=self.join_grace)
@@ -551,42 +574,6 @@ class _WorkerPool:
             raise ExecutionError(
                 f"{hung} {self.what}(s) failed to exit within "
                 f"{self.join_grace:g}s of finishing; terminated and reaped")
-
-
-class _ProcessShards(_WorkerPool):
-    """k forked worker processes, one replica each.
-
-    The parent sends every shard its chunk *before* collecting any reply, so
-    all workers compute concurrently while the parent waits.  Chunk
-    transport is zero-pickle by default, and *fused*: the parent
-    struct-packs each routed chunk ONCE
-    (:func:`~repro.engine.columnar.encode_routed`) — shared ``ts``
-    timeline, every stream's value columns concatenated shard-major — into
-    one reusable fork-inherited shared-memory segment, and each pipe
-    carries only a tiny ``("cshard", nbytes, header)`` message whose
-    header lists the shard's contiguous ``(stream, offset, count)`` slices
-    plus their row indices.  Workers decode their slices in place,
-    lazily per stream, once per replica however many members read them.
-    Chunks the codec cannot represent (relation updates, ragged rows,
-    oversize payloads), and every chunk on a platform without shared
-    memory, fall back to the compact-tuple pickle pipe.
-    """
-
-    def __init__(self, members: Sequence[Member], n_shards: int,
-                 batch: int | None, collect: Sequence[bool]):
-        super().__init__()
-        context = multiprocessing.get_context("fork")
-        try:
-            arena = _ShmArena()
-        except (ImportError, OSError, ValueError):
-            arena = None  # no shm on this platform: pickle transport
-        self._arena = arena
-        segment = arena.segment if arena is not None else None
-        self._spawn(
-            context, _shard_worker_main,
-            lambda child_conn, _i: (child_conn, members, batch, collect,
-                                    segment),
-            n_shards)
 
     def _outputs(self):
         """Every worker's reply to the chunk just sent, ``[shard][member]``."""
@@ -623,11 +610,6 @@ class _ProcessShards(_WorkerPool):
                 return self._outputs()
         return self.feed(router.route_chunk(chunk))
 
-    def _abort(self) -> None:
-        super()._abort()
-        if self._arena is not None:
-            self._arena.close()
-
     def finish(self) -> list[list[_ShardFinal]]:
         try:
             for conn in self._connections:
@@ -653,48 +635,11 @@ def _fork_available() -> bool:
         return False
 
 
-def _sum_counters(snapshots: Iterable[dict]) -> Counters:
-    total = Counters()
-    for snapshot in snapshots:
-        for name, value in snapshot.items():
-            setattr(total, name, getattr(total, name) + value)
-    return total
-
-
-def _merge_shard_metrics(finals: list[list[_ShardFinal]],
-                         labels: Sequence[dict], router: ShardRouter):
-    """Fold the replicas' metrics snapshots into one parent registry.
-
-    ``finals`` is ``[shard][member]``; ``labels[member]`` tells the
-    members' series apart (``{}`` for a single query, ``{"query": name}``
-    in a group).  Returns ``(merged, per_shard)``.  Each snapshot is merged
-    twice, under ``shard=i`` and without, so the exported series satisfy
-    *total = Σ shards* exactly, per (name, label set) — replica pipelines
-    produce label-identical registries because operator ids are stable
-    plan-walk indices.  Router occupancy gauges are added so the export
-    also answers "was the key distribution balanced?".
-    """
-    merged = MetricsRegistry()
-    per_shard = []
-    for index, shard in enumerate(finals):
-        registry = MetricsRegistry()
-        for final, member in zip(shard, labels):
-            registry.merge_snapshot(final.metrics, member)
-            merged.merge_snapshot(final.metrics,
-                                  {**member, "shard": str(index)})
-            merged.merge_snapshot(final.metrics, member)
-        per_shard.append(registry)
-    for index, arrivals in enumerate(router.per_shard_arrivals):
-        merged.gauge("router_shard_arrivals", shard=str(index)).set(arrivals)
-    merged.gauge("router_broadcasts").set(router.broadcasts)
-    return merged, per_shard
-
-
 # -- the one sharded runtime -----------------------------------------------------
 
 
 class _ReplicaRun(NamedTuple):
-    """What :func:`_run_replicas` hands to result shaping."""
+    """What :func:`_run_replicas` hands to the run results."""
 
     backend: str
     elapsed: float
@@ -707,6 +652,46 @@ class _ReplicaRun(NamedTuple):
     def member(self, index: int) -> list[_ShardFinal]:
         """One member's reports, in shard order."""
         return [shard[index] for shard in self.finals]
+
+    def answer(self, index: int) -> Multiset:
+        """A member's answer: the sum of its shard views' snapshots (every
+        result lives in exactly one shard)."""
+        total: Multiset = Multiset()
+        for final in self.member(index):
+            total.update(final.answer)
+        return total
+
+    def counters(self, index: int) -> Counters:
+        """A member's counters, summed over its shards."""
+        return Counters.total(final.counters for final in self.member(index))
+
+    def merged_metrics(self, labels: Sequence[dict]):
+        """Fold the replicas' metrics snapshots into one parent registry.
+
+        ``labels[member]`` tells the members' series apart (``{}`` for a
+        single query, ``{"query": name}`` in a group).  Returns ``(merged,
+        per_shard)``.  Each snapshot is merged twice, under ``shard=i`` and
+        without, so the exported series satisfy *total = Σ shards* exactly,
+        per (name, label set) — replica pipelines produce label-identical
+        registries because operator ids are stable plan-walk indices.
+        Router occupancy gauges are added so the export also answers "was
+        the key distribution balanced?".
+        """
+        merged = MetricsRegistry()
+        per_shard = []
+        for index, shard in enumerate(self.finals):
+            registry = MetricsRegistry()
+            for final, member in zip(shard, labels):
+                registry.merge_snapshot(final.metrics, member)
+                merged.merge_snapshot(final.metrics,
+                                      {**member, "shard": str(index)})
+                merged.merge_snapshot(final.metrics, member)
+            per_shard.append(registry)
+        for index, arrivals in enumerate(self.router.per_shard_arrivals):
+            merged.gauge("router_shard_arrivals",
+                         shard=str(index)).set(arrivals)
+        merged.gauge("router_broadcasts").set(self.router.broadcasts)
+        return merged, per_shard
 
 
 def _run_replicas(members: Sequence[Member], part: Partitionability,
@@ -760,174 +745,6 @@ def _run_replicas(members: Sequence[Member], part: Partitionability,
                        finals, router)
 
 
-def _sum_answers(finals: Iterable[_ShardFinal]) -> Multiset:
-    """A member's answer: the sum of its shard views' snapshots (every
-    result lives in exactly one shard)."""
-    total: Multiset = Multiset()
-    for final in finals:
-        total.update(final.answer)
-    return total
-
-
-# -- results -------------------------------------------------------------------
-
-
-class ShardedRunResult:
-    """Outcome of a sharded run; duck-types :class:`~.executor.RunResult`.
-
-    Adds the sharding surface: ``shards``, ``backend``, ``fallback_reason``
-    (non-None when the plan was unshardable and ran unsharded),
-    ``shard_counters`` (per-shard counter snapshots — the decomposition the
-    equivalence tests check), ``per_shard_arrivals`` (router balance), and
-    ``state_size`` (total stored tuples across shard pipelines).
-    """
-
-    def __init__(self, *, shards: int, backend: str, elapsed: float,
-                 events_processed: int, tuples_arrived: int,
-                 counters: Counters, shard_counters: list[dict],
-                 answer_fn: Callable[[], Multiset],
-                 partitionability: Partitionability | None = None,
-                 fallback_reason: str | None = None,
-                 per_shard_arrivals: list[int] | None = None,
-                 state_size: int = 0, metrics: MetricsRegistry,
-                 shard_metrics: list[MetricsRegistry]):
-        self.shards = shards
-        self.backend = backend
-        self.elapsed = elapsed
-        self.events_processed = events_processed
-        self.tuples_arrived = tuples_arrived
-        self.counters = counters
-        self.shard_counters = shard_counters
-        self.partitionability = partitionability
-        self.fallback_reason = fallback_reason
-        self.per_shard_arrivals = per_shard_arrivals or []
-        self.state_size = state_size
-        #: Merged :class:`~repro.engine.telemetry.MetricsRegistry`.  Every
-        #: worker snapshot is folded in twice — under ``shard=i`` labels
-        #: and into the unlabeled totals — so totals decompose exactly:
-        #: total = Σ shards per (name, label set), mirroring the counter
-        #: decomposition.
-        self.metrics = metrics
-        #: Per-shard registries, in shard order.
-        self.shard_metrics = shard_metrics
-        self._answer_fn = answer_fn
-
-    @classmethod
-    def fallback(cls, result, reason: str | None,
-                 partitionability: Partitionability | None = None
-                 ) -> "ShardedRunResult":
-        """Wrap an unsharded :class:`RunResult` after a clean fallback."""
-        metrics = result.metrics
-        return cls(
-            shards=1, backend="inline", elapsed=result.elapsed,
-            events_processed=result.events_processed,
-            tuples_arrived=result.tuples_arrived,
-            counters=result.counters,
-            shard_counters=[result.counters.snapshot()],
-            answer_fn=result.answer,
-            partitionability=partitionability,
-            fallback_reason=reason,
-            metrics=metrics,
-            shard_metrics=[metrics],
-        )
-
-    def answer(self) -> Multiset:
-        """Live result multiset Q(now): the sum of the shard views'
-        snapshots (every result lives in exactly one shard)."""
-        return self._answer_fn()
-
-    @property
-    def touches(self) -> int:
-        return self.counters.touches
-
-    def time_per_1000(self) -> float:
-        if not self.tuples_arrived:
-            return 0.0
-        return 1000.0 * self.elapsed / self.tuples_arrived
-
-    def touches_per_tuple(self) -> float:
-        if not self.tuples_arrived:
-            return 0.0
-        return self.counters.touches / self.tuples_arrived
-
-    def __repr__(self) -> str:
-        note = (f", fallback={self.fallback_reason!r}"
-                if self.fallback_reason else "")
-        return (f"ShardedRunResult(shards={self.shards}, "
-                f"backend={self.backend!r}, events={self.events_processed}, "
-                f"tuples={self.tuples_arrived}, "
-                f"elapsed={self.elapsed:.3f}s, touches={self.touches}{note})")
-
-
-# -- the sharded executor ------------------------------------------------------
-
-
-class ShardedExecutor:
-    """Runs one continuous query as ``k`` key-routed one-member replicas.
-
-    ``backend`` is ``"serial"`` (in-process reference) or ``"process"``
-    (forked worker pool).  When the plan is unshardable, ``shards == 1``,
-    or fork is unavailable for the process backend, execution degrades
-    gracefully (recorded in the result's ``fallback_reason`` / ``backend``).
-    ``inline`` is an already compiled :class:`Executor` over the same plan:
-    a fallback runs on it instead of compiling a second pipeline, and its
-    subscribers receive the merged stream.
-    """
-
-    def __init__(self, plan: LogicalNode,
-                 config: ExecutionConfig | None = None,
-                 shards: int = 2, backend: str = PROCESS,
-                 inline: Executor | None = None):
-        check_run_args(shards=shards, shard_backend=backend)
-        self.plan = plan
-        self.config = config if config is not None else ExecutionConfig()
-        self.shards = shards
-        self.backend = backend
-        self.partitionability = analyze_partitionability(plan)
-        self._inline = inline
-        self._subscribers: list[Callable[[Tuple, float], None]] = (
-            [] if inline is None else inline.driver._subscribers)
-
-    def subscribe(self, callback: Callable[[Tuple, float], None]) -> None:
-        """Receive the merged output stream in deterministic
-        ``(now, shard, sequence)`` order."""
-        self._subscribers.append(callback)
-
-    def run(self, events: Iterable[Event],
-            batch: int | None = None) -> ShardedRunResult:
-        part = self.partitionability
-        run = _run_replicas(
-            [("", self.plan, self.config)], part, events, shards=self.shards,
-            backend=self.backend, batch=batch,
-            subscribers=[self._subscribers])
-        if run is None:
-            executor = self._inline
-            if executor is None:
-                executor = Executor(compile_plan(self.plan, self.config))
-                for callback in self._subscribers:
-                    executor.subscribe(callback)
-            return ShardedRunResult.fallback(
-                executor.run(events, batch=batch), part.reason, part)
-        finals = run.member(0)
-        metrics, shard_metrics = _merge_shard_metrics(
-            run.finals, [{}], run.router)
-        return ShardedRunResult(
-            shards=self.shards,
-            backend=run.backend,
-            elapsed=run.elapsed,
-            events_processed=run.events_processed,
-            tuples_arrived=run.tuples_arrived,
-            counters=_sum_counters(final.counters for final in finals),
-            shard_counters=[final.counters for final in finals],
-            answer_fn=lambda: _sum_answers(finals),
-            partitionability=part,
-            per_shard_arrivals=list(run.router.per_shard_arrivals),
-            state_size=sum(final.state_size for final in finals),
-            metrics=metrics,
-            shard_metrics=shard_metrics,
-        )
-
-
 # -- group sharding ------------------------------------------------------------
 
 
@@ -956,127 +773,3 @@ def analyze_group_partitionability(
                     f"members key stream {stream!r} on both "
                     f"{prior.attr!r} and {shard_key.attr!r}")
     return Partitionability(True, keys, None)
-
-
-class ShardedGroupRunResult:
-    """Sharded counterpart of :class:`~.multi.GroupRunResult`."""
-
-    def __init__(self, *, answers: dict[str, Multiset],
-                 member_counters: dict[str, Counters],
-                 shard_counters: list[dict[str, dict]],
-                 elapsed: float, events_processed: int, tuples_arrived: int,
-                 shards: int, backend: str,
-                 partitionability: Partitionability | None = None,
-                 fallback_reason: str | None = None,
-                 shared_touches: int = 0, metrics: MetricsRegistry):
-        self.names = list(answers)
-        self.elapsed = elapsed
-        self.events_processed = events_processed
-        self.tuples_arrived = tuples_arrived
-        self.shards = shards
-        self.backend = backend
-        self.partitionability = partitionability
-        self.fallback_reason = fallback_reason
-        self.shard_counters = shard_counters
-        self.member_counters = member_counters
-        #: Merged registry over all members and shards (labels ``query=``
-        #: plus ``shard=``; unlabeled-per-query series are the shard sums).
-        self.metrics = metrics
-        self._answers = answers
-        self._shared_touches = shared_touches
-
-    @classmethod
-    def from_fallback(cls, result, reason: str | None,
-                      partitionability: Partitionability | None = None
-                      ) -> "ShardedGroupRunResult":
-        """Wrap the unsharded :class:`GroupRunResult` of a graceful
-        fallback: its end-of-run answers and counters, plus ``reason``."""
-        group = result.group
-        return cls(
-            answers={name: result.answer(name) for name in group.names()},
-            member_counters={name: group[name].counters
-                             for name in group.names()},
-            shard_counters=[], elapsed=result.elapsed,
-            events_processed=result.events_processed,
-            tuples_arrived=result.tuples_arrived,
-            shards=1, backend="inline",
-            partitionability=partitionability, fallback_reason=reason,
-            shared_touches=result.shared_touches(),
-            metrics=result.metrics,
-        )
-
-    def answer(self, name: str) -> Multiset:
-        return self._answers[name]
-
-    def answers(self) -> dict[str, dict]:
-        return {name: dict(self.answer(name)) for name in self.names}
-
-    def time_per_1000(self) -> float:
-        if not self.tuples_arrived:
-            return 0.0
-        return 1000.0 * self.elapsed / self.tuples_arrived
-
-    def touches(self) -> dict[str, int]:
-        return {name: counters.touches
-                for name, counters in self.member_counters.items()}
-
-    def shared_touches(self) -> int:
-        """Touches of shared producers: nonzero only after a shared group
-        fell back (sharded replicas always run members independently)."""
-        return self._shared_touches
-
-    def total_touches(self) -> int:
-        return sum(self.touches().values()) + self.shared_touches()
-
-    def __repr__(self) -> str:
-        note = (f", fallback={self.fallback_reason!r}"
-                if self.fallback_reason else "")
-        return (f"ShardedGroupRunResult(queries={len(self.names)}, "
-                f"shards={self.shards}, backend={self.backend!r}, "
-                f"events={self.events_processed}, "
-                f"elapsed={self.elapsed:.3f}s{note})")
-
-
-def run_group_sharded(group, events: Iterable[Event], *, shards: int,
-                      backend: str = PROCESS,
-                      batch: int | None = None) -> ShardedGroupRunResult:
-    """Run every member of ``group`` across ``shards`` key-routed replicas.
-
-    Each replica holds one pipeline per member; subscribers attached to a
-    member (``group[name].subscribe``) receive its merged output stream.
-    Shared groups (``shared=True``) fuse state *across* queries, which a
-    shard replica cannot hold independently per key — they fall back to the
-    ordinary lockstep run, as do groups whose members are unshardable or
-    disagree on a stream's key.
-    """
-    check_run_args(batch, shards, backend)
-    if group.shared:
-        return ShardedGroupRunResult.from_fallback(
-            group.run(events, batch=batch),
-            "shared groups fuse subplans across queries; run the members "
-            "as an independent group to shard them")
-    names = group.names()
-    members = [(name, group[name].plan, group[name].config) for name in names]
-    part = analyze_group_partitionability(members)
-    run = _run_replicas(
-        members, part, events, shards=shards, backend=backend, batch=batch,
-        subscribers=[group[name].executor.driver._subscribers
-                     for name in names])
-    if run is None:
-        return ShardedGroupRunResult.from_fallback(
-            group.run(events, batch=batch), part.reason, part)
-    metrics, _per_shard = _merge_shard_metrics(
-        run.finals, [{"query": name} for name in names], run.router)
-    return ShardedGroupRunResult(
-        answers={name: _sum_answers(run.member(i))
-                 for i, name in enumerate(names)},
-        member_counters={
-            name: _sum_counters(final.counters for final in run.member(i))
-            for i, name in enumerate(names)},
-        shard_counters=[
-            {name: final.counters for name, final in zip(names, shard)}
-            for shard in run.finals],
-        elapsed=run.elapsed, events_processed=run.events_processed,
-        tuples_arrived=run.tuples_arrived, shards=shards,
-        backend=run.backend, partitionability=part, metrics=metrics,
-    )

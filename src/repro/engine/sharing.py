@@ -138,8 +138,8 @@ class SharedProducer:
         self.counters = Counters()
         self.compiled = compile_plan(subtree, config, self.counters)
         self._view = self.compiled.view = _RecordingView()
-        # The same compiled program and driver as everywhere else; no
-        # façade is needed because the group owns run-level orchestration.
+        # The same compiled program and driver as every query's; the group
+        # owns run-level orchestration.
         self.driver = Driver(self.compiled, build_program(self.compiled))
         #: Base streams the subtree reads — arrivals on these dispatch.
         self.streams = frozenset(
@@ -281,13 +281,8 @@ class SharedRuntime:
 
     def shared_counters(self) -> Counters:
         """Aggregate of all producer counters (group-level shared state)."""
-        total = Counters()
-        for producer in self._producers.values():
-            for field in Counters.__slots__:
-                setattr(total, field,
-                        getattr(total, field) + getattr(producer.counters,
-                                                        field))
-        return total
+        return Counters.total(producer.counters.snapshot()
+                              for producer in self._producers.values())
 
     def shared_state_size(self) -> int:
         return sum(p.state_size() for p in self._producers.values())

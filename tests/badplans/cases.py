@@ -45,7 +45,7 @@ from repro.core.plan import (
 )
 from repro.core.sharding import Partitionability, analyze_partitionability
 from repro.core.tuples import Schema
-from repro.engine.executor import Executor
+from repro.engine.driver import Driver
 from repro.engine.program import build_program
 from repro.engine.strategies import (
     STR_NEGATIVE,
@@ -308,7 +308,7 @@ def _als702_closure_captures_plan_node() -> LintReport:
     hot path now holds pre-seal planning state."""
     plan = queries.query1(_GEN, WINDOW)
     _config, compiled = _compiled(plan, mode=Mode.UPA)
-    driver = Executor(compiled).driver
+    driver = Driver(compiled, build_program(compiled))
     stream, arrivals = next(iter(driver._arrivals_pt.items()))
     compiled_arrival = arrivals[0]
 

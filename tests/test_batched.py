@@ -239,7 +239,7 @@ class TestFallbacksAreCounted:
 
     def test_non_monotone_batch(self):
         query = self._query("filter-prefix-join")
-        driver = query.executor.driver
+        driver = query.executor
         driver.process_batch([Arrival(1.0, "s0", (1,)),
                               Arrival(2.0, "s1", (1,))])
         assert driver.batch_fallbacks == {}
@@ -253,12 +253,12 @@ class TestFallbacksAreCounted:
         query = self._query("count-window")
         events = [Arrival(float(i), "s0", (i % 2,)) for i in range(10)]
         result = query.run(events, batch=4)
-        assert query.executor.driver.batch_fallbacks == {"count_window": 3}
+        assert query.executor.batch_fallbacks == {"count_window": 3}
         assert "row loop: count window; fallbacks: count_window=3" \
             in query.explain()
         assert result.metrics.value("batch_fallback_total",
                                     reason="count_window") == 3
-        query.executor.driver.flush_metrics()  # idempotent
+        query.executor.flush_metrics()  # idempotent
         assert result.metrics.value("batch_fallback_total",
                                     reason="count_window") == 3
 
@@ -270,7 +270,7 @@ class TestFallbacksAreCounted:
         table = Relation("r", Schema(["w"]))
         plan = b0.where(small).join_relation(table, "v", "w").build()
         driver = ContinuousQuery(
-            plan, ExecutionConfig(mode=Mode.UPA)).executor.driver
+            plan, ExecutionConfig(mode=Mode.UPA)).executor
         assert driver.batch_loop().startswith("on (1 column plan(s)")
         driver.process_batch([Arrival(1.0, "s0", (1,)),
                               RelationUpdate(2.0, "r", "insert", (1,))])
@@ -280,7 +280,7 @@ class TestFallbacksAreCounted:
         query = self._query("bare-minus")
         query.run([Arrival(float(i), f"s{i % 2}", (i % 3,))
                    for i in range(20)], batch=4)
-        assert query.executor.driver.batch_fallbacks == {}
+        assert query.executor.batch_fallbacks == {}
 
 
 class TestMetricDenominators:

@@ -19,11 +19,9 @@ from repro import (
     Mode,
     QueryGroup,
     Schema,
-    ShardedExecutor,
     StreamDef,
     TimeWindow,
     from_window,
-    run_group_sharded,
 )
 from repro.errors import ConfigError, PlanError, ReproError
 
@@ -72,26 +70,24 @@ def _group(shared=False):
     return group
 
 
-def _sharded_executor(events, batch=None, shards=2, shard_backend="process"):
-    return ShardedExecutor(_plan(), shards=shards,
-                           backend=shard_backend).run(events, batch)
-
-
-def _run_group_sharded(shared):
+def _sharded(make):
+    """``make().run`` sharded unless the row says otherwise."""
     def run(events, batch=None, shards=2, shard_backend="process"):
-        return run_group_sharded(_group(shared), events, shards=shards,
-                                 backend=shard_backend, batch=batch)
+        return make().run(events, batch=batch, shards=shards,
+                          shard_backend=shard_backend)
     return run
 
 
-#: Every run entry point, as ``call(events, **run_args)``.
+#: Every run entry point, as ``call(events, **run_args)``: a query and an
+#: independent and a shared group, each as called and sharded by default
+#: (the ``sharded_executor`` and ``run_group_sharded*`` rows).
 RUN_ENTRY_POINTS = {
     "query": lambda events, **kw: ContinuousQuery(_plan()).run(events, **kw),
     "group": lambda events, **kw: _group().run(events, **kw),
     "shared_group": lambda events, **kw: _group(True).run(events, **kw),
-    "sharded_executor": _sharded_executor,
-    "run_group_sharded": _run_group_sharded(False),
-    "run_group_sharded_shared": _run_group_sharded(True),
+    "sharded_executor": _sharded(lambda: ContinuousQuery(_plan())),
+    "run_group_sharded": _sharded(_group),
+    "run_group_sharded_shared": _sharded(lambda: _group(True)),
 }
 
 

@@ -194,7 +194,7 @@ def drive(plan, events, config, how, subscribe_at, exact):
         if how == "event":
             executor.process_event(chunk[0])
         elif how == "reference":
-            reference_step(executor.driver, chunk[0])
+            reference_step(executor, chunk[0])
         else:
             executor.process_batch(chunk)
         for event in chunk:
@@ -311,7 +311,7 @@ def test_a_group_that_empties_and_refills_is_one_row(mode, how):
         if how == "event":
             query.executor.process_event(chunk[0])
         elif how == "reference":
-            reference_step(query.executor.driver, chunk[0])
+            reference_step(query.executor, chunk[0])
         else:
             query.executor.process_batch(chunk)
         seen.append(query.answer())

@@ -98,12 +98,11 @@ class TestShardWorkerFailures:
         """A process-backend run of an ``n_members`` replica: the
         single-query entry point for one member, a group otherwise."""
         from repro import QueryGroup
-        from repro.engine.shard import ShardedExecutor
 
         if n_members == 1:
-            return ShardedExecutor(
-                self._plan(), ExecutionConfig(mode=Mode.NT),
-                shards=2, backend="process").run(events)
+            return ContinuousQuery(
+                self._plan(), ExecutionConfig(mode=Mode.NT)).run(
+                    events, shards=2, shard_backend="process")
         group = QueryGroup()
         for name, plan, config in self._members(n_members, Mode.NT):
             group.add(name, plan, config)
@@ -157,7 +156,6 @@ class TestShardWorkerFailures:
         ...")`` carrying the original type and message — never as an opaque
         EOFError, and never as a silent partial merge."""
         from repro.core.plan import PredicateBuilder
-        from repro.engine.shard import ShardedExecutor
 
         def make(schema):
             def bomb(values):
@@ -168,13 +166,12 @@ class TestShardWorkerFailures:
 
         predicate = PredicateBuilder(attrs=("v",), make=make, label="bomb")
         plan = from_window(stream("s0")).where(predicate).build()
-        executor = ShardedExecutor(plan, ExecutionConfig(mode=Mode.NT),
-                                   shards=2, backend="process")
+        query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.NT))
         events = [Arrival(0.1 * i, "s0", (i % 32,)) for i in range(600)]
         with pytest.raises(ExecutionError, match=(
                 r"shard worker failed: "
                 r"ValueError: injected predicate failure at v=7")):
-            executor.run(iter(events))
+            query.run(iter(events), shards=2, shard_backend="process")
         # The pool was aborted: no worker outlives the failed run.
         import multiprocessing
         assert not any(p.is_alive()
@@ -254,23 +251,27 @@ class TestShardWorkerFailures:
         path, whatever the replica holds."""
         self._kill_on_shm_transport(3)
 
-    def test_hung_worker_is_detected_terminated_and_reported(self):
+    def test_hung_worker_is_detected_terminated_and_reported(
+            self, monkeypatch):
         """A worker that never exits after finishing must be terminated,
         reaped and reported — not silently leaked as a zombie."""
-        import multiprocessing
         import time
 
-        from repro.engine.shard import _WorkerPool
+        from repro.engine import shard
 
-        context = multiprocessing.get_context("fork")
-        pool = _WorkerPool()
-        pool.join_grace = 0.2  # don't wait the production 30 s in a test
-        pool._spawn(context, time.sleep, lambda _conn, _i: (60,), 1)
+        # Don't wait the production 30 s + 5 s grace periods in a test.
+        monkeypatch.setattr(shard._ProcessShards, "join_grace", 0.2)
+        monkeypatch.setattr(shard._ProcessShards, "reap_grace", 0.5)
+        monkeypatch.setattr(shard, "_shard_worker_main",
+                            lambda *_args: time.sleep(60))
+        pool = shard._ProcessShards(
+            self._members(1, Mode.NT), 1, None, [False])
         try:
             with pytest.raises(ExecutionError, match="failed to exit"):
                 pool._join_all()
             assert all(not p.is_alive() for p in pool._processes)
             assert all(p.exitcode is not None for p in pool._processes)
+            assert pool._arena is None or pool._arena._closed
         finally:
             pool._abort()
 

@@ -148,7 +148,7 @@ class TestCrossRegimeMatrix:
         query = ContinuousQuery(self.plan(),
                                 ExecutionConfig(mode=Mode.UPA, **cfg))
         if sample_events is not None:
-            query.executor.driver.sample_events = sample_events
+            query.executor.sample_events = sample_events
         outputs = []
         query.subscribe(
             lambda t, now: outputs.append((t.values, t.ts, t.exp, t.sign,

@@ -93,7 +93,7 @@ def drive(plan, events, config, how, every, subscribe_at):
         if how == "event":
             executor.process_event(chunk[0])
         elif how == "reference":
-            reference_step(executor.driver, chunk[0])
+            reference_step(executor, chunk[0])
         else:
             executor.process_batch(chunk)
         for event in chunk:

@@ -27,7 +27,6 @@ from repro import (
     CountWindow,
     DupElim,
     ExecutionConfig,
-    Executor,
     GroupBy,
     Intersect,
     Join,
@@ -47,6 +46,8 @@ from repro import (
     WindowScan,
     compile_plan,
 )
+from repro.engine.driver import Driver
+from repro.engine.program import build_program
 from repro.engine.views import BufferView
 from repro.operators.dupelim import DupElimStandardOp
 from repro.operators.join import JoinOp
@@ -131,7 +132,7 @@ def with_lazy_purges(plan, config):
     """The NT pipeline with those lazy participants put back."""
     compiled = compile_plan(plan, config)
     compiled.lazy_ops.extend(lazily_maintained(compiled))
-    return Executor(compiled)
+    return Driver(compiled, build_program(compiled))
 
 
 def stored(compiled):
@@ -202,7 +203,7 @@ def test_every_nt_program_has_no_lazy_participant(shape):
     assert bool(lazily_maintained(query.compiled)) == (shape in STORING)
     assert query.compiled.lazy_ops == []
     assert " lazy=0 " in query.executor.program.describe()
-    assert not query.executor.driver._lazy_check
+    assert not query.executor._lazy_check
 
 
 @pytest.mark.parametrize("mode", [Mode.UPA, Mode.DIRECT],

@@ -192,7 +192,7 @@ class TestOwnershipAndBounds:
         except PlanError:
             assert mode is Mode.DIRECT  # strict plans reject DIRECT
             return
-        report = lint_compiled(query.compiled, driver=query.executor.driver)
+        report = lint_compiled(query.compiled, driver=query.executor)
         assert report.ok and not report.diagnostics, report.render()
 
     @pytest.mark.parametrize("checked", [False, True])
@@ -216,7 +216,7 @@ class TestOwnershipAndBounds:
             slots = ["input", "groups"]
         query = ContinuousQuery(plan, ExecutionConfig(
             mode=Mode.UPA, checked=checked))
-        report = lint_compiled(query.compiled, driver=query.executor.driver)
+        report = lint_compiled(query.compiled, driver=query.executor)
         assert report.ok and not report.diagnostics, report.render()
         entries = attach_certificate(query.compiled).entries
         assert [e.label for e in entries if e.path == "$"] == slots
@@ -241,7 +241,7 @@ class TestOwnershipAndBounds:
         for name in group.names():
             query = group[name]
             report = lint_compiled(query.compiled,
-                                   driver=query.executor.driver)
+                                   driver=query.executor)
             assert report.ok and not report.diagnostics, (
                 f"{name}:\n{report.render()}")
             pipelines.append((name, query.compiled))

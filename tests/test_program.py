@@ -5,9 +5,13 @@ dispatch implementation in the engine, shared by per-tuple, batched,
 shared, and sharded execution — is pinned here by source inspection and
 by structural checks on :class:`~repro.engine.program.ExecutionProgram`:
 
-* ``executor.py`` is a façade and ``sharing.py`` an orchestrator: neither
-  defines or calls an event-loop step method, and there is no timed
-  ``_*_timed`` duplicate family (the pre-refactor executor carried both).
+* ``executor.py`` holds run arguments and results and ``sharing.py`` is an
+  orchestrator: neither defines or calls an event-loop step method, and
+  there is no timed ``_*_timed`` duplicate family.
+* A query runs itself: ``query.executor`` is its ``Driver``, so a
+  per-tuple loop bound to ``query.executor.process_event`` — a benchmark's,
+  or a shared group's over its members — calls the compiled closure and
+  nothing in ``query.py`` or ``executor.py``.
 * ``Driver`` defines exactly one implementation of each step its compiled
   loops call and none of the Section-2 interpreter's; operators have one
   arrival entry point (``process_batch``) and one fusion hook (``kernel``).
@@ -19,7 +23,10 @@ by structural checks on :class:`~repro.engine.program.ExecutionProgram`:
 
 from __future__ import annotations
 
+import cProfile
+import gc
 import inspect
+import pstats
 import sys
 
 import pytest
@@ -33,10 +40,12 @@ from repro import (
     StreamDef,
     TimeWindow,
     attr_equals,
+    compile_plan,
     from_window,
 )
 from repro.engine import driver as driver_module
 from repro.engine import executor as executor_module
+from repro.engine import query as query_module
 from repro.engine import sharing as sharing_module
 from repro.engine.driver import Driver
 from repro.engine.program import (
@@ -64,7 +73,7 @@ def _join_plan():
 
 
 class TestSingleImplementation:
-    """executor.py is a façade; the loop lives in driver.py, once."""
+    """executor.py holds no loop; the loop lives in driver.py, once."""
 
     def test_executor_module_has_no_event_loop(self):
         source = inspect.getsource(executor_module)
@@ -123,7 +132,7 @@ class TestSingleImplementation:
         monkeypatch.setattr(Driver, "sample_events",
                             1 if sampled else sys.maxsize)
         driver = ContinuousQuery(
-            _join_plan(), ExecutionConfig(mode=Mode.UPA)).executor.driver
+            _join_plan(), ExecutionConfig(mode=Mode.UPA)).executor
         driver.process_batch([Arrival(1.0, "s0", (1,))])
         assert bool(len(driver.compiled.metrics)) is sampled
         assert len(driver.__dict__) <= 30
@@ -151,6 +160,95 @@ class TestSingleImplementation:
         producers = group.shared_producers()
         assert producers, "identical members must fuse"
         assert all(type(p.driver) is Driver for p in producers)
+
+
+def _profile(process_event, events) -> pstats.Stats:
+    profiler = cProfile.Profile()
+    gc.disable()  # collector callbacks (hypothesis installs one) are calls
+    try:
+        profiler.enable()
+        for event in events:
+            process_event(event)
+        profiler.disable()
+    finally:
+        gc.enable()
+    return pstats.Stats(profiler)
+
+
+def _calls_by_frame(stats: pstats.Stats) -> dict:
+    return {(file, name): counts[1]
+            for (file, _line, name), counts in stats.stats.items()}
+
+
+class TestQueryRunsItself:
+    """``query.executor`` is the query's ``Driver`` — no layer between a
+    query and its compiled loop."""
+
+    N = 400
+
+    def _events(self):
+        return [Arrival(0.25 * i, f"s{i % 2}", (i % 5,))
+                for i in range(self.N)]
+
+    def test_executor_is_the_driver_and_its_closure(self):
+        query = ContinuousQuery(_join_plan(), ExecutionConfig(mode=Mode.UPA))
+        driver = query.executor
+        assert type(driver) is Driver
+        assert driver.compiled is query.compiled
+        closure = driver.process_event
+        assert closure is driver.__dict__["process_event"]
+        assert inspect.isfunction(closure)
+        assert closure.__code__.co_filename == driver_module.__file__
+        query.run(self._events()[:40])
+        query.run(self._events()[40:80], batch=8)
+        assert query.executor is driver
+        assert driver.process_event is closure
+
+    @pytest.mark.parametrize("batch", [None, 8])
+    def test_on_event_receives_the_driver(self, batch):
+        query = ContinuousQuery(_join_plan(), ExecutionConfig(mode=Mode.UPA))
+        seen = []
+        result = query.run(self._events()[:40], batch=batch,
+                           on_event=lambda runner, event: seen.append(runner))
+        assert len(seen) == 40
+        assert all(runner is query.executor for runner in seen)
+        assert result.executor is query.executor
+
+    def test_per_tuple_events_make_only_the_closures_calls(self):
+        """N events through ``query.executor.process_event`` make exactly
+        the calls the same closure makes on a bare driver: N calls of the
+        closure and none into ``engine/query.py`` or ``engine/executor.py``."""
+        config = ExecutionConfig(mode=Mode.UPA)
+        events = self._events()
+        stats = _profile(ContinuousQuery(_join_plan(), config)
+                         .executor.process_event, events)
+        compiled = compile_plan(_join_plan(), config)
+        bare = _profile(Driver(compiled, build_program(compiled))
+                        .process_event, events)
+        assert stats.total_calls == bare.total_calls
+        called = _calls_by_frame(stats)
+        assert called[(driver_module.__file__, "process_event")] == self.N
+        assert not any(file in (query_module.__file__,
+                                executor_module.__file__)
+                       for file, _name in called)
+
+    def test_shared_group_members_run_their_closures_directly(self):
+        from repro import QueryGroup
+
+        group = QueryGroup(shared=True)
+        for name in ("a", "b"):
+            group.add(name, from_window(stream("s0")).distinct()
+                      .join(from_window(stream("s1")), on="v").build(),
+                      ExecutionConfig(mode=Mode.UPA))
+        assert group.shared_producers()
+        called = _calls_by_frame(_profile(group.process_event,
+                                          self._events()))
+        # Two members and one producer, each its own compiled closure.
+        assert called[(driver_module.__file__, "process_event")] \
+            == 3 * self.N
+        assert not any(file in (query_module.__file__,
+                                executor_module.__file__)
+                       for file, _name in called)
 
 
 class TestProgramStructure:
@@ -245,10 +343,8 @@ class TestProgramExecutionEquivalence:
         assert reference.answer() == batched.answer()
 
     def test_driver_runs_program_standalone(self):
-        """A Driver over a fresh program processes events without the
-        Executor façade — the program IR is self-sufficient."""
-        from repro.engine.strategies import compile_plan
-
+        """A Driver over a fresh program processes events without a
+        ContinuousQuery around it — the program IR is self-sufficient."""
         compiled = compile_plan(_join_plan(), ExecutionConfig(mode=Mode.UPA))
         driver = Driver(compiled, build_program(compiled))
         for event in self._events(60):

@@ -43,12 +43,10 @@ from repro import (
     ContinuousQuery,
     ExecutionConfig,
     ExecutionError,
-    Executor,
     Mode,
     Predicate,
     QueryGroup,
     Schema,
-    ShardedExecutor,
     StreamDef,
     Tick,
     TimeWindow,
@@ -60,6 +58,8 @@ from repro import (
     stable_hash,
 )
 from repro.core.plan import DupElim, Join, Negation, Project, WindowScan
+from repro.engine.driver import Driver
+from repro.engine.program import build_program
 from repro.streams.window import CountWindow
 from repro.workloads.queries import (
     query1,
@@ -103,11 +103,11 @@ def run_unsharded(plan, events, mode, batch=None):
 
 
 def run_sharded(plan, events, mode, shards, backend, batch=None):
-    sharded = ShardedExecutor(plan, ExecutionConfig(mode=mode),
-                              shards=shards, backend=backend)
+    query = ContinuousQuery(plan, ExecutionConfig(mode=mode))
     outputs = []
-    sharded.subscribe(lambda t, now: outputs.append((t, now)))
-    result = sharded.run(iter(events), batch=batch)
+    query.subscribe(lambda t, now: outputs.append((t, now)))
+    result = query.run(iter(events), batch=batch, shards=shards,
+                       shard_backend=backend)
     return result, outputs
 
 
@@ -458,6 +458,38 @@ class TestFallbacks:
             ExecutionConfig(mode=Mode.UPA)).run(events)
         assert result.answer() == baseline.answer()
 
+    def test_count_window_fallback_reports_the_live_pipeline(self):
+        """After a fallback the sharding surface holds the unsharded
+        values — one shard holding every arrival, and the state and
+        counters of the pipeline that ran — not zeros and empty lists."""
+        stream = StreamDef("s0", V_SCHEMA, CountWindow(50))
+        query = ContinuousQuery(from_window(stream).distinct().build())
+        result = query.run(random_arrivals(80, n_streams=1), shards=2,
+                           shard_backend="serial")
+        assert "count-based window" in result.fallback_reason
+        assert not result.partitionability.shardable
+        assert (result.shards, result.backend) == (1, "inline")
+        assert result.per_shard_arrivals == [result.tuples_arrived] == [80]
+        assert result.state_size == query.compiled.state_size() > 0
+        assert result.shard_counters == [query.counters.snapshot()]
+        assert result.counters is query.counters
+
+    def test_shared_group_fallback_reports_the_live_pipelines(self):
+        """The same for a shared group: its state is the members' plus the
+        shared producers'."""
+        group = QueryGroup(shared=True)
+        group.add("a", query1(_GEN, _WINDOW))
+        group.add("b", query1(_GEN, _WINDOW))
+        result = group.run(iter(_EVENTS[:300]), shards=2)
+        assert "shared groups" in result.fallback_reason
+        assert (result.shards, result.backend) == (1, "inline")
+        assert result.per_shard_arrivals == [result.tuples_arrived] == [300]
+        assert group.shared_state_size() > 0
+        assert result.state_size == group.total_state_size()
+        assert result.shard_counters == [
+            {name: group[name].counters.snapshot() for name in ("a", "b")}]
+        assert result.shared_touches() == group.shared_counters().touches > 0
+
     def test_explain_carries_shard_marker(self):
         s0, s1 = stream_pair()
         shardable = ContinuousQuery(
@@ -474,8 +506,13 @@ class TestFallbacks:
         plan = from_window(s0).distinct().build()
         query = ContinuousQuery(plan)
         result = query.run(random_arrivals(60, n_streams=1), shards=1)
-        # shards=1 short-circuits to the plain unsharded path.
-        assert not hasattr(result, "fallback_reason")
+        # shards=1 short-circuits to the plain unsharded path: no verdict,
+        # no fallback, the unsharded values of the sharding surface.
+        assert result.partitionability is None
+        assert result.fallback_reason is None
+        assert (result.shards, result.backend) == (1, "inline")
+        assert result.per_shard_arrivals == [result.tuples_arrived]
+        assert result.state_size == query.compiled.state_size()
 
     def test_on_event_with_shards_rejected(self):
         s0, _ = stream_pair()
@@ -494,13 +531,15 @@ class TestFallbacks:
     def test_unknown_backend_rejected(self):
         s0, _ = stream_pair()
         with pytest.raises(ConfigError, match="backend"):
-            ShardedExecutor(from_window(s0).build(), backend="threads")
+            ContinuousQuery(from_window(s0).build()).run(
+                [], shards=2, shard_backend="threads")
 
     def test_sharded_executor_reports_balance(self):
         s0, s1 = stream_pair()
         plan = from_window(s0).join(from_window(s1), on="v").build()
-        sharded = ShardedExecutor(plan, shards=3, backend="serial")
-        result = sharded.run(random_arrivals(120))
+        result = ContinuousQuery(plan).run(random_arrivals(120), shards=3,
+                                           shard_backend="serial")
+        assert len(result.per_shard_arrivals) == 3
         assert sum(result.per_shard_arrivals) == result.tuples_arrived
         assert result.state_size >= 0
         assert "shards=3" in repr(result)
@@ -511,7 +550,6 @@ class TestFallbacks:
         the column loop keeps columnar whether the batch is timed and
         sampled (period 1) or not (a period longer than the run)."""
         from repro.engine.columnar import ChunkTable
-        from repro.engine.driver import Driver
 
         s0, s1 = stream_pair()
         small = Predicate(("v",), lambda vals: vals[0] <= 3, "v <= 3")
@@ -525,7 +563,7 @@ class TestFallbacks:
         for period in (1, sys.maxsize):
             monkeypatch.setattr(Driver, "sample_events", period)
             driver = ContinuousQuery(
-                plan, ExecutionConfig(mode=Mode.UPA)).executor.driver
+                plan, ExecutionConfig(mode=Mode.UPA)).executor
             assert driver.batch_loop().startswith("on (2 column plan(s)")
             driver.process_batch(ChunkTable.from_events(events))
             assert driver.batch_fallbacks == {}
@@ -558,8 +596,9 @@ class TestFallbacks:
     def test_sharded_touches_per_event_removed(self):
         s0, _ = stream_pair()
         plan = from_window(s0).distinct().build()
-        sharded = ShardedExecutor(plan, shards=2, backend="serial")
-        result = sharded.run(random_arrivals(40, n_streams=1))
+        result = ContinuousQuery(plan).run(random_arrivals(40, n_streams=1),
+                                           shards=2, shard_backend="serial")
+        assert result.shards == 2
         assert not hasattr(result, "touches_per_event")
 
 
@@ -658,13 +697,13 @@ class TestGroupSharding:
         from repro.engine import shard
 
         sent = Multiset()
-        real_send = shard._WorkerPool._send
+        real_send = shard._ProcessShards._send
 
         def counting_send(self, conn, message):
             sent[message[0]] += 1
             real_send(self, conn, message)
 
-        monkeypatch.setattr(shard._WorkerPool, "_send", counting_send)
+        monkeypatch.setattr(shard._ProcessShards, "_send", counting_send)
         events = list(_EVENTS[:254])
         at = events[70].ts  # inside the second 64-event chunk
         events[70:70] = [Arrival(at, "noise", (1,)),
@@ -751,11 +790,12 @@ def test_replica_of_n_members_equals_n_one_member_runs(
 
 
 def test_one_worker_main_one_class_per_backend():
-    """Groups and queries share the sharded runtime: the group copies of
-    the backends, the worker loop and the parent loop are gone."""
+    """Groups and queries share the sharded runtime: one worker loop, one
+    class per backend, and one parent loop that ``ContinuousQuery.run``
+    and ``QueryGroup.run`` call directly — neither feeds a chunk itself."""
     import inspect
 
-    from repro.engine import executor, multi, shard
+    from repro.engine import executor, multi, query, shard
 
     own = {name: obj for name, obj in vars(shard).items()
            if getattr(obj, "__module__", None) == shard.__name__}
@@ -764,13 +804,15 @@ def test_one_worker_main_one_class_per_backend():
     assert sorted(name for name, obj in own.items()
                   if inspect.isclass(obj) and hasattr(obj, "feed_chunk")) \
         == ["_ProcessShards", "_SerialShards"]
-    # One parent loop: the entry points only shape results.
+    # One parent loop: the run entry points call it, none of its pieces.
     assert inspect.getsource(shard).count("_chunked(") == 1
-    for entry in (shard.run_group_sharded, shard.ShardedExecutor.run):
+    for entry in (query.ContinuousQuery.run, multi.QueryGroup.run):
         source = inspect.getsource(entry)
-        assert "_run_replicas(" in source
-        assert "feed" not in source and "for chunk" not in source
-    assert multi._chunked is executor._chunked is shard._chunked
+        assert source.count("_run_replicas(") == 1
+        for piece in ("feed_chunk", "route_chunk", "_Merger", "Shards("):
+            assert piece not in source, (entry, piece)
+    assert multi._chunked is executor._chunked is shard._chunked \
+        is query._chunked
 
 
 def test_compile_plan_unaffected_by_analysis():
@@ -780,9 +822,10 @@ def test_compile_plan_unaffected_by_analysis():
     plan = from_window(s0).join(from_window(s1), on="v").build()
     analyze_partitionability(plan)
     compiled = compile_plan(plan, ExecutionConfig(mode=Mode.UPA))
-    executor = Executor(compiled)
-    result = executor.run(random_arrivals(100))
+    driver = Driver(compiled, build_program(compiled))
+    for event in random_arrivals(100):
+        driver.process_event(event)
     baseline = ContinuousQuery(
         from_window(s0).join(from_window(s1), on="v").build(),
         ExecutionConfig(mode=Mode.UPA)).run(random_arrivals(100))
-    assert result.answer() == baseline.answer()
+    assert driver.answer() == baseline.answer()

@@ -256,7 +256,7 @@ class TestOneEventLoop:
                  if runtime.member(n).fused]
         assert len(fused) >= 4 and sh.shared_producers()
         for member in fused:
-            driver = member.query.executor.driver
+            driver = member.query.executor
             assert driver.batch_loop().startswith("row loop: shared port")
 
     def test_reference_loop_replays_a_fused_member(self):
@@ -273,7 +273,7 @@ class TestOneEventLoop:
             for producer in runtime.producers():
                 producer.run((event,))
             for name in slow.names():
-                reference_step(slow[name].executor.driver, event)
+                reference_step(slow[name].executor, event)
         assert slow.answers() == fast.answers()
         for name in fast.names():
             assert slow[name].counters.snapshot() == \

@@ -63,7 +63,7 @@ def join_plan():
 class TestOneDriver:
     def test_every_query_runs_the_one_driver_class(self):
         query = ContinuousQuery(join_plan(), ExecutionConfig(mode=Mode.UPA))
-        assert type(query.executor.driver) is Driver
+        assert type(query.executor) is Driver
 
     def test_make_driver_is_the_constructor(self):
         compiled = compile_plan(join_plan(), ExecutionConfig(mode=Mode.UPA))
@@ -93,7 +93,7 @@ class TestBatchLoopChoice:
                 .where(attr_equals("v", 1)).build())
         query = ContinuousQuery(plan, ExecutionConfig(
             mode=Mode.UPA, allow_unbounded_state=True))
-        assert query.executor.driver.batch_loop() \
+        assert query.executor.batch_loop() \
             == "row loop: unbounded stream"
         query.run(list(TRACE), batch=4)
         assert dict(query.answer()) == {(1,): 2}
@@ -117,10 +117,10 @@ class TestClosureIsolation:
         q2 = ContinuousQuery(join_plan(), ExecutionConfig(mode=Mode.UPA))
         q1.run(list(TRACE))
         # Driving q1 must leave q2's state, clock and counters untouched.
-        assert q2.executor.driver.now == float("-inf")
-        assert q2.executor.driver.compiled.counters.snapshot() \
+        assert q2.executor.now == float("-inf")
+        assert q2.executor.compiled.counters.snapshot() \
             == {key: 0 for key in
-                q2.executor.driver.compiled.counters.snapshot()}
+                q2.executor.compiled.counters.snapshot()}
         q2.run(list(TRACE))
         assert dict(q1.answer()) == dict(q2.answer())
 
@@ -128,7 +128,7 @@ class TestClosureIsolation:
         q1 = ContinuousQuery(join_plan(), ExecutionConfig(mode=Mode.UPA))
         q2 = ContinuousQuery(join_plan(), ExecutionConfig(mode=Mode.UPA))
         ops1 = {id(op) for op in q1.compiled.ops.values()}
-        d2 = q2.executor.driver
+        d2 = q2.executor
         for op, _expire, stages in d2._pass_plan:
             assert id(op) not in ops1
         for plans in d2._dispatch.values():
@@ -146,7 +146,7 @@ class TestFastPathLifecycle:
         monkeypatch.setattr(Driver, "sample_events",
                             1 if sampled else sys.maxsize)
         query = ContinuousQuery(join_plan(), ExecutionConfig(mode=Mode.UPA))
-        driver = query.executor.driver
+        driver = query.executor
         installed = driver.__dict__["process_event"]
         query.run(list(TRACE))
         assert driver.process_event is installed
@@ -176,7 +176,7 @@ def _drive(plan, mode, reference):
     stream = []
     query.subscribe(
         lambda t, now: stream.append((t.values, t.ts, t.exp, t.sign, now)))
-    driver = query.executor.driver
+    driver = query.executor
     for event in _EVENTS:
         if reference:
             reference_step(driver, event)

@@ -248,7 +248,8 @@ class TestViewChoices:
             self, batch):
         """Checked run over a bag ⋈ bag root: the answer is read off the
         join's state, ``len(view)`` stays 0, and the certificate and drain
-        checks (``Executor.run`` calls both) pass without a view entry."""
+        checks (``ContinuousQuery.run`` calls both) pass without a view
+        entry."""
         query = ContinuousQuery(
             join_plan(), ExecutionConfig(mode=Mode.UPA, checked=True))
         events = [Arrival(float(ts), f"s{ts % 2}", (ts % 3,))

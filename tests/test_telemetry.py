@@ -259,7 +259,7 @@ def _observe(plan, mode, period, monkeypatch, *, batch=None, shards=None,
         "outputs": outputs,
         "answer": sorted(result.answer().items()),
         "counters": result.counters.snapshot(),
-        "loop": query.executor.driver.batch_loop(),
+        "loop": query.executor.batch_loop(),
         "events": result.events_processed,
         "tuples": result.tuples_arrived,
     }, result
@@ -319,7 +319,7 @@ class TestEquivalence:
                 "counters": {n: group[n].counters.snapshot()
                              for n in ("a", "b")},
                 "shared": group.shared_counters().snapshot(),
-                "loops": {n: group[n].executor.driver.batch_loop()
+                "loops": {n: group[n].executor.batch_loop()
                           for n in ("a", "b")},
             }
 
@@ -435,7 +435,7 @@ class TestSurfaces:
         pipelines += [driver.compiled for replica in shards.replicas
                       for _name, driver in replica.drivers]
         assert pipelines and all(len(c.metrics) == 0 for c in pipelines)
-        query.executor.driver.flush_metrics()
+        query.executor.flush_metrics()
         assert len(query.compiled.metrics) > 0
 
     def test_metrics_present_after_every_runtime(self):
@@ -607,13 +607,13 @@ class TestArmedRunsTheSameLoops:
             outputs = []
             query.subscribe(lambda t, now, out=outputs: out.append((t, now)))
             described = query.executor.program.describe()
-            closure = query.executor.driver.process_event
+            closure = query.executor.process_event
             result = query.run(iter(EVENTS), batch=batch)
             columnar = next(line for line in query.explain().splitlines()
                             if line.startswith("-- columnar:"))
             assert columnar.startswith(footer)
             assert query.executor.program.describe() == described
-            assert query.executor.driver.process_event is closure
+            assert query.executor.process_event is closure
             observed.append((columnar, described, outputs,
                              result.counters.snapshot(),
                              sorted(result.answer().items())))
@@ -662,7 +662,7 @@ class TestArmedCallBudget:
     def _driver(self, plan, period, monkeypatch):
         monkeypatch.setattr(Driver, "sample_events", period)
         return ContinuousQuery(
-            plan, ExecutionConfig(mode=Mode.UPA)).executor.driver
+            plan, ExecutionConfig(mode=Mode.UPA)).executor
 
     @pytest.mark.parametrize("make_plan", [_filter_join_plan,
                                            _filter_distinct_plan,
@@ -729,7 +729,7 @@ class TestStateGauges:
         b0, b1 = _sources()
         query = ContinuousQuery(b0.join(b1, on="v").build(),
                                 ExecutionConfig(**cfg))
-        query.executor.driver.sample_events = 10
+        query.executor.sample_events = 10
         events = random_arrivals(n=400, seed=23)
         return query.run(events, batch=batch).metrics, len(events)
 
@@ -796,14 +796,13 @@ class TestStateGauges:
             holding += oldest < math.inf
         assert holding  # state was held, so the check was not vacuous
 
-        driver = executor.driver
-        nt = driver.flush_metrics()
+        nt = executor.flush_metrics()
         lags = nt.find("expiration_lag")
         assert not query.compiled.lazy_ops
         assert {g.labels["kind"] for g in lags} == {"WindowOp"}
         assert all(g.value == 0.0 for g in lags)
         assert not any(scanned for _op, _depth, _lag, scanned
-                       in driver._metrics._ops)
+                       in executor._metrics._ops)
         upa, _ = self._run(batch=batch, mode=Mode.UPA, lazy_interval=40.0)
         assert max(g.value for g in upa.find("expiration_lag")) > 0
 
@@ -830,7 +829,7 @@ def _shared_member_plans():
 
 class TestSamplesEveryRuntime:
     """Every runner takes state samples mid-run — per tuple and batched —
-    not only ``Executor.run``: group members and producers, and the
+    not only ``ContinuousQuery.run``: group members and producers, and the
     replicas of both shard backends."""
 
     PERIOD = 64
