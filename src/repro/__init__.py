@@ -98,7 +98,7 @@ from .lang.builder import (
     variance,
 )
 from .engine.multi import QueryGroup
-from .engine.sharing import SharedProducer, SharedRuntime, build_shared_runtime
+from .engine.sharing import SharedProducer
 from .engine.reeval import ReEvaluationQuery
 from .lang.catalog import SourceCatalog
 from .lang.compiler import QueryCompiler, compile_query
@@ -131,7 +131,7 @@ __all__ = [
     "WindowScan",
     "attr_equals", "ReferenceEvaluator", "StatisticsCollector",
     "ReEvaluationQuery", "QueryGroup", "GroupRunResult",
-    "SharedProducer", "SharedRuntime", "build_shared_runtime",
+    "SharedProducer",
     "fingerprint", "fingerprint_all",
     "NEGATIVE", "NEVER", "POSITIVE", "Schema", "Tuple",
     "RunResult", "ContinuousQuery", "run_query",

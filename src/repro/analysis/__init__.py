@@ -15,7 +15,7 @@ Two layers (both introduced in the same PR, both optional at run time):
 
 from .planlint import LintReport, lint, lint_compiled, lint_rewrite
 from .rules import ALL_RULES, Diagnostic, LintContext
-from .sanitizer import MonitoredBuffer, Sanitizer, verify_drain
+from .sanitizer import MonitoredBuffer, Sanitizer
 
 __all__ = [
     "ALL_RULES",
@@ -27,5 +27,4 @@ __all__ = [
     "lint_rewrite",
     "MonitoredBuffer",
     "Sanitizer",
-    "verify_drain",
 ]

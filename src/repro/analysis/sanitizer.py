@@ -341,8 +341,9 @@ class Sanitizer:
     def verify_drain(self) -> None:
         """Assert counter conservation on every monitored buffer.
 
-        Called once per run (and per shard replica / shared producer) after
-        the event stream is exhausted.
+        Called once per driver by the engine's one finish
+        (:func:`repro.engine.executor.finish_drivers`) after the event
+        stream is exhausted.
         """
         for monitored in self.buffers:
             monitored.verify_drain()
@@ -352,12 +353,4 @@ class Sanitizer:
                 f"ops={self.monitored_ops})")
 
 
-def verify_drain(compiled: Any) -> None:
-    """Module-level convenience: verify a compiled pipeline's sanitizer,
-    silently a no-op for unchecked pipelines."""
-    sanitizer = getattr(compiled, "sanitizer", None)
-    if sanitizer is not None:
-        sanitizer.verify_drain()
-
-
-__all__ = ["MonitoredBuffer", "Sanitizer", "SanitizerState", "verify_drain"]
+__all__ = ["MonitoredBuffer", "Sanitizer", "SanitizerState"]

@@ -5,7 +5,7 @@ from .multi import QueryGroup
 from .reeval import ReEvalResult, ReEvaluationQuery
 from .query import ContinuousQuery, run_query
 from .shard import ShardRouter, analyze_group_partitionability, stable_hash
-from .sharing import SharedProducer, SharedRuntime, build_shared_runtime
+from .sharing import SharedProducer
 from .strategies import (
     STR_AUTO,
     STR_NEGATIVE,
@@ -26,8 +26,6 @@ __all__ = [
     "ContinuousQuery",
     "run_query",
     "SharedProducer",
-    "SharedRuntime",
-    "build_shared_runtime",
     "ShardRouter",
     "analyze_group_partitionability",
     "stable_hash",

@@ -106,8 +106,9 @@ each state sample (one flag read per batch selects it) — per phase
 boundary (``phase_seconds``), per column-phase call (``op_process_seconds``)
 and around its first expiration pass (``expiration_pass_seconds``,
 ``op_expire_seconds``).  The batch loops end with the sample check; the
-per-tuple closure carries none, so per-tuple runners feed it in blocks
-(:meth:`Driver.process_block`) and time the block after each sample
+per-tuple closure carries none, so the one feed
+(:func:`~repro.engine.executor.feed_drivers`) makes it after every chunk
+it feeds through the closure and times the chunk after each sample
 (``per_tuple``).  Instruments are registered on the first sample.
 """
 
@@ -118,7 +119,7 @@ from bisect import bisect_left
 from itertools import compress, count, islice
 from operator import gt as _gt
 from time import perf_counter as perf
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from ..core.tuples import Tuple
 from ..errors import ExecutionError
@@ -975,38 +976,8 @@ class Driver:
 
     # -- telemetry -----------------------------------------------------------
 
-    def process_block(self, events: Iterable[Event],
-                      on_event: Callable[[Event], None] | None = None) -> bool:
-        """A per-tuple runner's block step: ``events`` through the closure
-        (``on_event`` after each), then :meth:`maybe_sample` with the
-        block's wall time.  False when ``events`` was empty."""
-        process_event = self.process_event
-        event = None
-        start = perf()
-        if on_event is None:
-            for event in events:
-                process_event(event)
-        else:
-            for event in events:
-                process_event(event)
-                on_event(event)
-        if event is None:
-            return False
-        self.maybe_sample(perf() - start)
-        return True
-
-    def maybe_sample(self, block_seconds: float) -> None:
-        """Charge a per-tuple block after a sample to ``per_tuple``; sample
-        if ``sample_events`` events passed (the batch loops inline this)."""
-        metrics = self._metrics
-        if metrics.timed:
-            metrics.timed = False
-            metrics.acc[metrics.PER_TUPLE] += block_seconds
-        if self._events_processed - metrics.sampled_at >= self.sample_events:
-            metrics.sample(self)
-
     def flush_metrics(self, elapsed: float | None = None) -> MetricsRegistry:
         """Bring the registry up to date and return it: a final sample,
         exact event / tuple totals, fallback counts and ``run_seconds``
-        when given.  Every runtime that finishes a driver calls this."""
+        when given.  The one finish calls this for every driver."""
         return self._metrics.flush(self, elapsed)

@@ -1,17 +1,17 @@
-"""Run arguments, event chunking and the two run results.
+"""Run arguments, the one feed and finish, and the two run results.
 
 Section 2's processing model is one loop per query: "Each new tuple is
 processed immediately by all the operators in the query before the next
 tuple is processed."  That loop is compiled into a
-:class:`~repro.engine.driver.Driver`, and a query runs itself:
-:meth:`ContinuousQuery.run <repro.engine.query.ContinuousQuery.run>` feeds
-its driver per tuple or in micro-batches, or hands the plan to the sharded
-runtime (:func:`repro.engine.shard._run_replicas`) and falls back onto its
-own driver when the plan cannot shard; :meth:`QueryGroup.run
-<repro.engine.multi.QueryGroup.run>` does the same for a member set.  This
-module holds what both share: the argument check, the chunker, and one
-result type per query (:class:`RunResult`) and one per group
-(:class:`GroupRunResult`).
+:class:`~repro.engine.driver.Driver`, and every runtime is a set of
+drivers — a query (a group of one), a
+:class:`~repro.engine.multi.QueryGroup` and its shared producers, a shard
+replica — fed by :func:`feed_drivers` and finished by
+:func:`finish_drivers`.  :func:`run_drivers` is the one run entry of
+queries and groups: the sharded runtime
+(:func:`repro.engine.shard._run_replicas`), or the feed chunk by chunk,
+then the finish.  Its results are :class:`RunResult` per query and
+:class:`GroupRunResult` per group.
 
 Both results carry the sharding surface — ``shards``, ``backend``,
 ``fallback_reason``, ``partitionability``, ``shard_counters``,
@@ -24,10 +24,13 @@ from __future__ import annotations
 
 from collections import Counter as Multiset
 from itertools import islice
-from typing import Iterable, Iterator
+from time import perf_counter
+from typing import Callable, Iterable, Iterator, Sequence
 
-from ..errors import ConfigError
+from ..analysis.bounds import validate_certificate
+from ..errors import ConfigError, ExecutionError
 from ..streams.stream import Event
+from .driver import Driver
 from .telemetry import MetricsRegistry
 
 #: ``shard_backend`` values (see :mod:`repro.engine.shard`).
@@ -65,6 +68,109 @@ def _chunked(events: Iterable[Event], size: int) -> Iterator[list[Event]]:
         if not chunk:
             return
         yield chunk
+
+
+def feed_drivers(members: Sequence[Driver], chunk: Sequence[Event],
+                 batched: bool, producers: Sequence = (),
+                 on_event: Callable[[Event], None] | None = None) -> None:
+    """Feed one chunk to a set of drivers: the shared producers
+    (:class:`~repro.engine.sharing.SharedProducer`) record it first, then
+    the members take it — batched, driver by driver through
+    ``process_batch``; per tuple, event by event in lockstep through their
+    ``process_event`` closures, so a callback two members share sees one
+    interleaving.  ``on_event(event)`` follows each event per tuple, the
+    chunk batched.  Every driver fed through its closure then takes the
+    sample check with the chunk's wall time (batch loops make their own).
+    """
+    start = perf_counter()
+    for producer in producers:
+        producer.run(chunk)
+    blocked = [producer.driver for producer in producers]
+    if batched:
+        for driver in members:
+            driver.process_batch(chunk)
+        if on_event is not None:
+            for event in chunk:
+                on_event(event)
+    else:
+        steps = [driver.process_event for driver in members]
+        if on_event is not None:
+            steps.append(on_event)
+        for event in chunk:
+            for step in steps:
+                step(event)
+        blocked += members
+    seconds = perf_counter() - start
+    for driver in blocked:
+        metrics = driver._metrics
+        if metrics.timed:
+            metrics.timed = False
+            metrics.acc[metrics.PER_TUPLE] += seconds
+        if driver._events_processed - metrics.sampled_at \
+                >= driver.sample_events:
+            metrics.sample(driver)
+
+
+def finish_drivers(drivers: Sequence[Driver],
+                   elapsed: float | None = None) -> None:
+    """Finish every driver — member, producer or shard replica — the same
+    way once its events are exhausted: checked, counter conservation
+    (:meth:`~repro.analysis.sanitizer.Sanitizer.verify_drain`), then the
+    observed occupancy against the state-bound certificate
+    (:func:`~repro.analysis.bounds.validate_certificate`); then the metrics
+    flush, with ``run_seconds`` when ``elapsed`` is given."""
+    for driver in drivers:
+        compiled = driver.compiled
+        if compiled.sanitizer is not None:
+            compiled.sanitizer.verify_drain()
+            validate_certificate(compiled)
+        driver.flush_metrics(elapsed)
+
+
+def run_drivers(members: list[Driver], events: Iterable[Event], *,
+                batch: int | None, shards: int | None, shard_backend: str,
+                entries: Sequence[tuple] = (), part=None,
+                producers: Sequence = (),
+                on_event: Callable[[Event], None] | None = None) -> tuple:
+    """The one run entry of queries and groups: ``(elapsed, events,
+    arrivals, replicas)`` of one pass over ``events``.  ``part``, the
+    sharding verdict of ``entries`` (the members' ``(name, plan,
+    config)``), is given when ``shards > 1`` may shard: a shardable one
+    runs fresh key-routed replicas (else ``replicas`` is None), and every
+    other run feeds ``members`` and ``producers``, then finishes them."""
+    check_run_args(batch, shards, shard_backend)
+    if part is not None:
+        if on_event is not None:
+            raise ExecutionError(
+                "on_event callbacks observe per-event driver state and are "
+                "not supported with sharded execution")
+        if part.shardable and any(d._events_processed for d in members):
+            raise ExecutionError(
+                "sharded execution needs a fresh pipeline; this one has "
+                "already processed events")
+        from .shard import _run_replicas  # shard imports this module
+
+        replicas = _run_replicas(
+            entries, part, events, shards=shards, backend=shard_backend,
+            batch=batch, subscribers=[d._subscribers for d in members])
+        if replicas is not None:
+            return (replicas.elapsed, replicas.events_processed,
+                    replicas.tuples_arrived, replicas)
+    drivers = members + [producer.driver for producer in producers]
+    if not drivers:
+        return 0.0, 0, 0, None
+    lead = drivers[0]  # every driver sees every event
+    before = lead._events_processed, lead._tuples_arrived
+    batched = batch is not None and batch > 1
+    # Per tuple, chunks of one sample period.
+    size = batch if batched else min([d.sample_events for d in drivers])
+    start = perf_counter()
+    for chunk in _chunked(events, size):
+        feed_drivers(members, chunk, batched, producers, on_event)
+    elapsed = perf_counter() - start
+    finish_drivers(drivers, elapsed)
+    return (elapsed, lead._events_processed - before[0],
+            lead._tuples_arrived - before[1], None)
 
 
 class _Run:

@@ -13,33 +13,32 @@ queries".  :class:`QueryGroup` provides both regimes:
   :mod:`repro.engine.sharing`).  Ten queries over the same join then pay
   one join — with answers byte-identical to independent execution.
 
-Both are one runtime (:class:`~repro.engine.sharing.SharedRuntime`):
-producers record, then every member runs its own compiled driver; an
-independent group simply has no producers.
+A group is a set of drivers: every member runs its own compiled driver,
+a shared group adds its producers, and the one feed and finish of
+:mod:`repro.engine.executor` drive them, as they drive a single query (a
+group of one).  An independent group simply has no producers.
 
 Sharing is planned when the group is *sealed*: the first execution or
-answer/explain access freezes the current membership and builds the fused
-runtime.  Queries added after sealing compile privately (attaching them to
-a warm producer would let them observe pre-registration window contents),
-and :meth:`QueryGroup.remove` detaches refcount-safely — producer state is
-freed only when its last consumer leaves.
+answer/explain access freezes the current membership and plans the
+producers.  Queries added after sealing compile privately (attaching them
+to a warm producer would let them observe pre-registration window
+contents), and :meth:`QueryGroup.remove` detaches refcount-safely —
+producer state is freed only when its last consumer leaves.
 """
 
 from __future__ import annotations
 
-import time
-from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
-from ..analysis.sanitizer import verify_drain
+from ..core.annotate import annotate, explain
 from ..core.metrics import Counters
 from ..core.plan import LogicalNode
-from ..streams.stream import Arrival, Event
+from ..streams.stream import Event
 from .driver import Driver
-from .executor import GroupRunResult, _chunked, check_run_args
+from .executor import GroupRunResult, feed_drivers, run_drivers
 from .query import ContinuousQuery
-from .shard import _run_replicas, analyze_group_partitionability
-from .sharing import SharedRuntime, build_shared_runtime
+from .shard import analyze_group_partitionability
+from .sharing import _plan_shared
 from .strategies import ExecutionConfig
 
 
@@ -54,15 +53,15 @@ class QueryGroup:
                 "members with add()/add_text() instead of pre-compiled "
                 "ContinuousQuery objects")
         self.shared = shared
-        #: Pre-seal (shared groups only): (name, plan, config) registrations.
-        self._pending: list[tuple[str, LogicalNode,
-                                  ExecutionConfig | None]] = []
-        #: None until sealed.  An independent group is born sealed: the
-        #: same runtime with no producers, every member private.
-        self._runtime: SharedRuntime | None = (
-            None if shared else SharedRuntime())
-        for name, query in (queries or {}).items():
-            self._runtime.add(name, query)
+        #: (name, plan, config) registrations until the seal, then None;
+        #: an independent group is born sealed, every member private.
+        self._pending: list | None = [] if shared else None
+        #: name -> (query, links): one ``(producer, port)`` link per
+        #: SharedScan of the member's residual plan, none when private.
+        self._members: dict[str, tuple[ContinuousQuery, tuple]] = {
+            name: (query, ()) for name, query in (queries or {}).items()}
+        #: The :class:`~repro.engine.sharing.SharedProducer` objects.
+        self._producers: list = []
 
     # -- composition ----------------------------------------------------------
 
@@ -77,12 +76,15 @@ class QueryGroup:
         """
         if name in self:
             raise KeyError(f"query name {name!r} already registered")
-        if self._runtime is None:
+        if self._pending is not None:
             self._pending.append((name, plan, config))
             return None
-        # Independent, or post-seal / mid-run: a privately compiled member
-        # (see SharedRuntime.add).
-        return self._runtime.add(name, ContinuousQuery(plan, config))
+        # Independent, or post-seal / mid-run: a privately compiled member.
+        # Attaching a late arrival to an already-warm producer would let it
+        # observe window contents from before its registration.
+        query = ContinuousQuery(plan, config)
+        self._members[name] = (query, ())
+        return query
 
     def add_text(self, name: str, text: str, catalog,
                  config: ExecutionConfig | None = None
@@ -99,8 +101,12 @@ class QueryGroup:
         a shared subtree's state is torn down only when its *last* consumer
         leaves, so the surviving members keep their warm windows.
         """
-        if self._runtime is not None:
-            self._runtime.remove(name)
+        if self._pending is None:
+            _query, links = self._members.pop(name)
+            for producer, port in links:
+                producer.ports.remove(port)
+                if not producer.ports:
+                    self._producers.remove(producer)
             return
         for index, (pending_name, _p, _c) in enumerate(self._pending):
             if pending_name == name:
@@ -108,15 +114,15 @@ class QueryGroup:
                 return
         raise KeyError(name)
 
-    def _seal(self) -> SharedRuntime:
-        """Freeze membership and build the fused runtime (shared mode)."""
-        if self._runtime is None:
-            self._runtime = build_shared_runtime(self._pending)
-            self._pending = []
-        return self._runtime
+    def _seal(self) -> None:
+        """Freeze membership and plan the shared producers (shared mode)."""
+        if self._pending is not None:
+            self._members, self._producers = _plan_shared(self._pending)
+            self._pending = None
 
     def __getitem__(self, name: str) -> ContinuousQuery:
-        return self._seal().member(name).query
+        self._seal()
+        return self._members[name][0]
 
     def __contains__(self, name: str) -> bool:
         return name in self.names()
@@ -126,25 +132,31 @@ class QueryGroup:
 
     def names(self) -> list[str]:
         """Registered query names, in insertion order."""
-        if self._runtime is None:
+        if self._pending is not None:
             return [n for n, _p, _c in self._pending]
-        return self._runtime.names()
+        return list(self._members)
+
+    def _drivers(self) -> list[Driver]:
+        """The members' drivers, in insertion order (seals the group)."""
+        self._seal()
+        return [query.executor for query, _links in self._members.values()]
 
     # -- execution ------------------------------------------------------------
 
     def process_event(self, event: Event) -> None:
-        self._seal().process_event(event)
+        """Per-tuple step: a chunk of one."""
+        feed_drivers(self._drivers(), (event,), False, self._producers)
 
     def process_batch(self, events: Sequence[Event]) -> None:
         """Micro-batch step: amortized expiration across the whole group."""
-        self._seal().process_batch(events)
+        feed_drivers(self._drivers(), events, True, self._producers)
 
     def run(self, events: Iterable[Event],
             batch: int | None = None, shards: int | None = None,
             shard_backend: str = "process") -> "GroupRunResult":
         """One pass over ``events``, feeding every registered query.
 
-        ``batch=N`` selects the micro-batch execution path (PR 1) for both
+        ``batch=N`` (N > 1) selects the micro-batch execution path for both
         shared and independent groups: expiration is amortized to batch
         boundaries with outputs identical to per-event execution.
 
@@ -157,78 +169,25 @@ class QueryGroup:
         with unshardable (or key-conflicting) members fall back to the
         ordinary lockstep run, with the reason recorded on the result.
         """
-        check_run_args(batch, shards, shard_backend)
+        drivers = self._drivers()
+        entries = [(name, query.plan, query.config)
+                   for name, (query, _links) in self._members.items()]
         part = reason = None
-        runtime = self._seal()
-        names = self.names()
         if shards is not None and shards > 1:
             if self.shared:
                 reason = ("shared groups fuse subplans across queries; run "
                           "the members as an independent group to shard "
                           "them")
             else:
-                entries = [(name, self[name].plan, self[name].config)
-                           for name in names]
                 part = analyze_group_partitionability(entries)
                 reason = part.reason
-                replicas = _run_replicas(
-                    entries, part, events, shards=shards,
-                    backend=shard_backend, batch=batch,
-                    subscribers=[self[name].executor._subscribers
-                                 for name in names])
-                if replicas is not None:
-                    return GroupRunResult(
-                        self, replicas.elapsed, replicas.events_processed,
-                        replicas.tuples_arrived, partitionability=part,
-                        replicas=replicas)
-        # Members and producers are driven through process_event /
-        # process_batch, so the run-level steps happen here.  A batched
-        # member takes the sample check in its batch loop; every other
-        # driver — each member per tuple, each producer always
-        # (SharedProducer.run feeds its per-tuple closure) — after every
-        # block or chunk, as Driver.process_block does.  Members run in
-        # lockstep, so the block time is the group's.
-        members = [self[name].executor for name in names]
-        producers = [p.driver for p in self.shared_producers()]
-        blocked = producers if batch else members + producers
-        start = time.perf_counter()
-        n = 0
-        arrivals = 0
-        if batch is None:
-            process_event = runtime.process_event
-            size = min((d.sample_events for d in blocked),
-                       default=Driver.sample_events)
-            iterator = iter(events)
-            while True:
-                seen = n
-                block_start = time.perf_counter()
-                for event in islice(iterator, size):
-                    process_event(event)
-                    n += 1
-                    if isinstance(event, Arrival):
-                        arrivals += 1
-                if n == seen:
-                    break
-                block_seconds = time.perf_counter() - block_start
-                for driver in blocked:
-                    driver.maybe_sample(block_seconds)
-        else:
-            for chunk in _chunked(events, batch):
-                block_start = time.perf_counter()
-                runtime.process_batch(chunk)
-                block_seconds = time.perf_counter() - block_start
-                for driver in blocked:
-                    driver.maybe_sample(block_seconds)
-                n += len(chunk)
-                arrivals += sum(
-                    1 for event in chunk if isinstance(event, Arrival))
-        elapsed = time.perf_counter() - start
-        drivers = members + producers
-        for driver in drivers:
-            verify_drain(driver.compiled)
-            driver.flush_metrics()
-        return GroupRunResult(self, elapsed, n, arrivals,
-                              partitionability=part, fallback_reason=reason)
+        elapsed, events_processed, arrivals, replicas = run_drivers(
+            drivers, events, batch=batch, shards=shards,
+            shard_backend=shard_backend, entries=entries, part=part,
+            producers=self._producers)
+        return GroupRunResult(self, elapsed, events_processed, arrivals,
+                              partitionability=part, fallback_reason=reason,
+                              replicas=replicas)
 
     def answers(self) -> dict[str, dict]:
         """Current answer multiset of every member query."""
@@ -238,16 +197,18 @@ class QueryGroup:
 
     def shared_counters(self) -> Counters:
         """Group-level shared-state counters (zero in independent mode)."""
-        return self._seal().shared_counters()
+        return Counters.total(producer.counters.snapshot()
+                              for producer in self.shared_producers())
 
     def shared_state_size(self) -> int:
         """Tuples held by shared producers (zero in independent mode)."""
-        return self._seal().shared_state_size()
+        return sum(p.state_size() for p in self.shared_producers())
 
     def shared_producers(self) -> list:
         """The group's :class:`~repro.engine.sharing.SharedProducer`
         objects (empty in independent mode)."""
-        return self._seal().producers()
+        self._seal()
+        return list(self._producers)
 
     def total_state_size(self) -> int:
         """Shared producer state plus every member pipeline's state."""
@@ -256,12 +217,25 @@ class QueryGroup:
         return members + self.shared_state_size()
 
     def explain(self) -> str:
-        """The group's plan: fused DAG with ``shared×k`` markers in shared
-        mode, one annotated tree per member otherwise."""
-        if self.shared:
-            return self._seal().explain()
+        """The group's plan: in shared mode the fused DAG — producers with
+        ``shared×k`` markers, then each member's residual plan — else one
+        annotated tree per member."""
+        self._seal()
         lines: list[str] = []
-        for name in self.names():
-            lines.append(f"-- {name} --")
-            lines.append(self[name].explain())
+        if self.shared:
+            lines.append("== shared subplans ==" + (
+                "" if self._producers else "  (none)"))
+            for producer in self._producers:
+                lines.append(
+                    f"[{producer.name}] shared×{producer.consumers}  "
+                    f"(mode={producer.config.mode.value})")
+                annotated = annotate(producer.plan)
+                lines += ["  " + line for line in
+                          explain(producer.plan, annotated).splitlines()]
+            lines.append("== member queries ==")
+        for name, (query, links) in self._members.items():
+            marker = (" (fused)" if links else " (private)") \
+                if self.shared else ""
+            lines.append(f"-- {name}{marker} --")
+            lines.append(query.explain())
         return "\n".join(lines)

@@ -8,31 +8,27 @@ most users interact with::
     result = query.run(events)
     print(result.answer())
 
-A query runs itself: :meth:`ContinuousQuery.run` is the run-level loop
-around the compiled :class:`~repro.engine.driver.Driver` (per-tuple
-blocks or micro-batches, drain checks, the final metrics flush), or the
-call into the sharded runtime for ``shards=k``.
+A query runs itself as a group of one: :meth:`ContinuousQuery.run` hands
+its compiled :class:`~repro.engine.driver.Driver` to the one run entry,
+:func:`~repro.engine.executor.run_drivers` (per-tuple blocks or
+micro-batches, drain checks, the final metrics flush, or the sharded
+runtime for ``shards=k``).
 """
 
 from __future__ import annotations
 
-import time
 from functools import partial
-from itertools import islice
 from typing import Callable, Iterable
 
-from ..analysis.bounds import attach_certificate, validate_certificate
-from ..analysis.sanitizer import verify_drain
+from ..analysis.bounds import attach_certificate
 from ..core.annotate import explain
 from ..core.metrics import Counters
 from ..core.plan import LogicalNode
 from ..core.sharding import analyze_partitionability
-from ..errors import ExecutionError
 from ..streams.stream import Event
 from .driver import Driver
-from .executor import RunResult, _chunked, check_run_args
+from .executor import RunResult, run_drivers
 from .program import build_program
-from .shard import _run_replicas
 from .strategies import CompiledQuery, ExecutionConfig, Mode, compile_plan
 from .telemetry import run_summary
 
@@ -80,54 +76,16 @@ class ContinuousQuery:
         Answers and per-instant output multisets are identical to
         unsharded execution.
         """
-        check_run_args(batch, shards, shard_backend)
         driver = self.executor
-        part = None
-        if shards is not None and shards > 1:
-            if on_event is not None:
-                raise ExecutionError(
-                    "on_event callbacks observe per-event driver state and "
-                    "are not supported with sharded execution")
-            part = analyze_partitionability(self.plan)
-            if part.shardable and driver._events_processed:
-                raise ExecutionError(
-                    "sharded execution needs a fresh pipeline; this query "
-                    "has already processed events")
-            replicas = _run_replicas(
-                [("", self.plan, self.config)], part, events, shards=shards,
-                backend=shard_backend, batch=batch,
-                subscribers=[driver._subscribers])
-            if replicas is not None:
-                return RunResult(self, replicas.elapsed,
-                                 replicas.events_processed,
-                                 replicas.tuples_arrived,
-                                 partitionability=part, replicas=replicas)
-        start = time.perf_counter()
-        if batch is None or batch == 1:
-            # Blocks of one sample period: the compiled closure takes no
-            # sample check, the block step does.
-            iterator = iter(events)
-            step = None if on_event is None else partial(on_event, driver)
-            while driver.process_block(
-                    islice(iterator, driver.sample_events), step):
-                pass
-        else:
-            process_batch = driver.process_batch
-            for chunk in _chunked(events, batch):
-                process_batch(chunk)
-                if on_event is not None:
-                    for event in chunk:
-                        on_event(driver, event)
-        elapsed = time.perf_counter() - start
-        # Checked execution: assert counter conservation on every monitored
-        # buffer now that the event stream is exhausted (no-op otherwise),
-        # then cross-validate the observed occupancy peaks against the
-        # symbolic state-bound certificate.
-        verify_drain(self.compiled)
-        validate_certificate(self.compiled)
-        driver.flush_metrics(elapsed)
-        return RunResult(self, elapsed, driver._events_processed,
-                         driver._tuples_arrived, partitionability=part)
+        part = (analyze_partitionability(self.plan)
+                if shards is not None and shards > 1 else None)
+        elapsed, events_processed, arrivals, replicas = run_drivers(
+            [driver], events, batch=batch, shards=shards,
+            shard_backend=shard_backend,
+            entries=[("", self.plan, self.config)], part=part,
+            on_event=None if on_event is None else partial(on_event, driver))
+        return RunResult(self, elapsed, events_processed, arrivals,
+                         partitionability=part, replicas=replicas)
 
     def answer(self):
         """Current result multiset Q(now)."""

@@ -6,15 +6,15 @@ workload into ``k`` *independent* copies of the compiled pipelines: no
 stored tuple in shard ``i`` can ever join with, cancel, or deduplicate
 against a tuple in shard ``j``.  That proof is per key and the paper's
 update-pattern argument is per pipeline; neither cares how many pipelines
-a shard holds.  So the unit of sharded execution is a **replica** —
-``[(name, Driver), …]`` compiled from ``members = [(name, plan, config),
-…]`` — and a single query (one member) and an independent
-:class:`~repro.engine.multi.QueryGroup` (n members) run through the same
-router, backends, worker protocol, transport and parent loop
-(:func:`_run_replicas`).  ``ContinuousQuery.run`` and ``QueryGroup.run``
-call it directly; their :class:`~repro.engine.executor.RunResult` and
-:class:`~repro.engine.executor.GroupRunResult` read the totals off the
-returned :class:`_ReplicaRun`.
+a shard holds.  So the unit of sharded execution is a **replica** — one
+:class:`~repro.engine.driver.Driver` per member of ``members = [(name,
+plan, config), …]``, fed and finished by the one feed and finish of
+:mod:`repro.engine.executor` — and a single query (one member) and an
+independent :class:`~repro.engine.multi.QueryGroup` (n members) run
+through the same router, backends, worker protocol, transport and parent
+loop (:func:`_run_replicas`), which the one run entry
+(:func:`~repro.engine.executor.run_drivers`) calls; the results read the
+totals off the returned :class:`_ReplicaRun`.
 
 * :class:`ShardRouter` — assigns each :class:`Arrival` to
   ``stable_hash(key) % k``.  The hash is :func:`zlib.crc32` over ``repr``
@@ -82,10 +82,16 @@ from ..core.sharding import (
 from ..core.tuples import Tuple
 from ..errors import ExecutionError
 from ..streams.stream import Arrival, Event, RelationUpdate, Tick
-from ..analysis.sanitizer import verify_drain
+from ..analysis.bounds import attach_certificate
 from .columnar import ChunkTable, decode_routed, encode_routed, stable_hash
 from .driver import Driver
-from .executor import SHARD_BACKENDS, _chunked, check_run_args
+from .executor import (
+    SHARD_BACKENDS,
+    _chunked,
+    check_run_args,
+    feed_drivers,
+    finish_drivers,
+)
 from .program import build_program
 from .strategies import ExecutionConfig, compile_plan
 from .telemetry import MetricsRegistry
@@ -99,15 +105,17 @@ SERIAL, PROCESS = SHARD_BACKENDS
 Member = tuple[str, LogicalNode, ExecutionConfig | None]
 
 
-def _compile_replica(members: Sequence[Member]) -> list[tuple[str, Driver]]:
+def _compile_replica(members: Sequence[Member]) -> list[Driver]:
     """Compile one shard's copy of the member set straight to
-    program-running drivers; the parent loop times the run."""
-    replica = []
-    for name, plan, config in members:
+    program-running drivers, each certificate attached (checked: armed) as
+    a query's is; the parent loop times the run."""
+    drivers = []
+    for _name, plan, config in members:
         compiled = compile_plan(
             plan, config if config is not None else ExecutionConfig())
-        replica.append((name, Driver(compiled, build_program(compiled))))
-    return replica
+        drivers.append(Driver(compiled, build_program(compiled)))
+        attach_certificate(compiled)
+    return drivers
 
 
 class ShardRouter:
@@ -303,38 +311,28 @@ class _Replica:
         self._batched = batch is not None and batch > 1
         self.drivers = _compile_replica(members)
         self._collectors = [_ShardCollector() for _ in self.drivers]
-        for (_name, driver), collector, wanted in zip(
+        for driver, collector, wanted in zip(
                 self.drivers, self._collectors, collect):
             if wanted:
                 driver.subscribe(collector)
 
     def feed(self, chunk: Sequence[Event] | ChunkTable
              ) -> list[list[tuple[float, int, Tuple]]]:
-        """Run one routed chunk — events, or a decoded table every member
-        reads in place — through every member; per-member tagged outputs.
-        Per tuple, the chunk is each member's block."""
+        """One routed chunk — events, or a decoded table every member reads
+        in place — through the one feed; per-member tagged outputs."""
         if not self._batched and chunk.__class__ is ChunkTable:
             chunk = chunk.to_events()
-        for _name, driver in self.drivers:
-            if self._batched:
-                driver.process_batch(chunk)
-            else:
-                driver.process_block(chunk)
+        feed_drivers(self.drivers, chunk, self._batched)
         return [collector.drain() for collector in self._collectors]
 
     def finish(self) -> list[_ShardFinal]:
-        finals = []
-        for _name, driver in self.drivers:
-            # Checked execution: each replica owns its own sanitizers (the
-            # drivers are fed through process_batch, not run()), so the
-            # drain-time conservation check must run here; likewise the
-            # final metrics flush, whose snapshot is plain records.
-            verify_drain(driver.compiled)
-            finals.append(_ShardFinal(
-                driver.answer(), driver.compiled.counters.snapshot(),
-                driver.compiled.state_size(),
-                driver.flush_metrics().snapshot()))
-        return finals
+        """The one finish, then each member's report as plain data."""
+        finish_drivers(self.drivers)
+        return [_ShardFinal(driver.answer(),
+                            driver.compiled.counters.snapshot(),
+                            driver.compiled.state_size(),
+                            driver.compiled.metrics.snapshot())
+                for driver in self.drivers]
 
 
 class _SerialShards:

@@ -11,8 +11,10 @@ queries over the same join then pay one join.
 
 There is no second event loop here: a producer is an ordinary compiled
 :class:`~repro.engine.driver.Driver` whose result view records instead of
-storing, every member — fused or private — runs its own driver, and an
-independent group is this runtime with zero producers.
+storing, every member — fused or private — runs its own driver, and the
+group (:class:`~repro.engine.multi.QueryGroup`) holds both and feeds them
+through the one feed of :mod:`repro.engine.executor`; an independent
+group is a group with no producers.
 
 Exactness argument (see DESIGN.md, "Shared multi-query execution")
 ------------------------------------------------------------------
@@ -67,7 +69,8 @@ import dataclasses
 from collections import Counter as Multiset
 from typing import Iterable, Sequence
 
-from ..core.annotate import annotate, explain, subtree_lag
+from ..analysis.bounds import attach_certificate
+from ..core.annotate import annotate, subtree_lag
 from ..core.fingerprint import fingerprint_all, shareable
 from ..core.metrics import Counters
 from ..core.plan import LogicalNode, SharedScan
@@ -118,11 +121,6 @@ class _RecordingView(ResultView):
         return 0
 
 
-def _config_key(config: ExecutionConfig) -> tuple:
-    """Hashable identity of every physical-choice-relevant config field."""
-    return dataclasses.astuple(config)
-
-
 class SharedProducer:
     """One compiled copy of a shared subtree, replayed by its consumers."""
 
@@ -138,15 +136,16 @@ class SharedProducer:
         self.counters = Counters()
         self.compiled = compile_plan(subtree, config, self.counters)
         self._view = self.compiled.view = _RecordingView()
-        # The same compiled program and driver as every query's; the group
-        # owns run-level orchestration.
+        # The same compiled program, driver and certificate as every
+        # query's; the group feeds and finishes it.
         self.driver = Driver(self.compiled, build_program(self.compiled))
+        attach_certificate(self.compiled)
         #: Base streams the subtree reads — arrivals on these dispatch.
         self.streams = frozenset(
             leaf.stream.name for leaf in subtree.leaves())
         #: One output list per arrival on :attr:`streams`, this batch.
         self._arrived: list = []
-        #: Attached consumer ports (the refcount; see SharedRuntime.remove).
+        #: Attached consumer ports (the refcount; see QueryGroup.remove).
         self.ports: list[PortOp] = []
 
     @property
@@ -189,131 +188,12 @@ class SharedProducer:
                 f"fp={self.fingerprint[:8]})")
 
 
-class _Member:
-    """One member query of a group runtime."""
-
-    def __init__(self, name: str, query: ContinuousQuery, links=()):
-        self.name = name
-        self.query = query
-        #: ``(producer, port)`` per SharedScan of the residual plan, in
-        #: walk order; empty for a privately compiled member.
-        self.links: tuple = tuple(links)
-
-    @property
-    def fused(self) -> bool:
-        return bool(self.links)
-
-    @property
-    def producers(self) -> tuple:
-        """Producers this member consumes (with multiplicity)."""
-        return tuple(producer for producer, _port in self.links)
-
-
-class SharedRuntime:
-    """Drives a QueryGroup: producers record, then every member runs.
-
-    Execution follows the independent :class:`QueryGroup` discipline —
-    members are processed in insertion order, each on its own compiled
-    driver — except that shared subtree work runs once, inside the
-    producers, and is replayed by every consumer's port at the exact
-    program positions the subtree occupied.  With no producers this *is*
-    independent execution.
-    """
-
-    def __init__(self):
-        self._members: dict[str, _Member] = {}
-        self._producers: dict[tuple, SharedProducer] = {}
-
-    # -- membership --------------------------------------------------------
-
-    def names(self) -> list[str]:
-        return list(self._members)
-
-    def member(self, name: str) -> _Member:
-        return self._members[name]
-
-    def producers(self) -> list[SharedProducer]:
-        return list(self._producers.values())
-
-    def add(self, name: str, query: ContinuousQuery,
-            links=()) -> ContinuousQuery:
-        """Register a compiled member; without ``links`` it runs privately.
-
-        Sharing is established when the group is sealed; late arrivals run
-        privately because attaching them to an already-warm producer would
-        let them observe window contents from before their registration —
-        breaking equivalence with an independently added query.
-        """
-        if name in self._members:
-            raise KeyError(f"query name {name!r} already registered")
-        self._members[name] = _Member(name, query, links)
-        return query
-
-    def remove(self, name: str) -> None:
-        """Refcount-safe detach: producer buffers are freed only when the
-        last consumer leaves."""
-        member = self._members.pop(name)
-        for producer, port in member.links:
-            producer.ports.remove(port)
-            if not producer.ports:
-                self._producers.pop(
-                    (_config_key(producer.config), producer.fingerprint),
-                    None)
-
-    # -- execution ---------------------------------------------------------
-
-    def process_event(self, event: Event) -> None:
-        """Per-tuple step: a batch of one for the producers."""
-        for producer in self._producers.values():
-            producer.run((event,))
-        for member in self._members.values():
-            member.query.executor.process_event(event)
-
-    def process_batch(self, events: Sequence[Event]) -> None:
-        """Micro-batch step: each driver amortizes its own expiration
-        schedule; a port's boundary is its producer's next recorded clock."""
-        for producer in self._producers.values():
-            producer.run(events)
-        for member in self._members.values():
-            member.query.executor.process_batch(events)
-
-    # -- introspection -----------------------------------------------------
-
-    def shared_counters(self) -> Counters:
-        """Aggregate of all producer counters (group-level shared state)."""
-        return Counters.total(producer.counters.snapshot()
-                              for producer in self._producers.values())
-
-    def shared_state_size(self) -> int:
-        return sum(p.state_size() for p in self._producers.values())
-
-    def explain(self) -> str:
-        """The fused DAG: producers with ``shared×k`` markers, then each
-        member's residual plan."""
-        lines: list[str] = []
-        if self._producers:
-            lines.append("== shared subplans ==")
-            for producer in self._producers.values():
-                lines.append(
-                    f"[{producer.name}] shared×{producer.consumers}  "
-                    f"(mode={producer.config.mode.value})")
-                annotated = annotate(producer.plan)
-                for line in explain(producer.plan, annotated).splitlines():
-                    lines.append("  " + line)
-        else:
-            lines.append("== shared subplans ==  (none)")
-        lines.append("== member queries ==")
-        for member in self._members.values():
-            marker = "fused" if member.fused else "private"
-            lines.append(f"-- {member.name} ({marker}) --")
-            lines.append(member.query.explain())
-        return "\n".join(lines)
-
-
-def build_shared_runtime(
+def _plan_shared(
         entries: Iterable[tuple[str, LogicalNode, ExecutionConfig | None]],
-        min_consumers: int = MIN_CONSUMERS) -> SharedRuntime:
-    """Plan and compile the shared runtime for a group of queries.
+        min_consumers: int = MIN_CONSUMERS) -> tuple[dict, list]:
+    """Plan and compile a shared group: ``(members, producers)``, each
+    name mapped to ``(query, links)`` as
+    :class:`~repro.engine.multi.QueryGroup` holds its members.
 
     Section 5.1 shares operator *state*, so a subtree is a candidate only
     if it can hold some: windows are materialized under NT, and otherwise
@@ -367,7 +247,7 @@ def build_shared_runtime(
 
         for index, (_name, plan, config) in enumerate(entries):
             visit(plan, plan_fps[index], plan_shareable[index],
-                  _config_key(config))
+                  dataclasses.astuple(config))
         return counts
 
     raw = count_cuts(None)
@@ -375,13 +255,14 @@ def build_shared_runtime(
     simulated = count_cuts(eligible1)
     eligible2 = {key for key, n in simulated.items() if n >= min_consumers}
 
-    runtime = SharedRuntime()
+    members: dict[str, tuple[ContinuousQuery, tuple]] = {}
+    producers: dict[tuple, SharedProducer] = {}
     producer_seq = 0
 
     for index, (name, plan, config) in enumerate(entries):
         fps = plan_fps[index]
         share = plan_shareable[index]
-        cfg_key = _config_key(config)
+        cfg_key = dataclasses.astuple(config)  # every config field
         producer_of_fp: dict[str, SharedProducer] = {}
 
         def rewrite(node: LogicalNode) -> LogicalNode:
@@ -389,12 +270,12 @@ def build_shared_runtime(
             fp = fps[id(node)]
             key = (cfg_key, fp)
             if share[id(node)] and key in eligible2:
-                producer = runtime._producers.get(key)
+                producer = producers.get(key)
                 if producer is None:
                     producer_seq += 1
                     producer = SharedProducer(f"S{producer_seq}", fp, node,
                                               config)
-                    runtime._producers[key] = producer
+                    producers[key] = producer
                 producer_of_fp[fp] = producer
                 subtree = producer.plan
                 return SharedScan(
@@ -412,9 +293,9 @@ def build_shared_runtime(
             return node.with_children(children)
 
         query = ContinuousQuery(rewrite(plan), config)
-        links = [(producer_of_fp[scan.fingerprint], port)
-                 for scan, port in query.compiled.shared_ports]
+        links = tuple((producer_of_fp[scan.fingerprint], port)
+                      for scan, port in query.compiled.shared_ports)
         for producer, port in links:
             producer.attach(port)
-        runtime.add(name, query, links)
-    return runtime
+        members[name] = (query, links)
+    return members, list(producers.values())

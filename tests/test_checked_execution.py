@@ -248,6 +248,86 @@ class TestMonitors:
 
 
 # ---------------------------------------------------------------------------
+# Certificates: every driver is validated at drain
+# ---------------------------------------------------------------------------
+
+def tamper(compiled) -> int:
+    """Re-arm every armed certificate monitor with a 0.5 horizon, so any
+    stored tuple that lives longer is a violation at drain; returns how
+    many monitors were re-armed."""
+    monitors = [entry.monitor for entry in compiled.certificate.entries
+                if entry.monitor is not None and entry.monitor.cert_armed]
+    for monitor in monitors:
+        monitor.arm_certificate(0.5)
+    return len(monitors)
+
+
+def checked_group(shared):
+    gen = TrafficTraceGenerator(TrafficConfig(seed=11))
+    group = QueryGroup(shared=shared)
+    config = ExecutionConfig(mode=Mode.UPA, checked=True)
+    group.add("a", query1(gen, WINDOW), config)
+    group.add("b", query1(gen, WINDOW), config)
+    group.add("c", query3(gen, WINDOW), config)
+    return group
+
+
+class TestCertificateAtDrain:
+    def test_tampered_query_raises(self):
+        query = build("q3", Mode.UPA, True)
+        assert tamper(query.compiled)
+        with pytest.raises(PatternViolation, match="certified horizon"):
+            query.run(trace(), batch=64)
+
+    @pytest.mark.parametrize("batch", [None, 64])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_tampered_member_raises_from_group_run(self, shared, batch):
+        group = checked_group(shared)
+        assert tamper(group["c"].compiled)
+        with pytest.raises(PatternViolation, match="certified horizon"):
+            group.run(trace(), batch=batch)
+
+    def test_tampered_producer_raises_from_group_run(self):
+        group = checked_group(shared=True)
+        producers = group.shared_producers()
+        assert producers
+        assert all(p.compiled.certificate is not None for p in producers)
+        assert sum(tamper(p.compiled) for p in producers)
+        with pytest.raises(PatternViolation, match="certified horizon"):
+            group.run(trace(), batch=64)
+
+    @pytest.mark.parametrize("batch", [None, 64])
+    def test_serial_shards_validate_every_replica(self, batch, monkeypatch):
+        from repro.engine import executor
+
+        validated = []
+        validate = executor.validate_certificate
+
+        def counting(compiled):
+            validated.append(compiled)
+            return validate(compiled)
+
+        monkeypatch.setattr(executor, "validate_certificate", counting)
+        result = build("q1", Mode.UPA, True).run(
+            trace(), batch=batch, shards=2, shard_backend="serial")
+        assert result.shards == 2
+        assert len(validated) == len({id(c) for c in validated}) == 2
+        assert all(c.certificate is not None for c in validated)
+
+    def test_clean_paper_queries_validate_everywhere(self):
+        """No false positives: every runtime validates Queries 1-4 clean."""
+        events = trace()
+        for name in ("q1", "q2", "q3", "q4"):
+            for mode in MODES[name]:
+                build(name, mode, True).run(events, batch=64)
+                build(name, mode, True).run(events, shards=2,
+                                            shard_backend="serial")
+        for shared in (False, True):
+            for batch in (None, 64):
+                checked_group(shared).run(events, batch=batch)
+
+
+# ---------------------------------------------------------------------------
 # Config validation and CLI surface
 # ---------------------------------------------------------------------------
 

@@ -255,7 +255,7 @@ class TestOwnershipAndBounds:
 
         members = [("q", QUERY_BUILDERS["query1"](),
                     ExecutionConfig(mode=Mode.UPA))]
-        drivers = [_compile_replica(members)[0][1] for _ in range(3)]
+        drivers = [_compile_replica(members)[0] for _ in range(3)]
         pipelines = []
         for i, driver in enumerate(drivers):
             report = lint_compiled(driver.compiled, driver=driver)
@@ -320,7 +320,7 @@ class TestOwnershipAndBounds:
             leak: list = []  # a genuinely shared plain container
             pipelines = []
             for i in range(2):
-                [(_name, driver)] = _compile_replica(
+                [driver] = _compile_replica(
                     [("q", plan, ExecutionConfig(mode=Mode.UPA))])
                 # Plant the shared segment AND a shared list where the
                 # replica's ownership walk will find them, exactly like a

@@ -5,13 +5,16 @@ dispatch implementation in the engine, shared by per-tuple, batched,
 shared, and sharded execution — is pinned here by source inspection and
 by structural checks on :class:`~repro.engine.program.ExecutionProgram`:
 
-* ``executor.py`` holds run arguments and results and ``sharing.py`` is an
-  orchestrator: neither defines or calls an event-loop step method, and
-  there is no timed ``_*_timed`` duplicate family.
+* ``executor.py`` holds run arguments, the one feed and finish and the
+  results, and ``sharing.py`` plans producers: neither defines or calls an
+  event-loop step method, and there is no timed ``_*_timed`` duplicate
+  family.
 * A query runs itself: ``query.executor`` is its ``Driver``, so a
-  per-tuple loop bound to ``query.executor.process_event`` — a benchmark's,
-  or a shared group's over its members — calls the compiled closure and
-  nothing in ``query.py`` or ``executor.py``.
+  per-tuple loop bound to ``query.executor.process_event`` calls the
+  compiled closure and nothing in ``query.py`` or ``executor.py``; a
+  group's goes through the one feed, then straight into the closures.
+* Queries, groups and shard replicas are fed and finished by the one
+  feed and finish, and a per-tuple ``run`` stays inside its call budget.
 * ``Driver`` defines exactly one implementation of each step its compiled
   loops call and none of the Section-2 interpreter's; operators have one
   arrival entry point (``process_batch``) and one fusion hook (``kernel``).
@@ -144,7 +147,7 @@ class TestSingleImplementation:
         shards = _SerialShards([("q", plan, ExecutionConfig(mode=Mode.UPA))],
                                2, None, [False])
         drivers = [d for replica in shards.replicas
-                   for _name, d in replica.drivers]
+                   for d in replica.drivers]
         assert len(drivers) == 2
         assert all(type(d) is Driver for d in drivers)
         assert all(isinstance(d.program, ExecutionProgram) for d in drivers)
@@ -243,12 +246,79 @@ class TestQueryRunsItself:
         assert group.shared_producers()
         called = _calls_by_frame(_profile(group.process_event,
                                           self._events()))
-        # Two members and one producer, each its own compiled closure.
+        # Two members and one producer, each its own compiled closure,
+        # fed by the one feed every runtime shares.
         assert called[(driver_module.__file__, "process_event")] \
             == 3 * self.N
-        assert not any(file in (query_module.__file__,
-                                executor_module.__file__)
-                       for file, _name in called)
+        assert called[(executor_module.__file__, "feed_drivers")] == self.N
+        assert not any(file == query_module.__file__ for file, _name in called)
+
+
+class TestOneFeedOneFinish:
+    """Every runtime feeds and finishes its drivers in ``executor.py``."""
+
+    EVENTS = [Arrival(0.25 * i, f"s{i % 2}", (i % 5,)) for i in range(40)]
+
+    @pytest.mark.parametrize("name", ["feed_drivers", "finish_drivers"])
+    def test_every_runtime_goes_through_them(self, name, monkeypatch):
+        from repro import QueryGroup
+        from repro.engine import multi, shard
+
+        class Hit(Exception):
+            pass
+
+        def hit(*_args, **_kwargs):
+            raise Hit(name)
+
+        original = getattr(executor_module, name)
+        for module in (executor_module, multi, shard):
+            if hasattr(module, name):
+                assert getattr(module, name) is original
+                monkeypatch.setattr(module, name, hit)
+        runs = {
+            "query": lambda: ContinuousQuery(_join_plan()).run(self.EVENTS),
+            "serial shards": lambda: ContinuousQuery(_join_plan()).run(
+                self.EVENTS, shards=2, shard_backend="serial"),
+        }
+        for shared in (False, True):
+            group = QueryGroup(shared=shared)
+            group.add("a", _join_plan())
+            group.add("b", _join_plan())
+            runs[f"group shared={shared}"] = \
+                lambda group=group: group.run(self.EVENTS, batch=8)
+        for label, run in runs.items():
+            with pytest.raises(Hit):
+                run()
+                pytest.fail(f"{label} bypassed {name}")
+
+    def test_one_drain_check_and_no_driver_block_step(self):
+        import pathlib
+
+        engine = pathlib.Path(executor_module.__file__).parent
+        source = "".join(path.read_text() for path in engine.glob("*.py"))
+        assert source.count("verify_drain(") == 1
+        assert source.count("validate_certificate(") == 1
+        for step in ("process_block", "maybe_sample"):
+            assert not hasattr(Driver, step)
+
+    def test_per_tuple_run_call_budget(self):
+        """A per-tuple ``run`` over 8 192 events makes no more calls than
+        when the query had its own block loop: beyond what the compiled
+        closure and the final flush make, 119 calls (CPython 3.11)."""
+        events = [Arrival(float(i), f"s{i % 2}", (i % 7,))
+                  for i in range(8192)]
+        config = ExecutionConfig(mode=Mode.UPA)
+        run, direct = (ContinuousQuery(_join_plan(), config)
+                       for _ in range(2))
+
+        def closure_only(_):
+            for event in events:
+                direct.executor.process_event(event)
+            direct.executor.flush_metrics(1.0)
+
+        overhead = (_profile(lambda _: run.run(events), [None]).total_calls
+                    - _profile(closure_only, [None]).total_calls)
+        assert overhead <= 119
 
 
 class TestProgramStructure:

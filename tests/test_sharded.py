@@ -582,7 +582,7 @@ class TestFallbacks:
         replica = _Replica([("a", plan, None), ("b", plan, None)], 64,
                            [False, False])
         assert all(driver.batch_loop().startswith("row loop")
-                   for _name, driver in replica.drivers)
+                   for driver in replica.drivers)
         built = []
         row_values = ChunkTable.row_values
         monkeypatch.setattr(ChunkTable, "row_values",
@@ -590,7 +590,7 @@ class TestFallbacks:
         events = random_arrivals(64, n_streams=1)[:-1]  # no draining tick
         replica.feed(ChunkTable.from_events(events))
         assert len(built) == 1
-        answers = [driver.answer() for _name, driver in replica.drivers]
+        answers = [driver.answer() for driver in replica.drivers]
         assert answers[0] == answers[1] and sum(answers[0].values()) > 0
 
     def test_sharded_touches_per_event_removed(self):
@@ -728,6 +728,23 @@ class TestGroupSharding:
         assert "shared groups" in result.fallback_reason
         assert result.answer("a") == result.answer("b")
 
+    def test_warm_group_refuses_to_shard(self):
+        """A group that has processed events cannot hand its trace's tail
+        to fresh replicas — their answer would miss the warm state — and
+        raises as a warm query does."""
+        gen = TrafficTraceGenerator(TrafficConfig(seed=5))
+        events = list(gen.events(3000))
+        group = QueryGroup()
+        group.add("a", query2(gen, 1e9), ExecutionConfig(mode=Mode.UPA))
+        group.process_batch(events[:2000])
+        with pytest.raises(ExecutionError, match="fresh pipeline"):
+            group.run(events[2000:], shards=2, shard_backend="serial")
+        # The refusal left the group as it was: the rest runs unsharded.
+        result = group.run(events[2000:])
+        whole = QueryGroup()
+        whole.add("a", query2(gen, 1e9), ExecutionConfig(mode=Mode.UPA))
+        assert result.answer("a") == whole.run(events).answer("a")
+
     def test_conflicting_members_fall_back(self):
         schema = Schema(["a", "b"])
         stream = StreamDef("pairs", schema, TimeWindow(8))
@@ -791,8 +808,9 @@ def test_replica_of_n_members_equals_n_one_member_runs(
 
 def test_one_worker_main_one_class_per_backend():
     """Groups and queries share the sharded runtime: one worker loop, one
-    class per backend, and one parent loop that ``ContinuousQuery.run``
-    and ``QueryGroup.run`` call directly — neither feeds a chunk itself."""
+    class per backend, and one parent loop that the one run entry calls —
+    ``ContinuousQuery.run`` and ``QueryGroup.run`` go through that entry
+    and feed no chunk themselves."""
     import inspect
 
     from repro.engine import executor, multi, query, shard
@@ -804,15 +822,17 @@ def test_one_worker_main_one_class_per_backend():
     assert sorted(name for name, obj in own.items()
                   if inspect.isclass(obj) and hasattr(obj, "feed_chunk")) \
         == ["_ProcessShards", "_SerialShards"]
-    # One parent loop: the run entry points call it, none of its pieces.
+    # One parent loop, called by the one run entry, none of its pieces.
     assert inspect.getsource(shard).count("_chunked(") == 1
+    assert inspect.getsource(executor.run_drivers).count(
+        "_run_replicas(") == 1
     for entry in (query.ContinuousQuery.run, multi.QueryGroup.run):
         source = inspect.getsource(entry)
-        assert source.count("_run_replicas(") == 1
-        for piece in ("feed_chunk", "route_chunk", "_Merger", "Shards("):
+        assert source.count("run_drivers(") == 1
+        for piece in ("_run_replicas", "_chunked", "feed_chunk",
+                      "route_chunk", "_Merger", "Shards("):
             assert piece not in source, (entry, piece)
-    assert multi._chunked is executor._chunked is shard._chunked \
-        is query._chunked
+    assert executor._chunked is shard._chunked
 
 
 def test_compile_plan_unaffected_by_analysis():

@@ -90,7 +90,14 @@ def run_both(names, mode, events, batch=None, window=30.0):
     return ind, sh, streams
 
 
-def stored_view_term(member, alone):
+def member_of(group, name):
+    """A member's query and the producers it consumes, with multiplicity
+    (one per shared port of its residual plan)."""
+    query = group[name]  # seals
+    return query, [producer for producer, _port in group._members[name][1]]
+
+
+def stored_view_term(query, producers, alone):
     """What a shared member charges for *storing* a view its independent
     twin answers from its root operator's state (a ``StateView``: a UPA
     bag ⋈ bag join, a δ operator, a group-by).
@@ -101,13 +108,13 @@ def stored_view_term(member, alone):
     made, and their later expirations and touches.  Any other member has
     the same view kind on both sides and the term is zero.
     """
-    view, twin = member.query.compiled.view, alone.compiled.view
+    view, twin = query.compiled.view, alone.compiled.view
     if isinstance(view, StateView) or not isinstance(twin, StateView):
         return dict.fromkeys(alone.counters.snapshot(), 0)
-    assert isinstance(member.query.plan, SharedScan)
-    term = member.query.counters.snapshot()
+    assert isinstance(query.plan, SharedScan)
+    term = query.counters.snapshot()
     assert term["inserts"] == sum(
-        p.counters.results_produced for p in member.producers)
+        p.counters.results_produced for p in producers)
     assert term["expirations"] <= term["inserts"]
     assert not (term["deletes"] or term["probes"] or term["tuples_processed"]
                 or term["results_produced"])
@@ -136,13 +143,12 @@ class TestEquivalence:
         # the structural counters always, touches and probes when nothing
         # is amortized.
         fields = STRUCTURAL + (("touches", "probes") if batch is None else ())
-        runtime = sh._seal()
         for member_name in ind.names():
-            member = runtime.member(member_name)
+            query, producers = member_of(sh, member_name)
             alone = ind[member_name].counters.snapshot()
-            view = stored_view_term(member, ind[member_name])
-            parts = [member.query.counters.snapshot()] + [
-                p.counters.snapshot() for p in member.producers]
+            view = stored_view_term(query, producers, ind[member_name])
+            parts = [query.counters.snapshot()] + [
+                p.counters.snapshot() for p in producers]
             for field in fields:
                 assert sum(part[field] for part in parts) \
                     == alone[field] + view[field], (member_name, field)
@@ -155,14 +161,13 @@ class TestEquivalence:
                  "q4", "q5_up"]
         events = trace(400)
         ind, sh, _ = run_both(names, mode, events)
-        runtime = sh._seal()
         virtual = 0
         for member_name in ind.names():
-            member = runtime.member(member_name)
-            view = stored_view_term(member, ind[member_name])
+            query, producers = member_of(sh, member_name)
+            view = stored_view_term(query, producers, ind[member_name])
             virtual += bool(view["inserts"])
-            recomposed = member.query.counters.touches + sum(
-                p.counters.touches for p in member.producers)
+            recomposed = query.counters.touches + sum(
+                p.counters.touches for p in producers)
             assert recomposed \
                 == ind[member_name].counters.touches + view["touches"]
         # The whole-plan shares are the case with a term: the two telnet
@@ -234,9 +239,46 @@ class TestEquivalence:
 
         ind, ind_streams = run(False)
         sh, sh_streams = run(True)
-        assert [p.consumers for p in sh._seal().producers()] == [2]
+        assert [p.consumers for p in sh.shared_producers()] == [2]
         assert sh_streams == ind_streams
         assert sh.answers() == ind.answers()
+
+
+class TestLockstep:
+    """Members run in lockstep: one subscriber on every member sees, per
+    tuple, each event's outputs member by member, and batched, each
+    chunk's outputs member by member — independent or shared alike."""
+
+    NAMES = ["q2", "q2", "q4"]
+
+    @pytest.mark.parametrize("batch", [None, 7])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_one_callback_on_every_member(self, shared, batch):
+        events = trace(300)
+        group = build_group(shared, self.NAMES, Mode.UPA)
+        gen = TrafficTraceGenerator(TrafficConfig(seed=11))
+        alone = [ContinuousQuery(FACTORIES[name](gen, 30.0),
+                                 ExecutionConfig(mode=Mode.UPA))
+                 for name in self.NAMES]
+        streams = []
+        for queries in ([group[name] for name in group.names()], alone):
+            sink = []
+            streams.append(sink)
+            for index, query in enumerate(queries):
+                query.subscribe(lambda t, now, index=index, sink=sink:
+                                sink.append((index, t.values, t.ts, t.exp,
+                                             t.sign, now)))
+        group.run(events, batch=batch)
+        # The reference lockstep, by hand, over standalone queries.
+        for start in range(0, len(events), batch or 1):
+            for query in alone:
+                if batch is None:
+                    query.executor.process_event(events[start])
+                else:
+                    query.executor.process_batch(
+                        events[start:start + batch])
+        assert {record[0] for record in streams[1]} == {0, 1, 2}
+        assert streams[0] == streams[1]
 
 
 class TestOneEventLoop:
@@ -251,12 +293,11 @@ class TestOneEventLoop:
         sh.run(trace(300), batch=batch)
         ind.run(trace(300), batch=batch)
         assert sh.answers() == ind.answers()
-        runtime = sh._seal()
-        fused = [runtime.member(n) for n in sh.names()
-                 if runtime.member(n).fused]
+        fused = [query for query, producers in
+                 (member_of(sh, name) for name in sh.names()) if producers]
         assert len(fused) >= 4 and sh.shared_producers()
-        for member in fused:
-            driver = member.query.executor
+        for query in fused:
+            driver = query.executor
             assert driver.batch_loop().startswith("row loop: shared port")
 
     def test_reference_loop_replays_a_fused_member(self):
@@ -268,9 +309,9 @@ class TestOneEventLoop:
         fast = build_group(True, ["q2", "q4"], Mode.UPA)
         fast.run(events)
         slow = build_group(True, ["q2", "q4"], Mode.UPA)
-        runtime = slow._seal()
+        producers = slow.shared_producers()
         for event in events:
-            for producer in runtime.producers():
+            for producer in producers:
                 producer.run((event,))
             for name in slow.names():
                 reference_step(slow[name].executor, event)
@@ -334,8 +375,7 @@ class TestOneEventLoop:
         result = armed.run(events, batch=batch)  # verify_drain + flush
         assert armed.answers() == bare.answers()
         assert armed.shared_producers()
-        runtime = armed._seal()
-        assert all(runtime.member(name).fused for name in armed.names())
+        assert all(member_of(armed, name)[1] for name in armed.names())
         for name in armed.names():
             assert "-- lint: clean" in armed[name].explain()
             assert armed[name].counters.snapshot() == \
