@@ -350,7 +350,7 @@ def rule_als702_stale_captures(ctx: LintContext) -> Iterator[Diagnostic]:
                     f"{value.describe()} (cell {capture!r}); compiled "
                     "closures must bind physical structures only — plan "
                     "objects are pre-seal planning state",
-                    "recompile the driver from the sealed program "
+                    "rebuild the driver from the compiled query "
                     "(engine.driver.Driver)",
                 )
 

@@ -14,9 +14,9 @@ principles, independently of the code that established it:
   preconditions re-proved on the *output* plan, not trusted;
 * sharding keys recorded for a parallel run are re-derived from
   :mod:`repro.core.sharding` and compared;
-* the flattened execution program the unified driver runs
-  (:mod:`repro.engine.program`) is cross-checked against the compiled
-  pipeline: dispatch tables cover every leaf edge, eager expiration
+* the tables the driver compiles its loops from (the compiled query's
+  dispatch tables and expiration participants) are cross-checked against
+  the plan: dispatch tables cover every leaf edge, eager expiration
   participants match the operator classification, fused scalar prefixes
   are stateless;
 * non-retroactivity of NRR joins is verified structurally, looking
@@ -39,7 +39,6 @@ from typing import Any, Iterator
 from ..buffers.fifo import FifoBuffer
 from ..buffers.hashed import HashBuffer
 from ..buffers.partitioned import PartitionedBuffer
-from ..core import plan as plan_mod
 from ..core.annotate import AnnotatedPlan, _uniform_lag
 from ..core.patterns import (
     MONOTONIC,
@@ -582,44 +581,33 @@ def rule_dm501_dead_negative_plumbing(ctx: LintContext) -> Iterator[Diagnostic]:
 # ---------------------------------------------------------------------------
 # PRG — execution-program rules (need a CompiledQuery)
 #
-# The unified driver runs a flattened ExecutionProgram instead of walking
-# compiled structures per event; these rules re-prove that the flattened
-# tables agree with the plan they were compiled from, so a stale or
-# tampered program cannot silently drop work (a missing dispatch entry
-# loses arrivals; a missing expiration participant leaks state; a stateful
-# fused prefix would bypass the expiration machinery entirely).
+# The compiled query is the program the driver runs: its dispatch tables,
+# routes and expiration participants are resolved at compile time and
+# compiled into the driver's closures.  These rules re-prove that those
+# tables agree with the plan, so a stale or tampered table cannot silently
+# drop work (a missing dispatch entry loses arrivals; a missing expiration
+# participant leaks state; a stateful fused prefix would bypass the
+# expiration machinery entirely).
 # ---------------------------------------------------------------------------
 
-def _program_of(ctx: LintContext) -> Any:
-    """The compiled pipeline's execution program (built on demand when no
-    driver has been constructed yet)."""
-    compiled = ctx.compiled
-    if compiled is None:
-        return None
-    program = getattr(compiled, "program", None)
-    if program is None:
-        from ..engine.program import build_program
-        program = build_program(compiled)
-    return program
+_RECOMPILE = "recompile the plan with engine.strategies.compile_plan"
 
 
 def rule_prg601_dispatch_covers_edges(ctx: LintContext) -> Iterator[Diagnostic]:
-    """PRG601: the program's dispatch tables must cover every leaf binding
-    of every stream, and each table entry's fused prefix + generic suffix
-    must reconstruct the compiled route to the root exactly — an edge the
+    """PRG601: the dispatch tables must cover every leaf binding of every
+    stream, and each table entry's fused prefix + generic suffix must
+    reconstruct the compiled route to the root exactly — an edge the
     tables miss would silently drop every tuple routed along it."""
-    program = _program_of(ctx)
-    if program is None:
-        return
     compiled = ctx.compiled
+    if compiled is None:
+        return
     for stream, leaves in compiled.leaf_bindings.items():
-        plans = program.dispatch.get(stream)
+        plans = compiled.dispatch.get(stream)
         if plans is None:
             yield Diagnostic(
                 "PRG601", SEVERITY_ERROR, "$",
                 f"stream {stream!r} has {len(leaves)} leaf binding(s) but "
-                "no dispatch table in the execution program",
-                "rebuild the program with engine.program.build_program",
+                "no dispatch table in the execution program", _RECOMPILE,
             )
             continue
         if [plan.leaf for plan in plans] != leaves:
@@ -627,8 +615,7 @@ def rule_prg601_dispatch_covers_edges(ctx: LintContext) -> Iterator[Diagnostic]:
                 "PRG601", SEVERITY_ERROR, "$",
                 f"stream {stream!r}'s dispatch table binds "
                 f"{len(plans)} leaf(s) but the compile recorded "
-                f"{len(leaves)} (or in a different order)",
-                "rebuild the program with engine.program.build_program",
+                f"{len(leaves)} (or in a different order)", _RECOMPILE,
             )
             continue
         for plan in plans:
@@ -637,8 +624,7 @@ def rule_prg601_dispatch_covers_edges(ctx: LintContext) -> Iterator[Diagnostic]:
                 yield Diagnostic(
                     "PRG601", SEVERITY_ERROR, "$",
                     f"stream {stream!r} dispatches into a leaf with no "
-                    "compiled route to the root",
-                    "rebuild the program with engine.program.build_program",
+                    "compiled route to the root", _RECOMPILE,
                 )
                 continue
             flattened = [op for op, _kind, _arg in plan.prefix]
@@ -650,22 +636,20 @@ def rule_prg601_dispatch_covers_edges(ctx: LintContext) -> Iterator[Diagnostic]:
                     f"stream {stream!r}'s dispatch plan walks "
                     f"{len(flattened)} operator(s) but the compiled route "
                     f"has {len(expected)}; fused prefix + suffix must "
-                    "reconstruct the route exactly",
-                    "rebuild the program with engine.program.build_program",
+                    "reconstruct the route exactly", _RECOMPILE,
                 )
-    extra = set(program.dispatch) - set(compiled.leaf_bindings)
+    extra = set(compiled.dispatch) - set(compiled.leaf_bindings)
     if extra:
         yield Diagnostic(
             "PRG601", SEVERITY_ERROR, "$",
             f"the program dispatches stream(s) {sorted(extra)} that have "
-            "no leaf binding in the compiled pipeline",
-            "rebuild the program with engine.program.build_program",
+            "no leaf binding in the compiled pipeline", _RECOMPILE,
         )
 
 
 def rule_prg602_expiration_participants(ctx: LintContext
                                         ) -> Iterator[Diagnostic]:
-    """PRG602: the program's eager expiration participants must match an
+    """PRG602: the eager expiration participants must match an
     independent re-derivation from operator-observable classification
     (Section 5.2's eager/lazy split): materialized windows and self-expiring
     negations are eager; joins and intersections are lazily maintained
@@ -673,27 +657,25 @@ def rule_prg602_expiration_participants(ctx: LintContext
     bottom-up plan order.  (Eager and lazy membership are not exclusive —
     a standard dup-elim expires its output eagerly while its input buffer
     purges on the lazy grid.)"""
-    program = _program_of(ctx)
-    if program is None:
+    compiled = ctx.compiled
+    if compiled is None:
         return
     from ..operators.join import JoinOp
     from ..operators.negation import NegationOp
     from ..operators.stateless import WindowOp
 
-    compiled = ctx.compiled
-    eager_ids = {id(op) for op in program.expire_ops}
+    eager_ids = {id(op) for op in compiled.expire_ops}
     walk_order = {id(compiled.ops[id(node)]): index
                   for index, node in enumerate(ctx.root.walk())
                   if id(node) in compiled.ops}
-    positions = [walk_order[id(op)] for op in program.expire_ops
+    positions = [walk_order[id(op)] for op in compiled.expire_ops
                  if id(op) in walk_order]
     if positions != sorted(positions):
         yield Diagnostic(
             "PRG602", SEVERITY_ERROR, "$",
             "the eager expiration program is not in bottom-up plan order; "
             "expiring parents before children re-derives deltas from "
-            "already-purged state",
-            "rebuild the program with engine.program.build_program",
+            "already-purged state", _RECOMPILE,
         )
     for node in ctx.root.walk():
         op = compiled.ops.get(id(node))
@@ -707,7 +689,7 @@ def rule_prg602_expiration_participants(ctx: LintContext
                 f"{node.describe()} materializes its window but is missing "
                 "from the eager expiration program; its state would never "
                 "be purged and no negative tuples would be emitted",
-                "rebuild the program with engine.program.build_program",
+                _RECOMPILE,
             )
         if isinstance(op, WindowOp) and op._store is None \
                 and id(op) in eager_ids:
@@ -715,32 +697,28 @@ def rule_prg602_expiration_participants(ctx: LintContext
                 "PRG602", SEVERITY_ERROR, path,
                 f"{node.describe()} does not materialize a window store "
                 "but participates in the eager expiration program",
-                "rebuild the program with engine.program.build_program",
+                _RECOMPILE,
             )
         if isinstance(op, NegationOp):
             if op._self_expire and id(op) not in eager_ids:
                 yield Diagnostic(
                     "PRG602", SEVERITY_ERROR, path,
                     f"{node.describe()} self-expires (UPA/hybrid) but is "
-                    "missing from the eager expiration program",
-                    "rebuild the program with "
-                    "engine.program.build_program",
+                    "missing from the eager expiration program", _RECOMPILE,
                 )
             if not op._self_expire and id(op) in eager_ids:
                 yield Diagnostic(
                     "PRG602", SEVERITY_ERROR, path,
                     f"{node.describe()} relies on upstream negative tuples "
                     "(NT) but participates in the eager expiration program",
-                    "rebuild the program with "
-                    "engine.program.build_program",
+                    _RECOMPILE,
                 )
         if isinstance(op, JoinOp) and id(op) in eager_ids:
             yield Diagnostic(
                 "PRG602", SEVERITY_ERROR, path,
                 f"{node.describe()} is lazily maintained (state purged on "
                 "probe and on the lazy grid) but appears in the eager "
-                "expiration program",
-                "rebuild the program with engine.program.build_program",
+                "expiration program", _RECOMPILE,
             )
 
 
@@ -751,12 +729,12 @@ def rule_prg603_fused_prefixes_stateless(ctx: LintContext
     in expiration.  Fusing a stateful operator would evaluate it outside
     the expiration machinery, silently leaking (or never building) its
     state."""
-    program = _program_of(ctx)
-    if program is None:
+    compiled = ctx.compiled
+    if compiled is None:
         return
-    eager_ids = {id(op) for op in program.expire_ops}
-    lazy_ids = {id(op) for op in program.lazy_ops}
-    for stream, plans in program.dispatch.items():
+    eager_ids = {id(op) for op in compiled.expire_ops}
+    lazy_ids = {id(op) for op in compiled.lazy_ops}
+    for stream, plans in compiled.dispatch.items():
         for plan in plans:
             for op, kind, _arg in plan.prefix:
                 where = f"$ [dispatch:{stream}]"
@@ -765,9 +743,7 @@ def rule_prg603_fused_prefixes_stateless(ctx: LintContext
                         "PRG603", SEVERITY_ERROR, where,
                         f"fused prefix entry {type(op).__name__} (kind "
                         f"{kind!r}) exposes no kernel; only "
-                        "kernel-bearing operators may be fused",
-                        "rebuild the program with "
-                        "engine.program.build_program",
+                        "kernel-bearing operators may be fused", _RECOMPILE,
                     )
                 if op.state_size() != 0:
                     yield Diagnostic(

@@ -180,11 +180,9 @@ def _cmd_lint(args) -> int:
     execute.  ``--lint-certificate`` additionally prints the derived
     symbolic state-bound certificate.
     """
-    from .analysis.bounds import attach_certificate
     from .analysis.planlint import lint, lint_compiled
     from .core.sharding import analyze_partitionability
     from .engine.driver import Driver
-    from .engine.program import build_program
     from .engine.strategies import compile_plan
     from .errors import PlanError
 
@@ -205,12 +203,12 @@ def _cmd_lint(args) -> int:
         return 0 if report.ok else 1
     # Build the driver so the closure-capture rules (ALS702) see its
     # actual compiled closures, not just the static pipeline.
-    driver = Driver(compiled, build_program(compiled))
+    driver = Driver(compiled)
     verdict = analyze_partitionability(plan)
     report = lint_compiled(compiled, claimed_sharding=verdict, driver=driver)
     print(report.render())
     if args.lint_certificate:
-        print(attach_certificate(compiled).render())
+        print(compiled.certificate.render())
     return 0 if report.ok else 1
 
 

@@ -1,7 +1,7 @@
 """Columnar chunk plane: struct-of-arrays micro-batches.
 
 The control plane resolves the event loop once per query
-(:mod:`~repro.engine.program`, :mod:`~repro.engine.driver`); this module is
+(:mod:`~repro.engine.strategies`, :mod:`~repro.engine.driver`); this module is
 the data plane beside it.  A row loop moves one boxed
 :class:`~repro.core.tuples.Tuple` at a time: every fused prefix pays a
 closure call per arrival, every window insert pays two counter attribute
@@ -20,7 +20,7 @@ al., SIGMOD'17) use to win their constant factors:
   the worker side;
 * :func:`take_columns`, the column-wise projection the driver's column
   micro-batch loop evaluates fused ``map_indices`` kernels with.  The loop
-  itself, the rule that decides when a program takes it, and the argument
+  itself, the rule that decides when a driver takes it, and the argument
   that it is exact live in :mod:`~repro.engine.driver`.
 """
 

@@ -1,6 +1,8 @@
 """The driver: one class, the compiled paths.
 
-A :class:`Driver` runs one :class:`~repro.engine.program.ExecutionProgram`.
+A :class:`Driver` runs one :class:`~repro.engine.strategies.CompiledQuery`:
+the compiled query is the program, its dispatch tables, routes and
+expiration participants resolved at compile time.
 Section 2's processing model: "Each new tuple is processed immediately by
 all the operators in the query before the next tuple is processed.
 Consequently, results are produced in timestamp order."  Before dispatching
@@ -9,18 +11,18 @@ interval equals the tuple inter-arrival time, the setting used in Section
 6.1), and every ``lazy_interval`` time units it lets lazily-maintained
 operators purge their state (default: 5% of the largest window, the paper's
 default).  Pure time advancement without arrivals is modelled with Tick
-events.  That model written down as an interpreter over the program —
+events.  That model written down as an interpreter over those tables —
 what the compiled paths are tested against — is
 :func:`repro.testing.reference_step`; no runtime calls it.
 
 The compiled paths
 ------------------
 
-The program is *static per query*, so every lookup an interpreter makes
+The tables are *static per query*, so every lookup an interpreter makes
 per event can be resolved once, at construction — the move query compilers
 make for conjunctive queries under updates (Kara et al., arXiv:2206.09032):
 generate maintenance code specialized to the query shape instead of
-interpreting a generic plan.  The driver compiles the program into
+interpreting a generic plan.  The driver compiles the tables into
 
 * **the per-tuple loop** — one fused closure, the ``process_event``
   *instance attribute* (the class defines none), so every runner's hoist
@@ -60,11 +62,11 @@ interpreting a generic plan.  The driver compiles the program into
 
 Two row-at-a-time loops remain because each wins on its side: fed one event
 per call, the per-tuple closure is 1.6–2.0× faster than the row loop at
-batch size one (RESULTS.md "one operator entry point").  The program, not
-the caller, picks the batch loop: column plans are compiled when every
-dispatch plan is expressible column-wise (time windows) *and* one has a
-fused stateless prefix — the only bulk work the column phase has — and the
-row loop runs otherwise (measured in DESIGN.md "the driver picks the batch
+batch size one (RESULTS.md "one operator entry point").  The compiled
+query, not the caller, picks the batch loop: column plans are compiled
+when every dispatch plan is expressible column-wise (time windows) *and*
+one has a fused stateless prefix — the only bulk work the column phase
+has — and the row loop runs otherwise (measured in DESIGN.md "the driver picks the batch
 loop"; :meth:`Driver.batch_loop` reports the choice).
 
 Why the column/replay split is exact
@@ -93,8 +95,8 @@ replay phase, per event, in arrival order, against exactly the state the
 row loop would see.  Batches containing relation updates or non-monotone
 timestamps take the row loop, which is trivially identical, and are
 counted by reason in :attr:`Driver.batch_fallbacks`.  Every loop evaluates
-the one kernel triple ``build_program`` stored in ``DispatchPlan.prefix``,
-so no two loops can disagree on what a fused operator computes.
+the one kernel triple the compile stored in ``DispatchPlan.prefix``, so no
+two loops can disagree on what a fused operator computes.
 
 Instrumentation
 ---------------
@@ -121,6 +123,7 @@ from operator import gt as _gt
 from time import perf_counter as perf
 from typing import Callable, Sequence
 
+from ..analysis.bounds import attach_certificate
 from ..core.tuples import Tuple
 from ..errors import ExecutionError
 from ..streams.relation import NRR
@@ -128,14 +131,13 @@ from ..streams.stream import Arrival, Event, RelationUpdate, Tick
 from ..streams.window import TimeWindow
 from ..operators.stateless import PortOp
 from .columnar import ChunkTable, take_columns
-from .program import ExecutionProgram
 from .telemetry import DriverMetrics, MetricsRegistry
 
 _INF = math.inf
 
 
 class Driver:
-    """Runs one compiled execution program over an event sequence.
+    """Runs one compiled query over an event sequence.
 
     Keep a driver at 30 instance attributes or fewer: past that CPython
     stops sharing the instance's keys and every ``self.x`` in the loops
@@ -149,9 +151,8 @@ class Driver:
     #: ``__init__``), so a runner's hoist binds the closure directly.
     process_event: Callable[[Event], None]
 
-    def __init__(self, compiled, program: ExecutionProgram):
+    def __init__(self, compiled):
         self.compiled = compiled
-        self.program = program
         self.now: float = -math.inf
         self._seq: dict[str, int] = {}
         self._last_purge: float | None = None
@@ -164,15 +165,11 @@ class Driver:
         if interval is None and span is not None:
             interval = 0.05 * span
         self._lazy_interval = interval
-        # Program tables, resolved once so the per-event paths do not walk
-        # compiled structures or rebuild caches.
-        self._dispatch = program.dispatch
-        self._expire_ops = program.expire_ops
-        self._lazy_ops = program.lazy_ops
-        self._routes = program.routes
-        self._leaf_bindings = program.leaf_bindings
-        self._time_domain = program.time_domain != "count"
-        self._count_stream = program.count_stream
+        # What the per-event steps read, bound once; the closures bind the
+        # rest of the compiled tables at construction.
+        self._lazy_ops = compiled.lazy_ops
+        self._time_domain = compiled.time_domain != "count"
+        self._count_stream = compiled.count_stream
         self._lazy_check = interval is not None and bool(self._lazy_ops)
         #: Batches that could not take the loop the column vocabulary
         #: offers, by reason (``relation_update``, ``non_monotone_ts``,
@@ -183,7 +180,11 @@ class Driver:
         #: What the loops charge (see "Instrumentation").
         self._metrics = DriverMetrics(
             compiled, [plan.leaf for stream in self._col_plans
-                       for plan in self._dispatch[stream]])
+                       for plan in compiled.dispatch[stream]])
+        # The symbolic state-bound certificate; in checked mode its
+        # monitors are armed now, so the one finish can validate every
+        # driver, however it was built.
+        attach_certificate(compiled)
 
     # -- public API --------------------------------------------------------
 
@@ -229,12 +230,13 @@ class Driver:
         """Named mutable structures this driver owns, enumerable without
         executing anything — the entry points the ALS7xx ownership
         analysis walks (``analysis/ownership.py``)."""
+        compiled = self.compiled
         return {
-            "dispatch": self._dispatch,
-            "expire_ops": self._expire_ops,
-            "lazy_ops": self._lazy_ops,
-            "routes": self._routes,
-            "leaf_bindings": self._leaf_bindings,
+            "dispatch": compiled.dispatch,
+            "expire_ops": compiled.expire_ops,
+            "lazy_ops": compiled.lazy_ops,
+            "routes": compiled.routes,
+            "leaf_bindings": compiled.leaf_bindings,
             "subscribers": self._subscribers,
             "boundaries": self._boundaries,
         }
@@ -268,7 +270,8 @@ class Driver:
 
     def _dispatch_relation_update(self, event: RelationUpdate,
                                   now: float) -> None:
-        relation = self.program.relations.get(event.relation)
+        compiled = self.compiled
+        relation = compiled.relations.get(event.relation)
         if relation is None:
             raise ExecutionError(
                 f"relation {event.relation!r} is not referenced by the query"
@@ -284,19 +287,19 @@ class Driver:
             relation.insert(event.values)
         else:
             relation.delete(event.values)
-        for op in self.program.relation_bindings.get(event.relation, ()):
+        for op in compiled.relation_bindings.get(event.relation, ()):
             if event.op == RelationUpdate.INSERT:
                 outputs = op.on_relation_insert(event.values, now)
             else:
                 outputs = op.on_relation_delete(event.values, now)
             if not outputs:
                 continue
-            for parent, slot in self._routes[id(op)]:
+            for parent, slot in compiled.routes[id(op)]:
                 outputs = parent.process_batch(slot, outputs, now)
                 if not outputs:
                     break
             else:
-                self.compiled.view.deliver(outputs, now, self._subscribers)
+                compiled.view.deliver(outputs, now, self._subscribers)
 
     def _maybe_lazy_purge(self, now: float) -> None:
         """Purge lazily-maintained operators at ``anchor + k * interval``
@@ -323,13 +326,14 @@ class Driver:
     # -- closure compilation -----------------------------------------------
 
     def _compile_closures(self) -> None:
-        """Compile the program into this driver's row-path closures.
-        Bound methods are resolved *now*: checked-mode monitors shadow
-        ``process``/``process_batch``/``expire`` at compile time, before
-        any driver exists, so the captured callables are the monitored
-        ones.  Closures are per driver: two drivers of one program share
-        no mutable state."""
-        expire_ops = self._expire_ops
+        """Compile the compiled query's tables into this driver's row-path
+        closures.  Bound methods are resolved *now*: checked-mode monitors
+        shadow ``process``/``process_batch``/``expire`` at compile time,
+        before any driver exists, so the captured callables are the
+        monitored ones.  Closures are per driver: two drivers of one
+        compiled query share no mutable state."""
+        compiled = self.compiled
+        expire_ops = compiled.expire_ops
         eager_index = {id(op): i for i, op in enumerate(expire_ops)}
         self._eager_index = eager_index
         #: One cached next-expiry lower bound per eager participant;
@@ -338,11 +342,11 @@ class Driver:
         self._boundaries = [-_INF] * len(expire_ops)
         #: (op, bound expire, ((bound process_batch, slot, cache_idx),...))
         self._pass_plan = tuple(
-            (op, op.expire, self._stages(self._routes[id(op)]))
+            (op, op.expire, self._stages(compiled.routes[id(op)]))
             for op in expire_ops)
         arrivals_pt: dict[str, tuple] = {}
         arrivals_b: dict[str, tuple] = {}
-        for stream, plans in self._dispatch.items():
+        for stream, plans in compiled.dispatch.items():
             pairs = [self._compile_arrival(plan) for plan in plans]
             arrivals_pt[stream] = tuple(pt for pt, _b in pairs)
             arrivals_b[stream] = tuple(b for _pt, b in pairs)
@@ -392,7 +396,7 @@ class Driver:
         return run_suffix
 
     def _compile_arrival(self, plan):
-        """Compile one DispatchPlan into (per-tuple, row-batch) arrival
+        """Compile one ``DispatchPlan`` into (per-tuple, row-batch) arrival
         closures with every lookup bound into locals.  Only the row-batch
         one threads the gate through its return value and folds into the
         boundary caches: the per-tuple loop runs the full pass per event."""
@@ -564,8 +568,9 @@ class Driver:
     # -- column-plan compilation -------------------------------------------
 
     def _compile_column_plans(self) -> None:
-        """Choose the micro-batch loop from the program, and compile one
-        column-phase closure per dispatch plan when it is the column loop.
+        """Choose the micro-batch loop from the dispatch tables, and compile
+        one column-phase closure per dispatch plan when it is the column
+        loop.
 
         The column loop needs every leaf to stamp a time window's ``exp``
         column, and pays only when some plan gives the bulk phase a fused
@@ -580,7 +585,7 @@ class Driver:
         self._col_plans: dict[str, tuple] = {} if reason else {
             stream: tuple((self._compile_column_plan(plan), next(slots))
                           for plan in plans)
-            for stream, plans in self._dispatch.items()}
+            for stream, plans in self.compiled.dispatch.items()}
 
     def _row_loop_reason(self) -> tuple[str | None, str | None]:
         """Why batches take the row loop (None for the column loop), and
@@ -588,7 +593,7 @@ class Driver:
         if not self._time_domain:
             return "count window", "count_window"
         fused = False
-        for plans in self._dispatch.values():
+        for plans in self.compiled.dispatch.values():
             for plan in plans:
                 if isinstance(plan.leaf, PortOp):
                     # replays lists at recorded clocks: nothing columnar
@@ -707,7 +712,7 @@ class Driver:
         batch through the column loop; batches it cannot take (relation
         updates, non-monotone timestamps) and all other drivers run the
         row loop, counted in :attr:`batch_fallbacks` when that is a
-        fallback rather than the program's choice.
+        fallback rather than the driver's choice.
 
         ``events`` may be a decoded :class:`ChunkTable` (the shard
         worker's transport): the column loop reads it without building

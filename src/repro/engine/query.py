@@ -20,7 +20,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Iterable
 
-from ..analysis.bounds import attach_certificate
 from ..core.annotate import explain
 from ..core.metrics import Counters
 from ..core.plan import LogicalNode
@@ -28,7 +27,6 @@ from ..core.sharding import analyze_partitionability
 from ..streams.stream import Event
 from .driver import Driver
 from .executor import RunResult, run_drivers
-from .program import build_program
 from .strategies import CompiledQuery, ExecutionConfig, Mode, compile_plan
 from .telemetry import run_summary
 
@@ -45,11 +43,7 @@ class ContinuousQuery:
                                                     self.counters)
         #: The query's :class:`~repro.engine.driver.Driver`: its
         #: ``process_event`` is the compiled per-tuple closure itself.
-        self.executor = Driver(self.compiled, build_program(self.compiled))
-        # Derive the symbolic state-bound certificate and (in checked mode)
-        # arm its monitors so drain-time validation can cross-check
-        # observed occupancy against the certified bounds.
-        attach_certificate(self.compiled)
+        self.executor = Driver(self.compiled)
 
     def run(self, events: Iterable[Event],
             on_event: Callable[[Driver, Event], None] | None = None,
@@ -107,16 +101,16 @@ class ContinuousQuery:
         shares, worst expiration lag and peak state against the
         certificate's bound),
         the micro-batch loop the driver chose, why, and any fallbacks
-        (:meth:`~repro.engine.driver.Driver.batch_loop`), and the compiled
-        execution program's step summary
-        (:meth:`~repro.engine.program.ExecutionProgram.describe`)."""
+        (:meth:`~repro.engine.driver.Driver.batch_loop`), and the loop the
+        compiled query runs
+        (:meth:`~repro.engine.strategies.CompiledQuery.describe`)."""
         from ..analysis.planlint import lint_compiled
 
         tree = explain(self.plan, self.compiled.annotated)
         verdict = analyze_partitionability(self.plan)
         report = lint_compiled(self.compiled, claimed_sharding=verdict,
                                driver=self.executor)
-        certificate = attach_certificate(self.compiled)
+        certificate = self.compiled.certificate
         registry = self.compiled.metrics
         metrics_note = (f"{len(registry)} instruments across "
                         f"{len(self.compiled.ops)} operators"
@@ -128,7 +122,7 @@ class ContinuousQuery:
                 f"\n-- metrics: {metrics_note}"
                 f"\n-- view: {self.compiled.view_note}"
                 f"\n-- columnar: {self.executor.batch_loop()}"
-                f"\n-- program: {self.executor.program.describe()}")
+                f"\n-- program: {self.compiled.describe()}")
 
     @property
     def mode(self) -> Mode:

@@ -82,7 +82,6 @@ from ..core.sharding import (
 from ..core.tuples import Tuple
 from ..errors import ExecutionError
 from ..streams.stream import Arrival, Event, RelationUpdate, Tick
-from ..analysis.bounds import attach_certificate
 from .columnar import ChunkTable, decode_routed, encode_routed, stable_hash
 from .driver import Driver
 from .executor import (
@@ -92,7 +91,6 @@ from .executor import (
     feed_drivers,
     finish_drivers,
 )
-from .program import build_program
 from .strategies import ExecutionConfig, compile_plan
 from .telemetry import MetricsRegistry
 
@@ -106,16 +104,12 @@ Member = tuple[str, LogicalNode, ExecutionConfig | None]
 
 
 def _compile_replica(members: Sequence[Member]) -> list[Driver]:
-    """Compile one shard's copy of the member set straight to
-    program-running drivers, each certificate attached (checked: armed) as
-    a query's is; the parent loop times the run."""
-    drivers = []
-    for _name, plan, config in members:
-        compiled = compile_plan(
-            plan, config if config is not None else ExecutionConfig())
-        drivers.append(Driver(compiled, build_program(compiled)))
-        attach_certificate(compiled)
-    return drivers
+    """Compile one shard's copy of the member set straight to drivers
+    (each arms its certificate as a query's does); the parent loop times
+    the run."""
+    return [Driver(compile_plan(
+                plan, config if config is not None else ExecutionConfig()))
+            for _name, plan, config in members]
 
 
 class ShardRouter:

@@ -46,7 +46,7 @@ compiled independently.
   execution interleaves a query's expiration pass (bottom-up, each
   operator's emissions pushed to the root before the next expires) with
   arrival dispatch (leaves in plan order).  The port sits at both
-  positions the subtree held in the member's own program: among the eager
+  positions the subtree held in the member's own pipeline: among the eager
   expiration participants at its bottom-up walk position, and among the
   leaves of every stream the subtree reads.  The driver closes every
   expiration pass with ``view.purge(now)``, so a producer's recording view
@@ -69,7 +69,6 @@ import dataclasses
 from collections import Counter as Multiset
 from typing import Iterable, Sequence
 
-from ..analysis.bounds import attach_certificate
 from ..core.annotate import annotate, subtree_lag
 from ..core.fingerprint import fingerprint_all, shareable
 from ..core.metrics import Counters
@@ -77,7 +76,6 @@ from ..core.plan import LogicalNode, SharedScan
 from ..operators.stateless import PortOp
 from ..streams.stream import Arrival, Event, Tick
 from .driver import Driver
-from .program import build_program
 from .query import ContinuousQuery
 from .strategies import _STATEFUL, ExecutionConfig, Mode, compile_plan
 from .views import ResultView
@@ -136,10 +134,8 @@ class SharedProducer:
         self.counters = Counters()
         self.compiled = compile_plan(subtree, config, self.counters)
         self._view = self.compiled.view = _RecordingView()
-        # The same compiled program, driver and certificate as every
-        # query's; the group feeds and finishes it.
-        self.driver = Driver(self.compiled, build_program(self.compiled))
-        attach_certificate(self.compiled)
+        # The same driver as every query's; the group feeds and finishes it.
+        self.driver = Driver(self.compiled)
         #: Base streams the subtree reads — arrivals on these dispatch.
         self.streams = frozenset(
             leaf.stream.name for leaf in subtree.leaves())

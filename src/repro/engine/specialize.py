@@ -1,17 +1,16 @@
-"""Driver construction under its published name.
+"""Driver construction under the name ``benchmarks/e2e`` times.
 
-The engine builds :class:`~repro.engine.driver.Driver` directly; callers
-outside it (``benchmarks/e2e`` times this call as its own set-up stage)
-import :func:`make_driver` from here.  Compiling the program into closures
-and choosing the micro-batch loop both happen in the driver's constructor.
+The engine builds :class:`~repro.engine.driver.Driver` directly from a
+compiled query; compiling its tables into closures and choosing the
+micro-batch loop both happen in the driver's constructor.
 """
 
 from __future__ import annotations
 
 from .driver import Driver
-from .program import ExecutionProgram
 
 
-def make_driver(compiled, program: ExecutionProgram) -> Driver:
-    """Compile ``program`` into the driver that runs ``compiled``."""
-    return Driver(compiled, program)
+def make_driver(compiled, _program=None) -> Driver:
+    """The driver that runs ``compiled`` (the second argument, what
+    ``build_program`` returned, is ``compiled`` itself)."""
+    return Driver(compiled)

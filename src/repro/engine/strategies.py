@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+from typing import NamedTuple
 
 from ..buffers.base import StateBuffer
 from ..buffers.fifo import FifoBuffer
@@ -164,8 +165,33 @@ class ExecutionConfig:
         return STR_PARTITIONED
 
 
+class DispatchPlan(NamedTuple):
+    """One leaf's arrival plan for a stream.
+
+    ``prefix`` is the maximal chain of stateless operators directly above
+    the leaf that expose a :meth:`kernel` — inlined per tuple by the
+    driver's arrival closures, evaluated over whole columns by its column
+    loop — and ``suffix`` is the remaining route, run stage by stage
+    through ``process_batch``.  Fusing only reorders *how* the same
+    per-tuple work is expressed; outputs, state transitions and counter
+    charges are unchanged.  A shared port is a leaf too: it replays a list
+    per arrival, so its prefix is empty and its suffix is the whole route.
+    """
+
+    leaf: WindowOp | PortOp
+    prefix: tuple  # ((op, kind, arg), ...) from kernel()
+    suffix: tuple  # ((parent, slot), ...) remaining route to the root
+
+
 class CompiledQuery:
-    """A physical pipeline ready for the executor."""
+    """A physical pipeline, and the program its driver runs.
+
+    Everything the driver needs per event is resolved here once, at
+    compile time: the per-stream dispatch tables, the routes, the eager
+    and lazy expiration participants.  :class:`~repro.engine.driver.Driver`
+    compiles these tables into its loops, and the PRG6xx lint rules check
+    these same tables against the plan.
+    """
 
     def __init__(self, root: LogicalNode, annotated: AnnotatedPlan,
                  config: ExecutionConfig, counters: Counters):
@@ -196,13 +222,26 @@ class CompiledQuery:
         #: empty until its driver's first state sample or flush registers
         #: the instruments (:class:`~repro.engine.telemetry.DriverMetrics`).
         self.metrics = MetricsRegistry()
-        #: The flattened ExecutionProgram (set by engine.program.
-        #: build_program when a driver is constructed; the PRG6xx lint
-        #: rules and the ``-- program:`` explain footer inspect it).
-        self.program = None
+        #: stream -> tuple[DispatchPlan], one per leaf binding, in order.
+        self.dispatch: dict[str, tuple[DispatchPlan, ...]] = {}
+        #: The CST8xx state-bound certificate, attached (and in checked
+        #: mode armed) when the driver is built.
+        self.certificate = None
 
     def route_of(self, op: PhysicalOperator) -> list[tuple[PhysicalOperator, int]]:
         return self.routes[id(op)]
+
+    def describe(self) -> str:
+        """The loop this pipeline runs, in one line: the ``-- program:``
+        explain footer (step order, dispatch tables, fused prefix
+        operators, eager and lazy participants, checked monitors)."""
+        fused = sum(len(plan.prefix)
+                    for plans in self.dispatch.values() for plan in plans)
+        layers = "none" if self.sanitizer is None else "checked"
+        return ("EXPIRE>DISPATCH>PROPAGATE>PURGE>DELIVER"
+                f" | streams={len(self.dispatch)} fused={fused}"
+                f" expire={len(self.expire_ops)} lazy={len(self.lazy_ops)}"
+                f" layers={layers}")
 
     def op_for(self, node: LogicalNode) -> PhysicalOperator:
         return self.ops[id(node)]
@@ -240,6 +279,7 @@ def compile_plan(root: LogicalNode, config: ExecutionConfig,
         _build_node(node, compiled, annotated, config, hybrid, direct_region)
 
     _wire_routes(root, compiled)
+    _plan_dispatch(compiled)
     _build_view(root, compiled, annotated, config, hybrid)
     return compiled
 
@@ -579,6 +619,26 @@ def _wire_routes(root: LogicalNode, compiled: CompiledQuery) -> None:
             route.append((compiled.op_for(parent), slot))
             cursor = parent
         compiled.routes[id(compiled.op_for(node))] = route
+
+
+def _plan_dispatch(compiled: CompiledQuery) -> None:
+    """Split every leaf's route into its fused kernel prefix and the
+    generic suffix (:class:`DispatchPlan`).  Checked-mode monitors are
+    already in place, so the kernels are the monitored operators'."""
+    for stream, leaves in compiled.leaf_bindings.items():
+        plans = []
+        for leaf in leaves:
+            route = compiled.routes[id(leaf)]
+            prefix = []
+            # A port replays lists, not single tuples: nothing to inline.
+            for parent, _slot in (() if isinstance(leaf, PortOp) else route):
+                kernel = parent.kernel()
+                if kernel is None:
+                    break
+                prefix.append((parent, kernel[0], kernel[1]))
+            plans.append(DispatchPlan(leaf, tuple(prefix),
+                                      tuple(route[len(prefix):])))
+        compiled.dispatch[stream] = tuple(plans)
 
 
 def _build_view(root: LogicalNode, compiled: CompiledQuery,

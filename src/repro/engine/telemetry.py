@@ -334,8 +334,6 @@ class DriverMetrics:
         ``op_process_seconds`` timer per operator (so every export names
         every operator, charged or not), the phase, pass and expire timers,
         and the state gauges with each operator's certificate bound."""
-        from ..analysis.bounds import attach_certificate
-
         compiled = self._compiled
         registry = compiled.metrics
         labels = {}
@@ -364,7 +362,7 @@ class DriverMetrics:
         self._timers = timers
 
         bounds: dict[int, float] = {}
-        for entry in attach_certificate(compiled).entries:
+        for entry in compiled.certificate.entries:
             if (entry.op is not None and entry.buffer is not None
                     and entry.size is not None and entry.size < math.inf):
                 bounds[id(entry.op)] = bounds.get(id(entry.op), 0.0) + entry.size

@@ -101,7 +101,7 @@ def answers_agree(plan_factory, events: Sequence[Event],
 
 def reference_step(driver, event: Event) -> None:
     """Process one event on ``driver`` by Section 2's model, interpreted
-    over ``driver.program``: advance the clock, run the full bottom-up
+    over ``driver.compiled``: advance the clock, run the full bottom-up
     expiration pass (each operator's emissions pushed to the root before
     the next operator expires, so parents observe deletions in order),
     dispatch the event, let lazily-maintained operators purge.
@@ -109,11 +109,12 @@ def reference_step(driver, event: Event) -> None:
     No runtime calls this; it is what the driver's compiled loops are
     tested against — answers, output stream and every counter must equal
     ``driver.process_event(event)``'s.  It shares with them only the
-    program tables, the operators' ``process_batch`` / ``expire`` and the
-    driver's clock, relation-update and lazy-purge steps.
+    compiled query's routes and participant lists, the operators'
+    ``process_batch`` / ``expire`` and the driver's clock, relation-update
+    and lazy-purge steps.
     """
-    program = driver.program
-    view = driver.compiled.view
+    compiled = driver.compiled
+    view = compiled.view
     now = driver._clock_for(event)
     if now < driver.now:
         raise ExecutionError(
@@ -123,19 +124,19 @@ def reference_step(driver, event: Event) -> None:
     driver._events_processed += 1
 
     def propagate(source, outputs) -> None:
-        for parent, slot in program.routes[id(source)]:
+        for parent, slot in compiled.routes[id(source)]:
             if not outputs:
                 return
             outputs = parent.process_batch(slot, outputs, now)
         if outputs:
             view.deliver(outputs, now, driver._subscribers)
 
-    for op in program.expire_ops:
+    for op in compiled.expire_ops:
         propagate(op, op.expire(now))
     view.purge(now)
     if isinstance(event, Arrival):
         driver._tuples_arrived += 1
-        for leaf in program.leaf_bindings.get(event.stream, ()):
+        for leaf in compiled.leaf_bindings.get(event.stream, ()):
             if isinstance(leaf, PortOp):
                 # A shared subtree reads this stream: replay its output.
                 propagate(leaf, list(leaf.pull()))

@@ -46,7 +46,6 @@ from repro.core.plan import (
 from repro.core.sharding import Partitionability, analyze_partitionability
 from repro.core.tuples import Schema
 from repro.engine.driver import Driver
-from repro.engine.program import build_program
 from repro.engine.strategies import (
     STR_NEGATIVE,
     ExecutionConfig,
@@ -242,17 +241,16 @@ def _dm502_redundant_distinct() -> LintReport:
 
 
 # ---------------------------------------------------------------------------
-# PRG — tampered execution programs
+# PRG — tampered dispatch tables and expiration participants
 # ---------------------------------------------------------------------------
 
 def _prg601_missing_dispatch_table() -> LintReport:
-    """Build Query 1's execution program, then delete one stream's dispatch
-    table — the corruption a stale program cache would produce.  Every
-    arrival on that stream would silently vanish."""
+    """Compile Query 1, then delete one stream's dispatch table — the
+    corruption a stale table cache would produce.  Every arrival on that
+    stream would silently vanish."""
     plan = queries.query1(_GEN, WINDOW)
     _config, compiled = _compiled(plan, mode=Mode.UPA)
-    program = build_program(compiled)
-    del program.dispatch[next(iter(program.dispatch))]
+    del compiled.dispatch[next(iter(compiled.dispatch))]
     return lint_compiled(compiled)
 
 
@@ -262,8 +260,7 @@ def _prg602_dropped_expire_participant() -> LintReport:
     without bound and no negative tuples would ever be emitted for it."""
     plan = queries.query1(_GEN, WINDOW)
     _config, compiled = _compiled(plan, mode=Mode.NT)
-    program = build_program(compiled)
-    program.expire_ops = program.expire_ops[:-1]
+    compiled.expire_ops = compiled.expire_ops[:-1]
     return lint_compiled(compiled)
 
 
@@ -274,11 +271,10 @@ def _prg603_stateful_fused_prefix() -> LintReport:
     fusing it would run it outside the expiration machinery."""
     plan = queries.query1(_GEN, WINDOW)
     _config, compiled = _compiled(plan, mode=Mode.UPA)
-    program = build_program(compiled)
-    stream, plans = next(iter(program.dispatch.items()))
+    stream, plans = next(iter(compiled.dispatch.items()))
     dispatch_plan = plans[0]
     (promoted, _slot), rest = dispatch_plan.suffix[0], dispatch_plan.suffix[1:]
-    program.dispatch[stream] = (dispatch_plan._replace(
+    compiled.dispatch[stream] = (dispatch_plan._replace(
         prefix=dispatch_plan.prefix + ((promoted, "pass", None),),
         suffix=rest),) + plans[1:]
     return lint_compiled(compiled)
@@ -308,7 +304,7 @@ def _als702_closure_captures_plan_node() -> LintReport:
     hot path now holds pre-seal planning state."""
     plan = queries.query1(_GEN, WINDOW)
     _config, compiled = _compiled(plan, mode=Mode.UPA)
-    driver = Driver(compiled, build_program(compiled))
+    driver = Driver(compiled)
     stream, arrivals = next(iter(driver._arrivals_pt.items()))
     compiled_arrival = arrivals[0]
 

@@ -287,6 +287,25 @@ class TestCertificateAtDrain:
         with pytest.raises(PatternViolation, match="certified horizon"):
             group.run(trace(), batch=batch)
 
+    def test_a_bare_driver_arms_its_certificate(self):
+        """The certificate comes with the driver, not with whoever builds
+        it: a driver built straight from a compile is validated at its
+        finish exactly as a query's is."""
+        from repro.engine.driver import Driver
+        from repro.engine.executor import finish_drivers
+        from repro.engine.strategies import compile_plan
+
+        gen = TrafficTraceGenerator(TrafficConfig(seed=11))
+        compiled = compile_plan(query3(gen, WINDOW), ExecutionConfig(
+            mode=Mode.UPA, checked=True))
+        assert compiled.certificate is None
+        driver = Driver(compiled)
+        assert compiled.certificate is not None
+        assert tamper(compiled)
+        driver.process_batch(trace())
+        with pytest.raises(PatternViolation, match="certified horizon"):
+            finish_drivers([driver])
+
     def test_tampered_producer_raises_from_group_run(self):
         group = checked_group(shared=True)
         producers = group.shared_producers()

@@ -47,7 +47,6 @@ from repro import (
     compile_plan,
 )
 from repro.engine.driver import Driver
-from repro.engine.program import build_program
 from repro.engine.views import BufferView
 from repro.operators.dupelim import DupElimStandardOp
 from repro.operators.join import JoinOp
@@ -132,7 +131,7 @@ def with_lazy_purges(plan, config):
     """The NT pipeline with those lazy participants put back."""
     compiled = compile_plan(plan, config)
     compiled.lazy_ops.extend(lazily_maintained(compiled))
-    return Driver(compiled, build_program(compiled))
+    return Driver(compiled)
 
 
 def stored(compiled):
@@ -202,7 +201,7 @@ def test_every_nt_program_has_no_lazy_participant(shape):
     query = ContinuousQuery(SHAPES[shape](2, 5), ExecutionConfig(mode=Mode.NT))
     assert bool(lazily_maintained(query.compiled)) == (shape in STORING)
     assert query.compiled.lazy_ops == []
-    assert " lazy=0 " in query.executor.program.describe()
+    assert " lazy=0 " in query.compiled.describe()
     assert not query.executor._lazy_check
 
 

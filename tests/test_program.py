@@ -1,9 +1,10 @@
-"""The unified execution-program runtime: IR structure and uniqueness.
+"""The unified driver runtime: the compiled query's tables, and uniqueness.
 
 The PR's core invariant — there is exactly ONE propagate / expire /
 dispatch implementation in the engine, shared by per-tuple, batched,
 shared, and sharded execution — is pinned here by source inspection and
-by structural checks on :class:`~repro.engine.program.ExecutionProgram`:
+by structural checks on the tables a :class:`~repro.engine.strategies.CompiledQuery`
+hands its driver:
 
 * ``executor.py`` holds run arguments, the one feed and finish and the
   results, and ``sharing.py`` plans producers: neither defines or calls an
@@ -18,10 +19,11 @@ by structural checks on :class:`~repro.engine.program.ExecutionProgram`:
 * ``Driver`` defines exactly one implementation of each step its compiled
   loops call and none of the Section-2 interpreter's; operators have one
   arrival entry point (``process_batch``) and one fusion hook (``kernel``).
-* ``build_program`` covers every leaf-binding stream with a dispatch
-  table whose fused prefix + suffix reconstructs the resolved route.
+* The compiled query is the program: ``compile_plan`` covers every
+  leaf-binding stream with a dispatch table whose fused prefix + suffix
+  reconstructs the resolved route, and every driver is ``Driver(compiled)``.
 * Shared producers and shard workers hold real ``Driver`` instances over
-  the same program IR.
+  their own compiled queries.
 """
 
 from __future__ import annotations
@@ -51,12 +53,7 @@ from repro.engine import executor as executor_module
 from repro.engine import query as query_module
 from repro.engine import sharing as sharing_module
 from repro.engine.driver import Driver
-from repro.engine.program import (
-    STEP_KINDS,
-    DispatchPlan,
-    ExecutionProgram,
-    build_program,
-)
+from repro.engine.strategies import DispatchPlan
 from repro.operators.base import PhysicalOperator
 
 from conftest import all_subclasses
@@ -150,7 +147,8 @@ class TestSingleImplementation:
                    for d in replica.drivers]
         assert len(drivers) == 2
         assert all(type(d) is Driver for d in drivers)
-        assert all(isinstance(d.program, ExecutionProgram) for d in drivers)
+        assert len({id(d.compiled) for d in drivers}) == 2
+        assert not any(hasattr(d, "program") for d in drivers)
 
     def test_shared_producers_hold_drivers(self):
         from repro import QueryGroup
@@ -226,8 +224,7 @@ class TestQueryRunsItself:
         stats = _profile(ContinuousQuery(_join_plan(), config)
                          .executor.process_event, events)
         compiled = compile_plan(_join_plan(), config)
-        bare = _profile(Driver(compiled, build_program(compiled))
-                        .process_event, events)
+        bare = _profile(Driver(compiled).process_event, events)
         assert stats.total_calls == bare.total_calls
         called = _calls_by_frame(stats)
         assert called[(driver_module.__file__, "process_event")] == self.N
@@ -322,25 +319,19 @@ class TestOneFeedOneFinish:
 
 
 class TestProgramStructure:
-    def test_steps_follow_the_vocabulary_in_order(self):
-        program = ContinuousQuery(_join_plan()).executor.program
-        assert tuple(step.kind for step in program.steps) == STEP_KINDS
-
     def test_dispatch_covers_every_leaf_stream(self):
-        query = ContinuousQuery(_join_plan())
-        program = query.executor.program
-        assert set(program.dispatch) == set(query.compiled.leaf_bindings)
-        for stream_name, leaves in query.compiled.leaf_bindings.items():
-            plans = program.dispatch[stream_name]
+        compiled = ContinuousQuery(_join_plan()).compiled
+        assert set(compiled.dispatch) == set(compiled.leaf_bindings)
+        for stream_name, leaves in compiled.leaf_bindings.items():
+            plans = compiled.dispatch[stream_name]
             assert len(plans) == len(leaves)
             assert [plan.leaf for plan in plans] == leaves
 
     def test_prefix_plus_suffix_reconstructs_the_route(self):
-        query = ContinuousQuery(_join_plan(), ExecutionConfig(mode=Mode.UPA))
-        program = query.executor.program
-        for plans in program.dispatch.values():
+        compiled = compile_plan(_join_plan(), ExecutionConfig(mode=Mode.UPA))
+        for plans in compiled.dispatch.values():
             for plan in plans:
-                route = query.compiled.route_of(plan.leaf)
+                route = compiled.route_of(plan.leaf)
                 assert len(plan.prefix) + len(plan.suffix) == len(route)
                 # Fused prefix entries mirror the route's leading parents.
                 for (op, kind, _arg), (parent, _slot) in zip(
@@ -353,43 +344,76 @@ class TestProgramStructure:
                     assert op.state_size() == 0
 
     def test_program_recorded_on_compiled(self):
+        """The compiled query is the program: the driver keeps no copy of
+        its tables and no second IR object stands between them."""
         query = ContinuousQuery(_join_plan())
-        assert query.compiled.program is query.executor.program
+        driver = query.executor
+        assert driver.compiled is query.compiled
+        assert not hasattr(driver, "program")
+        assert not hasattr(query.compiled, "program")
+        roots = driver.introspection_roots()
+        assert roots["dispatch"] is query.compiled.dispatch
+        assert roots["expire_ops"] is query.compiled.expire_ops
+        assert roots["routes"] is query.compiled.routes
 
     def test_describe_summarizes_the_loop(self):
-        query = ContinuousQuery(_join_plan(), ExecutionConfig(mode=Mode.UPA))
-        text = query.executor.program.describe()
-        assert text.startswith("EXPIRE>DISPATCH>PROPAGATE>PURGE>DELIVER")
-        assert "streams=2" in text
-        assert "layers=none" in text
-        assert repr(query.executor.program).startswith("ExecutionProgram(")
+        compiled = ContinuousQuery(
+            _join_plan(), ExecutionConfig(mode=Mode.UPA)).compiled
+        assert compiled.describe() == (
+            "EXPIRE>DISPATCH>PROPAGATE>PURGE>DELIVER | streams=2 fused=1"
+            " expire=0 lazy=1 layers=none")
 
     def test_checked_layer_recorded(self):
         query = ContinuousQuery(
             _join_plan(), ExecutionConfig(mode=Mode.UPA, checked=True))
-        assert "checked" in query.executor.program.layers
-        assert "layers=checked" in query.executor.program.describe()
+        assert query.compiled.describe().endswith(" layers=checked")
 
     def test_arming_leaves_the_program_unchanged(self, monkeypatch):
         """Metrics are taken inside the driver's loops, not layered
-        around the program: a driver that times every batch describes its
-        program exactly like one that never samples, before and after a
-        run."""
+        around the compiled query: a driver that times every batch
+        describes its loop exactly like one that never samples, before and
+        after a run."""
         monkeypatch.setattr(Driver, "sample_events", sys.maxsize)
         described = ContinuousQuery(
             _join_plan(), ExecutionConfig(mode=Mode.UPA)
-        ).executor.program.describe()
+        ).compiled.describe()
         monkeypatch.setattr(Driver, "sample_events", 1)
         query = ContinuousQuery(_join_plan(), ExecutionConfig(mode=Mode.UPA))
-        assert query.executor.program.describe() == described
+        assert query.compiled.describe() == described
         query.run([Arrival(float(i), f"s{i % 2}", (i % 3,))
                    for i in range(40)], batch=8)
-        assert query.executor.program.describe() == described
+        assert query.compiled.describe() == described
 
     def test_explain_carries_program_footer(self):
         query = ContinuousQuery(_join_plan(), ExecutionConfig(mode=Mode.UPA))
         text = query.explain()
-        assert "-- program: EXPIRE>DISPATCH>PROPAGATE>PURGE>DELIVER" in text
+        assert f"-- program: {query.compiled.describe()}" in text
+
+    def test_every_driver_is_built_from_the_compiled_query(self):
+        """``Driver(compiled)`` is the one way to build a driver, and the
+        constructor is the one place that attaches a certificate: every
+        call in ``src/`` passes the compiled query alone, and nothing calls
+        ``build_program`` (a shim kept for the benchmark's stage names)."""
+        import ast
+        import pathlib
+
+        package = pathlib.Path(driver_module.__file__).parents[1]
+        builds, attaches = [], []
+        for path in package.rglob("*.py"):
+            source = path.read_text()
+            assert "build_program(" not in source or path.name == "program.py"
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.Call) and isinstance(
+                        node.func, ast.Name):
+                    if node.func.id == "Driver":
+                        builds.append((path.name, len(node.args),
+                                       len(node.keywords)))
+                    elif node.func.id == "attach_certificate":
+                        attaches.append(path.parent.name + "/" + path.name)
+        assert {name for name, _, _ in builds} >= {
+            "query.py", "sharing.py", "shard.py", "cli.py", "specialize.py"}
+        assert all(args == 1 and not kwargs for _, args, kwargs in builds)
+        assert set(attaches) == {"engine/driver.py"}
 
     def test_dispatch_plan_is_flat_data(self):
         plan = DispatchPlan(leaf=None, prefix=(), suffix=())
@@ -397,7 +421,7 @@ class TestProgramStructure:
 
 
 class TestProgramExecutionEquivalence:
-    """A rebuilt program over the same compile drives identical results."""
+    """A driver built straight from a compile drives identical results."""
 
     def _events(self, n=200):
         return [Arrival(0.25 * i, f"s{i % 2}", (i % 5,)) for i in range(n)]
@@ -413,10 +437,10 @@ class TestProgramExecutionEquivalence:
         assert reference.answer() == batched.answer()
 
     def test_driver_runs_program_standalone(self):
-        """A Driver over a fresh program processes events without a
-        ContinuousQuery around it — the program IR is self-sufficient."""
+        """A Driver over a fresh compile processes events without a
+        ContinuousQuery around it — the compiled query is the program."""
         compiled = compile_plan(_join_plan(), ExecutionConfig(mode=Mode.UPA))
-        driver = Driver(compiled, build_program(compiled))
+        driver = Driver(compiled)
         for event in self._events(60):
             driver.process_event(event)
         reference = ContinuousQuery(_join_plan(),

@@ -59,7 +59,6 @@ from repro import (
 )
 from repro.core.plan import DupElim, Join, Negation, Project, WindowScan
 from repro.engine.driver import Driver
-from repro.engine.program import build_program
 from repro.streams.window import CountWindow
 from repro.workloads.queries import (
     query1,
@@ -842,7 +841,7 @@ def test_compile_plan_unaffected_by_analysis():
     plan = from_window(s0).join(from_window(s1), on="v").build()
     analyze_partitionability(plan)
     compiled = compile_plan(plan, ExecutionConfig(mode=Mode.UPA))
-    driver = Driver(compiled, build_program(compiled))
+    driver = Driver(compiled)
     for event in random_arrivals(100):
         driver.process_event(event)
     baseline = ContinuousQuery(

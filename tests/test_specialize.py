@@ -66,7 +66,10 @@ class TestOneDriver:
         assert type(query.executor) is Driver
 
     def test_make_driver_is_the_constructor(self):
+        """The two set-up stage names ``benchmarks/e2e`` times: the
+        compiled query is the program, and the driver is built from it."""
         compiled = compile_plan(join_plan(), ExecutionConfig(mode=Mode.UPA))
+        assert build_program(compiled) is compiled
         assert type(make_driver(compiled, build_program(compiled))) is Driver
 
     @pytest.mark.parametrize("axis", ["specialize", "columnar"])
@@ -100,14 +103,13 @@ class TestBatchLoopChoice:
 
 
 class TestClosureIsolation:
-    """Closures are compiled per driver: two drivers over the same program
-    (or over twin programs) must never share mutable runtime state."""
+    """Closures are compiled per driver: two drivers over the same compiled
+    query (or over twin compiles) must never share mutable runtime state."""
 
     def test_boundary_caches_are_per_driver(self):
         compiled = compile_plan(join_plan(), ExecutionConfig(mode=Mode.UPA))
-        program = build_program(compiled)
-        a = Driver(compiled, program)
-        b = Driver(compiled, program)
+        a = Driver(compiled)
+        b = Driver(compiled)
         assert a._boundaries is not b._boundaries
         assert a.process_event is not b.process_event
         assert a._arrivals_pt is not b._arrivals_pt
@@ -131,7 +133,7 @@ class TestClosureIsolation:
         d2 = q2.executor
         for op, _expire, stages in d2._pass_plan:
             assert id(op) not in ops1
-        for plans in d2._dispatch.values():
+        for plans in d2.compiled.dispatch.values():
             for plan in plans:
                 assert id(plan.leaf) not in ops1
 

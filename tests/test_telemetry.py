@@ -606,13 +606,13 @@ class TestArmedRunsTheSameLoops:
                                     ExecutionConfig(mode=Mode.UPA))
             outputs = []
             query.subscribe(lambda t, now, out=outputs: out.append((t, now)))
-            described = query.executor.program.describe()
+            described = query.compiled.describe()
             closure = query.executor.process_event
             result = query.run(iter(EVENTS), batch=batch)
             columnar = next(line for line in query.explain().splitlines()
                             if line.startswith("-- columnar:"))
             assert columnar.startswith(footer)
-            assert query.executor.program.describe() == described
+            assert query.compiled.describe() == described
             assert query.executor.process_event is closure
             observed.append((columnar, described, outputs,
                              result.counters.snapshot(),
