@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro import ExecutionConfig, Mode
+from repro import Arrival, ExecutionConfig, Mode
 from repro.core.cost import Catalog, CostModel
 from repro.engine.strategies import STR_NEGATIVE, STR_PARTITIONED
 from repro.workloads import (
@@ -345,19 +345,19 @@ def transport_cost() -> list[Measurement]:
     * ``transport/pickle``: ``route_chunk`` (per-shard event lists with
       foreign arrivals re-materialized as ticks), then per shard:
       compact-encode the shard's events, send the full ``("chunk", ...)``
-      message over the same real pipes, re-materialize the events, and
-      columnarize them (``ChunkTable.from_events``) — exactly what the
-      legacy path costs a columnar worker driver.
+      message over the same real pipes, and re-materialize the events —
+      the batch a worker driver takes as it is.
 
     Both sides pay genuine pipe syscalls and copies (one pipe pair per
     shard, drained synchronously per chunk, so in-flight bytes stay far
-    below the pipe buffer), and both stop at the same observable state: a
-    constructed :class:`ChunkTable` whose ``group_values`` answers on
-    demand (``from_events`` gathers cached rows; ``decode_routed``
-    decodes per-shard column slices).  The ``*/eager`` variants extend
-    both sides through eager ``group_values`` of every owned stream, so
-    the deferred string/number decoding the shm path pushes into the
-    column phase is also on the record.  Costs are per 1000 *global*
+    below the pipe buffer), and both stop where a worker driver takes the
+    batch: a constructed :class:`ChunkTable` whose ``group_values``
+    decodes per-shard column slices on demand, or the event list.  The
+    ``*/eager`` variants extend both sides through every owned stream's
+    value rows (``group_values``, or the per-stream grouping a column
+    prelude makes of an event list), so the deferred string/number
+    decoding the shm path pushes into the prelude is also on the
+    record.  Costs are per 1000 *global*
     timeline rows (each shard sees the whole timeline, so global rows are
     the common denominator).  Each transport is the minimum over
     interleaved rounds; the ``window`` field carries the chunk size.
@@ -368,8 +368,7 @@ def transport_cost() -> list[Measurement]:
     import time as _time
 
     from repro.core.sharding import analyze_partitionability
-    from repro.engine.columnar import ChunkTable, decode_routed, \
-        encode_routed
+    from repro.engine.columnar import decode_routed, encode_routed
     from repro.engine.shard import ShardRouter, _decode_event, _encode_event
     from repro.workloads import query1
 
@@ -416,10 +415,12 @@ def transport_cost() -> list[Measurement]:
                     for _, worker in pipes:
                         message = worker.recv()
                         decoded = [_decode_event(r) for r in message[1]]
-                        table = ChunkTable.from_events(decoded)
                         if eager:
-                            for stream in table.groups():
-                                table.group_values(stream)
+                            groups: dict = {}
+                            for event in decoded:
+                                if event.__class__ is Arrival:
+                                    groups.setdefault(
+                                        event.stream, []).append(event.values)
                 return _time.perf_counter() - start
 
             cells = (("transport/shm", shm_round, False),

@@ -2,7 +2,7 @@
 
 The control plane resolves the event loop once per query
 (:mod:`~repro.engine.strategies`, :mod:`~repro.engine.driver`); this module is
-the data plane beside it.  A row loop moves one boxed
+the data plane beside it.  A per-row path moves one boxed
 :class:`~repro.core.tuples.Tuple` at a time: every fused prefix pays a
 closure call per arrival, every window insert pays two counter attribute
 writes, and the ``process`` shard backend pays a full pickle round-trip per
@@ -10,30 +10,30 @@ chunk.  The struct-of-arrays micro-batch is the representation
 batch-oriented delta processors (Kara et al., arXiv:2206.09032; Idris et
 al., SIGMOD'17) use to win their constant factors:
 
-* :class:`ChunkTable` — one column per schema field plus ``ts``/``exp``/
-  ``sign`` columns, with per-row ``Tuple`` materialization deferred to
-  stateful operator boundaries and DELIVER;
+* :class:`ChunkTable` — a worker's view of a routed chunk: the ``ts``
+  column, per-stream row groups and value columns decoded on demand, so a
+  driver's column prelude reads it without building event objects;
 * a struct-packed binary codec (:func:`encode_routed`/:func:`decode_routed`)
   used by the zero-pickle shared-memory shard transport in
   :mod:`~repro.engine.shard` — one shared payload per routed chunk, tiny
   per-shard row-index headers, lazy per-stream column materialization on
   the worker side;
 * :func:`take_columns`, the column-wise projection the driver's column
-  micro-batch loop evaluates fused ``map_indices`` kernels with.  The loop
-  itself, the rule that decides when a driver takes it, and the argument
+  prelude evaluates fused ``map_indices`` kernels with.  The prelude
+  itself, the rule that decides which streams get one, and the argument
   that it is exact live in :mod:`~repro.engine.driver`.
 """
 
 from __future__ import annotations
 
+import math
 import pickle
 import struct
 import zlib
 from array import array
-from typing import Sequence
 
 from ..errors import ExecutionError
-from ..streams.stream import Arrival, Event, Tick
+from ..streams.stream import Arrival, Tick
 
 #: Rows below this threshold take the per-row projection path; above it the
 #: double-transpose (zip to columns, gather, zip back) wins because both
@@ -42,189 +42,84 @@ _TRANSPOSE_MIN = 8
 
 
 # ---------------------------------------------------------------------------
-# ChunkTable — the struct-of-arrays micro-batch
+# ChunkTable — a worker's struct-of-arrays micro-batch
 # ---------------------------------------------------------------------------
 
 
 class ChunkTable:
-    """A micro-batch of stream events in struct-of-arrays layout.
+    """One shard's view of a routed micro-batch, in struct-of-arrays layout.
 
-    Parallel arrays over the rows: ``streams[i]`` (``None`` for a pure
-    clock tick), ``ts[i]``, and the value columns.  Two backings exist:
+    Built by :func:`decode_routed` on the worker side: ``ts`` spans the
+    whole global chunk, :meth:`groups` names this shard's rows per stream,
+    and each stream's value columns sit undecoded in the shared-memory
+    segment until :meth:`group_values` asks for them — streams the
+    worker's plan never touches are never decoded at all.
+    ``stand_ins`` holds, per row, a shared stand-in event of the row's kind
+    — :data:`OWN_ARRIVAL` for this shard's rows, :data:`OTHER_ROW` (a tick)
+    for the other shards' — for a loop that takes each row's clock from
+    ``ts`` and reads no row's values.
 
-    * *row-backed* (built by :meth:`from_events` on the feeding side):
-      value tuples are kept per row, columns are derived lazily;
-    * *column-backed* (built by :func:`decode_routed` on the worker side):
-      per-stream columns sit undecoded in a shared-memory segment;
-      ``streams`` is ``None`` (labels reconstructible from ``groups``) and
-      row tuples are materialized lazily, per stream, at the stateful
-      boundary that needs them — streams the worker's plan never touches
-      are never decoded at all.
-
-    ``exp`` and ``sign`` columns exist implicitly for transported chunks:
-    arrivals are unstamped (``exp`` is assigned by the window leaf, sign is
-    positive by construction), so the codec never ships them; the driver's
-    column phase stamps ``exp`` in bulk from the ``ts`` column.
+    ``exp`` and ``sign`` columns exist implicitly: arrivals are unstamped
+    (``exp`` is assigned by the window leaf, sign is positive by
+    construction), so the codec never ships them; the driver's column
+    prelude stamps ``exp`` in bulk from the ``ts`` column.
     """
 
-    __slots__ = ("n", "streams", "ts", "_values", "_groups", "_group_rows",
-                 "_flags", "_lazy", "_events")
+    __slots__ = ("n", "ts", "stand_ins", "_groups", "_values", "_lazy",
+                 "_events")
 
-    def __init__(self, n: int, streams: list | None, ts: list,
-                 values: list | None = None,
-                 groups: dict | None = None,
-                 group_rows: dict | None = None,
-                 flags: list | None = None,
-                 lazy: tuple | None = None):
+    def __init__(self, n: int, ts: list, groups: dict, stand_ins: list,
+                 lazy: tuple):
         self.n = n
-        self.streams = streams
         self.ts = ts
-        self._values = values
+        self.stand_ins = stand_ins
         self._groups = groups
-        self._group_rows = group_rows
-        self._flags = flags
+        self._values: dict = {}
         self._lazy = lazy
         self._events: list | None = None
 
-    @classmethod
-    def from_events(cls, events: Sequence[Event]) -> "ChunkTable | None":
-        """Columnarize a batch of events; ``None`` if any event is not an
-        arrival or tick (relation updates stay on the reference path).
-
-        Builds the per-stream row grouping in the same pass — the column
-        phase consumes it immediately, and a second scan over the batch
-        would charge the chunk plane for work the row loop never does.
-        """
-        kinds = set(map(type, events))
-        if kinds == {Arrival}:
-            # All-arrival fast path (the executor's normal batches): three
-            # C-speed gathers, then one tight grouping loop.
-            streams = [event.stream for event in events]
-            ts = [event.ts for event in events]
-            values = [event.values for event in events]
-            groups: dict = {}
-            groups_get = groups.get
-            r = 0
-            for stream in streams:
-                rows = groups_get(stream)
-                if rows is None:
-                    groups[stream] = [r]
-                else:
-                    rows.append(r)
-                r += 1
-            return cls(len(streams), streams, ts, values, groups=groups)
-        if not kinds <= {Arrival, Tick}:
-            return None
-        streams = []
-        ts = []
-        values = []
-        groups = {}
-        r = 0
-        for event in events:
-            if event.__class__ is Arrival:
-                stream = event.stream
-                streams.append(stream)
-                ts.append(event.ts)
-                values.append(event.values)
-                rows = groups.get(stream)
-                if rows is None:
-                    groups[stream] = [r]
-                else:
-                    rows.append(r)
-            else:
-                streams.append(None)
-                ts.append(event.ts)
-                values.append(None)
-            r += 1
-        return cls(r, streams, ts, values, groups=groups)
-
-    # -- grouping (the per-stream view the column phase consumes) ----------
-
     def groups(self) -> dict:
-        """``stream -> [row indices]`` in arrival order (ticks excluded)."""
-        groups = self._groups
-        if groups is None:
-            groups = {}
-            for r, stream in enumerate(self.streams):
-                if stream is None:
-                    continue
-                rows = groups.get(stream)
-                if rows is None:
-                    groups[stream] = [r]
-                else:
-                    rows.append(r)
-            self._groups = groups
-        return groups
+        """``stream -> [row indices]`` of this shard's rows, in arrival
+        order."""
+        return self._groups
 
     def group_values(self, stream: str) -> list:
-        """Value tuples of one stream's rows, in arrival order.
-
-        Column-backed tables materialize them here — decode the stream's
-        column section from the shared segment and transpose with one
-        C-speed ``zip`` — which is the lazy-materialization boundary for
-        transported chunks.
-        """
-        group_rows = self._group_rows
-        if group_rows is not None:
-            rows = group_rows.get(stream)
-            if rows is None and self._lazy is not None:
-                view, specs = self._lazy
-                rows = _decode_columns(view, *specs[stream])
-                group_rows[stream] = rows
-            return rows
-        values = self._values
-        return [values[r] for r in self.groups()[stream]]
-
-    def arrival_flags(self) -> list:
-        """Per-row arrival markers, ``None`` for ticks — ``streams``
-        itself for row-backed tables, the decoded marker list for
-        transported ones (whose ``streams`` stays unmaterialized)."""
-        flags = self._flags
-        if flags is None:
-            return self.streams
-        return flags
-
-    def stream_labels(self) -> list:
-        """Per-row stream names (``None`` for ticks), materializing them
-        from the groups for column-backed tables (fallback paths only)."""
-        streams = self.streams
-        if streams is None:
-            streams = [None] * self.n
-            for stream, rows in self.groups().items():
-                for r in rows:
-                    streams[r] = stream
-            self.streams = streams
-        return streams
-
-    # -- row views (fallback paths only) ------------------------------------
-
-    def row_values(self) -> list:
-        """Per-row value tuples in global order (``None`` for ticks)."""
-        if self._values is None:
-            values: list = [None] * self.n
-            for stream, rows in self.groups().items():
-                for r, v in zip(rows, self.group_values(stream)):
-                    values[r] = v
-            self._values = values
-        return self._values
+        """Value tuples of one stream's rows, in arrival order: decoded
+        from the stream's column section of the shared segment and
+        transposed with one C-speed ``zip`` on first use — the lazy
+        materialization boundary of transported chunks."""
+        values = self._values.get(stream)
+        if values is None:
+            view, specs = self._lazy
+            values = _decode_columns(view, *specs[stream])
+            self._values[stream] = values
+        return values
 
     def to_events(self) -> list:
-        """Plain events — the escape hatch for row-loop consumers —
-        materialized once however many drivers ask."""
+        """Plain events (other shards' rows as ticks), built once however
+        many drivers ask."""
         if self._events is None:
-            values = self.row_values()
             ts = self.ts
-            self._events = [Tick(ts[r]) if stream is None
-                            else Arrival(ts[r], stream, values[r])
-                            for r, stream in enumerate(self.stream_labels())]
+            events = [Tick(t) if mark is OTHER_ROW else None
+                      for t, mark in zip(ts, self.stand_ins)]
+            for stream, rows in self._groups.items():
+                for r, values in zip(rows, self.group_values(stream)):
+                    events[r] = Arrival(ts[r], stream, values)
+            self._events = events
         return self._events
 
     def __len__(self) -> int:
         return self.n
 
     def __repr__(self) -> str:
-        backing = "cols" if self._group_rows is not None else "rows"
-        return f"ChunkTable(n={self.n}, streams={len(self.groups())}, {backing})"
+        return f"ChunkTable(n={self.n}, streams={len(self._groups)})"
+
+
+#: The stand-in for a shard's own arrival rows: its stream is no stream's
+#: name, so no arrival closure takes it.
+OWN_ARRIVAL = Arrival(-math.inf, None, ())
+#: The stand-in for the other shards' rows: clock ticks.
+OTHER_ROW = Tick(-math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +341,13 @@ _KEY_HASH_CACHE: dict = {}
 
 
 def decode_routed(buf, header) -> ChunkTable:
-    """Decode one shard's view of a routed payload into a column-backed
+    """Decode one shard's view of a routed payload into a
     :class:`ChunkTable`.
 
     ``buf`` is any buffer (typically a ``memoryview`` over the shared
     segment); ``header`` is this shard's entry of the
     :func:`encode_routed` result.  Only the timeline (``ts``), the row
-    grouping and the arrival flags are materialized here; value columns
+    grouping and the row stand-ins are materialized here; value columns
     stay undecoded in the buffer until :meth:`ChunkTable.group_values`
     asks for a stream — streams the worker's plan never touches are never
     decoded at all.
@@ -473,7 +368,7 @@ def decode_routed(buf, header) -> ChunkTable:
     mine = {entry[0]: entry for entry in header}
     groups: dict = {}
     specs: dict = {}
-    flags: list = [None] * m
+    stand_ins: list = [OTHER_ROW] * m
     for ti in range(k):
         total, width, nbytes = _HHI.unpack_from(view, pos)
         pos += 8
@@ -487,10 +382,9 @@ def decode_routed(buf, header) -> ChunkTable:
             groups[name] = rows
             specs[name] = (pos, total, width, offset, count)
             for r in rows:
-                flags[r] = 1
+                stand_ins[r] = OWN_ARRIVAL
         pos += nbytes
-    return ChunkTable(m, None, ts_col.tolist(), groups=groups,
-                      group_rows={}, flags=flags, lazy=(view, specs))
+    return ChunkTable(m, ts_col.tolist(), groups, stand_ins, (view, specs))
 
 
 def _decode_columns(view, pos, total, width, offset, count) -> list:
@@ -568,6 +462,8 @@ def take_columns(rows: list, indices) -> list:
 
 
 __all__ = [
+    "OTHER_ROW",
+    "OWN_ARRIVAL",
     "ChunkTable",
     "decode_routed",
     "encode_routed",

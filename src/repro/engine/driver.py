@@ -2,124 +2,103 @@
 
 A :class:`Driver` runs one :class:`~repro.engine.strategies.CompiledQuery`:
 the compiled query is the program, its dispatch tables, routes and
-expiration participants resolved at compile time.
-Section 2's processing model: "Each new tuple is processed immediately by
-all the operators in the query before the next tuple is processed.
-Consequently, results are produced in timestamp order."  Before dispatching
-each event the driver runs an expiration pass (so the eager expiration
-interval equals the tuple inter-arrival time, the setting used in Section
-6.1), and every ``lazy_interval`` time units it lets lazily-maintained
-operators purge their state (default: 5% of the largest window, the paper's
-default).  Pure time advancement without arrivals is modelled with Tick
-events.  That model written down as an interpreter over those tables —
-what the compiled paths are tested against — is
-:func:`repro.testing.reference_step`; no runtime calls it.
-
-The compiled paths
-------------------
+expiration participants resolved at compile time.  Section 2's processing
+model: "Each new tuple is processed immediately by all the operators in the
+query before the next tuple is processed.  Consequently, results are
+produced in timestamp order."  Before dispatching each event the driver
+runs an expiration pass (so the eager expiration interval equals the tuple
+inter-arrival time, the setting used in Section 6.1), and every
+``lazy_interval`` time units it lets lazily-maintained operators purge
+their state (default: 5% of the largest window, the paper's default).
+Pure time advancement without arrivals is modelled with Tick events.  That
+model written down as an interpreter over the tables — what the compiled
+paths are tested against — is :func:`repro.testing.reference_step`.
 
 The tables are *static per query*, so every lookup an interpreter makes
-per event can be resolved once, at construction — the move query compilers
+per event is resolved once, at construction — the move query compilers
 make for conjunctive queries under updates (Kara et al., arXiv:2206.09032):
-generate maintenance code specialized to the query shape instead of
-interpreting a generic plan.  The driver compiles the tables into
+generate maintenance code specialized to the query shape.  The driver
+compiles two loops, one per entry point (fed one event per call, the
+closure is 1.6–2.0× faster than the batch loop at batch size one, RESULTS.md
+"one operator entry point"):
 
 * **the per-tuple loop** — one fused closure, the ``process_event``
   *instance attribute* (the class defines none), so every runner's hoist
-  (``query.executor.process_event``) binds straight to it.  It runs the
-  full bottom-up expiration pass before every event exactly like the
-  reference interpreter, so answers, output streams and **all** counters
-  (touches included) are byte-identical to it.
-* **the row micro-batch loop** (:meth:`Driver.process_batch`) — amortizes
-  the expiration pass, the result-view purge and the propagation walk over
-  a batch while producing byte-identical output streams, view snapshots and
-  structural counters.  The exactness argument (see DESIGN.md):
+  binds straight to it.  It runs the full bottom-up expiration pass before
+  every event like the reference interpreter, so answers, output streams
+  and **all** counters (touches included) are byte-identical to it.
+* **the batch loop** (:meth:`Driver.process_batch`) — amortizes the
+  expiration pass, the result-view purge and the propagation walk over a
+  batch; only the *touches*/*probes* counters may differ (see DESIGN.md):
 
-  - The per-tuple expiration pass at clock ``n`` emits output only when
-    some eagerly-maintained tuple has ``exp <= n``; all other passes are
-    no-ops.  The batch loop keeps one cached next-expiry lower bound per
-    eager operator — refreshed from ``op.next_expiry`` at batch entry,
-    folded down by every tuple entering that operator, re-queried after
-    the operator's own expire — and gates passes on the minimum of the
-    caches.  A pass runs at exactly the clock of the event that reaches
-    the gate and visits only the operators whose cache has been reached;
-    the skipped passes and operators provably have nothing to expire.
-  - The result view's timestamp purge produces no output and answer
-    snapshots filter by liveness, so the view is purged once per batch
-    (and at every pass); the ``expirations`` counter equalizes at every
-    batch boundary because both schedules have purged exactly the results
-    with ``exp <= clock``.
-  - Lazy-purge scheduling is a pure function of event clocks and is
-    replayed per event.
+  - A per-tuple pass at clock ``n`` emits output only when some eager
+    tuple has ``exp <= n``.  The loop keeps one cached next-expiry lower
+    bound per eager operator — re-anchored from ``op.next_expiry`` at batch
+    entry, folded down by every tuple entering that operator, re-queried
+    after its own expire — and runs a pass, at exactly the clock of the
+    event that reaches the minimum, over only the operators whose cache
+    was reached; the skipped ones provably have nothing to expire.
+  - The view's purge emits nothing and snapshots filter by liveness, so
+    it runs once per batch (and at every pass); lazy purges, a pure
+    function of event clocks, are tested per event.
 
-  Only the *touches*/*probes* counters may differ from per-tuple execution
-  — the amortization is precisely the removal of that redundant work.
-* **the column micro-batch loop** — splits each batch, held as a
-  struct-of-arrays :class:`~repro.engine.columnar.ChunkTable`, into a bulk
-  *column phase* (stamp, window insert, fused stateless prefix, per stream
-  over whole chunks) and an in-order *replay phase* (passes, stateful
-  suffixes, lazy purges, delivery — per event, at each event's own clock).
+One batch loop
+--------------
 
-Two row-at-a-time loops remain because each wins on its side: fed one event
-per call, the per-tuple closure is 1.6–2.0× faster than the row loop at
-batch size one (RESULTS.md "one operator entry point").  The compiled
-query, not the caller, picks the batch loop: column plans are compiled
-when every dispatch plan is expressible column-wise (time windows) *and*
-one has a fused stateless prefix — the only bulk work the column phase
-has — and the row loop runs otherwise (measured in DESIGN.md "the driver picks the batch
-loop"; :meth:`Driver.batch_loop` reports the choice).
+Every batch runs the one per-event loop: per event, in order, it sets the
+clock, runs the gated pass, then dispatches — a relation update in place
+(re-anchoring the boundary caches), an arrival from ``pending`` or through
+its row arrival closure.  No batch falls back.
 
-Why the column/replay split is exact
-------------------------------------
+The only bulk work is a per-stream **column prelude**, compiled for a
+stream when every dispatch plan on it is a non-port time-window leaf and
+one has a fused stateless prefix (count windows, unbounded streams, shared
+ports and prefix-less streams have none; :meth:`Driver.batch_loop` names
+each stream's choice).  Before the loop, over that stream's rows, it stamps
+``exp`` in bulk, inserts the block into an NT window store
+(``insert_many``), runs the prefix column-wise and queues each survivor on
+``pending`` at its row.  It hoists four effects ahead of their row, and
+each commutes with everything the loop observes, relation updates
+included:
 
-The column phase hoists exactly three mutations ahead of their row-loop
-position: window-store inserts, the leaf/prefix ``tuples_processed``
-charges, and operator clock advances.  All three commute with everything
-the replay phase can observe:
-
-1. *Window inserts.*  A tuple stamped from a later event ``k`` carries
-   ``exp = ts_k + span > ts_r`` for every earlier event ``r`` in the batch
-   (timestamps are non-decreasing, spans positive), so an expiration pass
-   replayed at ``ts_r`` can never pop it — ``purge_expired`` sees the
-   identical expired set either way, and the boundary it re-queries stays a
-   sound lower bound that triggers passes at the identical event clocks.
-2. *Counter charges.*  ``tuples_processed`` and the buffers'
+1. *NT window inserts.*  A tuple stamped from a later event ``k`` has
+   ``exp = ts_k + span > ts_r`` for every earlier event ``r`` (timestamps
+   non-decreasing, spans positive), so no pass at ``ts_r`` pops it.
+2. *Prefix charges.*  ``tuples_processed`` and the buffers'
    ``inserts``/``touches`` are order-insensitive totals; ``insert_many`` is
-   contractually equal to n× ``insert``.
-3. *Clocks.*  Stateless operators' clocks are only ever folded upward; no
-   pass, probe, or subscriber reads them mid-batch.
+   contractually n× ``insert``.
+3. *Stateless clock folds.*  They only ever move up, and no pass, probe or
+   subscriber reads them mid-batch.
+4. *Leaf-boundary folds.*  A cache lowered to a hoisted exp stays a sound
+   lower bound, and so does ``_anchor_boundaries`` after a relation update:
+   hoisted tuples only lower the minimum, and a pass that runs early
+   expires nothing that is not due.
 
-Everything order-sensitive — pass scheduling (``now >= gate``), stateful
-suffix processing, lazy-purge grid decisions, output delivery — runs in the
-replay phase, per event, in arrival order, against exactly the state the
-row loop would see.  Batches containing relation updates or non-monotone
-timestamps take the row loop, which is trivially identical, and are
-counted by reason in :attr:`Driver.batch_fallbacks`.  Every loop evaluates
-the one kernel triple the compile stored in ``DispatchPlan.prefix``, so no
-two loops can disagree on what a fused operator computes.
+No prefix operator reads a relation (relation joins sit in suffixes, which
+run in the loop at their rows), so an update lands between the same prefix
+results either way.  Everything order-sensitive — pass scheduling,
+suffixes, relation updates, lazy purges, delivery — runs in the loop, in
+arrival order, against exactly the state per-event dispatch would see.  A
+batch with a timestamp regression runs without its prelude: the loop
+raises at the offender with exactly the preceding events applied.  Every
+path evaluates the one kernel triple stored in ``DispatchPlan.prefix``.
 
 Instrumentation
 ---------------
 
-Every driver reports through its own loops
-(:class:`~repro.engine.telemetry.DriverMetrics`): counters, fallbacks,
-state gauges and expiration lag exactly, clocks only on the batch after
-each state sample (one flag read per batch selects it) — per phase
-boundary (``phase_seconds``), per column-phase call (``op_process_seconds``)
-and around its first expiration pass (``expiration_pass_seconds``,
-``op_expire_seconds``).  The batch loops end with the sample check; the
-per-tuple closure carries none, so the one feed
-(:func:`~repro.engine.executor.feed_drivers`) makes it after every chunk
-it feeds through the closure and times the chunk after each sample
-(``per_tuple``).  Instruments are registered on the first sample.
+Every driver reports through :class:`~repro.engine.telemetry.DriverMetrics`:
+counters, state and expiration lag exactly; clocks only on the batch after
+each state sample, per phase (``phase_seconds``), per prelude plan
+(``op_process_seconds``) and around the first pass.  The per-tuple closure
+carries no sample check: the one feed
+(:func:`~repro.engine.executor.feed_drivers`) makes it after every chunk.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from itertools import compress, count, islice
-from operator import gt as _gt
+from itertools import compress, count, repeat
+from operator import length_hint
 from time import perf_counter as perf
 from typing import Callable, Sequence
 
@@ -171,15 +150,11 @@ class Driver:
         self._time_domain = compiled.time_domain != "count"
         self._count_stream = compiled.count_stream
         self._lazy_check = interval is not None and bool(self._lazy_ops)
-        #: Batches that could not take the loop the column vocabulary
-        #: offers, by reason (``relation_update``, ``non_monotone_ts``,
-        #: ``count_window``, …).  Always on: one dict update per such batch.
-        self.batch_fallbacks: dict[str, int] = {}
         self._compile_closures()
-        self._compile_column_plans()
+        self._compile_preludes()
         #: What the loops charge (see "Instrumentation").
         self._metrics = DriverMetrics(
-            compiled, [plan.leaf for stream in self._col_plans
+            compiled, [plan.leaf for stream in self._preludes
                        for plan in compiled.dispatch[stream]])
         # The symbolic state-bound certificate; in checked mode its
         # monitors are armed now, so the one finish can validate every
@@ -195,16 +170,10 @@ class Driver:
         return self._tuples_arrived
 
     def subscribe(self, callback) -> None:
-        """Receive the query's *output stream*: every real (insertion) and
-        negative (deletion) tuple, as in Definition 2.
-
-        The callback is invoked as ``callback(tuple, now)``.  Predictable
-        expirations are — by design — not signalled: each delivered tuple
-        carries its ``exp`` timestamp, and the update-pattern classification
-        exists precisely so consumers can manage such expirations themselves
-        (only unpredictable, strict non-monotonic deletions arrive as
-        negative tuples).
-        """
+        """Receive the query's *output stream* (Definition 2) as
+        ``callback(tuple, now)``: every real and negative tuple.  Predictable
+        expirations are not signalled — each tuple carries its ``exp`` — so
+        only strict non-monotonic deletions arrive as negative tuples."""
         self._subscribers.append(callback)
 
     def answer(self):
@@ -212,17 +181,17 @@ class Driver:
         return self.compiled.view.snapshot(self.now)
 
     def batch_loop(self) -> str:
-        """Which micro-batch loop this driver takes, and why — the
+        """Which streams get a column prelude in the one batch loop, and
+        why the others take their row arrival closures — the
         ``-- columnar:`` explain footer."""
-        if self._row_loop[0] is not None:
-            loop = f"row loop: {self._row_loop[0]}"
-        else:
-            plans = self._col_plans
-            loop = (f"on ({sum(map(len, plans.values()))} column plan(s) "
-                    f"across {len(plans)} stream(s), struct-of-arrays chunks)")
-        fallbacks = ", ".join(
-            f"{reason}={n}" for reason, n in sorted(self.batch_fallbacks.items()))
-        return f"{loop}; fallbacks: {fallbacks}" if fallbacks else loop
+        dispatch = self.compiled.dispatch
+        preludes = ", ".join(f"{stream} ({len(dispatch[stream])} plan(s))"
+                             for stream in self._preludes) or "none"
+        rows = ", ".join(f"{stream} ({self._prelude_reason(plans)})"
+                         for stream, plans in dispatch.items()
+                         if stream not in self._preludes)
+        loop = f"one loop; column prelude: {preludes}"
+        return f"{loop}; row arrivals: {rows}" if rows else loop
 
     # -- static introspection (ownership analysis) -------------------------
 
@@ -248,7 +217,7 @@ class Driver:
         captured."""
         yield "process_event", self.process_event
         columns = {stream: [fn for fn, _slot in pairs]
-                   for stream, pairs in self._col_plans.items()}
+                   for stream, pairs in self._preludes.items()}
         for kind, table in (("arrival_pt", self._arrivals_pt),
                             ("arrival_b", self._arrivals_b),
                             ("column", columns)):
@@ -263,10 +232,14 @@ class Driver:
             return event.ts
         # Count-based windows: the clock is the count-stream's sequence
         # number; it advances only on arrivals of that stream.
-        if (isinstance(event, Arrival)
-                and event.stream == self._count_stream):
+        if event.stream == self._count_stream:  # None unless an arrival
             self._seq[event.stream] = self._seq.get(event.stream, 0) + 1
         return self._seq.get(self._count_stream, 0)
+
+    def _out_of_order(self, now: float) -> ExecutionError:
+        return ExecutionError(
+            f"out-of-order event: ts {now} after clock {self.now} (the "
+            "model assumes non-decreasing timestamps, Section 2)")
 
     def _dispatch_relation_update(self, event: RelationUpdate,
                                   now: float) -> None:
@@ -276,22 +249,16 @@ class Driver:
             raise ExecutionError(
                 f"relation {event.relation!r} is not referenced by the query"
             )
+        insert = event.op == RelationUpdate.INSERT
         if isinstance(relation, NRR):
             # Non-retroactive: just version the table; no results change.
-            if event.op == RelationUpdate.INSERT:
-                relation.insert_at(now, event.values)
-            else:
-                relation.delete_at(now, event.values)
+            (relation.insert_at if insert else relation.delete_at)(
+                now, event.values)
             return
-        if event.op == RelationUpdate.INSERT:
-            relation.insert(event.values)
-        else:
-            relation.delete(event.values)
+        (relation.insert if insert else relation.delete)(event.values)
         for op in compiled.relation_bindings.get(event.relation, ()):
-            if event.op == RelationUpdate.INSERT:
-                outputs = op.on_relation_insert(event.values, now)
-            else:
-                outputs = op.on_relation_delete(event.values, now)
+            outputs = (op.on_relation_insert if insert
+                       else op.on_relation_delete)(event.values, now)
             if not outputs:
                 continue
             for parent, slot in compiled.routes[id(op)]:
@@ -314,24 +281,18 @@ class Driver:
         if now - self._last_purge >= interval:
             for op in self._lazy_ops:
                 op.purge(now)
-            if interval > 0:
-                # Stay on the anchored grid: jump to the latest scheduled
-                # point at or before ``now`` instead of re-anchoring at
-                # ``now``.
-                self._last_purge += interval * math.floor(
-                    (now - self._last_purge) / interval)
-            else:  # degenerate non-positive interval: purge every event
-                self._last_purge = now
+            # Jump to the latest grid point at or before ``now`` (the
+            # config and both windows keep the interval positive).
+            self._last_purge += interval * math.floor(
+                (now - self._last_purge) / interval)
 
     # -- closure compilation -----------------------------------------------
 
     def _compile_closures(self) -> None:
-        """Compile the compiled query's tables into this driver's row-path
-        closures.  Bound methods are resolved *now*: checked-mode monitors
-        shadow ``process``/``process_batch``/``expire`` at compile time,
-        before any driver exists, so the captured callables are the
-        monitored ones.  Closures are per driver: two drivers of one
-        compiled query share no mutable state."""
+        """Compile the tables into this driver's row closures.  Bound
+        methods are resolved *now*, after checked-mode monitors shadowed
+        them at compile time; closures are per driver, so two drivers of
+        one compiled query share no mutable state."""
         compiled = self.compiled
         expire_ops = compiled.expire_ops
         eager_index = {id(op): i for i, op in enumerate(expire_ops)}
@@ -364,14 +325,9 @@ class Driver:
 
     def _compile_suffix(self, stages):
         """The residual stateful route of one dispatch plan (bound by
-        :meth:`_stages`) as a closure ``(outputs, now, gate) -> gate``
-        over a non-empty list: stage-input folds into the boundary caches,
-        generic ``process_batch`` stages, DELIVER.
-
-        Only stages that are eager participants fold: stateless and
-        lazily-purged stages never produce pass output, so scheduling
-        passes for their inputs would only add no-ops.
-        """
+        :meth:`_stages`) as a closure ``(outputs, now, gate) -> gate`` over
+        a non-empty list: boundary folds at eager stages (the others never
+        produce pass output), ``process_batch`` stages, DELIVER."""
         deliver = self.compiled.view.deliver
         subscribers = self._subscribers  # list identity is stable
         boundaries = self._boundaries
@@ -396,9 +352,8 @@ class Driver:
         return run_suffix
 
     def _compile_arrival(self, plan):
-        """Compile one ``DispatchPlan`` into (per-tuple, row-batch) arrival
-        closures with every lookup bound into locals.  Only the row-batch
-        one threads the gate through its return value and folds into the
+        """Compile one ``DispatchPlan`` into (per-tuple, batch) arrival
+        closures.  Only the batch one threads the gate and folds into the
         boundary caches: the per-tuple loop runs the full pass per event."""
         if isinstance(plan.leaf, PortOp):
             return self._compile_port_arrival(plan)
@@ -416,10 +371,8 @@ class Driver:
         leaf_idx = self._eager_index.get(id(leaf), -1)
 
         def window_pt(values, now):
-            # Inlined WindowOp arrival: clock advance, one
-            # tuples_processed charge, store insertion under NT, then the
-            # fused prefix (``kernel`` contract: clock advance + one
-            # charge per operator seen).
+            # Inlined WindowOp arrival (clock, one charge, NT store), then
+            # the fused prefix (clock + one charge per operator seen).
             t = stamp(values, now, now)
             if now > leaf.clock:
                 leaf.clock = now
@@ -513,11 +466,7 @@ class Driver:
         def process_event(event: Event) -> None:
             now = event.ts if time_domain else clock_for(event)
             if now < driver.now:
-                raise ExecutionError(
-                    f"out-of-order event: ts {now} after clock "
-                    f"{driver.now} (the model assumes non-decreasing "
-                    "timestamps, Section 2)"
-                )
+                raise driver._out_of_order(now)
             driver.now = now
             driver._events_processed += 1
             # Full bottom-up expiration pass (the per-tuple schedule).
@@ -540,9 +489,7 @@ class Driver:
                         fn(values, now)
             elif isinstance(event, RelationUpdate):
                 dispatch_relation_update(event, now)
-            elif isinstance(event, Tick):
-                pass
-            else:  # pragma: no cover - event model is closed
+            elif not isinstance(event, Tick):  # pragma: no cover - closed
                 raise ExecutionError(
                     f"unknown event type {type(event).__name__}")
             if lazy_check:
@@ -552,9 +499,8 @@ class Driver:
 
     def _anchor_boundaries(self) -> float:
         """Re-anchor every boundary cache on live state and return their
-        minimum, the pass gate.  Runs once per batch (and after a relation
-        update, whose deltas may land anywhere in the pipeline); inside a
-        batch the caches are maintained incrementally instead."""
+        minimum, the pass gate: at batch entry and after a relation update,
+        whose deltas may land anywhere; in between they fold in place."""
         now = self.now
         boundaries = self._boundaries
         gate = _INF
@@ -565,50 +511,42 @@ class Driver:
                 gate = low
         return gate
 
-    # -- column-plan compilation -------------------------------------------
+    # -- column preludes -----------------------------------------------------
 
-    def _compile_column_plans(self) -> None:
-        """Choose the micro-batch loop from the dispatch tables, and compile
-        one column-phase closure per dispatch plan when it is the column
-        loop.
-
-        The column loop needs every leaf to stamp a time window's ``exp``
-        column, and pays only when some plan gives the bulk phase a fused
-        stateless prefix to evaluate.  ``_row_loop`` is ``(reason,
-        fallback)``: why batches take the row loop (None on the column
-        loop), and the ``batch_fallbacks`` key charged per batch when that
-        is a limit of the column vocabulary rather than the faster choice.
-        """
-        self._row_loop = reason, _fallback = self._row_loop_reason()
-        #: stream -> ((column-phase closure, DriverMetrics slot), ...)
+    def _compile_preludes(self) -> None:
+        """Compile the column preludes: one column-phase closure per
+        dispatch plan of every stream that gets one."""
         slots = count(DriverMetrics.PASS + 1)
-        self._col_plans: dict[str, tuple] = {} if reason else {
+        #: stream -> ((column-phase closure, DriverMetrics slot), ...)
+        self._preludes: dict[str, tuple] = {
             stream: tuple((self._compile_column_plan(plan), next(slots))
                           for plan in plans)
-            for stream, plans in self.compiled.dispatch.items()}
+            for stream, plans in self.compiled.dispatch.items()
+            if self._prelude_reason(plans) is None}
+        #: The row arrival closures a batch whose preludes ran still takes:
+        #: those of the streams without one.
+        self._inline = {stream: fns for stream, fns in self._arrivals_b.items()
+                        if stream not in self._preludes}
 
-    def _row_loop_reason(self) -> tuple[str | None, str | None]:
-        """Why batches take the row loop (None for the column loop), and
-        the fallback key when that is a limit of the column vocabulary."""
+    def _prelude_reason(self, plans) -> str | None:
+        """Why a stream with these dispatch plans gets no column prelude
+        (None when it gets one): the prelude stamps a time window's ``exp``
+        column, and pays only when a plan has a fused stateless prefix."""
         if not self._time_domain:
-            return "count window", "count_window"
-        fused = False
-        for plans in self.compiled.dispatch.values():
-            for plan in plans:
-                if isinstance(plan.leaf, PortOp):
-                    # replays lists at recorded clocks: nothing columnar
-                    return "shared port", None
-                if not isinstance(plan.leaf.window, TimeWindow):
-                    # window=None; no exp to stamp
-                    return "unbounded stream", "unbounded_stream"
-                fused = fused or bool(plan.prefix)
-        return (None if fused else "no stateless prefix"), None
+            return "count window"
+        for plan in plans:
+            if isinstance(plan.leaf, PortOp):
+                return "shared port"  # replays lists at recorded clocks
+            if not isinstance(plan.leaf.window, TimeWindow):
+                return "unbounded stream"  # window=None: no exp to stamp
+        return None if any(plan.prefix for plan in plans) \
+            else "no stateless prefix"
 
     def _compile_column_plan(self, plan):
         """One dispatch plan → its column-phase closure: over one stream's
-        rows of a chunk (indices, value tuples) the bulk work — stamp,
+        rows of a batch (indices, value tuples) the bulk work — stamp,
         window insert, fused prefix over whole columns — queuing
-        ``(suffix, tuple)`` pairs on ``pending`` for the in-order replay."""
+        ``(suffix, tuple)`` pairs on ``pending`` for the per-event loop."""
         leaf = plan.leaf
         prefix = plan.prefix  # the same triples, evaluated column-wise
         span = leaf.window.size
@@ -621,13 +559,11 @@ class Driver:
         tuple_cls = Tuple  # hot-path constructor, bound once
 
         def column_phase(rows, vals, ts, pending, gate):
-            k = len(rows)
+            # Leaf bookkeeping, bulk: clock fold, one charge per tuple.
             last_ts = ts[rows[-1]]
-            # Leaf bookkeeping, bulk: clock fold, one charge per tuple,
-            # stamp the exp column, insert the whole block.
             if last_ts > leaf.clock:
                 leaf.clock = last_ts
-            counters.tuples_processed += k
+            counters.tuples_processed += len(rows)
             if leaf_idx >= 0:
                 # Minimum stamped exp = first row's (ts non-decreasing):
                 # fold the leaf's boundary cache and the global gate.
@@ -636,181 +572,187 @@ class Driver:
                     boundaries[leaf_idx] = low
                     if low < gate:
                         gate = low
-            idx = rows
+            # An NT window stores every stamped row, and its survivors
+            # flow on as the stored objects; an unmaterialized one stamps
+            # only the survivors — the lazy boundary the column layout
+            # exists for.  Either way the prefix runs over raw values.
+            stamped = None
             if insert_many is not None:
                 stamped = [tuple_cls(v, ts[r], ts[r] + span)
                            for r, v in zip(rows, vals)]
                 insert_many(stamped)
-                keep = stamped
-                for op, kind, arg in prefix:
-                    if not keep:
-                        break
-                    tail = keep[-1].ts
-                    if tail > op.clock:
-                        op.clock = tail
-                    counters.tuples_processed += len(keep)
-                    if kind == "filter":
-                        mask = [arg(t.values) for t in keep]
-                        idx = list(compress(idx, mask))
-                        keep = list(compress(keep, mask))
-                    elif kind == "map_indices":
-                        keep = [t.with_values(v) for t, v in zip(
-                            keep, take_columns([t.values for t in keep],
-                                               arg))]
-                for i, t in zip(idx, keep):
-                    slot = pending[i]
-                    if slot is None:
-                        pending[i] = (suffix, t)
-                    elif slot.__class__ is list:
-                        slot.append((suffix, t))
-                    else:
-                        pending[i] = [slot, (suffix, t)]
-            else:
-                # Unmaterialized window (no store, never eager): run the
-                # whole prefix over raw value columns and materialize
-                # Tuples only for the rows that survive — the lazy
-                # boundary the struct-of-arrays layout exists for.
-                keep = vals
-                for op, kind, arg in prefix:
-                    if not keep:
-                        break
-                    tail = ts[idx[-1]]
-                    if tail > op.clock:
-                        op.clock = tail
-                    counters.tuples_processed += len(keep)
-                    if kind == "filter":
-                        mask = list(map(arg, keep))
-                        idx = list(compress(idx, mask))
-                        keep = list(compress(keep, mask))
-                    elif kind == "map_indices":
-                        keep = take_columns(keep, arg)
-                for i, v in zip(idx, keep):
-                    t = ts[i]
-                    slot = pending[i]
-                    if slot is None:
-                        pending[i] = (suffix, tuple_cls(v, t, t + span))
-                    elif slot.__class__ is list:
-                        slot.append((suffix, tuple_cls(v, t, t + span)))
-                    else:
-                        pending[i] = [slot, (suffix, tuple_cls(v, t, t + span))]
+            idx = rows
+            keep = vals
+            for op, kind, arg in prefix:
+                if not keep:
+                    break
+                tail = ts[idx[-1]]
+                if tail > op.clock:
+                    op.clock = tail
+                counters.tuples_processed += len(keep)
+                if kind == "filter":
+                    mask = list(map(arg, keep))
+                    idx = list(compress(idx, mask))
+                    keep = list(compress(keep, mask))
+                    if stamped is not None:
+                        stamped = list(compress(stamped, mask))
+                elif kind == "map_indices":
+                    keep = take_columns(keep, arg)
+                    stamped = None  # projected rows are new tuples
+            if stamped is None:
+                stamped = [tuple_cls(v, ts[r], ts[r] + span)
+                           for r, v in zip(idx, keep)]
+            for i, t in zip(idx, stamped):
+                slot = pending[i]
+                if slot is None:
+                    pending[i] = (suffix, t)
+                elif slot.__class__ is list:
+                    slot.append((suffix, t))
+                else:
+                    pending[i] = [slot, (suffix, t)]
             return gate
 
         return column_phase
 
-    # -- micro-batch loops --------------------------------------------------
+    # -- the batch loop --------------------------------------------------------
 
     def process_batch(self, events: Sequence[Event] | ChunkTable) -> None:
-        """Process a micro-batch of events with one amortized expiration
-        schedule.
-
-        The batch is implicitly split at every expiration boundary: a pass
-        runs — at the clock of the event that reaches the gate, exactly as
-        in tuple-at-a-time mode — whenever an event's clock reaches the
-        minimum of the per-operator boundary caches.  Lazy-purge decisions
-        are replayed per event, and the result view is purged once at the
-        end of the batch.  Drivers that compiled column plans run the
-        batch through the column loop; batches it cannot take (relation
-        updates, non-monotone timestamps) and all other drivers run the
-        row loop, counted in :attr:`batch_fallbacks` when that is a
-        fallback rather than the driver's choice.
-
-        ``events`` may be a decoded :class:`ChunkTable` (the shard
-        worker's transport): the column loop reads it without building
-        event objects; the row loop builds them once per table.
-        """
+        """Process a micro-batch in the one batch loop (see "One batch
+        loop").  ``events`` may be a decoded :class:`ChunkTable` (the shard
+        worker's transport): the preludes read its columns in place, and
+        the loop its rows' stand-ins — or, when a stream with rows in it
+        takes its row arrival closures, its events, built once per table."""
         if not events:
             return
-        chunk = events.__class__ is ChunkTable
-        if self._col_plans:
-            table = events if chunk else ChunkTable.from_events(events)
-            if table is not None:
-                self._process_table(table)
-            else:
-                self._count_fallback("relation_update")
-                self._process_rows(events)
-        else:
-            self._process_rows(events.to_events() if chunk else events)
-
-    def _count_fallback(self, reason: str) -> None:
-        self.batch_fallbacks[reason] = self.batch_fallbacks.get(reason, 0) + 1
-
-    def _process_rows(self, events: Sequence[Event]) -> None:
-        """The row micro-batch loop (see the module docstring)."""
-        if self._row_loop[1] is not None:
-            self._count_fallback(self._row_loop[1])
-        compiled = self.compiled
-        time_domain = self._time_domain
-        clock_for = self._clock_for
-        lazy_check = self._lazy_check
-        maybe_lazy_purge = self._maybe_lazy_purge
         metrics = self._metrics
         timed = metrics.timed
         if timed:
             metrics.timed = False
             acc = metrics.pass_acc = metrics.acc
-            t0 = perf()
-        get_plans = self._arrivals_b.get
-        run_pass = self._run_pass
-        events_processed = self._events_processed
-        tuples_arrived = self._tuples_arrived
+            t0 = t1 = perf()
+        table = events.__class__ is ChunkTable
+        if self._time_domain:
+            clocks = events.ts if table else [event.ts for event in events]
+        else:  # count windows (never sharded): sequence numbers, in step
+            clocks = map(self._clock_for, events)
         gate = self._anchor_boundaries()
+        inline = self._arrivals_b
+        pending = repeat(None)
+        # Monotone batches only (timsort finds the one run in C, at a
+        # fraction of a pairwise scan's cost).
+        if self._preludes and clocks[0] >= self.now \
+                and sorted(clocks) == clocks:
+            inline = self._inline
+            pending = [None] * len(clocks)
+            gate = self._run_preludes(events, clocks, pending, gate,
+                                      acc if timed else None)
+            if timed:
+                t1 = perf()
+                acc[metrics.COLUMN] += t1 - t0
+        if table:
+            events = (events.stand_ins if inline.keys().isdisjoint(
+                events.groups()) else events.to_events())
+        run_pass = self._run_pass
+        maybe_lazy_purge = self._maybe_lazy_purge
+        # ``_maybe_lazy_purge``'s own test, on locals: it is called only
+        # when a purge (or the anchoring first call) is due.
+        lazy_check = self._lazy_check
+        interval = self._lazy_interval
+        last_purge = -_INF if self._last_purge is None else self._last_purge
+        # Rows are counted in bulk: ``rows`` keeps what a raise left over.
+        rows = iter(events)
+        events_processed = self._events_processed + len(events)
+        tuples_arrived = self._tuples_arrived
         try:
-            for event in events:
-                now = event.ts if time_domain else clock_for(event)
+            for now, event, todo in zip(clocks, rows, pending):
                 if now < self.now:
-                    raise ExecutionError(
-                        f"out-of-order event: ts {now} after clock "
-                        f"{self.now} (the model assumes non-decreasing "
-                        "timestamps, Section 2)"
-                    )
+                    events_processed -= 1  # the offender is not entered
+                    raise self._out_of_order(now)
                 self.now = now
-                events_processed += 1
                 if now >= gate:
                     gate = run_pass(now)
-                if isinstance(event, Arrival):
+                if event.__class__ is Arrival:
                     tuples_arrived += 1
-                    plans = get_plans(event.stream)
-                    if plans is not None:
+                    if todo is not None:
+                        # A prelude survivor: a bare (suffix, tuple) pair in
+                        # the common one-plan case, a list when a second
+                        # plan landed on the row.
+                        if todo.__class__ is tuple:
+                            gate = todo[0]([todo[1]], now, gate)
+                        else:
+                            for suffix, t in todo:
+                                gate = suffix([t], now, gate)
+                    elif event.stream in inline:
                         values = event.values
-                        for fn in plans:
+                        for fn in inline[event.stream]:
                             gate = fn(values, now, gate)
-                elif isinstance(event, RelationUpdate):
+                elif event.__class__ is RelationUpdate:
                     self._dispatch_relation_update(event, now)
                     gate = self._anchor_boundaries()
-                elif isinstance(event, Tick):
-                    pass
-                else:  # pragma: no cover - event model is closed
-                    raise ExecutionError(
+                elif event.__class__ is not Tick:  # pragma: no cover
+                    raise ExecutionError(   # the event model is closed
                         f"unknown event type {type(event).__name__}")
-                if lazy_check:
+                if lazy_check and now - last_purge >= interval:
                     maybe_lazy_purge(now)
+                    last_purge = self._last_purge
         finally:
-            self._events_processed = events_processed
+            self._events_processed = events_processed - length_hint(rows)
             self._tuples_arrived = tuples_arrived
         if timed:
-            t1 = perf()
-            acc[metrics.ROWS] += t1 - t0
+            t2 = perf()
+            acc[metrics.ROWS] += t2 - t1
         # One amortized view purge per batch: timestamp purging emits no
         # output, so only its (deterministic) timing is batched.
-        compiled.view.purge(self.now)
+        self.compiled.view.purge(self.now)
         if timed:
-            acc[metrics.VIEW_PURGE] += perf() - t1
+            acc[metrics.VIEW_PURGE] += perf() - t2
             metrics.pass_acc = None
-        if events_processed - metrics.sampled_at >= self.sample_events:
+        if self._events_processed - metrics.sampled_at >= self.sample_events:
             metrics.sample(self)
+
+    def _run_preludes(self, events, clocks: list, pending: list, gate: float,
+                      acc: list | None) -> float:
+        """Run every column prelude over its stream's rows of a monotone
+        batch, queuing survivors on ``pending``; return the folded gate.
+        An event list is grouped by ``list.index`` scans (C speed)."""
+        if acc is not None:
+            t1 = perf()
+        table = events.__class__ is ChunkTable
+        if table:
+            groups = events.groups()
+        else:
+            streams = [event.stream for event in events]
+            index = streams.index
+            groups = {}
+            for stream in self._preludes:
+                r = -1
+                rows = [r := index(stream, r + 1)
+                        for _ in range(streams.count(stream))]
+                if rows:
+                    groups[stream] = rows
+        for stream, plans in self._preludes.items():
+            rows = groups.get(stream)
+            if rows is None:
+                continue
+            vals = (events.group_values(stream) if table
+                    else [events[r].values for r in rows])
+            for column_phase, slot in plans:
+                gate = column_phase(rows, vals, clocks, pending, gate)
+                if acc is not None:
+                    # Chained reads: a plan's leaf and fused prefix (the
+                    # first one also the batch's grouping).
+                    t = perf()
+                    acc[slot] += t - t1
+                    t1 = t
+        return gate
 
     def _run_pass(self, now: float) -> float:
         """One boundary-triggered expiration pass, visiting only the
-        operators whose cached boundary has been reached.
-
-        A skipped operator's cache is a sound lower bound on its true next
-        expiry, so cache > now proves it has nothing to expire — visiting
-        it would be a no-op (the per-tuple pass does exactly that and
-        charges the no-op probe as a touch; the structural counters and
-        outputs are unaffected either way).  Visited operators re-query
-        their own ``next_expiry`` afterwards, which also captures state
-        they created *during* expire (e.g. dup-elim promotions).
-        """
+        operators whose cached boundary has been reached: a skipped cache
+        is a sound lower bound, so cache > now proves the visit a no-op
+        (the per-tuple pass makes it, charging a touch).  Visited operators
+        re-query ``next_expiry``, which also captures state they created
+        *during* expire (e.g. dup-elim promotions)."""
         boundaries = self._boundaries
         compiled = self.compiled
         deliver = compiled.view.deliver
@@ -849,140 +791,10 @@ class Driver:
             acc[metrics.PASS] += perf() - pass_start
         return min(boundaries, default=_INF)
 
-    def _process_table(self, table: ChunkTable) -> None:
-        """The column micro-batch loop (see the module docstring)."""
-        ts = table.ts
-        # Monotonicity pre-scan (C-speed pairwise compare): the row loop
-        # raises at the exact offending event with exactly the preceding
-        # events' effects applied, which the bulk column phase could not
-        # replicate.
-        if ts[0] < self.now or any(map(_gt, ts, islice(ts, 1, None))):
-            self._count_fallback("non_monotone_ts")
-            return self._process_rows(table.to_events())
-
-        metrics = self._metrics
-        timed = metrics.timed
-        if timed:
-            metrics.timed = False
-            acc = metrics.pass_acc = metrics.acc
-            t0 = t1 = perf()
-        flags = table.arrival_flags()
-        n = table.n
-        run_pass = self._run_pass
-        lazy_check = self._lazy_check
-        maybe_lazy_purge = self._maybe_lazy_purge
-        col_plans_get = self._col_plans.get
-        gate = self._anchor_boundaries()
-        events_processed = self._events_processed
-        tuples_arrived = self._tuples_arrived
-        pending: list = [None] * n
-        try:
-            # Column phase: bulk, per stream; arrival-order effects are
-            # queued on ``pending`` instead of applied.
-            for stream, rows in table.groups().items():
-                plans = col_plans_get(stream)
-                if plans is None:
-                    continue
-                vals = table.group_values(stream)
-                for column_phase, slot in plans:
-                    gate = column_phase(rows, vals, ts, pending, gate)
-                    if timed:
-                        # Chained reads: a plan's leaf + fused prefix (the
-                        # first also the table set-up); the last ends the phase.
-                        t = perf()
-                        acc[slot] += t - t1
-                        t1 = t
-            if timed:
-                acc[metrics.COLUMN] += t1 - t0
-            # Replay phase: per event, in order, at each event's clock —
-            # passes, stateful suffixes, lazy purges, delivery.  A row's
-            # pending slot is a bare (suffix, tuple) pair in the common
-            # one-plan case and only promotes to a list when a second plan
-            # lands on it.  Counter increments stay per-row (not bulk) so
-            # a mid-batch exception restores exactly the counts the row
-            # loop would have.
-            #
-            # Fast-forward: a row with no pending work whose clock has not
-            # reached the gate is observationally inert — no pass fires at
-            # it, no suffix runs, nothing is delivered — so the replay
-            # jumps from interesting row to interesting row (the next
-            # survivor, or the first row at or past the gate, found by
-            # bisecting the monotone ts column) and advances the counters
-            # for each skipped span in bulk.  The bulk add lands *before*
-            # the interesting row's own work, which is exactly the row
-            # loop's counter state if a pass or suffix raises there.
-            # Lazy-purge plans touch state at every row, so they replay
-            # row by row like the row loop.
-            survivors = None if lazy_check else [
-                r for r, p in enumerate(pending) if p is not None]
-            if survivors is None or 2 * len(survivors) >= n:
-                # Dense batches (or lazy-purge plans, which touch state at
-                # every row): the plain per-row replay is cheaper than
-                # span bookkeeping.
-                for now, flag, todo in zip(ts, flags, pending):
-                    self.now = now
-                    events_processed += 1
-                    if flag is not None:
-                        tuples_arrived += 1
-                    if now >= gate:
-                        gate = run_pass(now)
-                    if todo is not None:
-                        if todo.__class__ is tuple:
-                            gate = todo[0]([todo[1]], now, gate)
-                        else:
-                            for suffix, t in todo:
-                                gate = suffix([t], now, gate)
-                    if lazy_check:
-                        maybe_lazy_purge(now)
-            else:
-                n_survivors = len(survivors)
-                sp = 0
-                i = 0
-                while i < n:
-                    while sp < n_survivors and survivors[sp] < i:
-                        sp += 1
-                    j = survivors[sp] if sp < n_survivors else n
-                    k = bisect_left(ts, gate, i, j)
-                    if k >= n:
-                        events_processed += n - i
-                        tuples_arrived += (n - i) - flags[i:n].count(None)
-                        break
-                    if k > i:
-                        events_processed += k - i
-                        tuples_arrived += (k - i) - flags[i:k].count(None)
-                    now = ts[k]
-                    self.now = now
-                    events_processed += 1
-                    if flags[k] is not None:
-                        tuples_arrived += 1
-                    if now >= gate:
-                        gate = run_pass(now)
-                    todo = pending[k]
-                    if todo is not None:
-                        if todo.__class__ is tuple:
-                            gate = todo[0]([todo[1]], now, gate)
-                        else:
-                            for suffix, t in todo:
-                                gate = suffix([t], now, gate)
-                    i = k + 1
-                self.now = ts[n - 1]
-        finally:
-            self._events_processed = events_processed
-            self._tuples_arrived = tuples_arrived
-        if timed:
-            t2 = perf()
-            acc[metrics.REPLAY] += t2 - t1
-        self.compiled.view.purge(self.now)
-        if timed:
-            acc[metrics.VIEW_PURGE] += perf() - t2
-            metrics.pass_acc = None
-        if events_processed - metrics.sampled_at >= self.sample_events:
-            metrics.sample(self)
-
     # -- telemetry -----------------------------------------------------------
 
     def flush_metrics(self, elapsed: float | None = None) -> MetricsRegistry:
         """Bring the registry up to date and return it: a final sample,
-        exact event / tuple totals, fallback counts and ``run_seconds``
-        when given.  The one finish calls this for every driver."""
+        exact event / tuple totals and ``run_seconds`` when given.  The one
+        finish calls this for every driver."""
         return self._metrics.flush(self, elapsed)

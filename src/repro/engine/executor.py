@@ -80,7 +80,7 @@ def feed_drivers(members: Sequence[Driver], chunk: Sequence[Event],
     ``process_event`` closures, so a callback two members share sees one
     interleaving.  ``on_event(event)`` follows each event per tuple, the
     chunk batched.  Every driver fed through its closure then takes the
-    sample check with the chunk's wall time (batch loops make their own).
+    sample check with the chunk's wall time (the batch loop makes its own).
     """
     start = perf_counter()
     for producer in producers:

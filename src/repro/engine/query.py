@@ -100,9 +100,9 @@ class ContinuousQuery:
         metrics registry (after a run: its instrument count, phase
         shares, worst expiration lag and peak state against the
         certificate's bound),
-        the micro-batch loop the driver chose, why, and any fallbacks
-        (:meth:`~repro.engine.driver.Driver.batch_loop`), and the loop the
-        compiled query runs
+        which streams get a column prelude in the batch loop and why the
+        others do not (:meth:`~repro.engine.driver.Driver.batch_loop`),
+        and the loop the compiled query runs
         (:meth:`~repro.engine.strategies.CompiledQuery.describe`)."""
         from ..analysis.planlint import lint_compiled
 

@@ -1,8 +1,8 @@
 """Driver construction under the name ``benchmarks/e2e`` times.
 
 The engine builds :class:`~repro.engine.driver.Driver` directly from a
-compiled query; compiling its tables into closures and choosing the
-micro-batch loop both happen in the driver's constructor.
+compiled query; compiling its tables into closures and choosing each
+stream's column prelude both happen in the driver's constructor.
 """
 
 from __future__ import annotations

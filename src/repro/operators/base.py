@@ -83,7 +83,7 @@ class PhysicalOperator:
 
         Stateless single-tuple operators may return ``(kind, arg)`` so the
         driver can inline them — per tuple in the arrival closures, over
-        whole columns in the column loop — instead of paying a
+        whole columns in the column prelude — instead of paying a
         ``process_batch`` call per single-tuple list:
 
         * ``("filter", predicate)`` — keep the tuple iff

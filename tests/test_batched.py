@@ -192,20 +192,27 @@ class TestBulkDeliver:
 
 
 def _loop_cases():
-    """Plans on each side of the driver's batch-loop selection rule, with
-    the ``-- columnar:`` explain footer each must report."""
+    """Plans on each side of the column-prelude rule, with the
+    ``-- columnar:`` explain footer each must report."""
     b0, b1 = _window_sources(8)
     small = Predicate(("v",), lambda vals: vals[0] <= 1, "v <= 1")
     counted = from_window(StreamDef("s0", V, CountWindow(3)))
     return {
-        "filter-prefix-join": (b0.where(small).join(b1, on="v").build(),
-                               "on (2 column plan(s) across 2 stream(s)"),
-        "bare-minus": (b0.minus(b1, on="v").build(),
-                       "row loop: no stateless prefix"),
-        "bare-group-by": (b0.group_by(["v"], [count()]).build(),
-                          "row loop: no stateless prefix"),
-        "count-window": (counted.where(small).distinct().build(),
-                         "row loop: count window"),
+        "filter-prefix-join": (
+            b0.where(small).join(b1, on="v").build(),
+            "one loop; column prelude: s0 (1 plan(s)); "
+            "row arrivals: s1 (no stateless prefix)"),
+        "bare-minus": (
+            b0.minus(b1, on="v").build(),
+            "one loop; column prelude: none; row arrivals: "
+            "s0 (no stateless prefix), s1 (no stateless prefix)"),
+        "bare-group-by": (
+            b0.group_by(["v"], [count()]).build(),
+            "one loop; column prelude: none; "
+            "row arrivals: s0 (no stateless prefix)"),
+        "count-window": (
+            counted.where(small).distinct().build(),
+            "one loop; column prelude: none; row arrivals: s0 (count window)"),
     }
 
 
@@ -213,8 +220,9 @@ LOOP_CASES = _loop_cases()
 
 
 class TestLoopSelection:
-    """The driver picks the micro-batch loop from the program; whichever
-    it picks must stay identical to per-tuple execution."""
+    """Every driver runs the one batch loop; the compiled query only picks
+    which streams get a column prelude, and either way the loop must stay
+    identical to per-tuple execution."""
 
     @SETTINGS
     @given(events=traces(vmax=3), batch=st.sampled_from([2, 7, 64]))
@@ -222,65 +230,184 @@ class TestLoopSelection:
     def test_chosen_loop_equals_per_tuple(self, case, events, batch):
         plan, footer = LOOP_CASES[case]
         query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
-        assert f"-- columnar: {footer}" in query.explain()
+        assert f"-- columnar: {footer}\n" in query.explain() + "\n"
         assert _replay(plan, events, batch, Mode.UPA) \
             == _replay(plan, events, None, Mode.UPA)
 
 
-class TestFallbacksAreCounted:
-    """A batch that cannot take the loop the column vocabulary offers is
-    counted by reason — in ``Driver.batch_fallbacks`` always, in the
-    ``-- columnar:`` footer after the run, in ``batch_fallback_total``
-    of the run's metrics — instead of silently taking the row loop."""
+def _counters(query):
+    """Every counter a batch must preserve: all but touches and probes,
+    the redundant work the amortized pass removes."""
+    snapshot = query.counters.snapshot()
+    del snapshot["touches"], snapshot["probes"]
+    return snapshot
 
-    def _query(self, case, **cfg):
-        return ContinuousQuery(LOOP_CASES[case][0],
-                               ExecutionConfig(mode=Mode.UPA, **cfg))
 
-    def test_non_monotone_batch(self):
-        query = self._query("filter-prefix-join")
+def _relation_replay(make_plan, events, batch):
+    """:func:`_replay` of a plan over a fresh relation, with every
+    counter but touches and probes."""
+    query = ContinuousQuery(make_plan(), ExecutionConfig(mode=Mode.UPA))
+    outputs = []
+    query.subscribe(lambda t, now: outputs.append((t, now)))
+    result = query.run(iter(events), batch=batch)
+    return (outputs, query.answer(), _counters(query),
+            result.events_processed, result.tuples_arrived)
+
+
+class TestNoFallbacks:
+    """No batch leaves the one loop: a non-monotone batch raises at its
+    offender, and count-window and relation-update batches run it and
+    equal per-tuple runs."""
+
+    def test_non_monotone_batch_raises_with_its_prefix_applied(self):
+        plan, _footer = LOOP_CASES["filter-prefix-join"]
+        head = [Arrival(1.0, "s0", (1,)), Arrival(2.0, "s1", (1,))]
+        batch = [Arrival(4.0, "s0", (1,)), Arrival(5.0, "s1", (1,)),
+                 Arrival(3.0, "s1", (1,)), Arrival(6.0, "s0", (1,))]
+        query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
         driver = query.executor
-        driver.process_batch([Arrival(1.0, "s0", (1,)),
-                              Arrival(2.0, "s1", (1,))])
-        assert driver.batch_fallbacks == {}
+        driver.process_batch(head)
         with pytest.raises(ExecutionError, match="out-of-order"):
-            driver.process_batch([Arrival(4.0, "s0", (1,)),
-                                  Arrival(3.0, "s1", (1,))])
-        assert driver.batch_fallbacks == {"non_monotone_ts": 1}
-        assert query.explain().count("; fallbacks: non_monotone_ts=1") == 1
+            driver.process_batch(batch)
+        reference = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
+        for event in head + batch[:2]:
+            reference.executor.process_event(event)
+        assert driver.now == 5.0
+        assert driver.answer() == reference.answer()
+        assert driver._events_processed \
+            == reference.executor._events_processed == 4
+        assert _counters(query) == _counters(reference)
+        assert driver.tuples_arrived == 4
+        assert "fallback" not in query.explain()
 
     def test_count_window_batches(self):
-        query = self._query("count-window")
+        plan, footer = LOOP_CASES["count-window"]
         events = [Arrival(float(i), "s0", (i % 2,)) for i in range(10)]
+        query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
         result = query.run(events, batch=4)
-        assert query.executor.batch_fallbacks == {"count_window": 3}
-        assert "row loop: count window; fallbacks: count_window=3" \
-            in query.explain()
-        assert result.metrics.value("batch_fallback_total",
-                                    reason="count_window") == 3
-        query.executor.flush_metrics()  # idempotent
-        assert result.metrics.value("batch_fallback_total",
-                                    reason="count_window") == 3
+        assert f"-- columnar: {footer}\n" in query.explain() + "\n"
+        assert not result.metrics.find("batch_fallback_total")
+        assert _replay(plan, events, 4, Mode.UPA) \
+            == _replay(plan, events, None, Mode.UPA)
 
     def test_relation_update_batch(self):
         from repro import Relation, RelationUpdate
 
         b0, _ = _window_sources(8)
         small = Predicate(("v",), lambda vals: vals[0] <= 1, "v <= 1")
-        table = Relation("r", Schema(["w"]))
-        plan = b0.where(small).join_relation(table, "v", "w").build()
-        driver = ContinuousQuery(
-            plan, ExecutionConfig(mode=Mode.UPA)).executor
-        assert driver.batch_loop().startswith("on (1 column plan(s)")
-        driver.process_batch([Arrival(1.0, "s0", (1,)),
-                              RelationUpdate(2.0, "r", "insert", (1,))])
-        assert driver.batch_fallbacks == {"relation_update": 1}
 
-    def test_a_chosen_row_loop_is_not_a_fallback(self):
-        query = self._query("bare-minus")
-        query.run([Arrival(float(i), f"s{i % 2}", (i % 3,))
-                   for i in range(20)], batch=4)
-        assert query.executor.batch_fallbacks == {}
+        def make_plan():
+            table = Relation("r", Schema(["w"]))
+            return b0.where(small).join_relation(table, "v", "w").build()
+
+        events = [Arrival(1.0, "s0", (1,)),
+                  RelationUpdate(2.0, "r", "insert", (1,)),
+                  Arrival(3.0, "s0", (1,)), Arrival(4.0, "s0", (0,))]
+        query = ContinuousQuery(make_plan(), ExecutionConfig(mode=Mode.UPA))
+        assert query.executor.batch_loop() == \
+            "one loop; column prelude: s0 (1 plan(s))"
+        per_tuple = _relation_replay(make_plan, events, None)
+        assert _relation_replay(make_plan, events, 64) == per_tuple
+        assert sum(per_tuple[1].values()) == 2
+
+
+@st.composite
+def relation_traces(draw, max_events=60, vmax=3):
+    """:func:`traces` over ``s0`` and ``s1`` with relation inserts and
+    deletes of ``r`` at random positions (a delete only removes a row an
+    earlier insert added)."""
+    from repro import RelationUpdate
+
+    events = []
+    rows: list = []
+    for event in draw(traces(max_events=max_events, vmax=vmax)):
+        action = draw(st.sampled_from(["none", "none", "insert", "delete"]))
+        if action == "insert":
+            row = (draw(st.integers(0, vmax - 1)),)
+            rows.append(row)
+            events.append(RelationUpdate(event.ts, "r", "insert", row))
+        elif action == "delete" and rows:
+            row = rows.pop(draw(st.integers(0, len(rows) - 1)))
+            events.append(RelationUpdate(event.ts, "r", "delete", row))
+        events.append(event)
+    return events
+
+
+class TestRelationInterleaved:
+    """A relation update inside a batch stays in the one loop, at its row,
+    between prelude survivors whose window, prefix and boundary work was
+    hoisted ahead of it: batches equal per-tuple runs in answers, output
+    stream and every counter but touches and probes."""
+
+    @staticmethod
+    def _plan(kind):
+        from repro import NRR, Relation
+
+        b0, b1 = _window_sources(8)
+        small = Predicate(("v",), lambda vals: vals[0] <= 1, "v <= 1")
+        if kind == "r-join":
+            return (b0.where(small)
+                    .join_relation(Relation("r", Schema(["w"])), "v", "w")
+                    .build())
+        if kind == "nrr-join":
+            return (b0.where(small)
+                    .join_nrr(NRR("r", Schema(["w"])), "v", "w").build())
+        if kind == "r-join-distinct":
+            # Update deltas enter an eager operator: its boundary must be
+            # re-anchored after each update.
+            return (b0.where(small)
+                    .join_relation(Relation("r", Schema(["w"])), "v", "w")
+                    .distinct().build())
+        # Filter prefixes on both streams under a join with the relation.
+        return (b0.where(small).join(b1.where(small), on="v")
+                .join_relation(Relation("r", Schema(["w"])), "l_v", "w")
+                .build())
+
+    @SETTINGS
+    @given(events=relation_traces(), batch=st.sampled_from([2, 7, 64]))
+    @pytest.mark.parametrize("kind", ["r-join", "nrr-join", "r-join-distinct",
+                                      "two-prefixes"])
+    def test_relation_updates_between_prelude_rows(self, kind, events,
+                                                   batch):
+        query = ContinuousQuery(self._plan(kind),
+                                ExecutionConfig(mode=Mode.UPA))
+        assert "column prelude: s0 (1 plan(s))" in query.executor.batch_loop()
+        base = _relation_replay(lambda: self._plan(kind), events, None)
+        assert _relation_replay(lambda: self._plan(kind), events, batch) \
+            == base
+
+    @SETTINGS
+    @given(events=traces(vmax=3), batch=st.sampled_from([2, 7, 64]))
+    def test_shared_member_with_a_prelude_and_a_port(self, events, batch):
+        """A fused group member whose private leaf has a prefix runs a
+        prelude on that stream and its port inline on the other."""
+        from repro import QueryGroup
+
+        small = Predicate(("v",), lambda vals: vals[0] <= 1, "v <= 1")
+
+        def run(shared, batch):
+            b0, b1 = _window_sources(8)
+            group = QueryGroup(shared=shared)
+            group.add("a", b0.where(small).join(b1.distinct(), on="v")
+                      .build(), ExecutionConfig(mode=Mode.UPA))
+            group.add("b", b1.distinct().build(),
+                      ExecutionConfig(mode=Mode.UPA))
+            streams = {name: [] for name in group.names()}
+            for name in group.names():
+                group[name].subscribe(
+                    lambda t, now, out=streams[name]: out.append((t, now)))
+            group.run(iter(events), batch=batch)
+            return group, (streams, group.answers(),
+                           {name: _counters(group[name])
+                            for name in group.names()})
+
+        group, shared = run(True, batch)
+        assert group.shared_producers()
+        assert group["a"].executor.batch_loop() == (
+            "one loop; column prelude: s0 (1 plan(s)); "
+            "row arrivals: s1 (shared port)")
+        assert shared == run(True, None)[1]
+        assert shared[:2] == run(False, None)[1][:2]
 
 
 class TestMetricDenominators:

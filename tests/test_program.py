@@ -112,6 +112,29 @@ class TestSingleImplementation:
                      "_maybe_lazy_purge", "_dispatch_relation_update"):
             assert step not in sharing
 
+    def test_one_per_event_loop_over_a_batch(self):
+        """``driver.py`` walks a batch's events in exactly one loop, the
+        one in ``process_batch``; the column/replay loop, the all-or-nothing
+        loop choice and the fallback counters are gone."""
+        import ast
+
+        tree = ast.parse(inspect.getsource(driver_module))
+
+        def binds_event(target):
+            return any(isinstance(node, ast.Name) and node.id == "event"
+                       for node in ast.walk(target))
+
+        loops = [(function.name, node)
+                 for function in ast.walk(tree)
+                 if isinstance(function, ast.FunctionDef)
+                 for node in ast.walk(function)
+                 if isinstance(node, ast.For) and binds_event(node.target)]
+        assert [name for name, _node in loops] == ["process_batch"]
+        source = inspect.getsource(driver_module)
+        for gone in ("_process_table", "_process_rows", "_row_loop_reason",
+                     "batch_fallbacks", "_count_fallback", "from_events"):
+            assert gone not in source, gone
+
     def test_operators_have_one_arrival_entry_point(self):
         """``process_batch`` is the arrival entry point and ``kernel`` the
         fusion hook; ``process`` is the base class's list-of-one

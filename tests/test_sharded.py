@@ -71,6 +71,15 @@ from repro.workloads.traffic import TrafficConfig, TrafficTraceGenerator
 
 from conftest import V_SCHEMA, random_arrivals, stream_pair
 
+def _decoded(events):
+    """``events`` as a one-shard worker decodes them off the routed
+    transport."""
+    from repro.engine.columnar import decode_routed, encode_routed
+
+    payload, headers, _arrivals, _broadcasts = encode_routed(events, {}, 1)
+    return decode_routed(payload, headers[0])
+
+
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -545,50 +554,56 @@ class TestFallbacks:
 
     def test_armed_worker_runs_chunks_without_materializing_events(
             self, monkeypatch):
-        """The shard worker hands ``process_batch`` a decoded chunk, which
-        the column loop keeps columnar whether the batch is timed and
-        sampled (period 1) or not (a period longer than the run)."""
+        """The shard worker hands ``process_batch`` a decoded chunk.  A
+        driver whose every stream with rows in it has a column prelude
+        reads the chunk's columns and row stand-ins and builds no event,
+        whether the batch is timed and sampled (period 1) or not (a period
+        longer than the run); it equals the same events fed as a list."""
         from repro.engine.columnar import ChunkTable
 
         s0, s1 = stream_pair()
         small = Predicate(("v",), lambda vals: vals[0] <= 3, "v <= 3")
         plan = (from_window(s0).where(small)
-                .join(from_window(s1), on="v").build())
+                .join(from_window(s1).where(small), on="v").build())
         events = list(random_arrivals(128))
+        expected = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
+        expected.executor.process_batch(events)
         monkeypatch.setattr(
             ChunkTable, "to_events",
             lambda self: pytest.fail("chunk materialized as events"))
-        answers = []
         for period in (1, sys.maxsize):
             monkeypatch.setattr(Driver, "sample_events", period)
             driver = ContinuousQuery(
                 plan, ExecutionConfig(mode=Mode.UPA)).executor
-            assert driver.batch_loop().startswith("on (2 column plan(s)")
-            driver.process_batch(ChunkTable.from_events(events))
-            assert driver.batch_fallbacks == {}
-            answers.append((driver.answer(),
-                            driver.compiled.counters.snapshot()))
-        assert answers[0] == answers[1]
+            assert driver.batch_loop() == ("one loop; column prelude: "
+                                           "s0 (1 plan(s)), s1 (1 plan(s))")
+            driver.process_batch(_decoded(events))
+            assert driver.answer() == expected.answer()
+            assert driver.compiled.counters.snapshot() \
+                == expected.counters.snapshot()
+            assert driver.tuples_arrived == expected.executor.tuples_arrived
 
     def test_row_loop_members_share_one_materialization(self, monkeypatch):
-        """A replica hands every member the decoded table; row-loop members
-        build the chunk's events once per chunk, not once per member."""
+        """A replica hands every member the decoded table; members with a
+        stream that takes its row arrival closures read the chunk's
+        events, built once per chunk, not once per member."""
         from repro.engine.columnar import ChunkTable
         from repro.engine.shard import _Replica
 
         s0, _ = stream_pair()
-        plan = from_window(s0).distinct().build()  # no prefix: row loop
+        plan = from_window(s0).distinct().build()  # no prefix, no prelude
         replica = _Replica([("a", plan, None), ("b", plan, None)], 64,
                            [False, False])
-        assert all(driver.batch_loop().startswith("row loop")
+        assert all(driver.batch_loop().endswith("s0 (no stateless prefix)")
                    for driver in replica.drivers)
         built = []
-        row_values = ChunkTable.row_values
-        monkeypatch.setattr(ChunkTable, "row_values",
-                            lambda self: built.append(1) or row_values(self))
+        to_events = ChunkTable.to_events
+        monkeypatch.setattr(
+            ChunkTable, "to_events",
+            lambda self: built.append(self._events is None) or to_events(self))
         events = random_arrivals(64, n_streams=1)[:-1]  # no draining tick
-        replica.feed(ChunkTable.from_events(events))
-        assert len(built) == 1
+        replica.feed(_decoded(events))
+        assert built == [True, False]
         answers = [driver.answer() for driver in replica.drivers]
         assert answers[0] == answers[1] and sum(answers[0].values()) > 0
 

@@ -29,6 +29,7 @@ from repro import (
 from repro.core.plan import SharedScan
 from repro.engine.driver import Driver
 from repro.engine.views import StateView
+from repro.operators.stateless import PortOp
 from repro.workloads.queries import (
     query1,
     query2,
@@ -298,7 +299,13 @@ class TestOneEventLoop:
         assert len(fused) >= 4 and sh.shared_producers()
         for query in fused:
             driver = query.executor
-            assert driver.batch_loop().startswith("row loop: shared port")
+            loop = driver.batch_loop()
+            assert "(shared port)" in loop and "row arrivals: " in loop
+            # A port is never a prelude stream.
+            ports = {stream for stream, plans in
+                     driver.compiled.dispatch.items()
+                     if any(isinstance(plan.leaf, PortOp) for plan in plans)}
+            assert ports and ports.isdisjoint(driver._preludes)
 
     def test_reference_loop_replays_a_fused_member(self):
         """``reference_step(driver, e)`` stays the test reference: it

@@ -88,16 +88,17 @@ class TestOneDriver:
 
 
 class TestBatchLoopChoice:
-    """The row-loop reasons the hypothesis suite in test_batched.py has no
-    plan shape for."""
+    """The no-prelude reasons the hypothesis suite in test_batched.py has
+    no plan shape for."""
 
     def test_unbounded_stream_has_no_exp_column_to_stamp(self):
         plan = (from_window(StreamDef("a", V, None))
                 .where(attr_equals("v", 1)).build())
         query = ContinuousQuery(plan, ExecutionConfig(
             mode=Mode.UPA, allow_unbounded_state=True))
-        assert query.executor.batch_loop() \
-            == "row loop: unbounded stream"
+        assert query.executor.batch_loop() == ("one loop; column prelude: "
+                                               "none; row arrivals: a "
+                                               "(unbounded stream)")
         query.run(list(TRACE), batch=4)
         assert dict(query.answer()) == {(1,): 2}
 

@@ -476,7 +476,7 @@ class TestSurfaces:
         monkeypatch.setattr(Driver, "sample_events", 1)
         for plan, phases in (
                 (_filter_distinct_plan(),
-                 {"column", "replay", "rows", "view_purge", "per_tuple"}),
+                 {"column", "rows", "view_purge", "per_tuple"}),
                 (_groupby_plan(), {"rows", "view_purge", "per_tuple"})):
             result = ContinuousQuery(
                 plan, ExecutionConfig(mode=Mode.UPA)).run(iter(EVENTS),
@@ -486,11 +486,10 @@ class TestSurfaces:
             assert validate_metrics_document(document) == len(metrics)
             found = metrics.find("phase_seconds")
             assert {inst.labels["phase"] for inst in found} == phases
-            # "rows" is the column loop's fallback and "per_tuple" the
-            # per-tuple runners' phase: registered, not run here.
+            # "per_tuple" is the per-tuple runners' phase: registered, not
+            # run here.
             charged = {inst.labels["phase"] for inst in found if inst.count}
-            assert charged == phases - {"per_tuple"} - (
-                {"rows"} if "column" in phases else set())
+            assert charged == phases - {"per_tuple"}
             batches = -(-len(EVENTS) // 64)
             assert all(inst.count == batches for inst in found
                        if inst.labels["phase"] in charged)
@@ -520,16 +519,16 @@ class TestSurfaces:
         assert "phases" not in query.explain()
         query.run(iter(EVENTS), batch=16)
         footer = _metrics_footer(query)
-        assert "phases " in footer and "replay" in footer
+        assert "phases " in footer and " column " in footer
         assert "worst expiration lag" in footer
         assert "state peak" in footer and "/ bound" in footer
 
     @pytest.mark.parametrize("case,batch,phase", [
         ("row-loop", 16, "rows"), ("per-tuple", None, "per_tuple")])
     def test_explain_reports_every_runtime(self, case, batch, phase):
-        """Like the column loop above, the row loop and a per-tuple run
-        report phase shares, the worst lag and peak state against its
-        bound."""
+        """Like the prelude batch above, a prelude-less batch and a
+        per-tuple run report phase shares, the worst lag and peak state
+        against its bound."""
         make_plan = _minus_plan if case == "row-loop" else _filter_join_plan
         query = ContinuousQuery(make_plan(), ExecutionConfig(mode=Mode.UPA))
         query.run(iter(EVENTS), batch=batch)
@@ -591,9 +590,12 @@ class TestArmedRunsTheSameLoops:
     and produces the same stream, counters and answer."""
 
     CASES = {
-        "column-loop": (_filter_join_plan, 16, "-- columnar: on (2 column"),
-        "row-loop": (_minus_plan, 16, "-- columnar: row loop: no stateless"),
-        "per-tuple": (_filter_join_plan, None, "-- columnar: on (2 column"),
+        "column-loop": (_filter_join_plan, 16,
+                        "-- columnar: one loop; column prelude: s0 (1 plan"),
+        "row-loop": (_minus_plan, 16,
+                     "-- columnar: one loop; column prelude: none"),
+        "per-tuple": (_filter_join_plan, None,
+                      "-- columnar: one loop; column prelude: s0 (1 plan"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
