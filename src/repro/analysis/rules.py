@@ -652,16 +652,16 @@ def rule_prg602_expiration_participants(ctx: LintContext
     """PRG602: the eager expiration participants must match an
     independent re-derivation from operator-observable classification
     (Section 5.2's eager/lazy split): materialized windows and self-expiring
-    negations are eager; joins and intersections are lazily maintained
-    (their WKS-fed state is purged on probe); the eager list runs in
-    bottom-up plan order.  (Eager and lazy membership are not exclusive —
+    negations (general or FIFO) are eager; joins and intersections are
+    lazily maintained (their WKS-fed state is purged on probe); the eager
+    list runs in bottom-up plan order.  (Eager and lazy membership are not exclusive —
     a standard dup-elim expires its output eagerly while its input buffer
     purges on the lazy grid.)"""
     compiled = ctx.compiled
     if compiled is None:
         return
     from ..operators.join import JoinOp
-    from ..operators.negation import NegationOp
+    from ..operators.negation import NegationFifoOp, NegationOp
     from ..operators.stateless import WindowOp
 
     eager_ids = {id(op) for op in compiled.expire_ops}
@@ -699,7 +699,7 @@ def rule_prg602_expiration_participants(ctx: LintContext
                 "but participates in the eager expiration program",
                 _RECOMPILE,
             )
-        if isinstance(op, NegationOp):
+        if isinstance(op, (NegationOp, NegationFifoOp)):
             if op._self_expire and id(op) not in eager_ids:
                 yield Diagnostic(
                     "PRG602", SEVERITY_ERROR, path,

@@ -9,7 +9,8 @@ the declared update patterns promise (Section 3.1 / 5.2):
 
 * **FIFO expiration for WKS** — state fed by a MONOTONIC/WKS edge must be
   inserted in non-decreasing ``exp`` order (expiry = generation order), and
-  its expirations must leave in that same order;
+  its expirations must leave in that same order; the FIFO negation's two
+  input queues are held to the same order per side;
 * **exp-exact expiration for WK** — a purge may only remove tuples whose
   ``exp`` has passed, and state fed by a non-STR edge must never receive a
   premature (negative-tuple) deletion under direct-style execution;
@@ -337,6 +338,35 @@ class Sanitizer:
                 return _check(_orig(values, now), now)
             setattr(op, hook, relation_hook)
         self.monitored_ops += 1
+
+    def wrap_fifo_arrivals(self, op: Any, label: str) -> None:
+        """Check that a FIFO negation's arrivals keep each side in
+        non-decreasing ``exp`` order, as :class:`MonitoredBuffer` checks a
+        FIFO buffer's inserts: the operator expires each side from the
+        head of its queue, so an out-of-order arrival would desynchronize
+        its answer silently.  Negatives pass through to the operator,
+        which rejects them itself."""
+        last_exp = [-math.inf, -math.inf]
+        orig = op.process_batch
+
+        def process_batch(input_index: int, tuples: Any, now: float,
+                          _orig: Any = orig) -> Any:
+            last = last_exp[input_index]
+            for t in tuples:
+                if t.sign < 0:
+                    continue
+                if t.exp < last:
+                    raise PatternViolation(
+                        f"{label}: non-FIFO arrival on input {input_index} "
+                        f"of the FIFO negation — {t!r} expires at {t.exp}, "
+                        f"before the side's previous arrival ({last}); WKS "
+                        "expirations must follow generation order "
+                        "(Section 3.1)")
+                last = t.exp
+            last_exp[input_index] = last
+            return _orig(input_index, tuples, now)
+
+        op.process_batch = process_batch
 
     def verify_drain(self) -> None:
         """Assert counter conservation on every monitored buffer.

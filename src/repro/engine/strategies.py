@@ -59,7 +59,7 @@ from ..operators.base import PhysicalOperator
 from ..operators.dupelim import DupElimDeltaOp, DupElimStandardOp
 from ..operators.groupby import GroupByOp
 from ..operators.join import IntersectOp, JoinOp
-from ..operators.negation import NegationOp
+from ..operators.negation import NegationFifoOp, NegationOp
 from ..operators.relation_join import NRRJoinOp, RelationJoinOp
 from ..operators.stateless import (PortOp, ProjectOp, SelectOp, UnionOp,
                                    WindowOp)
@@ -213,6 +213,8 @@ class CompiledQuery:
         self.lazy_ops: list[PhysicalOperator] = []
         self.view: ResultView = AppendView(counters)
         self.view_note = ""  # which view and why: the ``-- view:`` footer
+        #: Per negation, in plan walk order: the structure chosen and why.
+        self.negation_notes: list[str] = []
         self.time_domain = "time"
         self.count_stream: str | None = None
         self.max_span: float | None = None
@@ -234,14 +236,17 @@ class CompiledQuery:
     def describe(self) -> str:
         """The loop this pipeline runs, in one line: the ``-- program:``
         explain footer (step order, dispatch tables, fused prefix
-        operators, eager and lazy participants, checked monitors)."""
+        operators, eager and lazy participants, checked monitors, and the
+        structure of each negation with its reason)."""
         fused = sum(len(plan.prefix)
                     for plans in self.dispatch.values() for plan in plans)
         layers = "none" if self.sanitizer is None else "checked"
+        negation = "".join(f" | negation: {note}"
+                           for note in self.negation_notes)
         return ("EXPIRE>DISPATCH>PROPAGATE>PURGE>DELIVER"
                 f" | streams={len(self.dispatch)} fused={fused}"
                 f" expire={len(self.expire_ops)} lazy={len(self.lazy_ops)}"
-                f" layers={layers}")
+                f" layers={layers}{negation}")
 
     def op_for(self, node: LogicalNode) -> PhysicalOperator:
         return self.ops[id(node)]
@@ -533,8 +538,25 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
         # hash-keyed downstream state (NT and hybrid).
         self_expire = mode is not Mode.NT
         emit_all = mode is Mode.NT or (hybrid and id(node) not in direct_region)
-        op = NegationOp(node.schema, li, ri, emit_all=emit_all,
-                        self_expire=self_expire, counters=counters)
+        inputs = [annotated.pattern_of(child) for child in node.children]
+        if mode is Mode.UPA and not emit_all and inputs == [WKS, WKS]:
+            # Both sides expire in arrival order and never prematurely:
+            # FIFO queues and per-value counts replace the heaps.
+            op = NegationFifoOp(node.schema, li, ri, counters=counters)
+            note = "FIFO (WKS × WKS)"
+            if sanitizer is not None:
+                sanitizer.wrap_fifo_arrivals(op, node.describe())
+        else:
+            op = NegationOp(node.schema, li, ri, emit_all=emit_all,
+                            self_expire=self_expire, counters=counters)
+            if mode is Mode.NT:
+                why = "NT"
+            elif emit_all:
+                why = "hybrid region"
+            else:
+                why = f"{next(p for p in inputs if p is not WKS)} input"
+            note = f"general ({why})"
+        compiled.negation_notes.append(note)
         if self_expire:
             compiled.expire_ops.append(op)
 

@@ -4,7 +4,7 @@ from .base import PhysicalOperator
 from .dupelim import DupElimDeltaOp, DupElimStandardOp
 from .groupby import GroupByOp
 from .join import IntersectOp, JoinOp
-from .negation import NegationOp
+from .negation import NegationFifoOp, NegationOp
 from .relation_join import NRRJoinOp, RelationJoinOp
 from .stateless import ProjectOp, SelectOp, UnionOp, WindowOp
 
@@ -15,6 +15,7 @@ __all__ = [
     "GroupByOp",
     "IntersectOp",
     "JoinOp",
+    "NegationFifoOp",
     "NegationOp",
     "NRRJoinOp",
     "RelationJoinOp",

@@ -34,18 +34,35 @@ ones are left to ``exp``-based purging):
   premature); then rebalance.
 * W2 expiry / negative: v2 -= 1; if the answer must grow, admit the oldest
   suppressed tuple and emit it.
+
+Structure by update pattern (Section 5.3).  :class:`NegationOp` is written
+for the worst case — WK or STR inputs, negative tuples, NT and the hybrid
+region: two global expiration heaps, an identity set of tuples deleted by
+negatives, insertion-sorted per-value lists and linear victim searches.
+When both inputs are WKS the compiler picks :class:`NegationFifoOp`
+instead: no negative ever arrives and each side expires in arrival order,
+so each side's expirations are a FIFO queue (the two heads merged in
+``(exp, arrival)`` order reproduce the heaps' pops exactly), the victim of
+a W1 expiry is its value's oldest tuple, and W2 needs only a per-value
+count.  Every event is O(1) and the outputs, answer set and counter charges
+are those of :class:`NegationOp` on the same input.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from bisect import insort
+from collections import deque
 from typing import Any
 
 from ..core.metrics import Counters
-from ..core.tuples import Schema, Tuple
+from ..core.tuples import NEGATIVE, Schema, Tuple
+from ..errors import ExecutionError
 from .base import PhysicalOperator
+
+_INF = math.inf
 
 
 def _log_cost(n: int) -> int:
@@ -308,3 +325,163 @@ class NegationOp(PhysicalOperator):
         """(v1, v2) for a given negation-attribute value (for tests)."""
         return (len(self._live1.get(value, ())),
                 len(self._live2.get(value, ())))
+
+
+class NegationFifoOp(PhysicalOperator):
+    """Negation over two WKS inputs (UPA, outside the hybrid region).
+
+    Each side's tuples expire in arrival order, so each side keeps one FIFO
+    queue of ``(exp, seq, record)`` — ``seq`` counts arrivals on both sides
+    and breaks ``exp`` ties across them — and each value one record
+    ``[live W1 tuples, live W2 count, k, value]``: its W1 tuples in arrival
+    order, how many W2 tuples it has, and the answer length ``k`` (the
+    answer is the value's oldest ``k`` W1 tuples).  A W1 arrival admits
+    ``live[k]``, a W2 arrival evicts ``live[k-1]``, a W1 expiry drops the
+    value's head (an answer member whenever ``k > 0``, so it leaves
+    naturally and silently) and a W2 expiry may admit ``live[k]``.  A record
+    is dropped when its value has no live tuple on either side, so no queue
+    entry outlives its record.  Negative tuples cannot arrive on WKS edges;
+    one that does is a planning bug and raises :class:`ExecutionError`.
+    """
+
+    eager = True
+    #: Chosen only under UPA, where negation always detects its own
+    #: expirations (read by the PRG602 lint rule).
+    _self_expire = True
+
+    def __init__(self, schema: Schema, left_attr: int, right_attr: int,
+                 counters: Counters | None = None):
+        super().__init__(schema, counters)
+        self._attrs = (left_attr, right_attr)
+        self._fifo1: deque[tuple[float, int, list]] = deque()
+        self._fifo2: deque[tuple[float, int, list]] = deque()
+        self._seq = 0
+        self._records: dict[Any, list] = {}
+
+    def process_batch(self, input_index: int, tuples, now: float) -> list[Tuple]:
+        if now > self.clock:
+            self.clock = now
+        counters = self.counters
+        attr = self._attrs[input_index]
+        records = self._records
+        seq = self._seq
+        out: list[Tuple] = []
+        if input_index == 0:
+            push = self._fifo1.append
+            for t in tuples:
+                counters.tuples_processed += 1
+                if t.sign < 0:
+                    self._seq = seq  # queued seqs stay unique past the raise
+                    self._reject(input_index)
+                value = t.values[attr]
+                record = records.get(value)
+                if record is None:
+                    record = records[value] = [deque(), 0, 0, value]
+                live = record[0]
+                live.append(t)
+                seq += 1
+                push((t.exp, seq, record))
+                k = record[2]
+                if len(live) - record[1] > k:
+                    admitted = live[k]
+                    record[2] = k + 1
+                    counters.touches += 2
+                    counters.results_produced += 1
+                    out.append(Tuple(admitted.values, now, admitted.exp))
+                else:
+                    counters.touches += 1
+        else:
+            push = self._fifo2.append
+            for t in tuples:
+                counters.tuples_processed += 1
+                if t.sign < 0:
+                    self._seq = seq  # queued seqs stay unique past the raise
+                    self._reject(input_index)
+                value = t.values[attr]
+                record = records.get(value)
+                if record is None:
+                    record = records[value] = [deque(), 1, 0, value]
+                else:
+                    record[1] += 1
+                seq += 1
+                push((t.exp, seq, record))
+                k = record[2]
+                if k:
+                    evicted = record[0][k - 1]
+                    record[2] = k - 1
+                    counters.touches += 2
+                    out.append(Tuple(evicted.values, now, evicted.exp,
+                                     NEGATIVE))
+                else:
+                    counters.touches += 1
+        self._seq = seq
+        return out
+
+    def _reject(self, input_index: int) -> None:
+        self.counters.negatives_processed += 1
+        side = "left (W1)" if input_index == 0 else "right (W2)"
+        raise ExecutionError(
+            f"{type(self).__name__} received a negative tuple on input "
+            f"{input_index}, {side}; the FIFO negation requires WKS inputs, "
+            "which never expire prematurely (Section 3.1)")
+
+    def expire(self, now: float) -> list[Tuple]:
+        """Expire the earlier of the two heads, in ``(exp, seq)`` order,
+        until neither is due."""
+        if now > self.clock:
+            self.clock = now
+        fifo1, fifo2 = self._fifo1, self._fifo2
+        counters = self.counters
+        out: list[Tuple] = []
+        while fifo1 or fifo2:
+            if fifo1 and (not fifo2 or fifo1[0] < fifo2[0]):
+                if fifo1[0][0] > now:
+                    break
+                record = fifo1.popleft()[2]
+                live = record[0]
+                live.popleft()
+                counters.touches += 1
+                # The head is a member iff k > 0; k - 1 = v1 - v2 keeps
+                # the answer at its target size.
+                k = record[2]
+                if k:
+                    record[2] = k - 1
+                if not live and not record[1]:
+                    del self._records[record[3]]
+            else:
+                if fifo2[0][0] > now:
+                    break
+                record = fifo2.popleft()[2]
+                n2 = record[1] - 1
+                record[1] = n2
+                counters.touches += 1
+                live = record[0]
+                k = record[2]
+                if len(live) - n2 > k:
+                    admitted = live[k]
+                    record[2] = k + 1
+                    counters.touches += 1
+                    counters.results_produced += 1
+                    out.append(Tuple(admitted.values, now, admitted.exp))
+                elif not live and not n2:
+                    del self._records[record[3]]
+        return out
+
+    def next_expiry(self, now: float) -> float:
+        """The earlier of the two queue heads (never stale: nothing leaves
+        a queue out of order)."""
+        boundary = self._fifo1[0][0] if self._fifo1 else _INF
+        if self._fifo2 and self._fifo2[0][0] < boundary:
+            boundary = self._fifo2[0][0]
+        return boundary
+
+    def state_size(self) -> int:
+        return len(self._fifo1) + len(self._fifo2)
+
+    def answer_size(self) -> int:
+        return sum(record[2] for record in self._records.values())
+
+    def counts_for(self, value: Any) -> tuple[int, int]:
+        """(v1, v2) for a given negation-attribute value (for tests)."""
+        record = self._records.get(value)
+        return (0, 0) if record is None else (len(record[0]), record[1])

@@ -52,6 +52,7 @@ from repro.engine.strategies import (
     Mode,
     compile_plan,
 )
+from repro.operators.negation import NegationFifoOp
 from repro.streams.relation import NRR
 from repro.streams.stream import StreamDef
 from repro.workloads import queries
@@ -264,6 +265,20 @@ def _prg602_dropped_expire_participant() -> LintReport:
     return lint_compiled(compiled)
 
 
+def _prg602_dropped_fifo_negation() -> LintReport:
+    """Under UPA Query 3's negation reads two WKS windows and runs as the
+    self-expiring FIFO negation; drop it from the eager expiration program.
+    Its queues would never be popped: answers would outlive their W1
+    tuples and suppressed tuples would never be readmitted."""
+    plan = queries.query3(_GEN, WINDOW)
+    _config, compiled = _compiled(plan, mode=Mode.UPA)
+    negation = compiled.ops[id(plan)]
+    assert isinstance(negation, NegationFifoOp)
+    compiled.expire_ops = [op for op in compiled.expire_ops
+                           if op is not negation]
+    return lint_compiled(compiled)
+
+
 def _prg603_stateful_fused_prefix() -> LintReport:
     """Promote the first generic-suffix operator of a dispatch route into
     the fused scalar prefix.  The route is still covered in order (PRG601
@@ -431,6 +446,9 @@ CORPUS: tuple[BadPlan, ...] = (
     BadPlan("dropped-expire-participant", "PRG602",
             "materialized window removed from the eager expiration program",
             _prg602_dropped_expire_participant),
+    BadPlan("dropped-fifo-negation", "PRG602",
+            "self-expiring FIFO negation removed from the eager expiration "
+            "program", _prg602_dropped_fifo_negation),
     BadPlan("stateful-fused-prefix", "PRG603",
             "kernel-less suffix operator promoted into the fused prefix",
             _prg603_stateful_fused_prefix),

@@ -12,6 +12,7 @@ from repro.operators import (
     GroupByOp,
     IntersectOp,
     JoinOp,
+    NegationFifoOp,
     NegationOp,
     NRRJoinOp,
     ProjectOp,
@@ -565,6 +566,9 @@ ARRIVAL_OPERATORS = {
         Schema(["v", "n", "s"]), (0,), ("count", "sum"), (None, 1),
         HashBuffer(_values, c), c), 1, True, LIVES),
     NegationOp: (lambda c: NegationOp(VV, 0, 0, counters=c), 2, True, LIVES),
+    # WKS inputs: one lifetime keeps each side's exp in arrival order.
+    NegationFifoOp: (lambda c: NegationFifoOp(VV, 0, 0, counters=c),
+                     2, False, LIVES[-1:]),
     NRRJoinOp: (lambda c: NRRJoinOp(
         VV, _indexed(NRR("n", Schema(["k", "name"]), ROWS)), 0, 0, c),
         1, False, LIVES),

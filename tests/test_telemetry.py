@@ -295,6 +295,12 @@ class TestEquivalence:
             patterns = {inst.labels.get("pattern")
                         for inst in result.metrics.find("op_process_seconds")}
             assert "STR" in patterns  # negation output is strict non-monotonic
+            kinds = {inst.labels.get("kind")
+                     for inst in result.metrics.find("op_process_seconds")}
+            # The negation's kind is the structure compiled for its inputs:
+            # FIFO queues over UPA's two WKS windows, the general one under NT.
+            assert ("NegationFifoOp" in kinds) is (mode is Mode.UPA)
+            assert ("NegationOp" in kinds) is (mode is Mode.NT)
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("batch", [None, 32])
