@@ -1,12 +1,12 @@
 """Static and dynamic verification of update-pattern annotations.
 
-Two layers (both introduced in the same PR, both optional at run time):
+Two layers, both optional at run time:
 
 * the **plan linter** (:mod:`repro.analysis.planlint`,
-  :mod:`repro.analysis.rules`) statically re-proves the invariants the
-  engine assumes — pattern propagation per Section 5.2, buffer choices,
-  rewrite legality, sharding consistency — over logical plans and
-  compiled pipelines;
+  :mod:`repro.analysis.rules`) statically checks what the engine is
+  given — pattern propagation per Section 5.2, rewrite legality, NRR
+  non-retroactivity, dead machinery, unbounded state — over logical
+  plans and compiled pipelines;
 * the **sanitizer** (:mod:`repro.analysis.sanitizer`) dynamically
   monitors a running pipeline under ``ExecutionConfig(checked=True)``,
   asserting FIFO/exp-exact expiration, negative-tuple provenance and

@@ -17,18 +17,15 @@ derivable from the annotated plan —
 :func:`derive_certificate` turns the annotated plan into a
 :class:`StateCertificate` — one :class:`CertificateEntry` per state slot
 (physical buffers and symbolic-only stores such as group tables), plus
-the Section 5.4.1 per-unit-time cost estimate.  Three lint rules consume
+the Section 5.4.1 per-unit-time cost estimate.  Two lint rules consume
 it statically:
 
 * **CST801** rejects silently-unbounded state (an ``unbounded`` entry
   while the configuration does not opt in via ``allow_unbounded_state``);
-* **CST802** verifies the optimizer's chosen physical buffer *fits* the
-  derived bound class under UPA (bounded state in a pattern-blind scan
-  list defeats the bound; never-expiring state in an expiration-ring
-  mis-slots);
 * **CST803** verifies that in checked mode every bounded entry's buffer
   carries a sanitizer monitor, so the drain-time cross-check below
-  actually covers the certificate.
+  actually covers the certificate (a missing monitor raises nothing, so
+  no run can report it).
 
 At run time, :func:`attach_certificate` (called when a driver is built,
 whatever builds it) arms each entry's :class:`~repro.analysis.sanitizer.MonitoredBuffer`
@@ -46,8 +43,6 @@ from __future__ import annotations
 import math
 from typing import Any, Iterator
 
-from ..buffers.listbuffer import ListBuffer
-from ..buffers.partitioned import PartitionedBuffer
 from ..core.cost import CostModel, PlanCost
 from ..core.patterns import MONOTONIC
 from ..core.plan import DupElim, GroupBy, Negation
@@ -339,49 +334,6 @@ def rule_cst801_unbounded_state(ctx: LintContext) -> Iterator[Diagnostic]:
         )
 
 
-def rule_cst802_buffer_fits_bound(ctx: LintContext) -> Iterator[Diagnostic]:
-    """CST802: the optimizer's chosen physical buffer must fit the derived
-    bound class.  Under UPA with a known window span, window/distinct
-    bounded state in a pattern-blind scan list pays O(n) expiration scans
-    the bound was supposed to eliminate (Section 5.3.2), and
-    never-expiring state in a partitioned expiration ring wraps onto live
-    partitions (the ring's geometry assumes every tuple leaves within one
-    span)."""
-    compiled = ctx.compiled
-    config = ctx.config
-    if compiled is None or config is None:
-        return
-    from ..engine.strategies import Mode
-    if config.mode is not Mode.UPA or compiled.max_span is None:
-        return
-    cert = derive_certificate(compiled, ctx)
-    for entry in cert.entries:
-        if entry.buffer is None:
-            continue
-        inner = getattr(entry.buffer, "inner", entry.buffer)
-        if entry.bound in (BOUND_WINDOW, BOUND_DISTINCT) \
-                and type(inner) is ListBuffer:
-            yield Diagnostic(
-                "CST802", SEVERITY_ERROR, entry.path,
-                f"{entry.label} state is certified {entry.bound} "
-                f"(~{entry.symbolic}) but lives in a pattern-blind scan "
-                "list; every expiration pays a full O(n) scan the bound "
-                "class was chosen to avoid",
-                "use the pattern-appropriate structure (FIFO, partitioned "
-                "ring, or hash table)",
-            )
-        elif entry.bound == BOUND_UNBOUNDED \
-                and isinstance(inner, PartitionedBuffer):
-            yield Diagnostic(
-                "CST802", SEVERITY_ERROR, entry.path,
-                f"{entry.label} state never expires but lives in a "
-                f"partitioned expiration ring spanning {inner.span}; "
-                "tuples outliving the ring wrap onto live partitions",
-                "unbounded state needs an unbounded structure (and an "
-                "explicit allow_unbounded_state opt-in)",
-            )
-
-
 def rule_cst803_certificate_monitored(ctx: LintContext
                                       ) -> Iterator[Diagnostic]:
     """CST803: in checked mode, every bounded certificate entry's buffer
@@ -420,7 +372,6 @@ __all__ = [
     "attach_certificate",
     "derive_certificate",
     "rule_cst801_unbounded_state",
-    "rule_cst802_buffer_fits_bound",
     "rule_cst803_certificate_monitored",
     "validate_certificate",
 ]

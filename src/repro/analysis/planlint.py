@@ -4,8 +4,8 @@ The linter re-proves the invariants the engine assumes (see
 :mod:`repro.analysis.rules`) instead of trusting the code that established
 them.  Three entry points:
 
-* :func:`lint` — check one plan (optionally with its config, compiled
-  pipeline, and a recorded sharding verdict);
+* :func:`lint` — check one plan (optionally with its config and compiled
+  pipeline);
 * :func:`lint_rewrite` — check an optimizer *output* plan against the
   original it was rewritten from, re-proving the rewrite preconditions;
 * :func:`lint_compiled` — convenience over a :class:`CompiledQuery`.
@@ -20,7 +20,6 @@ from typing import Any
 
 from ..core.annotate import AnnotatedPlan, annotate
 from ..core.plan import LogicalNode
-from ..core.sharding import Partitionability
 from .rules import (
     ALL_RULES,
     Diagnostic,
@@ -88,21 +87,19 @@ class LintReport:
 
 def lint(plan: LogicalNode, config: Any = None, *,
          annotated: AnnotatedPlan | None = None,
-         compiled: Any = None,
-         claimed_sharding: Partitionability | None = None,
-         driver: Any = None) -> LintReport:
+         compiled: Any = None, driver: Any = None) -> LintReport:
     """Run every applicable static rule over ``plan``.
 
     ``annotated`` defaults to a fresh :func:`annotate` pass — pass the
     pipeline's own :class:`AnnotatedPlan` to verify the annotations actually
-    in use.  ``compiled`` enables the physical buffer-choice rules;
-    ``claimed_sharding`` enables the sharding-consistency cross-check;
-    ``driver`` enables the closure-capture ownership checks (ALS702) over
-    the driver's compiled closures.
+    in use.  ``compiled`` enables the rules that read the compiled
+    pipeline (BUF103, DM501's hash-table half, PRG602, CST801, CST803);
+    ``driver`` enables the closure-capture check (ALS702) over the
+    driver's compiled closures.
     """
     annotated = annotated if annotated is not None else annotate(plan)
     ctx = LintContext(plan, annotated, config=config, compiled=compiled,
-                      claimed_sharding=claimed_sharding, driver=driver)
+                      driver=driver)
     diagnostics: list[Diagnostic] = []
     for _rule_id, rule in PLAN_RULES:
         diagnostics.extend(rule(ctx))
@@ -127,15 +124,13 @@ def lint_rewrite(original: LogicalNode, candidate: LogicalNode,
     return report.merged(LintReport(diagnostics, len(REWRITE_RULES)))
 
 
-def lint_compiled(compiled: Any, *,
-                  claimed_sharding: Partitionability | None = None,
-                  driver: Any = None) -> LintReport:
-    """Lint a compiled pipeline: its plan, its live annotations, and its
-    actual physical buffer choices (plus, when a ``driver`` is supplied,
-    the ownership of its compiled closures)."""
+def lint_compiled(compiled: Any, *, driver: Any = None) -> LintReport:
+    """Lint a compiled pipeline: its plan, its live annotations and its
+    state buffers (plus, when a ``driver`` is supplied, its compiled
+    closures)."""
     return lint(compiled.root, compiled.config,
                 annotated=compiled.annotated, compiled=compiled,
-                claimed_sharding=claimed_sharding, driver=driver)
+                driver=driver)
 
 
 __all__ = ["Diagnostic", "LintReport", "lint", "lint_rewrite",

@@ -1,30 +1,37 @@
 """Static verification rules for update-pattern annotations and plans.
 
-Every invariant the engine *relies on* is re-proved here from first
-principles, independently of the code that established it:
+The rules check what no run of the engine shows: the annotations,
+rewrites, plans and configurations the engine is *given*, and the few
+properties of its own compile output that change no answer.
 
 * the five pattern-propagation rules of Section 5.2 (plus the Rule 2 lag
   refinement for mixed-window unions) are re-derived by a second, separate
-  implementation and cross-checked against :mod:`repro.core.annotate`;
-* physical buffer choices are checked against the pattern of the edge that
-  feeds them (Section 5.3.2: FIFO only under WKS, hash-on-key needs a key,
-  partitioned-buffer geometry must match the plan's window spans);
+  implementation and cross-checked against :mod:`repro.core.annotate`,
+  and every shared cut's stamped lag against its source;
+* partitioned rings are checked against the plan's window span
+  (Figure 7) — a mis-sized ring still purges exactly, so only this rule
+  sees it;
 * the optimizer's two update-pattern heuristics — negation pull-up and
   duplicate-elimination push-down (Section 5.4.2) — have their
   preconditions re-proved on the *output* plan, not trusted;
-* sharding keys recorded for a parallel run are re-derived from
-  :mod:`repro.core.sharding` and compared;
-* the tables the driver compiles its loops from (the compiled query's
-  dispatch tables and expiration participants) are cross-checked against
-  the plan: dispatch tables cover every leaf edge, eager expiration
-  participants match the operator classification, fused scalar prefixes
-  are stateless;
 * non-retroactivity of NRR joins is verified structurally, looking
   *through* :class:`~repro.core.plan.SharedScan` cuts that annotation
   cannot see past;
 * dead machinery — negative-tuple plumbing above plans with no strict
   subplan, duplicate elimination over provably duplicate-free input — is
-  flagged as a warning.
+  flagged as a warning;
+* state nothing ever purges is rejected unless the configuration opts in
+  (CST801), and every bounded buffer of a checked pipeline carries the
+  monitor the drain-time certificate check reads (CST803,
+  :mod:`repro.analysis.bounds`);
+* the eager expiration participants run bottom-up (PRG602), and the
+  driver's compiled closures capture no plan node (ALS702,
+  :mod:`repro.analysis.ownership`).
+
+The rest of the engine's own compile output (buffer choices, dispatch
+tables, expiration membership, buffer aliasing) is held to the
+Definition 1 oracle by the test suite instead: a mutation audit found
+those defect classes killed there (RESULTS.md, "lint audit").
 
 Each rule is a generator over :class:`Diagnostic` objects; the catalogue at
 the bottom of this module is what :func:`repro.analysis.planlint.lint`
@@ -36,7 +43,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Iterator
 
-from ..buffers.fifo import FifoBuffer
 from ..buffers.hashed import HashBuffer
 from ..buffers.partitioned import PartitionedBuffer
 from ..core.annotate import AnnotatedPlan, _uniform_lag
@@ -64,7 +70,6 @@ from ..core.plan import (
     Union,
     WindowScan,
 )
-from ..core.sharding import Partitionability, analyze_partitionability
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -96,19 +101,17 @@ class Diagnostic:
 
 
 class LintContext:
-    """Everything a rule may inspect.  ``compiled``/``claimed_sharding``/
+    """Everything a rule may inspect.  ``config``, ``compiled`` and
     ``driver`` are optional — rules that need them skip silently when
-    absent (``driver`` enables the closure-capture checks of ALS702)."""
+    absent (``driver`` enables the closure-capture check of ALS702)."""
 
     def __init__(self, root: LogicalNode, annotated: AnnotatedPlan,
                  config: Any = None, compiled: Any = None,
-                 claimed_sharding: Partitionability | None = None,
                  driver: Any = None) -> None:
         self.root = root
         self.annotated = annotated
         self.config = config
         self.compiled = compiled
-        self.claimed_sharding = claimed_sharding
         self.driver = driver
         self._paths: dict[int, str] = {}
         self._index_paths(root, "$")
@@ -141,8 +144,8 @@ def rederive_patterns(root: LogicalNode) -> dict[int, UpdatePattern]:
             derived = WKS if node.stream.window is not None else MONOTONIC
         elif isinstance(node, SharedScan):
             # A shared cut replays its source subtree's output verbatim:
-            # re-derive from the hidden source (rule UP002 compares this
-            # against the scan's declared pattern).
+            # re-derive from the hidden source (annotate trusts the scan's
+            # declared pattern, so UP001 catches a cut that lies).
             derived = rederive_patterns(node.source)[id(node.source)]
         elif isinstance(node, (Select, Project, Rename)):
             derived = child[0]                       # Rule 1 (unary WKS ops)
@@ -190,22 +193,14 @@ def rule_up001_pattern_rederivation(ctx: LintContext) -> Iterator[Diagnostic]:
 
 
 def rule_up002_shared_scan_pattern(ctx: LintContext) -> Iterator[Diagnostic]:
-    """UP002: a SharedScan's declared pattern and lag must match what its
-    source subtree actually produces (a lying cut corrupts every consumer's
-    buffer choices downstream)."""
+    """UP002: a SharedScan's declared uniform lag must match its source
+    subtree's.  A wrong lag flips the Rule 2 WKS/WK decision of a union
+    above the cut without changing any answer, so no run reports it (a
+    wrong declared *pattern* is UP001's: the re-derivation reads the
+    source, annotation reads the cut)."""
     for node in ctx.root.walk():
         if not isinstance(node, SharedScan):
             continue
-        source_patterns = rederive_patterns(node.source)
-        actual = source_patterns[id(node.source)]
-        if node.pattern is not actual:
-            yield Diagnostic(
-                "UP002", SEVERITY_ERROR, ctx.path_of(node),
-                f"shared cut {node.label!r} declares pattern {node.pattern} "
-                f"but its source subtree produces {actual}",
-                "rebuild the SharedScan from annotate(source) instead of a "
-                "cached pattern",
-            )
         source_lags: dict[int, float | None] = {}
         for sub in node.source.walk():
             source_lags[id(sub)] = _uniform_lag(sub, source_lags)
@@ -220,7 +215,8 @@ def rule_up002_shared_scan_pattern(ctx: LintContext) -> Iterator[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# BUF — physical buffer-choice rules (need a CompiledQuery)
+# BUF — partitioned-ring geometry (needs a CompiledQuery); the buffer walk
+# is shared with DM501 and the CST8xx certificate
 # ---------------------------------------------------------------------------
 
 def _buffers_of(ctx: LintContext
@@ -257,69 +253,20 @@ def _feeding_pattern(ctx: LintContext, node: LogicalNode,
         return annotated.pattern_of(node)        # output buffer
     if isinstance(node, (GroupBy, RelationJoin)):
         return annotated.pattern_of(node.children[0])
-    if isinstance(node, WindowScan):
-        return annotated.pattern_of(node)
     return annotated.pattern_of(node)
 
 
-def rule_buf101_fifo_requires_wks(ctx: LintContext) -> Iterator[Diagnostic]:
-    """BUF101: a FIFO list may only hold state fed by a FIFO-expiring edge
-    (MONOTONIC/WKS) — WK/STR input expires out of insertion order and would
-    either corrupt the queue or trip its order guard (Section 5.3.2)."""
-    for node, label, buffer, pattern in _buffers_of(ctx):
-        if isinstance(buffer, FifoBuffer) and pattern is not None \
-                and not pattern.expiration_is_fifo:
-            yield Diagnostic(
-                "BUF101", SEVERITY_ERROR, ctx.path_of(node),
-                f"{node.describe()} stores its {label} state, fed by a "
-                f"{pattern} edge, in a FIFO list; {pattern} expirations are "
-                "not FIFO",
-                "use a partitioned buffer (WK) or hash table (STR) for "
-                "this edge",
-            )
-
-
-def rule_buf102_hash_requires_key(ctx: LintContext) -> Iterator[Diagnostic]:
-    """BUF102: a hash-on-key buffer without a key function cannot locate the
-    victim of a negative tuple in O(1) — its entire reason to exist."""
-    for node, label, buffer, _pattern in _buffers_of(ctx):
-        if isinstance(buffer, HashBuffer) and not buffer.has_index:
-            yield Diagnostic(
-                "BUF102", SEVERITY_ERROR, ctx.path_of(node),
-                f"{node.describe()} stores its {label} state in a hash "
-                "buffer with no key function",
-                "construct the HashBuffer with an explicit key_of (or rely "
-                "on its values_key default)",
-            )
-
-
 def rule_buf103_partition_sanity(ctx: LintContext) -> Iterator[Diagnostic]:
-    """BUF103: a partitioned circular buffer's geometry must match the plan
-    (span = the plan's maximum window span, partition count = the configured
-    n_partitions >= 1, Figure 7) — a mis-sized ring mis-slots expirations."""
+    """BUF103: a partitioned circular buffer's span must be the plan's
+    maximum window span (Figure 7).  The ring's per-slot marks keep purges
+    exact at any span, so a mis-sized ring changes no answer — it only
+    wraps tuples onto live slots and costs time, which no run reports."""
     compiled = ctx.compiled
-    if compiled is None:
+    if compiled is None or compiled.max_span is None:
         return
     for node, label, buffer, _pattern in _buffers_of(ctx):
-        if not isinstance(buffer, PartitionedBuffer):
-            continue
-        if buffer.n_partitions < 1:
-            yield Diagnostic(
-                "BUF103", SEVERITY_ERROR, ctx.path_of(node),
-                f"{node.describe()} {label} state uses a partitioned buffer "
-                f"with {buffer.n_partitions} partitions",
-                "n_partitions must be >= 1",
-            )
-        if ctx.config is not None \
-                and buffer.n_partitions != ctx.config.n_partitions:
-            yield Diagnostic(
-                "BUF103", SEVERITY_ERROR, ctx.path_of(node),
-                f"{node.describe()} {label} state is partitioned into "
-                f"{buffer.n_partitions} slots but the configuration asks "
-                f"for {ctx.config.n_partitions}",
-                "rebuild the buffer from the active ExecutionConfig",
-            )
-        if compiled.max_span is not None and buffer.span != compiled.max_span:
+        if isinstance(buffer, PartitionedBuffer) \
+                and buffer.span != compiled.max_span:
             yield Diagnostic(
                 "BUF103", SEVERITY_ERROR, ctx.path_of(node),
                 f"{node.describe()} {label} state covers span {buffer.span} "
@@ -464,55 +411,6 @@ def _attr_after_join_name(join: Join, attr: str, side: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# SH — sharding-consistency rule
-# ---------------------------------------------------------------------------
-
-def rule_sh301_sharding_consistency(ctx: LintContext) -> Iterator[Diagnostic]:
-    """SH301: a recorded sharding verdict must agree with a fresh
-    re-derivation from the co-location analysis, and every routing key must
-    name a real column of its stream at the recorded position — routing by
-    a stale key silently mis-partitions matching tuples across shards."""
-    claimed = ctx.claimed_sharding
-    if claimed is None:
-        return
-    derived = analyze_partitionability(ctx.root)
-    if claimed.shardable != derived.shardable:
-        yield Diagnostic(
-            "SH301", SEVERITY_ERROR, "$",
-            f"recorded sharding verdict says shardable={claimed.shardable} "
-            f"but re-analysis derives shardable={derived.shardable}"
-            + (f" ({derived.reason})" if derived.reason else ""),
-            "re-run analyze_partitionability on the executed plan",
-        )
-        return
-    if not claimed.shardable:
-        return
-    streams = {leaf.stream.name: leaf.stream for leaf in ctx.root.leaves()}
-    for name, key in claimed.keys.items():
-        expected = derived.keys.get(name)
-        if expected != key:
-            yield Diagnostic(
-                "SH301", SEVERITY_ERROR, "$",
-                f"stream {name!r} is routed by "
-                f"{key.describe()} but the co-location analysis demands "
-                f"{expected.describe() if expected else 'no such stream'}",
-                "route by the key the demand analysis derives",
-            )
-            continue
-        stream = streams.get(name)
-        if stream is not None and key.attr is not None:
-            fields = stream.schema.fields
-            if key.index is None or key.index >= len(fields) \
-                    or fields[key.index] != key.attr:
-                yield Diagnostic(
-                    "SH301", SEVERITY_ERROR, "$",
-                    f"routing key {key.attr!r}@{key.index} does not match "
-                    f"stream {name!r}'s schema {list(fields)}",
-                    "recompute the key index against the stream schema",
-                )
-
-
-# ---------------------------------------------------------------------------
 # NR — NRR non-retroactivity rule
 # ---------------------------------------------------------------------------
 
@@ -578,93 +476,15 @@ def rule_dm501_dead_negative_plumbing(ctx: LintContext) -> Iterator[Diagnostic]:
                 )
 
 
-# ---------------------------------------------------------------------------
-# PRG — execution-program rules (need a CompiledQuery)
-#
-# The compiled query is the program the driver runs: its dispatch tables,
-# routes and expiration participants are resolved at compile time and
-# compiled into the driver's closures.  These rules re-prove that those
-# tables agree with the plan, so a stale or tampered table cannot silently
-# drop work (a missing dispatch entry loses arrivals; a missing expiration
-# participant leaks state; a stateful fused prefix would bypass the
-# expiration machinery entirely).
-# ---------------------------------------------------------------------------
-
-_RECOMPILE = "recompile the plan with engine.strategies.compile_plan"
-
-
-def rule_prg601_dispatch_covers_edges(ctx: LintContext) -> Iterator[Diagnostic]:
-    """PRG601: the dispatch tables must cover every leaf binding of every
-    stream, and each table entry's fused prefix + generic suffix must
-    reconstruct the compiled route to the root exactly — an edge the
-    tables miss would silently drop every tuple routed along it."""
+def rule_prg602_expiration_order(ctx: LintContext) -> Iterator[Diagnostic]:
+    """PRG602: the eager expiration participants run in bottom-up plan
+    order, so a parent's expiry pass never re-derives deltas from state
+    its child already purged at the same instant.  No suite reverses it
+    observably today (membership errors, by contrast, change answers and
+    are the oracle's to catch)."""
     compiled = ctx.compiled
     if compiled is None:
         return
-    for stream, leaves in compiled.leaf_bindings.items():
-        plans = compiled.dispatch.get(stream)
-        if plans is None:
-            yield Diagnostic(
-                "PRG601", SEVERITY_ERROR, "$",
-                f"stream {stream!r} has {len(leaves)} leaf binding(s) but "
-                "no dispatch table in the execution program", _RECOMPILE,
-            )
-            continue
-        if [plan.leaf for plan in plans] != leaves:
-            yield Diagnostic(
-                "PRG601", SEVERITY_ERROR, "$",
-                f"stream {stream!r}'s dispatch table binds "
-                f"{len(plans)} leaf(s) but the compile recorded "
-                f"{len(leaves)} (or in a different order)", _RECOMPILE,
-            )
-            continue
-        for plan in plans:
-            route = compiled.routes.get(id(plan.leaf))
-            if route is None:
-                yield Diagnostic(
-                    "PRG601", SEVERITY_ERROR, "$",
-                    f"stream {stream!r} dispatches into a leaf with no "
-                    "compiled route to the root", _RECOMPILE,
-                )
-                continue
-            flattened = [op for op, _kind, _arg in plan.prefix]
-            flattened.extend(parent for parent, _slot in plan.suffix)
-            expected = [parent for parent, _slot in route]
-            if flattened != expected:
-                yield Diagnostic(
-                    "PRG601", SEVERITY_ERROR, "$",
-                    f"stream {stream!r}'s dispatch plan walks "
-                    f"{len(flattened)} operator(s) but the compiled route "
-                    f"has {len(expected)}; fused prefix + suffix must "
-                    "reconstruct the route exactly", _RECOMPILE,
-                )
-    extra = set(compiled.dispatch) - set(compiled.leaf_bindings)
-    if extra:
-        yield Diagnostic(
-            "PRG601", SEVERITY_ERROR, "$",
-            f"the program dispatches stream(s) {sorted(extra)} that have "
-            "no leaf binding in the compiled pipeline", _RECOMPILE,
-        )
-
-
-def rule_prg602_expiration_participants(ctx: LintContext
-                                        ) -> Iterator[Diagnostic]:
-    """PRG602: the eager expiration participants must match an
-    independent re-derivation from operator-observable classification
-    (Section 5.2's eager/lazy split): materialized windows and self-expiring
-    negations (general or FIFO) are eager; joins and intersections are
-    lazily maintained (their WKS-fed state is purged on probe); the eager
-    list runs in bottom-up plan order.  (Eager and lazy membership are not exclusive —
-    a standard dup-elim expires its output eagerly while its input buffer
-    purges on the lazy grid.)"""
-    compiled = ctx.compiled
-    if compiled is None:
-        return
-    from ..operators.join import JoinOp
-    from ..operators.negation import NegationFifoOp, NegationOp
-    from ..operators.stateless import WindowOp
-
-    eager_ids = {id(op) for op in compiled.expire_ops}
     walk_order = {id(compiled.ops[id(node)]): index
                   for index, node in enumerate(ctx.root.walk())
                   if id(node) in compiled.ops}
@@ -675,94 +495,9 @@ def rule_prg602_expiration_participants(ctx: LintContext
             "PRG602", SEVERITY_ERROR, "$",
             "the eager expiration program is not in bottom-up plan order; "
             "expiring parents before children re-derives deltas from "
-            "already-purged state", _RECOMPILE,
+            "already-purged state",
+            "recompile the plan with engine.strategies.compile_plan",
         )
-    for node in ctx.root.walk():
-        op = compiled.ops.get(id(node))
-        if op is None:
-            continue
-        path = ctx.path_of(node)
-        if isinstance(op, WindowOp) and op._store is not None \
-                and id(op) not in eager_ids:
-            yield Diagnostic(
-                "PRG602", SEVERITY_ERROR, path,
-                f"{node.describe()} materializes its window but is missing "
-                "from the eager expiration program; its state would never "
-                "be purged and no negative tuples would be emitted",
-                _RECOMPILE,
-            )
-        if isinstance(op, WindowOp) and op._store is None \
-                and id(op) in eager_ids:
-            yield Diagnostic(
-                "PRG602", SEVERITY_ERROR, path,
-                f"{node.describe()} does not materialize a window store "
-                "but participates in the eager expiration program",
-                _RECOMPILE,
-            )
-        if isinstance(op, (NegationOp, NegationFifoOp)):
-            if op._self_expire and id(op) not in eager_ids:
-                yield Diagnostic(
-                    "PRG602", SEVERITY_ERROR, path,
-                    f"{node.describe()} self-expires (UPA/hybrid) but is "
-                    "missing from the eager expiration program", _RECOMPILE,
-                )
-            if not op._self_expire and id(op) in eager_ids:
-                yield Diagnostic(
-                    "PRG602", SEVERITY_ERROR, path,
-                    f"{node.describe()} relies on upstream negative tuples "
-                    "(NT) but participates in the eager expiration program",
-                    _RECOMPILE,
-                )
-        if isinstance(op, JoinOp) and id(op) in eager_ids:
-            yield Diagnostic(
-                "PRG602", SEVERITY_ERROR, path,
-                f"{node.describe()} is lazily maintained (state purged on "
-                "probe and on the lazy grid) but appears in the eager "
-                "expiration program", _RECOMPILE,
-            )
-
-
-def rule_prg603_fused_prefixes_stateless(ctx: LintContext
-                                         ) -> Iterator[Diagnostic]:
-    """PRG603: every operator fused into a dispatch prefix must be
-    stateless — expose a kernel, hold zero state, and take no part
-    in expiration.  Fusing a stateful operator would evaluate it outside
-    the expiration machinery, silently leaking (or never building) its
-    state."""
-    compiled = ctx.compiled
-    if compiled is None:
-        return
-    eager_ids = {id(op) for op in compiled.expire_ops}
-    lazy_ids = {id(op) for op in compiled.lazy_ops}
-    for stream, plans in compiled.dispatch.items():
-        for plan in plans:
-            for op, kind, _arg in plan.prefix:
-                where = f"$ [dispatch:{stream}]"
-                if op.kernel() is None:
-                    yield Diagnostic(
-                        "PRG603", SEVERITY_ERROR, where,
-                        f"fused prefix entry {type(op).__name__} (kind "
-                        f"{kind!r}) exposes no kernel; only "
-                        "kernel-bearing operators may be fused", _RECOMPILE,
-                    )
-                if op.state_size() != 0:
-                    yield Diagnostic(
-                        "PRG603", SEVERITY_ERROR, where,
-                        f"fused prefix entry {type(op).__name__} holds "
-                        f"{op.state_size()} tuple(s) of state; fused "
-                        "prefixes must be stateless",
-                        "dispatch stateful operators through the generic "
-                        "suffix route",
-                    )
-                if id(op) in eager_ids or id(op) in lazy_ids:
-                    yield Diagnostic(
-                        "PRG603", SEVERITY_ERROR, where,
-                        f"fused prefix entry {type(op).__name__} "
-                        "participates in expiration; fusing it would run "
-                        "it outside the expiration machinery",
-                        "dispatch expiring operators through the generic "
-                        "suffix route",
-                    )
 
 
 def rule_dm502_redundant_distinct(ctx: LintContext) -> Iterator[Diagnostic]:
@@ -794,34 +529,21 @@ def rule_dm502_redundant_distinct(ctx: LintContext) -> Iterator[Diagnostic]:
 # callables in any earlier would be circular.
 from .bounds import (  # noqa: E402
     rule_cst801_unbounded_state,
-    rule_cst802_buffer_fits_bound,
     rule_cst803_certificate_monitored,
 )
-from .ownership import (  # noqa: E402
-    rule_als701_exclusive_ownership,
-    rule_als702_stale_captures,
-    rule_als703_module_level_sinks,
-)
+from .ownership import rule_als702_stale_captures  # noqa: E402
 
 #: Plan-level rules run by lint(); (id, callable) in catalogue order.
 PLAN_RULES = (
     ("UP001", rule_up001_pattern_rederivation),
     ("UP002", rule_up002_shared_scan_pattern),
-    ("BUF101", rule_buf101_fifo_requires_wks),
-    ("BUF102", rule_buf102_hash_requires_key),
     ("BUF103", rule_buf103_partition_sanity),
-    ("SH301", rule_sh301_sharding_consistency),
     ("NR401", rule_nr401_nrr_non_retroactivity),
     ("DM501", rule_dm501_dead_negative_plumbing),
     ("DM502", rule_dm502_redundant_distinct),
-    ("PRG601", rule_prg601_dispatch_covers_edges),
-    ("PRG602", rule_prg602_expiration_participants),
-    ("PRG603", rule_prg603_fused_prefixes_stateless),
-    ("ALS701", rule_als701_exclusive_ownership),
+    ("PRG602", rule_prg602_expiration_order),
     ("ALS702", rule_als702_stale_captures),
-    ("ALS703", rule_als703_module_level_sinks),
     ("CST801", rule_cst801_unbounded_state),
-    ("CST802", rule_cst802_buffer_fits_bound),
     ("CST803", rule_cst803_certificate_monitored),
 )
 

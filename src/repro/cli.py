@@ -174,14 +174,13 @@ def _cmd_lint(args) -> int:
     """Run the static rule catalogue over a query's plan.
 
     Exit status 0 when no error-severity diagnostic fired (warnings are
-    advisory), 1 otherwise.  With ``--mode`` the plan is also compiled and
-    the physical buffer-choice, sharding-consistency and ownership rules
-    run against the pipeline — and the driver — the engine would actually
-    execute.  ``--lint-certificate`` additionally prints the derived
-    symbolic state-bound certificate.
+    advisory), 1 otherwise.  The plan is also compiled under ``--mode``,
+    so the rules that read the compiled pipeline (BUF103, DM501, PRG602,
+    CST801/803) and its closures (ALS702) check what the engine — and
+    the driver — would actually execute.  ``--lint-certificate``
+    additionally prints the derived symbolic state-bound certificate.
     """
     from .analysis.planlint import lint, lint_compiled
-    from .core.sharding import analyze_partitionability
     from .engine.driver import Driver
     from .engine.strategies import compile_plan
     from .errors import PlanError
@@ -201,11 +200,9 @@ def _cmd_lint(args) -> int:
         print(f"compilation under mode={args.mode} rejected the plan: "
               f"{error}")
         return 0 if report.ok else 1
-    # Build the driver so the closure-capture rules (ALS702) see its
-    # actual compiled closures, not just the static pipeline.
+    # The driver attaches the certificate, and ALS702 walks its closures.
     driver = Driver(compiled)
-    verdict = analyze_partitionability(plan)
-    report = lint_compiled(compiled, claimed_sharding=verdict, driver=driver)
+    report = lint_compiled(compiled, driver=driver)
     print(report.render())
     if args.lint_certificate:
         print(compiled.certificate.render())

@@ -195,21 +195,6 @@ class Driver:
 
     # -- static introspection (ownership analysis) -------------------------
 
-    def introspection_roots(self) -> dict:
-        """Named mutable structures this driver owns, enumerable without
-        executing anything — the entry points the ALS7xx ownership
-        analysis walks (``analysis/ownership.py``)."""
-        compiled = self.compiled
-        return {
-            "dispatch": compiled.dispatch,
-            "expire_ops": compiled.expire_ops,
-            "lazy_ops": compiled.lazy_ops,
-            "routes": compiled.routes,
-            "leaf_bindings": compiled.leaf_bindings,
-            "subscribers": self._subscribers,
-            "boundaries": self._boundaries,
-        }
-
     def compiled_closures(self):
         """``(name, closure)`` pairs for every compiled closure, without
         executing anything — the ALS702 ownership rule walks their

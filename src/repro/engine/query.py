@@ -108,8 +108,7 @@ class ContinuousQuery:
 
         tree = explain(self.plan, self.compiled.annotated)
         verdict = analyze_partitionability(self.plan)
-        report = lint_compiled(self.compiled, claimed_sharding=verdict,
-                               driver=self.executor)
+        report = lint_compiled(self.compiled, driver=self.executor)
         certificate = self.compiled.certificate
         registry = self.compiled.metrics
         metrics_note = (f"{len(registry)} instruments across "

@@ -41,9 +41,6 @@ class SourceCatalog:
 
     # -- lookup ------------------------------------------------------------------
 
-    def is_stream(self, name: str) -> bool:
-        return name in self._streams
-
     def is_relation(self, name: str) -> bool:
         return name in self._relations
 

@@ -345,9 +345,6 @@ class NegationFifoOp(PhysicalOperator):
     """
 
     eager = True
-    #: Chosen only under UPA, where negation always detects its own
-    #: expirations (read by the PRG602 lint rule).
-    _self_expire = True
 
     def __init__(self, schema: Schema, left_attr: int, right_attr: int,
                  counters: Counters | None = None):

@@ -45,7 +45,9 @@ def check_plan(plan: LogicalNode, events: Iterable[Event], mode: Mode,
         query.executor.process_event(event)
         oracle.observe(event)
         got = query.answer()
-        want = oracle.evaluate(plan, query.executor.now)
+        # The event's time, not the driver's clock: under a count window
+        # the clock is the stream's sequence number.
+        want = oracle.evaluate(plan, event.ts)
         comparisons += 1
         if got != want:
             raise EquivalenceError(

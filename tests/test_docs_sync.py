@@ -104,7 +104,7 @@ class TestReadmeQuickstart:
         assert namespace["report"].ok
         assert namespace["query"].compiled.sanitizer is not None
         explained = namespace["query"].explain()
-        assert "-- lint: clean (18 rules)" in explained
+        assert "-- lint: clean (10 rules)" in explained
         # The execution-program footer the README promises, verbatim up to
         # the plan-dependent counts.
         assert ("-- program: EXPIRE>DISPATCH>PROPAGATE>PURGE>DELIVER"

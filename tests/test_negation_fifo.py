@@ -219,13 +219,13 @@ class TestStructureChoice:
 # Definition 1 oracle over Query 3 text
 # ---------------------------------------------------------------------------
 
-def _traffic(n, seed, streams=("link0", "link1"), ips=4, steps=None):
+def _traffic(n, seed, streams=("link0", "link1"), ips=4):
     """Arrivals over a few source IPs (so negation counts collide often),
-    with repeated timestamps unless ``steps`` says otherwise."""
+    with repeated and fractional timestamps."""
     rng = random.Random(seed)
     events, ts = [], 0.0
     for i in range(n):
-        ts += rng.choice(steps or [0.0, 0.5, 1.0, 2.0])
+        ts += rng.choice([0.0, 0.5, 1.0, 2.0])
         events.append(Arrival(ts, rng.choice(streams), (
             rng.randrange(5), rng.choice(["ftp", "telnet", "http"]),
             rng.randrange(100), f"10.0.0.{rng.randrange(ips)}",
@@ -233,36 +233,34 @@ def _traffic(n, seed, streams=("link0", "link1"), ips=4, steps=None):
     return events
 
 
-#: case -> (query text, streams fed, clock steps).  Count windows run on
-#: the per-stream sequence clock, which the oracle reads as the time: one
-#: arrival per time unit keeps the two clocks equal.
+#: case -> (query text, streams fed).
 ORACLE_CASES = {
-    "query3": (Q3, ("link0", "link1"), None),
+    "query3": (Q3, ("link0", "link1")),
     "selections-below": (
         "SELECT * FROM (SELECT * FROM link0 [RANGE 20] WHERE protocol != "
         "'http') AS a MINUS (SELECT * FROM link1 [RANGE 20] WHERE bytes > "
-        "30) AS b ON src_ip", ("link0", "link1"), None),
+        "30) AS b ON src_ip", ("link0", "link1")),
     "unequal-ranges": (
         "SELECT * FROM link0 [RANGE 12] MINUS link1 [RANGE 30] ON src_ip",
-        ("link0", "link1"), None),
+        ("link0", "link1")),
     "count-windows": (
         "SELECT * FROM link0 [ROWS 9] MINUS link0 [ROWS 4] ON src_ip",
-        ("link0",), [1.0]),
+        ("link0",)),
     "count-windows-selections-below": (
         "SELECT * FROM (SELECT * FROM link0 [ROWS 12] WHERE protocol = "
         "'telnet') AS a MINUS (SELECT * FROM link0 [ROWS 5] WHERE protocol "
-        "!= 'telnet') AS b ON src_ip", ("link0",), [1.0]),
+        "!= 'telnet') AS b ON src_ip", ("link0",)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_query3_text_matches_the_oracle(case, seed):
-    text, streams, steps = ORACLE_CASES[case]
+    text, streams = ORACLE_CASES[case]
     plan = compile_query(text, _catalog())
     compiled = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA)).compiled
     assert any(type(op) is NegationFifoOp for op in compiled.ops.values())
-    events = _traffic(300, seed=seed, streams=streams, steps=steps)
+    events = _traffic(300, seed=seed, streams=streams)
     assert check_plan(plan, events, Mode.UPA) == 300
 
 

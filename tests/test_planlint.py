@@ -17,10 +17,9 @@ from repro.analysis.planlint import lint, lint_compiled, lint_rewrite
 from repro.analysis.rules import ALL_RULES, PLAN_RULES, rederive_patterns
 from repro.cli import main
 from repro.core.annotate import annotate
-from repro.core.metrics import Counters
+from repro.core.metrics import Counters, NullCounters
 from repro.core.optimizer import Optimizer
 from repro.core.plan import SharedScan, WindowScan
-from repro.core.sharding import analyze_partitionability
 from repro.engine.query import ContinuousQuery
 from repro.engine.strategies import ExecutionConfig, Mode, compile_plan
 from repro.errors import PlanError
@@ -99,13 +98,13 @@ class TestPaperQueriesClean:
         except PlanError:
             assert mode is Mode.DIRECT  # strict plans reject DIRECT
             return
-        verdict = analyze_partitionability(plan)
-        report = lint_compiled(compiled, claimed_sharding=verdict)
+        report = lint_compiled(compiled)
         assert report.ok and not report.diagnostics, report.render()
 
     @pytest.mark.parametrize("name", sorted(QUERY_BUILDERS))
     def test_checked_pipeline_clean(self, name):
-        """The BUF rules must see *through* checked-mode monitor proxies."""
+        """The rules that read state buffers see *through* checked-mode
+        monitor proxies."""
         plan = QUERY_BUILDERS[name]()
         config = ExecutionConfig(mode=Mode.UPA, checked=True)
         compiled = compile_plan(plan, config, Counters())
@@ -160,14 +159,37 @@ class TestRuleDetails:
 
 
 # ---------------------------------------------------------------------------
-# Ownership and bound certification (ALS7xx / CST8xx)
+# State ownership and bound certification (ALS702 / CST8xx)
 # ---------------------------------------------------------------------------
 
-#: The ownership/bounds rules added with the certificate layer.
-OWNERSHIP_BOUND_RULES = {"ALS701", "ALS702", "ALS703",
-                         "CST801", "CST802", "CST803"}
+_OB_CASES = [c for c in CORPUS if c.rule in {"ALS702", "CST801", "CST803"}]
 
-_OB_CASES = [c for c in CORPUS if c.rule in OWNERSHIP_BOUND_RULES]
+
+def _mutable_state(compiled) -> dict[int, str]:
+    """``id -> slot`` of every state buffer (monitors unwrapped), counter
+    sink, metrics registry and view one compiled pipeline writes to; the
+    write-discarding null sink is shared by design and left out."""
+    found = {}
+    for op in compiled.ops.values():
+        for label, buffer in op.state_buffers():
+            if buffer is not None:
+                inner = getattr(buffer, "inner", buffer)
+                found[id(inner)] = f"{type(op).__name__}.{label}"
+    for attr in ("counters", "metrics", "view"):
+        obj = getattr(compiled, attr)
+        if obj is not None and not isinstance(obj, NullCounters):
+            found[id(obj)] = attr
+    return found
+
+
+def _assert_isolated(pipelines) -> None:
+    """No two compiled pipelines share a mutable state object."""
+    owner: dict[int, str] = {}
+    for scope, compiled in pipelines:
+        for obj_id, slot in _mutable_state(compiled).items():
+            assert obj_id not in owner, (
+                f"{scope}'s {slot} is also {owner[obj_id]}'s")
+            owner[obj_id] = scope
 
 
 class TestOwnershipAndBounds:
@@ -199,8 +221,8 @@ class TestOwnershipAndBounds:
     @pytest.mark.parametrize("root", ["group-by", "δ"])
     def test_state_view_roots_keep_one_owner_per_buffer(self, root, checked):
         """A group-by or δ root answers from its operator's state.  The
-        view holds the operator, not the buffer: ALS701 finds every buffer
-        under one owner, the certificate lists the operator's slots once
+        view holds the operator, not the buffer: every buffer has one
+        slot, the certificate lists the operator's slots once
         and no ``result-view`` entry, and the run's metrics report no
         stored result — through a checked, monitored run included."""
         from repro.analysis.bounds import attach_certificate
@@ -218,6 +240,10 @@ class TestOwnershipAndBounds:
             mode=Mode.UPA, checked=checked))
         report = lint_compiled(query.compiled, driver=query.executor)
         assert report.ok and not report.diagnostics, report.render()
+        buffers = [id(getattr(b, "inner", b))
+                   for op in query.compiled.ops.values()
+                   for _label, b in op.state_buffers() if b is not None]
+        assert len(buffers) == len(set(buffers))
         entries = attach_certificate(query.compiled).entries
         assert [e.label for e in entries if e.path == "$"] == slots
         result = query.run(TrafficTraceGenerator().events(600), batch=64)
@@ -227,9 +253,8 @@ class TestOwnershipAndBounds:
 
     def test_shared_group_members_clean_and_isolated(self):
         """Fused shared-group member pipelines lint clean and share no
-        non-whitelisted mutable state with each other."""
+        mutable state with each other (the null counter sink aside)."""
         from repro.engine.multi import QueryGroup
-        from repro.analysis.ownership import shared_mutable_state
 
         gen = TrafficTraceGenerator()
         group = QueryGroup(shared=True)
@@ -245,13 +270,12 @@ class TestOwnershipAndBounds:
             assert report.ok and not report.diagnostics, (
                 f"{name}:\n{report.render()}")
             pipelines.append((name, query.compiled))
-        assert shared_mutable_state(pipelines) == []
+        _assert_isolated(pipelines)
 
     def test_shard_replicas_clean_and_isolated(self):
         """Shard replica pipelines (compiled exactly the way workers do)
         lint clean and own disjoint mutable state."""
         from repro.engine.shard import _compile_replica
-        from repro.analysis.ownership import shared_mutable_state
 
         members = [("q", QUERY_BUILDERS["query1"](),
                     ExecutionConfig(mode=Mode.UPA))]
@@ -261,7 +285,7 @@ class TestOwnershipAndBounds:
             report = lint_compiled(driver.compiled, driver=driver)
             assert report.ok and not report.diagnostics, report.render()
             pipelines.append((f"shard{i}", driver.compiled))
-        assert shared_mutable_state(pipelines) == []
+        _assert_isolated(pipelines)
 
     @pytest.mark.parametrize("name", sorted(QUERY_BUILDERS))
     def test_certificate_is_bounded_for_paper_queries(self, name):
@@ -294,70 +318,6 @@ class TestOwnershipAndBounds:
         # run() already validated at drain; re-validate explicitly and
         # assert coverage was non-trivial.
         assert validate_certificate(query.compiled) > 0
-
-    def test_shm_segments_whitelisted_as_transport_not_state(self):
-        """Isolation proof for the columnar shm transport: a shared-memory
-        segment reachable from every shard replica is seen by the analysis
-        as mutable state, yet exempted as the transport contract — while an
-        ordinary mutable object in the *same* cross-scope position is still
-        flagged (the whitelist is surgical, not a blind spot)."""
-        from multiprocessing import shared_memory
-        from types import SimpleNamespace
-
-        from repro.analysis.ownership import (
-            _is_mutable_state,
-            _is_whitelisted,
-            shared_mutable_state,
-        )
-        from repro.engine.shard import _compile_replica
-
-        segment = shared_memory.SharedMemory(create=True, size=64)
-        try:
-            assert _is_mutable_state(segment)
-            assert _is_whitelisted(segment)
-
-            plan = QUERY_BUILDERS["query1"]()
-            leak: list = []  # a genuinely shared plain container
-            pipelines = []
-            for i in range(2):
-                [driver] = _compile_replica(
-                    [("q", plan, ExecutionConfig(mode=Mode.UPA))])
-                # Plant the shared segment AND a shared list where the
-                # replica's ownership walk will find them, exactly like a
-                # buffer slot.
-                driver.compiled.ops[f"planted-{i}"] = SimpleNamespace(
-                    state_buffers=lambda: [("shm", segment), ("leak", leak)],
-                    counters=None)
-                pipelines.append((f"shard{i}", driver.compiled))
-            shared = shared_mutable_state(pipelines)
-            assert [desc for desc, _scopes in shared] == \
-                ["list at op:SimpleNamespace.leak"]
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_register_shared_sink_suppresses_als701(self):
-        """A deliberately shared structure, once registered, is exempt from
-        the exclusive-ownership proof."""
-        from repro.analysis.ownership import (
-            _SHARED_SINK_IDS,
-            register_shared_sink,
-        )
-
-        plan = QUERY_BUILDERS["query1"]()
-        compiled = compile_plan(plan, ExecutionConfig(mode=Mode.UPA),
-                                Counters())
-        op = compiled.ops[id(plan)]
-        shared = op._buffers[0]
-        op._buffers = (shared, shared)
-        assert any(d.rule == "ALS701"
-                   for d in lint_compiled(compiled).diagnostics)
-        register_shared_sink(shared)
-        try:
-            report = lint_compiled(compiled)
-            assert not any(d.rule == "ALS701" for d in report.diagnostics)
-        finally:
-            _SHARED_SINK_IDS.discard(id(shared))
 
 
 # ---------------------------------------------------------------------------

@@ -374,10 +374,6 @@ class TestProgramStructure:
         assert driver.compiled is query.compiled
         assert not hasattr(driver, "program")
         assert not hasattr(query.compiled, "program")
-        roots = driver.introspection_roots()
-        assert roots["dispatch"] is query.compiled.dispatch
-        assert roots["expire_ops"] is query.compiled.expire_ops
-        assert roots["routes"] is query.compiled.routes
 
     def test_describe_summarizes_the_loop(self):
         compiled = ContinuousQuery(

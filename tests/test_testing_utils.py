@@ -1,8 +1,18 @@
 """Tests for the public testing utilities (repro.testing)."""
 
+import random
+
 import pytest
 
-from repro import Arrival, Mode, Schema, StreamDef, TimeWindow, from_window
+from repro import (
+    Arrival,
+    CountWindow,
+    Mode,
+    Schema,
+    StreamDef,
+    TimeWindow,
+    from_window,
+)
 from repro.testing import (
     EquivalenceError,
     answers_agree,
@@ -52,6 +62,21 @@ class TestCheckPlan:
         monkeypatch.setattr(testing_mod, "ContinuousQuery", broken_query)
         with pytest.raises(EquivalenceError, match="Definition 1 violated"):
             check_plan(plan, random_arrivals(n=5), Mode.UPA)
+
+
+    @pytest.mark.parametrize("mode", [Mode.NT, Mode.DIRECT, Mode.UPA])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_count_window_with_repeated_and_fractional_timestamps(
+            self, mode, seed):
+        """Under ``[ROWS n]`` the driver's clock is the stream's sequence
+        number, not a time: the oracle must read the event's timestamp."""
+        plan = from_window(StreamDef("s0", V, CountWindow(7))).build()
+        rng = random.Random(seed)
+        events, ts = [], 0.0
+        for _ in range(200):
+            ts += rng.choice([0.0, 0.5, 1.0, 2.5])
+            events.append(Arrival(ts, "s0", (rng.randrange(4),)))
+        assert check_plan(plan, events, mode) == len(events)
 
 
 class TestAssertEquivalent:
