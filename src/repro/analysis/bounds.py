@@ -17,25 +17,13 @@ derivable from the annotated plan —
 :func:`derive_certificate` turns the annotated plan into a
 :class:`StateCertificate` — one :class:`CertificateEntry` per state slot
 (physical buffers and symbolic-only stores such as group tables), plus
-the Section 5.4.1 per-unit-time cost estimate.  Two lint rules consume
-it statically:
+the Section 5.4.1 per-unit-time cost estimate.  **CST801** consumes it
+statically: it rejects silently-unbounded state (an ``unbounded`` entry
+while the configuration does not opt in via ``allow_unbounded_state``).
 
-* **CST801** rejects silently-unbounded state (an ``unbounded`` entry
-  while the configuration does not opt in via ``allow_unbounded_state``);
-* **CST803** verifies that in checked mode every bounded entry's buffer
-  carries a sanitizer monitor, so the drain-time cross-check below
-  actually covers the certificate (a missing monitor raises nothing, so
-  no run can report it).
-
-At run time, :func:`attach_certificate` (called when a driver is built,
-whatever builds it) arms each entry's :class:`~repro.analysis.sanitizer.MonitoredBuffer`
-with the entry's expiry horizon; the monitor then tracks, per insert, a
-clamped clock estimate, a min-heap of pending expirations (peak unexpired
-occupancy) and a sliding arrival window (the certificate's empirical
-bound).  :func:`validate_certificate` — called at drain time for
-``checked=True`` runs — raises
-:class:`~repro.errors.PatternViolation` if observed state ever outlived
-its certified horizon or exceeded the certified occupancy bound.
+:func:`attach_certificate` derives and caches the certificate when a
+driver is built, whatever builds it; the telemetry sampler sums each
+operator's entry sizes into ``op_state_bound``, beside its live state.
 """
 
 from __future__ import annotations
@@ -46,14 +34,13 @@ from typing import Any, Iterator
 from ..core.cost import CostModel, PlanCost
 from ..core.patterns import MONOTONIC
 from ..core.plan import DupElim, GroupBy, Negation
-from ..errors import PatternViolation, PlanError
+from ..errors import PlanError
 from .rules import (
     Diagnostic,
     LintContext,
     SEVERITY_ERROR,
     _feeding_pattern,
 )
-from .sanitizer import MonitoredBuffer
 
 #: Symbolic bound classes, in increasing order of concern.
 BOUND_WINDOW = "O(window)"
@@ -63,12 +50,11 @@ BOUND_UNBOUNDED = "unbounded"
 
 
 class CertificateEntry:
-    """One state slot's symbolic bound plus its runtime monitor (if any).
+    """One state slot's symbolic bound.
 
-    ``buffer`` is the physical buffer as compiled (a
-    :class:`MonitoredBuffer` in checked mode, the raw structure
-    otherwise); ``None`` for symbolic-only stores (group tables, negation
-    frequency counts).  ``horizon`` is the largest time a conforming
+    ``buffer`` is the physical buffer as compiled; ``None`` for
+    symbolic-only stores (group tables, negation frequency counts).
+    ``horizon`` is the largest time a conforming
     tuple may live in this slot (the plan's maximum window span), or
     ``None`` when no numeric horizon exists (count-domain plans,
     unbounded slots).  ``size`` is ``symbolic``'s number (``None`` when
@@ -89,14 +75,9 @@ class CertificateEntry:
         self.buffer = buffer
         self.op = op
 
-    @property
-    def monitor(self) -> MonitoredBuffer | None:
-        return self.buffer if isinstance(self.buffer, MonitoredBuffer) \
-            else None
-
     def render(self) -> str:
-        kind = type(getattr(self.buffer, "inner", self.buffer)).__name__ \
-            if self.buffer is not None else "(symbolic)"
+        kind = type(self.buffer).__name__ if self.buffer is not None \
+            else "(symbolic)"
         horizon = "-" if self.horizon is None else f"{self.horizon:g}"
         return (f"{self.path}:{self.label}  bound={self.bound}  "
                 f"size~{self.symbolic}  horizon={horizon}  buffer={kind}")
@@ -169,11 +150,8 @@ def _symbolic_size(bound: str, node: Any,
 
 def derive_certificate(compiled: Any,
                        ctx: LintContext | None = None) -> StateCertificate:
-    """Derive the symbolic state-bound certificate of a compiled pipeline.
-
-    Pure derivation — no monitors are armed; see
-    :func:`attach_certificate` for the runtime-arming entry point.
-    """
+    """Derive the symbolic state-bound certificate of a compiled pipeline
+    (:func:`attach_certificate` is the cached entry point)."""
     root = compiled.root
     annotated = compiled.annotated
     if ctx is None:
@@ -237,70 +215,15 @@ def derive_certificate(compiled: Any,
 
 
 def attach_certificate(compiled: Any) -> StateCertificate:
-    """Derive (or return the cached) certificate and arm its monitors.
+    """Derive (or return the cached) certificate of ``compiled``.
 
-    Called when a :class:`~repro.engine.driver.Driver` is built: in
-    checked mode every bounded entry's :class:`MonitoredBuffer` starts
-    tracking observed peak occupancy against the certified horizon, so
-    :func:`validate_certificate` can cross-check at drain time.  Cached
-    on ``compiled.certificate`` — re-attaching is a no-op.
+    Called when a :class:`~repro.engine.driver.Driver` is built, so the
+    derivation is paid at setup, not inside the first telemetry sample.
+    Cached on ``compiled.certificate`` — re-attaching is a no-op.
     """
-    cert = getattr(compiled, "certificate", None)
-    if cert is not None:
-        return cert
-    cert = derive_certificate(compiled)
-    compiled.certificate = cert
-    if getattr(compiled, "sanitizer", None) is not None:
-        for entry in cert.entries:
-            monitor = entry.monitor
-            if monitor is None or entry.horizon is None \
-                    or entry.bound == BOUND_UNBOUNDED:
-                continue
-            monitor.arm_certificate(
-                entry.horizon,
-                track_distinct=entry.bound == BOUND_DISTINCT)
-    return cert
-
-
-def validate_certificate(compiled: Any) -> int:
-    """Cross-validate observed sanitizer counters against the certificate.
-
-    Returns the number of entries validated; raises
-    :class:`PatternViolation` on the first certificate violation.  A
-    silent no-op for pipelines without an attached certificate or armed
-    monitors (unchecked runs, count-domain plans).
-    """
-    cert = getattr(compiled, "certificate", None)
-    if cert is None:
-        return 0
-    checked = 0
-    for entry in cert.entries:
-        monitor = entry.monitor
-        if monitor is None or not getattr(monitor, "cert_armed", False):
-            continue
-        checked += 1
-        where = f"{entry.path}:{entry.label}"
-        if monitor.cert_lifetime_violations:
-            raise PatternViolation(
-                f"{where}: {monitor.cert_lifetime_violations} tuple(s) "
-                f"outlived the certified horizon {entry.horizon:g} "
-                f"({entry.bound} state must expire within one window "
-                "extent)")
-        if monitor.cert_peak_unexpired > monitor.cert_sliding_peak:
-            raise PatternViolation(
-                f"{where}: observed peak occupancy "
-                f"{monitor.cert_peak_unexpired} exceeds the certified "
-                f"sliding-window bound {monitor.cert_sliding_peak} "
-                f"({entry.bound}, ~{entry.symbolic})")
-        if entry.bound == BOUND_DISTINCT and monitor.inserted:
-            distinct = len(monitor.cert_distinct_values)
-            live = len(monitor.inner)
-            if live > max(distinct, 1):
-                raise PatternViolation(
-                    f"{where}: {live} live tuples exceed the "
-                    f"{distinct} distinct keys observed; O(distinct) "
-                    "state holds at most one representative per key")
-    return checked
+    if compiled.certificate is None:
+        compiled.certificate = derive_certificate(compiled)
+    return compiled.certificate
 
 
 # ---------------------------------------------------------------------------
@@ -334,34 +257,6 @@ def rule_cst801_unbounded_state(ctx: LintContext) -> Iterator[Diagnostic]:
         )
 
 
-def rule_cst803_certificate_monitored(ctx: LintContext
-                                      ) -> Iterator[Diagnostic]:
-    """CST803: in checked mode, every bounded certificate entry's buffer
-    must carry a sanitizer monitor — the drain-time certificate
-    cross-check reads observed peak occupancy from the monitor, so an
-    unmonitored buffer is a hole in the certificate: its state could
-    outgrow the bound with no violation ever raised.  Unchecked
-    pipelines (no sanitizer) have no runtime cross-check and nothing to
-    verify here."""
-    compiled = ctx.compiled
-    if compiled is None or getattr(compiled, "sanitizer", None) is None:
-        return
-    cert = derive_certificate(compiled, ctx)
-    for entry in cert.entries:
-        if entry.buffer is None or entry.bound == BOUND_UNBOUNDED:
-            continue
-        if not isinstance(entry.buffer, MonitoredBuffer):
-            yield Diagnostic(
-                "CST803", SEVERITY_ERROR, entry.path,
-                f"{entry.label} state is certified {entry.bound} but its "
-                f"{type(entry.buffer).__name__} carries no sanitizer "
-                "monitor under checked execution; the drain-time "
-                "certificate cross-check cannot observe it",
-                "compile with checked=True before tampering, or re-wrap "
-                "the buffer via the pipeline's sanitizer",
-            )
-
-
 __all__ = [
     "BOUND_DISTINCT",
     "BOUND_PARTITIONS",
@@ -372,6 +267,4 @@ __all__ = [
     "attach_certificate",
     "derive_certificate",
     "rule_cst801_unbounded_state",
-    "rule_cst803_certificate_monitored",
-    "validate_certificate",
 ]

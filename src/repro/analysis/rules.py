@@ -21,9 +21,7 @@ properties of its own compile output that change no answer.
   subplan, duplicate elimination over provably duplicate-free input — is
   flagged as a warning;
 * state nothing ever purges is rejected unless the configuration opts in
-  (CST801), and every bounded buffer of a checked pipeline carries the
-  monitor the drain-time certificate check reads (CST803,
-  :mod:`repro.analysis.bounds`);
+  (CST801, :mod:`repro.analysis.bounds`);
 * the eager expiration participants run bottom-up (PRG602), and the
   driver's compiled closures capture no plan node (ALS702,
   :mod:`repro.analysis.ownership`).
@@ -223,7 +221,7 @@ def _buffers_of(ctx: LintContext
                 ) -> Iterator[tuple[LogicalNode, str, Any,
                                     UpdatePattern | None]]:
     """Yield (node, label, buffer, feeding-pattern) for every operator state
-    buffer of the compiled pipeline, unwrapping checked-mode monitors."""
+    buffer of the compiled pipeline."""
     compiled = ctx.compiled
     if compiled is None:
         return
@@ -234,8 +232,7 @@ def _buffers_of(ctx: LintContext
         for label, buffer in op.state_buffers():
             if buffer is None:
                 continue
-            inner = getattr(buffer, "inner", buffer)
-            yield node, label, inner, _feeding_pattern(ctx, node, label)
+            yield node, label, buffer, _feeding_pattern(ctx, node, label)
 
 
 def _feeding_pattern(ctx: LintContext, node: LogicalNode,
@@ -527,10 +524,7 @@ def rule_dm502_redundant_distinct(ctx: LintContext) -> Iterator[Diagnostic]:
 # Imported at the bottom on purpose: ownership.py / bounds.py import the
 # Diagnostic/LintContext machinery defined above, so pulling their rule
 # callables in any earlier would be circular.
-from .bounds import (  # noqa: E402
-    rule_cst801_unbounded_state,
-    rule_cst803_certificate_monitored,
-)
+from .bounds import rule_cst801_unbounded_state  # noqa: E402
 from .ownership import rule_als702_stale_captures  # noqa: E402
 
 #: Plan-level rules run by lint(); (id, callable) in catalogue order.
@@ -544,7 +538,6 @@ PLAN_RULES = (
     ("PRG602", rule_prg602_expiration_order),
     ("ALS702", rule_als702_stale_captures),
     ("CST801", rule_cst801_unbounded_state),
-    ("CST803", rule_cst803_certificate_monitored),
 )
 
 #: Pairwise rules run by lint_rewrite(original, candidate).

@@ -80,8 +80,7 @@ def _cmd_run(args) -> int:
     plan = compile_query(args.query, catalog)
     config = ExecutionConfig(mode=Mode(args.mode),
                              n_partitions=args.partitions,
-                             str_storage=args.str_storage,
-                             checked=args.checked)
+                             str_storage=args.str_storage)
     query = ContinuousQuery(plan, config)
     if args.explain:
         print(query.explain())
@@ -113,8 +112,7 @@ def _cmd_run_group(args) -> int:
     catalog = _build_catalog(args)
     config = ExecutionConfig(mode=Mode(args.mode),
                              n_partitions=args.partitions,
-                             str_storage=args.str_storage,
-                             checked=args.checked)
+                             str_storage=args.str_storage)
     group = QueryGroup(shared=not args.independent)
     for index, text in enumerate(args.queries, start=1):
         group.add_text(f"q{index}", text, catalog, config)
@@ -235,14 +233,6 @@ def _add_catalog_options(parser: argparse.ArgumentParser) -> None:
                         default="upa", help="execution strategy")
 
 
-def _add_checked_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--checked", action="store_true",
-                        help="checked execution: wrap every state buffer "
-                             "and operator in pattern-conformance monitors "
-                             "(identical answers and counters; violations "
-                             "fail fast with PatternViolation)")
-
-
 def _add_metrics_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metrics-out", default=None, metavar="FILE",
                         help="write the run's labeled metrics registry "
@@ -284,7 +274,6 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--explain", action="store_true",
                      help="print the annotated plan before running")
     _add_catalog_options(run)
-    _add_checked_option(run)
     _add_shard_options(run)
     _add_metrics_option(run)
     run.set_defaults(func=_cmd_run)
@@ -310,7 +299,6 @@ def main(argv: list[str] | None = None) -> int:
     run_group.add_argument("--explain", action="store_true",
                            help="print the fused group DAG before running")
     _add_catalog_options(run_group)
-    _add_checked_option(run_group)
     _add_shard_options(run_group)
     _add_metrics_option(run_group)
     run_group.set_defaults(func=_cmd_run_group)

@@ -156,9 +156,8 @@ class Driver:
         self._metrics = DriverMetrics(
             compiled, [plan.leaf for stream in self._preludes
                        for plan in compiled.dispatch[stream]])
-        # The symbolic state-bound certificate; in checked mode its
-        # monitors are armed now, so the one finish can validate every
-        # driver, however it was built.
+        # The symbolic state-bound certificate, derived at setup so the
+        # first telemetry sample finds it cached.
         attach_certificate(compiled)
 
     # -- public API --------------------------------------------------------
@@ -275,9 +274,8 @@ class Driver:
 
     def _compile_closures(self) -> None:
         """Compile the tables into this driver's row closures.  Bound
-        methods are resolved *now*, after checked-mode monitors shadowed
-        them at compile time; closures are per driver, so two drivers of
-        one compiled query share no mutable state."""
+        methods are resolved *now*; closures are per driver, so two
+        drivers of one compiled query share no mutable state."""
         compiled = self.compiled
         expire_ops = compiled.expire_ops
         eager_index = {id(op): i for i, op in enumerate(expire_ops)}

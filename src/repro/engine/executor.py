@@ -27,7 +27,6 @@ from itertools import islice
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from ..analysis.bounds import validate_certificate
 from ..errors import ConfigError, ExecutionError
 from ..streams.stream import Event
 from .driver import Driver
@@ -114,16 +113,9 @@ def feed_drivers(members: Sequence[Driver], chunk: Sequence[Event],
 def finish_drivers(drivers: Sequence[Driver],
                    elapsed: float | None = None) -> None:
     """Finish every driver — member, producer or shard replica — the same
-    way once its events are exhausted: checked, counter conservation
-    (:meth:`~repro.analysis.sanitizer.Sanitizer.verify_drain`), then the
-    observed occupancy against the state-bound certificate
-    (:func:`~repro.analysis.bounds.validate_certificate`); then the metrics
-    flush, with ``run_seconds`` when ``elapsed`` is given."""
+    way once its events are exhausted: the metrics flush, with
+    ``run_seconds`` when ``elapsed`` is given."""
     for driver in drivers:
-        compiled = driver.compiled
-        if compiled.sanitizer is not None:
-            compiled.sanitizer.verify_drain()
-            validate_certificate(compiled)
         driver.flush_metrics(elapsed)
 
 
@@ -245,9 +237,7 @@ class RunResult(_Run):
         self.executor = query.executor
         self.view = compiled.view
         #: The pipeline's :class:`~repro.analysis.bounds.StateCertificate`
-        #: (symbolic per-operator state bounds + per-unit-time cost);
-        #: cross-validated against observed counters at drain time when the
-        #: run was ``checked=True``.
+        #: (symbolic per-operator state bounds + per-unit-time cost).
         self.certificate = compiled.certificate
         if replicas is None:
             self.counters = compiled.counters

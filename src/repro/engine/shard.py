@@ -433,7 +433,7 @@ def _shard_worker_main(conn, members: Sequence[Member], batch: int | None,
                 raise ExecutionError(f"unknown worker message {tag!r}")
             conn.send(("out", [_encode_outputs(items) for items in outputs]))
     # Broad catch is required at this worker boundary: ANY exception type —
-    # ExecutionError, PatternViolation, a predicate's ValueError, even
+    # ExecutionError, a predicate's ValueError, even
     # MemoryError — must be serialized into an ("err", ...) reply, because
     # an exception object cannot cross the pipe and an unreported death
     # surfaces to the parent only as an opaque EOFError.  The regression

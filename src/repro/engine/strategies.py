@@ -52,7 +52,6 @@ from ..core.plan import (
     Union,
     WindowScan,
 )
-from ..analysis.sanitizer import Sanitizer
 from ..core.tuples import deletion_key
 from ..errors import ConfigError, PlanError
 from ..operators.base import PhysicalOperator
@@ -110,14 +109,6 @@ class ExecutionConfig:
     #: (Section 1).  Compilation rejects such plans unless explicitly
     #: permitted (e.g. for bounded experiments).
     allow_unbounded_state: bool = False
-    #: Checked execution (CLI ``--checked``): arm the runtime conformance
-    #: monitors of :mod:`repro.analysis.sanitizer`.  Every state buffer and
-    #: result view is wrapped in a pattern-conformance proxy and every
-    #: operator's emission points are monitored; a violation of the declared
-    #: update patterns raises :class:`repro.errors.PatternViolation` instead
-    #: of silently corrupting answers.  Answers, output streams and counters
-    #: are byte-identical to unchecked runs.
-    checked: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.mode, Mode):
@@ -144,17 +135,6 @@ class ExecutionConfig:
             raise ConfigError(
                 f"unknown str_storage {self.str_storage!r} (valid: "
                 f"{STR_AUTO!r}, {STR_PARTITIONED!r}, {STR_NEGATIVE!r})")
-        if not isinstance(self.checked, bool):
-            raise ConfigError(
-                f"checked must be a bool, got {self.checked!r} (it arms the "
-                "runtime conformance monitors of checked execution)")
-        if self.checked and self.allow_unbounded_state:
-            raise ConfigError(
-                "checked=True is incompatible with allow_unbounded_state="
-                "True: the conformance monitors assert expiration "
-                "invariants (FIFO order, exp-exactness, drain-time counter "
-                "conservation) that are vacuous for never-expiring state — "
-                "combining the two indicates a configuration mistake")
 
     def resolved_str_storage(self) -> str:
         """The STR scheme after resolving ``auto`` (Section 5.3.2's rule)."""
@@ -218,16 +198,14 @@ class CompiledQuery:
         self.time_domain = "time"
         self.count_stream: str | None = None
         self.max_span: float | None = None
-        #: Armed (non-None) only under ``ExecutionConfig(checked=True)``.
-        self.sanitizer: Sanitizer | None = None
         #: The pipeline's labeled metrics registry: always present, and
         #: empty until its driver's first state sample or flush registers
         #: the instruments (:class:`~repro.engine.telemetry.DriverMetrics`).
         self.metrics = MetricsRegistry()
         #: stream -> tuple[DispatchPlan], one per leaf binding, in order.
         self.dispatch: dict[str, tuple[DispatchPlan, ...]] = {}
-        #: The CST8xx state-bound certificate, attached (and in checked
-        #: mode armed) when the driver is built.
+        #: The CST8xx state-bound certificate, attached when the driver
+        #: is built.
         self.certificate = None
 
     def route_of(self, op: PhysicalOperator) -> list[tuple[PhysicalOperator, int]]:
@@ -236,17 +214,16 @@ class CompiledQuery:
     def describe(self) -> str:
         """The loop this pipeline runs, in one line: the ``-- program:``
         explain footer (step order, dispatch tables, fused prefix
-        operators, eager and lazy participants, checked monitors, and the
-        structure of each negation with its reason)."""
+        operators, eager and lazy participants, and the structure of each
+        negation with its reason)."""
         fused = sum(len(plan.prefix)
                     for plans in self.dispatch.values() for plan in plans)
-        layers = "none" if self.sanitizer is None else "checked"
         negation = "".join(f" | negation: {note}"
                            for note in self.negation_notes)
         return ("EXPIRE>DISPATCH>PROPAGATE>PURGE>DELIVER"
                 f" | streams={len(self.dispatch)} fused={fused}"
                 f" expire={len(self.expire_ops)} lazy={len(self.lazy_ops)}"
-                f" layers={layers}{negation}")
+                f"{negation}")
 
     def op_for(self, node: LogicalNode) -> PhysicalOperator:
         return self.ops[id(node)]
@@ -269,8 +246,6 @@ def compile_plan(root: LogicalNode, config: ExecutionConfig,
     annotated = annotate(root)
     _validate(root, annotated, config)
     compiled = CompiledQuery(root, annotated, config, counters)
-    if config.checked:
-        compiled.sanitizer = Sanitizer()
     _inspect_windows(root, compiled)
 
     hybrid = (
@@ -405,7 +380,6 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
     counters = compiled.counters
     mode = config.mode
     nt_style = mode is Mode.NT or (hybrid and id(node) not in direct_region)
-    sanitizer = compiled.sanitizer
     # Under NT every expiration starts as a window's negative, which
     # deletes each stored tuple it derived at that tuple's exp (Section
     # 2.3.1): no state trails the clock, so nothing is purged by timestamp.
@@ -413,14 +387,9 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
     # expires itself instead of hearing negatives from below.
     lazy_ops = [] if mode is Mode.NT else compiled.lazy_ops
 
-    def buffer_for(pattern: UpdatePattern, key_of,
-                   slot: str = "state") -> StateBuffer:
-        buffer = _make_buffer(pattern, key_of, nt_style, mode, config,
-                              compiled.max_span, counters)
-        if sanitizer is not None:
-            buffer = sanitizer.wrap_buffer(
-                buffer, pattern, f"{node.describe()}[{slot}]", nt_style)
-        return buffer
+    def buffer_for(pattern: UpdatePattern, key_of) -> StateBuffer:
+        return _make_buffer(pattern, key_of, nt_style, mode, config,
+                            compiled.max_span, counters)
 
     op: PhysicalOperator
 
@@ -432,13 +401,6 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
         compiled.leaf_bindings.setdefault(node.stream.name, []).append(op)
         if materialize:
             compiled.expire_ops.append(op)
-            if sanitizer is not None:
-                # The window's own store is built inside the operator; wrap
-                # it post-hoc (the executor's batched fast path reaches the
-                # store through this same instance attribute).
-                op._store = sanitizer.wrap_buffer(
-                    op._store, annotated.pattern_of(node),
-                    f"{node.describe()}[window]", nt_style)
 
     elif isinstance(node, SharedScan):
         # Source leaf replaying a shared producer's output stream at the
@@ -474,8 +436,8 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
         rp = annotated.pattern_of(node.right)
         op = JoinOp(
             node.schema, li, ri,
-            buffer_for(lp, lambda t, i=li: t.values[i], "left"),
-            buffer_for(rp, lambda t, i=ri: t.values[i], "right"),
+            buffer_for(lp, lambda t, i=li: t.values[i]),
+            buffer_for(rp, lambda t, i=ri: t.values[i]),
             counters,
         )
         lazy_ops.append(op)
@@ -484,8 +446,8 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
         lp = annotated.pattern_of(node.children[0])
         rp = annotated.pattern_of(node.children[1])
         values_of = lambda t: t.values  # noqa: E731
-        op = IntersectOp(node.schema, buffer_for(lp, values_of, "left"),
-                         buffer_for(rp, values_of, "right"), counters)
+        op = IntersectOp(node.schema, buffer_for(lp, values_of),
+                         buffer_for(rp, values_of), counters)
         lazy_ops.append(op)
 
     elif isinstance(node, DupElim):
@@ -501,13 +463,13 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
         )
         if use_delta:
             op = DupElimDeltaOp(node.schema,
-                                buffer_for(out_pattern, values_of, "output"),
+                                buffer_for(out_pattern, values_of),
                                 counters)
         else:
             op = DupElimStandardOp(
                 node.schema,
-                buffer_for(pattern, values_of, "input"),
-                buffer_for(out_pattern, values_of, "output"),
+                buffer_for(pattern, values_of),
+                buffer_for(out_pattern, values_of),
                 counters,
             )
             lazy_ops.append(op)
@@ -524,7 +486,7 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
         pattern = annotated.pattern_of(node.child)
         # Never probed: no key index (a hash buffer's table is its own).
         op = GroupByOp(node.schema, key_idx, agg_kinds, agg_idx,
-                       buffer_for(pattern, None, "input"), counters,
+                       buffer_for(pattern, None), counters,
                        self_expire=not nt_style)
         if not nt_style:
             compiled.expire_ops.append(op)
@@ -544,8 +506,6 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
             # FIFO queues and per-value counts replace the heaps.
             op = NegationFifoOp(node.schema, li, ri, counters=counters)
             note = "FIFO (WKS × WKS)"
-            if sanitizer is not None:
-                sanitizer.wrap_fifo_arrivals(op, node.describe())
         else:
             op = NegationOp(node.schema, li, ri, emit_all=emit_all,
                             self_expire=self_expire, counters=counters)
@@ -575,7 +535,7 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
         emit_all = nt_style
         op = RelationJoinOp(
             node.schema, node.relation, li, ri,
-            buffer_for(pattern, lambda t, i=li: t.values[i], "window"),
+            buffer_for(pattern, lambda t, i=li: t.values[i]),
             emit_all=emit_all, counters=counters,
         )
         compiled.relation_bindings.setdefault(node.relation.name, []).append(op)
@@ -587,15 +547,6 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
 
     else:  # pragma: no cover - exhaustive over the algebra
         raise PlanError(f"no physical implementation for {node!r}")
-
-    if sanitizer is not None:
-        # Negative tuples may originate only from operators running
-        # negative-tuple style (NT mode, the hybrid region above a negation)
-        # or whose output edge is strict non-monotonic (Section 3.1); a
-        # group-by's NEGATIVE-signed result is its group-deletion marker.
-        negatives_allowed = (nt_style or annotated.pattern_of(node) is STR
-                             or isinstance(node, GroupBy))
-        sanitizer.wrap_operator(op, node.describe(), negatives_allowed)
 
     compiled.ops[id(node)] = op
 
@@ -645,8 +596,7 @@ def _wire_routes(root: LogicalNode, compiled: CompiledQuery) -> None:
 
 def _plan_dispatch(compiled: CompiledQuery) -> None:
     """Split every leaf's route into its fused kernel prefix and the
-    generic suffix (:class:`DispatchPlan`).  Checked-mode monitors are
-    already in place, so the kernels are the monitored operators'."""
+    generic suffix (:class:`DispatchPlan`)."""
     for stream, leaves in compiled.leaf_bindings.items():
         plans = []
         for leaf in leaves:
@@ -728,8 +678,4 @@ def _build_view(root: LogicalNode, compiled: CompiledQuery,
         buffer = PartitionedBuffer(compiled.max_span, config.n_partitions,
                                    None, counters)
         note = f"partitioned ({why})"
-    if compiled.sanitizer is not None:
-        # Checked execution: monitor the view's buffer like operator state.
-        buffer = compiled.sanitizer.wrap_buffer(
-            buffer, pattern, "result-view", not purges)
     chose(BufferView(buffer, purges, counters), note)

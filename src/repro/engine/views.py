@@ -158,9 +158,8 @@ class JoinStateView(StateView):
     def __init__(self, join, counters: Counters | None = None):
         super().__init__(join, counters)
         left, right = join.buffers
-        # Checked execution wraps buffers in monitors; the index is inner.
-        self._left = getattr(left, "inner", left)._index
-        self._right = getattr(right, "inner", right)._index
+        self._left = left._index
+        self._right = right._index
 
     def snapshot(self, now: float) -> Multiset:
         right = self._right

@@ -45,22 +45,5 @@ class ExecutionError(ReproError):
     """
 
 
-class PatternViolation(ExecutionError):
-    """Runtime state maintenance contradicted a declared update pattern.
-
-    Raised by the conformance monitors of checked execution
-    (:mod:`repro.analysis.sanitizer`, ``ExecutionConfig(checked=True)``) and
-    by the always-on guards in pattern-specialized structures (e.g. a
-    non-FIFO insertion into a :class:`~repro.buffers.fifo.FifoBuffer`).
-    Each violation names the operator or buffer and the offending tuple: a
-    WKS edge that expired out of FIFO order, a WK buffer whose expirations
-    were not fully determined by ``exp`` timestamps, a negative tuple
-    originating outside a strict (STR) subplan, or a buffer whose
-    insert/expire/delete accounting stopped conserving tuples.  Subclasses
-    :class:`ExecutionError` so existing guards that tightened into pattern
-    violations keep satisfying ``except ExecutionError`` callers.
-    """
-
-
 class WorkloadError(ReproError):
     """A workload or trace specification is invalid."""

@@ -134,12 +134,12 @@ class PhysicalOperator:
         return 0
 
     def state_buffers(self):
-        """Monitor/introspection hook: ``(label, buffer)`` pairs for every
-        state buffer this operator owns (``buffer`` may be None when a slot
-        is unused, e.g. a direct-mode window).  Consumed by the plan
-        linter's physical buffer rules and by checked execution's
-        conformance monitors, so neither needs to reach into private
-        attributes.  Stateless operators return the empty default.
+        """Introspection hook: ``(label, buffer)`` pairs for every state
+        buffer this operator owns (``buffer`` may be None when a slot is
+        unused, e.g. a direct-mode window).  Consumed by the plan linter's
+        physical buffer rules, the state certificate and the telemetry
+        sampler, so none needs to reach into private attributes.
+        Stateless operators return the empty default.
         """
         return []
 

@@ -62,7 +62,7 @@ def _link(index: int) -> WindowScan:
 
 
 def _compiled(plan, **config_kwargs):
-    """Compile ``plan`` (unchecked) and return (config, compiled)."""
+    """Compile ``plan`` and return (config, compiled)."""
     config = ExecutionConfig(**config_kwargs)
     return config, compile_plan(plan, config, Counters())
 
@@ -256,19 +256,6 @@ def _cst801_unbounded_join_state() -> LintReport:
                 compiled=compiled)
 
 
-def _cst803_unmonitored_checked_buffer() -> LintReport:
-    """Compile Query 1 in checked mode, then strip the sanitizer monitor
-    off one join side.  The drain-time certificate cross-check reads
-    observed occupancy from the monitor, so the unwrapped buffer is a
-    hole in the certificate: its state could outgrow the bound with no
-    violation ever raised."""
-    plan = queries.query1(_GEN, WINDOW)
-    _config, compiled = _compiled(plan, mode=Mode.UPA, checked=True)
-    op = compiled.ops[id(plan)]
-    op._buffers = (op._buffers[0].inner, op._buffers[1])  # unwrap
-    return lint_compiled(compiled)
-
-
 #: Every case, in rule-catalogue order.  ``rule`` is the diagnostic the
 #: case must produce; other rules may legitimately fire alongside it.
 CORPUS: tuple[BadPlan, ...] = (
@@ -308,9 +295,6 @@ CORPUS: tuple[BadPlan, ...] = (
     BadPlan("unbounded-join-state", "CST801",
             "unbounded state run under a config that never opted in",
             _cst801_unbounded_join_state),
-    BadPlan("unmonitored-checked-buffer", "CST803",
-            "checked-mode buffer stripped of its sanitizer monitor",
-            _cst803_unmonitored_checked_buffer),
 )
 
 __all__ = ["BadPlan", "CORPUS", "WINDOW"]

@@ -19,6 +19,8 @@ from repro import (
     Tick,
     TimeWindow,
 )
+from repro.lang.catalog import SourceCatalog
+from repro.lang.compiler import compile_query
 from repro.operators.aggregates import GroupSlots
 
 # Reproducible property tests, selected by ``HYPOTHESIS_PROFILE``.  ``ci``
@@ -79,6 +81,19 @@ class SlotAggregate:
 def stream_pair(window: float = 8) -> tuple[StreamDef, StreamDef]:
     return (StreamDef("s0", V_SCHEMA, TimeWindow(window)),
             StreamDef("s1", V_SCHEMA, TimeWindow(window)))
+
+
+#: Query 3's shape (Section 6.1) over ``s0``/``s1``: under UPA a negation
+#: of two WKS windows, which compiles to the FIFO negation.
+QUERY3_TEXT = "SELECT * FROM s0 [RANGE 20] MINUS s1 [RANGE 20] ON v"
+
+
+def fifo_negation_plan():
+    """:data:`QUERY3_TEXT` compiled over two single-attribute streams."""
+    catalog = SourceCatalog()
+    for name in ("s0", "s1"):
+        catalog.add_stream(name, V_SCHEMA)
+    return compile_query(QUERY3_TEXT, catalog)
 
 
 def random_arrivals(n: int = 150, n_streams: int = 2, vmax: int = 5,

@@ -32,6 +32,8 @@ from repro import (
     from_window,
 )
 
+from conftest import fifo_negation_plan
+
 V = Schema(["v"])
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -259,25 +261,34 @@ class TestNoFallbacks:
     offender, and count-window and relation-update batches run it and
     equal per-tuple runs."""
 
-    def test_non_monotone_batch_raises_with_its_prefix_applied(self):
-        plan, _footer = LOOP_CASES["filter-prefix-join"]
+    @pytest.mark.parametrize("case", ["filter-prefix-join", "fifo-negation"])
+    def test_non_monotone_batch_raises_with_its_prefix_applied(self, case):
+        """A 64-event batch whose 41st event goes back in time.  Under the
+        FIFO negation (Query 3's text) the regression is the input that
+        would break its per-side arrival order."""
+        def make_plan():
+            if case == "fifo-negation":
+                return fifo_negation_plan()
+            return LOOP_CASES[case][0]
+
         head = [Arrival(1.0, "s0", (1,)), Arrival(2.0, "s1", (1,))]
-        batch = [Arrival(4.0, "s0", (1,)), Arrival(5.0, "s1", (1,)),
-                 Arrival(3.0, "s1", (1,)), Arrival(6.0, "s0", (1,))]
-        query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
+        batch = [Arrival(4.0 + i, f"s{i % 2}", (i % 3,)) for i in range(64)]
+        batch[40] = Arrival(3.0, "s0", (1,))
+        query = ContinuousQuery(make_plan(), ExecutionConfig(mode=Mode.UPA))
         driver = query.executor
         driver.process_batch(head)
         with pytest.raises(ExecutionError, match="out-of-order"):
             driver.process_batch(batch)
-        reference = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
-        for event in head + batch[:2]:
+        reference = ContinuousQuery(make_plan(),
+                                    ExecutionConfig(mode=Mode.UPA))
+        for event in head + batch[:40]:
             reference.executor.process_event(event)
-        assert driver.now == 5.0
+        assert driver.now == 43.0
         assert driver.answer() == reference.answer()
         assert driver._events_processed \
-            == reference.executor._events_processed == 4
+            == reference.executor._events_processed == 42
         assert _counters(query) == _counters(reference)
-        assert driver.tuples_arrived == 4
+        assert driver.tuples_arrived == 42
         assert "fallback" not in query.explain()
 
     def test_count_window_batches(self):

@@ -70,6 +70,13 @@ class TestRun:
             main(["run", "SELECT * FROM x", "--trace", trace_path,
                   "--streams", "nocolon"])
 
+    @pytest.mark.parametrize("command", ["run", "run-group"])
+    def test_checked_is_not_an_option(self, trace_path, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "SELECT * FROM link0 [RANGE 50]",
+                  "--trace", trace_path, "--checked"])
+        assert exit_info.value.code == 2
+
 
 class TestRunGroup:
     DISTINCT = "SELECT DISTINCT src_ip FROM link0 [RANGE 50]"

@@ -58,6 +58,17 @@ class TestRejections:
         with pytest.raises(ConfigError, match="unknown str_storage"):
             ExecutionConfig(str_storage="sideways")
 
+    def test_no_execution_axis_field(self):
+        """``checked`` is gone: the config has six strategy knobs and no
+        boolean that arms another way of running."""
+        import dataclasses
+
+        with pytest.raises(TypeError, match="checked"):
+            ExecutionConfig(checked=True)
+        assert [f.name for f in dataclasses.fields(ExecutionConfig)] == [
+            "mode", "n_partitions", "lazy_interval", "str_storage",
+            "premature_frequency", "allow_unbounded_state"]
+
 
 def _plan():
     return from_window(

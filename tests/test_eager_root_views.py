@@ -38,7 +38,6 @@ from repro import (
     TimeWindow,
     WindowScan,
 )
-from repro.analysis.bounds import validate_certificate
 from repro.core.plan import Predicate
 from repro.engine.views import (BufferView, DeltaStateView, GroupStateView,
                                 GroupView)
@@ -212,9 +211,6 @@ def drive(plan, events, config, how, subscribe_at, exact):
         if not isinstance(view, BufferView):
             assert len(view) == 0
         answers.append((start + len(chunk), got))
-    if config.checked:
-        query.compiled.sanitizer.verify_drain()
-        validate_certificate(query.compiled)
     return stream, answers, query.counters.snapshot()
 
 
@@ -222,9 +218,9 @@ def without(counters: dict, *names) -> dict:
     return {k: v for k, v in counters.items() if k not in names}
 
 
-def check_every_drive(plan, events, mode, checked, exact):
+def check_every_drive(plan, events, mode, exact):
     """The three subscription states on all five driving paths."""
-    config = ExecutionConfig(mode=mode, checked=checked)
+    config = ExecutionConfig(mode=mode)
     baseline = None
     for how in DRIVES:
         step = how if isinstance(how, int) else 1
@@ -262,10 +258,9 @@ def check_every_drive(plan, events, mode, checked, exact):
 
 @SETTINGS
 @given(plan=eager_roots(), events=traces(QUARTERS),
-       mode=st.sampled_from(MODES), checked=st.booleans())
-def test_state_read_equals_oracle_and_materialized_stream(
-        plan, events, mode, checked):
-    check_every_drive(plan, events, mode, checked, exact=True)
+       mode=st.sampled_from(MODES))
+def test_state_read_equals_oracle_and_materialized_stream(plan, events, mode):
+    check_every_drive(plan, events, mode, exact=True)
 
 
 @SETTINGS
@@ -274,7 +269,7 @@ def test_state_read_equals_oracle_and_materialized_stream(
 def test_inexact_floats_are_bit_identical_on_every_path(plan, events, mode):
     """With tenths the incremental sums differ from the oracle's
     from-scratch sums in the last bits — and still not from each other."""
-    check_every_drive(plan, events, mode, checked=False, exact=False)
+    check_every_drive(plan, events, mode, exact=False)
 
 
 def test_stddev_of_equal_tenths_is_a_rounded_zero():
@@ -285,7 +280,7 @@ def test_stddev_of_equal_tenths_is_a_rounded_zero():
               for i, y in enumerate((0.2, 0.1, 0.1, 0.1, 0.1))]
     plan = GroupBy(scan("s0", 13), ["a"], [AggregateSpec("stddev", "y", "g0")])
     check_every_drive(plan, events + [Tick(15.0), Tick(33.0)], Mode.NT,
-                      checked=False, exact=False)
+                      exact=False)
 
 
 GROUPED = GroupBy(scan("s0", 4), ["a"],

@@ -18,6 +18,8 @@ from repro import (
     from_window,
 )
 
+from conftest import fifo_negation_plan
+
 V = Schema(["v"])
 
 
@@ -26,11 +28,20 @@ def stream(name="s0", window=10):
 
 
 class TestClockDiscipline:
-    def test_out_of_order_event_rejected(self):
-        query = ContinuousQuery(from_window(stream()).build())
+    @pytest.mark.parametrize("case", ["window", "fifo-negation"])
+    def test_out_of_order_event_rejected(self, case):
+        """Under the FIFO negation (Query 3's text) the regression is the
+        input that would break its per-side arrival order."""
+        plan = (fifo_negation_plan() if case == "fifo-negation"
+                else from_window(stream()).build())
+        query = ContinuousQuery(plan)
+        assert (case == "fifo-negation") == (
+            "negation: FIFO" in query.compiled.describe())
         query.executor.process_event(Arrival(5, "s0", (1,)))
+        query.executor.process_event(Arrival(5, "s1", (2,)))
         with pytest.raises(ExecutionError, match="out-of-order"):
             query.executor.process_event(Arrival(3, "s0", (2,)))
+        assert query.executor.now == 5
 
     def test_equal_timestamps_allowed(self):
         query = ContinuousQuery(from_window(stream()).build())

@@ -107,7 +107,7 @@ class TestCrossRegimeMatrix:
     The unified driver runs the same compiled execution program in every
     regime, so the answer multiset, the exact ordered output stream, and
     the structural counters must be byte-identical across per-tuple,
-    micro-batch and checked execution and every sample period (a sample
+    micro-batch execution and every sample period (a sample
     and a timed batch after every event, or none) — and the shared-group
     and sharded-serial regimes must reproduce the same answer and stream
     (sharded counters are compared structurally: per-shard sums equal the
@@ -162,9 +162,7 @@ class TestCrossRegimeMatrix:
     @pytest.mark.parametrize("regime,kwargs", [
         ("per-tuple", {}),
         ("batched", {"batch": 4}),
-        ("checked", {"checked": True}),
         ("telemetry", {"sample_events": 1}),
-        ("checked-batched", {"batch": 4, "checked": True}),
         ("telemetry-batched", {"batch": 4, "sample_events": 1}),
         ("unsampled", {"sample_events": sys.maxsize}),
         ("unsampled-batched", {"batch": 4, "sample_events": sys.maxsize}),

@@ -14,9 +14,10 @@ changes nothing observable:
   count windows on both sides and late events released by a
   ``ReorderBuffer``, checked after every event by ``repro.testing``.
 
-Plus the guards: a negative tuple is an ``ExecutionError`` naming the
-operator and input, and under checked execution a non-FIFO arrival on
-either side is a ``PatternViolation``.
+Plus the guard: a negative tuple is an ``ExecutionError`` naming the
+operator and input.  Arrivals reach the operator in FIFO order per side
+because the driver rejects out-of-order timestamps
+(``tests/test_executor.py``, ``tests/test_batched.py``).
 """
 
 import random
@@ -35,7 +36,6 @@ from repro import (
 )
 from repro.core.metrics import Counters
 from repro.engine.strategies import STR_NEGATIVE
-from repro.errors import PatternViolation
 from repro.lang.catalog import SourceCatalog
 from repro.lang.compiler import compile_query
 from repro.operators import NegationFifoOp, NegationOp
@@ -125,7 +125,7 @@ def test_expiry_ties_across_sides_follow_arrival_order():
 
 
 # ---------------------------------------------------------------------------
-# Guards: negatives are typed errors, non-FIFO arrivals sanitizer errors
+# Guard: negatives are typed errors
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
@@ -150,21 +150,6 @@ def _catalog():
 
 
 Q3 = "SELECT * FROM link0 [RANGE 20] MINUS link1 [RANGE 20] ON src_ip"
-
-
-@pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
-def test_checked_non_fifo_arrival_is_a_pattern_violation(side):
-    plan = compile_query(Q3, _catalog())
-    query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA,
-                                                  checked=True))
-    op = query.compiled.op_for(plan)
-    assert type(op) is NegationFifoOp
-    row = (1, "ftp", 10, "10.0.0.1", "10.1.0.1")
-    op.process_batch(side, [Tuple(row, 1.0, 21.0)], 1.0)
-    op.process_batch(1 - side, [Tuple(row, 1.0, 30.0)], 1.0)
-    with pytest.raises(PatternViolation,
-                       match=f"non-FIFO arrival on input {side}"):
-        op.process_batch(side, [Tuple(row, 2.0, 20.0)], 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -275,4 +260,3 @@ def test_late_events_through_a_reorder_buffer_match_the_oracle():
     assert [e.ts for e in released] == sorted(e.ts for e in released)
     plan = compile_query(Q3, _catalog())
     assert check_plan(plan, released, Mode.UPA) == 300
-    assert check_plan(plan, released, Mode.UPA, checked=True) == 300

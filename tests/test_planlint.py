@@ -102,16 +102,6 @@ class TestPaperQueriesClean:
         assert report.ok and not report.diagnostics, report.render()
 
     @pytest.mark.parametrize("name", sorted(QUERY_BUILDERS))
-    def test_checked_pipeline_clean(self, name):
-        """The rules that read state buffers see *through* checked-mode
-        monitor proxies."""
-        plan = QUERY_BUILDERS[name]()
-        config = ExecutionConfig(mode=Mode.UPA, checked=True)
-        compiled = compile_plan(plan, config, Counters())
-        report = lint_compiled(compiled)
-        assert report.ok and not report.diagnostics, report.render()
-
-    @pytest.mark.parametrize("name", sorted(QUERY_BUILDERS))
     def test_rederivation_agrees_with_annotate(self, name):
         """UP001's independent implementation of Rules 1-5 must agree with
         the production annotator on every paper plan."""
@@ -162,19 +152,18 @@ class TestRuleDetails:
 # State ownership and bound certification (ALS702 / CST8xx)
 # ---------------------------------------------------------------------------
 
-_OB_CASES = [c for c in CORPUS if c.rule in {"ALS702", "CST801", "CST803"}]
+_OB_CASES = [c for c in CORPUS if c.rule in {"ALS702", "CST801"}]
 
 
 def _mutable_state(compiled) -> dict[int, str]:
-    """``id -> slot`` of every state buffer (monitors unwrapped), counter
-    sink, metrics registry and view one compiled pipeline writes to; the
+    """``id -> slot`` of every state buffer, counter sink, metrics
+    registry and view one compiled pipeline writes to; the
     write-discarding null sink is shared by design and left out."""
     found = {}
     for op in compiled.ops.values():
         for label, buffer in op.state_buffers():
             if buffer is not None:
-                inner = getattr(buffer, "inner", buffer)
-                found[id(inner)] = f"{type(op).__name__}.{label}"
+                found[id(buffer)] = f"{type(op).__name__}.{label}"
     for attr in ("counters", "metrics", "view"):
         obj = getattr(compiled, attr)
         if obj is not None and not isinstance(obj, NullCounters):
@@ -217,14 +206,13 @@ class TestOwnershipAndBounds:
         report = lint_compiled(query.compiled, driver=query.executor)
         assert report.ok and not report.diagnostics, report.render()
 
-    @pytest.mark.parametrize("checked", [False, True])
     @pytest.mark.parametrize("root", ["group-by", "δ"])
-    def test_state_view_roots_keep_one_owner_per_buffer(self, root, checked):
+    def test_state_view_roots_keep_one_owner_per_buffer(self, root):
         """A group-by or δ root answers from its operator's state.  The
         view holds the operator, not the buffer: every buffer has one
         slot, the certificate lists the operator's slots once
         and no ``result-view`` entry, and the run's metrics report no
-        stored result — through a checked, monitored run included."""
+        stored result."""
         from repro.analysis.bounds import attach_certificate
         from repro.lang.builder import agg_sum, count, from_window
 
@@ -236,12 +224,10 @@ class TestOwnershipAndBounds:
                                            agg_sum("bytes", "bytes")])
                     .build())
             slots = ["input", "groups"]
-        query = ContinuousQuery(plan, ExecutionConfig(
-            mode=Mode.UPA, checked=checked))
+        query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
         report = lint_compiled(query.compiled, driver=query.executor)
         assert report.ok and not report.diagnostics, report.render()
-        buffers = [id(getattr(b, "inner", b))
-                   for op in query.compiled.ops.values()
+        buffers = [id(b) for op in query.compiled.ops.values()
                    for _label, b in op.state_buffers() if b is not None]
         assert len(buffers) == len(set(buffers))
         entries = attach_certificate(query.compiled).entries
@@ -301,23 +287,6 @@ class TestOwnershipAndBounds:
         assert cert.cost is not None and cert.cost.total > 0
         assert "cost=" in cert.summary()
         assert "state certificate" in cert.render()
-
-    @pytest.mark.parametrize("name", sorted(QUERY_BUILDERS))
-    def test_checked_run_validates_certificate(self, name):
-        """A checked run of each paper query cross-validates its state
-        certificate against the observed sanitizer counters with zero
-        violations — and actually checked at least one armed monitor."""
-        from repro.analysis.bounds import validate_certificate
-
-        gen = TrafficTraceGenerator()
-        plan = QUERY_BUILDERS[name]()
-        query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA,
-                                                      checked=True))
-        result = query.run(gen.events(600))
-        assert result.certificate is not None
-        # run() already validated at drain; re-validate explicitly and
-        # assert coverage was non-trivial.
-        assert validate_certificate(query.compiled) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -311,13 +311,12 @@ class TestOneFeedOneFinish:
                 run()
                 pytest.fail(f"{label} bypassed {name}")
 
-    def test_one_drain_check_and_no_driver_block_step(self):
+    def test_one_finish_and_no_driver_block_step(self):
         import pathlib
 
         engine = pathlib.Path(executor_module.__file__).parent
         source = "".join(path.read_text() for path in engine.glob("*.py"))
-        assert source.count("verify_drain(") == 1
-        assert source.count("validate_certificate(") == 1
+        assert source.count(".flush_metrics(") == 1
         for step in ("process_block", "maybe_sample"):
             assert not hasattr(Driver, step)
 
@@ -380,12 +379,7 @@ class TestProgramStructure:
             _join_plan(), ExecutionConfig(mode=Mode.UPA)).compiled
         assert compiled.describe() == (
             "EXPIRE>DISPATCH>PROPAGATE>PURGE>DELIVER | streams=2 fused=1"
-            " expire=0 lazy=1 layers=none")
-
-    def test_checked_layer_recorded(self):
-        query = ContinuousQuery(
-            _join_plan(), ExecutionConfig(mode=Mode.UPA, checked=True))
-        assert query.compiled.describe().endswith(" layers=checked")
+            " expire=0 lazy=1")
 
     def test_arming_leaves_the_program_unchanged(self, monkeypatch):
         """Metrics are taken inside the driver's loops, not layered
@@ -433,6 +427,19 @@ class TestProgramStructure:
             "query.py", "sharing.py", "shard.py", "cli.py", "specialize.py"}
         assert all(args == 1 and not kwargs for _, args, kwargs in builds)
         assert set(attaches) == {"engine/driver.py"}
+
+    def test_a_bare_driver_attaches_its_certificate(self):
+        """The certificate comes with the driver, derived once at build
+        (not at the first telemetry sample); attaching again returns the
+        cached object."""
+        from repro.analysis.bounds import attach_certificate
+
+        compiled = compile_plan(_join_plan(), ExecutionConfig(mode=Mode.UPA))
+        assert compiled.certificate is None
+        Driver(compiled)
+        certificate = compiled.certificate
+        assert certificate is not None and certificate.bounded
+        assert attach_certificate(compiled) is certificate
 
     def test_dispatch_plan_is_flat_data(self):
         plan = DispatchPlan(leaf=None, prefix=(), suffix=())

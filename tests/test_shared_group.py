@@ -360,26 +360,21 @@ class TestOneEventLoop:
         assert not any(port.counters.snapshot().values())
         assert port.clock == float("-inf")
 
-    @pytest.mark.parametrize("flag", ["checked", "telemetry"])
     @pytest.mark.parametrize("batch", [None, 16])
-    def test_fused_group_lints_clean_when_armed(self, flag, batch,
-                                                monkeypatch):
-        """A fused group lints clean and matches a bare group, with the
-        conformance monitors armed or with every batch (and, per tuple,
-        every event) sampled and timed."""
+    def test_fused_group_lints_clean_when_sampled(self, batch, monkeypatch):
+        """A fused group lints clean and matches a bare group with every
+        batch (and, per tuple, every event) sampled and timed."""
         gen = TrafficTraceGenerator(TrafficConfig(seed=11))
-        config = ExecutionConfig(mode=Mode.UPA, checked=flag == "checked")
-        plain = ExecutionConfig(mode=Mode.UPA)
+        config = ExecutionConfig(mode=Mode.UPA)
         armed, bare = QueryGroup(shared=True), QueryGroup(shared=True)
-        for group, cfg in ((armed, config), (bare, plain)):
+        for group in (armed, bare):
             for name in ("q2", "q4", "q3", "q3"):
                 group.add(f"{name}_{len(group)}", FACTORIES[name](gen, 30.0),
-                          cfg)
+                          config)
         events = trace(300)
         bare.run(events, batch=batch)
-        if flag == "telemetry":
-            monkeypatch.setattr(Driver, "sample_events", 1)
-        result = armed.run(events, batch=batch)  # verify_drain + flush
+        monkeypatch.setattr(Driver, "sample_events", 1)
+        result = armed.run(events, batch=batch)  # sample + flush
         assert armed.answers() == bare.answers()
         assert armed.shared_producers()
         assert all(member_of(armed, name)[1] for name in armed.names())
@@ -387,18 +382,14 @@ class TestOneEventLoop:
             assert "-- lint: clean" in armed[name].explain()
             assert armed[name].counters.snapshot() == \
                 bare[name].counters.snapshot()
-        if flag == "telemetry":
-            merged = result.metrics
-            assert merged.find("op_expire_seconds", query=armed.names()[0])
-            assert any("producer" in inst.labels for inst in merged)
-            for producer in armed.shared_producers():
-                registry = producer.compiled.metrics
-                assert registry.value("events_processed") == len(events)
-                # Sampled during the run, not only by the closing flush.
-                assert registry.find("state_tuples")[0].count > 1
-        else:
-            for producer in armed.shared_producers():
-                assert producer.compiled.sanitizer is not None
+        merged = result.metrics
+        assert merged.find("op_expire_seconds", query=armed.names()[0])
+        assert any("producer" in inst.labels for inst in merged)
+        for producer in armed.shared_producers():
+            registry = producer.compiled.metrics
+            assert registry.value("events_processed") == len(events)
+            # Sampled during the run, not only by the closing flush.
+            assert registry.find("state_tuples")[0].count > 1
 
 
 class TestSharingActuallyShares:

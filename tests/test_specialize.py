@@ -2,7 +2,7 @@
 (engine/driver.py).
 
 The behavioural bar — byte-identical answers, output streams and counters
-across regime × batch × checked × sample period — lives in the golden
+across regime × batch × sample period — lives in the golden
 matrix (tests/test_goldens.py) and the per-suite equivalence tests.  This
 module pins the *structure* — one driver class, per-driver closure
 compilation (no shared mutable state), a per-tuple closure that sampling

@@ -27,7 +27,7 @@ from repro import (
     attr_equals,
     compile_plan,
 )
-from repro.analysis.bounds import attach_certificate, validate_certificate
+from repro.analysis.bounds import attach_certificate
 from repro.buffers import FifoBuffer, HashBuffer, ListBuffer, PartitionedBuffer
 from repro.engine.strategies import STR_NEGATIVE, STR_PARTITIONED
 from repro.engine.views import (AppendView, BufferView, DeltaStateView,
@@ -225,12 +225,10 @@ class TestViewChoices:
          "hash (negatives delete by key)"),
     ]
 
-    @pytest.mark.parametrize("checked", [False, True])
     @pytest.mark.parametrize("label,plan,config,kind,note", RULES,
                              ids=[rule[0] for rule in RULES])
-    def test_view_rule_table(self, label, plan, config, kind, note, checked):
-        query = ContinuousQuery(plan(),
-                                ExecutionConfig(checked=checked, **config))
+    def test_view_rule_table(self, label, plan, config, kind, note):
+        query = ContinuousQuery(plan(), ExecutionConfig(**config))
         view = query.compiled.view
         assert f"\n-- view: {note}\n" in query.explain()
         if kind is None or issubclass(kind, StateView):
@@ -240,26 +238,23 @@ class TestViewChoices:
                            attach_certificate(query.compiled).entries)
         else:
             assert isinstance(view, BufferView)
-            assert isinstance(getattr(view.buffer, "inner", view.buffer),
-                              kind)
+            assert isinstance(view.buffer, kind)
 
     @pytest.mark.parametrize("batch", [None, 4])
-    def test_join_state_view_stores_nothing_and_passes_the_monitors(
-            self, batch):
-        """Checked run over a bag ⋈ bag root: the answer is read off the
-        join's state, ``len(view)`` stays 0, and the certificate and drain
-        checks (``ContinuousQuery.run`` calls both) pass without a view
+    def test_join_state_view_stores_nothing(self, batch):
+        """A run over a bag ⋈ bag root: the answer is read off the join's
+        state, ``len(view)`` stays 0, and the certificate has no view
         entry."""
-        query = ContinuousQuery(
-            join_plan(), ExecutionConfig(mode=Mode.UPA, checked=True))
+        query = ContinuousQuery(join_plan(), ExecutionConfig(mode=Mode.UPA))
         events = [Arrival(float(ts), f"s{ts % 2}", (ts % 3,))
                   for ts in range(1, 40)]
         result = query.run(events, batch=batch)
         assert len(query.compiled.view) == 0
         assert sum(query.answer().values()) > 0
         assert result.counters.results_produced > 0
-        assert validate_certificate(query.compiled) > 0
-        query.compiled.sanitizer.verify_drain()
+        assert result.certificate is query.compiled.certificate
+        assert not any(entry.label == "result-view"
+                       for entry in result.certificate.entries)
 
     def test_upa_str_partitioned_vs_negative_views(self):
         plan = Negation(scan("s0"), scan("s1"), "v")
@@ -272,11 +267,10 @@ class TestViewChoices:
         assert isinstance(hybrid.view.buffer, HashBuffer)
         assert not hybrid.view.purges
 
-    @pytest.mark.parametrize("checked", [False, True])
-    def test_only_hash_views_are_indexed(self, checked):
+    def test_only_hash_views_are_indexed(self):
         """The timestamp-purged views delete by ``exp`` and never look a
         result up by key; only the NT / STR-negative hash view reads its
-        ``(values, exp)`` index (with or without the sanitizer's proxy).
+        ``(values, exp)`` index.
         Likewise group-by's input, which is scanned, popped, never probed:
         indexed only where the hash table *is* the index."""
         negation = Negation(scan("s0"), scan("s1"), "v")
@@ -284,8 +278,7 @@ class TestViewChoices:
         grouped = GroupBy(scan(), ["v"], [AggregateSpec("count", None, "n")])
 
         def view_of(plan, **config):
-            compiled = compile_plan(
-                plan, ExecutionConfig(checked=checked, **config))
+            compiled = compile_plan(plan, ExecutionConfig(**config))
             if plan is grouped:
                 ((_label, buffer),) = compiled.op_for(plan).state_buffers()
                 return buffer
@@ -302,7 +295,7 @@ class TestViewChoices:
         ]
         for plan, config, kind in unindexed:
             buffer = view_of(plan, **config)
-            assert isinstance(getattr(buffer, "inner", buffer), kind)
+            assert isinstance(buffer, kind)
             assert buffer.has_index is False, kind
         for plan, config in [
             (join_plan(), dict(mode=Mode.NT)),
@@ -310,7 +303,7 @@ class TestViewChoices:
             (grouped, dict(mode=Mode.NT)),
         ]:
             buffer = view_of(plan, **config)
-            assert isinstance(getattr(buffer, "inner", buffer), HashBuffer)
+            assert isinstance(buffer, HashBuffer)
             assert buffer.has_index is True
 
     def test_auto_str_storage_uses_premature_frequency(self):

@@ -1,5 +1,7 @@
 """Tests for output-stream subscriptions (Definition 2's delta stream)."""
 
+import pytest
+
 from repro import (
     Arrival,
     ContinuousQuery,
@@ -65,3 +67,20 @@ class TestSubscriptions:
         query.subscribe(lambda t, now: signs.append(t.sign))
         query.run([Arrival(1, "s", (1,)), Tick(20)])
         assert signs == [1, -1]
+
+    @pytest.mark.parametrize("batch", [None, 4])
+    def test_nt_negatives_leave_in_arrival_order(self, batch):
+        """A WKS window expires in generation order (Section 3.1), so NT's
+        window negatives reach a subscriber in the order their positives
+        arrived, even when one purge expires many at once."""
+        query = ContinuousQuery(from_window(stream("s", window=5)).build(),
+                                ExecutionConfig(mode=Mode.NT))
+        deltas = []
+        query.subscribe(lambda t, now: deltas.append((t.sign, t.values)))
+        values = [3, 1, 4, 1, 5, 9, 2, 6]
+        events = [Arrival(1 + i // 3, "s", (v,)) for i, v in
+                  enumerate(values)]
+        query.run(events + [Tick(20)], batch=batch)
+        positives = [v for sign, v in deltas if sign > 0]
+        negatives = [v for sign, v in deltas if sign < 0]
+        assert positives == negatives == [(v,) for v in values]
