@@ -7,12 +7,12 @@ table.  ``python -m benchmarks.harness all`` runs everything.
 from __future__ import annotations
 
 import dataclasses
+import statistics
+from typing import Callable
 
-from repro import Arrival, ExecutionConfig, Mode
+from repro import Arrival, ContinuousQuery, ExecutionConfig, Mode
 from repro.core.cost import Catalog, CostModel
-from repro.engine.strategies import STR_NEGATIVE, STR_PARTITIONED
 from repro.workloads import (
-    TrafficConfig,
     query1,
     query2,
     query3,
@@ -23,9 +23,11 @@ from repro.workloads import (
 
 from .common import (
     BENCH_TRAFFIC,
+    QUICK_WINDOWS,
     Measurement,
     make_generator,
     print_table,
+    quick_mode,
     run_once,
     speedup_summary,
     standard_strategies,
@@ -35,13 +37,7 @@ from .common import (
 )
 
 ALL_STRATEGIES = standard_strategies(Mode.NT, Mode.DIRECT, Mode.UPA)
-STRICT_STRATEGIES = [
-    ("NT", lambda: ExecutionConfig(mode=Mode.NT)),
-    ("UPA-part", lambda: ExecutionConfig(mode=Mode.UPA,
-                                         str_storage=STR_PARTITIONED)),
-    ("UPA-neg", lambda: ExecutionConfig(mode=Mode.UPA,
-                                        str_storage=STR_NEGATIVE)),
-]
+STRICT_STRATEGIES = standard_strategies(Mode.NT, Mode.UPA)
 
 
 def e1_query1_ftp() -> list[Measurement]:
@@ -74,17 +70,118 @@ def e3_query2_distinct() -> list[Measurement]:
     return out
 
 
-def e4_query3_negation() -> list[Measurement]:
-    """Figure 12: Query 3 — STR result storage under two premature-
-    expiration regimes (controlled by the links' source-IP overlap)."""
-    out: list[Measurement] = []
-    for overlap, tag in ((1.0, "high overlap / frequent premature"),
-                         (0.0, "no overlap / no premature")):
-        config = dataclasses.replace(BENCH_TRAFFIC, ip_overlap=overlap)
-        results = sweep(query3, STRICT_STRATEGIES, config=config)
-        print_table(f"E4 / Fig 12 — Query 3 (negation), {tag}", results)
-        out.extend(results)
-    return out
+#: E4's grid: three plans whose negation results are STR
+#: (Query 3 has the negation at the root, Query 5 push-down a join above
+#: it, Query 5 pull-up the negation above a join), the links' source-IP
+#: overlap (0: no result ever expires before its ``exp``; 1: premature
+#: expirations are frequent), the window, and per-tuple vs batched runs.
+E4_PLANS = (("Q3", query3), ("Q5-push", query5_pushdown),
+            ("Q5-pull", query5_pullup))
+E4_OVERLAPS = (0.0, 0.5, 1.0)
+E4_WINDOWS = (100, 400, 800)
+E4_BATCHES = (None, 64)
+
+
+@dataclasses.dataclass
+class SweepPoint:
+    """One E4 grid point: every strategy's ms/1k over alternating pairs."""
+
+    plan: str
+    overlap: float
+    window: float
+    batch: int | None
+    #: label -> ms/1k of each run, in pair order.
+    runs: dict[str, list[float]]
+    #: label -> deterministic state touches per stream tuple.
+    touches: dict[str, float]
+
+    def median(self, label: str) -> float:
+        return statistics.median(self.runs[label])
+
+    def iqr(self, label: str) -> float:
+        q1, _q2, q3 = statistics.quantiles(self.runs[label], n=4)
+        return q3 - q1
+
+    def wins(self, label: str, over: str) -> int:
+        """Pairs in which ``label`` ran faster than ``over``."""
+        return sum(a < b for a, b in zip(self.runs[label], self.runs[over]))
+
+    def resolved_win(self, label: str, over: str) -> bool:
+        """§8's rule: ``label`` wins at least nine pairs in ten, by a median
+        gap larger than ``over``'s interquartile range."""
+        return (10 * self.wins(label, over) >= 9 * len(self.runs[label])
+                and self.median(over) - self.median(label) > self.iqr(over))
+
+
+def paired_sweep(strategies: list[tuple[str, Callable[[], ExecutionConfig]]],
+                 pairs: int, plans=E4_PLANS, overlaps=E4_OVERLAPS,
+                 window_sizes=E4_WINDOWS,
+                 batches=E4_BATCHES) -> list[SweepPoint]:
+    """Run every strategy ``pairs`` times per grid point, alternating the
+    order each round, and check that all strategies give one answer."""
+    points: list[SweepPoint] = []
+    for name, plan_fn in plans:
+        for overlap in overlaps:
+            config = dataclasses.replace(BENCH_TRAFFIC, ip_overlap=overlap)
+            gen = make_generator(config)
+            for window in window_sizes:
+                events = trace_for(window, config)
+                for batch in batches:
+                    point = SweepPoint(name, overlap, window, batch,
+                                       {label: [] for label, _ in strategies},
+                                       {})
+                    answers = {}
+                    for rep in range(pairs):
+                        order = strategies if rep % 2 == 0 else strategies[::-1]
+                        for label, factory in order:
+                            query = ContinuousQuery(plan_fn(gen, window),
+                                                    factory())
+                            result = query.run(iter(events), batch=batch)
+                            point.runs[label].append(
+                                result.time_per_1000() * 1000.0)
+                            point.touches[label] = result.touches_per_tuple()
+                            answers[label] = dict(result.answer())
+                    if any(a != answers[strategies[0][0]]
+                           for a in answers.values()):
+                        raise AssertionError(
+                            f"E4 {name} overlap={overlap} W={window} "
+                            f"batch={batch}: strategies disagree")
+                    points.append(point)
+    return points
+
+
+def print_sweep(title: str, points: list[SweepPoint], base: str,
+                other: str) -> None:
+    """One row per grid point: medians, IQRs, ``base`` ÷ ``other``, the
+    pairs ``other`` won, whether that win is resolved, and touches."""
+    print(f"\n== {title} ==")
+    print(f"{'plan':<8}{'ovl':>5}{'W':>5}{'batch':>6}"
+          f"{base + ' med':>12}{'IQR':>7}{other + ' med':>12}{'IQR':>7}"
+          f"{'ratio':>7}{'won':>7}{'res':>5}"
+          f"{base + ' tch':>12}{other + ' tch':>12}")
+    for p in points:
+        n = len(p.runs[base])
+        print(f"{p.plan:<8}{p.overlap:>5g}{p.window:>5g}"
+              f"{p.batch or '-':>6}"
+              f"{p.median(base):>12.2f}{p.iqr(base):>7.2f}"
+              f"{p.median(other):>12.2f}{p.iqr(other):>7.2f}"
+              f"{p.median(base) / p.median(other):>7.2f}"
+              f"{p.wins(other, base):>4}/{n:<2}"
+              f"{'yes' if p.resolved_win(other, base) else 'no':>5}"
+              f"{p.touches[base]:>12.1f}{p.touches[other]:>12.1f}")
+
+
+def e4_query3_negation(pairs: int | None = None) -> list[SweepPoint]:
+    """Figure 12, widened: STR results under NT and UPA over E4's grid
+    (overlap × window × per-tuple/batched, for Query 3 and both Query 5
+    rewritings), alternating the two strategies pair by pair."""
+    pairs = pairs if pairs is not None else (2 if quick_mode() else 10)
+    window_sizes = QUICK_WINDOWS[:2] if quick_mode() else E4_WINDOWS
+    points = paired_sweep(STRICT_STRATEGIES, pairs,
+                          window_sizes=window_sizes)
+    print_sweep("E4 / Fig 12 — STR results, UPA vs NT (ms/1k)", points,
+                "UPA", "NT")
+    return points
 
 
 def e5_query4_distinct_join() -> list[Measurement]:
@@ -165,10 +262,8 @@ def e8_cost_model(window: float = 400) -> list[tuple[str, float, float]]:
                          (query5_pushdown, "push-down")):
         plan = plan_fn(gen, window)
         predicted = model.estimate(plan).total
-        measured = run_once(
-            plan, events,
-            ExecutionConfig(mode=Mode.UPA, str_storage=STR_NEGATIVE),
-            tag, window)
+        measured = run_once(plan, events, ExecutionConfig(mode=Mode.UPA),
+                            tag, window)
         rows.append((tag, predicted, measured.touches_per_tuple))
     print(f"\n== E8 — cost model vs measured (Query 5, W={window}) ==")
     print(f"{'plan':<12}{'predicted cost':>16}{'measured tch/ev':>18}")
@@ -206,8 +301,6 @@ def e9_lazy_interval(window: float = 400) -> list[Measurement]:
 def e10_memory(window: float = 400) -> list[tuple[str, int, int, float]]:
     """Memory ablation (§5.4.2): peak state across strategies and against
     the lazy interval and δ-vs-standard duplicate elimination."""
-    from repro import ContinuousQuery
-
     gen = make_generator()
     events = trace_for(window)
     rows: list[tuple[str, int, int, float]] = []
@@ -294,7 +387,6 @@ def e13_shard_scaling() -> list[Measurement]:
         for tag, plan_fn in queries:
             baseline_answer = None
             for shards in (1, 2, 4, 8):
-                from repro import ContinuousQuery
                 query = ContinuousQuery(plan_fn(gen, window),
                                         ExecutionConfig(mode=Mode.UPA))
                 result = query.run(iter(events), batch=64, shards=shards,

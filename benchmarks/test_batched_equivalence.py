@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro import ContinuousQuery, ExecutionConfig, Mode
-from repro.engine.strategies import STR_NEGATIVE, STR_PARTITIONED
 from repro.workloads import query1, query2, query3, query4
 
 from .common import make_generator, trace_for
@@ -41,10 +40,7 @@ CASES = (
         lambda gen, w: query2(gen, w, pairs=True), cfg, WINDOW)
        for label, cfg in _STANDARD]
     + [("e4-query3-nt", query3, ExecutionConfig(mode=Mode.NT), WINDOW),
-       ("e4-query3-upa-partitioned", query3,
-        ExecutionConfig(mode=Mode.UPA, str_storage=STR_PARTITIONED), WINDOW),
-       ("e4-query3-upa-negative", query3,
-        ExecutionConfig(mode=Mode.UPA, str_storage=STR_NEGATIVE), WINDOW)]
+       ("e4-query3-upa", query3, ExecutionConfig(mode=Mode.UPA), WINDOW)]
     + [(f"e5-query4-{label}", query4, cfg, WINDOW)
        for label, cfg in _STANDARD]
 )

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import ExecutionConfig, Mode
-from repro.engine.strategies import STR_NEGATIVE
 from repro.workloads import query5_pullup, query5_pushdown
 
 from .bench_util import bench
@@ -12,9 +11,8 @@ PLANS = [("pull-up", query5_pullup), ("push-down", query5_pushdown)]
 
 
 @pytest.mark.parametrize("label,plan_fn", PLANS, ids=[p[0] for p in PLANS])
-def test_query5_hybrid(benchmark, label, plan_fn):
-    bench(benchmark, plan_fn,
-          ExecutionConfig(mode=Mode.UPA, str_storage=STR_NEGATIVE))
+def test_query5_upa(benchmark, label, plan_fn):
+    bench(benchmark, plan_fn, ExecutionConfig(mode=Mode.UPA))
 
 
 @pytest.mark.parametrize("label,plan_fn", PLANS, ids=[p[0] for p in PLANS])

@@ -2,7 +2,6 @@
 
 from repro import ExecutionConfig, Mode
 from repro.core.cost import Catalog, CostModel
-from repro.engine.strategies import STR_NEGATIVE
 from repro.workloads import query5_pullup, query5_pushdown
 
 from .common import make_generator, trace_for
@@ -30,8 +29,7 @@ def test_cost_model_ranks_like_measurement(benchmark):
                              ("push-down", query5_pushdown)):
             plan = plan_fn(gen, E8_WINDOW)
             predicted = model.estimate(plan).total
-            query = ContinuousQuery(plan, ExecutionConfig(
-                mode=Mode.UPA, str_storage=STR_NEGATIVE))
+            query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
             result = query.run(iter(events))
             rows.append((tag, predicted, result.touches_per_tuple()))
         return rows

@@ -6,14 +6,14 @@ interesting behaviour is *strict non-monotonicity*: an alert can be retracted
 before its window expiry, the moment matching baseline traffic shows up —
 the paper's "premature expiration", signalled with a negative tuple.
 
-The example traces the answer set event by event and then compares the two
-STR result-storage schemes of Section 5.3.2 on a larger replay.
+The example traces the answer set event by event and then compares, on a
+larger replay, UPA (STR results stored partitioned by ``exp``, Section
+5.3.2) with the negative tuple approach, which signals every expiration.
 
 Run:  python examples/negation_alerts.py
 """
 
 from repro import Arrival, ContinuousQuery, ExecutionConfig, Mode, Tick
-from repro.engine.strategies import STR_NEGATIVE, STR_PARTITIONED
 from repro.workloads import TrafficConfig, TrafficTraceGenerator, query3
 
 WINDOW = 60
@@ -50,9 +50,8 @@ def trace_answer_evolution() -> None:
         print(f"           alerts: {count} tuple(s) from {alerts or '{}'}")
 
 
-def compare_str_storage() -> None:
-    print("\nSTR result storage on a 4-link replay "
-          "(Section 5.3.2's two choices):")
+def compare_strategies() -> None:
+    print("\nNegation on a 4-link replay, NT vs UPA:")
     for overlap, regime in ((1.0, "shared IP pools (frequent premature "
                                   "expirations)"),
                             (0.0, "disjoint IP pools (no premature "
@@ -62,16 +61,15 @@ def compare_str_storage() -> None:
                                                   seed=42))
         events = list(gen.events(4000))
         line = [f"  {regime}:"]
-        for storage in (STR_PARTITIONED, STR_NEGATIVE):
-            query = ContinuousQuery(
-                query3(gen, 200),
-                ExecutionConfig(mode=Mode.UPA, str_storage=storage))
+        for mode in (Mode.NT, Mode.UPA):
+            query = ContinuousQuery(query3(gen, 200),
+                                    ExecutionConfig(mode=mode))
             result = query.run(iter(events))
-            line.append(f"{storage}: {result.touches_per_tuple():.1f} "
+            line.append(f"{mode.value}: {result.touches_per_tuple():.1f} "
                         "touches/tuple")
         print("  ".join(line))
 
 
 if __name__ == "__main__":
     trace_answer_evolution()
-    compare_str_storage()
+    compare_strategies()

@@ -13,7 +13,6 @@ Run:  python examples/optimizer_tour.py
 from repro import ContinuousQuery, ExecutionConfig, Mode, explain
 from repro.core.cost import Catalog, CostModel
 from repro.core.optimizer import Optimizer
-from repro.engine.strategies import STR_NEGATIVE
 from repro.workloads import (
     TrafficConfig,
     TrafficTraceGenerator,
@@ -65,11 +64,10 @@ def main() -> None:
     print(f"   {len(ranked)} candidate plans; cheapest: "
           f"{ranked[0].plan.describe()} at cost {ranked[0].total_cost:.1f}")
 
-    print("\n4) Measured deterministic work (touches/event, hybrid UPA):")
+    print("\n4) Measured deterministic work (touches/event, UPA):")
     events = list(gen.events(int(3 * WINDOW * 4)))
     for name, plan in plans.items():
-        query = ContinuousQuery(plan, ExecutionConfig(
-            mode=Mode.UPA, str_storage=STR_NEGATIVE))
+        query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
         result = query.run(iter(events))
         print(f"   {name:<36} {result.touches_per_tuple():10.1f}")
     print("\nThe cheaper-predicted rewriting is also the cheaper-measured "

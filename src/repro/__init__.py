@@ -65,9 +65,6 @@ from .core.tuples import NEGATIVE, NEVER, POSITIVE, Schema, Tuple
 from .engine.executor import GroupRunResult, RunResult
 from .engine.query import ContinuousQuery, run_query
 from .engine.strategies import (
-    STR_AUTO,
-    STR_NEGATIVE,
-    STR_PARTITIONED,
     CompiledQuery,
     ExecutionConfig,
     Mode,
@@ -135,7 +132,6 @@ __all__ = [
     "fingerprint", "fingerprint_all",
     "NEGATIVE", "NEVER", "POSITIVE", "Schema", "Tuple",
     "RunResult", "ContinuousQuery", "run_query",
-    "STR_AUTO", "STR_NEGATIVE", "STR_PARTITIONED",
     "CompiledQuery", "ExecutionConfig", "Mode", "compile_plan",
     "ConfigError", "ExecutionError", "PlanError", "ReproError",
     "SchemaError", "WorkloadError",

@@ -93,7 +93,7 @@ def lint(plan: LogicalNode, config: Any = None, *,
     ``annotated`` defaults to a fresh :func:`annotate` pass — pass the
     pipeline's own :class:`AnnotatedPlan` to verify the annotations actually
     in use.  ``compiled`` enables the rules that read the compiled
-    pipeline (BUF103, DM501's hash-table half, PRG602, CST801);
+    pipeline (BUF103, PRG602, CST801);
     ``driver`` enables the closure-capture check (ALS702) over the
     driver's compiled closures.
     """

@@ -17,9 +17,8 @@ properties of its own compile output that change no answer.
 * non-retroactivity of NRR joins is verified structurally, looking
   *through* :class:`~repro.core.plan.SharedScan` cuts that annotation
   cannot see past;
-* dead machinery — negative-tuple plumbing above plans with no strict
-  subplan, duplicate elimination over provably duplicate-free input — is
-  flagged as a warning;
+* dead machinery — duplicate elimination over provably duplicate-free
+  input — is flagged as a warning;
 * state nothing ever purges is rejected unless the configuration opts in
   (CST801, :mod:`repro.analysis.bounds`);
 * the eager expiration participants run bottom-up (PRG602), and the
@@ -41,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Iterator
 
-from ..buffers.hashed import HashBuffer
 from ..buffers.partitioned import PartitionedBuffer
 from ..core.annotate import AnnotatedPlan, _uniform_lag
 from ..core.patterns import (
@@ -214,7 +212,7 @@ def rule_up002_shared_scan_pattern(ctx: LintContext) -> Iterator[Diagnostic]:
 
 # ---------------------------------------------------------------------------
 # BUF — partitioned-ring geometry (needs a CompiledQuery); the buffer walk
-# is shared with DM501 and the CST8xx certificate
+# is shared with the CST8xx certificate
 # ---------------------------------------------------------------------------
 
 def _buffers_of(ctx: LintContext
@@ -437,42 +435,6 @@ def rule_nr401_nrr_non_retroactivity(ctx: LintContext) -> Iterator[Diagnostic]:
             )
 
 
-# ---------------------------------------------------------------------------
-# DM — dead-machinery rules (warnings)
-# ---------------------------------------------------------------------------
-
-def rule_dm501_dead_negative_plumbing(ctx: LintContext) -> Iterator[Diagnostic]:
-    """DM501: negative-tuple machinery configured or compiled above a plan
-    with no strict subplan is dead weight — every deletion is already
-    determined by exp timestamps (Section 3.1)."""
-    if ctx.annotated.contains_strict():
-        return
-    config = ctx.config
-    from ..engine.strategies import Mode, STR_NEGATIVE
-    if config is not None and config.mode is Mode.UPA \
-            and config.str_storage == STR_NEGATIVE:
-        yield Diagnostic(
-            "DM501", SEVERITY_WARNING, "$",
-            "str_storage='negative' requests the hybrid negative-tuple "
-            "scheme, but no edge of this plan is strict non-monotonic; the "
-            "knob selects machinery that can never be exercised",
-            "drop str_storage (auto) for negation-free plans",
-        )
-    compiled = ctx.compiled
-    if compiled is not None and config is not None \
-            and config.mode is Mode.UPA:
-        for node, label, buffer, pattern in _buffers_of(ctx):
-            if isinstance(buffer, HashBuffer) and pattern is not None \
-                    and pattern is not STR:
-                yield Diagnostic(
-                    "DM501", SEVERITY_WARNING, ctx.path_of(node),
-                    f"{node.describe()} keeps {label} state in a "
-                    "negative-tuple hash table although its feeding edge "
-                    f"is {pattern} under UPA: no negative can ever reach it",
-                    "use the pattern-appropriate direct structure",
-                )
-
-
 def rule_prg602_expiration_order(ctx: LintContext) -> Iterator[Diagnostic]:
     """PRG602: the eager expiration participants run in bottom-up plan
     order, so a parent's expiry pass never re-derives deltas from state
@@ -496,6 +458,10 @@ def rule_prg602_expiration_order(ctx: LintContext) -> Iterator[Diagnostic]:
             "recompile the plan with engine.strategies.compile_plan",
         )
 
+
+# ---------------------------------------------------------------------------
+# DM — dead-machinery rules (warnings)
+# ---------------------------------------------------------------------------
 
 def rule_dm502_redundant_distinct(ctx: LintContext) -> Iterator[Diagnostic]:
     """DM502: duplicate elimination over input that is already
@@ -533,7 +499,6 @@ PLAN_RULES = (
     ("UP002", rule_up002_shared_scan_pattern),
     ("BUF103", rule_buf103_partition_sanity),
     ("NR401", rule_nr401_nrr_non_retroactivity),
-    ("DM501", rule_dm501_dead_negative_plumbing),
     ("DM502", rule_dm502_redundant_distinct),
     ("PRG602", rule_prg602_expiration_order),
     ("ALS702", rule_als702_stale_captures),

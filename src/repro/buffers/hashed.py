@@ -1,4 +1,4 @@
-"""Hash-on-key state buffer for the negative tuple approach and STR results.
+"""Hash-on-key state buffer for the negative tuple approach.
 
 Section 2.3.1: "The negative tuple approach can be implemented efficiently if
 the operator state is sorted by key so that expired tuples can be looked up
@@ -7,14 +7,11 @@ buffer "a hash table on the key attribute".
 
 Deletions arrive as negative tuples carrying the key, so :meth:`delete` costs
 one bucket scan (O(1) expected).  There is no cheap way to find tuples by
-expiration time, so :meth:`purge_expired` is a full scan.  Under the negative
-tuple approach *every* expiration is signalled explicitly, so NT never calls
-it: its operators are not lazily maintained, and hash result views are built
-with ``purges=False``.  The one remaining caller is UPA's hybrid scheme
-(Section 5.4.3): above a negation, joins, intersections and standard
-duplicate elimination still purge their hash state on the lazy grid, and a
-relation join purges its window state on time to signal the expirations as
-negatives.
+expiration time, so :meth:`purge_expired` is a full scan.  Only NT builds
+hash buffers, and under the negative tuple approach *every* expiration is
+signalled explicitly, so the engine never calls it: NT operators are not
+lazily maintained, and hash result views are built with ``purges=False``.
+It stays for the :class:`StateBuffer` contract.
 """
 
 from __future__ import annotations
@@ -78,7 +75,7 @@ class HashBuffer(StateBuffer):
         return False
 
     def purge_expired(self, now: float) -> list[Tuple]:
-        # Full scan: only the hybrid region asks (see the module docstring).
+        # Full scan: the engine never asks (see the module docstring).
         expired: list[Tuple] = []
         empty_keys: list[Hashable] = []
         for key, bucket in self._index.items():

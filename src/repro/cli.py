@@ -79,8 +79,7 @@ def _cmd_run(args) -> int:
     catalog = _build_catalog(args)
     plan = compile_query(args.query, catalog)
     config = ExecutionConfig(mode=Mode(args.mode),
-                             n_partitions=args.partitions,
-                             str_storage=args.str_storage)
+                             n_partitions=args.partitions)
     query = ContinuousQuery(plan, config)
     if args.explain:
         print(query.explain())
@@ -111,8 +110,7 @@ def _cmd_run(args) -> int:
 def _cmd_run_group(args) -> int:
     catalog = _build_catalog(args)
     config = ExecutionConfig(mode=Mode(args.mode),
-                             n_partitions=args.partitions,
-                             str_storage=args.str_storage)
+                             n_partitions=args.partitions)
     group = QueryGroup(shared=not args.independent)
     for index, text in enumerate(args.queries, start=1):
         group.add_text(f"q{index}", text, catalog, config)
@@ -173,8 +171,8 @@ def _cmd_lint(args) -> int:
 
     Exit status 0 when no error-severity diagnostic fired (warnings are
     advisory), 1 otherwise.  The plan is also compiled under ``--mode``,
-    so the rules that read the compiled pipeline (BUF103, DM501, PRG602,
-    CST801/803) and its closures (ALS702) check what the engine — and
+    so the rules that read the compiled pipeline (BUF103, PRG602,
+    CST801) and its closures (ALS702) check what the engine — and
     the driver — would actually execute.  ``--lint-certificate``
     additionally prints the derived symbolic state-bound certificate.
     """
@@ -186,8 +184,7 @@ def _cmd_lint(args) -> int:
     catalog = _build_catalog(args)
     plan = compile_query(args.query, catalog)
     config = ExecutionConfig(mode=Mode(args.mode),
-                             n_partitions=args.partitions,
-                             str_storage=args.str_storage)
+                             n_partitions=args.partitions)
     try:
         compiled = compile_plan(plan, config)
     except PlanError as error:
@@ -263,8 +260,6 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("query")
     run.add_argument("--trace", required=True, help="TSV trace file")
     run.add_argument("--partitions", type=int, default=10)
-    run.add_argument("--str-storage", default="auto",
-                     choices=["auto", "partitioned", "negative"])
     run.add_argument("--batch", type=int, default=None, metavar="N",
                      help="micro-batch size for amortized expiration "
                           "(default: per-tuple processing; outputs are "
@@ -288,8 +283,6 @@ def main(argv: list[str] | None = None) -> int:
                            help="compile every query privately instead of "
                                 "fusing common subplans")
     run_group.add_argument("--partitions", type=int, default=10)
-    run_group.add_argument("--str-storage", default="auto",
-                           choices=["auto", "partitioned", "negative"])
     run_group.add_argument("--batch", type=int, default=None, metavar="N",
                            help="micro-batch size (amortized expiration, "
                                 "once per shared subplan)")
@@ -324,8 +317,6 @@ def main(argv: list[str] | None = None) -> int:
         help="statically verify a query's plan against the rule catalogue")
     lint.add_argument("query")
     lint.add_argument("--partitions", type=int, default=10)
-    lint.add_argument("--str-storage", default="auto",
-                      choices=["auto", "partitioned", "negative"])
     lint.add_argument("--lint-certificate", action="store_true",
                       help="also print the derived symbolic state-bound "
                            "certificate (per-slot bound class, horizon, "

@@ -63,7 +63,7 @@ class Catalog:
     default_distinct: float = 100.0
     aggregate_cost: float = 1.0
     #: Estimated fraction of negation answers expiring prematurely, used to
-    #: charge negation's probing term and to pick STR storage.
+    #: charge negation's probing term.
     premature_frequency: float = 0.1
 
     def distinct(self, stream: str, attr: str) -> float:

@@ -7,9 +7,6 @@ from .query import ContinuousQuery, run_query
 from .shard import ShardRouter, analyze_group_partitionability, stable_hash
 from .sharing import SharedProducer
 from .strategies import (
-    STR_AUTO,
-    STR_NEGATIVE,
-    STR_PARTITIONED,
     CompiledQuery,
     ExecutionConfig,
     Mode,
@@ -29,9 +26,6 @@ __all__ = [
     "ShardRouter",
     "analyze_group_partitionability",
     "stable_hash",
-    "STR_AUTO",
-    "STR_NEGATIVE",
-    "STR_PARTITIONED",
     "CompiledQuery",
     "ExecutionConfig",
     "Mode",

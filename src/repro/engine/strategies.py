@@ -12,10 +12,11 @@ This module is where the three execution strategies of the paper differ:
   requires sequential scans.
 * **UPA** (Section 5): buffers are chosen per input edge from the plan's
   update-pattern annotation — FIFO for WKS, partitioned for WK — duplicate
-  elimination uses the δ operator on WKS/WK input, and STR (sub)results use
-  either partitioned storage with rare premature-deletion scans or the
-  hybrid scheme where everything above the negation runs negative-tuple
-  style over hash tables (Section 5.4.3).
+  elimination uses the δ operator on WKS/WK input, and STR (sub)results are
+  stored partitioned by ``exp``, where a premature deletion scans one
+  partition.  Section 5.4.3's alternative (negative-tuple hash state above
+  the negation) is not offered: it won no point of E4's sweep (DESIGN.md,
+  "STR storage: one scheme").
 
 The physical pipeline mirrors the logical tree; operators are
 strategy-agnostic and receive their behaviour through the buffers and flags
@@ -76,12 +77,6 @@ class Mode(str, enum.Enum):
     UPA = "upa"
 
 
-#: STR result storage schemes for UPA (Section 5.3.2 / 5.4.3).
-STR_PARTITIONED = "partitioned"
-STR_NEGATIVE = "negative"
-STR_AUTO = "auto"
-
-
 @dataclasses.dataclass
 class ExecutionConfig:
     """Tunable physical parameters (Section 6.1's experimental knobs).
@@ -98,12 +93,6 @@ class ExecutionConfig:
     #: Period of lazy state maintenance, in time units (NT has none).
     #: None → 5% of the largest window size (the paper's default).
     lazy_interval: float | None = None
-    #: UPA only: how STR (sub)results are stored.
-    str_storage: str = STR_AUTO
-    #: Estimated fraction of results that expire prematurely; drives the
-    #: ``auto`` choice above (Section 5.3.2: partitioned when premature
-    #: expirations are rare, negative-tuple style when they dominate).
-    premature_frequency: float | None = None
     #: Stateful operators over *unbounded* streams accumulate state without
     #: limit — the feasibility problem sliding windows exist to solve
     #: (Section 1).  Compilation rejects such plans unless explicitly
@@ -125,24 +114,6 @@ class ExecutionConfig:
                 f"lazy_interval must be positive when set, got "
                 f"{self.lazy_interval} (None selects the paper's default of "
                 "5% of the largest window)")
-        if self.premature_frequency is not None and not (
-                0.0 <= self.premature_frequency <= 1.0):
-            raise ConfigError(
-                f"premature_frequency must lie in [0, 1], got "
-                f"{self.premature_frequency} (it is the estimated fraction "
-                "of results that expire prematurely, Section 5.3.2)")
-        if self.str_storage not in (STR_AUTO, STR_PARTITIONED, STR_NEGATIVE):
-            raise ConfigError(
-                f"unknown str_storage {self.str_storage!r} (valid: "
-                f"{STR_AUTO!r}, {STR_PARTITIONED!r}, {STR_NEGATIVE!r})")
-
-    def resolved_str_storage(self) -> str:
-        """The STR scheme after resolving ``auto`` (Section 5.3.2's rule)."""
-        if self.str_storage != STR_AUTO:
-            return self.str_storage
-        if self.premature_frequency is not None and self.premature_frequency > 0.25:
-            return STR_NEGATIVE
-        return STR_PARTITIONED
 
 
 class DispatchPlan(NamedTuple):
@@ -247,20 +218,11 @@ def compile_plan(root: LogicalNode, config: ExecutionConfig,
     _validate(root, annotated, config)
     compiled = CompiledQuery(root, annotated, config, counters)
     _inspect_windows(root, compiled)
-
-    hybrid = (
-        config.mode is Mode.UPA
-        and annotated.contains_strict()
-        and config.resolved_str_storage() == STR_NEGATIVE
-    )
-    direct_region = _direct_region(root) if hybrid else set()
-
     for node in root.walk():
-        _build_node(node, compiled, annotated, config, hybrid, direct_region)
-
+        _build_node(node, compiled, annotated, config)
     _wire_routes(root, compiled)
     _plan_dispatch(compiled)
-    _build_view(root, compiled, annotated, config, hybrid)
+    _build_view(root, compiled, annotated, config)
     return compiled
 
 
@@ -288,8 +250,6 @@ def _validate(root: LogicalNode, annotated: AnnotatedPlan,
             "retroactive relation joins (Section 3.1: only non-STR results "
             "can be maintained without negative tuples)"
         )
-    if config.str_storage not in (STR_AUTO, STR_PARTITIONED, STR_NEGATIVE):
-        raise PlanError(f"unknown str_storage {config.str_storage!r}")
     if not config.allow_unbounded_state:
         _reject_unbounded_state(root, annotated)
 
@@ -348,53 +308,28 @@ def _inspect_windows(root: LogicalNode, compiled: CompiledQuery) -> None:
     compiled.max_span = max(spans) if spans else None
 
 
-def _direct_region(root: LogicalNode) -> set[int]:
-    """Nodes strictly below a Negation: they run direct under the hybrid
-    scheme (Section 5.4.3: "all the operators below negation use the direct
-    approach without generating negative tuples")."""
-    region: set[int] = set()
-
-    def mark(node: LogicalNode) -> None:
-        for sub in node.walk():
-            region.add(id(sub))
-
-    def visit(node: LogicalNode) -> None:
-        if isinstance(node, Negation):
-            for child in node.children:
-                mark(child)
-        else:
-            for child in node.children:
-                visit(child)
-
-    visit(root)
-    return region
-
-
 # ---------------------------------------------------------------------------
 # per-node construction
 # ---------------------------------------------------------------------------
 
 def _build_node(node: LogicalNode, compiled: CompiledQuery,
-                annotated: AnnotatedPlan, config: ExecutionConfig,
-                hybrid: bool, direct_region: set[int]) -> None:
+                annotated: AnnotatedPlan, config: ExecutionConfig) -> None:
     counters = compiled.counters
     mode = config.mode
-    nt_style = mode is Mode.NT or (hybrid and id(node) not in direct_region)
+    nt = mode is Mode.NT
     # Under NT every expiration starts as a window's negative, which
     # deletes each stored tuple it derived at that tuple's exp (Section
     # 2.3.1): no state trails the clock, so nothing is purged by timestamp.
-    # UPA's hybrid region keeps its lazy participants — its negation
-    # expires itself instead of hearing negatives from below.
-    lazy_ops = [] if mode is Mode.NT else compiled.lazy_ops
+    lazy_ops = [] if nt else compiled.lazy_ops
 
     def buffer_for(pattern: UpdatePattern, key_of) -> StateBuffer:
-        return _make_buffer(pattern, key_of, nt_style, mode, config,
-                            compiled.max_span, counters)
+        return _make_buffer(pattern, key_of, mode, config, compiled.max_span,
+                            counters)
 
     op: PhysicalOperator
 
     if isinstance(node, WindowScan):
-        materialize = nt_style and node.stream.window is not None
+        materialize = nt and node.stream.window is not None
         op = WindowOp(node.schema, node.stream.window,
                       materialize=materialize, counters=counters,
                       name=node.stream.name)
@@ -457,11 +392,7 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
         # pattern (WK, or STR over STR input).
         out_pattern = annotated.pattern_of(node)
         values_of = lambda t: t.values  # noqa: E731
-        use_delta = (
-            mode is Mode.UPA and pattern is not STR
-            and not nt_style
-        )
-        if use_delta:
+        if mode is Mode.UPA and pattern is not STR:
             op = DupElimDeltaOp(node.schema,
                                 buffer_for(out_pattern, values_of),
                                 counters)
@@ -473,7 +404,7 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
                 counters,
             )
             lazy_ops.append(op)
-        if not nt_style:
+        if not nt:
             compiled.expire_ops.append(op)
 
     elif isinstance(node, GroupBy):
@@ -487,37 +418,32 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
         # Never probed: no key index (a hash buffer's table is its own).
         op = GroupByOp(node.schema, key_idx, agg_kinds, agg_idx,
                        buffer_for(pattern, None), counters,
-                       self_expire=not nt_style)
-        if not nt_style:
+                       self_expire=not nt)
+        if not nt:
             compiled.expire_ops.append(op)
 
     elif isinstance(node, Negation):
         li = node.left.schema.index_of(node.left_attr)
         ri = node.right.schema.index_of(node.right_attr)
-        # Under NT the windows below deliver negatives, so the operator does
-        # not self-expire; under hybrid/UPA/direct-below it detects its own
-        # expirations.  emit_all makes every answer expiration explicit, for
-        # hash-keyed downstream state (NT and hybrid).
-        self_expire = mode is not Mode.NT
-        emit_all = mode is Mode.NT or (hybrid and id(node) not in direct_region)
+        # Under NT the windows below deliver every expiration as a
+        # negative, and the operator retracts each departing member with
+        # one; under UPA it detects its own expirations.
         inputs = [annotated.pattern_of(child) for child in node.children]
-        if mode is Mode.UPA and not emit_all and inputs == [WKS, WKS]:
+        if nt:
+            op = NegationOp(node.schema, li, ri, self_expire=False,
+                            counters=counters)
+            note = "general (NT)"
+        elif inputs == [WKS, WKS]:
             # Both sides expire in arrival order and never prematurely:
             # FIFO queues and per-value counts replace the heaps.
             op = NegationFifoOp(node.schema, li, ri, counters=counters)
             note = "FIFO (WKS × WKS)"
         else:
-            op = NegationOp(node.schema, li, ri, emit_all=emit_all,
-                            self_expire=self_expire, counters=counters)
-            if mode is Mode.NT:
-                why = "NT"
-            elif emit_all:
-                why = "hybrid region"
-            else:
-                why = f"{next(p for p in inputs if p is not WKS)} input"
-            note = f"general ({why})"
+            op = NegationOp(node.schema, li, ri, counters=counters)
+            why = next(p for p in inputs if p is not WKS)
+            note = f"general ({why} input)"
         compiled.negation_notes.append(note)
-        if self_expire:
+        if not nt:
             compiled.expire_ops.append(op)
 
     elif isinstance(node, NRRJoin):
@@ -532,18 +458,13 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
         ri = node.relation.schema.index_of(node.rel_attr)
         node.relation.ensure_index(ri)
         pattern = annotated.pattern_of(node.child)
-        emit_all = nt_style
         op = RelationJoinOp(
             node.schema, node.relation, li, ri,
-            buffer_for(pattern, lambda t, i=li: t.values[i]),
-            emit_all=emit_all, counters=counters,
+            buffer_for(pattern, lambda t, i=li: t.values[i]), counters,
         )
         compiled.relation_bindings.setdefault(node.relation.name, []).append(op)
         compiled.relations[node.relation.name] = node.relation
-        if emit_all and mode is not Mode.NT:
-            compiled.expire_ops.append(op)
-        if not emit_all:
-            lazy_ops.append(op)
+        lazy_ops.append(op)
 
     else:  # pragma: no cover - exhaustive over the algebra
         raise PlanError(f"no physical implementation for {node!r}")
@@ -551,15 +472,15 @@ def _build_node(node: LogicalNode, compiled: CompiledQuery,
     compiled.ops[id(node)] = op
 
 
-def _make_buffer(pattern: UpdatePattern, key_of, nt_style: bool, mode: Mode,
+def _make_buffer(pattern: UpdatePattern, key_of, mode: Mode,
                  config: ExecutionConfig, max_span: float | None,
                  counters: Counters) -> StateBuffer:
     """Pick the physical structure for state fed by an edge with ``pattern``."""
-    if nt_style:
+    if mode is Mode.NT:
         return HashBuffer(key_of, counters)
     if mode is Mode.DIRECT:
         return ListBuffer(key_of, counters)
-    # UPA, direct-style region: pattern-aware choice (Section 5.3.2).
+    # UPA: pattern-aware choice (Section 5.3.2).
     if pattern in (MONOTONIC, WKS):
         return FifoBuffer(key_of, counters)
     if max_span is None:
@@ -567,8 +488,8 @@ def _make_buffer(pattern: UpdatePattern, key_of, nt_style: bool, mode: Mode,
         # so nothing ever expires and partitioning by expiration time is
         # meaningless — a plain list suffices.
         return ListBuffer(key_of, counters)
-    # WK and (rare-premature) STR input both use the partitioned structure;
-    # STR premature deletions scan a single partition.
+    # WK and STR input both use the partitioned structure; STR premature
+    # deletions scan a single partition.
     return PartitionedBuffer(max_span, config.n_partitions, key_of, counters)
 
 
@@ -614,8 +535,7 @@ def _plan_dispatch(compiled: CompiledQuery) -> None:
 
 
 def _build_view(root: LogicalNode, compiled: CompiledQuery,
-                annotated: AnnotatedPlan, config: ExecutionConfig,
-                hybrid: bool) -> None:
+                annotated: AnnotatedPlan, config: ExecutionConfig) -> None:
     counters = compiled.counters
     pattern = annotated.output_pattern
     mode = config.mode
@@ -661,8 +581,7 @@ def _build_view(root: LogicalNode, compiled: CompiledQuery,
     # scanning on ``exp``; a (values, exp) index on them is never read.
     purges = True
     buffer: StateBuffer
-    if mode is Mode.NT or (mode is Mode.UPA and pattern is STR
-                           and config.resolved_str_storage() == STR_NEGATIVE):
+    if mode is Mode.NT:
         buffer, purges = HashBuffer(deletion_key, counters), False
         note = "hash (negatives delete by key)"
     elif mode is Mode.DIRECT:

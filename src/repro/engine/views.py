@@ -4,14 +4,13 @@ Definition 2: "the output of non-monotonic queries (weakest, weak, or
 strict) is a materialized view that reflects all the real (insertions) and
 negative (deletions) tuples that have been produced on the output stream."
 The view must also drop results whose ``exp`` timestamps have passed, unless
-every expiration is signalled by a negative tuple (the NT and hybrid
-schemes, where the view is a hash table and timestamp purging is never
-needed).
+every expiration is signalled by a negative tuple (NT, where the view is a
+hash table and timestamp purging is never needed).
 
 The physical structure of the view is a strategy decision, exactly like the
 operators' state buffers: an arrival-ordered list under DIRECT (full-scan
 purges), a FIFO queue for WKS output, a partitioned buffer for WK output,
-and a hash table keyed on ``(values, exp)`` under NT / hybrid.  A root
+and a hash table keyed on ``(values, exp)`` under NT.  A root
 whose own state already is Definition 2's view — a bag ⋈ bag window join,
 group-by, δ — stores none (:class:`StateView`).
 """

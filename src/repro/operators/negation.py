@@ -20,25 +20,26 @@ negative.  (The paper's prose says the *youngest* W1 tuple is appended on a
 W2 expiry; that choice would break the claim — see DESIGN.md — so we promote
 the oldest suppressed tuple instead.  Either choice satisfies Equation 1.)
 
-Event handling (``emit_all`` selects hybrid/NT behaviour where *every*
-answer expiration is signalled with a negative, for hash-keyed downstream
-state; otherwise only premature expirations produce negatives and natural
-ones are left to ``exp``-based purging):
+Event handling.  Under NT (``self_expire=False``) the windows below deliver
+every expiration as a negative and *every* departing answer member is
+signalled with one, for hash-keyed downstream state; otherwise the operator
+detects its own expirations, only premature ones produce negatives, and
+natural ones are left to ``exp``-based purging:
 
 * W1 arrival: v1 += 1; if the answer must grow, admit the oldest suppressed
   tuple (the new tuple itself when nothing is suppressed) and emit it.
 * W2 arrival: v2 += 1; if the answer must shrink, evict the youngest member
   and emit its negative (a premature expiration).
 * W1 expiry / negative: remove the tuple; a departing member leaves
-  naturally (negative only under ``emit_all`` or when the removal itself was
+  naturally (negative only under NT or when the removal itself was
   premature); then rebalance.
 * W2 expiry / negative: v2 -= 1; if the answer must grow, admit the oldest
   suppressed tuple and emit it.
 
 Structure by update pattern (Section 5.3).  :class:`NegationOp` is written
-for the worst case — WK or STR inputs, negative tuples, NT and the hybrid
-region: two global expiration heaps, an identity set of tuples deleted by
-negatives, insertion-sorted per-value lists and linear victim searches.
+for the worst case — WK or STR inputs, negative tuples, NT: two global
+expiration heaps, an identity set of tuples deleted by negatives,
+insertion-sorted per-value lists and linear victim searches.
 When both inputs are WKS the compiler picks :class:`NegationFifoOp`
 instead: no negative ever arrives and each side expires in arrival order,
 so each side's expirations are a FIFO queue (the two heads merged in
@@ -76,11 +77,9 @@ class NegationOp(PhysicalOperator):
     eager = True
 
     def __init__(self, schema: Schema, left_attr: int, right_attr: int,
-                 emit_all: bool = False, self_expire: bool = True,
-                 counters: Counters | None = None):
+                 self_expire: bool = True, counters: Counters | None = None):
         super().__init__(schema, counters)
         self._attrs = (left_attr, right_attr)
-        self._emit_all = emit_all
         self._self_expire = self_expire
         # Left state: per-value exp-ordered lists of live W1 tuples.
         self._live1: dict[Any, list[Tuple]] = {}
@@ -202,7 +201,7 @@ class NegationOp(PhysicalOperator):
             else:
                 self._k.pop(value, None)
             premature = victim.exp > now
-            if self._emit_all or premature:
+            if not self._self_expire or premature:
                 out.append(Tuple(victim.values, now, victim.exp, sign=-1))
         out.extend(self._rebalance(value, now))
         return out
@@ -328,7 +327,7 @@ class NegationOp(PhysicalOperator):
 
 
 class NegationFifoOp(PhysicalOperator):
-    """Negation over two WKS inputs (UPA, outside the hybrid region).
+    """Negation over two WKS inputs (UPA).
 
     Each side's tuples expire in arrival order, so each side keeps one FIFO
     queue of ``(exp, seq, record)`` — ``seq`` counts arrivals on both sides

@@ -61,13 +61,12 @@ class RelationJoinOp(PhysicalOperator):
 
     def __init__(self, schema: Schema, relation: Relation,
                  left_key: int, rel_key: int, window_buffer: StateBuffer,
-                 emit_all: bool = False, counters: Counters | None = None):
+                 counters: Counters | None = None):
         super().__init__(schema, counters)
         self._relation = relation
         self._left_key = left_key
         self._rel_key = rel_key
         self._buffer = window_buffer
-        self._emit_all = emit_all
 
     # -- stream side ----------------------------------------------------------
 
@@ -109,33 +108,12 @@ class RelationJoinOp(PhysicalOperator):
 
     # -- expiry ----------------------------------------------------------------------
 
-    def expire(self, now: float) -> list[Tuple]:
-        """Under ``emit_all`` (hybrid/NT downstream state), window expirations
-        must also be signalled with negatives for every result they formed."""
-        self._advance(now)
-        if not self._emit_all:
-            return []
-        out: list[Tuple] = []
-        for w in self._buffer.purge_expired(now):
-            rows = self._relation.match(self._rel_key,
-                                        w.values[self._left_key])
-            self.counters.touches += len(rows)
-            out.extend(
-                Tuple(w.values + row, now, w.exp, sign=-1) for row in rows
-            )
-        return out
-
-    def next_expiry(self, now: float) -> float:
-        """Earliest window-tuple expiry — relevant only under ``emit_all``,
-        where each expiration must be signalled with negatives on time."""
-        if not self._emit_all:
-            return super().next_expiry(now)
-        return self._buffer.next_expiry(now)
-
     def purge(self, now: float) -> None:
+        """Lazy purge of expired window tuples under UPA.  Their results
+        expire at the same ``exp`` downstream, so no negative is needed;
+        under NT the windows' negatives delete them instead."""
         self._advance(now)
-        if not self._emit_all:
-            self._buffer.purge_expired(now)
+        self._buffer.purge_expired(now)
 
     def state_size(self) -> int:
         return len(self._buffer)

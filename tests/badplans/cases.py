@@ -39,12 +39,7 @@ from repro.core.plan import (
 )
 from repro.core.tuples import Schema
 from repro.engine.driver import Driver
-from repro.engine.strategies import (
-    STR_NEGATIVE,
-    ExecutionConfig,
-    Mode,
-    compile_plan,
-)
+from repro.engine.strategies import ExecutionConfig, Mode, compile_plan
 from repro.streams.relation import NRR
 from repro.streams.stream import StreamDef
 from repro.workloads import queries
@@ -179,14 +174,6 @@ def _nr401_negation_below_nrr_join() -> LintReport:
 # DM — dead machinery (warnings)
 # ---------------------------------------------------------------------------
 
-def _dm501_dead_negative_plumbing() -> LintReport:
-    """Request the hybrid negative-tuple scheme for Query 1, which has no
-    strict subplan: the knob selects machinery no tuple can ever reach."""
-    plan = queries.query1(_GEN, WINDOW)
-    config = ExecutionConfig(mode=Mode.UPA, str_storage=STR_NEGATIVE)
-    return lint(plan, config)
-
-
 def _dm502_redundant_distinct() -> LintReport:
     """DISTINCT over DISTINCT: the outer operator stores every tuple to
     remove nothing."""
@@ -280,9 +267,6 @@ CORPUS: tuple[BadPlan, ...] = (
     BadPlan("negation-below-nrr-join", "NR401",
             "negation hidden behind a shared cut under an NRR join",
             _nr401_negation_below_nrr_join),
-    BadPlan("dead-negative-plumbing", "DM501",
-            "hybrid negative-tuple storage for a negation-free plan",
-            _dm501_dead_negative_plumbing),
     BadPlan("redundant-distinct", "DM502",
             "duplicate elimination over already-distinct input",
             _dm502_redundant_distinct),

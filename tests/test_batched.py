@@ -130,14 +130,11 @@ class TestBatchedEqualsPerTuple:
     @SETTINGS
     @given(plan=strict_plans(), events=traces(vmax=3),
            batch=st.sampled_from([2, 7, 64]))
-    @pytest.mark.parametrize("mode,storage", [
-        (Mode.NT, "auto"),
-        (Mode.UPA, "partitioned"),
-        (Mode.UPA, "negative"),
-    ])
-    def test_strict(self, plan, events, batch, mode, storage):
-        base = _replay(plan, events, None, mode, str_storage=storage)
-        got = _replay(plan, events, batch, mode, str_storage=storage)
+    @pytest.mark.parametrize("mode", [Mode.NT, Mode.UPA],
+                             ids=["nt-auto", "upa-partitioned"])
+    def test_strict(self, plan, events, batch, mode):
+        base = _replay(plan, events, None, mode)
+        got = _replay(plan, events, batch, mode)
         assert got == base
 
     @SETTINGS

@@ -44,30 +44,28 @@ class TestRejections:
         with pytest.raises(ConfigError, match="lazy_interval"):
             ExecutionConfig(lazy_interval=-1.5)
 
-    @pytest.mark.parametrize("frequency", [-0.01, 1.01, 7.0])
-    def test_premature_frequency_out_of_range(self, frequency):
-        with pytest.raises(ConfigError, match=r"premature_frequency must "
-                                              r"lie in \[0, 1\]"):
-            ExecutionConfig(premature_frequency=frequency)
-
     def test_mode_must_be_a_mode(self):
         with pytest.raises(ConfigError, match="mode must be a Mode"):
             ExecutionConfig(mode="upa")  # the string, not the enum
 
-    def test_unknown_str_storage(self):
-        with pytest.raises(ConfigError, match="unknown str_storage"):
-            ExecutionConfig(str_storage="sideways")
-
     def test_no_execution_axis_field(self):
-        """``checked`` is gone: the config has six strategy knobs and no
+        """``checked`` is gone: the config has four strategy knobs and no
         boolean that arms another way of running."""
         import dataclasses
 
         with pytest.raises(TypeError, match="checked"):
             ExecutionConfig(checked=True)
         assert [f.name for f in dataclasses.fields(ExecutionConfig)] == [
-            "mode", "n_partitions", "lazy_interval", "str_storage",
-            "premature_frequency", "allow_unbounded_state"]
+            "mode", "n_partitions", "lazy_interval", "allow_unbounded_state"]
+
+    @pytest.mark.parametrize("field,value", [
+        ("str_storage", "negative"), ("str_storage", "partitioned"),
+        ("premature_frequency", 0.8)])
+    def test_no_str_storage_knob(self, field, value):
+        """UPA stores STR results one way (partitioned by ``exp``), so
+        neither the storage choice nor the rate that drove it is a field."""
+        with pytest.raises(TypeError, match=field):
+            ExecutionConfig(mode=Mode.UPA, **{field: value})
 
 
 def _plan():
@@ -146,8 +144,6 @@ class TestAccepted:
 
     def test_boundary_values_accepted(self):
         ExecutionConfig(n_partitions=1)
-        ExecutionConfig(premature_frequency=0.0)
-        ExecutionConfig(premature_frequency=1.0)
         ExecutionConfig(lazy_interval=0.001)
         for mode in Mode:
             ExecutionConfig(mode=mode)

@@ -2,15 +2,18 @@
 
 For each plan shape we replay a deterministic random event sequence and
 compare the materialized answer with the relational oracle after *every
-single event*, under every applicable strategy and STR storage scheme.
+single event*, under every applicable strategy.
 These are the integration tests that pin the three execution strategies to
 identical semantics.
 """
 
 import pytest
 
-from repro import Mode, Predicate, count, from_window
-from repro.engine.strategies import STR_NEGATIVE, STR_PARTITIONED
+from repro import (ContinuousQuery, ExecutionConfig, Mode, Predicate, count,
+                   from_window)
+from repro.testing import check_plan
+from repro.workloads import TrafficConfig, TrafficTraceGenerator
+from repro.workloads.queries import query5_pushdown
 
 from conftest import (
     ALL_MODES,
@@ -123,29 +126,42 @@ class TestStrictPlans:
         assert_matches_oracle(plan, BURSTY, mode)
 
 
-@pytest.mark.parametrize("storage", [STR_PARTITIONED, STR_NEGATIVE])
+@pytest.mark.parametrize("mode", [Mode.UPA], ids=["partitioned"])
 class TestStrStorageSchemes:
-    """Both STR result-storage choices of Section 5.3.2 must agree."""
+    """UPA's STR result storage (partitioned by ``exp``, Section 5.3.2)
+    under premature expirations."""
 
-    def test_negation(self, storage):
+    def test_negation(self, mode):
         s0, s1 = stream_pair()
         plan = from_window(s0).minus(from_window(s1), on="v").build()
-        assert_matches_oracle(plan, BURSTY, Mode.UPA, str_storage=storage)
+        assert_matches_oracle(plan, BURSTY, mode)
 
-    def test_join_above_negation(self, storage):
+    def test_join_above_negation(self, mode):
         s0, s1 = stream_pair()
         s2 = s0.__class__("s2", s0.schema, s0.window)
         plan = (from_window(s0).minus(from_window(s1), on="v")
                 .join(from_window(s2), on="v").build())
         assert_matches_oracle(plan, random_arrivals(n=200, n_streams=3,
-                                                    seed=13, vmax=3),
-                              Mode.UPA, str_storage=storage)
+                                                    seed=13, vmax=3), mode)
 
-    def test_selection_above_negation(self, storage):
+    def test_selection_above_negation(self, mode):
         s0, s1 = stream_pair()
         plan = (from_window(s0).minus(from_window(s1), on="v")
                 .where(even()).build())
-        assert_matches_oracle(plan, BURSTY, Mode.UPA, str_storage=storage)
+        assert_matches_oracle(plan, BURSTY, mode)
+
+    def test_query5_pushdown_full_overlap(self, mode):
+        """Query 5 push-down (a join above the negation) on traffic whose
+        links share every source IP, so negation results often expire
+        before their ``exp`` and the join above hears their negatives."""
+        gen = TrafficTraceGenerator(TrafficConfig(n_links=3, n_src_ips=12,
+                                                  ip_overlap=1.0, seed=5))
+        events = list(gen.events(600))
+        plan = query5_pushdown(gen, 20)
+        assert check_plan(plan, events, mode) == len(events)
+        query = ContinuousQuery(plan, ExecutionConfig(mode=mode))
+        query.run(iter(events))
+        assert query.counters.negatives_processed > 0
 
 
 class TestPartitionCounts:

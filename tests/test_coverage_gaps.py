@@ -33,7 +33,6 @@ from repro import (
 )
 from repro.core.cost import Catalog, CostModel
 from repro.core.optimizer import Optimizer
-from repro.engine.strategies import STR_NEGATIVE
 
 V = Schema(["v"])
 
@@ -127,23 +126,6 @@ class TestRelationJoinUnderNt:
         assert sum(query.answer().values()) == 0
 
 
-class TestHybridWithoutNegation:
-    def test_relation_join_under_negative_scheme(self):
-        """STR plans without a Negation node (pure relation join) must also
-        work under the hybrid scheme: everything runs NT-style."""
-        rel = Relation("r", Schema(["k", "m"]), [(1, "one")])
-        plan = from_window(
-            StreamDef("s", V, TimeWindow(10))
-        ).join_relation(rel, on="v", rel_on="k").build()
-        query = ContinuousQuery(
-            plan, ExecutionConfig(mode=Mode.UPA, str_storage=STR_NEGATIVE))
-        ex = query.executor
-        ex.process_event(Arrival(1, "s", (1,)))
-        assert sum(query.answer().values()) == 1
-        ex.process_event(Tick(20))
-        assert sum(query.answer().values()) == 0
-
-
 class TestOracleCorners:
     def test_observe_standalone_applies_relation_updates(self):
         nrr = NRR("n", Schema(["k", "m"]))
@@ -206,17 +188,14 @@ class TestMultiAttributeNegation:
     attribute value; which left tuples fill the quota is a free choice, but
     the *projection* onto the negation attribute is fully determined."""
 
-    @pytest.mark.parametrize("mode,storage", [
-        (Mode.NT, "auto"), (Mode.UPA, "partitioned"),
-        (Mode.UPA, "negative"),
-    ])
-    def test_per_value_counts(self, mode, storage):
+    @pytest.mark.parametrize("mode", [Mode.NT, Mode.UPA],
+                             ids=["nt-auto", "upa-partitioned"])
+    def test_per_value_counts(self, mode):
         two = Schema(["k", "payload"])
         a = StreamDef("a", two, TimeWindow(10))
         b = StreamDef("b", two, TimeWindow(10))
         plan = from_window(a).minus(from_window(b), on="k").build()
-        query = ContinuousQuery(plan, ExecutionConfig(mode=mode,
-                                                      str_storage=storage))
+        query = ContinuousQuery(plan, ExecutionConfig(mode=mode))
         ex = query.executor
         ex.process_event(Arrival(1, "a", ("x", "p1")))
         ex.process_event(Arrival(2, "a", ("x", "p2")))

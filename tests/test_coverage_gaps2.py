@@ -14,46 +14,20 @@ from repro import (
     Negation,
     PlanError,
     Schema,
-    Select,
     StreamDef,
     Tick,
     TimeWindow,
     WindowScan,
-    attr_equals,
     count,
     from_window,
 )
-from repro.engine.strategies import STR_NEGATIVE, compile_plan, _direct_region
+from repro.engine.strategies import compile_plan
 
 V = Schema(["v"])
 
 
 def scan(name, window=10):
     return WindowScan(StreamDef(name, V, TimeWindow(window)))
-
-
-class TestDirectRegion:
-    def test_negation_children_marked(self):
-        neg = Negation(scan("a"), scan("b"), "v")
-        plan = Select(neg, attr_equals("v", 1))
-        region = _direct_region(plan)
-        assert id(neg.left) in region and id(neg.right) in region
-        assert id(neg) not in region
-        assert id(plan) not in region
-
-    def test_sibling_branch_not_marked(self):
-        neg = Negation(scan("a"), scan("b"), "v")
-        sibling = scan("c")
-        plan = Join(neg, sibling, "v", "v")
-        region = _direct_region(plan)
-        assert id(sibling) not in region
-
-    def test_nested_negation_entirely_inside(self):
-        inner = Negation(scan("b"), scan("c"), "v")
-        outer = Negation(scan("a"), inner, "v")
-        region = _direct_region(outer)
-        assert id(inner) in region
-        assert id(inner.left) in region
 
 
 class TestCountDomainEdges:
@@ -76,25 +50,22 @@ class TestCountDomainEdges:
         assert sum(query.answer().values()) == 1
 
 
-class TestHybridRegionBuffers:
-    def test_above_negation_join_uses_hash_buffers(self):
-        from repro.buffers import HashBuffer
+class TestJoinAboveNegationBuffers:
+    def test_upa_keeps_pattern_buffers_around_a_negation(self):
+        """Under UPA a join above a negation stores its STR input
+        partitioned and its WKS input in a FIFO; the negation below
+        expires itself."""
+        from repro.buffers import FifoBuffer, PartitionedBuffer
+        from repro.operators import NegationFifoOp
         neg = Negation(scan("a"), scan("b"), "v")
         plan = Join(neg, scan("c"), "v", "v")
-        compiled = compile_plan(plan, ExecutionConfig(
-            mode=Mode.UPA, str_storage=STR_NEGATIVE))
-        join_op = compiled.op_for(plan)
-        assert all(isinstance(b, HashBuffer) for b in join_op.buffers)
-
-    def test_below_negation_keeps_pattern_buffers(self):
-        from repro.operators import NegationOp
-        neg = Negation(scan("a"), scan("b"), "v")
-        plan = Join(neg, scan("c"), "v", "v")
-        compiled = compile_plan(plan, ExecutionConfig(
-            mode=Mode.UPA, str_storage=STR_NEGATIVE))
+        compiled = compile_plan(plan, ExecutionConfig(mode=Mode.UPA))
+        left, right = compiled.op_for(plan).buffers
+        assert isinstance(left, PartitionedBuffer)
+        assert isinstance(right, FifoBuffer)
         neg_op = compiled.op_for(neg)
-        assert isinstance(neg_op, NegationOp)
-        assert neg_op in compiled.expire_ops  # self-managed below the bridge
+        assert isinstance(neg_op, NegationFifoOp)
+        assert neg_op in compiled.expire_ops
 
 
 class TestCliErrorPaths:

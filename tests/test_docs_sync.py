@@ -102,7 +102,7 @@ class TestReadmeQuickstart:
         exec(compile(blocks[0], "README-lint", "exec"), namespace)
         assert namespace["report"].ok
         explained = namespace["query"].explain()
-        assert "-- lint: clean (9 rules)" in explained
+        assert "-- lint: clean (8 rules)" in explained
         # The execution-program footer the README promises, verbatim up to
         # the plan-dependent counts.
         assert ("-- program: EXPIRE>DISPATCH>PROPAGATE>PURGE>DELIVER"

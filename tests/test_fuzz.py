@@ -29,8 +29,7 @@ from repro.testing import check_plan
 
 V = Schema(["v"])
 
-CONFIGS = [(Mode.NT, "auto"), (Mode.UPA, "partitioned"),
-           (Mode.UPA, "negative"), (Mode.DIRECT, "auto")]
+MODES = [Mode.NT, Mode.UPA, Mode.DIRECT]
 
 
 def random_plan(rng):
@@ -79,13 +78,13 @@ def random_events(rng, n=100):
 def test_random_plans_match_oracle(seed):
     """Seeds 19/20/21/35/53 are the historical bug-finders."""
     events = None
-    for mode, storage in CONFIGS:
+    for mode in MODES:
         rng = random.Random(seed)
         plan = random_plan(rng)
         if events is None:
             events = random_events(rng)
         try:
-            check_plan(plan, list(events), mode, str_storage=storage)
+            check_plan(plan, list(events), mode)
         except PlanError:
             continue
 
@@ -125,8 +124,7 @@ class TestStaleRepRegression:
         s2 = StreamDef("s2", V, TimeWindow(13))
         plan = (from_window(s0).minus(from_window(s2), on="v")
                 .distinct().distinct().build())
-        query = ContinuousQuery(
-            plan, ExecutionConfig(mode=Mode.UPA, str_storage="negative"))
+        query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
         for event in [Arrival(17.0, "s2", (2,)),
                       Arrival(25.25, "s0", (2,)),
                       Arrival(28.25, "s0", (2,)),

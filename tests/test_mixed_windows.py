@@ -82,14 +82,12 @@ class TestMixedWindowCorrectness:
                 .join(from_window(stream("b", 3)), on="v").build())
         assert_equivalent(plan, random_events(seed=5))
 
-    @pytest.mark.parametrize("mode,storage", [
-        (Mode.NT, "auto"), (Mode.UPA, "partitioned"),
-        (Mode.UPA, "negative"),
-    ])
-    def test_negation_of_mixed_windows(self, mode, storage):
+    @pytest.mark.parametrize("mode", [Mode.NT, Mode.UPA],
+                             ids=["nt-auto", "upa-partitioned"])
+    def test_negation_of_mixed_windows(self, mode):
         plan = (from_window(stream("a", 10))
                 .minus(from_window(stream("b", 3)), on="v").build())
-        check_plan(plan, random_events(seed=6), mode, str_storage=storage)
+        check_plan(plan, random_events(seed=6), mode)
 
 
 class TestMixedCountWindows:

@@ -35,7 +35,6 @@ from repro import (
     Tuple,
 )
 from repro.core.metrics import Counters
-from repro.engine.strategies import STR_NEGATIVE
 from repro.lang.catalog import SourceCatalog
 from repro.lang.compiler import compile_query
 from repro.operators import NegationFifoOp, NegationOp
@@ -189,8 +188,7 @@ class TestStructureChoice:
 
     @pytest.mark.parametrize("config,why", [
         (dict(mode=Mode.NT), "NT"),
-        (dict(mode=Mode.UPA, str_storage=STR_NEGATIVE), "hybrid region"),
-    ], ids=["nt", "hybrid"])
+    ], ids=["nt"])
     def test_negative_tuple_styles_keep_the_general_negation(self, config,
                                                              why):
         query = ContinuousQuery(compile_query(Q3, _catalog()),

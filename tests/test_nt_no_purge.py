@@ -38,7 +38,6 @@ from repro import (
     RelationJoin,
     RelationUpdate,
     Schema,
-    STR_NEGATIVE,
     StreamDef,
     Tick,
     TimeWindow,
@@ -120,11 +119,9 @@ def cases(draw):
 
 def lazily_maintained(compiled):
     """The lazy participants by the rule UPA and DIRECT follow: joins and
-    intersections, standard δ, and relation joins that do not signal their
-    window's expirations as negatives."""
+    intersections, standard δ, and relation joins."""
     return [op for op in compiled.ops.values()
-            if isinstance(op, (JoinOp, DupElimStandardOp))
-            or (isinstance(op, RelationJoinOp) and not op._emit_all)]
+            if isinstance(op, (JoinOp, DupElimStandardOp, RelationJoinOp))]
 
 
 def with_lazy_purges(plan, config):
@@ -209,19 +206,6 @@ def test_other_strategies_keep_their_lazy_participants(shape, mode):
         pytest.skip("DIRECT runs negation-free, non-retroactive plans only")
     compiled = ContinuousQuery(SHAPES[shape](2, 5),
                                ExecutionConfig(mode=mode)).compiled
-    assert compiled.lazy_ops == lazily_maintained(compiled)
-
-
-def test_the_hybrid_region_keeps_its_lazy_participants():
-    """A join and a standard δ above a negation run NT style over hash
-    buffers under UPA's hybrid scheme, and stay lazily purged."""
-    negated = Negation(*windows(5, 5), "v")
-    plan = DupElim(Project(Join(negated, scan("s2", TimeWindow(5)), "v", "v"),
-                           ["l_v"]))
-    compiled = ContinuousQuery(plan, ExecutionConfig(
-        mode=Mode.UPA, str_storage=STR_NEGATIVE)).compiled
-    assert [type(op).__name__ for op in compiled.lazy_ops] == [
-        "JoinOp", "DupElimStandardOp"]
     assert compiled.lazy_ops == lazily_maintained(compiled)
 
 

@@ -374,8 +374,8 @@ class TestGroupByOp:
 
 
 class TestNegationOp:
-    def make(self, emit_all=False):
-        return NegationOp(V, 0, 0, emit_all=emit_all, self_expire=True)
+    def make(self, self_expire=True):
+        return NegationOp(V, 0, 0, self_expire=self_expire)
 
     def test_equation1_basic(self):
         op = self.make()
@@ -403,15 +403,19 @@ class TestNegationOp:
         assert len(out) == 1 and not out[0].is_negative
         assert out[0].exp == 11
 
-    def test_w1_natural_expiry_silent_without_emit_all(self):
-        op = self.make(emit_all=False)
+    def test_w1_natural_expiry_silent_when_self_expiring(self):
+        op = self.make()
         op.process(0, t("a", 1, 5), 1)
         assert op.expire(5) == []
 
-    def test_w1_natural_expiry_negated_with_emit_all(self):
-        op = self.make(emit_all=True)
+    def test_w1_window_negative_retracts_member_under_nt(self):
+        """Under NT the window's negative arrives at the tuple's ``exp``
+        (not premature), and the departing member is still retracted for
+        the hash-keyed state above; the operator expires nothing itself."""
+        op = self.make(self_expire=False)
         op.process(0, t("a", 1, 5), 1)
-        out = op.expire(5)
+        assert op.expire(5) == []
+        out = op.process(0, t("a", 1, 5, sign=-1), 5)
         assert len(out) == 1 and out[0].is_negative
 
     def test_suppressed_tuple_admitted_on_capacity(self):
@@ -469,12 +473,11 @@ class TestNRRJoinOp:
 
 
 class TestRelationJoinOp:
-    def make(self, emit_all=False):
+    def make(self):
         rel = Relation("r", Schema(["k", "name"]), [("a", "alpha")])
         rel.ensure_index(0)
         op = RelationJoinOp(Schema(["v", "k", "name"]), rel, 0, 0,
-                            HashBuffer(lambda x: x.values[0]),
-                            emit_all=emit_all)
+                            HashBuffer(lambda x: x.values[0]))
         return op, rel
 
     def test_stream_arrival_probes_relation(self):
@@ -502,12 +505,6 @@ class TestRelationJoinOp:
         op.process(0, t("b", 1, 5), 1)
         rel.insert(("b", "beta"))
         assert op.on_relation_insert(("b", "beta"), 6) == []
-
-    def test_emit_all_signals_window_expirations(self):
-        op, _ = self.make(emit_all=True)
-        op.process(0, t("a", 1, 5), 1)
-        out = op.expire(5)
-        assert len(out) == 1 and out[0].is_negative
 
     def test_stream_negative_deletes_and_retracts(self):
         op, _ = self.make()

@@ -77,16 +77,12 @@ class TestNegationPrematureExpiration:
     """Section 3.2: negation results can expire before their exp timestamps
     when a matching tuple arrives on the second window."""
 
-    @pytest.mark.parametrize("mode,storage", [
-        (Mode.NT, "partitioned"),
-        (Mode.UPA, "partitioned"),
-        (Mode.UPA, "negative"),
-    ])
-    def test_w2_arrival_expels_result(self, mode, storage):
+    @pytest.mark.parametrize("mode", [Mode.NT, Mode.UPA],
+                             ids=["nt-partitioned", "upa-partitioned"])
+    def test_w2_arrival_expels_result(self, mode):
         plan = (from_window(stream("w1", 10))
                 .minus(from_window(stream("w2", 10)), on="v").build())
-        query = ContinuousQuery(plan, ExecutionConfig(mode=mode,
-                                                      str_storage=storage))
+        query = ContinuousQuery(plan, ExecutionConfig(mode=mode))
         ex = query.executor
         ex.process_event(Arrival(0, "w1", ("x",)))
         assert query.answer() == Counter({("x",): 1})

@@ -36,7 +36,7 @@ QUERY_BUILDERS = {
     "query5_pushdown": lambda: queries.query5_pushdown(_GEN, WINDOW),
 }
 
-WARNING_RULES = {"DM501", "DM502"}
+WARNING_RULES = {"DM502"}
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +312,29 @@ class TestSurfaces:
         assert "plan is clean" in out
 
     def test_cli_lint_warns_on_dead_machinery(self, capsys):
-        """str_storage=negative on a negation-free query is advisory only:
-        the warning prints but the exit status stays 0."""
+        """A DISTINCT over a DISTINCT is advisory only: the warning prints
+        but the exit status stays 0."""
         code = main([
-            "lint", "SELECT DISTINCT src_ip FROM link0 [RANGE 50]",
-            "--links", "1", "--str-storage", "negative",
+            "lint", "SELECT DISTINCT src_ip FROM (SELECT DISTINCT src_ip "
+            "FROM link0 [RANGE 50]) AS d",
+            "--links", "1",
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "DM501" in out
+        assert "DM502" in out
+
+    def test_cli_has_no_str_storage_option(self, capsys):
+        """UPA stores STR results one way, so the option is gone from every
+        subcommand: argparse rejects it with exit status 2."""
+        for command in (["run", "SELECT * FROM link0 [RANGE 5]",
+                         "--trace", "t.tsv"],
+                        ["run-group", "SELECT * FROM link0 [RANGE 5]",
+                         "--trace", "t.tsv"],
+                        ["lint", "SELECT * FROM link0 [RANGE 5]"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(command + ["--str-storage", "negative"])
+            assert exit_info.value.code == 2
+            assert "--str-storage" in capsys.readouterr().err
 
     def test_cli_lint_reports_direct_rejection(self, capsys):
         """A strict plan under DIRECT cannot compile; the CLI still lints

@@ -135,13 +135,10 @@ class TestDefinitionOneHolds:
 
     @SETTINGS
     @given(plan=strict_plans(), events=event_sequences(vmax=3))
-    @pytest.mark.parametrize("mode,storage", [
-        (Mode.NT, "auto"),
-        (Mode.UPA, "partitioned"),
-        (Mode.UPA, "negative"),
-    ])
-    def test_strict(self, plan, events, mode, storage):
-        _assert_engine_equals_oracle(plan, events, mode, str_storage=storage)
+    @pytest.mark.parametrize("mode", [Mode.NT, Mode.UPA],
+                             ids=["nt-auto", "upa-partitioned"])
+    def test_strict(self, plan, events, mode):
+        _assert_engine_equals_oracle(plan, events, mode)
 
     @SETTINGS
     @given(events=event_sequences(n_streams=3, vmax=3),

@@ -118,12 +118,10 @@ class TestNestedPlans:
 
     @SETTINGS
     @given(plan=nested_plans(allow_negation=True), events=event_batches())
-    @pytest.mark.parametrize("mode,storage", [
-        (Mode.NT, "auto"), (Mode.UPA, "partitioned"),
-        (Mode.UPA, "negative"),
-    ])
-    def test_nested_with_negation(self, plan, events, mode, storage):
-        _check(plan, events, mode, str_storage=storage)
+    @pytest.mark.parametrize("mode", [Mode.NT, Mode.UPA],
+                             ids=["nt-auto", "upa-partitioned"])
+    def test_nested_with_negation(self, plan, events, mode):
+        _check(plan, events, mode)
 
 
 class TestReorderEquivalence:

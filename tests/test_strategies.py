@@ -29,13 +29,11 @@ from repro import (
 )
 from repro.analysis.bounds import attach_certificate
 from repro.buffers import FifoBuffer, HashBuffer, ListBuffer, PartitionedBuffer
-from repro.engine.strategies import STR_NEGATIVE, STR_PARTITIONED
 from repro.engine.views import (AppendView, BufferView, DeltaStateView,
                                 GroupStateView, JoinStateView, StateView)
 from repro.operators import (
     DupElimDeltaOp,
     DupElimStandardOp,
-    JoinOp,
     NegationOp,
     WindowOp,
 )
@@ -103,8 +101,7 @@ class TestDupElimChoice:
 
     def test_upa_str_input_falls_back_to_standard(self):
         plan = DupElim(Negation(scan("s0"), scan("s1"), "v"))
-        compiled = compile_plan(
-            plan, ExecutionConfig(mode=Mode.UPA, str_storage=STR_NEGATIVE))
+        compiled = compile_plan(plan, ExecutionConfig(mode=Mode.UPA))
         assert isinstance(compiled.op_for(plan), DupElimStandardOp)
 
 
@@ -122,18 +119,17 @@ class TestWindowMaterialization:
                       if isinstance(op, WindowOp)]
             assert all(op not in compiled.expire_ops for op in leaves)
 
-    def test_hybrid_materializes_only_nt_region_windows(self):
-        # (s0 - s1) join s2: under the negative scheme, s2's window (above
-        # the negation) materializes, s0/s1 (below) do not.
+    def test_upa_materializes_no_window_around_a_negation(self):
+        # (s0 - s1) join s2: neither the windows below the negation nor
+        # s2's beside the join above it emit negatives under UPA.
         plan = Join(Negation(scan("s0"), scan("s1"), "v"), scan("s2"),
                     "v", "v")
-        compiled = compile_plan(
-            plan, ExecutionConfig(mode=Mode.UPA, str_storage=STR_NEGATIVE))
-        by_name = {op.name: op for op in compiled.ops.values()
-                   if isinstance(op, WindowOp)}
-        assert by_name["s2"] in compiled.expire_ops
-        assert by_name["s0"] not in compiled.expire_ops
-        assert by_name["s1"] not in compiled.expire_ops
+        compiled = compile_plan(plan, ExecutionConfig(mode=Mode.UPA))
+        leaves = [op for op in compiled.ops.values()
+                  if isinstance(op, WindowOp)]
+        assert len(leaves) == 3
+        assert all(op._store is None and op not in compiled.expire_ops
+                   for op in leaves)
 
 
 class TestViewChoices:
@@ -191,13 +187,7 @@ class TestViewChoices:
         ("join over an STR input",
          lambda: Join(Negation(scan("s0"), scan("s1"), "v"), scan("s2"),
                       "v", "v"),
-         dict(mode=Mode.UPA, str_storage=STR_PARTITIONED),
-         PartitionedBuffer, "partitioned (STR root)"),
-        ("join over an STR input, hybrid",
-         lambda: Join(Negation(scan("s0"), scan("s1"), "v"), scan("s2"),
-                      "v", "v"),
-         dict(mode=Mode.UPA, str_storage=STR_NEGATIVE),
-         HashBuffer, "hash (negatives delete by key)"),
+         dict(mode=Mode.UPA), PartitionedBuffer, "partitioned (STR root)"),
         ("intersect", lambda: Intersect(scan("s0"), scan("s1")),
          dict(mode=Mode.UPA), PartitionedBuffer, "partitioned (WK root)"),
         ("R-join",
@@ -215,8 +205,7 @@ class TestViewChoices:
          "δ output state (UPA, WK root, the live representatives)"),
         ("δ over an STR input",
          lambda: DupElim(Negation(scan("s0"), scan("s1"), "v")),
-         dict(mode=Mode.UPA, str_storage=STR_PARTITIONED),
-         PartitionedBuffer, "partitioned (STR root)"),
+         dict(mode=Mode.UPA), PartitionedBuffer, "partitioned (STR root)"),
         ("DISTINCT, DIRECT", lambda: DupElim(scan()),
          dict(mode=Mode.DIRECT), ListBuffer, "list (DIRECT)"),
         ("bag ⋈ bag, DIRECT", join_plan, dict(mode=Mode.DIRECT), ListBuffer,
@@ -256,20 +245,15 @@ class TestViewChoices:
         assert not any(entry.label == "result-view"
                        for entry in result.certificate.entries)
 
-    def test_upa_str_partitioned_vs_negative_views(self):
+    def test_upa_str_view_is_partitioned(self):
         plan = Negation(scan("s0"), scan("s1"), "v")
-        partitioned = compile_plan(
-            plan, ExecutionConfig(mode=Mode.UPA,
-                                  str_storage=STR_PARTITIONED))
-        assert isinstance(partitioned.view.buffer, PartitionedBuffer)
-        hybrid = compile_plan(
-            plan, ExecutionConfig(mode=Mode.UPA, str_storage=STR_NEGATIVE))
-        assert isinstance(hybrid.view.buffer, HashBuffer)
-        assert not hybrid.view.purges
+        compiled = compile_plan(plan, ExecutionConfig(mode=Mode.UPA))
+        assert isinstance(compiled.view.buffer, PartitionedBuffer)
+        assert compiled.view.purges
 
     def test_only_hash_views_are_indexed(self):
         """The timestamp-purged views delete by ``exp`` and never look a
-        result up by key; only the NT / STR-negative hash view reads its
+        result up by key; only the NT hash view reads its
         ``(values, exp)`` index.
         Likewise group-by's input, which is scanned, popped, never probed:
         indexed only where the hash table *is* the index."""
@@ -288,8 +272,7 @@ class TestViewChoices:
             (join_plan(), dict(mode=Mode.DIRECT), ListBuffer),
             (wks, dict(mode=Mode.UPA), FifoBuffer),
             (delta_join_plan(), dict(mode=Mode.UPA), PartitionedBuffer),
-            (negation, dict(mode=Mode.UPA, str_storage=STR_PARTITIONED),
-             PartitionedBuffer),
+            (negation, dict(mode=Mode.UPA), PartitionedBuffer),
             (grouped, dict(mode=Mode.UPA), FifoBuffer),
             (grouped, dict(mode=Mode.DIRECT), ListBuffer),
         ]
@@ -299,18 +282,12 @@ class TestViewChoices:
             assert buffer.has_index is False, kind
         for plan, config in [
             (join_plan(), dict(mode=Mode.NT)),
-            (negation, dict(mode=Mode.UPA, str_storage=STR_NEGATIVE)),
+            (negation, dict(mode=Mode.NT)),
             (grouped, dict(mode=Mode.NT)),
         ]:
             buffer = view_of(plan, **config)
             assert isinstance(buffer, HashBuffer)
             assert buffer.has_index is True
-
-    def test_auto_str_storage_uses_premature_frequency(self):
-        cfg_rare = ExecutionConfig(mode=Mode.UPA, premature_frequency=0.05)
-        assert cfg_rare.resolved_str_storage() == STR_PARTITIONED
-        cfg_often = ExecutionConfig(mode=Mode.UPA, premature_frequency=0.8)
-        assert cfg_often.resolved_str_storage() == STR_NEGATIVE
 
 
 class TestNegationWiring:
@@ -344,12 +321,6 @@ class TestValidation:
         plan = Select(gb, attr_equals("v", 1))
         with pytest.raises(PlanError, match="root"):
             compile_plan(plan, ExecutionConfig(mode=Mode.UPA))
-
-    def test_unknown_str_storage_rejected(self):
-        plan = join_plan()
-        with pytest.raises(PlanError, match="str_storage"):
-            compile_plan(plan, ExecutionConfig(mode=Mode.UPA,
-                                               str_storage="bogus"))
 
 
 class TestRouting:
