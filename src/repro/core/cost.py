@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from ..errors import PlanError
+from ..errors import ConfigError, PlanError
 from .annotate import AnnotatedPlan, annotate
 from .patterns import STR
 from .plan import (
@@ -65,6 +65,12 @@ class Catalog:
     #: Estimated fraction of negation answers expiring prematurely, used to
     #: charge negation's probing term.
     premature_frequency: float = 0.1
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.premature_frequency <= 1.0:
+            raise ConfigError(
+                f"premature_frequency must lie in [0, 1] (a fraction of "
+                f"negation answers), got {self.premature_frequency}")
 
     def distinct(self, stream: str, attr: str) -> float:
         return self.distinct_counts.get((stream, attr), self.default_distinct)

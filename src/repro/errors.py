@@ -28,8 +28,9 @@ class ConfigError(PlanError):
 
     Raised eagerly at configuration construction time (``n_partitions`` must
     be at least 1, ``lazy_interval`` must be positive when set, ``mode``
-    must be a :class:`~repro.engine.strategies.Mode`) so that a bad knob fails
-    with a clear message instead of surfacing deep inside a state-buffer
+    must be a :class:`~repro.engine.strategies.Mode`; the cost model's
+    :class:`~repro.core.cost.Catalog` ``premature_frequency`` must lie in
+    [0, 1]) so that a bad knob fails with a clear message instead of surfacing deep inside a state-buffer
     constructor mid-compilation.  Subclasses :class:`PlanError`: a bad
     configuration is a planning-time mistake, and callers that guarded
     compilation with ``except PlanError`` keep working.

@@ -4,8 +4,8 @@ Before this validation existed, an ``n_partitions=0`` config would compile
 fine and only blow up (with a ZeroDivisionError deep in the partitioned
 buffer) once the first STR subplan saw a tuple.  Every rejection below is
 asserted to (a) raise :class:`repro.errors.ConfigError`, (b) happen at
-``ExecutionConfig(...)`` call time, not at compile or run time, and (c)
-carry an actionable message.
+``ExecutionConfig(...)`` (or the cost model's ``Catalog(...)``) call time,
+not at compile or run time, and (c) carry an actionable message.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro import (
     TimeWindow,
     from_window,
 )
+from repro.core.cost import Catalog
 from repro.errors import ConfigError, PlanError, ReproError
 
 
@@ -43,6 +44,14 @@ class TestRejections:
     def test_lazy_interval_negative(self):
         with pytest.raises(ConfigError, match="lazy_interval"):
             ExecutionConfig(lazy_interval=-1.5)
+
+    @pytest.mark.parametrize("frequency", [-0.01, 1.01, 7.0])
+    def test_premature_frequency_out_of_range(self, frequency):
+        """The rate left ExecutionConfig with the hybrid STR storage; the
+        cost model's Catalog still prices premature deletions with it."""
+        with pytest.raises(ConfigError, match=r"premature_frequency must "
+                                              r"lie in \[0, 1\]"):
+            Catalog(premature_frequency=frequency)
 
     def test_mode_must_be_a_mode(self):
         with pytest.raises(ConfigError, match="mode must be a Mode"):
@@ -145,6 +154,8 @@ class TestAccepted:
     def test_boundary_values_accepted(self):
         ExecutionConfig(n_partitions=1)
         ExecutionConfig(lazy_interval=0.001)
+        Catalog(premature_frequency=0.0)
+        Catalog(premature_frequency=1.0)
         for mode in Mode:
             ExecutionConfig(mode=mode)
 
