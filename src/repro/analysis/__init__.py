@@ -1,14 +1,14 @@
 """Static verification of update-pattern annotations.
 
 The **plan linter** (:mod:`repro.analysis.planlint`,
-:mod:`repro.analysis.rules`) statically checks what the engine is given —
-pattern propagation per Section 5.2, rewrite legality, NRR
-non-retroactivity, dead machinery, unbounded state — over logical plans
-and compiled pipelines.  :mod:`repro.analysis.bounds` derives each
-pipeline's CST8xx state-bound certificate.
+:mod:`repro.analysis.rules`) re-derives a plan's Section 5.2 update
+patterns independently of :mod:`repro.core.annotate` (UP001) and flags
+dead machinery in the user's plan (DM502).
+:mod:`repro.analysis.bounds` derives each pipeline's state-bound
+certificate.
 """
 
-from .planlint import LintReport, lint, lint_compiled, lint_rewrite
+from .planlint import LintReport, lint, lint_compiled
 from .rules import ALL_RULES, Diagnostic, LintContext
 
 __all__ = [
@@ -18,5 +18,4 @@ __all__ = [
     "LintReport",
     "lint",
     "lint_compiled",
-    "lint_rewrite",
 ]

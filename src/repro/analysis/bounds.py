@@ -17,9 +17,9 @@ derivable from the annotated plan —
 :func:`derive_certificate` turns the annotated plan into a
 :class:`StateCertificate` — one :class:`CertificateEntry` per state slot
 (physical buffers and symbolic-only stores such as group tables), plus
-the Section 5.4.1 per-unit-time cost estimate.  **CST801** consumes it
-statically: it rejects silently-unbounded state (an ``unbounded`` entry
-while the configuration does not opt in via ``allow_unbounded_state``).
+the Section 5.4.1 per-unit-time cost estimate.  Compilation itself
+rejects unbounded state the configuration did not opt into
+(``allow_unbounded_state``); the certificate names each slot's class.
 
 :func:`attach_certificate` derives and caches the certificate when a
 driver is built, whatever builds it; the telemetry sampler sums each
@@ -29,18 +29,22 @@ operator's entry sizes into ``op_state_bound``, beside its live state.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterator
+from typing import Any
 
+from ..core.annotate import AnnotatedPlan
 from ..core.cost import CostModel, PlanCost
-from ..core.patterns import MONOTONIC
-from ..core.plan import DupElim, GroupBy, Negation
-from ..errors import PlanError
-from .rules import (
-    Diagnostic,
-    LintContext,
-    SEVERITY_ERROR,
-    _feeding_pattern,
+from ..core.patterns import MONOTONIC, UpdatePattern
+from ..core.plan import (
+    DupElim,
+    GroupBy,
+    Intersect,
+    Join,
+    LogicalNode,
+    Negation,
+    RelationJoin,
 )
+from ..errors import PlanError
+from .rules import LintContext
 
 #: Symbolic bound classes, in increasing order of concern.
 BOUND_WINDOW = "O(window)"
@@ -131,6 +135,23 @@ class StateCertificate:
 # Derivation
 # ---------------------------------------------------------------------------
 
+def _feeding_pattern(annotated: AnnotatedPlan, node: LogicalNode,
+                     label: str) -> UpdatePattern:
+    """Pattern of the edge feeding the named buffer, per strategies.py's
+    buffer assignment (a buffer that stores *output* follows the node's
+    own pattern)."""
+    if isinstance(node, (Join, Intersect)):
+        side = 0 if label == "left" else 1
+        return annotated.pattern_of(node.children[side])
+    if isinstance(node, DupElim):
+        if label == "input":
+            return annotated.pattern_of(node.child)
+        return annotated.pattern_of(node)        # output buffer
+    if isinstance(node, (GroupBy, RelationJoin)):
+        return annotated.pattern_of(node.children[0])
+    return annotated.pattern_of(node)
+
+
 def _symbolic_size(bound: str, node: Any,
                    cost: PlanCost | None) -> tuple[str, float | None]:
     """The slot's size estimate as ``(text, number)``."""
@@ -148,15 +169,12 @@ def _symbolic_size(bound: str, node: Any,
     return f"{stats.size:.0f} tuples (rate x span)", stats.size
 
 
-def derive_certificate(compiled: Any,
-                       ctx: LintContext | None = None) -> StateCertificate:
+def derive_certificate(compiled: Any) -> StateCertificate:
     """Derive the symbolic state-bound certificate of a compiled pipeline
     (:func:`attach_certificate` is the cached entry point)."""
     root = compiled.root
     annotated = compiled.annotated
-    if ctx is None:
-        ctx = LintContext(root, annotated, config=compiled.config,
-                          compiled=compiled)
+    ctx = LintContext(root, annotated)
     domain = compiled.time_domain
     horizon = compiled.max_span if domain == "time" else None
     unwindowed = compiled.max_span is None
@@ -171,7 +189,7 @@ def derive_certificate(compiled: Any,
     def classify(node: Any, label: str) -> str:
         if isinstance(node, DupElim) and label == "output":
             return BOUND_DISTINCT
-        pattern = _feeding_pattern(ctx, node, label)
+        pattern = _feeding_pattern(annotated, node, label)
         if pattern is MONOTONIC or unwindowed:
             return BOUND_UNBOUNDED
         return BOUND_WINDOW
@@ -226,37 +244,6 @@ def attach_certificate(compiled: Any) -> StateCertificate:
     return compiled.certificate
 
 
-# ---------------------------------------------------------------------------
-# Rules
-# ---------------------------------------------------------------------------
-
-def rule_cst801_unbounded_state(ctx: LintContext) -> Iterator[Diagnostic]:
-    """CST801: silently-unbounded state is rejected.  An entry whose
-    symbolic bound is ``unbounded`` (state fed by a never-expiring edge)
-    can only be run under an explicit ``allow_unbounded_state`` opt-in;
-    re-proved here from the annotated plan so a tampered compile (or a
-    configuration swap after compilation) cannot smuggle unbounded state
-    past the compile-time guard."""
-    compiled = ctx.compiled
-    if compiled is None:
-        return
-    if ctx.config is not None \
-            and getattr(ctx.config, "allow_unbounded_state", False):
-        return
-    cert = derive_certificate(compiled, ctx)
-    for entry in cert.entries:
-        if entry.bound != BOUND_UNBOUNDED:
-            continue
-        yield Diagnostic(
-            "CST801", SEVERITY_ERROR, entry.path,
-            f"{entry.label} state is fed by a never-expiring edge: its "
-            "occupancy is unbounded (no window ever purges it) and the "
-            "configuration does not opt in via allow_unbounded_state",
-            "window every stream feeding stateful operators, or set "
-            "allow_unbounded_state=True deliberately",
-        )
-
-
 __all__ = [
     "BOUND_DISTINCT",
     "BOUND_PARTITIONS",
@@ -266,5 +253,4 @@ __all__ = [
     "StateCertificate",
     "attach_certificate",
     "derive_certificate",
-    "rule_cst801_unbounded_state",
 ]

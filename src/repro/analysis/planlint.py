@@ -1,14 +1,11 @@
 """Plan linting: run the static rule catalogue and render diagnostics.
 
-The linter re-proves the invariants the engine assumes (see
-:mod:`repro.analysis.rules`) instead of trusting the code that established
-them.  Three entry points:
+The linter re-derives the plan's update patterns independently and flags
+dead machinery in it (see :mod:`repro.analysis.rules`).  Two entry points:
 
-* :func:`lint` — check one plan (optionally with its config and compiled
-  pipeline);
-* :func:`lint_rewrite` — check an optimizer *output* plan against the
-  original it was rewritten from, re-proving the rewrite preconditions;
-* :func:`lint_compiled` — convenience over a :class:`CompiledQuery`.
+* :func:`lint` — check one plan (optionally against its annotations);
+* :func:`lint_compiled` — convenience over a :class:`CompiledQuery`,
+  checking the annotations the pipeline was compiled from.
 
 All return a :class:`LintReport`; ``report.ok`` is True when no
 error-severity diagnostic fired (warnings do not fail a plan).
@@ -20,13 +17,7 @@ from typing import Any
 
 from ..core.annotate import AnnotatedPlan, annotate
 from ..core.plan import LogicalNode
-from .rules import (
-    ALL_RULES,
-    Diagnostic,
-    LintContext,
-    PLAN_RULES,
-    REWRITE_RULES,
-)
+from .rules import ALL_RULES, Diagnostic, LintContext, PLAN_RULES
 
 
 class LintReport:
@@ -49,10 +40,6 @@ class LintReport:
     def ok(self) -> bool:
         """True when no error fired (warnings are advisory)."""
         return not self.errors
-
-    def merged(self, other: "LintReport") -> "LintReport":
-        return LintReport(self.diagnostics + other.diagnostics,
-                          self.rules_run + other.rules_run)
 
     def summary(self) -> str:
         """One-line verdict for explain footers and CLI status lines."""
@@ -85,53 +72,25 @@ class LintReport:
                 f"warnings={len(self.warnings)}, rules={self.rules_run})")
 
 
-def lint(plan: LogicalNode, config: Any = None, *,
-         annotated: AnnotatedPlan | None = None,
-         compiled: Any = None, driver: Any = None) -> LintReport:
-    """Run every applicable static rule over ``plan``.
+def lint(plan: LogicalNode, *,
+         annotated: AnnotatedPlan | None = None) -> LintReport:
+    """Run every static rule over ``plan``.
 
     ``annotated`` defaults to a fresh :func:`annotate` pass — pass the
     pipeline's own :class:`AnnotatedPlan` to verify the annotations actually
-    in use.  ``compiled`` enables the rules that read the compiled
-    pipeline (BUF103, PRG602, CST801);
-    ``driver`` enables the closure-capture check (ALS702) over the
-    driver's compiled closures.
+    in use.
     """
     annotated = annotated if annotated is not None else annotate(plan)
-    ctx = LintContext(plan, annotated, config=config, compiled=compiled,
-                      driver=driver)
+    ctx = LintContext(plan, annotated)
     diagnostics: list[Diagnostic] = []
     for _rule_id, rule in PLAN_RULES:
         diagnostics.extend(rule(ctx))
     return LintReport(diagnostics, len(PLAN_RULES))
 
 
-def lint_rewrite(original: LogicalNode, candidate: LogicalNode,
-                 config: Any = None) -> LintReport:
-    """Verify an optimizer-produced ``candidate`` against its ``original``.
-
-    Runs the full plan catalogue on the candidate plus the pairwise rewrite
-    rules: preservation of output schema and window leaves, and the
-    preconditions of negation pull-up and duplicate-elimination push-down
-    re-proved on the candidate's structure (Section 5.4.2).
-    """
-    report = lint(candidate, config)
-    annotated = annotate(candidate)
-    ctx = LintContext(candidate, annotated, config=config)
-    diagnostics: list[Diagnostic] = []
-    for _rule_id, rule in REWRITE_RULES:
-        diagnostics.extend(rule(original, candidate, ctx))
-    return report.merged(LintReport(diagnostics, len(REWRITE_RULES)))
+def lint_compiled(compiled: Any) -> LintReport:
+    """Lint a compiled pipeline's plan against its live annotations."""
+    return lint(compiled.root, annotated=compiled.annotated)
 
 
-def lint_compiled(compiled: Any, *, driver: Any = None) -> LintReport:
-    """Lint a compiled pipeline: its plan, its live annotations and its
-    state buffers (plus, when a ``driver`` is supplied, its compiled
-    closures)."""
-    return lint(compiled.root, compiled.config,
-                annotated=compiled.annotated, compiled=compiled,
-                driver=driver)
-
-
-__all__ = ["Diagnostic", "LintReport", "lint", "lint_rewrite",
-           "lint_compiled", "ALL_RULES"]
+__all__ = ["Diagnostic", "LintReport", "lint", "lint_compiled", "ALL_RULES"]

@@ -94,9 +94,15 @@ class StateBuffer(abc.ABC):
         Returns True if a matching tuple was found and removed.
         """
 
-    @abc.abstractmethod
     def purge_expired(self, now: float) -> list[Tuple]:
-        """Remove and return every stored tuple with ``exp <= now``."""
+        """Remove and return every stored tuple with ``exp <= now``.
+
+        Every buffer the engine purges by timestamp implements this; a
+        hash buffer (NT only, where every expiration arrives as a negative
+        tuple) does not.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} is never purged by timestamp")
 
     # -- inspection ----------------------------------------------------------
 

@@ -7,16 +7,16 @@ buffer "a hash table on the key attribute".
 
 Deletions arrive as negative tuples carrying the key, so :meth:`delete` costs
 one bucket scan (O(1) expected).  There is no cheap way to find tuples by
-expiration time, so :meth:`purge_expired` is a full scan.  Only NT builds
-hash buffers, and under the negative tuple approach *every* expiration is
-signalled explicitly, so the engine never calls it: NT operators are not
-lazily maintained, and hash result views are built with ``purges=False``.
-It stays for the :class:`StateBuffer` contract.
+expiration time, and no need: only NT builds hash buffers, and under the
+negative tuple approach *every* expiration is signalled explicitly.  NT
+operators are not lazily maintained and hash result views are built with
+``purges=False``, so a hash buffer is never purged by timestamp and does
+not implement :meth:`~repro.buffers.base.StateBuffer.purge_expired`.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator
+from typing import Iterator
 
 from ..core.tuples import Tuple
 from .base import KeyFunction, StateBuffer, values_key
@@ -73,28 +73,6 @@ class HashBuffer(StateBuffer):
                 return True
         counters.touches += len(bucket)
         return False
-
-    def purge_expired(self, now: float) -> list[Tuple]:
-        # Full scan: the engine never asks (see the module docstring).
-        expired: list[Tuple] = []
-        empty_keys: list[Hashable] = []
-        for key, bucket in self._index.items():
-            survivors = []
-            for t in bucket:
-                self.counters.touches += 1
-                if t.exp > now:
-                    survivors.append(t)
-                else:
-                    expired.append(t)
-            if survivors:
-                self._index[key] = survivors
-            else:
-                empty_keys.append(key)
-        for key in empty_keys:
-            del self._index[key]
-        self._size -= len(expired)
-        self.counters.expirations += len(expired)
-        return expired
 
     def __len__(self) -> int:
         return self._size

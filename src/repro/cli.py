@@ -171,9 +171,8 @@ def _cmd_lint(args) -> int:
 
     Exit status 0 when no error-severity diagnostic fired (warnings are
     advisory), 1 otherwise.  The plan is also compiled under ``--mode``,
-    so the rules that read the compiled pipeline (BUF103, PRG602,
-    CST801) and its closures (ALS702) check what the engine — and
-    the driver — would actually execute.  ``--lint-certificate``
+    so the rules check the annotations the engine would actually run and
+    a strategy's rejection is reported.  ``--lint-certificate``
     additionally prints the derived symbolic state-bound certificate.
     """
     from .analysis.planlint import lint, lint_compiled
@@ -190,17 +189,16 @@ def _cmd_lint(args) -> int:
     except PlanError as error:
         # The plan is invalid under this strategy (e.g. negation under
         # DIRECT): still lint the logical plan, then report the rejection.
-        report = lint(plan, config)
+        report = lint(plan)
         print(report.render())
         print(f"compilation under mode={args.mode} rejected the plan: "
               f"{error}")
         return 0 if report.ok else 1
-    # The driver attaches the certificate, and ALS702 walks its closures.
-    driver = Driver(compiled)
-    report = lint_compiled(compiled, driver=driver)
+    report = lint_compiled(compiled)
     print(report.render())
     if args.lint_certificate:
-        print(compiled.certificate.render())
+        # Building the driver attaches the certificate.
+        print(Driver(compiled).compiled.certificate.render())
     return 0 if report.ok else 1
 
 

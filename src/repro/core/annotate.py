@@ -57,8 +57,14 @@ def annotate(root: LogicalNode) -> AnnotatedPlan:
     patterns: dict[int, UpdatePattern] = {}
     lags: dict[int, float | None] = {}
     for node in root.walk():  # children are always visited before parents
-        child_patterns = [patterns[id(c)] for c in node.children]
-        pattern = node.derive_pattern(child_patterns)
+        if isinstance(node, plan_mod.SharedScan):
+            # A shared cut replays its source's output verbatim, so it
+            # carries the source's pattern; annotating the source also
+            # applies its constraints (no NRR-join over STR input).
+            pattern = annotate(node.source).output_pattern
+        else:
+            child_patterns = [patterns[id(c)] for c in node.children]
+            pattern = node.derive_pattern(child_patterns)
         lag = _uniform_lag(node, lags)
         if (isinstance(node, plan_mod.Union)
                 and pattern is UpdatePattern.WKS and lag is None):
@@ -68,13 +74,8 @@ def annotate(root: LogicalNode) -> AnnotatedPlan:
     return AnnotatedPlan(root, patterns)
 
 
-def subtree_lag(root: LogicalNode) -> float | None:
-    """The uniform ``exp − ts`` offset of ``root``'s output, if one exists.
-
-    Used by the sharing planner to stamp :class:`SharedScan` nodes so that
-    the residual plan's WKS/WK decisions (the Rule 2 refinement above)
-    match the un-cut plan exactly.
-    """
+def _subtree_lag(root: LogicalNode) -> float | None:
+    """The uniform ``exp − ts`` offset of ``root``'s output, if one exists."""
     lags: dict[int, float | None] = {}
     for node in root.walk():
         lags[id(node)] = _uniform_lag(node, lags)
@@ -86,7 +87,7 @@ def _uniform_lag(node: LogicalNode,
     """The single ``exp − ts`` offset of every tuple this node emits, if one
     exists (None when lifetimes can vary across tuples)."""
     if isinstance(node, plan_mod.SharedScan):
-        return node.lag
+        return _subtree_lag(node.source)
     if isinstance(node, plan_mod.WindowScan):
         window = node.stream.window
         return float("inf") if window is None else window.span

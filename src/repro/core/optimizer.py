@@ -16,13 +16,14 @@ One hard constraint is enforced everywhere: the input to an R-join or an
 NRR-join can never be strict non-monotonic, because those joins cannot
 process negative tuples — so they are never pushed below a negation.
 
-Caveat (documented in DESIGN.md): negation pull-up/push-down and duplicate
-elimination push-down are *set-semantics* rewrites — under Equation 1's bag
-semantics the two sides can differ in multiplicity when the moved operator's
-sibling input carries duplicate key values.  They are therefore generated
-only when :class:`RewriteOptions` enables them (the default mirrors the
-paper, which treats Figure 6's two rewritings as interchangeable), and the
-benchmark workloads verify value-set equivalence explicitly.
+Negation moves only across a join whose other input holds at most one
+tuple per key value.  Under Equation 1's bag semantics a key with counts
+n_A, n_B and n_C has max(n_A − n_B, 0)·n_C results below the move and
+max(n_A·n_C − n_B, 0) above it: equal only when n_C ≤ 1.  Figure 6's two
+rewritings of Query 5 (whose ftp side repeats source IPs) are therefore
+not candidates of each other; they differ even in which keys they report.
+Every candidate is held to the Definition 1 oracle of the original plan
+by ``tests/test_optimizer.py``.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class RewriteOptions:
 
     push_selections: bool = True
     reorder_joins: bool = True      # associativity (input swap is cost-neutral)
-    move_negation: bool = True      # set-semantics caveat, see module docs
-    move_dupelim: bool = True       # set-semantics caveat, see module docs
+    move_negation: bool = True      # across key-unique inputs only
+    move_dupelim: bool = True
     max_candidates: int = 64
 
 
@@ -153,16 +154,23 @@ def _push_selection(select: Select) -> list[LogicalNode]:
     the predicate's attributes."""
     child = select.child
     out: list[LogicalNode] = []
-    if isinstance(child, (Join, Negation)):
-        # For negation, pushing into the right input would change the
-        # result (it filters what is *subtracted*), so only the left side
-        # is eligible; for joins both are.
-        for side in (0, 1) if isinstance(child, Join) else (0,):
-            predicate = _predicate_below(select.predicate, child, side)
-            if predicate is not None:
-                children = list(child.children)
-                children[side] = Select(children[side], predicate)
-                out.append(child.with_children(children))
+    sides: tuple[int, ...] = ()
+    if isinstance(child, Join):
+        sides = (0, 1)
+    elif isinstance(child, Negation) \
+            and set(select.predicate.attrs) == {child.left_attr}:
+        # Only the left input, and only a predicate on the negation
+        # attribute: filtering the right changes what is *subtracted*, and
+        # Equation 1 picks which left tuples of a key survive by age, so a
+        # predicate on another column filters differently before the
+        # choice than after it.
+        sides = (0,)
+    for side in sides:
+        predicate = _predicate_below(select.predicate, child, side)
+        if predicate is not None:
+            children = list(child.children)
+            children[side] = Select(children[side], predicate)
+            out.append(child.with_children(children))
     if isinstance(child, DupElim):
         out.append(DupElim(Select(child.child, select.predicate)))
     return out
@@ -196,19 +204,21 @@ def _negation_pull_up(plan: LogicalNode) -> list[LogicalNode]:
 
     Moving the negation above the join means the join never sees negative
     tuples (update pattern simplification).  Applies when the join attribute
-    is the negation attribute.
+    is the negation attribute and C holds at most one tuple per key.
     """
     if not isinstance(plan, Join):
         return []
     out: list[LogicalNode] = []
     left, right = plan.left, plan.right
-    if isinstance(left, Negation) and left.left_attr == plan.left_attr:
+    if (isinstance(left, Negation) and left.left_attr == plan.left_attr
+            and _unique_on(right, plan.right_attr)):
         joined = Join(left.left, right, plan.left_attr, plan.right_attr,
                       plan.prefixes)
         # The negation attribute keeps its (possibly prefixed) left name.
         neg_attr = _attr_after_join(joined, plan.left_attr, side="left")
         out.append(Negation(joined, left.right, neg_attr, left.right_attr))
-    if isinstance(right, Negation) and right.left_attr == plan.right_attr:
+    if (isinstance(right, Negation) and right.left_attr == plan.right_attr
+            and _unique_on(left, plan.left_attr)):
         joined = Join(left, right.left, plan.left_attr, plan.right_attr,
                       plan.prefixes)
         neg_attr = _attr_after_join(joined, plan.right_attr, side="right")
@@ -218,7 +228,8 @@ def _negation_pull_up(plan: LogicalNode) -> list[LogicalNode]:
 
 def _negation_push_down(plan: LogicalNode) -> list[LogicalNode]:
     """(A ⋈_k C) − B on k  →  (A − B on k) ⋈_k C, when the negation
-    attribute came from the join's left (resp. right) input."""
+    attribute came from the join's left (resp. right) input and C holds
+    at most one tuple per key."""
     if not isinstance(plan, Negation):
         return []
     child = plan.left
@@ -227,12 +238,14 @@ def _negation_push_down(plan: LogicalNode) -> list[LogicalNode]:
     out: list[LogicalNode] = []
     left_attr = _attr_after_join(child, child.left_attr, side="left")
     right_attr = _attr_after_join(child, child.right_attr, side="right")
-    if plan.left_attr == left_attr:
+    if plan.left_attr == left_attr and _unique_on(child.right,
+                                                  child.right_attr):
         negated = Negation(child.left, plan.right, child.left_attr,
                            plan.right_attr)
         out.append(Join(negated, child.right, child.left_attr,
                         child.right_attr, child.prefixes))
-    if plan.left_attr == right_attr:
+    if plan.left_attr == right_attr and _unique_on(child.left,
+                                                   child.left_attr):
         negated = Negation(child.right, plan.right, child.right_attr,
                            plan.right_attr)
         out.append(Join(child.left, negated, child.left_attr,
@@ -292,6 +305,16 @@ def _attr_after_join(join: Join, attr: str, side: str) -> str:
         return attr
     prefix = join.prefixes[0] if side == "left" else join.prefixes[1]
     return f"{prefix}{attr}"
+
+
+def _unique_on(plan: LogicalNode, attr: str) -> bool:
+    """True when ``plan`` provably holds at most one live tuple per value
+    of ``attr``: a duplicate elimination whose only column is ``attr``,
+    possibly under selections (the case in which a negation may move
+    across a join on ``attr``; see the module docstring)."""
+    while isinstance(plan, Select):
+        plan = plan.child
+    return isinstance(plan, DupElim) and tuple(plan.schema.fields) == (attr,)
 
 
 def _legal(plan: LogicalNode) -> bool:

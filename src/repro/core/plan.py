@@ -470,29 +470,24 @@ class SharedScan(LogicalNode):
     """Leaf standing in for a shared subplan's output stream.
 
     The shared multi-query planner (:mod:`repro.engine.sharing`) replaces a
-    common subtree with a ``SharedScan`` carrying the subtree's schema,
-    output update pattern, uniform-lag value and structural fingerprint.
-    At runtime a single shared producer pipeline evaluates the subtree once
-    and fans its output stream (insertions *and* negative tuples) out to
-    every consumer's port, so the residual plan above the scan observes
-    exactly the tuple stream it would have observed had the subtree been
-    compiled privately.
+    common subtree with a ``SharedScan`` carrying the subtree and its
+    structural fingerprint.  At runtime a single shared producer pipeline
+    evaluates the subtree once and fans its output stream (insertions
+    *and* negative tuples) out to every consumer's port, so the residual
+    plan above the scan observes exactly the tuple stream it would have
+    observed had the subtree been compiled privately.
 
-    ``source`` retains the original subtree: compilation consults its
-    window leaves so residual-plan decisions that depend on whole-plan
-    window geometry (maximum span, time domain) are unchanged by the cut.
+    The cut stores nothing it could get wrong about ``source``:
+    annotation reads the source's update pattern and uniform lag through
+    it, and compilation consults its window leaves, so residual-plan
+    decisions (WKS/WK, NRR-join legality, maximum span, time domain) are
+    unchanged by the cut.
     """
 
-    def __init__(self, source: LogicalNode, pattern: UpdatePattern,
-                 fingerprint: str, lag: float | None = None,
+    def __init__(self, source: LogicalNode, fingerprint: str, *,
                  label: str = "S?"):
         self.source = source
-        self.pattern = pattern
         self.fingerprint = fingerprint
-        #: Uniform ``exp − ts`` offset of the subtree's output (see
-        #: ``annotate._uniform_lag``); preserved so WKS/WK decisions above
-        #: the scan match the un-cut plan exactly.
-        self.lag = lag
         self.label = label
 
     @property
@@ -509,9 +504,6 @@ class SharedScan(LogicalNode):
     def source_leaves(self) -> list["WindowScan"]:
         """Window leaves of the replaced subtree (for window inspection)."""
         return self.source.leaves()
-
-    def derive_pattern(self, child_patterns: Sequence[UpdatePattern]) -> UpdatePattern:
-        return self.pattern
 
     def with_children(self, children: Sequence[LogicalNode]) -> "SharedScan":
         if children:

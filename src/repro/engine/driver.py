@@ -192,23 +192,6 @@ class Driver:
         loop = f"one loop; column prelude: {preludes}"
         return f"{loop}; row arrivals: {rows}" if rows else loop
 
-    # -- static introspection (ownership analysis) -------------------------
-
-    def compiled_closures(self):
-        """``(name, closure)`` pairs for every compiled closure, without
-        executing anything — the ALS702 ownership rule walks their
-        ``__closure__`` cells to prove no pre-seal plan object was
-        captured."""
-        yield "process_event", self.process_event
-        columns = {stream: [fn for fn, _slot in pairs]
-                   for stream, pairs in self._preludes.items()}
-        for kind, table in (("arrival_pt", self._arrivals_pt),
-                            ("arrival_b", self._arrivals_b),
-                            ("column", columns)):
-            for stream, fns in table.items():
-                for i, fn in enumerate(fns):
-                    yield f"{kind}:{stream}[{i}]", fn
-
     # -- steps the compiled loops call --------------------------------------
 
     def _clock_for(self, event: Event) -> float:

@@ -108,7 +108,7 @@ class ContinuousQuery:
 
         tree = explain(self.plan, self.compiled.annotated)
         verdict = analyze_partitionability(self.plan)
-        report = lint_compiled(self.compiled, driver=self.executor)
+        report = lint_compiled(self.compiled)
         certificate = self.compiled.certificate
         registry = self.compiled.metrics
         metrics_note = (f"{len(registry)} instruments across "

@@ -38,10 +38,10 @@ compiled independently.
   phase and replayed by each consumer's port.  Predictable expirations
   are, by design, not part of that stream (Definition 2); consumers learn
   them from ``exp`` timestamps exactly as they would below an un-shared
-  subtree.  :class:`~repro.core.plan.SharedScan` preserves the subtree's
-  schema, output pattern and uniform lag, so the residual compiles as if
-  the subtree were in place (including whole-plan ``max_span`` via the
-  retained source leaves).
+  subtree.  :class:`~repro.core.plan.SharedScan` keeps the subtree as its
+  ``source``, and annotation reads the schema, output pattern and uniform
+  lag through it, so the residual compiles as if the subtree were in
+  place (including whole-plan ``max_span`` via the source's leaves).
 * **Per-event ordering is replayed, not approximated.**  Independent
   execution interleaves a query's expiration pass (bottom-up, each
   operator's emissions pushed to the root before the next expires) with
@@ -69,7 +69,6 @@ import dataclasses
 from collections import Counter as Multiset
 from typing import Iterable, Sequence
 
-from ..core.annotate import annotate, subtree_lag
 from ..core.fingerprint import fingerprint_all, shareable
 from ..core.metrics import Counters
 from ..core.plan import LogicalNode, SharedScan
@@ -274,13 +273,7 @@ def _plan_shared(
                     producers[key] = producer
                 producer_of_fp[fp] = producer
                 subtree = producer.plan
-                return SharedScan(
-                    source=subtree,
-                    pattern=annotate(subtree).output_pattern,
-                    fingerprint=fp,
-                    lag=subtree_lag(subtree),
-                    label=producer.name,
-                )
+                return SharedScan(subtree, fp, label=producer.name)
             if not node.children:
                 return node
             children = [rewrite(child) for child in node.children]

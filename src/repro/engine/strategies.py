@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from typing import NamedTuple
 
 from ..buffers.base import StateBuffer
@@ -104,15 +105,20 @@ class ExecutionConfig:
             raise ConfigError(
                 f"mode must be a Mode, got {self.mode!r} "
                 f"(valid: {[m.value for m in Mode]})")
-        if self.n_partitions < 1:
+        if not isinstance(self.n_partitions, int) or self.n_partitions < 1:
             raise ConfigError(
-                f"n_partitions must be >= 1, got {self.n_partitions} "
-                "(the partitioned buffer needs at least one partition, "
-                "Figure 7)")
-        if self.lazy_interval is not None and self.lazy_interval <= 0:
+                f"n_partitions must be >= 1 and an int, got "
+                f"{self.n_partitions!r} (the partitioned buffer needs at "
+                "least one partition, Figure 7)")
+        interval = self.lazy_interval
+        # nan and inf compare False against 0, and either one would mean
+        # lazily maintained state is never purged.
+        if interval is not None and not (
+                isinstance(interval, (int, float))
+                and math.isfinite(interval) and interval > 0):
             raise ConfigError(
-                f"lazy_interval must be positive when set, got "
-                f"{self.lazy_interval} (None selects the paper's default of "
+                f"lazy_interval must be positive and finite when set, got "
+                f"{interval!r} (None selects the paper's default of "
                 "5% of the largest window)")
 
 

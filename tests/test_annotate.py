@@ -28,6 +28,7 @@ from repro import (
     attr_equals,
     explain,
 )
+from repro.core.plan import SharedScan
 
 AB = Schema(["a", "b"])
 
@@ -109,8 +110,19 @@ class TestConstraints:
     def test_nrr_join_over_str_input_rejected(self):
         nrr = NRR("n", Schema(["k", "v"]))
         neg = Negation(scan("s1"), scan("s2"), "a")
-        with pytest.raises(PlanError, match="NRR-join"):
-            annotate(NRRJoin(neg, nrr, "a", "k"))
+        # A shared cut cannot hide the negation: annotation reads through
+        # it to its source.
+        for child in (neg, SharedScan(neg, "hides-negation")):
+            with pytest.raises(PlanError, match="NRR-join"):
+                annotate(NRRJoin(child, nrr, "a", "k"))
+
+    def test_shared_scan_declares_no_pattern_or_lag(self):
+        """A cut holds only its source, so nothing it declares can
+        disagree with that source."""
+        with pytest.raises(TypeError, match="pattern"):
+            SharedScan(scan(), "fp", pattern=WKS)
+        with pytest.raises(TypeError, match="lag"):
+            SharedScan(scan(), "fp", lag=10.0)
 
     def test_relation_join_over_str_input_rejected(self):
         rel = Relation("r", Schema(["k", "v"]))

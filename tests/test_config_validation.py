@@ -33,8 +33,11 @@ class TestRejections:
             ExecutionConfig(n_partitions=0)
 
     def test_n_partitions_negative(self):
-        with pytest.raises(ConfigError, match="got -3"):
-            ExecutionConfig(n_partitions=-3)
+        """A fraction or a string fails here too, not later as a bare
+        TypeError inside the partitioned buffer."""
+        for value in (-3, 2.5, "3"):
+            with pytest.raises(ConfigError, match=f"got {value!r}"):
+                ExecutionConfig(n_partitions=value)
 
     def test_lazy_interval_zero(self):
         with pytest.raises(ConfigError, match="lazy_interval must be "
@@ -42,8 +45,11 @@ class TestRejections:
             ExecutionConfig(lazy_interval=0.0)
 
     def test_lazy_interval_negative(self):
-        with pytest.raises(ConfigError, match="lazy_interval"):
-            ExecutionConfig(lazy_interval=-1.5)
+        """nan and inf compare False against 0; either would leave lazily
+        maintained state unpurged for the whole run."""
+        for value in (-1.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="lazy_interval"):
+                ExecutionConfig(lazy_interval=value)
 
     @pytest.mark.parametrize("frequency", [-0.01, 1.01, 7.0])
     def test_premature_frequency_out_of_range(self, frequency):

@@ -8,6 +8,7 @@ from repro import (
     Arrival,
     ContinuousQuery,
     Counters,
+    DupElim,
     ExecutionConfig,
     Intersect,
     Join,
@@ -97,8 +98,10 @@ class TestOptimizerCorners:
                     assert node.left.stream.name == "a"
 
     def test_pull_up_with_negation_on_right_join_input(self):
+        # The left input holds one tuple per key, so the pull-up keeps
+        # Equation 1's multiplicities.
         neg = Negation(scan("b"), scan("c"), "v")
-        plan = Join(scan("a"), neg, "v", "v")
+        plan = Join(DupElim(Project(scan("a"), ["v"])), neg, "v", "v")
         pulled = [p for p in Optimizer().candidates(plan)
                   if isinstance(p, Negation) and isinstance(p.left, Join)]
         assert pulled

@@ -101,8 +101,10 @@ class TestReadmeQuickstart:
         namespace: dict = {}
         exec(compile(blocks[0], "README-lint", "exec"), namespace)
         assert namespace["report"].ok
+        assert ("plan is clean: 2 rules"
+                in namespace["report"].render())
         explained = namespace["query"].explain()
-        assert "-- lint: clean (8 rules)" in explained
+        assert "-- lint: clean (2 rules)" in explained
         # The execution-program footer the README promises, verbatim up to
         # the plan-dependent counts.
         assert ("-- program: EXPIRE>DISPATCH>PROPAGATE>PURGE>DELIVER"
@@ -118,7 +120,9 @@ class TestReadmeQuickstart:
         exec(compile(blocks[0], "README-certificate", "exec"), namespace)
         certificate = namespace["certificate"]
         assert certificate.bounded
-        assert "-- bounds: " in namespace["query"].explain()
+        explained = namespace["query"].explain()
+        assert "-- bounds: " in explained
+        assert "-- lint: clean (2 rules)" in explained
 
     def test_cli_examples_reference_real_subcommands(self):
         from repro.cli import main

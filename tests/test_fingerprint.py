@@ -110,5 +110,5 @@ class TestShareable:
 
     def test_shared_scan_is_not_reshared(self):
         inner = _scan().build()
-        scan = SharedScan(inner, None, fingerprint(inner))
+        scan = SharedScan(inner, fingerprint(inner))
         assert not shareable(scan)

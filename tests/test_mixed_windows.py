@@ -17,11 +17,13 @@ from repro import (
     StreamDef,
     Tick,
     TimeWindow,
+    Union,
     WK,
     WKS,
     annotate,
     from_window,
 )
+from repro.core.plan import SharedScan
 from repro.testing import assert_equivalent, check_plan
 
 V = Schema(["v"])
@@ -34,6 +36,14 @@ def stream(name, window):
 def mixed_union(w_a=10, w_b=3):
     return (from_window(stream("a", w_a))
             .union(from_window(stream("b", w_b))).build())
+
+
+def cut_union(w_a, w_b):
+    """The same union over two shared cuts: annotation reads each cut's
+    lag through to its source, so the cuts change no decision."""
+    a, b = (from_window(stream(name, w)).build()
+            for name, w in (("a", w_a), ("b", w_b)))
+    return Union(SharedScan(a, "cut-a"), SharedScan(b, "cut-b"))
 
 
 def random_events(n=200, seed=0):
@@ -49,9 +59,11 @@ def random_events(n=200, seed=0):
 class TestAnnotationRefinement:
     def test_mixed_windows_union_is_wk(self):
         assert annotate(mixed_union()).output_pattern is WK
+        assert annotate(cut_union(10, 3)).output_pattern is WK
 
     def test_equal_windows_union_stays_wks(self):
         assert annotate(mixed_union(10, 10)).output_pattern is WKS
+        assert annotate(cut_union(10, 10)).output_pattern is WKS
 
     def test_selection_preserves_lag(self):
         from repro import attr_equals

@@ -2,8 +2,9 @@
 
 The unified negative-tuple handling (every stateful operator can delete
 matching state and cascade) must compose: negation feeding negation, union
-over negation, negation in a negation's *right* input.  Each shape is pinned
-to the Definition-1 oracle under every STR execution scheme.
+over negation, negation in a negation's *right* input, a group-by over a
+negation.  Each shape is pinned to the Definition-1 oracle under every STR
+execution scheme.
 """
 
 import random
@@ -12,13 +13,17 @@ import pytest
 
 from repro import (
     Arrival,
+    ContinuousQuery,
+    ExecutionConfig,
     Mode,
+    ReferenceEvaluator,
     Schema,
     StreamDef,
     Tick,
     TimeWindow,
     from_window,
 )
+from repro.lang.builder import count
 from repro.testing import check_plan
 
 V = Schema(["v"])
@@ -69,6 +74,23 @@ class TestNestedStrictShapes:
                 .minus(from_window(stream("s1")), on="v")
                 .distinct().build())
         check_plan(plan, events(seed=4), mode)
+
+    def test_group_by_over_negation_with_a_subscriber(self, mode):
+        """Two chained eager participants under UPA: each pass must
+        expire the negation before the group-by above it (bottom-up), or
+        a subscribed group-by keeps groups whose members already left."""
+        plan = (from_window(stream("s0"))
+                .minus(from_window(stream("s1")), on="v")
+                .group_by(["v"], [count("n")]).build())
+        for seed in (1, 3, 4):
+            query = ContinuousQuery(plan, ExecutionConfig(mode=mode))
+            query.subscribe(lambda t, now: None)
+            oracle = ReferenceEvaluator()
+            for event in events(seed=seed):
+                query.executor.process_event(event)
+                oracle.observe(event)
+                assert query.answer() == oracle.evaluate(plan, event.ts), (
+                    seed, event)
 
     def test_intersect_with_negation_input(self, mode):
         plan = (from_window(stream("s0"))

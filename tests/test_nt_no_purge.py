@@ -7,10 +7,9 @@ ever holds a tuple the clock has reached, and the lazy purges the other
 strategies schedule would find nothing: an NT program has no lazily
 maintained operator.  Checked here on random traces over every stateful NT
 shape, per tuple and in batches: after every event or batch no buffer
-holds a due tuple, and the same pipeline with the lazy
-purges put back gives the same answers and every counter but ``touches``
-(what the scans cost).  The last class pins what NT's hot loops no longer
-call.
+holds a due tuple, and the answer equals the Definition 1 oracle's.  (Hash
+buffers, which only NT builds, cannot be purged by timestamp at all.)  The
+last class pins what NT's hot loops no longer call.
 """
 
 import cProfile
@@ -43,9 +42,7 @@ from repro import (
     TimeWindow,
     Union,
     WindowScan,
-    compile_plan,
 )
-from repro.engine.driver import Driver
 from repro.engine.views import BufferView
 from repro.operators.dupelim import DupElimStandardOp
 from repro.operators.join import JoinOp
@@ -124,13 +121,6 @@ def lazily_maintained(compiled):
             if isinstance(op, (JoinOp, DupElimStandardOp, RelationJoinOp))]
 
 
-def with_lazy_purges(plan, config):
-    """The NT pipeline with those lazy participants put back."""
-    compiled = compile_plan(plan, config)
-    compiled.lazy_ops.extend(lazily_maintained(compiled))
-    return Driver(compiled)
-
-
 def stored(compiled):
     """Every tuple held by operator state or the result view."""
     for op in compiled.ops.values():
@@ -145,41 +135,28 @@ def stored(compiled):
         yield from compiled.view.buffer
 
 
-def without_touches(counters):
-    return {k: v for k, v in counters.snapshot().items() if k != "touches"}
-
-
 @pytest.mark.parametrize("drive", DRIVES, ids=str)
 @SETTINGS
 @given(case=cases())
 def test_nt_state_never_trails_the_clock(drive, case):
     shape, sizes, events = case
-    # A short lazy interval: the restored purges run at almost every event.
-    config = ExecutionConfig(mode=Mode.NT, lazy_interval=0.5)
     plan = SHAPES[shape](*sizes)
-    query = ContinuousQuery(plan, config)
+    query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.NT))
     assert query.compiled.lazy_ops == []
-    purged = with_lazy_purges(SHAPES[shape](*sizes), config)
     oracle = ReferenceEvaluator()
     step = 1 if drive == "event" else drive
     for start in range(0, len(events), step):
         chunk = events[start:start + step]
-        for executor in (query.executor, purged):
-            if drive == "event":
-                executor.process_event(chunk[0])
-            else:
-                executor.process_batch(chunk)
+        if drive == "event":
+            query.executor.process_event(chunk[0])
+        else:
+            query.executor.process_batch(chunk)
         for event in chunk:
             oracle.observe(event)
         now = query.executor.now
         due = [t for t in stored(query.compiled) if t.exp <= now]
         assert not due, (shape, start, now, due)
-        answer = query.answer()
-        assert answer == purged.answer() == oracle.evaluate(plan), (
-            shape, start)
-        assert (without_touches(query.counters)
-                == without_touches(purged.compiled.counters)), (shape, start)
-    assert query.counters.touches <= purged.compiled.counters.touches
+        assert query.answer() == oracle.evaluate(plan), (shape, start)
 
 
 # -- who is lazily maintained ---------------------------------------------------
@@ -215,14 +192,12 @@ def test_other_strategies_keep_their_lazy_participants(shape, mode):
 class TestNtCallBudget:
     """A batched Query-4 run under NT builds each negative once (no
     ``negate``), matches deletions inline (no ``matches_deletion``),
-    never scans a hash buffer by timestamp, and its operators read the
-    sign and build projections directly.  The remaining ``is_negative``
+    and its operators read the sign and build projections directly.  The remaining ``is_negative``
     and ``with_values`` calls come from the driver's fused projection
     and the result view's ``apply``, which this budget does not cover."""
 
     AVOIDED = {("core/tuples.py", "negate"),
-               ("core/tuples.py", "matches_deletion"),
-               ("buffers/hashed.py", "purge_expired")}
+               ("core/tuples.py", "matches_deletion")}
     OUTSIDE_OPERATORS = {("core/tuples.py", "is_negative"),
                          ("core/tuples.py", "with_values")}
 

@@ -138,7 +138,9 @@ class TestJoinOp:
         assert op.state_size() == 1  # only the right tuple remains
 
     def test_purge_discards_expired_state(self):
-        op = self.make()
+        # Timestamp purges maintain UPA and DIRECT state; NT's hash
+        # buffers never get one.
+        op = JoinOp(VV, 0, 0, ListBuffer(_first), ListBuffer(_first))
         op.process(0, t("a", 1, 5), 1)
         op.process(1, t("b", 2, 20), 2)
         op.purge(10)
@@ -561,7 +563,7 @@ ARRIVAL_OPERATORS = {
         1, False, LIVES),
     GroupByOp: (lambda c: GroupByOp(
         Schema(["v", "n", "s"]), (0,), ("count", "sum"), (None, 1),
-        HashBuffer(_values, c), c), 1, True, LIVES),
+        ListBuffer(_values, c), c), 1, True, LIVES),
     NegationOp: (lambda c: NegationOp(VV, 0, 0, counters=c), 2, True, LIVES),
     # WKS inputs: one lifetime keeps each side's exp in arrival order.
     NegationFifoOp: (lambda c: NegationFifoOp(VV, 0, 0, counters=c),

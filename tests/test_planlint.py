@@ -2,9 +2,10 @@
 
 Positive direction: every rule in the catalogue provably fires, using the
 constructed violations of ``tests/badplans``.  Negative direction: the
-paper's five queries — as written, as compiled under every mode, and as
-rewritten by the optimizer — lint clean, so the rules carry no false
-positives on the plans the engine actually runs.
+paper's five queries — as written and as compiled under every mode — lint
+clean, so the rules carry no false positives on the plans the engine
+actually runs.  (Optimizer rewrites are held to the Definition 1 oracle
+in ``tests/test_optimizer.py``.)
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ import pytest
 from badplans import CORPUS, BadPlan
 from badplans.cases import WINDOW, _GEN
 
-from repro.analysis.planlint import lint, lint_compiled, lint_rewrite
+from repro.analysis.planlint import lint, lint_compiled
 from repro.analysis.rules import ALL_RULES, PLAN_RULES, rederive_patterns
 from repro.cli import main
 from repro.core.annotate import annotate
 from repro.core.metrics import Counters, NullCounters
-from repro.core.optimizer import Optimizer
-from repro.core.plan import SharedScan, WindowScan
 from repro.engine.query import ContinuousQuery
 from repro.engine.strategies import ExecutionConfig, Mode, compile_plan
 from repro.errors import PlanError
@@ -112,47 +111,21 @@ class TestPaperQueriesClean:
             assert annotated.pattern_of(node) is derived[id(node)]
 
 
-class TestOptimizerOutputsClean:
-    @pytest.mark.parametrize("name", sorted(QUERY_BUILDERS))
-    def test_every_ranked_candidate_passes_rewrite_lint(self, name):
-        plan = QUERY_BUILDERS[name]()
-        for ranked in Optimizer().rank(plan):
-            report = lint_rewrite(plan, ranked.plan)
-            assert report.ok, (
-                f"optimizer candidate for {name} failed lint:\n"
-                f"{report.render()}")
-
-
 # ---------------------------------------------------------------------------
 # Specific rule shapes not covered by the corpus one-per-rule mapping
 # ---------------------------------------------------------------------------
 
 class TestRuleDetails:
-    def test_up002_lag_mismatch_alone_fires(self):
-        """A cut with the right pattern but a wrong lag still lies: WKS/WK
-        decisions above it would diverge from the un-cut plan."""
-        source = WindowScan(_GEN.stream_def(0, WINDOW))
-        scan = SharedScan(source, annotate(source).pattern_of(source),
-                          fingerprint="bad-lag", lag=WINDOW * 7, label="S9")
-        report = lint(scan)
-        assert any(d.rule == "UP002" and "lag" in d.message
-                   for d in report.diagnostics), report.render()
-
-    def test_report_merge_and_summary(self):
+    def test_report_summary(self):
         clean = lint(QUERY_BUILDERS["query1"]())
         dirty = CORPUS[0].report()
-        merged = clean.merged(dirty)
-        assert merged.rules_run == clean.rules_run + dirty.rules_run
-        assert len(merged.diagnostics) == len(dirty.diagnostics)
-        assert "clean" in clean.summary()
+        assert clean.summary() == f"clean ({len(PLAN_RULES)} rules)"
         assert "error" in dirty.summary()
 
 
 # ---------------------------------------------------------------------------
-# State ownership and bound certification (ALS702 / CST8xx)
+# State ownership and bound certification
 # ---------------------------------------------------------------------------
-
-_OB_CASES = [c for c in CORPUS if c.rule in {"ALS702", "CST801"}]
 
 
 def _mutable_state(compiled) -> dict[int, str]:
@@ -182,20 +155,12 @@ def _assert_isolated(pipelines) -> None:
 
 
 class TestOwnershipAndBounds:
-    @pytest.mark.parametrize("case", _OB_CASES,
-                             ids=[c.name for c in _OB_CASES])
-    def test_case_fires_its_rule_and_no_other(self, case: BadPlan):
-        """Each ownership/bounds corpus case is surgical: it trips exactly
-        the rule it names, so a diagnostic identifies one defect class."""
-        report = case.report()
-        fired = {d.rule for d in report.diagnostics}
-        assert fired == {case.rule}, report.render()
-
     @pytest.mark.parametrize("name", sorted(QUERY_BUILDERS))
     @pytest.mark.parametrize("mode", [Mode.NT, Mode.DIRECT, Mode.UPA])
     def test_driver_aware_lint_clean(self, name, mode):
-        """The full catalogue — including the closure-capture walk over the
-        live driver — is clean for every paper query under every mode."""
+        """A pipeline built with its driver, as a query builds it, lints
+        clean for every paper query under every mode, and the driver has
+        attached its certificate."""
         plan = QUERY_BUILDERS[name]()
         config = ExecutionConfig(mode=mode)
         try:
@@ -203,7 +168,7 @@ class TestOwnershipAndBounds:
         except PlanError:
             assert mode is Mode.DIRECT  # strict plans reject DIRECT
             return
-        report = lint_compiled(query.compiled, driver=query.executor)
+        report = lint_compiled(query.compiled)
         assert report.ok and not report.diagnostics, report.render()
 
     @pytest.mark.parametrize("root", ["group-by", "δ"])
@@ -225,8 +190,9 @@ class TestOwnershipAndBounds:
                     .build())
             slots = ["input", "groups"]
         query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
-        report = lint_compiled(query.compiled, driver=query.executor)
+        report = lint_compiled(query.compiled)
         assert report.ok and not report.diagnostics, report.render()
+        assert query.compiled.certificate is not None
         buffers = [id(b) for op in query.compiled.ops.values()
                    for _label, b in op.state_buffers() if b is not None]
         assert len(buffers) == len(set(buffers))
@@ -251,8 +217,7 @@ class TestOwnershipAndBounds:
         pipelines = []
         for name in group.names():
             query = group[name]
-            report = lint_compiled(query.compiled,
-                                   driver=query.executor)
+            report = lint_compiled(query.compiled)
             assert report.ok and not report.diagnostics, (
                 f"{name}:\n{report.render()}")
             pipelines.append((name, query.compiled))
@@ -268,7 +233,7 @@ class TestOwnershipAndBounds:
         drivers = [_compile_replica(members)[0] for _ in range(3)]
         pipelines = []
         for i, driver in enumerate(drivers):
-            report = lint_compiled(driver.compiled, driver=driver)
+            report = lint_compiled(driver.compiled)
             assert report.ok and not report.diagnostics, report.render()
             pipelines.append((f"shard{i}", driver.compiled))
         _assert_isolated(pipelines)
@@ -298,7 +263,7 @@ class TestSurfaces:
         query = ContinuousQuery(QUERY_BUILDERS["query1"](),
                                 ExecutionConfig(mode=Mode.UPA))
         text = query.explain()
-        assert "-- lint: clean" in text
+        assert f"-- lint: clean ({len(PLAN_RULES)} rules)" in text
 
     def test_cli_lint_clean_query(self, capsys):
         code = main([

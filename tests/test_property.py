@@ -235,7 +235,7 @@ class TestBuffersMatchModel:
                 model.insert(arg)
             elif op == "delete":
                 assert real.delete(arg) == model.delete(arg)
-            else:
+            elif kind != "hash":  # NT-only: never purged by timestamp
                 got = Counter((t.values, t.exp)
                               for t in real.purge_expired(arg))
                 want = Counter((t.values, t.exp)

@@ -79,11 +79,14 @@ class TestBufferChoices:
         assert isinstance(upper.buffers[1], FifoBuffer)
 
     def test_partition_count_honoured(self):
-        plan = Join(join_plan(), scan("s2"), "l_v", "v")
+        plan = Join(join_plan(), scan("s2", window=30), "l_v", "v")
         compiled = compile_plan(plan, ExecutionConfig(mode=Mode.UPA,
                                                       n_partitions=17))
         upper = compiled.op_for(plan)
         assert upper.buffers[0].n_partitions == 17
+        # The ring covers the plan's largest window span (Figure 7), not
+        # its own input's: a mis-sized ring purges exactly but wraps.
+        assert upper.buffers[0].span == compiled.max_span == 30
 
 
 class TestDupElimChoice:
