@@ -1,4 +1,10 @@
-"""E6 / Figure 14: Query 5 — negation pull-up versus push-down."""
+"""E6 / Figure 14: Query 5 — negation pull-up versus push-down.
+
+Figure 6's two plans are timed side by side as the paper does; they are
+two queries, not rewritings of one (their answers differ wherever a
+source IP repeats on the ftp side; DESIGN.md, "Negation moves only across
+key-unique inputs").
+"""
 
 import pytest
 

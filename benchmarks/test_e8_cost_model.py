@@ -1,4 +1,10 @@
-"""E8: the cost model must rank Query 5's rewritings like measurement does."""
+"""E8: the cost model must rank Query 5's two plans like measurement does.
+
+Figure 6's pull-up and push-down plans answer different queries wherever a
+source IP repeats on the ftp side (DESIGN.md, "Negation moves only across
+key-unique inputs"); E8 checks only that the per-unit-time cost model
+orders their work as measurement does.
+"""
 
 from repro import ExecutionConfig, Mode
 from repro.core.cost import Catalog, CostModel
@@ -6,7 +12,7 @@ from repro.workloads import query5_pullup, query5_pushdown
 
 from .common import make_generator, trace_for
 
-#: Large enough that the rewritings' asymptotic ordering is unambiguous.
+#: Large enough that the two plans' asymptotic ordering is unambiguous.
 E8_WINDOW = 400
 
 

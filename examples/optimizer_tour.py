@@ -2,10 +2,15 @@
 
 Walks through what the optimizer sees for the paper's Query 5:
 
-1. annotate both Figure 6 rewritings with update patterns;
+1. annotate both Figure 6 plans with update patterns;
 2. estimate their per-unit-time costs from workload statistics;
-3. enumerate the rewrite closure and pick the cheapest plan;
-4. execute both rewritings and check the prediction against measured work.
+3. enumerate the rewrite closure of one plan and pick the cheapest;
+4. execute both plans and check the prediction against measured work.
+
+Figure 6 draws the two plans as rewritings of one query; under Equation
+1's bag semantics they are two queries, which agree only where no source
+IP repeats on the ftp side, so the optimizer never trades one for the
+other (DESIGN.md, "Negation moves only across key-unique inputs").
 
 Run:  python examples/optimizer_tour.py
 """
@@ -20,7 +25,7 @@ from repro.workloads import (
     query5_pushdown,
 )
 
-# Large enough that the rewritings' asymptotic ordering is unambiguous
+# Large enough that the two plans' asymptotic ordering is unambiguous
 # (below W≈200 the pull-up plan's small-state constants win; see
 # EXPERIMENTS.md, E8).
 WINDOW = 400
@@ -70,7 +75,7 @@ def main() -> None:
         query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
         result = query.run(iter(events))
         print(f"   {name:<36} {result.touches_per_tuple():10.1f}")
-    print("\nThe cheaper-predicted rewriting is also the cheaper-measured "
+    print("\nThe cheaper-predicted plan is also the cheaper-measured "
           "one on this workload (experiment E8 asserts this in CI).")
 
 

@@ -111,7 +111,7 @@ def _cmd_run_group(args) -> int:
     catalog = _build_catalog(args)
     config = ExecutionConfig(mode=Mode(args.mode),
                              n_partitions=args.partitions)
-    group = QueryGroup(shared=not args.independent)
+    group = QueryGroup()
     for index, text in enumerate(args.queries, start=1):
         group.add_text(f"q{index}", text, catalog, config)
     if args.explain:
@@ -120,23 +120,21 @@ def _cmd_run_group(args) -> int:
     events = read_trace(args.trace)
     result = group.run(events, batch=args.batch, shards=args.shards,
                        shard_backend=args.shard_backend)
-    regime = "independent" if args.independent else "shared"
     print(f"processed {result.events_processed} events "
           f"({result.tuples_arrived} tuples) through {len(group)} "
-          f"{regime} queries in {result.elapsed:.3f}s "
+          f"queries in {result.elapsed:.3f}s "
           f"({result.time_per_1000()*1000:.2f} ms / 1000 tuples)")
     _report_sharding(result)
     if args.metrics_out:
         _write_metrics(args, result, {
             "command": "run-group", "queries": list(args.queries),
             "mode": args.mode, "batch": args.batch, "shards": args.shards,
-            "shared": not args.independent,
             "events": result.events_processed,
             "tuples": result.tuples_arrived,
             "elapsed_seconds": result.elapsed,
         })
     touches = result.touches()
-    if not args.independent:
+    if result.shards == 1:  # replicas run every member's whole plan
         print(f"shared state: {group.shared_state_size()} tuples, "
               f"{result.shared_touches()} touches "
               f"(+{sum(touches.values())} residual) across "
@@ -277,9 +275,6 @@ def main(argv: list[str] | None = None) -> int:
     run_group.add_argument("queries", nargs="+", metavar="QUERY",
                            help="query texts; named q1..qN in the report")
     run_group.add_argument("--trace", required=True, help="TSV trace file")
-    run_group.add_argument("--independent", action="store_true",
-                           help="compile every query privately instead of "
-                                "fusing common subplans")
     run_group.add_argument("--partitions", type=int, default=10)
     run_group.add_argument("--batch", type=int, default=None, metavar="N",
                            help="micro-batch size (amortized expiration, "

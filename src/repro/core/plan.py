@@ -494,13 +494,6 @@ class SharedScan(LogicalNode):
     def schema(self) -> Schema:
         return self.source.schema
 
-    @property
-    def group_keys(self) -> int | None:
-        """Number of grouping keys when the shared subtree is a group-by
-        (whose replacement-keyed output needs a group view), else None."""
-        source = self.source
-        return len(source.keys) if isinstance(source, GroupBy) else None
-
     def source_leaves(self) -> list["WindowScan"]:
         """Window leaves of the replaced subtree (for window inspection)."""
         return self.source.leaves()

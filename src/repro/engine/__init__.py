@@ -12,7 +12,7 @@ from .strategies import (
     Mode,
     compile_plan,
 )
-from .views import AppendView, BufferView, GroupView, ResultView
+from .views import AppendView, BufferView, ResultView
 
 __all__ = [
     "RunResult",
@@ -32,6 +32,5 @@ __all__ = [
     "compile_plan",
     "AppendView",
     "BufferView",
-    "GroupView",
     "ResultView",
 ]

@@ -9,8 +9,9 @@ update-pattern argument is per pipeline; neither cares how many pipelines
 a shard holds.  So the unit of sharded execution is a **replica** — one
 :class:`~repro.engine.driver.Driver` per member of ``members = [(name,
 plan, config), …]``, fed and finished by the one feed and finish of
-:mod:`repro.engine.executor` — and a single query (one member) and an
-independent :class:`~repro.engine.multi.QueryGroup` (n members) run
+:mod:`repro.engine.executor` — and a single query (one member) and a
+:class:`~repro.engine.multi.QueryGroup` (n members, each compiled from its
+registered plan: producers are not replicated) run
 through the same router, backends, worker protocol, transport and parent
 loop (:func:`_run_replicas`), which the one run entry
 (:func:`~repro.engine.executor.run_drivers`) calls; the results read the
@@ -57,8 +58,8 @@ on per-shard occupancy, and in micro-batch mode the per-shard expiration
 speedup measured by benchmark E13 is exactly this removed work.
 
 Member sets the analysis rejects (count windows, relation joins, shared
-scans, keyless aggregation, two members keying one stream differently),
-shared groups and ``shards=1`` **fall back** to ordinary unsharded
+scans, keyless aggregation, two members keying one stream differently)
+and ``shards=1`` **fall back** to ordinary unsharded
 execution; the returned result records the reason, and ``explain()``
 carries the same note.
 """

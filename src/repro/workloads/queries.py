@@ -8,14 +8,18 @@ whose links are bounded by equal time windows:
   Tests the partitioned data structure for the materialized join result.
 * **Query 2** — distinct source IPs (or distinct source-destination pairs)
   on one link.  Tests δ and the partitioned structure.
-* **Query 3** — negation of two links on source IP.  Tests the two STR
-  result-storage choices (partitioned vs negative-tuple hash).
+* **Query 3** — negation of two links on source IP.  Tests the STR
+  result view (partitioned by ``exp``; a premature deletion scans one
+  partition) and the negation operator's premature expirations.
 * **Query 4** — distinct source IPs on two links, joined on source IP.
   Tests δ feeding a join with partitioned state.
-* **Query 5** — composition of Queries 1 and 3: negation of links 1 and 2
-  on source IP, joined with link 3 restricted to ftp.  Provided in both
-  rewritings of Figure 6: negation pulled up (the join below never sees
-  negatives) and negation pushed down (the join must process them).
+* **Query 5** — composition of Queries 1 and 3: negation of links 0 and 1
+  on source IP, joined with link 2 restricted to ftp.  Provided as both
+  plans of Figure 6: negation pulled up (the join below never sees
+  negatives) and negation pushed down (the join must process them).  They
+  are two queries, not two rewritings of one: under Equation 1's bag
+  semantics they agree only where no source IP repeats on the ftp side
+  (DESIGN.md, "Negation moves only across key-unique inputs").
 """
 
 from __future__ import annotations

@@ -393,13 +393,17 @@ class TestRelationInterleaved:
 
         small = Predicate(("v",), lambda vals: vals[0] <= 1, "v <= 1")
 
-        def run(shared, batch):
+        def run(precompiled, batch):
             b0, b1 = _window_sources(8)
-            group = QueryGroup(shared=shared)
-            group.add("a", b0.where(small).join(b1.distinct(), on="v")
-                      .build(), ExecutionConfig(mode=Mode.UPA))
-            group.add("b", b1.distinct().build(),
-                      ExecutionConfig(mode=Mode.UPA))
+            config = ExecutionConfig(mode=Mode.UPA)
+            plans = {"a": b0.where(small).join(b1.distinct(), on="v")
+                     .build(), "b": b1.distinct().build()}
+            group = QueryGroup({name: ContinuousQuery(plan, config)
+                                for name, plan in plans.items()}
+                               if precompiled else None)
+            if not precompiled:
+                for name, plan in plans.items():
+                    group.add(name, plan, config)
             streams = {name: [] for name in group.names()}
             for name in group.names():
                 group[name].subscribe(
@@ -409,13 +413,13 @@ class TestRelationInterleaved:
                            {name: _counters(group[name])
                             for name in group.names()})
 
-        group, shared = run(True, batch)
+        group, shared = run(False, batch)
         assert group.shared_producers()
         assert group["a"].executor.batch_loop() == (
             "one loop; column prelude: s0 (1 plan(s)); "
             "row arrivals: s1 (shared port)")
-        assert shared == run(True, None)[1]
-        assert shared[:2] == run(False, None)[1][:2]
+        assert shared == run(False, None)[1]
+        assert shared[:2] == run(True, None)[1][:2]
 
 
 class TestMetricDenominators:

@@ -92,35 +92,35 @@ class TestRunGroup:
         assert "shared state:" in out
         assert "-- q1:" in out and "-- q2:" in out
 
-    def test_independent_flag_disables_fusion(self, trace_path, capsys):
-        code = main([
-            "run-group", self.DISTINCT, self.DISTINCT,
-            "--trace", trace_path, "--links", "2", "--independent",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "independent queries" in out
-        assert "shared state:" not in out
+    def test_independent_is_not_an_option(self, trace_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run-group", self.DISTINCT, self.DISTINCT,
+                  "--trace", trace_path, "--independent"])
+        assert exit_info.value.code == 2
 
     def test_shared_and_independent_answers_agree(self, trace_path, capsys):
-        queries = [self.DISTINCT,
+        """A group's answers are each query's answer run alone."""
+        queries = [self.DISTINCT, self.DISTINCT,
                    "SELECT COUNT(*) FROM link1 [RANGE 50]"]
         main(["run-group", *queries, "--trace", trace_path, "--links", "2",
               "--top", "0", "--batch", "32"])
         shared_out = capsys.readouterr().out
-        main(["run-group", *queries, "--trace", trace_path, "--links", "2",
-              "--top", "0", "--independent"])
-        independent_out = capsys.readouterr().out
-        def extract(text):
-            # Result tuples plus per-query live/distinct summaries (state
-            # touch attribution legitimately differs between the regimes).
-            lines = [line for line in text.splitlines()
-                     if line.startswith("  (")]
-            lines += [line.split(" distinct")[0] for line in text.splitlines()
-                      if line.startswith("-- q")]
-            return lines
+        assert "across 1 shared subplan(s)" in shared_out
+        alone = []
+        for query in queries:
+            main(["run", query, "--trace", trace_path, "--links", "2",
+                  "--top", "0"])
+            alone.append(capsys.readouterr().out)
 
-        assert extract(shared_out) == extract(independent_out)
+        def extract(text):
+            # Result tuples plus the live/distinct summaries (state touch
+            # attribution legitimately differs between the two).
+            return [line.split(": ")[-1].split(" distinct")[0]
+                    for line in text.splitlines()
+                    if line.startswith("  (") or "live result" in line]
+
+        assert extract(shared_out) == [line for text in alone
+                                       for line in extract(text)]
 
 
 class TestExplain:

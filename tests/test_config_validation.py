@@ -88,9 +88,14 @@ def _plan():
         StreamDef("s0", Schema(["v"]), TimeWindow(10))).distinct().build()
 
 
-def _group(shared=False):
-    group = QueryGroup(shared=shared)
-    group.add("q", _plan())
+def _group(precompiled=False):
+    """Two members over one δ: registered, they share it; precompiled,
+    the group shares nothing."""
+    if precompiled:
+        return QueryGroup({name: ContinuousQuery(_plan()) for name in "ab"})
+    group = QueryGroup()
+    for name in "ab":
+        group.add(name, _plan())
     return group
 
 
@@ -102,16 +107,17 @@ def _sharded(make):
     return run
 
 
-#: Every run entry point, as ``call(events, **run_args)``: a query and an
-#: independent and a shared group, each as called and sharded by default
-#: (the ``sharded_executor`` and ``run_group_sharded*`` rows).
+#: Every run entry point, as ``call(events, **run_args)``: a query, a
+#: group of precompiled members and a group sharing a producer, each as
+#: called and sharded by default (the ``sharded_executor`` and
+#: ``run_group_sharded*`` rows).
 RUN_ENTRY_POINTS = {
     "query": lambda events, **kw: ContinuousQuery(_plan()).run(events, **kw),
-    "group": lambda events, **kw: _group().run(events, **kw),
-    "shared_group": lambda events, **kw: _group(True).run(events, **kw),
+    "group": lambda events, **kw: _group(True).run(events, **kw),
+    "shared_group": lambda events, **kw: _group().run(events, **kw),
     "sharded_executor": _sharded(lambda: ContinuousQuery(_plan())),
-    "run_group_sharded": _sharded(_group),
-    "run_group_sharded_shared": _sharded(lambda: _group(True)),
+    "run_group_sharded": _sharded(lambda: _group(True)),
+    "run_group_sharded_shared": _sharded(_group),
 }
 
 

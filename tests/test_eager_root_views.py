@@ -40,7 +40,7 @@ from repro import (
 )
 from repro.core.plan import Predicate
 from repro.engine.views import (BufferView, DeltaStateView, GroupStateView,
-                                GroupView)
+                                PortView)
 from repro.testing import reference_step
 
 ABXY = Schema(["a", "b", "x", "y"])
@@ -342,21 +342,33 @@ def test_sharded_runs_give_the_oracle_answer(plan, backend):
     assert result.answer() == oracle_answer(plan, events)
 
 
-@pytest.mark.parametrize("shared", [False, True],
+@pytest.mark.parametrize("precompiled", [True, False],
                          ids=["independent", "shared"])
-def test_query_group_members_give_the_oracle_answer(shared):
-    """Independent members answer from operator state.  In a shared group
-    the twins' whole plan lives in one producer: they keep the stored view
-    (a member's plan is one port, it has no operator state to read)."""
+def test_query_group_members_give_the_oracle_answer(precompiled):
+    """Members the group did not compile answer from their own operator
+    state.  Registered twins share their whole plan: one producer keeps
+    the state view and both members read it, storing nothing (a member's
+    plan is one port)."""
     events = trace_for()
-    group = QueryGroup(shared=shared)
-    for name, plan in (("g1", GROUPED), ("g2", GROUPED),
-                       ("d1", DISTINCT), ("d2", DISTINCT)):
-        group.add(name, plan, ExecutionConfig(mode=Mode.UPA))
+    config = ExecutionConfig(mode=Mode.UPA)
+    plans = (("g1", GROUPED), ("g2", GROUPED),
+             ("d1", DISTINCT), ("d2", DISTINCT))
+    if precompiled:
+        group = QueryGroup({name: ContinuousQuery(plan, config)
+                            for name, plan in plans})
+    else:
+        group = QueryGroup()
+        for name, plan in plans:
+            group.add(name, plan, config)
     group.run(events, batch=16)
-    for name, plan, state_view, stored in (
-            ("g1", GROUPED, GroupStateView, GroupView),
-            ("d2", DISTINCT, DeltaStateView, BufferView)):
+    for name, plan, state_view in (("g1", GROUPED, GroupStateView),
+                                   ("d2", DISTINCT, DeltaStateView)):
         assert group[name].answer() == oracle_answer(plan, events)
-        assert type(group[name].compiled.view) is (
-            stored if shared else state_view)
+        view = group[name].compiled.view
+        if precompiled:
+            assert type(view) is state_view
+        else:
+            assert type(view) is PortView and len(view) == 0
+            (producer,) = [p for p in group.shared_producers()
+                           if p.plan is group[name].plan.source]
+            assert type(producer.compiled.view.stored) is state_view

@@ -8,8 +8,6 @@ runtime-relevant parameter (predicate, window, attributes, shape)
 perturbs the digest.
 """
 
-import pytest
-
 from repro import (
     CountWindow,
     Predicate,

@@ -189,7 +189,7 @@ class TestCrossRegimeMatrix:
     def test_shared_group_pins_answer_and_stream(self, batch):
         from repro import QueryGroup
 
-        group = QueryGroup(shared=True)
+        group = QueryGroup()
         config = ExecutionConfig(mode=Mode.UPA)
         group.add("q1", self.plan(), config)
         group.add("q2", self.plan(), config)

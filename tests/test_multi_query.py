@@ -32,10 +32,13 @@ def events():
 class TestComposition:
     def test_add_and_lookup(self):
         group = QueryGroup()
-        query = group.add("all", from_window(stream()).build())
-        assert group["all"] is query
+        # Compiled when the group seals, with the whole membership known.
+        assert group.add("all", from_window(stream()).build()) is None
         assert "all" in group and len(group) == 1
         assert group.names() == ["all"]
+        assert isinstance(group["all"], ContinuousQuery)
+        late = group.add("late", from_window(stream()).build())
+        assert group["late"] is late
 
     def test_duplicate_name_rejected(self):
         group = QueryGroup()

@@ -209,7 +209,7 @@ class TestOwnershipAndBounds:
         from repro.engine.multi import QueryGroup
 
         gen = TrafficTraceGenerator()
-        group = QueryGroup(shared=True)
+        group = QueryGroup()
         group.add("a", queries.query1(gen, WINDOW),
                   ExecutionConfig(mode=Mode.UPA))
         group.add("b", queries.query2(gen, WINDOW),

@@ -2,7 +2,7 @@
 
 The PR's core invariant — there is exactly ONE propagate / expire /
 dispatch implementation in the engine, shared by per-tuple, batched,
-shared, and sharded execution — is pinned here by source inspection and
+group, and sharded execution — is pinned here by source inspection and
 by structural checks on the tables a :class:`~repro.engine.strategies.CompiledQuery`
 hands its driver:
 
@@ -176,7 +176,7 @@ class TestSingleImplementation:
     def test_shared_producers_hold_drivers(self):
         from repro import QueryGroup
 
-        group = QueryGroup(shared=True)
+        group = QueryGroup()
         group.add("a", from_window(stream("s0")).distinct().build(),
                   ExecutionConfig(mode=Mode.UPA))
         group.add("b", from_window(stream("s0")).distinct().build(),
@@ -258,7 +258,7 @@ class TestQueryRunsItself:
     def test_shared_group_members_run_their_closures_directly(self):
         from repro import QueryGroup
 
-        group = QueryGroup(shared=True)
+        group = QueryGroup()
         for name in ("a", "b"):
             group.add(name, from_window(stream("s0")).distinct()
                       .join(from_window(stream("s1")), on="v").build(),
@@ -300,12 +300,14 @@ class TestOneFeedOneFinish:
             "serial shards": lambda: ContinuousQuery(_join_plan()).run(
                 self.EVENTS, shards=2, shard_backend="serial"),
         }
-        for shared in (False, True):
-            group = QueryGroup(shared=shared)
-            group.add("a", _join_plan())
-            group.add("b", _join_plan())
-            runs[f"group shared={shared}"] = \
-                lambda group=group: group.run(self.EVENTS, batch=8)
+        group = QueryGroup()
+        group.add("a", _join_plan())
+        group.add("b", _join_plan())
+        runs["group"] = lambda: group.run(self.EVENTS, batch=8)
+        precompiled = QueryGroup({name: ContinuousQuery(_join_plan())
+                                  for name in "ab"})
+        runs["precompiled group"] = lambda: precompiled.run(self.EVENTS,
+                                                            batch=8)
         for label, run in runs.items():
             with pytest.raises(Hit):
                 run()

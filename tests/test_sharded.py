@@ -15,10 +15,10 @@ Four layers of guarantees are pinned here:
    tuples_processed / negatives_processed / results_produced).  The merged
    output order itself is deterministic: identical across backends and
    chunk sizes.
-3. **Fallbacks**: ``shards=1``, unshardable plans, and shared groups run
-   unsharded with the reason recorded on the result and in ``explain()``.
-4. **Replicas**: a single query and an independent group run the same
-   sharded runtime; an n-member replica run equals n one-member runs, and
+3. **Fallbacks**: ``shards=1`` and unshardable plans run unsharded with
+   the reason recorded on the result and in ``explain()``.
+4. **Replicas**: a single query and a group — producers or not: replicas
+   compile the registered plans — run the same sharded runtime; an n-member replica run equals n one-member runs, and
    member subscribers receive their merged streams.
 
 ``touches`` is deliberately *not* asserted equal in general: each shard
@@ -52,6 +52,7 @@ from repro import (
     TimeWindow,
     analyze_group_partitionability,
     analyze_partitionability,
+    attr_equals,
     compile_plan,
     count,
     from_window,
@@ -483,19 +484,22 @@ class TestFallbacks:
         assert result.counters is query.counters
 
     def test_shared_group_fallback_reports_the_live_pipelines(self):
-        """The same for a shared group: its state is the members' plus the
-        shared producers'."""
-        group = QueryGroup(shared=True)
-        group.add("a", query1(_GEN, _WINDOW))
-        group.add("b", query1(_GEN, _WINDOW))
-        result = group.run(iter(_EVENTS[:300]), shards=2)
-        assert "shared groups" in result.fallback_reason
+        """The same for a group with a producer whose members key one
+        stream two ways: its state is the members' plus the producers'."""
+        stream = StreamDef("pairs", Schema(["a", "b"]), TimeWindow(8))
+        group = QueryGroup()
+        for name, attr in (("a1", "a"), ("a2", "a"), ("b", "b")):
+            group.add(name, DupElim(Project(WindowScan(stream), [attr])))
+        events = [Arrival(float(i + 1), "pairs", (i % 3, i % 2))
+                  for i in range(40)]
+        result = group.run(events, shards=2)
+        assert "on both" in result.fallback_reason
         assert (result.shards, result.backend) == (1, "inline")
-        assert result.per_shard_arrivals == [result.tuples_arrived] == [300]
+        assert result.per_shard_arrivals == [result.tuples_arrived] == [40]
         assert group.shared_state_size() > 0
         assert result.state_size == group.total_state_size()
         assert result.shard_counters == [
-            {name: group[name].counters.snapshot() for name in ("a", "b")}]
+            {name: group[name].counters.snapshot() for name in group.names()}]
         assert result.shared_touches() == group.shared_counters().touches > 0
 
     def test_explain_carries_shard_marker(self):
@@ -734,13 +738,33 @@ class TestGroupSharding:
             assert canonical(out[name]) == canonical(base_out[name]), name
         assert result.tuples_arrived == base_result.tuples_arrived
 
-    def test_shared_group_falls_back(self):
-        group = QueryGroup(shared=True)
-        group.add("a", query1(_GEN, _WINDOW))
-        group.add("b", query1(_GEN, _WINDOW))
-        result = group.run(iter(_EVENTS), shards=2)
-        assert "shared groups" in result.fallback_reason
-        assert result.answer("a") == result.answer("b")
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_shared_group_shards(self, backend):
+        """Members sharing a join subtree shard like any group: replicas
+        compile their registered plans, and answers and merged output
+        streams equal the group's unsharded run."""
+        def fanout():
+            group = QueryGroup()
+            for protocol in ("ftp", "telnet", "http"):
+                plan = (from_window(_GEN.stream_def(0, _WINDOW))
+                        .join(from_window(_GEN.stream_def(1, _WINDOW)),
+                              on="src_ip")
+                        .where(attr_equals("l_protocol", protocol)).build())
+                group.add(protocol, plan, ExecutionConfig(mode=Mode.UPA))
+            return group
+
+        base_out = _subscribe_members(base := fanout())
+        base_result = base.run(iter(_EVENTS))
+        (producer,) = base.shared_producers()
+        assert producer.consumers == 3
+        out = _subscribe_members(group := fanout())
+        result = group.run(iter(_EVENTS), shards=2, shard_backend=backend)
+        assert result.fallback_reason is None
+        assert (result.shards, result.backend) == (2, backend)
+        for name in group.names():
+            assert result.answer(name) == base_result.answer(name), name
+            assert canonical(out[name]) == canonical(base_out[name]), name
+        assert any(out.values())
 
     def test_warm_group_refuses_to_shard(self):
         """A group that has processed events cannot hand its trace's tail

@@ -314,7 +314,7 @@ class TestEquivalence:
     def test_shared_group(self, monkeypatch):
         def run(period):
             monkeypatch.setattr(Driver, "sample_events", period)
-            group = QueryGroup(shared=True)
+            group = QueryGroup()
             config = ExecutionConfig(mode=Mode.NT)
             group.add("a", _join_plan(), config)
             group.add("b", _join_plan(), config)
@@ -432,7 +432,7 @@ class TestSurfaces:
 
         query = ContinuousQuery(_join_plan(), ExecutionConfig(mode=Mode.UPA))
         assert len(query.compiled.metrics) == 0
-        group = QueryGroup(shared=True)
+        group = QueryGroup()
         group.add("a", _join_plan())
         group.add("b", _join_plan())
         pipelines = [group[name].compiled for name in group.names()]
@@ -453,19 +453,22 @@ class TestSurfaces:
                                     ExecutionConfig(mode=Mode.UPA))
             return query.run(iter(EVENTS), **kwargs)
 
-        def grouped(shared, **kwargs):
-            group = QueryGroup(shared=shared)
-            group.add("a", _join_plan())
-            group.add("b", _filter_join_plan())
+        def grouped(precompiled=False, **kwargs):
+            plans = {"a": _join_plan(), "b": _filter_join_plan()}
+            group = QueryGroup({name: ContinuousQuery(plan) for name, plan
+                                in plans.items()} if precompiled else None)
+            if not precompiled:
+                for name, plan in plans.items():
+                    group.add(name, plan)
             return group.run(iter(EVENTS), **kwargs)
 
         per_tuple = [single(), single(shards=2, shard_backend="serial"),
-                     grouped(False), grouped(True),
-                     grouped(False, shards=2, shard_backend="serial"),
-                     grouped(True, shards=2)]  # shared: falls back
+                     grouped(True), grouped(),
+                     grouped(True, shards=2, shard_backend="serial"),
+                     grouped(shards=2, shard_backend="serial")]
         batched = [single(batch=16),
                    single(shards=2, shard_backend="process", batch=16),
-                   grouped(True, batch=16)]
+                   grouped(batch=16)]
         for result in per_tuple + batched:
             assert isinstance(result.metrics, MetricsRegistry), result
             assert result.metrics.find("state_tuples")[0].count >= 1, result
@@ -849,11 +852,11 @@ class TestSamplesEveryRuntime:
         config = ExecutionConfig(mode=Mode.UPA)
         single = ContinuousQuery(_join_plan(), config).run(events,
                                                            batch=batch)
-        independent = QueryGroup()
-        independent.add("a", _join_plan(), config)
-        independent.add("b", _minus_plan(), config)
+        independent = QueryGroup({
+            "a": ContinuousQuery(_join_plan(), config),
+            "b": ContinuousQuery(_minus_plan(), config)})
         member = independent.run(events, batch=batch)
-        shared = QueryGroup(shared=True)
+        shared = QueryGroup()
         for name, plan in zip("ab", _shared_member_plans()):
             shared.add(name, plan, config)
         fused = shared.run(events, batch=batch)

@@ -4,10 +4,12 @@ from collections import Counter
 
 import pytest
 
-from repro import Tuple
+from repro import (AggregateSpec, Arrival, ContinuousQuery, ExecutionConfig,
+                   Mode, Schema, StreamDef, Tick, TimeWindow, Tuple,
+                   from_window)
 from repro.buffers import HashBuffer, ListBuffer
 from repro.core.tuples import deletion_key
-from repro.engine.views import AppendView, BufferView, GroupView
+from repro.engine.views import AppendView, BufferView, GroupStateView
 
 
 def t(v, ts, exp, sign=1):
@@ -57,68 +59,79 @@ class TestAppendView:
             view.apply(t("a", 1, 5, sign=-1), 1)
 
 
+def run_grouped(arrivals, keys=("g",), mode=Mode.UPA):
+    """A COUNT group-by over ``s(g, v)`` [RANGE 5], run over ``(ts,
+    values)`` arrivals (``values`` None: a tick)."""
+    source = from_window(StreamDef("s", Schema(["g", "v"]), TimeWindow(5)))
+    spec = AggregateSpec("count", None, "n")
+    plan = (source.group_by(list(keys), [spec]) if keys
+            else source.aggregate(spec)).build()
+    query = ContinuousQuery(plan, ExecutionConfig(mode=mode))
+    query.run([Arrival(ts, "s", values) if values is not None
+               else Tick(ts) for ts, values in arrivals])
+    assert type(query.compiled.view) is GroupStateView
+    return query
+
+
 class TestGroupView:
+    """The view of a group-by root (``GroupStateView``): the operator's
+    group table, read standalone or — a whole shared plan — through the
+    producer that owns it."""
+
     def test_replacement_by_group(self):
-        view = GroupView(n_keys=1)
-        view.apply(Tuple(("g", 1), 1), 1)
-        view.apply(Tuple(("g", 2), 2), 2)
-        assert view.snapshot(3) == Counter({("g", 2): 1})
-        assert len(view) == 1
+        query = run_grouped([(1, ("g", 1)), (2, ("g", 2))])
+        assert query.answer() == Counter({("g", 2): 1})
+        assert len(query.compiled.view) == 0  # the group table is the view
 
     def test_negative_deletes_group(self):
-        view = GroupView(n_keys=1)
-        view.apply(Tuple(("g", 1), 1), 1)
-        view.apply(Tuple(("g", 0), 2, sign=-1), 2)
-        assert view.snapshot(3) == Counter()
+        """A group whose last input leaves (under NT as a negative tuple)
+        leaves the answer."""
+        for mode in (Mode.NT, Mode.UPA):
+            query = run_grouped([(1, ("g", 1)), (3, ("h", 1)), (7, None)],
+                                mode=mode)
+            assert query.answer() == Counter({("h", 1): 1}), mode
 
     def test_zero_key_global_group(self):
-        view = GroupView(n_keys=0)
-        view.apply(Tuple((3,), 1), 1)
-        view.apply(Tuple((4,), 2), 2)
-        assert view.snapshot(3) == Counter({(4,): 1})
+        query = run_grouped([(1, ("g", 3)), (2, ("h", 4))], keys=())
+        assert query.answer() == Counter({(2,): 1})
 
     def test_groups_mapping(self):
-        view = GroupView(n_keys=1)
-        view.apply(Tuple(("g", 1), 1), 1)
-        assert list(view.groups()) == [("g",)]
+        query = run_grouped([(1, ("g", 1)), (2, ("h", 1)), (3, ("g", 1))])
+        op = query.compiled.op_for(query.plan)
+        assert sorted(op.rows()) == [("g", 2), ("h", 1)]
+        assert op.group_count() == 2
 
 
 class TestGroupViewStore:
-    """The latest-result-per-group mapping behind ``GroupView`` (the
-    ``GroupStore`` buffer, now the dict it always was)."""
+    """The group table behind the group view: one row per live group,
+    finished on read and cached until the next fold."""
 
     @staticmethod
-    def deleted(group):
-        return Tuple(group + (0,), 9, sign=-1)
+    def table(query):
+        return query.compiled.op_for(query.plan)
 
     def test_replace_and_get(self):
-        view = GroupView(n_keys=1)
-        r1 = Tuple(("g", 1), 1)
-        view.apply(r1, 1)
-        assert view.groups()[("g",)] is r1
-        r2 = Tuple(("g", 2), 2)
-        view.apply(r2, 2)
-        assert view.groups()[("g",)] is r2
-        assert len(view) == 1
+        query = run_grouped([(1, ("g", 1))])
+        op = self.table(query)
+        rows = op.rows()
+        assert rows == [("g", 1)] and op.rows() is rows  # a repeat read
+        query.executor.process_event(Arrival(2, "s", ("g", 2)))
+        assert op.rows() == [("g", 2)]  # the fold replaced the row
 
     def test_none_deletes_group(self):
-        view = GroupView(n_keys=1)
-        view.apply(Tuple(("g", 1), 1), 1)
-        view.apply(self.deleted(("g",)), 9)
-        assert view.groups().get(("g",)) is None
-        assert len(view) == 0
+        query = run_grouped([(1, ("g", 1)), (7, None)])
+        assert self.table(query).group_count() == 0
+        assert self.table(query).rows() == []
 
     def test_snapshot_is_a_copy(self):
-        view = GroupView(n_keys=1)
-        view.apply(Tuple(("g", 1), 1), 1)
-        snap = view.groups()
-        view.apply(self.deleted(("g",)), 9)
-        assert ("g",) in snap
+        query = run_grouped([(1, ("g", 1))])
+        snap = query.answer()
+        query.executor.process_event(Tick(9))
+        assert snap == Counter({("g", 1): 1})
+        assert query.answer() == Counter()
 
     def test_contains_and_iter(self):
-        view = GroupView(n_keys=1)
-        view.apply(Tuple(("a", 1), 1), 1)
-        view.apply(Tuple(("b", 2), 1), 1)
-        assert ("a",) in view.groups()
-        assert sorted(t.values[0] for t in view.groups().values()) \
-            == ["a", "b"]
+        query = run_grouped([(1, ("a", 1)), (1, ("b", 2))])
+        answer = query.answer()
+        assert ("a", 1) in answer
+        assert sorted(row[0] for row in answer) == ["a", "b"]
