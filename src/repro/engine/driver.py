@@ -53,13 +53,13 @@ its row arrival closure.  No batch falls back.
 The only bulk work is a per-stream **column prelude**, compiled for a
 stream when every dispatch plan on it is a non-port time-window leaf and
 one has a fused stateless prefix (count windows, unbounded streams, shared
-ports and prefix-less streams have none; :meth:`Driver.batch_loop` names
-each stream's choice).  Before the loop, over that stream's rows, it stamps
-``exp`` in bulk, inserts the block into an NT window store
-(``insert_many``), runs the prefix column-wise and queues each survivor on
-``pending`` at its row.  It hoists four effects ahead of their row, and
-each commutes with everything the loop observes, relation updates
-included:
+ports, a shared producer's streams and prefix-less streams have none;
+:meth:`Driver.batch_loop` names each stream's choice).  Before the loop,
+over that stream's rows, it stamps ``exp`` in bulk, inserts the block into
+an NT window store (``insert_many``), runs the prefix column-wise and
+queues each survivor on ``pending`` at its row.  It hoists four effects
+ahead of their row, and each commutes with everything the loop observes,
+relation updates included:
 
 1. *NT window inserts.*  A tuple stamped from a later event ``k`` has
    ``exp = ts_k + span > ts_r`` for every earlier event ``r`` (timestamps
@@ -273,8 +273,11 @@ class Driver:
             for op in expire_ops)
         arrivals_pt: dict[str, tuple] = {}
         arrivals_b: dict[str, tuple] = {}
+        after = compiled.after_arrival
         for stream, plans in compiled.dispatch.items():
             pairs = [self._compile_arrival(plan) for plan in plans]
+            if after is not None:
+                pairs.append(after)
             arrivals_pt[stream] = tuple(pt for pt, _b in pairs)
             arrivals_b[stream] = tuple(b for _pt, b in pairs)
         self._arrivals_pt = arrivals_pt
@@ -500,6 +503,10 @@ class Driver:
         column, and pays only when a plan has a fused stateless prefix."""
         if not self._time_domain:
             return "count window"
+        if self.compiled.after_arrival is not None:
+            # A prelude skips the rows its prefix drops: the producer's
+            # cut must follow every arrival.
+            return "shared producer"
         for plan in plans:
             if isinstance(plan.leaf, PortOp):
                 return "shared port"  # replays lists at recorded clocks
