@@ -1,21 +1,7 @@
-"""Static verification of update-pattern annotations.
+"""The state certificate (:mod:`repro.analysis.bounds`): each state
+slot's symbolic bound and the plan's per-unit-time cost, attached to a
+driver when it is built."""
 
-The **plan linter** (:mod:`repro.analysis.planlint`,
-:mod:`repro.analysis.rules`) re-derives a plan's Section 5.2 update
-patterns independently of :mod:`repro.core.annotate` (UP001) and flags
-dead machinery in the user's plan (DM502).
-:mod:`repro.analysis.bounds` derives each pipeline's state-bound
-certificate.
-"""
+from .bounds import StateCertificate, attach_certificate, derive_certificate
 
-from .planlint import LintReport, lint, lint_compiled
-from .rules import ALL_RULES, Diagnostic, LintContext
-
-__all__ = [
-    "ALL_RULES",
-    "Diagnostic",
-    "LintContext",
-    "LintReport",
-    "lint",
-    "lint_compiled",
-]
+__all__ = ["StateCertificate", "attach_certificate", "derive_certificate"]

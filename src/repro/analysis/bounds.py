@@ -29,7 +29,7 @@ operator's entry sizes into ``op_state_bound``, beside its live state.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Iterator
 
 from ..core.annotate import AnnotatedPlan
 from ..core.cost import CostModel, PlanCost
@@ -44,7 +44,6 @@ from ..core.plan import (
     RelationJoin,
 )
 from ..errors import PlanError
-from .rules import LintContext
 
 #: Symbolic bound classes, in increasing order of concern.
 BOUND_WINDOW = "O(window)"
@@ -117,7 +116,7 @@ class StateCertificate:
         return f"{', '.join(parts) or 'stateless'}; {cost}"
 
     def render(self) -> str:
-        """Multi-line certificate dump (the CLI's --lint-certificate)."""
+        """Multi-line certificate dump (printed by ``repro explain``)."""
         horizon = "-" if self.horizon is None else f"{self.horizon:g}"
         lines = [f"state certificate ({self.domain} domain, "
                  f"horizon={horizon})"]
@@ -169,12 +168,21 @@ def _symbolic_size(bound: str, node: Any,
     return f"{stats.size:.0f} tuples (rate x span)", stats.size
 
 
+def _with_paths(node: LogicalNode,
+                path: str = "$") -> Iterator[tuple[LogicalNode, str]]:
+    """``(node, path)`` for every node of the subtree, children before
+    parents; a path names each step from the root as ``Type[slot]``."""
+    for slot, child in enumerate(node.children):
+        yield from _with_paths(child,
+                               f"{path}/{type(child).__name__}[{slot}]")
+    yield node, path
+
+
 def derive_certificate(compiled: Any) -> StateCertificate:
     """Derive the symbolic state-bound certificate of a compiled pipeline
     (:func:`attach_certificate` is the cached entry point)."""
     root = compiled.root
     annotated = compiled.annotated
-    ctx = LintContext(root, annotated)
     domain = compiled.time_domain
     horizon = compiled.max_span if domain == "time" else None
     unwindowed = compiled.max_span is None
@@ -194,11 +202,10 @@ def derive_certificate(compiled: Any) -> StateCertificate:
             return BOUND_UNBOUNDED
         return BOUND_WINDOW
 
-    for node in root.walk():
+    for node, path in _with_paths(root):
         op = compiled.ops.get(id(node))
         if op is None:
             continue
-        path = ctx.path_of(node)
         for label, buffer in op.state_buffers():
             if buffer is None:
                 continue

@@ -8,6 +8,9 @@ Usage::
     python -m repro explain "SELECT * FROM link0 [RANGE 50] JOIN link1 \
         [RANGE 50] ON link0.src_ip = link1.src_ip"
 
+A user error (an unknown stream, ``--batch 0``, a plan the mode rejects)
+prints one ``repro: error: ...`` line and exits with status 2.
+
 The trace format is the TSV written by :mod:`repro.workloads.trace_io` (and
 by the ``generate`` subcommand).  Streams named in the query are resolved
 against the traffic schema by default; ``--streams name:attr1,attr2`` can
@@ -24,6 +27,7 @@ from .core.tuples import Schema
 from .engine.multi import QueryGroup
 from .engine.query import ContinuousQuery
 from .engine.strategies import ExecutionConfig, Mode
+from .errors import ReproError
 from .lang.catalog import SourceCatalog
 from .lang.compiler import compile_query
 from .workloads.trace_io import read_trace, write_trace
@@ -157,47 +161,15 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    """The annotated plan and its footers, then the state certificate
+    (each slot's bound class, size, horizon and buffer, and the
+    per-unit-time cost)."""
     catalog = _build_catalog(args)
     plan = compile_query(args.query, catalog)
     query = ContinuousQuery(plan, ExecutionConfig(mode=Mode(args.mode)))
     print(query.explain())
+    print(query.compiled.certificate.render())
     return 0
-
-
-def _cmd_lint(args) -> int:
-    """Run the static rule catalogue over a query's plan.
-
-    Exit status 0 when no error-severity diagnostic fired (warnings are
-    advisory), 1 otherwise.  The plan is also compiled under ``--mode``,
-    so the rules check the annotations the engine would actually run and
-    a strategy's rejection is reported.  ``--lint-certificate``
-    additionally prints the derived symbolic state-bound certificate.
-    """
-    from .analysis.planlint import lint, lint_compiled
-    from .engine.driver import Driver
-    from .engine.strategies import compile_plan
-    from .errors import PlanError
-
-    catalog = _build_catalog(args)
-    plan = compile_query(args.query, catalog)
-    config = ExecutionConfig(mode=Mode(args.mode),
-                             n_partitions=args.partitions)
-    try:
-        compiled = compile_plan(plan, config)
-    except PlanError as error:
-        # The plan is invalid under this strategy (e.g. negation under
-        # DIRECT): still lint the logical plan, then report the rejection.
-        report = lint(plan)
-        print(report.render())
-        print(f"compilation under mode={args.mode} rejected the plan: "
-              f"{error}")
-        return 0 if report.ok else 1
-    report = lint_compiled(compiled)
-    print(report.render())
-    if args.lint_certificate:
-        # Building the driver attaches the certificate.
-        print(Driver(compiled).compiled.certificate.render())
-    return 0 if report.ok else 1
 
 
 def _cmd_validate(args) -> int:
@@ -299,23 +271,12 @@ def main(argv: list[str] | None = None) -> int:
     generate.add_argument("--out", required=True)
     generate.set_defaults(func=_cmd_generate)
 
-    explain = sub.add_parser("explain",
-                             help="print a query's annotated plan")
+    explain = sub.add_parser(
+        "explain",
+        help="print a query's annotated plan and state certificate")
     explain.add_argument("query")
     _add_catalog_options(explain)
     explain.set_defaults(func=_cmd_explain)
-
-    lint = sub.add_parser(
-        "lint",
-        help="statically verify a query's plan against the rule catalogue")
-    lint.add_argument("query")
-    lint.add_argument("--partitions", type=int, default=10)
-    lint.add_argument("--lint-certificate", action="store_true",
-                      help="also print the derived symbolic state-bound "
-                           "certificate (per-slot bound class, horizon, "
-                           "and per-unit-time cost)")
-    _add_catalog_options(lint)
-    lint.set_defaults(func=_cmd_lint)
 
     validate = sub.add_parser(
         "validate",
@@ -326,7 +287,13 @@ def main(argv: list[str] | None = None) -> int:
     validate.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as error:
+        # A user error (unknown stream, bad knob, a plan the mode
+        # rejects): one line and argparse's usage-error status.
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -10,7 +10,9 @@ the cost model:
   in which δ and the cheap direct structures apply.  Concretely: selection
   push-down (always sound) and negation pull-up / push-down through joins.
 * **Duplicate elimination push-down** — move δ below a join so its smaller
-  output feeds the join.
+  output feeds the join; a δ over input that is already duplicate-free
+  (another δ, possibly under a rename) is dropped, since it would store
+  every tuple to remove nothing.
 
 One hard constraint is enforced everywhere: the input to an R-join or an
 NRR-join can never be strict non-monotonic, because those joins cannot
@@ -39,6 +41,7 @@ from .plan import (
     LogicalNode,
     Negation,
     Predicate,
+    Rename,
     Select,
 )
 
@@ -142,6 +145,7 @@ class Optimizer:
             out.extend(_negation_push_down(plan))
         if opts.move_dupelim:
             out.extend(_dupelim_push_down(plan))
+            out.extend(_redundant_dupelim(plan))
         return out
 
 
@@ -292,6 +296,17 @@ def _dupelim_push_down(plan: LogicalNode) -> list[LogicalNode]:
     join = plan.child
     return [Join(DupElim(join.left), DupElim(join.right),
                  join.left_attr, join.right_attr, join.prefixes)]
+
+
+def _redundant_dupelim(plan: LogicalNode) -> list[LogicalNode]:
+    """δ(x) → x when x is already duplicate-free: the output of another
+    δ, possibly under renames.  (Optimizer inputs hold no shared cuts.)"""
+    if not isinstance(plan, DupElim):
+        return []
+    below = plan.child
+    while isinstance(below, Rename):
+        below = below.child
+    return [plan.child] if isinstance(below, DupElim) else []
 
 
 # ---------------------------------------------------------------------------

@@ -39,14 +39,13 @@ SHARD_BACKENDS = ("serial", "process")
 def check_run_args(batch: int | None = None, shards: int | None = None,
                    shard_backend: str = "process") -> None:
     """The one validation every run entry point shares (queries, groups
-    and their sharded forms): ``batch`` and ``shards`` are None or >= 1 and
-    the backend is known, whether or not this run shards."""
-    if batch is not None and batch < 1:
-        raise ConfigError(
-            f"batch must be >= 1 (None or 1 is tuple-at-a-time), got {batch}")
-    if shards is not None and shards < 1:
-        raise ConfigError(
-            f"shards must be >= 1 (None or 1 is unsharded), got {shards}")
+    and their sharded forms): ``batch`` and ``shards`` are None or an int
+    >= 1 and the backend is known, whether or not this run shards."""
+    for name, value, meaning in (("batch", batch, "tuple-at-a-time"),
+                                 ("shards", shards, "unsharded")):
+        if value is not None and (not isinstance(value, int) or value < 1):
+            raise ConfigError(f"{name} must be >= 1 and an int (None or 1 "
+                              f"is {meaning}), got {value!r}")
     if shard_backend not in SHARD_BACKENDS:
         raise ConfigError(
             f"unknown shard backend {shard_backend!r} "
@@ -132,8 +131,8 @@ def run_drivers(members: list[Driver], events: Iterable[Event], *,
     sharding verdict of ``entries`` (the members' ``(name, plan,
     config)``), is given when ``shards > 1`` may shard: a shardable one
     runs fresh key-routed replicas (else ``replicas`` is None), and every
-    other run feeds ``members`` and ``producers``, then finishes them."""
-    check_run_args(batch, shards, shard_backend)
+    other run feeds ``members`` and ``producers``, then finishes them.
+    The caller has passed its arguments through :func:`check_run_args`."""
     if part is not None:
         if on_event is not None:
             raise ExecutionError(

@@ -34,7 +34,7 @@ from ..core.metrics import Counters
 from ..core.plan import LogicalNode
 from ..streams.stream import Event
 from .driver import Driver
-from .executor import GroupRunResult, feed_drivers, run_drivers
+from .executor import GroupRunResult, check_run_args, feed_drivers, run_drivers
 from .query import ContinuousQuery
 from .shard import analyze_group_partitionability
 from .sharing import _plan_shared
@@ -162,6 +162,7 @@ class QueryGroup:
         with unshardable (or key-conflicting) members fall back to the
         ordinary lockstep run, with the reason recorded on the result.
         """
+        check_run_args(batch, shards, shard_backend)
         drivers = self._drivers()
         entries = [(name, plan, query.config)
                    for name, (query, _links, plan) in self._members.items()]

@@ -26,7 +26,7 @@ from ..core.plan import LogicalNode
 from ..core.sharding import analyze_partitionability
 from ..streams.stream import Event
 from .driver import Driver
-from .executor import RunResult, run_drivers
+from .executor import RunResult, check_run_args, run_drivers
 from .strategies import CompiledQuery, ExecutionConfig, Mode, compile_plan
 from .telemetry import run_summary
 
@@ -70,6 +70,7 @@ class ContinuousQuery:
         Answers and per-instant output multisets are identical to
         unsharded execution.
         """
+        check_run_args(batch, shards, shard_backend)
         driver = self.executor
         part = (analyze_partitionability(self.plan)
                 if shards is not None and shards > 1 else None)
@@ -92,10 +93,8 @@ class ContinuousQuery:
     def explain(self) -> str:
         """The annotated plan as an indented tree (Figure 6, textually),
         plus a sharding marker — the per-stream routing keys a parallel
-        run would use, or the reason the plan cannot be sharded — a lint
-        verdict from the static rule catalogue
-        (:mod:`repro.analysis.planlint`), the symbolic state-bound
-        certificate's one-line summary
+        run would use, or the reason the plan cannot be sharded — the
+        symbolic state-bound certificate's one-line summary
         (:meth:`~repro.analysis.bounds.StateCertificate.summary`), the
         metrics registry (after a run: its instrument count, phase
         shares, worst expiration lag and peak state against the
@@ -104,11 +103,8 @@ class ContinuousQuery:
         others do not (:meth:`~repro.engine.driver.Driver.batch_loop`),
         and the loop the compiled query runs
         (:meth:`~repro.engine.strategies.CompiledQuery.describe`)."""
-        from ..analysis.planlint import lint_compiled
-
         tree = explain(self.plan, self.compiled.annotated)
         verdict = analyze_partitionability(self.plan)
-        report = lint_compiled(self.compiled)
         certificate = self.compiled.certificate
         registry = self.compiled.metrics
         metrics_note = (f"{len(registry)} instruments across "
@@ -116,7 +112,6 @@ class ContinuousQuery:
                         f"{run_summary(registry)}" if len(registry)
                         else "registered on the first state sample")
         return (f"{tree}\n-- sharding: {verdict.describe()}"
-                f"\n-- lint: {report.summary()}"
                 f"\n-- bounds: {certificate.summary()}"
                 f"\n-- metrics: {metrics_note}"
                 f"\n-- view: {self.compiled.view_note}"

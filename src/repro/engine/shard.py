@@ -425,8 +425,9 @@ def _shard_worker_main(conn, members: Sequence[Member], batch: int | None,
                 outputs = replica.feed(
                     decode_routed(shm.buf[:message[1]], message[2]))
             elif tag == "finish":
-                # Checked execution: violations raised here propagate to the
-                # parent as an ("err", ...) reply via the handler below.
+                # An error while finishing (the metrics flush, the final
+                # report) reaches the parent as an ("err", ...) reply via
+                # the handler below.
                 conn.send(("fin", replica.finish()))
                 conn.close()
                 return

@@ -146,8 +146,9 @@ class CompiledQuery:
     Everything the driver needs per event is resolved here once, at
     compile time: the per-stream dispatch tables, the routes, the eager
     and lazy expiration participants.  :class:`~repro.engine.driver.Driver`
-    compiles these tables into its loops, and the PRG6xx lint rules check
-    these same tables against the plan.
+    compiles these tables into its loops, and
+    :func:`repro.testing.reference_step` interprets the same tables as
+    Section 2's event loop, the reference the loops are tested against.
     """
 
     def __init__(self, root: LogicalNode, annotated: AnnotatedPlan,

@@ -136,9 +136,9 @@ class PhysicalOperator:
     def state_buffers(self):
         """Introspection hook: ``(label, buffer)`` pairs for every state
         buffer this operator owns (``buffer`` may be None when a slot is
-        unused, e.g. a direct-mode window).  Consumed by the plan linter's
-        physical buffer rules, the state certificate and the telemetry
-        sampler, so none needs to reach into private attributes.
+        unused, e.g. a direct-mode window).  Consumed by the state
+        certificate and the telemetry sampler, so neither needs to reach
+        into private attributes.
         Stateless operators return the empty default.
         """
         return []

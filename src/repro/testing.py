@@ -10,19 +10,38 @@ package that check:
 
     assert_equivalent(plan, events, modes=[Mode.NT, Mode.UPA])
 
-:func:`reference_step` is the other reference: Section 2's event loop as a
-plain interpreter, for checking a driver's compiled loops event by event.
+:func:`reference_step` is the second reference: Section 2's event loop as
+a plain interpreter, for checking a driver's compiled loops event by event.
+:func:`reference_patterns` is the third: Section 5.2's propagation rules
+written out again, for checking :func:`~repro.core.annotate.annotate`
+node by node.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core.plan import LogicalNode
+from .core.patterns import MONOTONIC, STR, WK, WKS, UpdatePattern
+from .core.plan import (
+    DupElim,
+    GroupBy,
+    Intersect,
+    Join,
+    LogicalNode,
+    Negation,
+    NRRJoin,
+    Project,
+    RelationJoin,
+    Rename,
+    Select,
+    SharedScan,
+    Union,
+    WindowScan,
+)
 from .core.semantics import ReferenceEvaluator
 from .engine.query import ContinuousQuery
 from .engine.strategies import ExecutionConfig, Mode
-from .errors import ExecutionError
+from .errors import ExecutionError, PlanError
 from .operators.stateless import PortOp
 from .streams.stream import Arrival, Event, RelationUpdate
 
@@ -69,8 +88,6 @@ def assert_equivalent(plan: LogicalNode, events: Sequence[Event],
     Modes that reject the plan (e.g. DIRECT for strict non-monotonic
     queries) are skipped silently, mirroring the planner's own rules.
     """
-    from .errors import PlanError
-
     for mode in modes:
         try:
             check_plan(plan, list(events), mode, **config_kwargs)
@@ -86,8 +103,6 @@ def answers_agree(plan_factory, events: Sequence[Event],
     ``plan_factory`` is called once per mode, because compiled plans own
     their physical state.
     """
-    from .errors import PlanError
-
     answers = []
     for mode in modes:
         try:
@@ -150,3 +165,59 @@ def reference_step(driver, event: Event) -> None:
     elif isinstance(event, RelationUpdate):
         driver._dispatch_relation_update(event, now)
     driver._maybe_lazy_purge(now)
+
+
+def reference_patterns(plan: LogicalNode) -> dict[int, UpdatePattern]:
+    """The update pattern of every node of ``plan``, keyed by ``id(node)``,
+    derived again from Section 5.2's five rules.
+
+    A second implementation, written against the paper: it never calls a
+    node's ``derive_pattern`` or :func:`~repro.core.annotate.annotate`, and
+    it computes its own lifetime offsets for Rule 2's refinement (a union
+    of WKS inputs whose ``exp - ts`` offsets differ is WK: its expirations
+    interleave).  A :class:`~repro.core.plan.SharedScan` carries its
+    source's pattern and offset.  No runtime calls this; the test suite
+    holds ``annotate(plan).pattern_of(node)`` to it for every node.
+    """
+    return _reference(plan)[0]
+
+
+def _reference(plan: LogicalNode) -> tuple[dict[int, UpdatePattern],
+                                           dict[int, float | None]]:
+    """``(patterns, offsets)`` of every node: an offset is the one
+    ``exp - ts`` every output tuple of the node has, or None."""
+    patterns: dict[int, UpdatePattern] = {}
+    offsets: dict[int, float | None] = {}
+    for node in plan.walk():
+        child = [patterns[id(c)] for c in node.children]
+        first = offsets[id(node.children[0])] if node.children else None
+        if isinstance(node, SharedScan):
+            source_patterns, source_offsets = _reference(node.source)
+            pattern = source_patterns[id(node.source)]
+            offset = source_offsets[id(node.source)]
+        elif isinstance(node, WindowScan):
+            window = node.stream.window
+            pattern = MONOTONIC if window is None else WKS
+            offset = float("inf") if window is None else window.span
+        elif isinstance(node, (Select, Project, Rename, NRRJoin)):
+            pattern, offset = child[0], first          # Rule 1
+        elif isinstance(node, Union):
+            pattern = max(child)                       # Rule 2
+            left, right = (offsets[id(c)] for c in node.children)
+            offset = left if left is not None and left == right else None
+            if pattern is WKS and offset is None:
+                pattern = WK
+        elif isinstance(node, (Join, Intersect, DupElim)):
+            pattern = STR if STR in child else WK      # Rule 3
+            offset = first if isinstance(node, DupElim) else None
+        elif isinstance(node, GroupBy):
+            pattern, offset = WK, None                 # Rule 4
+        elif isinstance(node, Negation):
+            pattern, offset = STR, first               # Rule 5
+        elif isinstance(node, RelationJoin):
+            pattern, offset = STR, None                # Rule 5
+        else:
+            raise PlanError(f"no Section 5.2 rule for {node.describe()}")
+        patterns[id(node)] = pattern
+        offsets[id(node)] = offset
+    return patterns, offsets

@@ -22,6 +22,8 @@ from repro import (
 from repro.lang.catalog import SourceCatalog
 from repro.lang.compiler import compile_query
 from repro.operators.aggregates import GroupSlots
+from repro.workloads import queries
+from repro.workloads.traffic import TrafficTraceGenerator
 
 # Reproducible property tests, selected by ``HYPOTHESIS_PROFILE``.  ``ci``
 # (set in every CI job) derives the examples from each test's source
@@ -86,6 +88,21 @@ def stream_pair(window: float = 8) -> tuple[StreamDef, StreamDef]:
 #: Query 3's shape (Section 6.1) over ``s0``/``s1``: under UPA a negation
 #: of two WKS windows, which compiles to the FIFO negation.
 QUERY3_TEXT = "SELECT * FROM s0 [RANGE 20] MINUS s1 [RANGE 20] ON v"
+
+
+_TRAFFIC = TrafficTraceGenerator()
+
+#: The paper's queries over the traffic streams, one 50-unit window: name
+#: -> plan factory (each call builds a fresh plan).
+PAPER_QUERIES = {
+    "query1": lambda: queries.query1(_TRAFFIC, 50.0),
+    "query2": lambda: queries.query2(_TRAFFIC, 50.0),
+    "query2_pairs": lambda: queries.query2(_TRAFFIC, 50.0, pairs=True),
+    "query3": lambda: queries.query3(_TRAFFIC, 50.0),
+    "query4": lambda: queries.query4(_TRAFFIC, 50.0),
+    "query5_pullup": lambda: queries.query5_pullup(_TRAFFIC, 50.0),
+    "query5_pushdown": lambda: queries.query5_pushdown(_TRAFFIC, 50.0),
+}
 
 
 def fifo_negation_plan():

@@ -1,11 +1,17 @@
 """Tests for plan annotation — the five propagation rules over real plans."""
 
+import random
+
 import pytest
+from conftest import PAPER_QUERIES, all_subclasses
+from test_fuzz import random_plan
 
 from repro import (
     AggregateSpec,
+    CountWindow,
     DupElim,
     GroupBy,
+    Intersect,
     Join,
     MONOTONIC,
     Negation,
@@ -28,7 +34,9 @@ from repro import (
     attr_equals,
     explain,
 )
-from repro.core.plan import SharedScan
+from repro.core.plan import LogicalNode, Rename, SharedScan
+from repro.engine.multi import QueryGroup
+from repro.testing import reference_patterns
 
 AB = Schema(["a", "b"])
 
@@ -155,3 +163,99 @@ class TestAnnotatedPlan:
         lines = text.splitlines()
         assert lines[0].startswith("Join")
         assert lines[1].startswith("  ")
+
+
+#: How many plans of the fuzz grammar the oracle checks: its mixed window
+#: sizes are what exercise Rule 2's lifetime-offset refinement.
+GENERATED_PLANS = 400
+
+
+def _assert_agrees(plan) -> int:
+    """``annotate`` gives every node of ``plan`` the pattern Section 5.2's
+    rules, written out again in ``reference_patterns``, give it; returns
+    the number of nodes checked."""
+    annotated = annotate(plan)
+    reference = reference_patterns(plan)
+    nodes = list(plan.walk())
+    for node in nodes:
+        assert annotated.pattern_of(node) is reference[id(node)], (
+            f"{node.describe()} is annotated {annotated.pattern_of(node)}, "
+            f"the reference derives {reference[id(node)]}\n{explain(plan)}")
+    return len(nodes)
+
+
+def _operator_catalogue():
+    """Plans that between them hold every operator, over windows of
+    different sizes, an infinite stream, a count window and shared
+    cuts."""
+    neg = Negation(scan("s1"), scan("s2"), "a")
+    count_n = [AggregateSpec("count", None, "n")]
+    rel = Relation("r", Schema(["k", "v"]))
+    nrr = NRR("n", Schema(["k", "v"]))
+    same = Union(scan("s1"), scan("s2"))
+    return [
+        GroupBy(neg, ["a"], count_n),
+        GroupBy(scan(), ["a"], count_n),
+        NRRJoin(infinite(), nrr, "a", "k"),
+        NRRJoin(Select(scan(), attr_equals("a", 1)), nrr, "a", "k"),
+        RelationJoin(scan(), rel, "a", "k"),
+        Union(infinite(), scan()),
+        Union(Rename(scan("s1"), ["a", "b"]), scan("s2", TimeWindow(20))),
+        Project(Union(scan("s1"), scan("s2")), ["a"]),
+        Intersect(scan("s1"), scan("s2", TimeWindow(20))),
+        DupElim(neg),
+        Select(DupElim(Union(scan("s1"), scan("s2", TimeWindow(5)))),
+               attr_equals("a", 1)),
+        Union(scan("c", CountWindow(5)), scan("d", CountWindow(5))),
+        Union(SharedScan(same, "same"), scan("s3")),
+        Union(SharedScan(same, "same"), scan("s3", TimeWindow(20))),
+        GroupBy(SharedScan(neg, "neg"), ["a"], count_n),
+        Join(SharedScan(DupElim(scan("s1")), "d"), scan("s2"), "a", "a"),
+    ]
+
+
+class TestReferenceOracle:
+    """The annotator against a second implementation of its rules, on
+    every operator, the paper's queries, generated plans, and the residual
+    plans (with shared cuts) of groups built from both."""
+
+    def test_every_operator(self):
+        """A new operator needs a rule in the reference and a plan here."""
+        seen = set()
+        for plan in _operator_catalogue():
+            _assert_agrees(plan)
+            seen.update(type(node) for node in plan.walk())
+        assert seen == {cls for cls in all_subclasses(LogicalNode)
+                        if cls.__module__.startswith("repro.")}
+
+    @pytest.mark.parametrize("name", sorted(PAPER_QUERIES))
+    def test_paper_queries(self, name):
+        assert _assert_agrees(PAPER_QUERIES[name]()) > 1
+
+    def test_generated_plans(self):
+        patterns = set()
+        for seed in range(GENERATED_PLANS):
+            plan = random_plan(random.Random(seed))
+            _assert_agrees(plan)
+            patterns.update(reference_patterns(plan).values())
+        assert patterns == {WKS, WK, STR}
+
+    def test_shared_group_residual_plans(self):
+        """Each generated plan grouped with its root's input subtrees,
+        and the paper's queries in one group: every member's residual plan,
+        cuts included, agrees node by node."""
+        groups = [[PAPER_QUERIES[name]() for name in sorted(PAPER_QUERIES)]]
+        for seed in range(GENERATED_PLANS):
+            plan = random_plan(random.Random(seed))
+            groups.append([plan, *plan.children])
+        cuts = 0
+        for plans in groups:
+            group = QueryGroup()
+            for index, plan in enumerate(plans):
+                group.add(f"q{index}", plan)
+            for name in group.names():
+                residual = group[name].plan
+                _assert_agrees(residual)
+                cuts += sum(isinstance(node, SharedScan)
+                            for node in residual.walk())
+        assert cuts > GENERATED_PLANS // 2

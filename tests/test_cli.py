@@ -78,6 +78,48 @@ class TestRun:
         assert exit_info.value.code == 2
 
 
+    def test_cli_has_no_str_storage_option(self, capsys):
+        """UPA stores STR results one way, so the option is gone from every
+        subcommand: argparse rejects it with exit status 2."""
+        for command in (["run", "SELECT * FROM link0 [RANGE 5]",
+                         "--trace", "t.tsv"],
+                        ["run-group", "SELECT * FROM link0 [RANGE 5]",
+                         "--trace", "t.tsv"],
+                        ["explain", "SELECT * FROM link0 [RANGE 5]"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(command + ["--str-storage", "negative"])
+            assert exit_info.value.code == 2
+            assert "--str-storage" in capsys.readouterr().err
+
+
+class TestUserErrors:
+    """A user error prints one ``repro: error:`` line on stderr, no
+    traceback, and exits with argparse's usage-error status."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["SELECT * FROM nosuch [RANGE 5]"], "unknown stream 'nosuch'"),
+        (["SELECT * FROM link0 [RANGE 5]", "--batch", "0"],
+         "batch must be >= 1"),
+        (["SELECT * FROM link0 [RANGE 5]", "--shards", "0"],
+         "shards must be >= 1"),
+        (["SELECT * FROM link0 [RANGE 5] MINUS link1 [RANGE 5] ON src_ip",
+          "--mode", "direct"], "negation-free"),
+    ], ids=["unknown-stream", "batch-0", "shards-0", "negation-direct"])
+    def test_one_line_and_status_2(self, trace_path, capsys, argv, message):
+        code = main(["run", *argv[:1], "--trace", trace_path, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: error: ") and message in line
+
+    def test_lint_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", "SELECT * FROM link0 [RANGE 5]"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
+
+
 class TestRunGroup:
     DISTINCT = "SELECT DISTINCT src_ip FROM link0 [RANGE 50]"
 
@@ -133,3 +175,16 @@ class TestExplain:
         out = capsys.readouterr().out
         assert code == 0
         assert "Negation" in out and "STR" in out
+
+    def test_explain_prints_the_certificate_below_the_footers(self, capsys):
+        code = main(["explain",
+                     "SELECT DISTINCT src_ip FROM link0 [RANGE 100]"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert not any(line.startswith("-- lint:") for line in lines)
+        footers = [i for i, line in enumerate(lines)
+                   if line.startswith("-- ")]
+        title = lines.index("state certificate (time domain, horizon=100)")
+        assert lines[footers[-1]].startswith("-- program:")
+        assert title == footers[-1] + 1
+        assert "bound=O(distinct keys)" in lines[title + 1]

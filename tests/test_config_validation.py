@@ -136,14 +136,14 @@ class TestRunArguments:
             RUN_ENTRY_POINTS[entry](events, **kw)
         assert not consumed
 
-    @pytest.mark.parametrize("batch", [0, -1])
+    @pytest.mark.parametrize("batch", [0, -1, 2.5, "8"])
     @pytest.mark.parametrize("shards", [None, 2])
     def test_batch_below_one(self, entry, batch, shards):
         kw = {} if shards is None else {"shards": shards}
         self._rejects(entry, "batch must be >= 1", batch=batch,
                       shard_backend="serial", **kw)
 
-    @pytest.mark.parametrize("shards", [0, -2])
+    @pytest.mark.parametrize("shards", [0, -2, 2.5, "2"])
     def test_shards_below_one(self, entry, shards):
         self._rejects(entry, "shards must be >= 1", shards=shards)
 

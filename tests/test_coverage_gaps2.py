@@ -12,7 +12,6 @@ from repro import (
     Join,
     Mode,
     Negation,
-    PlanError,
     Schema,
     StreamDef,
     Tick,
@@ -75,14 +74,17 @@ class TestCliErrorPaths:
             main(["run", "SELECT * FROM link0 [RANGE 5]",
                   "--trace", "/nonexistent/trace.tsv"])
 
-    def test_bad_query_raises_plan_error(self, tmp_path):
+    def test_bad_query_reports_plan_error(self, tmp_path, capsys):
+        """The PlanError is the user's: one ``repro: error:`` line on
+        stderr and argparse's usage-error status, no traceback."""
         from repro.cli import main
-        from repro import PlanError
         trace = tmp_path / "t.tsv"
         main(["generate", "--tuples", "10", "--out", str(trace)])
-        with pytest.raises(PlanError):
-            main(["run", "SELECT zzz FROM link0 [RANGE 5]",
-                  "--trace", str(trace)])
+        capsys.readouterr()
+        assert main(["run", "SELECT zzz FROM link0 [RANGE 5]",
+                     "--trace", str(trace)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro: error: ") and "zzz" in line
 
 
 class TestGroupByEdgeCases:

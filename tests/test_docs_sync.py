@@ -93,18 +93,19 @@ class TestReadmeQuickstart:
         assert result.fallback_reason is None
         assert "-- sharding: partitionable" in namespace["query"].explain()
 
-    def test_lint_quickstart_runs(self):
-        """The lint snippet is self-contained, lints clean, and runs."""
+    def test_reference_patterns_quickstart_runs(self):
+        """The annotate-vs-reference snippet is self-contained, agrees node
+        by node, and runs."""
+        from repro import WK
+
         blocks = [b for b in re.findall(r"```python\n(.*?)```", self.README,
-                                        re.S) if "lint(" in b]
-        assert blocks, "README lost its lint quickstart"
+                                        re.S) if "reference_patterns(" in b]
+        assert blocks, "README lost its reference-patterns quickstart"
         namespace: dict = {}
-        exec(compile(blocks[0], "README-lint", "exec"), namespace)
-        assert namespace["report"].ok
-        assert ("plan is clean: 2 rules"
-                in namespace["report"].render())
+        exec(compile(blocks[0], "README-reference", "exec"), namespace)
+        assert namespace["annotated"].output_pattern is WK
         explained = namespace["query"].explain()
-        assert "-- lint: clean (2 rules)" in explained
+        assert "-- lint:" not in explained
         # The execution-program footer the README promises, verbatim up to
         # the plan-dependent counts.
         assert ("-- program: EXPIRE>DISPATCH>PROPAGATE>PURGE>DELIVER"
@@ -122,13 +123,13 @@ class TestReadmeQuickstart:
         assert certificate.bounded
         explained = namespace["query"].explain()
         assert "-- bounds: " in explained
-        assert "-- lint: clean (2 rules)" in explained
+        assert "-- lint:" not in explained
 
     def test_cli_examples_reference_real_subcommands(self):
         from repro.cli import main
         import pytest as _pytest
         for command in ("run", "generate", "explain", "validate",
-                        "run-group", "lint"):
+                        "run-group"):
             if f"python -m repro {command}" in self.README or True:
                 with _pytest.raises(SystemExit):
                     main([command, "--help"])

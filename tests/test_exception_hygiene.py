@@ -1,8 +1,8 @@
 """Exception-hygiene lock: broad handlers stay confined to the IPC edge.
 
 A broad ``except Exception`` anywhere in the engine swallows the very
-defects the typed errors and the lint catalogue exist to surface
-(ExecutionError, PlanError).  The only
+defects the typed errors exist to surface (ExecutionError, PlanError).
+The only
 legitimate broad handler is the shard-worker IPC boundary in
 ``shard.py``: a worker process must serialize *any* failure — including
 MemoryError and injected test faults — into an ``("err", ...)`` reply,

@@ -11,6 +11,7 @@ from repro import (
     NRR,
     NRRJoin,
     Project,
+    Rename,
     Schema,
     Select,
     StreamDef,
@@ -205,6 +206,37 @@ class TestDupElimPushdown:
         assert pushed
 
 
+def dedup_twice():
+    """δ(δ(π_v scan)): the outer δ stores every tuple to remove nothing."""
+    return DupElim(DupElim(Project(scan("a"), ["v"])))
+
+
+def dedup_renamed():
+    """δ(ρ(δ(π_v scan))): a rename keeps its input duplicate-free."""
+    return DupElim(Rename(DupElim(Project(scan("a"), ["v"])), ["k"]))
+
+
+class TestRedundantDupElim:
+    @pytest.mark.parametrize("build", [dedup_twice, dedup_renamed],
+                             ids=["δδ", "δρδ"])
+    def test_single_dupelim_is_a_candidate_and_the_choice(self, build):
+        plan = build()
+        single = plan.child
+        assert signatures([single]) <= signatures(
+            optimizer().candidates(build()))
+        chosen = optimizer().optimize(build()).plan
+        assert signatures([chosen]) == signatures([single])
+        assert sum(isinstance(n, DupElim) for n in chosen.walk()) == 1
+
+    def test_disabled_by_options(self):
+        opt = Optimizer(options=RewriteOptions(move_dupelim=False))
+        assert len(opt.candidates(dedup_twice())) == 1
+
+    def test_dupelim_over_other_input_kept(self):
+        plan = DupElim(Rename(Project(scan("a"), ["v"]), ["k"]))
+        assert len(optimizer().candidates(plan)) == 1
+
+
 class TestConstraints:
     def test_nrr_join_never_below_negation(self):
         """Every candidate must keep R/NRR-joins over non-STR input."""
@@ -297,6 +329,8 @@ SOUNDNESS_CASES = {
     "join-chain": (_chain, None, 256),
     "dupelim-join": (lambda: DupElim(Join(scan("a"), scan("b"), "v", "v")),
                      None, 64),
+    "dupelim-dupelim": (dedup_twice, None, 64),
+    "dupelim-rename-dupelim": (dedup_renamed, None, 64),
 }
 
 

@@ -426,7 +426,7 @@ class TestProgramStructure:
                     elif node.func.id == "attach_certificate":
                         attaches.append(path.parent.name + "/" + path.name)
         assert {name for name, _, _ in builds} >= {
-            "query.py", "sharing.py", "shard.py", "cli.py", "specialize.py"}
+            "query.py", "sharing.py", "shard.py", "specialize.py"}
         assert all(args == 1 and not kwargs for _, args, kwargs in builds)
         assert set(attaches) == {"engine/driver.py"}
 

@@ -367,9 +367,9 @@ class TestOneEventLoop:
         assert port.clock == float("-inf")
 
     @pytest.mark.parametrize("batch", [None, 16])
-    def test_fused_group_lints_clean_when_sampled(self, batch, monkeypatch):
-        """A fused group lints clean and matches a bare group with every
-        batch (and, per tuple, every event) sampled and timed."""
+    def test_fused_group_matches_bare_when_sampled(self, batch, monkeypatch):
+        """A fused group matches a bare group with every batch (and, per
+        tuple, every event) sampled and timed."""
         gen = TrafficTraceGenerator(TrafficConfig(seed=11))
         config = ExecutionConfig(mode=Mode.UPA)
         armed, bare = QueryGroup(), QueryGroup()
@@ -385,7 +385,6 @@ class TestOneEventLoop:
         assert armed.shared_producers()
         assert all(member_of(armed, name)[1] for name in armed.names())
         for name in armed.names():
-            assert "-- lint: clean" in armed[name].explain()
             assert armed[name].counters.snapshot() == \
                 bare[name].counters.snapshot()
         merged = result.metrics
