@@ -176,7 +176,10 @@ class Driver:
         self._subscribers.append(callback)
 
     def answer(self):
-        """Current result multiset Q(now)."""
+        """Current result multiset Q(now): a ``Counter``, a snapshot that
+        later events do not change.  On a join-rooted UPA view it is a
+        :class:`~repro.engine.views.JoinAnswer`, which counts its pairs
+        only when first used."""
         return self.compiled.view.snapshot(self.now)
 
     def batch_loop(self) -> str:

@@ -83,7 +83,8 @@ class ContinuousQuery:
                          partitionability=part, replicas=replicas)
 
     def answer(self):
-        """Current result multiset Q(now)."""
+        """Current result multiset Q(now), a snapshot (see
+        :meth:`Driver.answer <repro.engine.driver.Driver.answer>`)."""
         return self.executor.answer()
 
     def subscribe(self, callback) -> None:

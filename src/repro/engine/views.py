@@ -14,11 +14,15 @@ and a hash table keyed on ``(values, exp)`` under NT.  A root
 whose own state already is Definition 2's view — a bag ⋈ bag window join,
 group-by, δ — stores none (:class:`StateView`), and neither does a group
 member whose whole plan is a shared producer (:class:`PortView`).
+
+``snapshot`` returns a ``Counter`` of live result values, a snapshot that
+later events do not change.  On a join-rooted view it is a
+:class:`JoinAnswer`, a ``Counter`` kept factorized as per-key pairs of
+input buckets until it is first used.
 """
 
 from __future__ import annotations
 
-import gc
 # ``_count_elements`` is the C loop behind ``Counter.update``.
 from collections import Counter as Multiset, _count_elements
 from ..buffers.base import StateBuffer
@@ -65,9 +69,9 @@ class ResultView:
         raise NotImplementedError
 
     def snapshot(self, now: float) -> Multiset:
-        """Multiset of live result values — the query answer Q(now).
-
-        Used by tests and examples; does not charge state touches.
+        """Multiset of live result values — the query answer Q(now), a
+        snapshot later events do not change.  Does not charge state
+        touches.
         """
         raise NotImplementedError
 
@@ -143,6 +147,70 @@ class StateView(ResultView):
         return 0  # stored results: none
 
 
+class JoinAnswer(Multiset):
+    """Q(now) of a join-rooted view, a ``Counter`` kept factorized as
+    ⋃ₖ Lₖ × Rₖ until it is first used.
+
+    Taking one copies, per join key stored on both sides, the two index
+    buckets: O(stored tuples) in C-level slices, nothing per result pair.
+    The copies make it a snapshot: arrivals and purges after ``now`` do not
+    reach it.  Any use of it as a ``Counter`` — a read, a comparison, an
+    operator, a write, pickling — first counts the pairs live at ``now``
+    into the answer itself, which from then on is a plain ``Counter``.
+    """
+
+    def __init__(self, now: float, blocks: list[tuple[list, list]]):
+        self._now = now
+        self._blocks = blocks
+
+    def _count(self) -> None:
+        now, blocks = self._now, self._blocks
+        # A plain ``Counter`` from here on: the counting loop below stores
+        # through dict's own methods, and every later use finds Counter's.
+        self.__class__ = Multiset
+        del self._now, self._blocks
+        # One comprehension into the C counting loop: per-key temporaries
+        # cost +30 % on a 50-pair answer.  The collector is not paused: the
+        # young collection it would put off runs at the reader's next
+        # allocation over the same live tuples, and costs no less there.
+        _count_elements(self, [
+            a.values + b.values
+            for left, right in blocks
+            for a in left if a.exp > now
+            for b in right if b.exp > now])
+
+
+def _counted_first(name: str):
+    def method(self, *args, **kwargs):
+        self._count()
+        return getattr(self, name)(*args, **kwargs)
+    method.__name__ = name
+    return method
+
+
+def _counted_then_declined(self, other):
+    # A reflected operator: count, then let the left operand's own
+    # operator run against the plain ``Counter`` this has become.
+    self._count()
+    return NotImplemented
+
+
+# Every method through which ``dict`` or ``Counter`` reads or writes the
+# contents (``dict(answer)`` and ``Counter(answer)`` go through ``keys``).
+for _name in ("__getitem__", "__setitem__", "__delitem__", "__contains__",
+              "__iter__", "__reversed__", "__len__", "__repr__",
+              "__reduce__", "__eq__", "__ne__", "__lt__", "__le__",
+              "__gt__", "__ge__", "__add__", "__sub__", "__or__", "__and__",
+              "__pos__", "__neg__", "__iadd__", "__isub__", "__ior__",
+              "__iand__", "get", "keys", "values", "items", "copy",
+              "setdefault", "pop", "popitem", "clear", "update", "subtract",
+              "total", "most_common", "elements"):
+    setattr(JoinAnswer, _name, _counted_first(_name))
+for _name in ("__radd__", "__rsub__", "__ror__", "__rand__"):
+    setattr(JoinAnswer, _name, _counted_then_declined)
+del _name
+
+
 class JoinStateView(StateView):
     """The view of a UPA plan rooted at a window join.
 
@@ -150,7 +218,9 @@ class JoinStateView(StateView):
     and a WKS/WK edge carries no negative tuple (Section 3.1), so
     Definition 2's view at ``now`` is exactly the pairs of stored,
     same-key, live tuples of the join's two hash-indexed inputs.
-    :meth:`snapshot` enumerates them.  Break-even read rate: DESIGN.md.
+    :meth:`snapshot` freezes the buckets of every key on both sides into
+    a :class:`JoinAnswer`, which counts those pairs when first used.
+    Break-even read rate: DESIGN.md.
     """
 
     def __init__(self, join, counters: Counters | None = None):
@@ -161,24 +231,9 @@ class JoinStateView(StateView):
 
     def snapshot(self, now: float) -> Multiset:
         right = self._right
-        # Thousands of fresh value tuples trip a young collection every
-        # 700 allocations and none is garbage: pause the collector until
-        # they are counted (1.4 -> 1.1 ms on a 5.8 k-pair answer).  On a
-        # 50-pair answer per-key temporaries cost +30 %, ``Counter()``'s
-        # Python frames +7 %: one comprehension into the C counting loop.
-        was = gc.isenabled()
-        gc.disable()
-        try:
-            out = Multiset.__new__(Multiset)
-            _count_elements(out, [
-                a.values + b.values
-                for key, bucket in self._left.items() if key in right
-                for a in bucket if a.exp > now
-                for b in right[key] if b.exp > now])
-            return out
-        finally:
-            if was:
-                gc.enable()
+        return JoinAnswer(now, [(bucket[:], right[key][:])
+                                for key, bucket in self._left.items()
+                                if key in right])
 
 
 class GroupStateView(StateView):

@@ -10,7 +10,11 @@ materialized semantics of Definition 2 — whoever is or is not listening,
 on every driving path.
 """
 
+import operator
+import pickle
+import sys
 from collections import Counter
+from copy import copy
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -22,6 +26,7 @@ from repro import (
     ExecutionConfig,
     Join,
     Mode,
+    QueryGroup,
     ReferenceEvaluator,
     Schema,
     StreamDef,
@@ -29,7 +34,7 @@ from repro import (
     TimeWindow,
     WindowScan,
 )
-from repro.engine.views import JoinStateView
+from repro.engine.views import JoinAnswer, JoinStateView, PortView
 from repro.testing import reference_step
 
 VW = Schema(["v", "w"])
@@ -187,3 +192,194 @@ def test_subscriber_attached_from_a_callback_of_the_run(batch):
     twin.run(events, batch=batch)
     assert late and late == [entry for entry in always if entry[1] > 10.0]
     assert query.counters.snapshot() == twin.counters.snapshot()
+
+
+# -- the answer's contract ---------------------------------------------------
+#
+# ``answer()`` on a join-state view copies the index buckets of every key
+# stored on both sides into a :class:`JoinAnswer` and counts the live pairs
+# only when first read.  Each test below runs per tuple and in batches of 64.
+
+PATHS = [None, 64]
+
+
+def _join(window: float):
+    return Join(WindowScan(StreamDef("s0", VW, TimeWindow(window))),
+                WindowScan(StreamDef("s1", VW, TimeWindow(window))), "v", "v")
+
+
+def _trace(n: int, keys: int = 3, start: int = 0):
+    return [Arrival(1.0 + 0.25 * i, f"s{i % 2}", (i % (2 * keys) // 2, i))
+            for i in range(start, start + n)]
+
+
+def _feed(query, oracle, events, batch):
+    executor = query.executor
+    if batch is None:
+        for event in events:
+            executor.process_event(event)
+    else:
+        for i in range(0, len(events), batch):
+            executor.process_batch(events[i:i + batch])
+    for event in events:
+        oracle.observe(event)
+
+
+def _taken(batch, arrivals=800):
+    """A query over ``arrivals`` events, the answer taken then, and Q(then)
+    from the Definition-1 oracle."""
+    plan = _join(40.0)
+    query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
+    assert isinstance(query.compiled.view, JoinStateView)
+    oracle = ReferenceEvaluator()
+    _feed(query, oracle, _trace(arrivals), batch)
+    answer = query.answer()
+    assert isinstance(answer, JoinAnswer)
+    return query, oracle, answer, oracle.evaluate(plan, query.executor.now)
+
+
+@pytest.mark.parametrize("batch", PATHS)
+def test_answer_is_a_snapshot_of_its_instant(batch):
+    """Read only after 500 more arrivals and a purge of every stored
+    tuple, an answer is still the answer of the instant it was taken."""
+    query, oracle, answer, want = _taken(batch)
+    assert sum(want.values()) > 1000
+    _feed(query, oracle, _trace(500, start=800), batch)
+    later = query.answer()
+    assert later == oracle.evaluate(query.plan, query.executor.now)
+    _feed(query, oracle, [Tick(query.executor.now + 100.0)], batch)
+    assert query.compiled.state_size() == 0
+    assert not query.answer()
+    assert answer == want
+    assert later != want
+
+
+def _set(x, values, n):
+    x[values] = n
+    return x
+
+
+def _drop(x, values):
+    del x[values]
+    return x
+
+
+# Every way of using a ``Counter`` that ``dict`` or ``Counter`` implement,
+# as ``use(x, w, half)``: ``x`` is an answer not used before (or a copy of
+# the oracle's Counter), ``w`` the oracle's Counter, ``half`` half of it.
+USES = {
+    "==": lambda x, w, h: x == w, "== reflected": lambda x, w, h: w == x,
+    "== dict": lambda x, w, h: x == dict(w),
+    "dict ==": lambda x, w, h: dict(w) == x,
+    "!=": lambda x, w, h: x != h, "!= reflected": lambda x, w, h: h != x,
+    "<=": lambda x, w, h: x <= w, "< reflected": lambda x, w, h: h < x,
+    ">=": lambda x, w, h: x >= h, "> reflected": lambda x, w, h: w > x,
+    "+": lambda x, w, h: x + h, "+ reflected": lambda x, w, h: h + x,
+    "-": lambda x, w, h: x - h, "- reflected": lambda x, w, h: h - x,
+    "&": lambda x, w, h: x & h, "& reflected": lambda x, w, h: h & x,
+    "|": lambda x, w, h: x | h, "| reflected": lambda x, w, h: h | x,
+    "dict |": lambda x, w, h: dict(h) | x,
+    "unary +": lambda x, w, h: +x, "unary -": lambda x, w, h: -x,
+    "+=": lambda x, w, h: operator.iadd(x, h),
+    "-=": lambda x, w, h: operator.isub(x, h),
+    "[]=": lambda x, w, h: _set(x, next(iter(h)), 7),
+    "del": lambda x, w, h: _drop(x, next(iter(h))),
+    "update": lambda x, w, h: (x.update(h), x)[1],
+    "Counter()": lambda x, w, h: Counter(x),
+    "Counter.update": lambda x, w, h: (h.update(x), h)[1],
+    "dict()": lambda x, w, h: dict(x), "{**}": lambda x, w, h: {**x},
+    "dict.update": lambda x, w, h: (lambda d: (d.update(x), d)[1])({}),
+    "copy": lambda x, w, h: x.copy(), "copy.copy": lambda x, w, h: copy(x),
+    "pickle": lambda x, w, h: pickle.loads(pickle.dumps(x)),
+    "len": lambda x, w, h: len(x), "bool": lambda x, w, h: bool(x),
+    "in": lambda x, w, h: next(iter(h)) in x,
+    "[]": lambda x, w, h: [x[k] for k in w],
+    "get": lambda x, w, h: x.get(next(iter(h))),
+    "iter": lambda x, w, h: sorted(x),
+    "items": lambda x, w, h: sorted(x.items()),
+    "elements": lambda x, w, h: sorted(x.elements()),
+    "total": lambda x, w, h: x.total(),
+    "most_common": lambda x, w, h: sorted(x.most_common()),
+    "repr": lambda x, w, h: repr(x).startswith("Counter({"),
+}
+
+
+@pytest.mark.parametrize("batch", PATHS)
+def test_answer_is_a_counter_under_every_use(batch):
+    """An answer not used before gives, under each use, what the oracle's
+    ``Counter`` gives; after its first use it is a plain ``Counter``."""
+    query, _oracle, answer, want = _taken(batch)
+    half = Counter(dict(list(want.items())[::2]))
+    assert isinstance(answer, Counter)
+    for name, use in USES.items():
+        fresh = query.answer()
+        assert type(fresh) is JoinAnswer
+        got = use(fresh, want, half.copy())
+        assert got == use(want.copy(), want, half.copy()), name
+        assert type(fresh) is Counter, name
+        if isinstance(got, dict):
+            assert type(got) is type(use(want.copy(), want, half.copy())), \
+                name
+
+
+def test_every_method_of_the_counter_counts_first():
+    """Each method ``dict`` or ``Counter`` defines that can see the contents
+    is one of the answer's own, which counts before it runs."""
+    blind = {"__new__", "__init__", "__getattribute__", "__sizeof__",
+             "__class_getitem__", "__missing__", "_keep_positive", "fromkeys",
+             "__hash__", "__doc__", "__module__", "__dict__", "__weakref__"}
+    for name in (set(vars(dict)) | set(vars(Counter))) - blind:
+        assert name in vars(JoinAnswer), name
+
+
+@pytest.mark.parametrize("batch", PATHS)
+def test_answer_pickles_as_a_counter(batch):
+    _query, _oracle, answer, want = _taken(batch)
+    loaded = pickle.loads(pickle.dumps(answer))
+    assert type(loaded) is Counter and loaded == want
+
+
+@pytest.mark.parametrize("batch", PATHS)
+def test_sharded_and_port_answers_equal_the_standalone_one(batch):
+    """A serial two-shard run sums its shards' answers; a group member whose
+    whole plan is a join-rooted producer reads that producer's view."""
+    query, _oracle, answer, want = _taken(batch)
+    events = _trace(800)
+    sharded = ContinuousQuery(query.plan, ExecutionConfig(mode=Mode.UPA))
+    result = sharded.run(events, batch=batch, shards=2,
+                         shard_backend="serial")
+    assert result.shards == 2 and result.answer() == answer == want
+    group = QueryGroup()
+    for name in ("a", "b"):
+        group.add(name, _join(40.0), ExecutionConfig(mode=Mode.UPA))
+    group.run(events, batch=batch)
+    for name in ("a", "b"):
+        assert type(group[name].compiled.view) is PortView
+        (producer,) = group.shared_producers()
+        assert type(producer.compiled.view.stored) is JoinStateView
+        assert group[name].answer() == answer == want
+
+
+def _blocks(call):
+    """Memory blocks still held after ``call()``, and its result."""
+    before = sys.getallocatedblocks()
+    kept = call()
+    return sys.getallocatedblocks() - before, kept
+
+
+@pytest.mark.parametrize("batch", PATHS)
+def test_taking_an_answer_allocates_per_key_not_per_pair(batch):
+    """Taking an answer over 50 and over 5 000 result pairs, two keys
+    either way, holds a few memory blocks per key, where a built answer
+    would hold one value tuple per distinct pair."""
+    blocks = {}
+    for per_key in (5, 50):
+        plan = _join(1000.0)
+        query = ContinuousQuery(plan, ExecutionConfig(mode=Mode.UPA))
+        oracle = ReferenceEvaluator()
+        _feed(query, oracle, _trace(4 * per_key, keys=2), batch)
+        want = oracle.evaluate(plan, query.executor.now)
+        assert sum(want.values()) == 2 * per_key ** 2
+        blocks[per_key], answer = _blocks(query.answer)
+        assert answer == want
+    assert max(blocks.values()) < 32

@@ -12,7 +12,10 @@ import pytest
 
 from repro import (
     Arrival,
+    ContinuousQuery,
+    ExecutionConfig,
     Mode,
+    STR,
     Schema,
     StreamDef,
     Tick,
@@ -24,6 +27,7 @@ from repro import (
     from_window,
 )
 from repro.core.plan import SharedScan
+from repro.errors import PlanError
 from repro.testing import assert_equivalent, check_plan
 
 V = Schema(["v"])
@@ -100,6 +104,49 @@ class TestMixedWindowCorrectness:
         plan = (from_window(stream("a", 10))
                 .minus(from_window(stream("b", 3)), on="v").build())
         check_plan(plan, random_events(seed=6), mode)
+
+
+class TestUnionOverMixedPatterns:
+    """Rule 2: a union is as weak as its weaker input, also where the
+    windows agree and the lag refinement adds nothing — a WKS window ∪ a
+    WK δ or an STR negation over a window of the same length.  Each union
+    feeds a stateful parent, which picks its state (and, under UPA, its
+    operator) from the union's pattern."""
+
+    W = 5
+
+    def union(self, right):
+        window = from_window(stream("a", self.W))
+        other = from_window(stream("b", self.W))
+        if right == "wk":
+            return window.union(other.distinct())
+        return window.union(other.minus(from_window(stream("c", 3)), on="v"))
+
+    def events(self, seed):
+        rng = random.Random(seed)
+        events, ts = [], 0.0
+        for _ in range(240):
+            ts += rng.choice([0.25, 0.5, 1.0])
+            events.append(Arrival(ts, rng.choice("abc"), (rng.randrange(3),)))
+        events.append(Tick(ts + 30))
+        return events
+
+    @pytest.mark.parametrize("parent", ["join", "distinct"])
+    @pytest.mark.parametrize("right", ["wk", "str"])
+    def test_matches_oracle_in_every_mode(self, right, parent):
+        union = self.union(right)
+        if parent == "join":
+            plan = union.join(from_window(stream("c", 8)), on="v").build()
+        else:
+            plan = union.distinct().build()
+        expected = WK if right == "wk" else STR
+        assert annotate(plan).pattern_of(plan.children[0]) is expected
+        for seed, mode in enumerate((Mode.NT, Mode.DIRECT, Mode.UPA)):
+            if mode is Mode.DIRECT and right == "str":
+                with pytest.raises(PlanError):
+                    ContinuousQuery(plan, ExecutionConfig(mode=mode))
+                continue
+            check_plan(plan, self.events(seed), mode)
 
 
 class TestMixedCountWindows:
