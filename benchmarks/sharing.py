@@ -16,8 +16,9 @@ the shared/baseline wall-time ratio over the pairs, then of each side's
 own ms per 1 000 arrivals (so a ratio cannot improve through a slower
 denominator unnoticed), beside the touch and state totals.  A cell whose
 ratio quartiles straddle 1.0 is reported as unresolved, not as a win or a
-loss.  To measure another checkout with identical code, copy this file
-and ``test_multi_sharing.py`` into its ``benchmarks/``.
+loss.  To measure another checkout with identical code, copy this file,
+``test_multi_sharing.py``, ``experiments.py`` and ``reeval.py`` into its
+``benchmarks/``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import gc
 import statistics
 from time import perf_counter as clock
 
-from benchmarks.common import BENCH_TRAFFIC, make_generator
+from benchmarks.experiments import BENCH_TRAFFIC, make_generator
 from benchmarks.test_multi_sharing import FANOUT, MIX, build_group
 from repro import Mode
 

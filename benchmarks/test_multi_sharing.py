@@ -1,14 +1,12 @@
 """Multi-query scaling: a sharing QueryGroup against precompiled members.
 
-The ROADMAP's north star is many standing queries over one feed.  This
-benchmark scales an overlapping query mix to N ∈ {1, 4, 16} members and
-runs it as a ``QueryGroup`` that plans sharing and, for the baseline, as
-a group of precompiled members (the group did not compile them, so it
-shares nothing).  Wall-clock per 1000 arrivals and the deterministic
-state-touch totals (member residuals + shared producers) go into the
-benchmark JSON via ``extra_info``; the smoke test asserts the design goal
-— shared state touches grow *sublinearly* in N because common subplans
-are maintained once, not once per query.
+An overlapping query mix scaled to N ∈ {1, 4, 16} members runs as a
+``QueryGroup`` that plans sharing and, for the baseline, as a group of
+precompiled members (the group did not compile them, so it shares
+nothing).  The smoke tests assert the design goal on deterministic state
+touches — they grow *sublinearly* in N because common subplans are
+maintained once, not once per query — and that sharing never costs work
+or state.  ``benchmarks/sharing.py`` times the same groups.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from repro.core.plan import attr_equals
 from repro.lang.builder import from_window
 from repro.workloads import query1, query2, query4
 
-from .common import make_generator, trace_for
+from .experiments import make_generator, trace_for
 
 WINDOW = 100
 GROUP_SIZES = (1, 4, 16)
@@ -67,30 +65,6 @@ def run_group(n: int, shared: bool, window: float = WINDOW,
     group = build_group(n, shared, window, mode=mode)
     result = group.run(iter(trace_for(window)), batch=batch)
     return group, result
-
-
-@pytest.mark.parametrize("regime", ["shared", "independent"])
-@pytest.mark.parametrize("n", GROUP_SIZES)
-def test_group_scaling(benchmark, n, regime):
-    shared = regime == "shared"
-
-    def target():
-        return run_group(n, shared)
-
-    group, result = benchmark.pedantic(target, rounds=1, iterations=1)
-    residual = sum(result.touches().values())
-    benchmark.extra_info["n_queries"] = n
-    benchmark.extra_info["regime"] = regime
-    benchmark.extra_info["time_ms_per_1000"] = round(
-        result.time_per_1000() * 1000.0, 3)
-    benchmark.extra_info["per_query_time_ms_per_1000"] = round(
-        result.time_per_1000() * 1000.0 / n, 3)
-    benchmark.extra_info["residual_touches"] = residual
-    benchmark.extra_info["shared_touches"] = result.shared_touches()
-    benchmark.extra_info["total_touches"] = result.total_touches()
-    benchmark.extra_info["shared_producers"] = len(group.shared_producers())
-    benchmark.extra_info["shared_state_tuples"] = group.shared_state_size()
-    assert result.tuples_arrived > 0
 
 
 @pytest.mark.parametrize("window", [WINDOW, 400])

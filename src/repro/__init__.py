@@ -96,7 +96,6 @@ from .lang.builder import (
 )
 from .engine.multi import QueryGroup
 from .engine.sharing import SharedProducer
-from .engine.reeval import ReEvaluationQuery
 from .lang.catalog import SourceCatalog
 from .lang.compiler import QueryCompiler, compile_query
 from .lang.parser import ParseError, parse
@@ -127,7 +126,7 @@ __all__ = [
     "Project", "RelationJoin", "Rename", "Select", "SharedScan", "Union",
     "WindowScan",
     "attr_equals", "ReferenceEvaluator", "StatisticsCollector",
-    "ReEvaluationQuery", "QueryGroup", "GroupRunResult",
+    "QueryGroup", "GroupRunResult",
     "SharedProducer",
     "fingerprint", "fingerprint_all",
     "NEGATIVE", "NEVER", "POSITIVE", "Schema", "Tuple",

@@ -2,7 +2,6 @@
 
 from .executor import GroupRunResult, RunResult
 from .multi import QueryGroup
-from .reeval import ReEvalResult, ReEvaluationQuery
 from .query import ContinuousQuery, run_query
 from .shard import ShardRouter, analyze_group_partitionability, stable_hash
 from .sharing import SharedProducer
@@ -18,8 +17,6 @@ __all__ = [
     "RunResult",
     "GroupRunResult",
     "QueryGroup",
-    "ReEvalResult",
-    "ReEvaluationQuery",
     "ContinuousQuery",
     "run_query",
     "SharedProducer",

@@ -328,6 +328,10 @@ def _inspect_windows(root: LogicalNode, compiled: CompiledQuery) -> None:
 
 def _build_node(node: LogicalNode, compiled: CompiledQuery,
                 annotated: AnnotatedPlan, config: ExecutionConfig) -> None:
+    if id(node) in compiled.ops:
+        raise PlanError(
+            f"{node.describe()} appears twice in the plan: one node object "
+            "cannot feed two parents; build each input separately")
     counters = compiled.counters
     mode = config.mode
     nt = mode is Mode.NT

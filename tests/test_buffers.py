@@ -136,6 +136,75 @@ class TestCommonBufferBehaviour:
         assert counters.expirations == 1
 
 
+#: 2 000 tuples over 50 keys whose ``exp`` ramps across a 100-unit span in
+#: arrival order: the bulk checks below fill a buffer with them.
+RAMP_SPAN, RAMP_N = 100.0, 2_000
+
+
+def ramp():
+    return [Tuple((i % 50,), i * RAMP_SPAN / RAMP_N, (i + 1) * RAMP_SPAN / RAMP_N)
+            for i in range(RAMP_N)]
+
+
+def ramp_buffer(kind, counters=None):
+    """A buffer of ``kind`` sized for :func:`ramp` (a partitioned ring over
+    its whole span)."""
+    if kind == "partitioned":
+        return PartitionedBuffer(RAMP_SPAN, 10, value_key, counters)
+    return make_buffer(kind, counters=counters)
+
+
+def filled(kind):
+    buf = ramp_buffer(kind)
+    for tup in ramp():
+        buf.insert(tup)
+    return buf
+
+
+class TestBulk:
+    """Whole-buffer contracts over :func:`ramp`'s 2 000 tuples."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_insert_many_matches_scalar_inserts_exactly(self, kind):
+        """Contents, order and counter charges of ``insert_many`` over
+        64-tuple chunks are those of one scalar insert per tuple."""
+        tuples = ramp()
+        scalar_counters, bulk_counters = Counters(), Counters()
+        scalar = ramp_buffer(kind, scalar_counters)
+        bulk = ramp_buffer(kind, bulk_counters)
+        for tup in tuples:
+            scalar.insert(tup)
+        for start in range(0, RAMP_N, 64):
+            bulk.insert_many(tuples[start:start + 64])
+        assert len(bulk) == RAMP_N
+        assert list(scalar) == list(bulk)
+        assert scalar_counters.snapshot() == bulk_counters.snapshot()
+
+    @pytest.mark.parametrize("kind", PURGED_KINDS)
+    def test_stepwise_purge_removes_everything_once(self, kind):
+        buf = filled(kind)
+        removed = sum(len(buf.purge_expired(RAMP_SPAN * (step + 1) / 100))
+                      for step in range(100))
+        assert removed == RAMP_N and len(buf) == 0
+
+    @pytest.mark.parametrize("kind", ["hash", "partitioned", "list"])
+    def test_negative_tuples_delete_their_match(self, kind):
+        buf = filled(kind)
+        for victim in ramp()[::10]:
+            assert buf.delete(victim.negate())
+        assert len(buf) == RAMP_N - RAMP_N // 10
+
+    @pytest.mark.parametrize("kind", ["fifo", "hash", "partitioned"])
+    def test_probes_cover_every_key(self, kind):
+        buf = filled(kind)
+        assert sum(len(buf.probe(key, now=0.0)) for key in range(50)) \
+            == RAMP_N
+
+    @pytest.mark.parametrize("kind", ["hash", "list"])
+    def test_live_scan_sees_everything_unexpired(self, kind):
+        assert sum(1 for _ in filled(kind).live(now=0.0)) == RAMP_N
+
+
 class TestFifoBuffer:
     def test_rejects_non_fifo_insertion(self):
         buf = FifoBuffer()

@@ -1,4 +1,4 @@
-"""Tests for the CLI validate subcommand and harness smoke runs."""
+"""Tests for the CLI validate subcommand and the experiments' entry point."""
 
 import os
 import subprocess
@@ -46,22 +46,25 @@ class TestValidate:
 
 
 class TestHarnessSmoke:
-    """The experiment harness must run end to end in quick mode."""
+    """``python -m benchmarks.experiments`` runs end to end in quick mode."""
 
     def test_single_experiment_via_subprocess(self):
         env = dict(os.environ)
         result = subprocess.run(
-            [sys.executable, "-m", "benchmarks.harness", "e1", "--quick"],
+            [sys.executable, "-m", "benchmarks.experiments", "e1", "--quick"],
             capture_output=True, text=True, env=env,
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
         assert result.returncode == 0, result.stderr
         assert "E1" in result.stdout
-        assert "NT ms/1k" in result.stdout
+        rows = [line.split() for line in result.stdout.splitlines()]
+        # Three strategies at each of the three quick windows.
+        assert sorted(row[4] for row in rows if row[:1] == ["Q1-ftp"]) \
+            == ["DIRECT"] * 3 + ["NT"] * 3 + ["UPA"] * 3
 
     def test_unknown_experiment_rejected(self):
         result = subprocess.run(
-            [sys.executable, "-m", "benchmarks.harness", "e99"],
+            [sys.executable, "-m", "benchmarks.experiments", "e99"],
             capture_output=True, text=True,
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )

@@ -2,10 +2,8 @@
 
 from collections import Counter
 
-import pytest
-
 from repro import Arrival, ContinuousQuery, ExecutionConfig, Mode, Tick
-from repro.engine.reeval import ReEvaluationQuery
+from benchmarks.reeval import ReEvaluationQuery
 
 from conftest import random_arrivals, stream_pair
 from repro.lang.builder import from_window

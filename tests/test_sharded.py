@@ -286,6 +286,33 @@ def test_process_backend_matches_serial(name, factory, modes):
             assert proc_res.shard_counters == serial_res.shard_counters
 
 
+#: The experiments' workload (4 links, 150 source IPs) at W=150: denser
+#: keys and longer windows than the matrix above.
+_BENCH_GEN = TrafficTraceGenerator(TrafficConfig(n_links=4, n_src_ips=150,
+                                                 seed=42))
+_BENCH_EVENTS = list(_BENCH_GEN.events(1_800))
+
+
+@pytest.mark.parametrize("plan_fn", [
+    lambda gen, w: query1(gen, w, "telnet"), query3, query4,
+], ids=["q1", "q3", "q4"])
+@pytest.mark.parametrize("shards", [2, 4])
+def test_process_backend_answers_exact_on_the_experiments_trace(plan_fn,
+                                                                shards):
+    """Batched UPA runs on the process backend answer as the inline run."""
+    def run(shards):
+        query = ContinuousQuery(plan_fn(_BENCH_GEN, 150.0),
+                                ExecutionConfig(mode=Mode.UPA))
+        return query.run(iter(_BENCH_EVENTS), batch=64, shards=shards,
+                         shard_backend="process")
+
+    base, sharded = run(1), run(shards)
+    assert sharded.fallback_reason is None
+    assert sharded.shards == shards
+    assert sharded.answer() == base.answer()
+    assert sharded.tuples_arrived == base.tuples_arrived
+
+
 def test_merged_stream_is_chunk_size_invariant():
     plan = query3(_GEN, _WINDOW)
     reference = None

@@ -17,12 +17,14 @@ from repro import (
     NRR,
     NRRJoin,
     PlanError,
+    QueryGroup,
     Relation,
     RelationJoin,
     Schema,
     Select,
     StreamDef,
     TimeWindow,
+    Union,
     WindowScan,
     attr_equals,
     compile_plan,
@@ -324,6 +326,24 @@ class TestValidation:
         plan = Select(gb, attr_equals("v", 1))
         with pytest.raises(PlanError, match="root"):
             compile_plan(plan, ExecutionConfig(mode=Mode.UPA))
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("combine", [
+        lambda s: Intersect(s, s),
+        lambda s: Union(s, s),
+        lambda s: Join(s, s, "v", "v"),
+    ], ids=["intersect", "union", "join"])
+    def test_reused_node_is_a_plan_error(self, combine, mode):
+        """One node object under two parents names itself, in every mode."""
+        with pytest.raises(PlanError, match="appears twice"):
+            ContinuousQuery(combine(scan()), ExecutionConfig(mode=mode))
+
+    def test_group_member_reusing_a_node_is_a_plan_error(self):
+        s = scan()
+        group = QueryGroup()
+        group.add("q", Intersect(s, s), ExecutionConfig(mode=Mode.UPA))
+        with pytest.raises(PlanError, match="appears twice"):
+            group.run(iter([Arrival(0, "s0", (1,))]))
 
 
 class TestRouting:
