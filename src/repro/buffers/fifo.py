@@ -85,11 +85,11 @@ class FifoBuffer(StateBuffer):
         expired: list[Tuple] = []
         queue = self._queue
         # One touch for peeking at the head even when nothing expires.
-        self.counters.touches += 1
+        touches = 1
         while queue and queue[0].exp <= now:
-            t = queue.popleft()
-            expired.append(t)
-            self.counters.touches += 1
+            expired.append(queue.popleft())
+            touches += 1
+        self.counters.touches += touches
         if expired:
             self._index_drop(expired)
             self.counters.expirations += len(expired)

@@ -46,9 +46,9 @@ One batch loop
 --------------
 
 Every batch runs the one per-event loop: per event, in order, it sets the
-clock, runs the gated pass, then dispatches — a relation update in place
-(re-anchoring the boundary caches), an arrival from ``pending`` or through
-its row arrival closure.  No batch falls back.
+clock, runs the gated pass, runs the row's queued ``pending`` work, then
+dispatches — a relation update in place (re-anchoring the boundary
+caches), an inline arrival through its row closure.  No batch falls back.
 
 The only bulk work is a per-stream **column prelude**, compiled for a
 stream when every dispatch plan on it is a non-port time-window leaf and
@@ -57,22 +57,28 @@ ports, a shared producer's streams and prefix-less streams have none;
 :meth:`Driver.batch_loop` names each stream's choice).  Before the loop,
 over that stream's rows, it stamps ``exp`` in bulk, inserts the block into
 an NT window store (``insert_many``), runs the prefix column-wise and
-queues each survivor on ``pending`` at its row.  It hoists four effects
-ahead of their row, and each commutes with everything the loop observes,
-relation updates included:
+queues each survivor on ``pending`` at its row; when every stream takes
+one and every eager participant is an NT window, it schedules their
+expirations too (effect 5).  Five hoisted effects, each commuting with
+everything the loop observes, relation updates included:
 
 1. *NT window inserts.*  A tuple stamped from a later event ``k`` has
    ``exp = ts_k + span > ts_r`` for every earlier event ``r`` (timestamps
    non-decreasing, spans positive), so no pass at ``ts_r`` pops it.
-2. *Prefix charges.*  ``tuples_processed`` and the buffers'
-   ``inserts``/``touches`` are order-insensitive totals; ``insert_many`` is
-   contractually n× ``insert``.
+2. *Prefix charges.*  ``tuples_processed`` (and ``negatives_processed``)
+   and the buffers' ``inserts``/``touches``/``expirations`` are
+   order-insensitive totals; ``insert_many`` is contractually n× ``insert``.
 3. *Stateless clock folds.*  They only ever move up, and no pass, probe or
    subscriber reads them mid-batch.
 4. *Leaf-boundary folds.*  A cache lowered to a hoisted exp stays a sound
    lower bound, and so does ``_anchor_boundaries`` after a relation update:
    hoisted tuples only lower the minimum, and a pass that runs early
    expires nothing that is not due.
+5. *NT window expirations.*  One ``purge_expired`` per window at the last
+   clock; the prefix is stateless, so a negative is a pure function of its
+   stored row.  The pass at row ``r`` would push exactly ``exp`` in
+   ``(clock_{r-1}, clock_r]`` into the suffix before the row's dispatch:
+   there the group is queued, in pass-plan order; no pass runs.
 
 No prefix operator reads a relation (relation joins sit in suffixes, which
 run in the loop at their rows), so an update lands between the same prefix
@@ -89,30 +95,33 @@ Instrumentation
 Every driver reports through :class:`~repro.engine.telemetry.DriverMetrics`:
 counters, state and expiration lag exactly; clocks only on the batch after
 each state sample, per phase (``phase_seconds``), per prelude plan
-(``op_process_seconds``) and around the first pass.  The per-tuple closure
-carries no sample check: the one feed
+(``op_process_seconds``), around the first pass or the scheduled windows'
+expire phases (``expiration_pass_seconds``, ``op_expire_seconds``).  The
+per-tuple closure carries no sample check: the one feed
 (:func:`~repro.engine.executor.feed_drivers`) makes it after every chunk.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from itertools import compress, count, repeat
-from operator import length_hint
+from operator import attrgetter, length_hint
 from time import perf_counter as perf
 from typing import Callable, Sequence
 
 from ..analysis.bounds import attach_certificate
-from ..core.tuples import Tuple
+from ..core.tuples import NEGATIVE, Tuple
 from ..errors import ExecutionError
 from ..streams.relation import NRR
 from ..streams.stream import Arrival, Event, RelationUpdate, Tick
 from ..streams.window import TimeWindow
-from ..operators.stateless import PortOp
+from ..operators.stateless import PortOp, WindowOp
 from .columnar import ChunkTable, take_columns
 from .telemetry import DriverMetrics, MetricsRegistry
 
 _INF = math.inf
+_exp, _values = attrgetter("exp"), attrgetter("values")
 
 
 class Driver:
@@ -183,9 +192,9 @@ class Driver:
         return self.compiled.view.snapshot(self.now)
 
     def batch_loop(self) -> str:
-        """Which streams get a column prelude in the one batch loop, and
-        why the others take their row arrival closures — the
-        ``-- columnar:`` explain footer."""
+        """Which streams get a column prelude in the one batch loop, why
+        the others take their row arrival closures and, under NT, whether
+        the preludes schedule expirations — the ``-- columnar:`` footer."""
         dispatch = self.compiled.dispatch
         preludes = ", ".join(f"{stream} ({len(dispatch[stream])} plan(s))"
                              for stream in self._preludes) or "none"
@@ -193,7 +202,14 @@ class Driver:
                          for stream, plans in dispatch.items()
                          if stream not in self._preludes)
         loop = f"one loop; column prelude: {preludes}"
-        return f"{loop}; row arrivals: {rows}" if rows else loop
+        loop += f"; row arrivals: {rows}" if rows else ""
+        windows = dict.fromkeys(op.name for op, _e, _s in self._pass_plan
+                                if isinstance(op, WindowOp))
+        if windows:  # NT (where only row arrivals stop the schedule)
+            loop += "; NT expirations: " + (
+                f"scheduled ({', '.join(windows)})" if self._scheduled else
+                f"per pass ({', '.join(self._inline)} take(s) row arrivals)")
+        return loop
 
     # -- steps the compiled loops call --------------------------------------
 
@@ -486,8 +502,8 @@ class Driver:
     # -- column preludes -----------------------------------------------------
 
     def _compile_preludes(self) -> None:
-        """Compile the column preludes: one column-phase closure per
-        dispatch plan of every stream that gets one."""
+        """Compile the column preludes (a column phase per dispatch plan of
+        every stream that gets one) and their scheduled NT expire phases."""
         slots = count(DriverMetrics.PASS + 1)
         #: stream -> ((column-phase closure, DriverMetrics slot), ...)
         self._preludes: dict[str, tuple] = {
@@ -499,6 +515,18 @@ class Driver:
         #: those of the streams without one.
         self._inline = {stream: fns for stream, fns in self._arrivals_b.items()
                         if stream not in self._preludes}
+        #: ((expire phase, pass index, DriverMetrics slot), ...) reversed
+        #: (each prepends to a row's queue); () unless every stream has a
+        #: prelude and every eager participant is an NT window.
+        leaves = {id(plan.leaf): plan
+                  for plans in self.compiled.dispatch.values() for plan in plans}
+        base = next(slots)  # DriverMetrics.expire_base
+        self._scheduled = () if self._inline or not all(
+            isinstance(op, WindowOp) for op, _e, _s in self._pass_plan
+        ) else tuple(
+            (self._compile_expire_phase(leaves[id(op)]), i, base + i)
+            for i, (op, _expire, _stages) in reversed(list(
+                enumerate(self._pass_plan))))
 
     def _prelude_reason(self, plans) -> str | None:
         """Why a stream with these dispatch plans gets no column prelude
@@ -581,14 +609,58 @@ class Driver:
             for i, t in zip(idx, stamped):
                 slot = pending[i]
                 if slot is None:
-                    pending[i] = (suffix, t)
+                    pending[i] = (suffix, [t])
                 elif slot.__class__ is list:
-                    slot.append((suffix, t))
+                    slot.append((suffix, [t]))
                 else:
-                    pending[i] = [slot, (suffix, t)]
+                    pending[i] = [slot, (suffix, [t])]
             return gate
 
         return column_phase
+
+    def _compile_expire_phase(self, plan):
+        """One scheduled NT window → its expire-phase closure ("One batch
+        loop", effect 5); it returns the window's next expiry."""
+        leaf = plan.leaf
+        store = leaf._store
+        counters = self.compiled.counters
+        suffix = self._compile_suffix(self._stages(plan.suffix))
+
+        def expire_phase(clocks, pending):
+            popped = store.purge_expired(clocks[-1])
+            # Each row's pass pops exp in (clock[r-1], clock[r]] (effect 5).
+            rows = list(map(bisect_left, repeat(clocks), map(_exp, popped)))
+            if rows and clocks[rows[-1]] > leaf.clock:
+                leaf.clock = clocks[rows[-1]]
+            vals = list(map(_values, popped))
+            for op, kind, arg in plan.prefix:
+                if not vals:
+                    break
+                if clocks[rows[-1]] > op.clock:
+                    op.clock = clocks[rows[-1]]
+                counters.tuples_processed += len(vals)
+                counters.negatives_processed += len(vals)
+                if kind == "filter":
+                    mask = list(map(arg, vals))
+                    vals = list(compress(vals, mask))
+                    rows = list(compress(rows, mask))
+                    popped = list(compress(popped, mask))
+                elif kind == "map_indices":
+                    vals = take_columns(vals, arg)
+            negatives = [Tuple(v, t.ts, t.exp, NEGATIVE)
+                         for v, t in zip(vals, popped)]
+            i, n = 0, len(rows)
+            while i < n:  # one group per row, in row order
+                r = rows[i]
+                j = bisect_right(rows, r, i)
+                entry = (suffix, negatives[i:j])
+                slot = pending[r]
+                pending[r] = (entry if slot is None else [entry, slot]
+                              if slot.__class__ is tuple else [entry, *slot])
+                i = j
+            return store.next_expiry(clocks[-1])
+
+        return expire_phase
 
     # -- the batch loop --------------------------------------------------------
 
@@ -647,18 +719,17 @@ class Driver:
                 self.now = now
                 if now >= gate:
                     gate = run_pass(now)
+                if todo is not None:
+                    # (suffix, tuples) work, negatives first: a bare pair
+                    # for one, a list when more landed on the row.
+                    if todo.__class__ is tuple:
+                        gate = todo[0](todo[1], now, gate)
+                    else:
+                        for suffix, batch in todo:
+                            gate = suffix(batch, now, gate)
                 if event.__class__ is Arrival:
                     tuples_arrived += 1
-                    if todo is not None:
-                        # A prelude survivor: a bare (suffix, tuple) pair in
-                        # the common one-plan case, a list when a second
-                        # plan landed on the row.
-                        if todo.__class__ is tuple:
-                            gate = todo[0]([todo[1]], now, gate)
-                        else:
-                            for suffix, t in todo:
-                                gate = suffix([t], now, gate)
-                    elif event.stream in inline:
+                    if event.stream in inline:
                         values = event.values
                         for fn in inline[event.stream]:
                             gate = fn(values, now, gate)
@@ -689,8 +760,8 @@ class Driver:
     def _run_preludes(self, events, clocks: list, pending: list, gate: float,
                       acc: list | None) -> float:
         """Run every column prelude over its stream's rows of a monotone
-        batch, queuing survivors on ``pending``; return the folded gate.
-        An event list is grouped by ``list.index`` scans (C speed)."""
+        batch, queuing survivors (then scheduled negatives) on ``pending``;
+        return the gate.  An event list is grouped by ``list.index``."""
         if acc is not None:
             t1 = perf()
         table = events.__class__ is ChunkTable
@@ -720,7 +791,15 @@ class Driver:
                     t = perf()
                     acc[slot] += t - t1
                     t1 = t
-        return gate
+        boundaries = self._boundaries
+        for expire_phase, i, slot in self._scheduled:
+            boundaries[i] = expire_phase(clocks, pending)
+            if acc is not None:  # the window's expire and the pass timers
+                t = perf()
+                acc[slot] += t - t1
+                acc[DriverMetrics.PASS] += t - t1
+                t1 = t
+        return min(boundaries) if self._scheduled else gate
 
     def _run_pass(self, now: float) -> float:
         """One boundary-triggered expiration pass, visiting only the

@@ -55,7 +55,8 @@ from ..operators.stateless import PortOp
 from ..streams.stream import Event, RelationUpdate, Tick
 from .driver import Driver
 from .query import ContinuousQuery
-from .strategies import _STATEFUL, ExecutionConfig, Mode, compile_plan
+from .strategies import (_STATEFUL, ExecutionConfig, Mode, compile_plan,
+                         _reject_reused_nodes)
 from .views import ResultView, StateView
 
 #: Minimum number of consumers for a subtree to be worth a producer.
@@ -227,6 +228,8 @@ def _plan_shared(
     """
     entries = [(name, plan, config if config is not None
                 else ExecutionConfig()) for name, plan, config in entries]
+    for _name, plan, _config in entries:
+        _reject_reused_nodes(plan)  # before a cut could hide the reuse
 
     # Per-plan fingerprints and candidacy, cached by node id.  walk() is
     # bottom-up, so a node's children are classified before it.

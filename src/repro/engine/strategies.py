@@ -244,8 +244,20 @@ def compile_plan(root: LogicalNode, config: ExecutionConfig,
 # validation
 # ---------------------------------------------------------------------------
 
+def _reject_reused_nodes(root: LogicalNode) -> None:
+    """One node object under two parents: a PlanError in every mode."""
+    seen: set[int] = set()
+    for node in root.walk():
+        if id(node) in seen:
+            raise PlanError(
+                f"{node.describe()} appears twice in the plan: one node "
+                "object cannot feed two parents; build each input separately")
+        seen.add(id(node))
+
+
 def _validate(root: LogicalNode, annotated: AnnotatedPlan,
               config: ExecutionConfig) -> None:
+    _reject_reused_nodes(root)
     for node in root.walk():
         if isinstance(node, GroupBy) and node is not root:
             raise PlanError(
@@ -328,10 +340,6 @@ def _inspect_windows(root: LogicalNode, compiled: CompiledQuery) -> None:
 
 def _build_node(node: LogicalNode, compiled: CompiledQuery,
                 annotated: AnnotatedPlan, config: ExecutionConfig) -> None:
-    if id(node) in compiled.ops:
-        raise PlanError(
-            f"{node.describe()} appears twice in the plan: one node object "
-            "cannot feed two parents; build each input separately")
     counters = compiled.counters
     mode = config.mode
     nt = mode is Mode.NT

@@ -345,6 +345,19 @@ class TestValidation:
         with pytest.raises(PlanError, match="appears twice"):
             group.run(iter([Arrival(0, "s0", (1,))]))
 
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("combine", [
+        lambda s: Intersect(s, s),
+        lambda s: Union(s, s),
+    ], ids=["intersect", "union"])
+    def test_group_member_reuse_in_every_mode(self, combine, mode):
+        """A group member gets a single query's verdict: under NT a
+        sharing cut at the reused window must not hide the reuse."""
+        group = QueryGroup()
+        group.add("q", combine(scan()), ExecutionConfig(mode=mode))
+        with pytest.raises(PlanError, match="appears twice"):
+            group.run(iter([Arrival(0, "s0", (1,))]))
+
 
 class TestRouting:
     def test_routes_lead_to_root(self):

@@ -522,6 +522,24 @@ class TestSurfaces:
                    if inst.count}
         assert charged == {"WindowOp"}
 
+    def test_scheduled_nt_expirations_are_timed(self, monkeypatch):
+        """Query 4 under NT runs no expiration pass (its preludes schedule
+        every window negative), yet a sampled batch charges each window's
+        expire timer and the pass timer with that scheduling."""
+        from repro.workloads import (TrafficConfig, TrafficTraceGenerator,
+                                     query4)
+
+        monkeypatch.setattr(Driver, "sample_events", 512)
+        gen = TrafficTraceGenerator(TrafficConfig(n_links=2, n_src_ips=40,
+                                                  seed=3))
+        query = ContinuousQuery(query4(gen, 50), ExecutionConfig(mode=Mode.NT))
+        assert "NT expirations: scheduled (link0, link1)" \
+            in query.executor.batch_loop()
+        metrics = query.run(iter(gen.events(3000)), batch=64).metrics
+        assert metrics.find("expiration_pass_seconds")[0].count > 0
+        windows = metrics.find("op_expire_seconds", kind="WindowOp")
+        assert len(windows) == 2 and all(inst.count > 0 for inst in windows)
+
     def test_explain_reports_a_finished_armed_run(self):
         query = ContinuousQuery(_filter_distinct_plan(),
                                 ExecutionConfig(mode=Mode.UPA))
